@@ -41,9 +41,7 @@ gram_model = ngram.NGramPredictor(ngram.fit(train_corpus, 3))
 def fold_score(model):
     props, streams = [], []
     for seq in sorted(eval_seqs, key=lambda s: s.student_id):
-        preds = (model.predict_sequence(seq.actions)
-                 if hasattr(model, "predict_sequence")
-                 else [model.predict(seq.actions[:t]) for t in range(1, len(seq.actions))])
+        preds = model.predict_sequence(seq.actions)
         hits = sum(p == a for p, a in zip(preds, seq.actions[1:]))
         props.append(hits / (len(seq.actions) - 1))
         streams.extend(

@@ -1,10 +1,12 @@
 """Structural predictors: repeat-last, course-order successor, and their combination.
 
-All three are pure functions of the context (and a course-order map); they
-need no training.  The course-order model emits no prediction when the last
-action is off the course order or is its final item; no-prediction is scored
-incorrect, which keeps denominators identical across models.  The combined
-model stays total by falling back to repeat in exactly those cases.
+Each rule reads only the last action of the context (and a course-order
+map), so none needs training, and ``predict_sequence`` scores a sequence by
+applying ``predict`` to each action but the final one.  The course-order
+model emits no prediction when the last action is off the course order or is
+its final item; no-prediction is scored incorrect, which keeps denominators
+identical across models.  The combined model stays total by falling back to
+repeat in exactly those cases.
 """
 
 from dataclasses import dataclass
@@ -29,6 +31,13 @@ class SyllabusMap:
     position_of: dict[int, int]
     coverage: int
     unmatched: list[str]
+
+    def successor(self, action: int) -> int | None:
+        """The course item after ``action``; None off the course order or at its end."""
+        pos = self.position_of.get(action)
+        if pos is None or pos + 1 >= len(self.items):
+            return None
+        return self.items[pos + 1]
 
 
 def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
@@ -57,56 +66,52 @@ def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
     )
 
 
-def repeat_predict(context: Sequence[int]) -> int:
-    """The next action is the last action."""
-    if not context:
-        raise NextactionError("repeat prediction needs a non-empty context")
+def _last(context: Sequence[int]) -> int:
+    if len(context) == 0:
+        raise NextactionError("structural prediction needs a non-empty context")
     return context[-1]
 
 
-def syllabus_predict(context: Sequence[int], syllabus: SyllabusMap) -> int | None:
-    """The next action is the course-order successor of the last action.
-
-    Returns None (no prediction) when the last action is off the course
-    order or is its final item.
-    """
-    if not context:
-        raise NextactionError("course-order prediction needs a non-empty context")
-    pos = syllabus.position_of.get(context[-1])
-    if pos is None or pos + 1 >= len(syllabus.items):
-        return None
-    return syllabus.items[pos + 1]
-
-
-def syllabus_repeat_predict(context: Sequence[int], syllabus: SyllabusMap) -> int:
-    """Course-order successor when it exists, otherwise repeat the last action."""
-    successor = syllabus_predict(context, syllabus)
-    return context[-1] if successor is None else successor
-
-
 class RepeatModel:
+    """The next action is the last action."""
+
     name = "repeat"
 
     def predict(self, context: Sequence[int]) -> int:
-        return repeat_predict(context)
+        return _last(context)
+
+    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
+        return [self.predict((a,)) for a in actions[:-1]]
 
 
 class SyllabusModel:
+    """The course-order successor of the last action; NO_PREDICTION if it has none."""
+
     name = "syllabus"
 
     def __init__(self, syllabus: SyllabusMap):
         self.syllabus = syllabus
 
     def predict(self, context: Sequence[int]) -> int:
-        predicted = syllabus_predict(context, self.syllabus)
-        return NO_PREDICTION if predicted is None else predicted
+        successor = self.syllabus.successor(_last(context))
+        return NO_PREDICTION if successor is None else successor
+
+    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
+        return [self.predict((a,)) for a in actions[:-1]]
 
 
 class SyllabusRepeatModel:
+    """Course-order successor when it exists, otherwise repeat the last action."""
+
     name = "syllabus+repeat"
 
     def __init__(self, syllabus: SyllabusMap):
         self.syllabus = syllabus
 
     def predict(self, context: Sequence[int]) -> int:
-        return syllabus_repeat_predict(context, self.syllabus)
+        last = _last(context)
+        successor = self.syllabus.successor(last)
+        return last if successor is None else successor
+
+    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
+        return [self.predict((a,)) for a in actions[:-1]]

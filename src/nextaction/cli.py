@@ -9,12 +9,12 @@ content-addressed filenames in --out-dir to avoid silent overwrites.
 
 import argparse
 import hashlib
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import baselines, evaluation, ingest, lstm, ngram, synth
+from .config import read_kv_file
 from .errors import ConfigError, NextactionError
 
 
@@ -22,41 +22,20 @@ def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("NEXTACTION_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _read_kv_config(path: str | Path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"config line is not key=value: {stripped!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        values[key.replace("-", "_")] = raw
-    return values
-
-
 def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else the hard default."""
-    file_values = _read_kv_config(args.config) if getattr(args, "config", None) else {}
+    """Flag value if given, else config-file value, else the hard default.
+
+    The config file may set only the keys in ``defaults``, each parsed as the
+    type of its default (text for a default of None).
+    """
+    file_values = {}
+    if getattr(args, "config", None):
+        kinds = {key: str if value is None else type(value) for key, value in defaults.items()}
+        file_values = read_kv_file(args.config, kinds)
     merged = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-        elif key in file_values:
-            caster = type(default) if default is not None else str
-            raw = file_values[key]
-            merged[key] = raw.lower() in ("1", "true", "yes") if caster is bool else caster(raw)
-        else:
-            merged[key] = default
+        merged[key] = flag if flag is not None else file_values.get(key, default)
     return merged
 
 
@@ -70,6 +49,30 @@ def _write_artifact(text: str, out_dir: str, prefix: str, explicit: str | None) 
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
     return path
+
+
+def _write_comparison(title: str, meta: dict, rows, args, prefix: str) -> int:
+    """One report over several CV runs; ``rows`` pairs a key prefix with each report."""
+    lines = [title]
+    lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
+    for key, report in rows:
+        accs = " ".join(f"{a:.10f}" for a in report.per_fold_accuracy)
+        lines.append(f"{key}.cv_accuracy: {report.cv_accuracy:.10f}")
+        lines.append(f"{key}.fold_accuracy: {accs}")
+    _write_artifact("\n".join(lines) + "\n", args.out_dir, prefix, args.report)
+    return 0
+
+
+def _write_cv_outputs(report: evaluation.EvalReport, args, prefix: str) -> int:
+    """The prediction stream, the report and the fold CSV of one CV run."""
+    if args.stream:
+        evaluation.write_stream(report.streams, args.stream)
+        print(f"wrote {args.stream}")
+    _write_artifact(report.to_text(), args.out_dir, prefix, args.report)
+    if args.csv:
+        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        print(f"wrote {args.csv}")
+    return 0
 
 
 _PATH_OPTIONS = {"events", "roster", "corpus", "vocab", "model", "syllabus"}
@@ -168,7 +171,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_ngram(args) -> int:
     options = _merge_options(args, {
         "max_order": 10, "folds": 5, "seed": 0, "cohort": "certified",
-        "min_actions": 1, "workers": _default_workers(), "sweep": False,
+        "min_actions": 1, "workers": 1, "sweep": False,
         "usage": False,
     })
     if options["max_order"] < 1:
@@ -183,14 +186,9 @@ def _cmd_ngram(args) -> int:
         reports = ngram.sweep_orders(
             corpus, range(2, options["max_order"] + 1), plan, workers=options["workers"]
         )
-        lines = ["# nextaction n-gram order sweep"]
-        lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
-        for order in sorted(reports):
-            accs = " ".join(f"{a:.10f}" for a in reports[order].per_fold_accuracy)
-            lines.append(f"order.{order}.cv_accuracy: {reports[order].cv_accuracy:.10f}")
-            lines.append(f"order.{order}.fold_accuracy: {accs}")
-        _write_artifact("\n".join(lines) + "\n", args.out_dir, "ngram-sweep", args.report)
-        return 0
+        rows = [(f"order.{order}", reports[order]) for order in sorted(reports)]
+        return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
+                                 "ngram-sweep")
 
     def factory(train_corpus, fold):
         return ngram.NGramPredictor(ngram.fit(train_corpus, options["max_order"]))
@@ -212,14 +210,7 @@ def _cmd_ngram(args) -> int:
         if args.save_model:
             ngram.save_table(table, args.save_model)
             print(f"wrote {args.save_model}")
-    if args.stream:
-        evaluation.write_stream(report.streams, args.stream)
-        print(f"wrote {args.stream}")
-    _write_artifact(report.to_text(), args.out_dir, "ngram-report", args.report)
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
-        print(f"wrote {args.csv}")
-    return 0
+    return _write_cv_outputs(report, args, "ngram-report")
 
 
 # ---------------------------------------------------------------- lstm
@@ -228,12 +219,18 @@ def _parse_list(raw: str, caster):
     return [caster(part) for part in str(raw).split(",") if part != ""]
 
 
+def _write_curve(curve: list[lstm.EpochStats], path: Path) -> None:
+    rows = ["epoch,train_loss,hillclimb_accuracy"]
+    rows.extend(f"{s.epoch},{s.train_loss:.10f},{s.hillclimb_accuracy:.10f}" for s in curve)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+
+
 def _cmd_lstm(args) -> int:
     options = _merge_options(args, {
         "layers": "1", "nodes": "64", "lr": "0.01", "epochs": 10, "window": 10,
         "dropout": 0.2, "emb_dim": 64, "batch": 32, "folds": 5, "seed": 0,
-        "cell": "lstm", "cohort": "certified", "min_actions": 1,
-        "workers": _default_workers(),
+        "cell": "lstm", "cohort": "certified", "min_actions": 1, "workers": 1,
     })
     layer_list = _parse_list(options["layers"], int)
     node_list = _parse_list(options["nodes"], int)
@@ -255,15 +252,11 @@ def _cmd_lstm(args) -> int:
     combos = [(l, n, r) for l in layer_list for n in node_list for r in lr_list]
     if len(combos) > 1:
         results = lstm.grid_search(corpus, combos, plan, base_cfg, workers=options["workers"])
-        lines = ["# nextaction lstm grid report"]
-        lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
-        for cfg, report in results:
-            accs = " ".join(f"{a:.10f}" for a in report.per_fold_accuracy)
-            key = f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}"
-            lines.append(f"{key}.cv_accuracy: {report.cv_accuracy:.10f}")
-            lines.append(f"{key}.fold_accuracy: {accs}")
-        _write_artifact("\n".join(lines) + "\n", args.out_dir, "lstm-grid", args.report)
-        return 0
+        rows = [
+            (f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}", report)
+            for cfg, report in results
+        ]
+        return _write_comparison("# nextaction lstm grid report", meta, rows, args, "lstm-grid")
 
     factory, curves = lstm.cv_factory(base_cfg)
     report = evaluation.cross_validate(
@@ -278,35 +271,13 @@ def _cmd_lstm(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.curve_prefix or "curve"
     for fold in sorted(curves):
-        rows = ["epoch,train_loss,hillclimb_accuracy"]
-        rows.extend(
-            f"{s.epoch},{s.train_loss:.10f},{s.hillclimb_accuracy:.10f}"
-            for s in curves[fold]
-        )
-        curve_path = out_dir / f"{prefix}-fold{fold}.csv"
-        curve_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        print(f"wrote {curve_path}")
-
+        _write_curve(curves[fold], out_dir / f"{prefix}-fold{fold}.csv")
     if args.save_model:
         net, final_curve = lstm.train(corpus, base_cfg)
         lstm.save_checkpoint(net, args.save_model)
         print(f"wrote {args.save_model}")
-        rows = ["epoch,train_loss,hillclimb_accuracy"]
-        rows.extend(
-            f"{s.epoch},{s.train_loss:.10f},{s.hillclimb_accuracy:.10f}"
-            for s in final_curve
-        )
-        final_path = out_dir / f"{prefix}-final.csv"
-        final_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        print(f"wrote {final_path}")
-    if args.stream:
-        evaluation.write_stream(report.streams, args.stream)
-        print(f"wrote {args.stream}")
-    _write_artifact(report.to_text(), args.out_dir, "lstm-report", args.report)
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
-        print(f"wrote {args.csv}")
-    return 0
+        _write_curve(final_curve, out_dir / f"{prefix}-final.csv")
+    return _write_cv_outputs(report, args, "lstm-report")
 
 
 # ---------------------------------------------------------------- baseline
@@ -314,7 +285,7 @@ def _cmd_lstm(args) -> int:
 def _cmd_baseline(args) -> int:
     options = _merge_options(args, {
         "model": "repeat", "folds": 5, "seed": 0, "cohort": "certified",
-        "min_actions": 1, "workers": _default_workers(),
+        "min_actions": 1, "workers": 1,
     })
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
     inputs = {"corpus": args.corpus, "vocab": args.vocab}
@@ -340,14 +311,7 @@ def _cmd_baseline(args) -> int:
         keep_streams=bool(args.stream),
     )
     report.metadata.update(_config_metadata(options, inputs))
-    if args.stream:
-        evaluation.write_stream(report.streams, args.stream)
-        print(f"wrote {args.stream}")
-    _write_artifact(report.to_text(), args.out_dir, "baseline-report", args.report)
-    if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
-        print(f"wrote {args.csv}")
-    return 0
+    return _write_cv_outputs(report, args, "baseline-report")
 
 
 # ---------------------------------------------------------------- eval
@@ -404,7 +368,7 @@ def _add_common(sub, *names):
         sub.add_argument("--seed", type=int, default=None)
     if "workers" in names:
         sub.add_argument("--workers", type=int, default=None,
-                         help="parallel workers (default from NEXTACTION_WORKERS)")
+                         help="parallel fold workers (default 1)")
     if "corpus" in names:
         sub.add_argument("--corpus", required=True, help="encoded corpus file")
         sub.add_argument("--vocab", required=True, help="vocabulary file")

@@ -1,0 +1,33 @@
+"""The key=value format of every --config file: one pair per line, ``#`` comments."""
+
+from pathlib import Path
+
+from .errors import ConfigError
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
+    """Parse ``path``, converting each value to the type ``kinds`` gives its key.
+
+    ``-`` in a key reads as ``_``.  A line that is not key=value, a key not in
+    ``kinds`` or a value its type rejects raises ConfigError naming the line.
+    """
+    values: dict[str, object] = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        where = f"{Path(path).name}, line {lineno}"
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected key=value, got {stripped!r}")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in kinds:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        kind = kinds[key]
+        try:
+            values[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{where}: bad {kind.__name__} value for {key}: {raw!r}") from None
+    return values

@@ -5,6 +5,10 @@ positions t = 2..T, predicting action t from actions 1..t-1.  The accuracy
 of a sequence is the proportion of correct predictions; fold accuracy is the
 mean over its sequences, and the cross-validated accuracy is the mean over
 folds (macro averaging at both levels, not pooled over positions).
+
+Every model meets one contract, the only call made on it here:
+``model.predict_sequence(actions)`` returns the T-1 predictions for
+positions 2..T in order, each made from the actions before it.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -14,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NextactionError
+from .errors import ConfigError, MalformedRecordError, NextactionError
 from .ingest import Corpus, StudentSequence
 
 ACCURACY_FORMAT = "{:.10f}"
@@ -128,29 +132,24 @@ def hill_climb_split(
     return train, holdout
 
 
-def _model_predictions(model, actions: Sequence[int]) -> list[int]:
-    if hasattr(model, "predict_sequence"):
-        return list(model.predict_sequence(actions))
-    return [model.predict(actions[:t]) for t in range(1, len(actions))]
-
-
 def sequence_accuracy(model, actions: Sequence[int]) -> float:
     """Proportion of positions 2..T predicted correctly from the prior context."""
     if len(actions) < 2:
         raise NextactionError("sequences shorter than 2 cannot be scored")
-    predictions = _model_predictions(model, actions)
-    correct = sum(p == a for p, a in zip(predictions, actions[1:]))
-    return correct / (len(actions) - 1)
+    predictions = model.predict_sequence(actions)
+    return sum(p == a for p, a in zip(predictions, actions[1:])) / (len(actions) - 1)
 
 
-def _score_sequence(model, seq: StudentSequence) -> tuple[float, list[PredictionRecord]]:
-    predictions = _model_predictions(model, seq.actions)
+def _score_sequence(
+    model, seq: StudentSequence, keep_records: bool
+) -> tuple[float, list[PredictionRecord]]:
+    predictions = model.predict_sequence(seq.actions)
+    truths = seq.actions[1:]
     records = [
         PredictionRecord(seq.student_id, t + 2, pred, truth)
-        for t, (pred, truth) in enumerate(zip(predictions, seq.actions[1:]))
-    ]
-    correct = sum(r.predicted == r.truth for r in records)
-    return correct / len(records), records
+        for t, (pred, truth) in enumerate(zip(predictions, truths))
+    ] if keep_records else []
+    return sum(p == a for p, a in zip(predictions, truths)) / len(truths), records
 
 
 ModelFactory = Callable[[Corpus, int], object]
@@ -162,7 +161,6 @@ def cross_validate(
     plan: FoldPlan,
     model_name: str = "model",
     workers: int = 1,
-    keep_per_sequence: bool = True,
     keep_streams: bool = False,
 ) -> EvalReport:
     """Train on k-1 folds, score the held-out fold, macro-average twice.
@@ -197,10 +195,9 @@ def cross_validate(
             if len(seq) < 2:
                 skipped += 1
                 continue
-            prop, recs = _score_sequence(model, seq)
+            prop, recs = _score_sequence(model, seq, keep_streams)
             props.append((sid, prop))
-            if keep_streams:
-                records.extend(recs)
+            records.extend(recs)
         if not props:
             raise NextactionError(f"fold {fold} has no scoreable sequences")
         return props, records, skipped
@@ -224,7 +221,7 @@ def cross_validate(
     report = EvalReport(
         model=model_name,
         per_fold_accuracy=per_fold,
-        per_sequence=per_sequence if keep_per_sequence else None,
+        per_sequence=per_sequence,
         skipped_sequences=skipped_total,
     )
     report.metadata["folds.seed"] = str(plan.seed)
@@ -301,9 +298,14 @@ def write_stream(records: Sequence[PredictionRecord], path: str | Path) -> None:
 
 def read_stream(path: str | Path) -> list[PredictionRecord]:
     records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip() or line.startswith("#"):
             continue
-        sid, pos, pred, truth = line.split("\t")
-        records.append(PredictionRecord(sid, int(pos), int(pred), int(truth)))
+        try:
+            sid, pos, pred, truth = line.split("\t")
+            records.append(PredictionRecord(sid, int(pos), int(pred), int(truth)))
+        except ValueError:
+            raise MalformedRecordError(
+                lineno, f"expected student, position, predicted, truth; got {line!r}"
+            ) from None
     return records

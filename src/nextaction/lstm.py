@@ -35,6 +35,7 @@ from .evaluation import hill_climb_split, sequence_accuracy
 from .ingest import Corpus, StudentSequence
 
 PROB_FLOOR = 1e-12
+HILL_FRACTION = 0.1  # share of training students held out for hill climbing
 CHECKPOINT_MAGIC = b"NLSTM1"
 _CELL_KINDS = {"lstm": 0, "rnn": 1}
 
@@ -609,21 +610,17 @@ class EpochStats:
     hillclimb_accuracy: float
 
 
-def train(
-    corpus: Corpus,
-    cfg: TrainConfig,
-    hill_fraction: float = 0.1,
-) -> tuple[LstmNetwork, list[EpochStats]]:
+def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStats]]:
     """Train on windowed sequences; track hill-climbing accuracy each epoch.
 
-    A student-level slice of the training data (default 10%, ceiling) is held
-    out and scored after every epoch with the usual sequence accuracy.  The
-    final-epoch network and the per-epoch curve are returned.
+    A student-level slice of the training data (HILL_FRACTION, ceiling) is
+    held out and scored after every epoch with the usual sequence accuracy.
+    The final-epoch network and the per-epoch curve are returned.
     """
     cfg.validate()
     if not corpus.sequences:
         raise ConfigError("cannot train on an empty corpus")
-    train_seqs, hill_seqs = hill_climb_split(corpus.sequences, hill_fraction, cfg.seed)
+    train_seqs, hill_seqs = hill_climb_split(corpus.sequences, HILL_FRACTION, cfg.seed)
     net = network_from_config(corpus.vocab_size, cfg)
     optimizer = RmsPropOptimizer(net, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5F0F])
@@ -674,45 +671,39 @@ def predict_next(net: LstmNetwork, context: Sequence[int]) -> tuple[int, np.ndar
     return int(np.argmax(dist)), dist
 
 
-def predict_sequence(net: LstmNetwork, actions: Sequence[int]) -> list[int]:
-    """Predictions for positions 2..T, batched by shared context length."""
-    arr = np.asarray(actions, dtype=np.int64)
-    n = len(arr)
-    if n < 2:
-        return []
-    by_length: dict[int, list[int]] = {}
-    for t in range(1, n):
-        by_length.setdefault(min(t, net.window), []).append(t)
-    out = np.empty(n - 1, dtype=np.int64)
-    for length, positions in by_length.items():
-        ids = np.stack([arr[t - length : t] for t in positions])
-        _validate_ids(net, ids)
-        dist = _last_step_distribution(net, ids)
-        for row, t in enumerate(positions):
-            out[t - 1] = int(np.argmax(dist[row]))
-    return out.tolist()
-
-
 class LstmPredictor:
-    """Evaluator-facing adapter around a trained network."""
+    """Scores whole sequences with a trained network."""
 
     def __init__(self, net: LstmNetwork):
         self.net = net
 
-    def predict(self, context: Sequence[int]) -> int:
-        return predict_next(self.net, context)[0]
-
     def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        return predict_sequence(self.net, actions)
+        """Predictions for positions 2..T, batched by shared context length."""
+        net = self.net
+        arr = np.asarray(actions, dtype=np.int64)
+        n = len(arr)
+        if n < 2:
+            return []
+        by_length: dict[int, list[int]] = {}
+        for t in range(1, n):
+            by_length.setdefault(min(t, net.window), []).append(t)
+        out = np.empty(n - 1, dtype=np.int64)
+        for length, positions in by_length.items():
+            ids = np.stack([arr[t - length : t] for t in positions])
+            _validate_ids(net, ids)
+            dist = _last_step_distribution(net, ids)
+            for row, t in enumerate(positions):
+                out[t - 1] = int(np.argmax(dist[row]))
+        return out.tolist()
 
 
-def cv_factory(cfg: TrainConfig, hill_fraction: float = 0.1):
+def cv_factory(cfg: TrainConfig):
     """A cross-validation model factory; also collects per-fold epoch curves."""
     curves: dict[int, list[EpochStats]] = {}
 
     def factory(train_corpus: Corpus, fold: int):
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, fold))
-        net, curve = train(train_corpus, fold_cfg, hill_fraction)
+        net, curve = train(train_corpus, fold_cfg)
         curves[fold] = curve
         return LstmPredictor(net)
 
@@ -725,19 +716,15 @@ def grid_search(
     plan,
     base_cfg: TrainConfig,
     workers: int = 1,
-    skip=None,
 ):
     """Cross-validated accuracy for each (layers, nodes, learning rate) combo.
 
-    Returns (config, report) pairs sorted by descending accuracy; combos
-    matching the ``skip`` predicate are left out.
+    Returns (config, report) pairs sorted by descending accuracy.
     """
     from .evaluation import cross_validate
 
     results = []
     for layers, nodes, lr in combos:
-        if skip is not None and skip((layers, nodes, lr)):
-            continue
         cfg = replace(base_cfg, layers=layers, hidden_size=nodes, learning_rate=lr)
         factory, _ = cv_factory(cfg)
         name = f"{cfg.cell} layers={layers} nodes={nodes} lr={lr:g}"

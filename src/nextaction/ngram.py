@@ -73,6 +73,20 @@ def fit(corpus: Corpus, max_order: int) -> NGramTable:
     return table
 
 
+def _cap(table: NGramTable, max_order: int | None) -> int:
+    return table.max_order if max_order is None else min(max_order, table.max_order)
+
+
+def _backoff(table: NGramTable, actions: Sequence[int], t: int, cap: int):
+    """(predicted, order used, context) for position t, read from actions[t-order+1:t]."""
+    for order in range(min(cap, t + 1), 0, -1):
+        ctx = tuple(actions[t - order + 1 : t])
+        by_next = table.continuations[order].get(ctx)
+        if by_next:
+            return min(by_next, key=lambda a: (-by_next[a], a)), order, ctx
+    raise UnfittedModelError("n-gram table has no observations")
+
+
 def predict_next(
     table: NGramTable,
     context: Sequence[int],
@@ -84,20 +98,13 @@ def predict_next(
     ``max_order`` caps the orders consulted (useful for order sweeps over a
     single fitted table); it defaults to the table's own order.
     """
-    cap = table.max_order if max_order is None else min(max_order, table.max_order)
-    start = min(cap, len(context) + 1)
-    for order in range(start, 0, -1):
-        ctx = tuple(context[len(context) - order + 1 :]) if order > 1 else ()
-        by_next = table.continuations[order].get(ctx)
-        if not by_next:
-            continue
-        predicted = min(by_next, key=lambda a: (-by_next[a], a))
-        distribution = None
-        if with_distribution:
-            total = table.context_totals[order][ctx]
-            distribution = {a: n / total for a, n in sorted(by_next.items())}
-        return BackoffPrediction(predicted, order, distribution)
-    raise UnfittedModelError("n-gram table has no observations")
+    predicted, order, ctx = _backoff(table, context, len(context), _cap(table, max_order))
+    distribution = None
+    if with_distribution:
+        by_next = table.continuations[order][ctx]
+        total = table.context_totals[order][ctx]
+        distribution = {a: n / total for a, n in sorted(by_next.items())}
+    return BackoffPrediction(predicted, order, distribution)
 
 
 def backoff_usage(
@@ -106,32 +113,30 @@ def backoff_usage(
     max_order: int | None = None,
 ) -> dict[int, float]:
     """Fraction of scored positions served by each gram order."""
-    cap = table.max_order if max_order is None else min(max_order, table.max_order)
-    used = Counter()
-    scored = 0
-    for seq in corpus.sequences:
-        actions = seq.actions
-        for t in range(1, len(actions)):
-            pred = predict_next(table, actions[:t], max_order=cap)
-            used[pred.order_used] += 1
-            scored += 1
+    cap = _cap(table, max_order)
+    used = Counter(
+        _backoff(table, seq.actions, t, cap)[1]
+        for seq in corpus.sequences
+        for t in range(1, len(seq.actions))
+    )
+    scored = sum(used.values())
     if scored == 0:
         return {order: 0.0 for order in range(1, cap + 1)}
     return {order: used.get(order, 0) / scored for order in range(1, cap + 1)}
 
 
 class NGramPredictor:
-    """Adapter exposing the plain predict interface used by the evaluator."""
+    """Scores whole sequences by backoff over one fitted table."""
 
     def __init__(self, table: NGramTable, max_order: int | None = None):
         self.table = table
-        self.max_order = table.max_order if max_order is None else max_order
-
-    def predict(self, context: Sequence[int]) -> int:
-        return predict_next(self.table, context, max_order=self.max_order).predicted
+        self.max_order = _cap(table, max_order)
 
     def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        return [self.predict(actions[:t]) for t in range(1, len(actions))]
+        return [
+            _backoff(self.table, actions, t, self.max_order)[0]
+            for t in range(1, len(actions))
+        ]
 
 
 def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import read_kv_file
 from .errors import ConfigError
 
 UNCERTIFIED_ADVANCE_FACTOR = 0.5
@@ -64,20 +65,8 @@ class SynthConfig:
 
 def load_config(path: str | Path) -> SynthConfig:
     """Read a flat key=value file; unknown keys are rejected."""
-    values: dict[str, object] = {}
-    fields = SynthConfig.__dataclass_fields__
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in fields:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        kind = fields[key].type
-        values[key] = float(raw) if kind in (float, "float") else int(raw)
-    cfg = SynthConfig(**values)
+    kinds = {name: f.type for name, f in SynthConfig.__dataclass_fields__.items()}
+    cfg = SynthConfig(**read_kv_file(path, kinds))
     cfg.validate()
     return cfg
 

@@ -285,8 +285,8 @@ def test_criterion_9_protocol_shape():
     plan = evaluation.FoldPlan(k=2, seed=0, assignment={"long": 0, "short": 1})
 
     class RepeatLast:
-        def predict(self, context):
-            return context[-1]
+        def predict_sequence(self, actions):
+            return list(actions[:-1])
 
     report = evaluation.cross_validate(lambda train, fold: RepeatLast(), corpus, plan)
     macro = (19 / 20 + 0.0) / 2

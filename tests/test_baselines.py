@@ -41,7 +41,7 @@ class TestLoadSyllabus:
 
 class TestRepeat:
     def test_returns_last(self):
-        assert baselines.repeat_predict([0, 0, 1]) == 1
+        assert baselines.RepeatModel().predict([0, 0, 1]) == 1
 
     def test_constant_sequence_scores_one(self):
         model = baselines.RepeatModel()
@@ -49,22 +49,24 @@ class TestRepeat:
 
     def test_empty_context(self):
         with pytest.raises(NextactionError):
-            baselines.repeat_predict([])
+            baselines.RepeatModel().predict([])
 
 
 class TestSyllabus:
     def test_successor(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "c"]), vocab)
         a, b, c = (vocab.encode(t) for t in "abc")
-        assert baselines.syllabus_predict([a, b], syl) == c
+        assert baselines.SyllabusModel(syl).predict([a, b]) == c
 
     def test_final_item_gives_no_prediction(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "c"]), vocab)
-        assert baselines.syllabus_predict([vocab.encode("c")], syl) is None
+        model = baselines.SyllabusModel(syl)
+        assert model.predict([vocab.encode("c")]) == baselines.NO_PREDICTION
 
     def test_off_order_gives_no_prediction(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
-        assert baselines.syllabus_predict([vocab.encode("x")], syl) is None
+        model = baselines.SyllabusModel(syl)
+        assert model.predict([vocab.encode("x")]) == baselines.NO_PREDICTION
 
     def test_model_wrapper_scores_no_prediction_incorrect(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
@@ -78,17 +80,17 @@ class TestSyllabusRepeat:
     def test_off_order_repeats(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
         x = vocab.encode("x")
-        assert baselines.syllabus_repeat_predict([x], syl) == x
+        assert baselines.SyllabusRepeatModel(syl).predict([x]) == x
 
     def test_on_order_advances(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
         a, b = vocab.encode("a"), vocab.encode("b")
-        assert baselines.syllabus_repeat_predict([a], syl) == b
+        assert baselines.SyllabusRepeatModel(syl).predict([a]) == b
 
     def test_final_item_repeats(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
         b = vocab.encode("b")
-        assert baselines.syllabus_repeat_predict([b], syl) == b
+        assert baselines.SyllabusRepeatModel(syl).predict([b]) == b
 
     def test_always_emits_a_prediction(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)

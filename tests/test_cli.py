@@ -196,3 +196,38 @@ class TestConfigMerging:
         assert main(["synth", "--config", str(cfg), "--out-dir", str(a)]) == 0
         assert main(["synth", "--config", str(cfg), "--seed", "2", "--out-dir", str(b)]) == 0
         assert (a / "events.tsv").read_bytes() != (b / "events.tsv").read_bytes()
+
+
+class TestConfigErrors:
+    def test_bad_value_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "ingest.cfg"
+        cfg.write_text("on_malformed=abort\nmin_count=abc\n", encoding="utf-8")
+        rc = main([
+            "ingest", "--config", str(cfg), "--events", str(pipeline / "events.tsv"),
+            "--roster", str(pipeline / "roster.tsv"), "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_unknown_key_exits_2(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "ngram.cfg"
+        cfg.write_text("max_ordr=2\n", encoding="utf-8")
+        rc = main([
+            "ngram", "--config", str(cfg), "--corpus", str(pipeline / "corpus.nact"),
+            "--vocab", str(pipeline / "vocab.tsv"), "--folds", "3",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "max_ordr" in err
+        assert not list(tmp_path.glob("ngram-report-*.txt"))
+
+
+class TestMalformedStream:
+    def test_agree_exits_2_on_a_bad_record(self, tmp_path, capsys):
+        good = tmp_path / "a.pred"
+        good.write_text("s1\t2\t1\t1\ns1\t3\t2\t3\n", encoding="utf-8")
+        bad = tmp_path / "b.pred"
+        bad.write_text("s1\t2\t1\t1\ns1\t2\tx\t3\n", encoding="utf-8")
+        assert main(["agree", str(good), str(bad)]) == 2
+        assert "line 2" in capsys.readouterr().err

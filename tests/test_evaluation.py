@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nextaction import evaluation, ngram
-from nextaction.errors import ConfigError, NextactionError
+from helpers import naive_backoff_predict, naive_gram_counts
+from nextaction import baselines, evaluation, lstm, ngram
+from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 from nextaction.ingest import Corpus, StudentSequence
 
 
@@ -17,13 +18,13 @@ class ConstantModel:
     def __init__(self, value):
         self.value = value
 
-    def predict(self, context):
-        return self.value
+    def predict_sequence(self, actions):
+        return [self.value] * (len(actions) - 1)
 
 
 class RepeatLast:
-    def predict(self, context):
-        return context[-1]
+    def predict_sequence(self, actions):
+        return list(actions[:-1])
 
 
 class TestMakeFolds:
@@ -90,8 +91,8 @@ class TestSequenceAccuracy:
         seq = [3, 1, 4, 1, 5]
 
         class Oracle:
-            def predict(self, context):
-                return seq[len(context)]
+            def predict_sequence(self, actions):
+                return list(seq[1 : len(actions)])
 
         assert evaluation.sequence_accuracy(Oracle(), seq) == 1.0
 
@@ -104,6 +105,42 @@ class TestSequenceAccuracy:
     def test_too_short_raises(self):
         with pytest.raises(NextactionError):
             evaluation.sequence_accuracy(RepeatLast(), [1])
+
+
+def _syllabus_map(items):
+    return baselines.SyllabusMap(items, {a: i for i, a in enumerate(items)}, len(items), [])
+
+
+def _contract_case(kind):
+    """(model, single-context rule) pairs that must agree at every position."""
+    if kind == "repeat":
+        model = baselines.RepeatModel()
+        return model, model.predict
+    if kind in ("syllabus", "combined"):
+        # ids 4..6 are off the course order and 3 is its final item
+        syllabus = _syllabus_map([0, 1, 2, 3])
+        cls = baselines.SyllabusModel if kind == "syllabus" else baselines.SyllabusRepeatModel
+        model = cls(syllabus)
+        return model, model.predict
+    if kind == "ngram":
+        rng = np.random.default_rng(20)
+        seqs = [rng.integers(0, 7, size=30).tolist() for _ in range(4)]
+        table = ngram.fit(corpus_of(seqs, 7), max_order=4)
+        naive = naive_gram_counts(seqs, 4)
+        model = ngram.NGramPredictor(table, max_order=3)
+        return model, lambda context: naive_backoff_predict(naive, context, 3)[0]
+    net = lstm.init_network(7, 5, 6, 2, 0.0, 4, rng=np.random.default_rng([19, 0xEE]))
+    return lstm.LstmPredictor(net), lambda context: lstm.predict_next(net, context)[0]
+
+
+class TestPredictionContract:
+    @pytest.mark.parametrize("kind", ["repeat", "syllabus", "combined", "ngram", "lstm"])
+    def test_predict_sequence_matches_per_position_calls(self, kind):
+        model, single = _contract_case(kind)
+        actions = np.random.default_rng(1).integers(0, 7, size=15).tolist()
+        predictions = model.predict_sequence(actions)
+        assert len(predictions) == len(actions) - 1
+        assert predictions == [single(actions[:t]) for t in range(1, len(actions))]
 
 
 class TestCrossValidate:
@@ -269,6 +306,14 @@ class TestStreamsAndReports:
         path = tmp_path / "model.pred"
         evaluation.write_stream(stream, path)
         assert evaluation.read_stream(path) == stream
+
+    @pytest.mark.parametrize("bad", ["s1\t2\tx\t3", "s1\t2\t3"])
+    def test_malformed_stream_line_names_its_line(self, tmp_path, bad):
+        path = tmp_path / "model.pred"
+        path.write_text(f"s1\t2\t1\t1\n{bad}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as caught:
+            evaluation.read_stream(path)
+        assert caught.value.lineno == 2
 
     def test_report_text_parses(self, tmp_path):
         report = evaluation.EvalReport(

@@ -339,14 +339,6 @@ class TestPrediction:
         assert full[0] == clipped[0]
         assert np.array_equal(full[1], clipped[1])
 
-    def test_predict_sequence_matches_per_position_calls(self):
-        net = tiny_net(seed=19, window=4)
-        rng = np.random.default_rng(1)
-        actions = rng.integers(0, 7, size=15).tolist()
-        batched = lstm.predict_sequence(net, actions)
-        direct = [lstm.predict_next(net, actions[:t])[0] for t in range(1, 15)]
-        assert batched == direct
-
 
 class TestCheckpoint:
     def test_round_trip_preserves_parameters_and_predictions(self, tmp_path):
@@ -389,17 +381,6 @@ class TestGridSearch:
             assert len(report.per_fold_accuracy) == 5
         accs = [report.cv_accuracy for _, report in results]
         assert accs == sorted(accs, reverse=True)
-
-    def test_skip_predicate(self):
-        corpus = cycle_corpus(n_students=6, length=12)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=1)
-        base = lstm.TrainConfig(epochs=1, window=5, batch_size=8, seed=2,
-                                embedding_dim=6, dropout_rate=0.0)
-        results = lstm.grid_search(
-            corpus, [(1, 8, 0.01), (3, 8, 0.0001)], plan, base,
-            skip=lambda combo: combo[0] == 3 and combo[2] == 0.0001,
-        )
-        assert len(results) == 1
 
 
 class TestConfigValidation:
