@@ -333,6 +333,10 @@ def _cmd_eval(args) -> int:
     })
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], 1)
     model, description = _load_model(args.model, args.window)
+    if isinstance(model, ngram.NGramPredictor) and model.table.vocab_size != corpus.vocab_size:
+        raise ConfigError(
+            f"n-gram table V={model.table.vocab_size} does not match corpus V={corpus.vocab_size}"
+        )
     accuracy, n_scored = evaluation.transfer_eval(model, corpus, options["min_actions"])
     meta = _config_metadata(options, {
         "corpus": args.corpus, "vocab": args.vocab, "model": args.model,

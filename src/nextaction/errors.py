@@ -6,10 +6,14 @@ class NextactionError(Exception):
 
 
 class MalformedRecordError(NextactionError):
-    """A raw event-log line that does not match the record format."""
+    """A record of an input file that does not match its format.
 
-    def __init__(self, lineno: int, reason: str):
-        super().__init__(f"line {lineno}: {reason}")
+    ``lineno`` is a line number in a text file, or a byte offset when
+    ``unit`` is "byte".
+    """
+
+    def __init__(self, lineno: int, reason: str, unit: str = "line"):
+        super().__init__(f"{unit} {lineno}: {reason}")
         self.lineno = lineno
         self.reason = reason
 

@@ -11,6 +11,7 @@ Every model meets one contract, the only call made on it here:
 positions 2..T in order, each made from the actions before it.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,7 @@ class FoldPlan:
         return sorted(s for s, f in self.assignment.items() if f == fold)
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRecord:
     student_id: str
     position: int  # 1-indexed position of the predicted action (2..T)
@@ -303,7 +304,8 @@ def read_stream(path: str | Path) -> list[PredictionRecord]:
             continue
         try:
             sid, pos, pred, truth = line.split("\t")
-            records.append(PredictionRecord(sid, int(pos), int(pred), int(truth)))
+            # one shared string per student keeps a long stream small
+            records.append(PredictionRecord(sys.intern(sid), int(pos), int(pred), int(truth)))
         except ValueError:
             raise MalformedRecordError(
                 lineno, f"expected student, position, predicted, truth; got {line!r}"

@@ -21,6 +21,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .errors import ConfigError, MalformedRecordError
 
 CORPUS_MAGIC = b"NACT1"
@@ -345,25 +347,50 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpus:
+    """Read a NACT1 corpus, refusing truncation, trailing bytes and ids >= V.
+
+    Errors are MalformedRecordError with the byte offset of the bad field.
+    """
     blob = Path(path).read_bytes()
     if blob[: len(CORPUS_MAGIC)] != CORPUS_MAGIC:
-        raise MalformedRecordError(0, "bad corpus magic")
+        raise MalformedRecordError(0, "bad corpus magic", unit="byte")
     offset = len(CORPUS_MAGIC)
-    vocab_size, n_sequences = struct.unpack_from("<II", blob, offset)
-    offset += 8
+
+    def take(size: int, what: str) -> int:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise MalformedRecordError(
+                offset, f"truncated: {what} needs {size} bytes, {len(blob) - offset} left",
+                unit="byte",
+            )
+        offset += size
+        return offset - size
+
+    vocab_size, n_sequences = struct.unpack_from("<II", blob, take(8, "the header"))
     if vocabulary is not None and len(vocabulary) != vocab_size:
         raise ConfigError(
             f"vocabulary size {len(vocabulary)} does not match corpus header {vocab_size}"
         )
     sequences = []
     for _ in range(n_sequences):
-        (sid_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        sid = blob[offset : offset + sid_len].decode("utf-8")
-        offset += sid_len
-        certified, n_actions = struct.unpack_from("<BI", blob, offset)
-        offset += 5
-        actions = list(struct.unpack_from(f"<{n_actions}I", blob, offset))
-        offset += 4 * n_actions
-        sequences.append(StudentSequence(sid, actions, certified == 1))
+        (sid_len,) = struct.unpack_from("<I", blob, take(4, "a student-id length"))
+        at = take(sid_len, "a student id")
+        try:
+            sid = blob[at:offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(at, "student id is not UTF-8", unit="byte") from exc
+        at = take(5, "a sequence header")
+        certified, n_actions = struct.unpack_from("<BI", blob, at)
+        if certified > 1:
+            raise MalformedRecordError(at, f"certified byte is {certified}, not 0 or 1", unit="byte")
+        at = take(4 * n_actions, "the action ids")
+        actions = np.frombuffer(blob, dtype="<u4", count=n_actions, offset=at)
+        bad = np.flatnonzero(actions >= vocab_size)
+        if bad.size:
+            raise MalformedRecordError(
+                at + 4 * int(bad[0]), f"action id {actions[bad[0]]} >= V={vocab_size}", unit="byte"
+            )
+        sequences.append(StudentSequence(sid, actions.tolist(), certified == 1))
+    if offset != len(blob):
+        raise MalformedRecordError(offset, f"{len(blob) - offset} trailing bytes", unit="byte")
     return Corpus(vocabulary=vocabulary, sequences=sequences, vocab_size=vocab_size)

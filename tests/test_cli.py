@@ -231,3 +231,48 @@ class TestMalformedStream:
         bad.write_text("s1\t2\t1\t1\ns1\t2\tx\t3\n", encoding="utf-8")
         assert main(["agree", str(good), str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+class TestHostileModelAndCorpus:
+    @pytest.fixture(scope="class")
+    def model(self, pipeline, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.ngram"
+        assert main([
+            "ngram", "--corpus", str(pipeline / "corpus.nact"),
+            "--vocab", str(pipeline / "vocab.tsv"),
+            "--max-order", "3", "--folds", "3", "--save-model", str(path),
+            "--out-dir", str(path.parent),
+        ]) == 0
+        return path
+
+    def eval_exit(self, pipeline, model_path, corpus_path, tmp_path):
+        return main([
+            "eval", "--model", str(model_path), "--corpus", str(corpus_path),
+            "--vocab", str(pipeline / "vocab.tsv"), "--min-actions", "2",
+            "--out-dir", str(tmp_path),
+        ])
+
+    def test_eval_exits_2_on_a_bad_table_record(self, pipeline, model, tmp_path, capsys):
+        bad = tmp_path / "bad.ngram"
+        bad.write_text(model.read_text() + "3\t1,2\tx\t4\n")
+        assert self.eval_exit(pipeline, bad, pipeline / "corpus.nact", tmp_path) == 2
+        lines = model.read_text().count("\n")
+        assert f"line {lines + 1}:" in capsys.readouterr().err
+
+    def test_eval_exits_2_when_table_v_differs_from_corpus(self, pipeline, model, tmp_path, capsys):
+        text = model.read_text()
+        v = int(text.split("V=", 1)[1].split("\n", 1)[0])
+        other = tmp_path / "other.ngram"
+        other.write_text(text.replace(f"V={v}\n", f"V={v + 1}\n", 1))
+        assert self.eval_exit(pipeline, other, pipeline / "corpus.nact", tmp_path) == 2
+        assert "does not match corpus" in capsys.readouterr().err
+
+    def test_truncated_corpus_exits_2(self, pipeline, model, tmp_path, capsys):
+        cut = tmp_path / "cut.nact"
+        cut.write_bytes((pipeline / "corpus.nact").read_bytes()[:1000])
+        assert main([
+            "ngram", "--corpus", str(cut), "--vocab", str(pipeline / "vocab.tsv"),
+            "--max-order", "3", "--out-dir", str(tmp_path),
+        ]) == 2
+        assert "truncated" in capsys.readouterr().err
+        assert self.eval_exit(pipeline, model, cut, tmp_path) == 2

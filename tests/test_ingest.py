@@ -251,3 +251,58 @@ class TestFileFormats:
         wrong = ingest.build_vocabulary(["a", "b", "c"], min_count=1)
         with pytest.raises(ConfigError):
             ingest.load_corpus(path, wrong)
+
+
+class TestCorpusRejects:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        corpus = ingest.Corpus(None, [
+            ingest.StudentSequence("alpha", [0, 1, 0], True),
+            ingest.StudentSequence("beta", [1, 1], False),
+        ], vocab_size=2)
+        path = tmp_path / "corpus.nact"
+        ingest.save_corpus(corpus, path)
+        return path
+
+    def load_error(self, path, blob):
+        path.write_bytes(blob)
+        with pytest.raises(MalformedRecordError) as caught:
+            ingest.load_corpus(path)
+        return caught.value
+
+    def test_every_truncation(self, saved):
+        blob = saved.read_bytes()
+        for size in range(len(blob)):
+            error = self.load_error(saved, blob[:size])
+            assert str(error).startswith("byte ")
+            assert error.lineno <= size
+
+    def test_truncated_actions_offset(self, saved):
+        blob = saved.read_bytes()
+        error = self.load_error(saved, blob[:-3])
+        # beta's two ids start 8 bytes before the end
+        assert error.lineno == len(blob) - 8
+        assert "truncated" in error.reason
+
+    def test_trailing_bytes(self, saved):
+        blob = saved.read_bytes()
+        error = self.load_error(saved, blob + b"\0")
+        assert (error.lineno, error.reason) == (len(blob), "1 trailing bytes")
+
+    def test_action_id_at_or_above_v(self, saved):
+        blob = bytearray(saved.read_bytes())
+        # alpha's ids follow magic (5), header (8), id length (4), "alpha" (5), flag and count (5)
+        first_id = 5 + 8 + 4 + 5 + 5
+        blob[first_id + 4] = 2  # alpha's second id becomes 2 with V=2
+        error = self.load_error(saved, bytes(blob))
+        assert error.lineno == first_id + 4
+        assert "action id 2 >= V=2" in error.reason
+
+    def test_certified_byte_and_utf8_student_id(self, saved):
+        blob = bytearray(saved.read_bytes())
+        flag = 5 + 8 + 4 + 5
+        blob[flag] = 7
+        assert self.load_error(saved, bytes(blob)).lineno == flag
+        blob[flag] = 1
+        blob[5 + 8 + 4] = 0xFF
+        assert self.load_error(saved, bytes(blob)).lineno == 5 + 8 + 4

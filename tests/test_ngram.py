@@ -1,9 +1,14 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import naive_backoff_predict, naive_backoff_usage, naive_gram_counts
-from nextaction import evaluation, ngram
-from nextaction.errors import ConfigError, UnfittedModelError
+from nextaction import evaluation, ingest, ngram
+from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
 from nextaction.ingest import Corpus, StudentSequence
 
 
@@ -177,6 +182,14 @@ class TestBackoffUsage:
         assert usage == naive
 
 
+    def test_no_scored_positions(self):
+        table = ngram.fit(corpus_of([[A, B, A]], 3), max_order=3)
+        for seqs in ([], [[A]], [[B], [Z]]):
+            assert ngram.backoff_usage(table, corpus_of(seqs, 3)) == {1: 0.0, 2: 0.0, 3: 0.0}
+        predictor = ngram.NGramPredictor(table)
+        assert predictor.predict_sequence([]) == predictor.predict_sequence([Z]) == []
+
+
 class TestSweepAndFiles:
     def test_cyclic_corpus_perfect_for_all_orders(self):
         cycle = [(i % 3) for i in range(30)]
@@ -202,3 +215,196 @@ class TestSweepAndFiles:
                     ngram.predict_next(loaded, seq[:t]).predicted
                     == ngram.predict_next(table, seq[:t]).predicted
                 )
+
+
+class TestActionRange:
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_out_of_range_ids_are_refused(self, bad):
+        table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=2)
+        with pytest.raises(ConfigError):
+            ngram.NGramPredictor(table).predict_sequence([A, bad, B])
+        with pytest.raises(ConfigError):
+            ngram.predict_next(table, [A, bad])
+
+    def test_fit_refuses_ids_at_or_above_v(self):
+        # with V=2, the id 2 would alias context key parent * 2 + 2 = (parent + 1) * 2 + 0
+        with pytest.raises(ConfigError):
+            ngram.fit(corpus_of([[A, 2, A]], 2), max_order=3)
+
+
+# the table fitted on [[A, B, A, B]] at order 3 with V=3, as save_table writes it
+SAVED = (
+    "#NGRAM max_order=3 V=3\n"
+    "1\t\t0\t1\n"
+    "1\t\t1\t2\n"
+    "2\t0\t1\t2\n"
+    "2\t1\t0\t1\n"
+    "3\t0,1\t0\t1\n"
+    "3\t1,0\t1\t1\n"
+)
+SAVED_LINES = SAVED.splitlines(keepends=True)
+
+
+class TestLoadRejects:
+    def test_saved_text_is_the_expected_table(self, tmp_path):
+        path = tmp_path / "m.ngram"
+        ngram.save_table(ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=3), path)
+        assert path.read_text() == SAVED
+
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("", 1, "header"),
+        (SAVED.replace(" V=3", ""), 1, "header"),
+        (SAVED.replace(" V=3", " W=3"), 1, "header"),
+        (SAVED.replace("max_order=3", "max_order=0"), 1, "max_order"),
+        (SAVED.replace("V=3", "V=4294967297"), 1, "32-bit"),
+        (SAVED + "3\t1,2\tx\t4\n", 8, "canonical"),
+        (SAVED + "3\t1,0\t2\n", 8, "canonical"),
+        (SAVED + "3\t1,0\t2\t1\t1\n", 8, "canonical"),
+        (SAVED + "3\t1,00\t2\t1\n", 8, "canonical"),
+        (SAVED + "3\t1,0\t2\t-1\n", 8, "canonical"),
+        (SAVED + "\n", 8, "canonical"),
+        (SAVED[:-1], 7, "newline"),
+        (SAVED + "4\t1,0,1\t0\t1\n", 8, "order outside"),
+        (SAVED + "3\t1\t2\t1\n", 8, "context length"),
+        (SAVED + "3\t1,0\t3\t1\n", 8, "next id"),
+        (SAVED + "3\t1,7\t0\t1\n", 8, "context id"),
+        (SAVED.replace("3\t1,0\t1\t1", "3\t1,0\t1\t0"), 7, "count below 1"),
+        ("".join(SAVED_LINES[:3] + SAVED_LINES[5:] + SAVED_LINES[3:5]), 6, "out of order"),
+        ("".join(SAVED_LINES[:5] + SAVED_LINES[6:5:-1] + SAVED_LINES[5:6]), 7, "out of order"),
+        (SAVED + SAVED_LINES[-1], 8, "repeated"),
+        (SAVED.replace("1\t\t0\t1\n1\t\t1", "1\t\t1\t1\n1\t\t0"), 3, "repeated"),
+        (SAVED + "3\t2,0\t1\t1\n", 8, "no record at order 2"),
+        ("".join(SAVED_LINES[:1] + SAVED_LINES[3:]), 2, "no record at order 1"),
+    ])
+    def test_malformed_table(self, tmp_path, text, lineno, reason):
+        path = tmp_path / "m.ngram"
+        path.write_text(text, encoding="ascii")
+        with pytest.raises(MalformedRecordError) as caught:
+            ngram.load_table(path)
+        assert caught.value.lineno == lineno
+        assert reason in str(caught.value)
+
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "m.ngram"
+        path.write_bytes(SAVED.encode().replace(b"2\t0\t1", b"2\t\xff\t1"))
+        with pytest.raises(MalformedRecordError) as caught:
+            ngram.load_table(path)
+        assert caught.value.lineno == 4
+
+
+# --- properties against the brute-force oracles in helpers.py
+
+@st.composite
+def gram_corpora(draw, max_vocab=4000, max_length=40):
+    """(V, max_order, training sequences, held-out sequences).
+
+    Most ids come from a small pool so that long contexts recur, and the
+    held-out sequences mix in ids never seen in training.
+    """
+    vocab_size = draw(st.integers(1, max_vocab))
+    max_order = draw(st.integers(1, 10))
+    pool = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=5, unique=True))
+    ids = st.one_of(st.sampled_from(pool), st.integers(0, vocab_size - 1))
+    sequence = st.lists(ids, min_size=2, max_size=max_length)
+    train = draw(st.lists(sequence, min_size=1, max_size=5))
+    held_out = draw(st.lists(sequence, min_size=1, max_size=3))
+    return vocab_size, max_order, train, held_out
+
+
+def _scratch_file(data: bytes) -> Path:
+    handle = tempfile.NamedTemporaryFile(delete=False)
+    with handle:
+        handle.write(data)
+    return Path(handle.name)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gram_corpora())
+    def test_table_matches_oracles(self, case):
+        vocab_size, max_order, train, held_out = case
+        table = ngram.fit(corpus_of(train, vocab_size), max_order)
+        naive = naive_gram_counts(train, max_order)
+        for order in range(1, max_order + 1):
+            view = table.continuations[order]
+            assert len(view) == len(naive[order])
+            assert dict(view.items()) == {ctx: dict(c) for ctx, c in naive[order].items()}
+        for cap in range(1, max_order + 1):
+            predictor = ngram.NGramPredictor(table, max_order=cap)
+            for seq in train + held_out:
+                expected = [naive_backoff_predict(naive, seq[:t], cap) for t in range(1, len(seq))]
+                assert predictor.predict_sequence(seq) == [p for p, _ in expected]
+                for t, (predicted, order) in zip(range(1, len(seq)), expected):
+                    pred = ngram.predict_next(table, seq[:t], cap, with_distribution=True)
+                    ctx = tuple(seq[t - order + 1 : t]) if order > 1 else ()
+                    counts = naive[order][ctx]
+                    total = sum(counts.values())
+                    assert (pred.predicted, pred.order_used) == (predicted, order)
+                    assert pred.distribution == {a: counts[a] / total for a in sorted(counts)}
+            usage = ngram.backoff_usage(table, corpus_of(held_out, vocab_size), cap)
+            assert usage == naive_backoff_usage(naive, held_out, cap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(gram_corpora())
+    def test_save_load_save_is_byte_identical(self, case):
+        vocab_size, max_order, train, held_out = case
+        table = ngram.fit(corpus_of(train, vocab_size), max_order)
+        with tempfile.TemporaryDirectory() as root:
+            first, second = Path(root) / "a.ngram", Path(root) / "b.ngram"
+            ngram.save_table(table, first)
+            loaded = ngram.load_table(first)
+            ngram.save_table(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+        for seq in held_out:
+            assert (ngram.NGramPredictor(loaded).predict_sequence(seq)
+                    == ngram.NGramPredictor(table).predict_sequence(seq))
+
+    @staticmethod
+    def _mutated(draw, blob: bytes) -> bytes:
+        if draw(st.booleans()):
+            return blob[: draw(st.integers(0, len(blob) - 1))]
+        at = draw(st.integers(0, len(blob) - 1))
+        value = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+        return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+    @settings(max_examples=300, deadline=None)
+    @given(gram_corpora(max_vocab=30, max_length=12), st.data())
+    def test_corrupt_table_is_refused_or_read_exactly(self, case, data):
+        """A truncated or flipped table raises a NextactionError, or it is a
+        canonical table that save_table writes back byte for byte."""
+        vocab_size, max_order, train, _ = case
+        path = _scratch_file(b"")
+        try:
+            ngram.save_table(ngram.fit(corpus_of(train, vocab_size), max_order), path)
+            path.write_bytes(self._mutated(data.draw, path.read_bytes()))
+            mutated = path.read_bytes()
+            try:
+                loaded = ngram.load_table(path)
+            except NextactionError:
+                return
+            ngram.save_table(loaded, path)
+            assert path.read_bytes() == mutated
+        finally:
+            path.unlink()
+
+    @settings(max_examples=300, deadline=None)
+    @given(gram_corpora(max_vocab=300, max_length=12), st.data())
+    def test_corrupt_corpus_is_refused_or_read_exactly(self, case, data):
+        """The same for an encoded corpus: NextactionError, or an exact re-read."""
+        vocab_size, _, train, _ = case
+        corpus = Corpus(None, [
+            StudentSequence(f"s\u00e9{i}", seq, i % 2 == 0) for i, seq in enumerate(train)
+        ], vocab_size)
+        path = _scratch_file(b"")
+        try:
+            ingest.save_corpus(corpus, path)
+            path.write_bytes(self._mutated(data.draw, path.read_bytes()))
+            mutated = path.read_bytes()
+            try:
+                loaded = ingest.load_corpus(path)
+            except NextactionError:
+                return
+            ingest.save_corpus(loaded, path)
+            assert path.read_bytes() == mutated
+        finally:
+            path.unlink()
