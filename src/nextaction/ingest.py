@@ -14,6 +14,7 @@ vocab size, sequence count, then per sequence the student-id length and bytes,
 one certified byte, the action count, and the action ids as 32-bit unsigned.
 """
 
+import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -26,6 +27,9 @@ import numpy as np
 from .errors import ConfigError, MalformedRecordError
 
 CORPUS_MAGIC = b"NACT1"
+NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # a canonical decimal below 2**63
+_INT = re.compile(NUMBER)
+_VOCAB_HEADER = re.compile(rf"#V=({NUMBER}) min_count=({NUMBER})")
 
 
 @dataclass(frozen=True)
@@ -309,30 +313,36 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("#V="):
-        raise MalformedRecordError(1, "missing vocabulary header")
-    head = text[0][1:].split()
-    declared_v = int(head[0].split("=", 1)[1])
-    min_count = int(head[1].split("=", 1)[1])
+    """Read a vocabulary file; a malformed line raises MalformedRecordError."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(blob.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
+    head = _VOCAB_HEADER.fullmatch(text[0]) if text else None
+    if head is None:
+        raise MalformedRecordError(1, "header is not '#V=<int> min_count=<int>'")
+    declared_v, min_count = int(head[1]), int(head[2])
     id_to_token: list[str] = []
     counts: list[int] = []
+    token_to_id: dict[str, int] = {}
     for lineno, line in enumerate(text[1:], start=2):
         if not line.strip():
             continue
-        token, id_text, count_text = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != 3 or not all(_INT.fullmatch(field) for field in fields[1:]):
+            raise MalformedRecordError(lineno, "record is not 'token <TAB> id <TAB> count'")
+        token, id_text, count_text = fields
         if int(id_text) != len(id_to_token):
             raise MalformedRecordError(lineno, "vocabulary ids out of order")
+        if token in token_to_id:
+            raise MalformedRecordError(lineno, f"duplicate token {token!r}")
+        token_to_id[token] = len(id_to_token)
         id_to_token.append(token)
         counts.append(int(count_text))
     if len(id_to_token) != declared_v:
         raise MalformedRecordError(1, "vocabulary size mismatch with header")
-    return Vocabulary(
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        id_to_token=id_to_token,
-        counts=counts,
-        min_count=min_count,
-    )
+    return Vocabulary(token_to_id, id_to_token, counts, min_count)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -12,6 +12,12 @@ the LSTM computes, with logistic gates and elementwise products,
     o_t = logistic(W_ox x_t + W_oh h_{t-1} + b_o)
     h_t = o_t * tanh(C_t)
 
+Each layer stores its weights with the gate axis first (``RecurrentLayer``):
+``W_x`` (G, H, D), ``W_h`` (G, H, H) and ``b`` (G, H), with G = 4 gates in
+f, i, C, o order for the LSTM and G = 1 for the tanh cell, so one time loop
+forward and one backward serve both cells.  Checkpoints and gradients name
+the per-gate views (``W_fx``, ``W_fh``, ``b_f``, ...).
+
 Training minimizes categorical cross-entropy with RMSprop.  Gradients are
 exact under the recorded dropout masks; ``finite_difference_gradients``
 provides an independent numerical check.  Sequences are cut into
@@ -30,18 +36,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NextactionError, NumericalFaultError
+from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
 from .ingest import Corpus, StudentSequence
 
 PROB_FLOOR = 1e-12
 HILL_FRACTION = 0.1  # share of training students held out for hill climbing
 CHECKPOINT_MAGIC = b"NLSTM1"
+_HEADER = struct.Struct("<IIIIdB")  # V, embedding, hidden, layers, dropout, cell
 _CELL_KINDS = {"lstm": 0, "rnn": 1}
-
-LSTM_TENSORS = ("W_fx", "W_fh", "b_f", "W_ix", "W_ih", "b_i",
-                "W_Cx", "W_Ch", "b_C", "W_ox", "W_oh", "b_o")
-RNN_TENSORS = ("W_x", "W_h", "b_h", "h0")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -60,49 +63,39 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class LstmLayerParams:
-    """Gate weights of one LSTM layer; x-matrices are (hidden, input)."""
+class RecurrentLayer:
+    """Weights of one recurrent layer, gate axis first.
 
-    W_fx: np.ndarray
-    W_fh: np.ndarray
-    b_f: np.ndarray
-    W_ix: np.ndarray
-    W_ih: np.ndarray
-    b_i: np.ndarray
-    W_Cx: np.ndarray
-    W_Ch: np.ndarray
-    b_C: np.ndarray
-    W_ox: np.ndarray
-    W_oh: np.ndarray
-    b_o: np.ndarray
-
-    def tensors(self):
-        return [(name, getattr(self, name)) for name in LSTM_TENSORS]
-
-
-@dataclass
-class RnnLayerParams:
-    """Simple tanh recurrence: h_t = tanh(W_x x_t + W_h h_{t-1} + b_h)."""
+    ``W_x`` is (G, H, D), ``W_h`` (G, H, H) and ``b`` (G, H): G = 4 LSTM gates
+    in f, i, C, o order, or G = 1 for the tanh cell
+    h_t = tanh(W_x x_t + W_h h_{t-1} + b), which alone has a trainable
+    initial state ``h0`` (H,).
+    """
 
     W_x: np.ndarray
     W_h: np.ndarray
-    b_h: np.ndarray
-    h0: np.ndarray  # trainable initial state
+    b: np.ndarray
+    h0: np.ndarray | None = None
 
-    def tensors(self):
-        return [(name, getattr(self, name)) for name in RNN_TENSORS]
+    @classmethod
+    def zeros(cls, cell: str, d_in: int, hidden: int) -> "RecurrentLayer":
+        gates = 4 if cell == "lstm" else 1
+        return cls(np.zeros((gates, hidden, d_in)), np.zeros((gates, hidden, hidden)),
+                   np.zeros((gates, hidden)), None if cell == "lstm" else np.zeros(hidden))
 
+    def tensors(self) -> list[tuple[str, np.ndarray]]:
+        """Per-gate views under their checkpoint names, in checkpoint order."""
+        if self.h0 is not None:
+            return [("W_x", self.W_x[0]), ("W_h", self.W_h[0]), ("b_h", self.b[0]),
+                    ("h0", self.h0)]
+        return [item for k, gate in enumerate("fiCo") for item in (
+            (f"W_{gate}x", self.W_x[k]), (f"W_{gate}h", self.W_h[k]), (f"b_{gate}", self.b[k]))]
 
-@dataclass
-class LstmLayerState:
-    """One step's activations, retained for backprop."""
-
-    h: np.ndarray
-    C: np.ndarray
-    f: np.ndarray | None = None
-    i: np.ndarray | None = None
-    o: np.ndarray | None = None
-    c_tilde: np.ndarray | None = None
+    def initial_state(self, n_batch: int) -> np.ndarray:
+        """h_{-1} for a batch: zeros for the LSTM, broadcast h0 for the tanh cell."""
+        if self.h0 is None:
+            return np.zeros((n_batch, self.b.shape[1]))
+        return np.broadcast_to(self.h0, (n_batch, self.b.shape[1]))
 
 
 @dataclass
@@ -193,39 +186,21 @@ def init_network(
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; biases zero.
 
     Draw order is fixed: embedding, then each layer's gate matrices in
-    declaration order, then the output projection.
+    checkpoint order, then the output projection.
     """
+    if cell not in _CELL_KINDS:
+        raise ConfigError(f"unknown cell kind {cell!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     emb = _uniform_init(rng, (vocab_size + 1, embedding_dim), embedding_dim)
     layer_params = []
     for idx in range(layers):
-        d_in = embedding_dim if idx == 0 else hidden_size
-        if cell == "lstm":
-            gates = {}
-            for gate in ("f", "i", "C", "o"):
-                gates[f"W_{gate}x"] = _uniform_init(rng, (hidden_size, d_in), d_in)
-                gates[f"W_{gate}h"] = _uniform_init(rng, (hidden_size, hidden_size), hidden_size)
-                gates[f"b_{gate}"] = np.zeros(hidden_size)
-            layer_params.append(LstmLayerParams(**gates))
-        elif cell == "rnn":
-            layer_params.append(RnnLayerParams(
-                W_x=_uniform_init(rng, (hidden_size, d_in), d_in),
-                W_h=_uniform_init(rng, (hidden_size, hidden_size), hidden_size),
-                b_h=np.zeros(hidden_size),
-                h0=np.zeros(hidden_size),
-            ))
-        else:
-            raise ConfigError(f"unknown cell kind {cell!r}")
+        layer = RecurrentLayer.zeros(cell, embedding_dim if idx == 0 else hidden_size, hidden_size)
+        for name, view in layer.tensors():
+            if name.startswith("W"):
+                view[...] = _uniform_init(rng, view.shape, view.shape[1])
+        layer_params.append(layer)
     W_y = _uniform_init(rng, (vocab_size, hidden_size), hidden_size)
-    return LstmNetwork(
-        embedding=emb,
-        layers=layer_params,
-        W_y=W_y,
-        b_y=np.zeros(vocab_size),
-        dropout_rate=dropout_rate,
-        window=window,
-        cell=cell,
-    )
+    return LstmNetwork(emb, layer_params, W_y, np.zeros(vocab_size), dropout_rate, window, cell)
 
 
 def network_from_config(vocab_size: int, cfg: TrainConfig) -> LstmNetwork:
@@ -235,21 +210,6 @@ def network_from_config(vocab_size: int, cfg: TrainConfig) -> LstmNetwork:
         vocab_size, cfg.embedding_dim, cfg.hidden_size, cfg.layers,
         cfg.dropout_rate, cfg.window, cfg.cell, rng,
     )
-
-
-def forward_cell(
-    params: LstmLayerParams, x: np.ndarray, prev: LstmLayerState
-) -> LstmLayerState:
-    """One LSTM step on a single input vector, gate activations retained."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(prev.h)) and np.all(np.isfinite(prev.C))):
-        raise NumericalFaultError("non-finite input to LSTM cell")
-    f = sigmoid(params.W_fx @ x + params.W_fh @ prev.h + params.b_f)
-    i = sigmoid(params.W_ix @ x + params.W_ih @ prev.h + params.b_i)
-    c_tilde = np.tanh(params.W_Cx @ x + params.W_Ch @ prev.h + params.b_C)
-    C = f * prev.C + i * c_tilde
-    o = sigmoid(params.W_ox @ x + params.W_oh @ prev.h + params.b_o)
-    h = o * np.tanh(C)
-    return LstmLayerState(h=h, C=C, f=f, i=i, o=o, c_tilde=c_tilde)
 
 
 def _run_layers(
@@ -268,6 +228,7 @@ def _run_layers(
     hidden = net.hidden_size
     layer_inputs = net.embedding[ids]  # (B, T, D)
     use_dropout = train and net.dropout_rate > 0 and len(net.layers) > 1
+    lstm = net.cell == "lstm"
     masks: list[np.ndarray | None] = []
     layer_caches = []
 
@@ -287,43 +248,30 @@ def _run_layers(
                 masks.append(None)
 
         xs = layer_inputs
-        h = np.zeros((n_batch, hidden))
-        if net.cell == "lstm":
-            c = np.zeros((n_batch, hidden))
-            fs = np.empty((n_batch, n_steps, hidden))
-            is_ = np.empty_like(fs)
-            os_ = np.empty_like(fs)
-            cts = np.empty_like(fs)
-            cs = np.empty_like(fs)
-            hs = np.empty_like(fs)
-            for t in range(n_steps):
-                x = xs[:, t]
-                f = sigmoid(x @ layer.W_fx.T + h @ layer.W_fh.T + layer.b_f)
-                i = sigmoid(x @ layer.W_ix.T + h @ layer.W_ih.T + layer.b_i)
-                ct = np.tanh(x @ layer.W_Cx.T + h @ layer.W_Ch.T + layer.b_C)
-                c = f * c + i * ct
-                o = sigmoid(x @ layer.W_ox.T + h @ layer.W_oh.T + layer.b_o)
-                h = o * np.tanh(c)
-                fs[:, t], is_[:, t], os_[:, t], cts[:, t] = f, i, o, ct
-                cs[:, t], hs[:, t] = c, h
-            layer_caches.append({"xs": xs, "f": fs, "i": is_, "o": os_,
-                                 "c_tilde": cts, "c": cs, "h": hs})
-        else:
-            h = np.broadcast_to(layer.h0, (n_batch, hidden)).copy()
-            hs = np.empty((n_batch, n_steps, hidden))
-            for t in range(n_steps):
-                h = np.tanh(xs[:, t] @ layer.W_x.T + h @ layer.W_h.T + layer.b_h)
-                hs[:, t] = h
-            layer_caches.append({"xs": xs, "h": hs})
-        layer_inputs = layer_caches[-1]["h"]
+        W_xT, W_hT = layer.W_x.transpose(0, 2, 1), layer.W_h.transpose(0, 2, 1)
+        bias = layer.b[:, None]
+        gates = np.empty((len(layer.b), n_batch, n_steps, hidden))
+        hs = np.empty((n_batch, n_steps, hidden))
+        cs = np.empty_like(hs) if lstm else None
+        h = layer.initial_state(n_batch).copy()
+        c = np.zeros((n_batch, hidden))
+        for t in range(n_steps):
+            pre = np.matmul(xs[:, t], W_xT) + np.matmul(h, W_hT) + bias
+            if lstm:
+                act = sigmoid(pre)
+                act[2] = np.tanh(pre[2])
+                c = act[0] * c + act[1] * act[2]
+                h = act[3] * np.tanh(c)
+                cs[:, t] = c
+            else:
+                act = np.tanh(pre)
+                h = act[0]
+            gates[:, :, t] = act
+            hs[:, t] = h
+        layer_caches.append({"xs": xs, "gates": gates, "c": cs, "h": hs})
+        layer_inputs = hs
 
-    cache = {
-        "ids": ids,
-        "layers": layer_caches,
-        "dropout_masks": masks,
-        "top_h": layer_inputs,
-        "train": train,
-    }
+    cache = {"ids": ids, "layers": layer_caches, "dropout_masks": masks, "top_h": layer_inputs}
     return layer_inputs, cache
 
 
@@ -429,78 +377,39 @@ def backward(
     grads["output.b_y"] = dz.sum(axis=(0, 1))
     dh_above = dz @ net.W_y  # (B, T, H)
 
+    hidden = net.hidden_size
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         lc = cache["layers"][idx]
-        xs = lc["xs"]
-        d_in = xs.shape[2]
-        hidden = net.hidden_size
-        dxs = np.empty((n_batch, n_steps, d_in))
-
-        if net.cell == "lstm":
-            g = {name: np.zeros_like(t) for name, t in layer.tensors()}
-            dh_rec = np.zeros((n_batch, hidden))
-            dc_rec = np.zeros((n_batch, hidden))
-            for t in range(n_steps - 1, -1, -1):
-                f, i, o = lc["f"][:, t], lc["i"][:, t], lc["o"][:, t]
-                ct, c = lc["c_tilde"][:, t], lc["c"][:, t]
-                c_prev = lc["c"][:, t - 1] if t > 0 else np.zeros_like(c)
-                h_prev = lc["h"][:, t - 1] if t > 0 else np.zeros((n_batch, hidden))
-                x = xs[:, t]
-
-                dh = dh_above[:, t] + dh_rec
-                tanh_c = np.tanh(c)
-                do = dh * tanh_c
+        xs, gates, cs, hs = lc["xs"], lc["gates"], lc["c"], lc["h"]
+        h_start = layer.initial_state(n_batch)
+        grad = RecurrentLayer.zeros(net.cell, xs.shape[2], hidden)
+        dxs = np.empty_like(xs)
+        dh_rec = np.zeros((n_batch, hidden))
+        dc_rec = np.zeros((n_batch, hidden))
+        for t in range(n_steps - 1, -1, -1):
+            act = gates[:, :, t]
+            dh = dh_above[:, t] + dh_rec
+            if net.cell == "lstm":
+                f, i, ct, o = act
+                c_prev = cs[:, t - 1] if t > 0 else np.zeros((n_batch, hidden))
+                tanh_c = np.tanh(cs[:, t])
                 dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
-                df = dc * c_prev
-                di = dc * ct
-                dct = dc * i
-
-                dpre_f = df * f * (1.0 - f)
-                dpre_i = di * i * (1.0 - i)
-                dpre_c = dct * (1.0 - ct * ct)
-                dpre_o = do * o * (1.0 - o)
-
-                g["W_fx"] += dpre_f.T @ x
-                g["W_ix"] += dpre_i.T @ x
-                g["W_Cx"] += dpre_c.T @ x
-                g["W_ox"] += dpre_o.T @ x
-                g["W_fh"] += dpre_f.T @ h_prev
-                g["W_ih"] += dpre_i.T @ h_prev
-                g["W_Ch"] += dpre_c.T @ h_prev
-                g["W_oh"] += dpre_o.T @ h_prev
-                g["b_f"] += dpre_f.sum(axis=0)
-                g["b_i"] += dpre_i.sum(axis=0)
-                g["b_C"] += dpre_c.sum(axis=0)
-                g["b_o"] += dpre_o.sum(axis=0)
-
-                dxs[:, t] = (dpre_f @ layer.W_fx + dpre_i @ layer.W_ix
-                             + dpre_c @ layer.W_Cx + dpre_o @ layer.W_ox)
-                dh_rec = (dpre_f @ layer.W_fh + dpre_i @ layer.W_ih
-                          + dpre_c @ layer.W_Ch + dpre_o @ layer.W_oh)
+                d_act = np.stack([dc * c_prev, dc * ct, dc * i, dh * tanh_c])
+                dpre = d_act * act * (1.0 - act)
+                dpre[2] = d_act[2] * (1.0 - ct * ct)
                 dc_rec = dc * f
-        else:
-            g = {name: np.zeros_like(t) for name, t in layer.tensors()}
-            hs = lc["h"]
-            dh_rec = np.zeros((n_batch, hidden))
-            for t in range(n_steps - 1, -1, -1):
-                h_prev = (
-                    hs[:, t - 1] if t > 0
-                    else np.broadcast_to(layer.h0, (n_batch, hidden))
-                )
-                dh = dh_above[:, t] + dh_rec
-                dpre = dh * (1.0 - hs[:, t] * hs[:, t])
-                g["W_x"] += dpre.T @ xs[:, t]
-                g["W_h"] += dpre.T @ h_prev
-                g["b_h"] += dpre.sum(axis=0)
-                dxs[:, t] = dpre @ layer.W_x
-                dh_rec = dpre @ layer.W_h
-                if t == 0:
-                    g["h0"] += dh_rec.sum(axis=0)
-                    dh_rec = np.zeros((n_batch, hidden))
-
-        for name, grad in g.items():
-            grads[f"layer{idx}.{name}"] = grad
+            else:
+                dpre = dh * (1.0 - act * act)
+            dpre_T = dpre.transpose(0, 2, 1)
+            grad.W_x += np.matmul(dpre_T, xs[:, t])
+            grad.W_h += np.matmul(dpre_T, hs[:, t - 1] if t > 0 else h_start)
+            grad.b += dpre.sum(axis=1)
+            dxs[:, t] = np.matmul(dpre, layer.W_x).sum(axis=0)
+            dh_rec = np.matmul(dpre, layer.W_h).sum(axis=0)
+        if grad.h0 is not None:
+            grad.h0 += dh_rec.sum(axis=0)
+        grads.update((f"layer{idx}.{name}", g) for name, g in grad.tensors())
 
         if idx > 0:
             mask_below = cache["dropout_masks"][idx - 1]
@@ -615,7 +524,8 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
 
     A student-level slice of the training data (HILL_FRACTION, ceiling) is
     held out and scored after every epoch with the usual sequence accuracy.
-    The final-epoch network and the per-epoch curve are returned.
+    The final-epoch network and the per-epoch curve are returned.  An epoch
+    that ends with a non-finite loss or parameter raises NumericalFaultError.
     """
     cfg.validate()
     if not corpus.sequences:
@@ -643,13 +553,19 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
             grads = backward(net, cache, targets, valid)
             optimizer.apply(net, grads)
             loss_sum += batch_loss * len(batch_windows)
+        train_loss = loss_sum / len(windows)
+        bad = [name for name, arr in net.param_items() if not np.all(np.isfinite(arr))]
+        if bad or not np.isfinite(train_loss):
+            raise NumericalFaultError(
+                f"epoch {epoch}: non-finite " + (f"parameter {bad[0]}" if bad else "training loss")
+            )
         predictor = LstmPredictor(net)
         hill_acc = (
             float(np.mean([sequence_accuracy(predictor, s.actions) for s in scoreable_hill]))
             if scoreable_hill
             else float("nan")
         )
-        curve.append(EpochStats(epoch, loss_sum / len(windows), hill_acc))
+        curve.append(EpochStats(epoch, train_loss, hill_acc))
     return net, curve
 
 
@@ -741,15 +657,8 @@ def grid_search(
 def save_checkpoint(net: LstmNetwork, path: str | Path) -> None:
     """Binary checkpoint plus a text manifest with shapes and a checksum."""
     path = Path(path)
-    header = struct.pack(
-        "<IIIIdB",
-        net.vocab_size,
-        net.embedding_dim,
-        net.hidden_size,
-        len(net.layers),
-        net.dropout_rate,
-        _CELL_KINDS[net.cell],
-    )
+    header = _HEADER.pack(net.vocab_size, net.embedding_dim, net.hidden_size, len(net.layers),
+                          net.dropout_rate, _CELL_KINDS[net.cell])
     parts = [CHECKPOINT_MAGIC, header]
     for _, arr in net.param_items():
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
@@ -770,41 +679,60 @@ def save_checkpoint(net: LstmNetwork, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
+    """Read a checkpoint, verifying the SHA-256 in its manifest when one exists.
+
+    The window comes from ``window`` or else the manifest.  A malformed file
+    raises MalformedRecordError with the byte offset (in the manifest, the
+    line) of the bad field; a checksum mismatch raises ConfigError.
+    """
     path = Path(path)
     blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + _HEADER.size
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise NextactionError("bad checkpoint magic")
-    offset = len(CHECKPOINT_MAGIC)
-    vocab_size, emb_dim, hidden, n_layers, dropout_rate, cell_kind = struct.unpack_from(
-        "<IIIIdB", blob, offset
+        raise MalformedRecordError(0, "bad checkpoint magic", unit="byte")
+    if len(blob) < start:
+        raise MalformedRecordError(len(blob), f"short header, needs {start} bytes", unit="byte")
+    vocab_size, emb_dim, hidden, n_layers, dropout_rate, cell_kind = _HEADER.unpack_from(
+        blob, len(CHECKPOINT_MAGIC)
     )
-    offset += struct.calcsize("<IIIIdB")
-    cell = {v: k for k, v in _CELL_KINDS.items()}[cell_kind]
+    cell = next((k for k, v in _CELL_KINDS.items() if v == cell_kind), None)
+    if cell is None:
+        raise MalformedRecordError(start - 1, f"unknown cell byte {cell_kind}", unit="byte")
+    if min(vocab_size, emb_dim, hidden) < 1 or not 1 <= n_layers <= 3 or not 0 <= dropout_rate < 1:
+        raise MalformedRecordError(len(CHECKPOINT_MAGIC), "header value out of range", unit="byte")
+    # sizes come from the file, so check them before allocating anything
+    gates, h0_size = (4, 0) if cell == "lstm" else (1, hidden)
+    n_values = (vocab_size + 1) * emb_dim + vocab_size * (hidden + 1) + n_layers * h0_size
+    for d_in in [emb_dim] + [hidden] * (n_layers - 1):
+        n_values += gates * hidden * (d_in + hidden + 1)
+    end = start + 8 * n_values
+    if len(blob) != end:
+        raise MalformedRecordError(min(len(blob), end), (
+            f"tensor region ends early, needs {end} bytes" if len(blob) < end
+            else "trailing bytes after the tensors"), unit="byte")
 
+    manifest_path = Path(str(path) + ".manifest.txt")
+    if manifest_path.exists():
+        lines = manifest_path.read_text(encoding="utf-8", errors="replace").splitlines()
+        fields = {key: (n, value) for n, (key, _, value)
+                  in enumerate((line.partition(": ") for line in lines), start=1)}
+        if fields.get("sha256", (0, ""))[1] != hashlib.sha256(blob).hexdigest():
+            raise ConfigError(f"{path.name} does not match the SHA-256 in its manifest")
+        if window is None and "window" in fields:
+            lineno, text = fields["window"]
+            if not (text.isascii() and text.isdigit() and int(text) >= 1):
+                raise MalformedRecordError(lineno, f"window is not a positive integer: {text!r}")
+            window = int(text)
     if window is None:
-        manifest_path = Path(str(path) + ".manifest.txt")
-        if manifest_path.exists():
-            for line in manifest_path.read_text(encoding="utf-8").splitlines():
-                if line.startswith("window: "):
-                    window = int(line.split(": ", 1)[1])
-        if window is None:
-            raise ConfigError("checkpoint manifest missing; pass the window explicitly")
+        raise ConfigError("checkpoint manifest missing; pass the window explicitly")
 
+    values = np.frombuffer(blob, dtype="<f8", offset=start)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = start + 8 * int(np.argmin(finite))
+        raise MalformedRecordError(bad, "non-finite parameter", unit="byte")
     net = init_network(vocab_size, emb_dim, hidden, n_layers, dropout_rate, window, cell)
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        return arr.astype(np.float64)
-
-    net.embedding = take(net.embedding.shape)
-    for layer in net.layers:
-        for name, arr in layer.tensors():
-            setattr(layer, name, take(arr.shape))
-    net.W_y = take(net.W_y.shape)
-    net.b_y = take(net.b_y.shape)
-    if offset != len(blob):
-        raise NextactionError("checkpoint has trailing bytes; shape mismatch")
+    for _, arr in net.param_items():
+        arr[...] = values[: arr.size].reshape(arr.shape)
+        values = values[arr.size :]
     return net

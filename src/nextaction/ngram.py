@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import Corpus
+from .ingest import NUMBER, Corpus
 
 Context = tuple[int, ...]
 
@@ -333,9 +333,8 @@ def save_table(table: NGramTable, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-_NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # canonical, and below 2**63
-_HEADER = re.compile(rf"#NGRAM max_order=({_NUMBER}) V=({_NUMBER})")
-_RECORD = re.compile(rf"{_NUMBER}\t(?:{_NUMBER}(?:,{_NUMBER})*)?\t{_NUMBER}\t{_NUMBER}")
+_HEADER = re.compile(rf"#NGRAM max_order=({NUMBER}) V=({NUMBER})")
+_RECORD = re.compile(rf"{NUMBER}\t(?:{NUMBER}(?:,{NUMBER})*)?\t{NUMBER}\t{NUMBER}")
 _SHAPES = str.maketrans("23456789", "11111111")
 _SPACES = str.maketrans("\t,", "  ")
 

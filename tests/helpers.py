@@ -2,10 +2,18 @@
 
 These deliberately re-derive gram statistics and backoff behavior with a
 different traversal than the library (per-order window scans instead of
-per-position order loops) so they can serve as a second opinion.
+per-position order loops), and the LSTM step one vector at a time instead of
+a batch at a time, so they can serve as a second opinion.
 """
 
 from collections import Counter
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import strategies as st
+
+from nextaction.errors import NumericalFaultError
+from nextaction.lstm import sigmoid
 
 
 def naive_gram_counts(sequences, max_order):
@@ -49,3 +57,42 @@ def naive_backoff_usage(counts, sequences, max_order):
             used[order] += 1
             total += 1
     return {order: used.get(order, 0) / total for order in range(1, max_order + 1)}
+
+
+@dataclass
+class LstmLayerState:
+    """One step's activations of a single LSTM cell."""
+
+    h: np.ndarray
+    C: np.ndarray
+    f: np.ndarray | None = None
+    i: np.ndarray | None = None
+    o: np.ndarray | None = None
+    c_tilde: np.ndarray | None = None
+
+
+def forward_cell(params, x, prev):
+    """One LSTM step on a single input vector, gate activations retained.
+
+    ``params`` is an LSTM ``RecurrentLayer``; its gates are read one at a
+    time through the stacked f, i, C, o axis.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(prev.h)) and np.all(np.isfinite(prev.C))):
+        raise NumericalFaultError("non-finite input to LSTM cell")
+    W_x, W_h, b = params.W_x, params.W_h, params.b
+    f = sigmoid(W_x[0] @ x + W_h[0] @ prev.h + b[0])
+    i = sigmoid(W_x[1] @ x + W_h[1] @ prev.h + b[1])
+    c_tilde = np.tanh(W_x[2] @ x + W_h[2] @ prev.h + b[2])
+    C = f * prev.C + i * c_tilde
+    o = sigmoid(W_x[3] @ x + W_h[3] @ prev.h + b[3])
+    h = o * np.tanh(C)
+    return LstmLayerState(h=h, C=C, f=f, i=i, o=o, c_tilde=c_tilde)
+
+
+def mutated(draw, blob: bytes) -> bytes:
+    """A hypothesis-drawn truncation or single-byte flip of ``blob``."""
+    if draw(st.booleans()):
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    at = draw(st.integers(0, len(blob) - 1))
+    value = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+    return blob[:at] + bytes([value]) + blob[at + 1 :]

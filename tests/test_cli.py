@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nextaction import evaluation
+from nextaction import evaluation, ingest, lstm
 from nextaction.cli import main
 
 
@@ -276,3 +277,53 @@ class TestHostileModelAndCorpus:
         ]) == 2
         assert "truncated" in capsys.readouterr().err
         assert self.eval_exit(pipeline, model, cut, tmp_path) == 2
+
+
+class TestHostileCheckpointAndVocabulary:
+    @pytest.fixture
+    def checkpoint(self, pipeline, tmp_path):
+        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        path = tmp_path / "model.nlstm"
+        net = lstm.init_network(v, 4, 5, 2, 0.2, 6, rng=np.random.default_rng(0))
+        lstm.save_checkpoint(net, path)
+        return path
+
+    def eval_exit(self, pipeline, model_path, tmp_path):
+        return main([
+            "eval", "--model", str(model_path), "--corpus", str(pipeline / "corpus.nact"),
+            "--vocab", str(pipeline / "vocab.tsv"), "--min-actions", "2",
+            "--out-dir", str(tmp_path),
+        ])
+
+    def test_intact_checkpoint_evaluates(self, pipeline, checkpoint, tmp_path):
+        assert self.eval_exit(pipeline, checkpoint, tmp_path) == 0
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:], "SHA-256 in its manifest"),
+        (lambda blob: blob[:30] + bytes([7]) + blob[31:], "byte 30: unknown cell byte 7"),
+        (lambda blob: blob[:20], "byte 20: short header"),
+        (lambda blob: blob[:-5], "tensor region ends early"),
+    ])
+    def test_damaged_checkpoint_exits_2(self, pipeline, checkpoint, tmp_path, capsys, damage,
+                                        message):
+        checkpoint.write_bytes(damage(checkpoint.read_bytes()))
+        assert self.eval_exit(pipeline, checkpoint, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+
+    def test_non_integer_manifest_window_exits_2(self, pipeline, checkpoint, tmp_path, capsys):
+        manifest = tmp_path / "model.nlstm.manifest.txt"
+        manifest.write_text(manifest.read_text().replace("window: 6", "window: six"))
+        assert self.eval_exit(pipeline, checkpoint, tmp_path) == 2
+        assert "error: line 3: window is not a positive integer" in capsys.readouterr().err
+
+    def test_bad_vocabulary_record_exits_2(self, pipeline, tmp_path, capsys):
+        text = (pipeline / "vocab.tsv").read_text(encoding="utf-8")
+        v = text.count("\n") - 1
+        vocab = tmp_path / "vocab.tsv"
+        vocab.write_text(text + f"tokx\t{v}\tabc\n", encoding="utf-8")
+        assert main([
+            "ngram", "--corpus", str(pipeline / "corpus.nact"), "--vocab", str(vocab),
+            "--max-order", "3", "--out-dir", str(tmp_path),
+        ]) == 2
+        assert f"error: line {v + 2}: record is not" in capsys.readouterr().err

@@ -253,6 +253,49 @@ class TestFileFormats:
             ingest.load_corpus(path, wrong)
 
 
+HEADER = "header is not '#V=<int> min_count=<int>'"
+RECORD = "record is not 'token <TAB> id <TAB> count'"
+
+
+class TestVocabularyRejects:
+    GOOD = "#V=2 min_count=1\na\t0\t5\nb\t1\t3\n"
+
+    @pytest.mark.parametrize("text, lineno, reason", [
+        ("", 1, HEADER),
+        ("#V=x min_count=1\na\t0\t5\n", 1, HEADER),
+        ("#V=1 min_count=\na\t0\t5\n", 1, HEADER),
+        ("#V=1\na\t0\t5\n", 1, HEADER),
+        ("#V=2 min_count=1\na\t0\t5\nb\t1\tabc\n", 3, RECORD),
+        ("#V=2 min_count=1\na\t0\t5\nb\tx\t3\n", 3, RECORD),
+        ("#V=2 min_count=1\na\t0\t-5\nb\t1\t3\n", 2, RECORD),
+        ("#V=2 min_count=1\na\t0\nb\t1\t3\n", 2, RECORD),
+        ("#V=2 min_count=1\na\t0\t5\t1\nb\t1\t3\n", 2, RECORD),
+        ("#V=2 min_count=1\na\t0\t5\na\t1\t3\n", 3, "duplicate token 'a'"),
+        ("#V=2 min_count=1\na\t0\t5\nb\t2\t3\n", 3, "vocabulary ids out of order"),
+        ("#V=3 min_count=1\na\t0\t5\nb\t1\t3\n", 1, "vocabulary size mismatch with header"),
+    ])
+    def test_malformed_vocabulary(self, tmp_path, text, lineno, reason):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as caught:
+            ingest.load_vocabulary(path)
+        assert (caught.value.lineno, caught.value.reason) == (lineno, reason)
+
+    def test_non_utf8_byte(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(self.GOOD.encode() + b"\xff\t2\t1\n")
+        with pytest.raises(MalformedRecordError) as caught:
+            ingest.load_vocabulary(path)
+        assert (caught.value.lineno, caught.value.reason) == (4, "not UTF-8")
+
+    def test_good_file_loads(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(self.GOOD, encoding="utf-8")
+        vocab = ingest.load_vocabulary(path)
+        assert (vocab.id_to_token, vocab.counts) == (["a", "b"], [5, 3])
+        assert vocab.token_to_id == {"a": 0, "b": 1}
+
+
 class TestCorpusRejects:
     @pytest.fixture
     def saved(self, tmp_path):

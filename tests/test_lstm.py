@@ -1,8 +1,18 @@
+import hashlib
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import LstmLayerState, forward_cell, mutated
 from nextaction import evaluation, lstm
-from nextaction.errors import ConfigError, NextactionError, NumericalFaultError
+from nextaction.errors import (
+    ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
+)
 from nextaction.ingest import Corpus, StudentSequence
 
 
@@ -24,24 +34,21 @@ def straight_line_cell(params, x, h_prev, c_prev):
     def logistic(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    f = logistic(params.W_fx.dot(x) + params.W_fh.dot(h_prev) + params.b_f)
-    i = logistic(params.W_ix.dot(x) + params.W_ih.dot(h_prev) + params.b_i)
-    g = np.tanh(params.W_Cx.dot(x) + params.W_Ch.dot(h_prev) + params.b_C)
+    p = dict(params.tensors())
+    f = logistic(p["W_fx"].dot(x) + p["W_fh"].dot(h_prev) + p["b_f"])
+    i = logistic(p["W_ix"].dot(x) + p["W_ih"].dot(h_prev) + p["b_i"])
+    g = np.tanh(p["W_Cx"].dot(x) + p["W_Ch"].dot(h_prev) + p["b_C"])
     c = f * c_prev + i * g
-    o = logistic(params.W_ox.dot(x) + params.W_oh.dot(h_prev) + params.b_o)
+    o = logistic(p["W_ox"].dot(x) + p["W_oh"].dot(h_prev) + p["b_o"])
     return o * np.tanh(c), c
 
 
 class TestForwardCell:
     def test_all_zero_parameters(self):
         hidden, d = 4, 3
-        params = lstm.LstmLayerParams(*[
-            np.zeros((hidden, d)) if name.endswith("x") else
-            np.zeros((hidden, hidden)) if name.startswith("W") else np.zeros(hidden)
-            for name in lstm.LSTM_TENSORS
-        ])
-        prev = lstm.LstmLayerState(h=np.zeros(hidden), C=np.zeros(hidden))
-        state = lstm.forward_cell(params, np.zeros(d), prev)
+        params = lstm.RecurrentLayer.zeros("lstm", d, hidden)
+        prev = LstmLayerState(h=np.zeros(hidden), C=np.zeros(hidden))
+        state = forward_cell(params, np.zeros(d), prev)
         assert np.allclose(state.f, 0.5)
         assert np.allclose(state.i, 0.5)
         assert np.allclose(state.o, 0.5)
@@ -51,19 +58,11 @@ class TestForwardCell:
 
     def test_saturated_forget_gate_preserves_cell(self):
         hidden, d = 4, 3
-        tensors = {}
-        for name in lstm.LSTM_TENSORS:
-            if name.endswith("x"):
-                tensors[name] = np.zeros((hidden, d))
-            elif name.startswith("W"):
-                tensors[name] = np.zeros((hidden, hidden))
-            else:
-                tensors[name] = np.zeros(hidden)
-        tensors["b_f"] = np.full(hidden, 30.0)
-        params = lstm.LstmLayerParams(**tensors)
+        params = lstm.RecurrentLayer.zeros("lstm", d, hidden)
+        dict(params.tensors())["b_f"][:] = 30.0
         c_prev = np.array([0.3, -0.7, 1.1, 0.0])
-        prev = lstm.LstmLayerState(h=np.zeros(hidden), C=c_prev)
-        state = lstm.forward_cell(params, np.zeros(d), prev)
+        prev = LstmLayerState(h=np.zeros(hidden), C=c_prev)
+        state = forward_cell(params, np.zeros(d), prev)
         assert np.allclose(state.C, c_prev, atol=1e-12)
 
     def test_matches_straight_line_transcription(self):
@@ -73,27 +72,48 @@ class TestForwardCell:
         x = rng.normal(size=3)
         h_prev = rng.normal(size=3) * 0.5
         c_prev = rng.normal(size=3) * 0.5
-        state = lstm.forward_cell(params, x, lstm.LstmLayerState(h=h_prev, C=c_prev))
+        state = forward_cell(params, x, LstmLayerState(h=h_prev, C=c_prev))
         h_ref, c_ref = straight_line_cell(params, x, h_prev, c_prev)
         assert np.max(np.abs(state.h - h_ref)) <= 1e-12 * max(1.0, np.max(np.abs(h_ref)))
         assert np.max(np.abs(state.C - c_ref)) <= 1e-12 * max(1.0, np.max(np.abs(c_ref)))
 
     def test_non_finite_input_rejected(self):
         net = tiny_net(vocab=5, emb=3, hidden=3, layers=1)
-        prev = lstm.LstmLayerState(h=np.zeros(3), C=np.zeros(3))
+        prev = LstmLayerState(h=np.zeros(3), C=np.zeros(3))
         with pytest.raises(NumericalFaultError):
-            lstm.forward_cell(net.layers[0], np.array([np.nan, 0, 0]), prev)
+            forward_cell(net.layers[0], np.array([np.nan, 0, 0]), prev)
 
     def test_gate_ranges(self):
         rng = np.random.default_rng(14)
         net = tiny_net(seed=14, vocab=6, emb=4, hidden=5, layers=1)
-        prev = lstm.LstmLayerState(h=np.zeros(5), C=np.zeros(5))
+        prev = LstmLayerState(h=np.zeros(5), C=np.zeros(5))
         for _ in range(20):
-            state = lstm.forward_cell(net.layers[0], rng.normal(size=4), prev)
+            state = forward_cell(net.layers[0], rng.normal(size=4), prev)
             for gate in (state.f, state.i, state.o):
                 assert np.all(gate > 0) and np.all(gate < 1)
             assert np.all(state.c_tilde > -1) and np.all(state.c_tilde < 1)
             prev = state
+
+
+class TestRecurrentLayer:
+    def test_tensors_are_named_per_gate_views(self):
+        layer = tiny_net(seed=12, layers=1).layers[0]
+        names = [name for name, _ in layer.tensors()]
+        assert names == ["W_fx", "W_fh", "b_f", "W_ix", "W_ih", "b_i",
+                         "W_Cx", "W_Ch", "b_C", "W_ox", "W_oh", "b_o"]
+        for k, gate in enumerate("fiCo"):
+            views = dict(layer.tensors())
+            assert views[f"W_{gate}x"].base is layer.W_x
+            assert np.array_equal(views[f"W_{gate}x"], layer.W_x[k])
+            assert np.array_equal(views[f"W_{gate}h"], layer.W_h[k])
+            assert np.array_equal(views[f"b_{gate}"], layer.b[k])
+        assert layer.W_x.shape == (4, 6, 5) and layer.W_h.shape == (4, 6, 6)
+
+    def test_tanh_cell_has_one_gate_and_an_initial_state(self):
+        layer = tiny_net(seed=12, layers=1, cell="rnn").layers[0]
+        assert [name for name, _ in layer.tensors()] == ["W_x", "W_h", "b_h", "h0"]
+        assert layer.W_x.shape == (1, 6, 5) and layer.h0.shape == (6,)
+        assert dict(layer.tensors())["W_x"].base is layer.W_x
 
 
 class TestForwardSequence:
@@ -115,9 +135,9 @@ class TestForwardSequence:
         net = tiny_net(seed=3, layers=1)
         ids = [1, 4, 2, 0]
         probs, _ = lstm.forward_sequence(net, ids)
-        state = lstm.LstmLayerState(h=np.zeros(net.hidden_size), C=np.zeros(net.hidden_size))
+        state = LstmLayerState(h=np.zeros(net.hidden_size), C=np.zeros(net.hidden_size))
         for t, action in enumerate(ids):
-            state = lstm.forward_cell(net.layers[0], net.embedding[action], state)
+            state = forward_cell(net.layers[0], net.embedding[action], state)
             logits = net.W_y @ state.h + net.b_y
             ref = np.exp(logits - logits.max())
             ref /= ref.sum()
@@ -153,10 +173,9 @@ class TestForwardSequence:
         net = tiny_net(seed=7)
         _, cache = lstm.forward_sequence(net, [0, 1, 2, 3, 4], train=True)
         for layer_cache in cache["layers"]:
-            for gate in ("f", "i", "o"):
-                vals = layer_cache[gate]
+            f, i, ct, o = layer_cache["gates"]
+            for vals in (f, i, o):
                 assert np.all(vals > 0) and np.all(vals < 1)
-            ct = layer_cache["c_tilde"]
             assert np.all(ct > -1) and np.all(ct < 1)
 
 
@@ -239,6 +258,15 @@ class TestBackward:
             assert np.allclose(g_s[name], g_p[name], atol=1e-12), name
         assert np.allclose(g_p["embedding"][pad], 0.0)
 
+    @pytest.mark.parametrize("cell", ["lstm", "rnn"])
+    def test_keys_are_the_parameter_names(self, cell):
+        net = tiny_net(seed=12, cell=cell, dropout=0.3)
+        _, cache = lstm.forward_sequence(net, [0, 1, 2], train=True, rng=np.random.default_rng(0))
+        grads = lstm.backward(net, cache, [1, 2, 3])
+        assert sorted(grads) == sorted(name for name, _ in net.param_items())
+        for name, arr in net.param_items():
+            assert grads[name].shape == arr.shape, name
+
     def test_missing_cache_rejected(self):
         net = tiny_net(seed=11)
         with pytest.raises(NextactionError):
@@ -303,6 +331,20 @@ class TestTraining:
             descents += curve[-1].train_loss < curve[0].train_loss
         assert descents >= 19
 
+    def test_non_finite_parameter_stops_training(self, monkeypatch):
+        build = lstm.network_from_config
+
+        def poisoned(vocab_size, cfg):
+            net = build(vocab_size, cfg)
+            net.layers[0].W_h[0, 0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(lstm, "network_from_config", poisoned)
+        cfg = lstm.TrainConfig(epochs=3, window=5, batch_size=4, seed=0,
+                               hidden_size=8, layers=1, embedding_dim=6)
+        with pytest.raises(NumericalFaultError, match="epoch 1: non-finite parameter"):
+            lstm.train(cycle_corpus(n_students=5, length=12), cfg)
+
     def test_curve_has_one_row_per_epoch(self):
         cfg = lstm.TrainConfig(epochs=4, window=5, batch_size=4, seed=0,
                                hidden_size=8, layers=1, embedding_dim=6)
@@ -365,6 +407,116 @@ class TestCheckpoint:
         probs_a, _ = lstm.forward_sequence(net, [0, 1, 2])
         probs_b, _ = lstm.forward_sequence(loaded, [0, 1, 2])
         assert np.array_equal(probs_a, probs_b)
+
+
+    # SHA-256 of the checkpoint and manifest of a seeded init net: init uses no
+    # BLAS, so these hold on every host and pin the NLSTM1 layout and tensor order
+    @pytest.mark.parametrize("cell, seed, blob_sha, manifest_sha", [
+        ("lstm", 0, "cc3c5f653ca95be8db5ededf5ac7e5710406748924c9e765b31f60df29af4f14",
+         "0b08cadac182bd27c1ffbd7b5294984e961975bdac548d72aa900df4c67eee40"),
+        ("rnn", 1, "3eb56f2b25cb3c1c9f076b9c6a5f1355ad1fb5fff0482ffe12b765ebb6f5bca2",
+         "7122cea475955499926077c871cd80415b3aae58d047e895788a8ffd41a9ec0f"),
+    ])
+    def test_byte_layout_is_pinned(self, tmp_path, cell, seed, blob_sha, manifest_sha):
+        net = lstm.init_network(11, 4, 6, 2, 0.2, 8, cell, rng=np.random.default_rng(seed))
+        path = tmp_path / "model.nlstm"
+        lstm.save_checkpoint(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == blob_sha
+        manifest = (tmp_path / "model.nlstm.manifest.txt").read_bytes()
+        assert hashlib.sha256(manifest).hexdigest() == manifest_sha
+
+
+HEADER_END = 6 + 25  # magic, then V, embedding, hidden, layers (4 bytes each), dropout, cell
+
+
+class TestCheckpointRejects:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.nlstm"
+        lstm.save_checkpoint(tiny_net(seed=24, layers=2), path)
+        return path
+
+    def load_error(self, path, blob, error=MalformedRecordError, window=None):
+        path.write_bytes(blob)
+        with pytest.raises(error) as caught:
+            lstm.load_checkpoint(path, window)
+        return caught.value
+
+    def test_every_header_truncation(self, saved):
+        blob = saved.read_bytes()
+        assert self.load_error(saved, blob[:5]).reason == "bad checkpoint magic"
+        for size in range(6, HEADER_END):
+            error = self.load_error(saved, blob[:size])
+            assert (error.lineno, error.reason) == (size, f"short header, needs {HEADER_END} bytes")
+
+    def test_short_tensor_region_and_trailing_bytes(self, saved):
+        blob = saved.read_bytes()
+        for size in (HEADER_END, HEADER_END + 8, len(blob) - 1):
+            error = self.load_error(saved, blob[:size])
+            assert error.lineno == size
+            assert error.reason == f"tensor region ends early, needs {len(blob)} bytes"
+        error = self.load_error(saved, blob + b"\0")
+        assert (error.lineno, error.reason) == (len(blob), "trailing bytes after the tensors")
+
+    def test_unknown_cell_byte(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[HEADER_END - 1] = 7
+        error = self.load_error(saved, bytes(blob))
+        assert str(error) == f"byte {HEADER_END - 1}: unknown cell byte 7"
+
+    # V at byte 6, embedding at 10, hidden at 14, layers at 18, dropout at 22
+    @pytest.mark.parametrize("fmt, offset, value", [
+        ("<I", 6, 0), ("<I", 10, 0), ("<I", 14, 0), ("<I", 18, 0), ("<I", 18, 4),
+        ("<d", 22, 1.0), ("<d", 22, float("nan")),
+    ])
+    def test_header_value_out_of_range(self, saved, fmt, offset, value):
+        blob = bytearray(saved.read_bytes())
+        struct.pack_into(fmt, blob, offset, value)
+        error = self.load_error(saved, bytes(blob))
+        assert (error.lineno, error.reason) == (6, "header value out of range")
+
+    def test_checksum_mismatch_with_a_manifest(self, saved):
+        blob = bytearray(saved.read_bytes())
+        blob[-1] ^= 0x01
+        error = self.load_error(saved, bytes(blob), error=ConfigError)
+        assert "SHA-256" in str(error)
+        Path(str(saved) + ".manifest.txt").unlink()
+        lstm.load_checkpoint(saved, window=9)  # no manifest: nothing to check against
+
+    def test_non_integer_window_line(self, saved):
+        manifest = Path(str(saved) + ".manifest.txt")
+        manifest.write_text(manifest.read_text().replace("window: 9", "window: 9.5"))
+        error = self.load_error(saved, saved.read_bytes())
+        assert str(error) == "line 3: window is not a positive integer: '9.5'"
+        assert lstm.load_checkpoint(saved, window=4).window == 4
+
+    def test_non_finite_parameter(self, saved):
+        Path(str(saved) + ".manifest.txt").unlink()
+        blob = bytearray(saved.read_bytes())
+        blob[HEADER_END + 8 * 3 : HEADER_END + 8 * 4] = np.array([np.inf]).tobytes()
+        error = self.load_error(saved, bytes(blob), window=9)
+        assert (error.lineno, error.reason) == (HEADER_END + 24, "non-finite parameter")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["lstm", "rnn"]), st.integers(1, 3), st.booleans(), st.data())
+    def test_corrupt_checkpoint_is_refused_or_read_exactly(self, cell, layers, manifest, data):
+        """A truncated or flipped checkpoint raises a NextactionError, or, with
+        no manifest to check it against, it saves back byte for byte."""
+        net = tiny_net(seed=layers, vocab=3, emb=2, hidden=2, layers=layers, cell=cell)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.nlstm"
+            lstm.save_checkpoint(net, path)
+            if not manifest:
+                Path(str(path) + ".manifest.txt").unlink()
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            changed = path.read_bytes()
+            try:
+                loaded = lstm.load_checkpoint(path, None if manifest else net.window)
+            except NextactionError:
+                return
+            assert not manifest, "a changed checkpoint passed its manifest's SHA-256"
+            lstm.save_checkpoint(loaded, path)
+            assert path.read_bytes() == changed
 
 
 class TestGridSearch:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_backoff_predict, naive_backoff_usage, naive_gram_counts
+from helpers import mutated, naive_backoff_predict, naive_backoff_usage, naive_gram_counts
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
 from nextaction.ingest import Corpus, StudentSequence
@@ -359,14 +359,6 @@ class TestProperties:
             assert (ngram.NGramPredictor(loaded).predict_sequence(seq)
                     == ngram.NGramPredictor(table).predict_sequence(seq))
 
-    @staticmethod
-    def _mutated(draw, blob: bytes) -> bytes:
-        if draw(st.booleans()):
-            return blob[: draw(st.integers(0, len(blob) - 1))]
-        at = draw(st.integers(0, len(blob) - 1))
-        value = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
-        return blob[:at] + bytes([value]) + blob[at + 1 :]
-
     @settings(max_examples=300, deadline=None)
     @given(gram_corpora(max_vocab=30, max_length=12), st.data())
     def test_corrupt_table_is_refused_or_read_exactly(self, case, data):
@@ -376,14 +368,14 @@ class TestProperties:
         path = _scratch_file(b"")
         try:
             ngram.save_table(ngram.fit(corpus_of(train, vocab_size), max_order), path)
-            path.write_bytes(self._mutated(data.draw, path.read_bytes()))
-            mutated = path.read_bytes()
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            changed = path.read_bytes()
             try:
                 loaded = ngram.load_table(path)
             except NextactionError:
                 return
             ngram.save_table(loaded, path)
-            assert path.read_bytes() == mutated
+            assert path.read_bytes() == changed
         finally:
             path.unlink()
 
@@ -398,13 +390,13 @@ class TestProperties:
         path = _scratch_file(b"")
         try:
             ingest.save_corpus(corpus, path)
-            path.write_bytes(self._mutated(data.draw, path.read_bytes()))
-            mutated = path.read_bytes()
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            changed = path.read_bytes()
             try:
                 loaded = ingest.load_corpus(path)
             except NextactionError:
                 return
             ingest.save_corpus(loaded, path)
-            assert path.read_bytes() == mutated
+            assert path.read_bytes() == changed
         finally:
             path.unlink()
