@@ -1,43 +1,41 @@
 """Structural predictors: repeat-last, course-order successor, and their combination.
 
 Each rule reads only the last action of the context (and a course-order
-map), so none needs training, and ``predict_sequence`` scores a sequence by
-applying ``predict`` to each action but the final one.  The course-order
-model emits no prediction when the last action is off the course order or is
-its final item; no-prediction is scored incorrect, which keeps denominators
-identical across models.  The combined model stays total by falling back to
-repeat in exactly those cases.
+map), so none needs training.  Each class writes its rule once, over an array
+of last actions: ``predict_sequence`` applies it to every action but the
+final one, and ``predict`` to the last action of one context.  The
+course-order model emits no prediction when the last action is off the course
+order or is its final item; no-prediction is scored incorrect, which keeps
+denominators identical across models.  The combined model stays total by
+falling back to repeat in exactly those cases.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DuplicateItemError, NextactionError
-from .ingest import Vocabulary
+from .ingest import Vocabulary, action_array, read_lines
 
 NO_PREDICTION = -1  # sentinel id; never matches a real action
 
 
 @dataclass
 class SyllabusMap:
-    """Course-ordered action ids with their positions.
+    """Course-ordered action ids and the course successor of every action id.
 
-    ``coverage`` is the number of course items that resolved against the
-    vocabulary; ``unmatched`` lists the tokens that did not.
+    ``successor_of`` has one entry per vocabulary id, NO_PREDICTION off the
+    course order and at its final item.  ``coverage`` is the number of course
+    items that resolved against the vocabulary; ``unmatched`` lists the
+    tokens that did not.
     """
 
     items: list[int]
-    position_of: dict[int, int]
+    successor_of: np.ndarray
     coverage: int
     unmatched: list[str]
-
-    def successor(self, action: int) -> int | None:
-        """The course item after ``action``; None off the course order or at its end."""
-        pos = self.position_of.get(action)
-        if pos is None or pos + 1 >= len(self.items):
-            return None
-        return self.items[pos + 1]
 
 
 def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
@@ -45,31 +43,27 @@ def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
     seen: set[str] = set()
     items: list[int] = []
     unmatched: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            token = line.strip()
-            if not token or token.startswith("#"):
-                continue
-            if token in seen:
-                raise DuplicateItemError(f"duplicate course item {token!r}")
-            seen.add(token)
-            action_id = vocab.encode(token)
-            if action_id is None:
-                unmatched.append(token)
-            else:
-                items.append(action_id)
-    return SyllabusMap(
-        items=items,
-        position_of={a: i for i, a in enumerate(items)},
-        coverage=len(items),
-        unmatched=unmatched,
-    )
+    for _, line in read_lines(path):
+        token = line.strip()
+        if not token or token.startswith("#"):
+            continue
+        if token in seen:
+            raise DuplicateItemError(f"duplicate course item {token!r}")
+        seen.add(token)
+        action_id = vocab.encode(token)
+        if action_id is None:
+            unmatched.append(token)
+        else:
+            items.append(action_id)
+    successor_of = np.full(len(vocab), NO_PREDICTION, dtype=np.int64)
+    successor_of[items[:-1]] = items[1:]
+    return SyllabusMap(items, successor_of, len(items), unmatched)
 
 
-def _last(context: Sequence[int]) -> int:
+def _last(context: Sequence[int]) -> np.ndarray:
     if len(context) == 0:
         raise NextactionError("structural prediction needs a non-empty context")
-    return context[-1]
+    return np.asarray(context[-1:], dtype=np.int64)
 
 
 class RepeatModel:
@@ -78,10 +72,10 @@ class RepeatModel:
     name = "repeat"
 
     def predict(self, context: Sequence[int]) -> int:
-        return _last(context)
+        return int(_last(context)[0])
 
-    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        return [self.predict((a,)) for a in actions[:-1]]
+    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
+        return np.asarray(actions, dtype=np.int64)[:-1]
 
 
 class SyllabusModel:
@@ -92,26 +86,25 @@ class SyllabusModel:
     def __init__(self, syllabus: SyllabusMap):
         self.syllabus = syllabus
 
+    def rule(self, last: np.ndarray) -> np.ndarray:
+        successor_of = self.syllabus.successor_of
+        return successor_of[action_array(len(successor_of), last)]
+
     def predict(self, context: Sequence[int]) -> int:
-        successor = self.syllabus.successor(_last(context))
-        return NO_PREDICTION if successor is None else successor
+        return int(self.rule(_last(context))[0])
 
-    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        return [self.predict((a,)) for a in actions[:-1]]
+    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
+        return self.rule(np.asarray(actions, dtype=np.int64)[:-1])
 
 
-class SyllabusRepeatModel:
+class SyllabusRepeatModel(SyllabusModel):
     """Course-order successor when it exists, otherwise repeat the last action."""
 
     name = "syllabus+repeat"
 
-    def __init__(self, syllabus: SyllabusMap):
-        self.syllabus = syllabus
+    def rule(self, last: np.ndarray) -> np.ndarray:
+        successor = super().rule(last)
+        return np.where(successor < 0, last, successor)
 
     def predict(self, context: Sequence[int]) -> int:
-        last = _last(context)
-        successor = self.syllabus.successor(last)
-        return last if successor is None else successor
-
-    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        return [self.predict((a,)) for a in actions[:-1]]
+        return int(self.rule(_last(context))[0])

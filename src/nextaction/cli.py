@@ -317,13 +317,15 @@ def _cmd_baseline(args) -> int:
 # ---------------------------------------------------------------- eval
 
 def _load_model(path: str, window: int | None):
+    """(predictor, description, V) of a saved checkpoint or n-gram table."""
     blob = Path(path).read_bytes()
     if blob.startswith(lstm.CHECKPOINT_MAGIC):
         net = lstm.load_checkpoint(path, window=window)
-        return lstm.LstmPredictor(net), f"lstm checkpoint {Path(path).name}"
+        return lstm.LstmPredictor(net), f"lstm checkpoint {Path(path).name}", net.vocab_size
     if blob.startswith(b"#NGRAM"):
         table = ngram.load_table(path)
-        return ngram.NGramPredictor(table), f"{table.max_order}-gram table {Path(path).name}"
+        description = f"{table.max_order}-gram table {Path(path).name}"
+        return ngram.NGramPredictor(table), description, table.vocab_size
     raise ConfigError(f"unrecognized model file {path!r}")
 
 
@@ -332,13 +334,14 @@ def _cmd_eval(args) -> int:
         "cohort": "uncertified", "min_actions": 30,
     })
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], 1)
-    model, description = _load_model(args.model, args.window)
-    if isinstance(model, ngram.NGramPredictor) and model.table.vocab_size != corpus.vocab_size:
+    model, description, vocab_size = _load_model(args.model, args.window)
+    if vocab_size != corpus.vocab_size:
         raise ConfigError(
-            f"n-gram table V={model.table.vocab_size} does not match corpus V={corpus.vocab_size}"
+            f"{description} has V={vocab_size}, which does not match corpus V={corpus.vocab_size}"
         )
     accuracy, n_scored = evaluation.transfer_eval(model, corpus, options["min_actions"])
-    meta = _config_metadata(options, {
+    # a --window override is echoed only when given, so other reports keep their bytes
+    meta = _config_metadata({**options, "window": args.window}, {
         "corpus": args.corpus, "vocab": args.vocab, "model": args.model,
     })
     lines = ["# nextaction transfer report"]

@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from .errors import ConfigError
+from .ingest import read_lines
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -11,10 +12,11 @@ def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
     """Parse ``path``, converting each value to the type ``kinds`` gives its key.
 
     ``-`` in a key reads as ``_``.  A line that is not key=value, a key not in
-    ``kinds`` or a value its type rejects raises ConfigError naming the line.
+    ``kinds`` or a value its type rejects raises ConfigError naming the line; a
+    line that is not UTF-8 raises MalformedRecordError.
     """
     values: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -8,7 +8,8 @@ folds (macro averaging at both levels, not pooled over positions).
 
 Every model meets one contract, the only call made on it here:
 ``model.predict_sequence(actions)`` returns the T-1 predictions for
-positions 2..T in order, each made from the actions before it.
+positions 2..T in order, each made from the actions before it, as an int
+array.  Any other number of predictions raises NextactionError.
 """
 
 import sys
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, StudentSequence
+from .ingest import Corpus, StudentSequence, read_lines
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -133,24 +134,32 @@ def hill_climb_split(
     return train, holdout
 
 
+def _predictions(model, actions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The model's predictions for positions 2..T and the actions they predict."""
+    predictions = np.asarray(model.predict_sequence(actions))
+    truths = np.asarray(actions, dtype=np.int64)[1:]
+    if predictions.shape != truths.shape:
+        raise NextactionError(f"{predictions.size} predictions for {len(truths)} positions")
+    return predictions, truths
+
+
 def sequence_accuracy(model, actions: Sequence[int]) -> float:
     """Proportion of positions 2..T predicted correctly from the prior context."""
     if len(actions) < 2:
         raise NextactionError("sequences shorter than 2 cannot be scored")
-    predictions = model.predict_sequence(actions)
-    return sum(p == a for p, a in zip(predictions, actions[1:])) / (len(actions) - 1)
+    predictions, truths = _predictions(model, actions)
+    return np.count_nonzero(predictions == truths) / len(truths)
 
 
 def _score_sequence(
     model, seq: StudentSequence, keep_records: bool
 ) -> tuple[float, list[PredictionRecord]]:
-    predictions = model.predict_sequence(seq.actions)
-    truths = seq.actions[1:]
+    predictions, truths = _predictions(model, seq.actions)
     records = [
-        PredictionRecord(seq.student_id, t + 2, pred, truth)
-        for t, (pred, truth) in enumerate(zip(predictions, truths))
+        PredictionRecord(seq.student_id, t, pred, truth)
+        for t, pred, truth in zip(range(2, len(seq) + 1), predictions.tolist(), truths.tolist())
     ] if keep_records else []
-    return sum(p == a for p, a in zip(predictions, truths)) / len(truths), records
+    return np.count_nonzero(predictions == truths) / len(truths), records
 
 
 ModelFactory = Callable[[Corpus, int], object]
@@ -299,15 +308,15 @@ def write_stream(records: Sequence[PredictionRecord], path: str | Path) -> None:
 
 def read_stream(path: str | Path) -> list[PredictionRecord]:
     records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         try:
-            sid, pos, pred, truth = line.split("\t")
+            sid, pos, pred, truth = line.split("\t")  # int() ignores the line break
             # one shared string per student keeps a long stream small
             records.append(PredictionRecord(sys.intern(sid), int(pos), int(pred), int(truth)))
         except ValueError:
             raise MalformedRecordError(
-                lineno, f"expected student, position, predicted, truth; got {line!r}"
+                lineno, f"expected student, position, predicted, truth; got {line.rstrip()!r}"
             ) from None
     return records

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +30,29 @@ CORPUS_MAGIC = b"NACT1"
 NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # a canonical decimal below 2**63
 _INT = re.compile(NUMBER)
 _VOCAB_HEADER = re.compile(rf"#V=({NUMBER}) min_count=({NUMBER})")
+
+
+def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
+    """``actions`` as int64, refusing any id outside [0, vocab_size) with ConfigError."""
+    array = np.asarray(actions, dtype=np.int64)
+    if array.size and (array.min() < 0 or array.max() >= vocab_size):
+        raise ConfigError(f"action id outside [0, {vocab_size}) in {actions!r:.80}")
+    return array
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Stream ``(line number, text)`` pairs of a UTF-8 file; a line that is not
+    UTF-8 raises MalformedRecordError with its number."""
+    try:
+        with open(path, encoding="utf-8", newline="\n") as handle:
+            yield from enumerate(handle, start=1)
+    except UnicodeDecodeError:
+        blob = Path(path).read_bytes()  # the decoder runs ahead of the lines yielded
+        try:
+            blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(blob.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -162,22 +185,21 @@ def iter_events(
     if on_malformed not in ("abort", "skip"):
         raise ConfigError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
     stats = stats if stats is not None else IngestStats()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stats.total_lines += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                stats.ignored_lines += 1
-                continue
-            try:
-                event = parse_event(line, lineno)
-            except MalformedRecordError:
-                if on_malformed == "abort":
-                    raise
-                stats.malformed_lines += 1
-                continue
-            stats.parsed_events += 1
-            yield event
+    for lineno, line in read_lines(path):
+        stats.total_lines += 1
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            stats.ignored_lines += 1
+            continue
+        try:
+            event = parse_event(line, lineno)
+        except MalformedRecordError:
+            if on_malformed == "abort":
+                raise
+            stats.malformed_lines += 1
+            continue
+        stats.parsed_events += 1
+        yield event
 
 
 def extract_action(event: RawEvent) -> str:
@@ -213,30 +235,24 @@ def build_vocabulary(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 
 def encode_corpus(
-    events: Iterable[RawEvent],
+    rows: dict[str, list[tuple[datetime, int, str]]],
     vocab: Vocabulary,
     roster: dict[str, bool],
     stats: IngestStats | None = None,
 ) -> Corpus:
-    """Group events per student, sort by time, and encode against the vocabulary.
+    """Sort each student's ``(timestamp, log order, token)`` rows and encode them.
 
-    Events whose extracted token is out of vocabulary are dropped; students
-    with no surviving actions are omitted.  Students missing from the roster
-    are treated as uncertified and tallied.
+    Events whose token is out of vocabulary are dropped; students with no
+    surviving actions are omitted.  Students missing from the roster are
+    treated as uncertified and tallied.
     """
     stats = stats if stats is not None else IngestStats()
-    per_student: dict[str, list[tuple[datetime, int, str]]] = {}
-    for order, event in enumerate(events):
-        per_student.setdefault(event.student_id, []).append(
-            (event.timestamp, order, extract_action(event))
-        )
-
     sequences = []
-    for student_id, rows in per_student.items():
-        rows.sort(key=lambda row: (row[0], row[1]))  # stable on timestamp ties
+    for student_id, student_rows in rows.items():
+        student_rows.sort(key=lambda row: (row[0], row[1]))  # stable on timestamp ties
         actions = []
         dropped_here = 0
-        for _, _, token in rows:
+        for _, _, token in student_rows:
             action_id = vocab.encode(token)
             if action_id is None:
                 dropped_here += 1
@@ -244,7 +260,7 @@ def encode_corpus(
                 actions.append(action_id)
         if not actions:
             stats.dropped_students += 1
-            stats.dropped_student_events += len(rows)
+            stats.dropped_student_events += len(student_rows)
             continue
         stats.dropped_token_events += dropped_here
         stats.kept_actions += len(actions)
@@ -266,17 +282,19 @@ def ingest_files(
     min_count: int = 40,
     on_malformed: str = "abort",
 ) -> tuple[Corpus, IngestStats]:
-    """Full ingestion: read the log twice (count pass, encode pass)."""
-    count_stats = IngestStats()
-    tokens = (
-        extract_action(ev)
-        for ev in iter_events(events_path, on_malformed, count_stats)
-    )
-    vocab = build_vocabulary(tokens, min_count=min_count)
-
+    """Full ingestion in one pass over the log, which fills the student rows as
+    ``build_vocabulary`` counts the tokens."""
     stats = IngestStats()
-    events = iter_events(events_path, on_malformed, stats)
-    corpus = encode_corpus(events, vocab, load_roster(roster_path), stats)
+    rows: dict[str, list[tuple[datetime, int, str]]] = {}
+
+    def tokens() -> Iterator[str]:
+        for order, event in enumerate(iter_events(events_path, on_malformed, stats)):
+            token = extract_action(event)
+            rows.setdefault(event.student_id, []).append((event.timestamp, order, token))
+            yield token
+
+    vocab = build_vocabulary(tokens(), min_count=min_count)
+    corpus = encode_corpus(rows, vocab, load_roster(roster_path), stats)
     return corpus, stats
 
 
@@ -292,16 +310,18 @@ def filter_cohort(corpus: Corpus, certified: bool, min_actions: int = 1) -> Corp
 
 
 def load_roster(path: str | Path) -> dict[str, bool]:
+    """Read a roster; a malformed line or a repeated student raises MalformedRecordError."""
     roster: dict[str, bool] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split("\t")
-            if len(fields) != 2 or fields[1] not in ("0", "1"):
-                raise MalformedRecordError(lineno, f"bad roster line {stripped!r}")
-            roster[fields[0]] = fields[1] == "1"
+    for lineno, line in read_lines(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split("\t")
+        if len(fields) != 2 or fields[1] not in ("0", "1"):
+            raise MalformedRecordError(lineno, f"bad roster line {stripped!r}")
+        if fields[0] in roster:
+            raise MalformedRecordError(lineno, f"student {fields[0]!r} is listed twice")
+        roster[fields[0]] = fields[1] == "1"
     return roster
 
 
@@ -314,22 +334,19 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary file; a malformed line raises MalformedRecordError."""
-    blob = Path(path).read_bytes()
-    try:
-        text = blob.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(blob.count(b"\n", 0, exc.start) + 1, "not UTF-8") from exc
-    head = _VOCAB_HEADER.fullmatch(text[0]) if text else None
+    lines = read_lines(path)
+    _, header = next(lines, (1, ""))
+    head = _VOCAB_HEADER.fullmatch(header.rstrip("\r\n"))
     if head is None:
         raise MalformedRecordError(1, "header is not '#V=<int> min_count=<int>'")
     declared_v, min_count = int(head[1]), int(head[2])
     id_to_token: list[str] = []
     counts: list[int] = []
     token_to_id: dict[str, int] = {}
-    for lineno, line in enumerate(text[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
-        fields = line.split("\t")
+        fields = line.rstrip("\r\n").split("\t")
         if len(fields) != 3 or not all(_INT.fullmatch(field) for field in fields[1:]):
             raise MalformedRecordError(lineno, "record is not 'token <TAB> id <TAB> count'")
         token, id_text, count_text = fields

@@ -35,10 +35,11 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
-from .ingest import Corpus, StudentSequence
+from .ingest import Corpus, StudentSequence, action_array
 
 PROB_FLOOR = 1e-12
 HILL_FRACTION = 0.1  # share of training students held out for hill climbing
@@ -275,13 +276,6 @@ def _run_layers(
     return layer_inputs, cache
 
 
-def _validate_ids(net: LstmNetwork, ids: np.ndarray) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() > net.pad_id):
-        raise NextactionError(
-            f"action ids must lie in [0, {net.vocab_size}) (pad id {net.pad_id})"
-        )
-
-
 def forward_sequence(
     net: LstmNetwork,
     ids: Sequence[int] | np.ndarray,
@@ -292,17 +286,17 @@ def forward_sequence(
     """Per-step output distributions for one window or a batch of windows.
 
     ``ids`` is (T,) or (B, T) with T <= the training window; entries equal to
-    the pad id mark padded steps.  Returns (probs, cache) with probs of shape
-    (B, T, V); pass the cache to ``backward`` after a train-mode run.
+    the pad id mark padded steps, and an id above it raises ConfigError.
+    Returns (probs, cache) with probs of shape (B, T, V); pass the cache to
+    ``backward`` after a train-mode run.
     """
-    arr = np.asarray(ids, dtype=np.int64)
+    arr = action_array(net.pad_id + 1, ids)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise NextactionError("ids must be a non-empty window or batch of windows")
     if arr.shape[1] > net.window:
         raise ConfigError(f"window of {arr.shape[1]} exceeds the model window {net.window}")
-    _validate_ids(net, arr)
     top_h, cache = _run_layers(net, arr, train, rng, dropout_masks)
     logits = top_h @ net.W_y.T + net.b_y
     probs = softmax(logits)
@@ -569,48 +563,31 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
     return net, curve
 
 
-def _last_step_distribution(net: LstmNetwork, ids: np.ndarray) -> np.ndarray:
-    top_h, _ = _run_layers(net, ids, train=False, rng=None, dropout_masks=None)
-    logits = top_h[:, -1] @ net.W_y.T + net.b_y
-    return softmax(logits)
-
-
-def predict_next(net: LstmNetwork, context: Sequence[int]) -> tuple[int, np.ndarray]:
-    """Argmax next action from the most recent window of the context."""
-    if len(context) == 0:
-        raise NextactionError("prediction needs a non-empty context")
-    ids = np.asarray(context, dtype=np.int64)[-net.window:][None, :]
-    _validate_ids(net, ids)
-    if ids.max() >= net.vocab_size:
-        raise NextactionError("context contains the reserved pad id")
-    dist = _last_step_distribution(net, ids)[0]
-    return int(np.argmax(dist)), dist
-
-
 class LstmPredictor:
     """Scores whole sequences with a trained network."""
 
     def __init__(self, net: LstmNetwork):
         self.net = net
 
-    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        """Predictions for positions 2..T, batched by shared context length."""
+    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
+        """Predictions for positions 2..T, each from at most the last ``window`` actions.
+
+        The contexts shorter than the window are the prefixes of one run from
+        the initial state; the rest are one batch of sliding windows.
+        """
         net = self.net
-        arr = np.asarray(actions, dtype=np.int64)
-        n = len(arr)
-        if n < 2:
-            return []
-        by_length: dict[int, list[int]] = {}
-        for t in range(1, n):
-            by_length.setdefault(min(t, net.window), []).append(t)
-        out = np.empty(n - 1, dtype=np.int64)
-        for length, positions in by_length.items():
-            ids = np.stack([arr[t - length : t] for t in positions])
-            _validate_ids(net, ids)
-            dist = _last_step_distribution(net, ids)
-            for row, t in enumerate(positions):
-                out[t - 1] = int(np.argmax(dist[row]))
-        return out.tolist()
+        arr = action_array(net.vocab_size, actions)
+        head = arr[: min(net.window, len(arr)) - 1]
+        top_h, _ = _run_layers(net, head[None], False, None, None)
+        # a (1, H) @ (H, V) product per prefix rounds as a run over that prefix alone
+        logits = [top_h[0][:, None] @ net.W_y.T]
+        if len(arr) > net.window:
+            windows = sliding_window_view(arr[:-1], net.window)
+            top_h, _ = _run_layers(net, windows, False, None, None)
+            logits.append((top_h[:, -1] @ net.W_y.T)[:, None])
+        # the argmax reads probabilities, whose rounding can tie logits that differ
+        probs = softmax(np.concatenate(logits) + net.b_y)
+        return np.argmax(probs[:, 0], axis=-1)
 
 
 def cv_factory(cfg: TrainConfig):
@@ -683,8 +660,11 @@ def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
 
     The window comes from ``window`` or else the manifest.  A malformed file
     raises MalformedRecordError with the byte offset (in the manifest, the
-    line) of the bad field; a checksum mismatch raises ConfigError.
+    line) of the bad field; a checksum mismatch or a ``window`` below 1
+    raises ConfigError.
     """
+    if window is not None and window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     path = Path(path)
     blob = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + _HEADER.size

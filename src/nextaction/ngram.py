@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import NUMBER, Corpus
+from .ingest import NUMBER, Corpus, action_array
 
 Context = tuple[int, ...]
 
@@ -119,7 +119,7 @@ class NGramTable:
         """The grams of ``ctx`` at ``order``; empty if the context was never seen."""
         if len(ctx) != order - 1:
             return slice(0, 0)
-        actions = np.append(_checked(self.vocab_size, ctx), 0)  # the 0 is never read
+        actions = np.append(action_array(self.vocab_size, ctx), 0)  # the 0 is never read
         *_, (_, ids) = _context_ids(self, actions, np.arange(len(actions)), order)
         return self._grams_of(order, ids[-1]) if ids[-1] >= 0 else slice(0, 0)
 
@@ -132,14 +132,6 @@ class NGramTable:
         return int(self.counts[order][self._gram_slice(order, ctx)].sum())
 
 
-def _checked(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
-    """``actions`` as int64, refusing ids outside [0, V) that keys would alias."""
-    array = np.asarray(actions, dtype=np.int64)
-    if array.size and (array.min() < 0 or array.max() >= vocab_size):
-        raise ConfigError(f"action id outside [0, {vocab_size}) in {actions!r:.80}")
-    return array
-
-
 def _flatten(vocab_size: int, sequences) -> tuple[np.ndarray, np.ndarray]:
     """All actions concatenated, and each one's position within its own sequence."""
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
@@ -148,7 +140,7 @@ def _flatten(vocab_size: int, sequences) -> tuple[np.ndarray, np.ndarray]:
         chain.from_iterable(s.actions for s in sequences), dtype=np.int64, count=total
     )
     starts = np.cumsum(lengths) - lengths
-    return _checked(vocab_size, actions), np.arange(total) - np.repeat(starts, lengths)
+    return action_array(vocab_size, actions), np.arange(total) - np.repeat(starts, lengths)
 
 
 def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
@@ -229,7 +221,7 @@ def predict_next(
     ``max_order`` caps the orders consulted (useful for order sweeps over a
     single fitted table); it defaults to the table's own order.
     """
-    actions = np.append(_checked(table.vocab_size, context), 0)  # the 0 is never read
+    actions = np.append(action_array(table.vocab_size, context), 0)  # the 0 is never read
     predicted, used, ctx = _backoff(
         table, actions, np.arange(len(actions)), _cap(table, max_order), slice(-1, None)
     )
@@ -266,14 +258,12 @@ class NGramPredictor:
         self.table = table
         self.max_order = _cap(table, max_order)
 
-    def predict_sequence(self, actions: Sequence[int]) -> list[int]:
-        array = _checked(self.table.vocab_size, actions)
-        if len(array) < 2:
-            return []
+    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
+        array = action_array(self.table.vocab_size, actions)
         predicted, _, _ = _backoff(
             self.table, array, np.arange(len(array)), self.max_order, slice(1, None)
         )
-        return predicted.tolist()
+        return predicted
 
 
 def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):

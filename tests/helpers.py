@@ -2,8 +2,9 @@
 
 These deliberately re-derive gram statistics and backoff behavior with a
 different traversal than the library (per-order window scans instead of
-per-position order loops), and the LSTM step one vector at a time instead of
-a batch at a time, so they can serve as a second opinion.
+per-position order loops), the LSTM step one vector at a time instead of
+a batch at a time, and each LSTM prediction from its own window instead of a
+shared run, so they can serve as a second opinion.
 """
 
 from collections import Counter
@@ -13,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nextaction.errors import NumericalFaultError
-from nextaction.lstm import sigmoid
+from nextaction.lstm import forward_sequence, sigmoid
 
 
 def naive_gram_counts(sequences, max_order):
@@ -87,6 +88,14 @@ def forward_cell(params, x, prev):
     o = sigmoid(W_x[3] @ x + W_h[3] @ prev.h + b[3])
     h = o * np.tanh(C)
     return LstmLayerState(h=h, C=C, f=f, i=i, o=o, c_tilde=c_tilde)
+
+
+def lstm_predict_next(net, context):
+    """(argmax, distribution) of the action after ``context``, from the last step
+    of one ``forward_sequence`` over its final ``window`` actions: a path apart
+    from the predictor's prefix run and sliding-window batch."""
+    probs, _ = forward_sequence(net, list(context)[-net.window:])
+    return int(np.argmax(probs[0, -1])), probs[0, -1]
 
 
 def mutated(draw, blob: bytes) -> bytes:

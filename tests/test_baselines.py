@@ -21,7 +21,9 @@ class TestLoadSyllabus:
         assert len(syl.items) == 3
         assert syl.coverage == 3
         assert syl.unmatched == []
-        assert syl.position_of == {vocab.encode(t): i for i, t in enumerate("abc")}
+        a, b, c, x = (vocab.encode(t) for t in "abcx")
+        successor = {a: b, b: c, c: baselines.NO_PREDICTION, x: baselines.NO_PREDICTION}
+        assert syl.successor_of.tolist() == [successor[i] for i in range(len(vocab))]
 
     def test_unknown_token_tallied(self, tmp_path, vocab):
         syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "zz"]), vocab)

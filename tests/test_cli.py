@@ -327,3 +327,99 @@ class TestHostileCheckpointAndVocabulary:
             "--max-order", "3", "--out-dir", str(tmp_path),
         ]) == 2
         assert f"error: line {v + 2}: record is not" in capsys.readouterr().err
+
+
+class TestEvalChecksModelAgainstCorpus:
+    def eval_run(self, pipeline, model_path, tmp_path, *extra):
+        return main([
+            "eval", "--model", str(model_path), "--corpus", str(pipeline / "corpus.nact"),
+            "--vocab", str(pipeline / "vocab.tsv"), "--min-actions", "2",
+            "--out-dir", str(tmp_path), "--report", str(tmp_path / "transfer.txt"), *extra,
+        ])
+
+    def checkpoint(self, tmp_path, vocab_size):
+        path = tmp_path / "model.nlstm"
+        net = lstm.init_network(vocab_size, 4, 5, 1, 0.0, 6, rng=np.random.default_rng(0))
+        lstm.save_checkpoint(net, path)
+        return path
+
+    @pytest.mark.parametrize("shift", [1, -1])  # the corpus V is smaller, then larger
+    def test_checkpoint_v_differs_from_corpus(self, pipeline, tmp_path, capsys, shift):
+        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        path = self.checkpoint(tmp_path, v + shift)
+        assert self.eval_run(pipeline, path, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"V={v + shift}" in err and f"corpus V={v}" in err
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_exits_2(self, pipeline, tmp_path, capsys, window):
+        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        path = self.checkpoint(tmp_path, v)
+        assert self.eval_run(pipeline, path, tmp_path, "--window", window) == 2
+        assert f"error: window must be >= 1, got {window}" in capsys.readouterr().err
+
+    def test_window_override_is_recorded(self, pipeline, tmp_path):
+        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        path = self.checkpoint(tmp_path, v)
+        assert self.eval_run(pipeline, path, tmp_path) == 0
+        assert "meta.config.window" not in evaluation.read_report(tmp_path / "transfer.txt")
+        assert self.eval_run(pipeline, path, tmp_path, "--window", "3") == 0
+        assert evaluation.read_report(tmp_path / "transfer.txt")["meta.config.window"] == "3"
+
+
+class TestHostileText:
+    """Every text reader refuses a line that is not UTF-8, naming the line."""
+
+    def spoiled(self, source, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(source.read_bytes() + b"\xff\n")
+        return path, source.read_bytes().count(b"\n") + 1
+
+    def run(self, pipeline, tmp_path, reader):
+        corpus = ["--corpus", str(pipeline / "corpus.nact"), "--vocab", str(pipeline / "vocab.tsv")]
+        ingest_args = ["ingest", "--events", str(pipeline / "events.tsv"),
+                       "--roster", str(pipeline / "roster.tsv"), "--min-count", "1",
+                       "--out-dir", str(tmp_path)]
+        if reader == "events":
+            path, line = self.spoiled(pipeline / "events.tsv", tmp_path, "events.tsv")
+            return main(ingest_args + ["--events", str(path)]), line
+        if reader == "roster":
+            path, line = self.spoiled(pipeline / "roster.tsv", tmp_path, "roster.tsv")
+            return main(ingest_args + ["--roster", str(path)]), line
+        if reader == "syllabus":
+            path, line = self.spoiled(pipeline / "syllabus.txt", tmp_path, "syllabus.txt")
+            return main(["baseline", *corpus, "--model", "syllabus", "--syllabus", str(path),
+                         "--folds", "3", "--out-dir", str(tmp_path)]), line
+        if reader == "stream":
+            good = tmp_path / "a.pred"
+            good.write_text("s1\t2\t1\t1\n", encoding="utf-8")
+            path, line = self.spoiled(good, tmp_path, "b.pred")
+            return main(["agree", str(good), str(path)]), line
+        source = tmp_path / "source.cfg"
+        if reader == "config":
+            source.write_text("max_order=2\n", encoding="utf-8")
+            path, line = self.spoiled(source, tmp_path, "ngram.cfg")
+            return main(["ngram", "--config", str(path), *corpus, "--folds", "3",
+                         "--out-dir", str(tmp_path)]), line
+        source.write_text("vocab_size=16\nsyllabus_length=8\n", encoding="utf-8")
+        path, line = self.spoiled(source, tmp_path, "synth.cfg")
+        return main(["synth", "--config", str(path), "--out-dir", str(tmp_path)]), line
+
+    @pytest.mark.parametrize("reader", ["events", "roster", "syllabus", "stream", "config",
+                                        "synth-config"])
+    def test_non_utf8_line_exits_2(self, pipeline, tmp_path, capsys, reader):
+        rc, line = self.run(pipeline, tmp_path, reader)
+        assert rc == 2
+        assert f"error: line {line}: not UTF-8" in capsys.readouterr().err
+
+    def test_repeated_roster_student_exits_2(self, pipeline, tmp_path, capsys):
+        roster = (pipeline / "roster.tsv").read_text(encoding="utf-8")
+        first = roster.splitlines()[0]
+        spoiled = tmp_path / "roster.tsv"
+        spoiled.write_text(roster + first + "\n", encoding="utf-8")
+        assert main([
+            "ingest", "--events", str(pipeline / "events.tsv"), "--roster", str(spoiled),
+            "--min-count", "1", "--out-dir", str(tmp_path),
+        ]) == 2
+        line = roster.count("\n") + 1
+        assert f"error: line {line}: student" in capsys.readouterr().err

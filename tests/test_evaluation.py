@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import naive_backoff_predict, naive_gram_counts
+from helpers import lstm_predict_next, naive_backoff_predict, naive_gram_counts
 from nextaction import baselines, evaluation, lstm, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 from nextaction.ingest import Corpus, StudentSequence
@@ -25,6 +25,13 @@ class ConstantModel:
 class RepeatLast:
     def predict_sequence(self, actions):
         return list(actions[:-1])
+
+
+class ShortByOne:
+    """A perfect repeat model that leaves out its last prediction: T-2 of them."""
+
+    def predict_sequence(self, actions):
+        return list(actions[:-2])
 
 
 class TestMakeFolds:
@@ -107,8 +114,10 @@ class TestSequenceAccuracy:
             evaluation.sequence_accuracy(RepeatLast(), [1])
 
 
-def _syllabus_map(items):
-    return baselines.SyllabusMap(items, {a: i for i, a in enumerate(items)}, len(items), [])
+def _syllabus_map(items, vocab_size=7):
+    successor_of = np.full(vocab_size, baselines.NO_PREDICTION)
+    successor_of[items[:-1]] = items[1:]
+    return baselines.SyllabusMap(items, successor_of, len(items), [])
 
 
 def _contract_case(kind):
@@ -130,7 +139,7 @@ def _contract_case(kind):
         model = ngram.NGramPredictor(table, max_order=3)
         return model, lambda context: naive_backoff_predict(naive, context, 3)[0]
     net = lstm.init_network(7, 5, 6, 2, 0.0, 4, rng=np.random.default_rng([19, 0xEE]))
-    return lstm.LstmPredictor(net), lambda context: lstm.predict_next(net, context)[0]
+    return lstm.LstmPredictor(net), lambda context: lstm_predict_next(net, context)[0]
 
 
 class TestPredictionContract:
@@ -140,7 +149,26 @@ class TestPredictionContract:
         actions = np.random.default_rng(1).integers(0, 7, size=15).tolist()
         predictions = model.predict_sequence(actions)
         assert len(predictions) == len(actions) - 1
-        assert predictions == [single(actions[:t]) for t in range(1, len(actions))]
+        assert predictions.dtype == np.int64
+        assert predictions.tolist() == [single(actions[:t]) for t in range(1, len(actions))]
+
+    # 7 is one past the last id, and the LSTM's pad id
+    @pytest.mark.parametrize("kind", ["syllabus", "combined", "ngram", "lstm"])
+    @pytest.mark.parametrize("bad", [-1, 7])
+    def test_ids_outside_the_vocabulary_raise(self, kind, bad):
+        model, _ = _contract_case(kind)
+        with pytest.raises(ConfigError):
+            model.predict_sequence([0, 1, bad, 2])
+
+    def test_wrong_prediction_count_raises(self):
+        corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
+        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=0)
+        with pytest.raises(NextactionError, match="predictions for"):
+            evaluation.cross_validate(lambda train, fold: ShortByOne(), corpus, plan)
+        with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
+            evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
+        with pytest.raises(NextactionError):
+            evaluation.sequence_accuracy(ShortByOne(), [0, 1, 1])
 
 
 class TestCrossValidate:

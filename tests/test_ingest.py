@@ -176,6 +176,27 @@ class TestEncodeCorpus:
         assert corpus.total_actions == 1
 
 
+    def test_log_is_read_once(self, tmp_path, monkeypatch):
+        log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts1\tview\ta\t-"] * 3)
+        roster = make_roster(tmp_path, [("s1", True)])
+        passes = []
+        read = ingest.iter_events
+        monkeypatch.setattr(ingest, "iter_events", lambda *a: passes.append(a) or read(*a))
+        corpus, stats = ingest.ingest_files(log, roster, min_count=1)
+        assert len(passes) == 1
+        assert (stats.total_lines, stats.parsed_events, corpus.total_actions) == (3, 3, 3)
+
+
+class TestHostileText:
+    def test_non_utf8_event_line_aborts_even_when_skipping(self, tmp_path):
+        log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts1\tview\ta\t-"] * 2)
+        log.write_bytes(log.read_bytes() + b"\xff\n")
+        roster = make_roster(tmp_path, [("s1", True)])
+        with pytest.raises(MalformedRecordError) as caught:
+            ingest.ingest_files(log, roster, min_count=1, on_malformed="skip")
+        assert (caught.value.lineno, caught.value.reason) == (3, "not UTF-8")
+
+
 class TestFilterCohort:
     def test_min_actions_one_is_identity_on_cohort(self, tmp_path):
         log = make_log(tmp_path, [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LstmLayerState, forward_cell, mutated
+from helpers import LstmLayerState, forward_cell, lstm_predict_next, mutated
 from nextaction import evaluation, lstm
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
@@ -304,8 +304,8 @@ class TestTraining:
         )
         net, curve = lstm.train(cycle_corpus(), cfg)
         assert any(s.hillclimb_accuracy >= 1.0 for s in curve)
-        assert lstm.predict_next(net, [0])[0] == 1
-        assert lstm.predict_next(net, [1])[0] == 2
+        assert lstm_predict_next(net, [0])[0] == 1
+        assert lstm_predict_next(net, [1])[0] == 2
 
     def test_fixed_seed_bit_identical_checkpoints(self, tmp_path):
         cfg = lstm.TrainConfig(epochs=3, window=5, batch_size=4, seed=21,
@@ -358,26 +358,33 @@ class TestPrediction:
         net = tiny_net(seed=15)
         net.W_y[:] = 0.0
         net.b_y[:] = 0.0
-        predicted, dist = lstm.predict_next(net, [3, 2])
+        predicted, dist = lstm_predict_next(net, [3, 2])
         assert predicted == 0
         assert np.allclose(dist, 1.0 / net.vocab_size)
 
     def test_distribution_sums_to_one(self):
         net = tiny_net(seed=16)
-        _, dist = lstm.predict_next(net, [1, 2, 3])
+        _, dist = lstm_predict_next(net, [1, 2, 3])
         assert abs(dist.sum() - 1.0) <= 1e-9
 
-    def test_empty_context_rejected(self):
-        net = tiny_net(seed=17)
-        with pytest.raises(NextactionError):
-            lstm.predict_next(net, [])
+    @pytest.mark.parametrize("cell, window", [("lstm", 1), ("lstm", 4), ("rnn", 4)])
+    def test_predict_sequence_matches_the_oracle_at_every_length(self, cell, window):
+        net = tiny_net(seed=19, window=window, cell=cell)
+        predictor = lstm.LstmPredictor(net)
+        actions = np.random.default_rng(2).integers(0, 7, size=9).tolist()
+        for n in range(len(actions) + 1):
+            predictions = predictor.predict_sequence(actions[:n])
+            assert predictions.dtype == np.int64
+            assert predictions.tolist() == [
+                lstm_predict_next(net, actions[:t])[0] for t in range(1, n)
+            ]
 
     def test_context_clipped_to_window(self):
         net = tiny_net(seed=18, window=4)
         rng = np.random.default_rng(0)
         context = rng.integers(0, 7, size=12).tolist()
-        full = lstm.predict_next(net, context)
-        clipped = lstm.predict_next(net, context[-4:])
+        full = lstm_predict_next(net, context)
+        clipped = lstm_predict_next(net, context[-4:])
         assert full[0] == clipped[0]
         assert np.array_equal(full[1], clipped[1])
 
@@ -396,7 +403,7 @@ class TestCheckpoint:
             assert name_a == name_b
             assert np.array_equal(a, b)
         context = [0, 1, 2]
-        assert lstm.predict_next(net, context)[0] == lstm.predict_next(loaded, context)[0]
+        assert lstm_predict_next(net, context)[0] == lstm_predict_next(loaded, context)[0]
 
     def test_rnn_checkpoint_round_trip(self, tmp_path):
         net = tiny_net(seed=23, cell="rnn", layers=2)
