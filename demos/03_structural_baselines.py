@@ -30,7 +30,7 @@ models = [
 print("\ncross-validated accuracy (same folds for every model):")
 for model in models:
     report = evaluation.cross_validate(
-        lambda train, fold: model, certified, plan, model_name=model.name
+        evaluation.FixedSpec(model), certified, plan, model_name=model.name
     )
     folds = " ".join(f"{a:.3f}" for a in report.per_fold_accuracy)
     print(f"  {model.name:16s} {report.cv_accuracy:.4f}   folds: {folds}")

@@ -20,8 +20,7 @@ uncertified = ingest.filter_cohort(corpus, certified=False)
 
 plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)
 report = evaluation.cross_validate(
-    lambda train, fold: ngram.NGramPredictor(ngram.fit(train, 3)),
-    certified, plan, model_name="3-gram backoff",
+    ngram.NGramSpec((3,)), certified, plan, model_name="3-gram backoff"
 )
 print(f"certified cross-validated accuracy: {report.cv_accuracy:.4f}")
 

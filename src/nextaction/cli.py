@@ -3,8 +3,9 @@
 Every report embeds the effective option values and the SHA-256 of each input
 file, so a result can be re-derived from the report alone.  Randomness flows
 from the --seed flag of the invocation; outputs are byte-identical across
-repeated runs with the same seed and worker count.  Reports default to
-content-addressed filenames in --out-dir to avoid silent overwrites.
+repeated runs with the same seed, at any --workers count (which a report
+echoes).  Reports default to content-addressed filenames in --out-dir to
+avoid silent overwrites.
 """
 
 import argparse
@@ -190,19 +191,18 @@ def _cmd_ngram(args) -> int:
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
 
-    def factory(train_corpus, fold):
-        return ngram.NGramPredictor(ngram.fit(train_corpus, options["max_order"]))
-
     report = evaluation.cross_validate(
-        factory, corpus, plan,
+        ngram.NGramSpec((options["max_order"],)), corpus, plan,
         model_name=f"{options['max_order']}-gram backoff",
         workers=options["workers"],
         keep_streams=bool(args.stream),
+        fit_full=bool(options["usage"] or args.save_model),
     )
     report.metadata.update(meta)
 
-    if options["usage"] or args.save_model:
-        table = ngram.fit(corpus, options["max_order"])
+    if report.full_fit:
+        (predictor,), _ = report.full_fit
+        table = predictor.table
         if options["usage"]:
             usage = ngram.backoff_usage(table, corpus)
             for order, fraction in usage.items():
@@ -258,23 +258,23 @@ def _cmd_lstm(args) -> int:
         ]
         return _write_comparison("# nextaction lstm grid report", meta, rows, args, "lstm-grid")
 
-    factory, curves = lstm.cv_factory(base_cfg)
     report = evaluation.cross_validate(
-        factory, corpus, plan,
+        lstm.LstmSpec(base_cfg), corpus, plan,
         model_name=f"{base_cfg.cell} layers={base_cfg.layers} nodes={base_cfg.hidden_size}",
         workers=options["workers"],
         keep_streams=bool(args.stream),
+        fit_full=bool(args.save_model),
     )
     report.metadata.update(meta)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.curve_prefix or "curve"
-    for fold in sorted(curves):
-        _write_curve(curves[fold], out_dir / f"{prefix}-fold{fold}.csv")
-    if args.save_model:
-        net, final_curve = lstm.train(corpus, base_cfg)
-        lstm.save_checkpoint(net, args.save_model)
+    for fold, curve in enumerate(report.fold_extras):
+        _write_curve(curve, out_dir / f"{prefix}-fold{fold}.csv")
+    if report.full_fit:
+        (predictor,), final_curve = report.full_fit
+        lstm.save_checkpoint(predictor.net, args.save_model)
         print(f"wrote {args.save_model}")
         _write_curve(final_curve, out_dir / f"{prefix}-final.csv")
     return _write_cv_outputs(report, args, "lstm-report")
@@ -306,7 +306,7 @@ def _cmd_baseline(args) -> int:
 
     plan = evaluation.make_folds(corpus.student_ids(), options["folds"], options["seed"])
     report = evaluation.cross_validate(
-        lambda train_corpus, fold: model, corpus, plan,
+        evaluation.FixedSpec(model), corpus, plan,
         model_name=model.name, workers=options["workers"],
         keep_streams=bool(args.stream),
     )
@@ -323,6 +323,8 @@ def _load_model(path: str, window: int | None):
         net = lstm.load_checkpoint(path, window=window)
         return lstm.LstmPredictor(net), f"lstm checkpoint {Path(path).name}", net.vocab_size
     if blob.startswith(b"#NGRAM"):
+        if window is not None:
+            raise ConfigError("--window overrides a checkpoint's window; an n-gram table has none")
         table = ngram.load_table(path)
         description = f"{table.max_order}-gram table {Path(path).name}"
         return ngram.NGramPredictor(table), description, table.vocab_size

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type survives a pickle round trip, so an error raised in a fold
+worker process reaches the command line as itself.
+"""
 
 
 class NextactionError(Exception):
@@ -16,6 +20,10 @@ class MalformedRecordError(NextactionError):
         super().__init__(f"{unit} {lineno}: {reason}")
         self.lineno = lineno
         self.reason = reason
+        self.unit = unit
+
+    def __reduce__(self):
+        return type(self), (self.lineno, self.reason, self.unit)
 
 
 class ConfigError(NextactionError):

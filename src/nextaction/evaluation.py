@@ -10,13 +10,21 @@ Every model meets one contract, the only call made on it here:
 ``model.predict_sequence(actions)`` returns the T-1 predictions for
 positions 2..T in order, each made from the actions before it, as an int
 array.  Any other number of predictions raises NextactionError.
+
+Cross-validation is driven by a spec, a small frozen object whose
+``fit(train_corpus, fold)`` returns the fold's models and extras (such as
+an LSTM epoch curve); fold None is the fit on the whole corpus.  Folds run
+on a pool of forked worker processes, which inherit the spec and corpus and
+send back arrays, so reports are byte-identical at any worker count.
 """
 
+import multiprocessing
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,9 +39,6 @@ class FoldPlan:
     k: int
     seed: int
     assignment: dict[str, int]
-
-    def fold_of(self, student_id: str) -> int:
-        return self.assignment[student_id]
 
     def students_in(self, fold: int) -> list[str]:
         return sorted(s for s, f in self.assignment.items() if f == fold)
@@ -55,6 +60,9 @@ class EvalReport:
     per_sequence: list[tuple[str, float]] | None = None
     skipped_sequences: int = 0
     streams: list["PredictionRecord"] | None = None  # not serialized, only counted
+    # not serialized: the spec's per-fold extras, and its full-corpus fit if asked for
+    fold_extras: list = field(default_factory=list)
+    full_fit: tuple | None = None
 
     @property
     def cv_accuracy(self) -> float:
@@ -151,93 +159,156 @@ def sequence_accuracy(model, actions: Sequence[int]) -> float:
     return np.count_nonzero(predictions == truths) / len(truths)
 
 
-def _score_sequence(
-    model, seq: StudentSequence, keep_records: bool
-) -> tuple[float, list[PredictionRecord]]:
-    predictions, truths = _predictions(model, seq.actions)
-    records = [
-        PredictionRecord(seq.student_id, t, pred, truth)
-        for t, pred, truth in zip(range(2, len(seq) + 1), predictions.tolist(), truths.tolist())
-    ] if keep_records else []
-    return np.count_nonzero(predictions == truths) / len(truths), records
+@dataclass(frozen=True)
+class FixedSpec:
+    """A model that needs no training: every fold scores the same one."""
+
+    model: object
+
+    def fit(self, train_corpus: Corpus, fold: int | None):
+        return (self.model,), None
 
 
-ModelFactory = Callable[[Corpus, int], object]
+def _held_out(corpus: Corpus, plan: FoldPlan, fold: int) -> tuple[list[StudentSequence], int]:
+    """A fold's scoreable sequences in student order, and how many are too short."""
+    by_student = {s.student_id: s for s in corpus.sequences}
+    seqs = [by_student[sid] for sid in plan.students_in(fold) if sid in by_student]
+    scoreable = [s for s in seqs if len(s) >= 2]
+    return scoreable, len(seqs) - len(scoreable)
+
+
+def _run_task(job: tuple, fold: int | None):
+    """One pool task: the full-corpus fit (fold None), or one fold fitted and scored.
+
+    A fold yields its extras and, per model the spec fits, the per-sequence
+    accuracies and the predictions of every scored sequence in one array.
+    """
+    spec, corpus, plan = job
+    if fold is None:
+        return spec.fit(corpus, None)
+    held_out, _ = _held_out(corpus, plan, fold)
+    if not held_out:
+        raise NextactionError(f"fold {fold} has no scoreable sequences")
+    train = [s for s in corpus.sequences if plan.assignment[s.student_id] != fold]
+    models, extras = spec.fit(Corpus(corpus.vocabulary, train, corpus.vocab_size), fold)
+    scores = []
+    for model in models:
+        pairs = [_predictions(model, seq.actions) for seq in held_out]
+        accuracies = np.array([np.count_nonzero(p == t) / len(t) for p, t in pairs])
+        scores.append((accuracies, np.concatenate([p for p, _ in pairs])))
+    return scores, extras
+
+
+_job = None  # set in each pool worker by _adopt; the parent never sets it
+
+
+def _adopt(job: tuple) -> None:
+    global _job
+    _job = job
+
+
+def _pool_task(fold: int | None):
+    return _run_task(_job, fold)
+
+
+def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
+    """Results of ``tasks`` in order, on a pool of forked processes when workers > 1.
+
+    The job reaches each worker by fork inheritance, so the corpus is not
+    pickled per task; only fold indices and results cross the boundary.
+    """
+    if workers <= 1:
+        return [_run_task(job, task) for task in tasks]
+    # the package starts no threads of its own, and OpenBLAS stops its
+    # threads before a fork and restarts them on demand
+    pool = ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt,
+        initargs=(job,),
+    )
+    try:
+        return list(pool.map(_pool_task, tasks))
+    except BrokenProcessPool as exc:
+        raise NextactionError(f"a fold worker stopped: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _records(seqs: list[StudentSequence], predictions: np.ndarray) -> list[PredictionRecord]:
+    sids = [s.student_id for s in seqs for _ in range(len(s) - 1)]
+    positions = [t for s in seqs for t in range(2, len(s) + 1)]
+    truths = np.concatenate([np.asarray(s.actions[1:], dtype=np.int64) for s in seqs])
+    return list(map(PredictionRecord, sids, positions, predictions.tolist(), truths.tolist()))
+
+
+def cross_validate_each(
+    spec,
+    corpus: Corpus,
+    plan: FoldPlan,
+    model_names: Sequence[str],
+    workers: int = 1,
+    keep_streams: bool = False,
+    fit_full: bool = False,
+) -> list[EvalReport]:
+    """One report per model the spec fits, from a single fit per fold.
+
+    ``spec.fit(train_corpus, fold)`` returns the models to score on the
+    held-out fold, in the order of ``model_names``, and the fold's extras,
+    which every report carries in fold order.  With ``fit_full`` the reports
+    also carry ``spec.fit(corpus, None)``, run as one more task ahead of the
+    folds.  Tasks run on ``workers`` forked processes, except for a
+    FixedSpec, and are merged in fold order, so reports do not depend on the
+    worker count.
+    """
+    missing = set(corpus.student_ids()) - set(plan.assignment)
+    if missing:
+        raise ConfigError(f"fold plan does not cover students {sorted(missing)[:5]}")
+
+    tasks = ([None] if fit_full else []) + list(range(plan.k))
+    # a fixed model fits nothing, and scoring it costs less than forking workers
+    results = _run_tasks((spec, corpus, plan), tasks, 1 if isinstance(spec, FixedSpec) else workers)
+    full_fit = results.pop(0) if fit_full else None
+    held_out = [_held_out(corpus, plan, fold) for fold in range(plan.k)]
+
+    reports = []
+    for index, name in enumerate(model_names):
+        report = EvalReport(
+            model=name, per_fold_accuracy=[], per_sequence=[],
+            skipped_sequences=sum(skipped for _, skipped in held_out),
+            fold_extras=[extras for _, extras in results], full_fit=full_fit,
+        )
+        streams: list[PredictionRecord] = []
+        for (seqs, _), (scores, _) in zip(held_out, results):
+            accuracies, predictions = scores[index]
+            report.per_fold_accuracy.append(float(np.mean(accuracies)))
+            report.per_sequence.extend(zip((s.student_id for s in seqs), accuracies.tolist()))
+            if keep_streams:
+                streams.extend(_records(seqs, predictions))
+        report.metadata["folds.seed"] = str(plan.seed)
+        if keep_streams:
+            report.metadata["stream_records"] = str(len(streams))
+            report.streams = streams
+        reports.append(report)
+    return reports
 
 
 def cross_validate(
-    factory: ModelFactory,
+    spec,
     corpus: Corpus,
     plan: FoldPlan,
     model_name: str = "model",
     workers: int = 1,
     keep_streams: bool = False,
+    fit_full: bool = False,
 ) -> EvalReport:
     """Train on k-1 folds, score the held-out fold, macro-average twice.
 
-    Fold results are computed independently (optionally on worker threads)
-    and merged in fold order, so reports do not depend on the worker count.
+    ``spec`` fits one model per fold; see ``cross_validate_each``.
     """
-    students = set(corpus.student_ids())
-    missing = students - set(plan.assignment)
-    if missing:
-        raise ConfigError(f"fold plan does not cover students {sorted(missing)[:5]}")
-
-    by_student = {s.student_id: s for s in corpus.sequences}
-
-    def run_fold(fold: int):
-        train_seqs = [
-            s for s in corpus.sequences if plan.assignment[s.student_id] != fold
-        ]
-        train_corpus = Corpus(
-            vocabulary=corpus.vocabulary,
-            sequences=train_seqs,
-            vocab_size=corpus.vocab_size,
-        )
-        model = factory(train_corpus, fold)
-        props: list[tuple[str, float]] = []
-        records: list[PredictionRecord] = []
-        skipped = 0
-        for sid in plan.students_in(fold):
-            seq = by_student.get(sid)
-            if seq is None:
-                continue
-            if len(seq) < 2:
-                skipped += 1
-                continue
-            prop, recs = _score_sequence(model, seq, keep_streams)
-            props.append((sid, prop))
-            records.extend(recs)
-        if not props:
-            raise NextactionError(f"fold {fold} has no scoreable sequences")
-        return props, records, skipped
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fold_results = list(pool.map(run_fold, range(plan.k)))
-    else:
-        fold_results = [run_fold(fold) for fold in range(plan.k)]
-
-    per_fold = []
-    per_sequence: list[tuple[str, float]] = []
-    streams: list[PredictionRecord] = []
-    skipped_total = 0
-    for props, records, skipped in fold_results:
-        per_fold.append(float(np.mean([p for _, p in props])))
-        per_sequence.extend(props)
-        streams.extend(records)
-        skipped_total += skipped
-
-    report = EvalReport(
-        model=model_name,
-        per_fold_accuracy=per_fold,
-        per_sequence=per_sequence,
-        skipped_sequences=skipped_total,
+    (report,) = cross_validate_each(
+        spec, corpus, plan, [model_name], workers, keep_streams, fit_full
     )
-    report.metadata["folds.seed"] = str(plan.seed)
-    if keep_streams:
-        report.metadata["stream_records"] = str(len(streams))
-        report.streams = streams
     return report
 
 

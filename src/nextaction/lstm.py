@@ -590,17 +590,20 @@ class LstmPredictor:
         return np.argmax(probs[:, 0], axis=-1)
 
 
-def cv_factory(cfg: TrainConfig):
-    """A cross-validation model factory; also collects per-fold epoch curves."""
-    curves: dict[int, list[EpochStats]] = {}
+@dataclass(frozen=True)
+class LstmSpec:
+    """Cross-validation spec: one network trained per fold; its extras are the epoch curve.
 
-    def factory(train_corpus: Corpus, fold: int):
-        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, fold))
-        net, curve = train(train_corpus, fold_cfg)
-        curves[fold] = curve
-        return LstmPredictor(net)
+    A fold trains with a seed derived from the config seed and the fold
+    index; fold None, the full-corpus fit, trains with the config seed.
+    """
 
-    return factory, curves
+    cfg: TrainConfig
+
+    def fit(self, train_corpus: Corpus, fold: int | None):
+        cfg = self.cfg if fold is None else replace(self.cfg, seed=derive_seed(self.cfg.seed, fold))
+        net, curve = train(train_corpus, cfg)
+        return (LstmPredictor(net),), curve
 
 
 def grid_search(
@@ -619,9 +622,8 @@ def grid_search(
     results = []
     for layers, nodes, lr in combos:
         cfg = replace(base_cfg, layers=layers, hidden_size=nodes, learning_rate=lr)
-        factory, _ = cv_factory(cfg)
         name = f"{cfg.cell} layers={layers} nodes={nodes} lr={lr:g}"
-        report = cross_validate(factory, corpus, plan, model_name=name, workers=workers)
+        report = cross_validate(LstmSpec(cfg), corpus, plan, model_name=name, workers=workers)
         report.metadata.update({
             "layers": str(layers), "nodes": str(nodes), "lr": f"{lr:g}",
             "epochs": str(cfg.epochs), "window": str(cfg.window),

@@ -266,40 +266,34 @@ class NGramPredictor:
         return predicted
 
 
-def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):
-    """Cross-validated accuracy per gram order.
+@dataclass(frozen=True)
+class NGramSpec:
+    """Cross-validation spec: per fold, one table of the largest order, scored at each order.
 
-    One table of the largest requested order is fitted per fold and consulted
-    with per-order caps; counts at order k are identical to a table fitted at
-    order k, so the sweep matches independent per-order fits.
+    Counts at order k are identical to a table fitted at order k, so every
+    model matches an independent fit at its order.  Fold None fits the
+    whole corpus.
     """
-    from .evaluation import cross_validate  # local import avoids a cycle
+
+    orders: tuple[int, ...]
+
+    def fit(self, train_corpus: Corpus, fold: int | None):
+        table = fit(train_corpus, max(self.orders))
+        return tuple(NGramPredictor(table, max_order=order) for order in self.orders), None
+
+
+def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):
+    """Cross-validated accuracy per gram order, from one table fitted per fold."""
+    from .evaluation import cross_validate_each  # local import avoids a cycle
 
     orders = sorted(set(orders))
     if not orders or orders[0] < 1:
         raise ConfigError(f"gram orders must be >= 1, got {orders}")
-    top = orders[-1]
-
-    tables: dict[int, NGramTable] = {}
-
-    def factory_for(order: int):
-        def factory(train_corpus: Corpus, fold: int):
-            if fold not in tables:
-                tables[fold] = fit(train_corpus, top)
-            return NGramPredictor(tables[fold], max_order=order)
-
-        return factory
-
-    reports = {}
-    for order in orders:
-        reports[order] = cross_validate(
-            factory_for(order),
-            corpus,
-            plan,
-            model_name=f"{order}-gram backoff",
-            workers=workers,
-        )
-    return reports
+    reports = cross_validate_each(
+        NGramSpec(tuple(orders)), corpus, plan,
+        [f"{order}-gram backoff" for order in orders], workers=workers,
+    )
+    return dict(zip(orders, reports))
 
 
 def save_table(table: NGramTable, path: str | Path) -> None:

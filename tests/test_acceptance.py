@@ -31,9 +31,8 @@ def fold_plan(certified):
 
 @pytest.fixture(scope="module")
 def trigram_report(certified, fold_plan):
-    factory = lambda train, fold: ngram.NGramPredictor(ngram.fit(train, 3))
     return evaluation.cross_validate(
-        factory, certified, fold_plan, model_name="3-gram backoff"
+        ngram.NGramSpec((3,)), certified, fold_plan, model_name="3-gram backoff"
     )
 
 
@@ -126,9 +125,8 @@ def test_criterion_4_lstm_learnability(certified, fold_plan, trigram_report):
         dropout_rate=0.2, seed=FOLD_SEED, hidden_size=32, layers=2,
         embedding_dim=64,
     )
-    factory, _ = lstm.cv_factory(cfg)
     report = evaluation.cross_validate(
-        factory, certified, fold_plan, model_name="lstm 2x32"
+        lstm.LstmSpec(cfg), certified, fold_plan, model_name="lstm 2x32", workers=2
     )
     floor = trigram_report.cv_accuracy - 0.05
     assert report.cv_accuracy >= floor, (
@@ -154,7 +152,7 @@ def test_criterion_5_structural_ordering(default_data, certified, fold_plan):
         baselines.SyllabusRepeatModel(syllabus),
     ):
         report = evaluation.cross_validate(
-            lambda train, fold: model, certified, fold_plan, model_name=model.name
+            evaluation.FixedSpec(model), certified, fold_plan, model_name=model.name
         )
         scores[model.name] = report.cv_accuracy
     combined = scores["syllabus+repeat"]
@@ -288,7 +286,7 @@ def test_criterion_9_protocol_shape():
         def predict_sequence(self, actions):
             return list(actions[:-1])
 
-    report = evaluation.cross_validate(lambda train, fold: RepeatLast(), corpus, plan)
+    report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
     macro = (19 / 20 + 0.0) / 2
     micro = 19 / 21
     assert report.cv_accuracy == pytest.approx(macro)

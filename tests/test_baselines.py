@@ -115,7 +115,7 @@ class TestCombinedDominates:
             baselines.SyllabusRepeatModel(syl),
         ):
             report = evaluation.cross_validate(
-                lambda train, fold: model, cert, plan, model_name=model.name
+                evaluation.FixedSpec(model), cert, plan, model_name=model.name
             )
             scores[model.name] = report.cv_accuracy
         assert scores["syllabus+repeat"] >= scores["syllabus"]

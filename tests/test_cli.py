@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nextaction import evaluation, ingest, lstm
+from nextaction import evaluation, ingest, lstm, ngram
 from nextaction.cli import main
+from nextaction.errors import MalformedRecordError
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +366,108 @@ class TestEvalChecksModelAgainstCorpus:
         assert "meta.config.window" not in evaluation.read_report(tmp_path / "transfer.txt")
         assert self.eval_run(pipeline, path, tmp_path, "--window", "3") == 0
         assert evaluation.read_report(tmp_path / "transfer.txt")["meta.config.window"] == "3"
+
+
+class TestEvalWindowOnTable:
+    def test_window_with_an_ngram_table_exits_2(self, pipeline, tmp_path, capsys):
+        corpus = ["--corpus", str(pipeline / "corpus.nact"), "--vocab", str(pipeline / "vocab.tsv")]
+        table = tmp_path / "model.ngram"
+        assert main(["ngram", *corpus, "--max-order", "2", "--folds", "3",
+                     "--save-model", str(table), "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["eval", *corpus, "--model", str(table), "--window", "3",
+                     "--min-actions", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "error: --window overrides a checkpoint's window" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """The acceptance suite's criterion-8 corpus, ingested."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = root / "synth.cfg"
+    cfg.write_text(
+        "vocab_size=16\nsyllabus_length=8\nstudents_certified=15\n"
+        "students_uncertified=5\nmean_sequence_length=40\nseed=31\n",
+        encoding="utf-8",
+    )
+    assert main(["synth", "--config", str(cfg), "--out-dir", str(root)]) == 0
+    assert main(["ingest", "--events", str(root / "events.tsv"), "--roster",
+                 str(root / "roster.tsv"), "--min-count", "1", "--out-dir", str(root)]) == 0
+    return root
+
+
+class TestWorkerCount:
+    """Folds on forked processes write what one in-process worker writes.
+
+    Reports echo the --workers value as ``meta.config.workers``; every
+    other byte of every output matches.
+    """
+
+    COMMANDS = {
+        "ngram": ["ngram", "--max-order", "3", "--usage", "--save-model", "{out}/model.ngram",
+                  "--stream", "{out}/model.pred"],
+        "ngram-sweep": ["ngram", "--max-order", "4", "--sweep"],
+        "lstm": ["lstm", "--layers", "1", "--nodes", "8", "--lr", "0.01", "--epochs", "2",
+                 "--window", "5", "--emb-dim", "8", "--dropout", "0.2",
+                 "--save-model", "{out}/model.nlstm", "--stream", "{out}/lstm.pred"],
+        "baseline": ["baseline", "--model", "combined", "--syllabus", "{data}/syllabus.txt",
+                     "--stream", "{out}/baseline.pred"],
+    }
+
+    def outputs(self, tiny, tmp_path, command, workers):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        argv = [arg.format(out=out, data=tiny) for arg in self.COMMANDS[command]]
+        assert main([*argv, "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--folds", "3", "--seed", "9", "--workers",
+                     str(workers), "--report", str(out / "report.txt"), "--out-dir", str(out),
+                     ]) == 0
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        echo = f"meta.config.workers: {workers}\n".encode()
+        assert files["report.txt"].count(echo) == 1
+        files["report.txt"] = files["report.txt"].replace(echo, b"")
+        return files
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_outputs_match_at_one_and_two_workers(self, tiny, tmp_path, command):
+        one = self.outputs(tiny, tmp_path, command, 1)
+        two = self.outputs(tiny, tmp_path, command, 2)
+        assert one.keys() == two.keys()
+        assert [name for name in one if one[name] != two[name]] == []
+
+    def test_lstm_writes_every_curve_checkpoint_and_manifest(self, tiny, tmp_path):
+        names = set(self.outputs(tiny, tmp_path, "lstm", 2))
+        assert names == {"report.txt", "lstm.pred", "model.nlstm", "model.nlstm.manifest.txt",
+                         "curve-fold0.csv", "curve-fold1.csv", "curve-fold2.csv",
+                         "curve-final.csv"}
+
+
+class TestFoldWorkerFault:
+    """A fault raised inside a forked fold worker ends in exit 2 with its message."""
+
+    def test_numerical_fault(self, tiny, tmp_path, capsys, monkeypatch):
+        build = lstm.network_from_config
+
+        def poisoned(vocab_size, cfg):
+            net = build(vocab_size, cfg)
+            net.layers[0].W_h[0, 0, 0] = np.nan
+            return net
+
+        monkeypatch.setattr(lstm, "network_from_config", poisoned)  # inherited by the fork
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--nodes", "4", "--emb-dim", "4", "--epochs", "1",
+                     "--folds", "3", "--workers", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "error: epoch 1: non-finite parameter" in capsys.readouterr().err
+
+    def test_record_error(self, tiny, tmp_path, capsys, monkeypatch):
+        def refuse(train_corpus, max_order):
+            raise MalformedRecordError(5, "refused in a worker", unit="byte")
+
+        monkeypatch.setattr(ngram, "fit", refuse)
+        assert main(["ngram", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--folds", "3", "--workers", "2",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "error: byte 5: refused in a worker" in capsys.readouterr().err
 
 
 class TestHostileText:

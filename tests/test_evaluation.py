@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -164,7 +167,7 @@ class TestPredictionContract:
         corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
         plan = evaluation.make_folds(corpus.student_ids(), 3, seed=0)
         with pytest.raises(NextactionError, match="predictions for"):
-            evaluation.cross_validate(lambda train, fold: ShortByOne(), corpus, plan)
+            evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan)
         with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
             evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
         with pytest.raises(NextactionError):
@@ -177,9 +180,7 @@ class TestCrossValidate:
         seqs = [rng.integers(0, 3, size=rng.integers(4, 12)).tolist() for _ in range(12)]
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.student_ids(), 3, seed=0)
-        report = evaluation.cross_validate(
-            lambda train, fold: ConstantModel(1), corpus, plan
-        )
+        report = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
         # direct recomputation of the macro base rate of action 1
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         fold_means = []
@@ -198,7 +199,7 @@ class TestCrossValidate:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.student_ids(), 3, seed=1)
         model = RepeatLast()
-        report = evaluation.cross_validate(lambda train, fold: model, corpus, plan)
+        report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         for f in range(3):
             direct = np.mean([
@@ -210,23 +211,8 @@ class TestCrossValidate:
     def test_short_sequences_skipped_and_tallied(self):
         corpus = corpus_of([[0, 1, 0], [0], [1, 1], [0, 0]], 2)
         plan = evaluation.make_folds(corpus.student_ids(), 2, seed=2)
-        report = evaluation.cross_validate(
-            lambda train, fold: RepeatLast(), corpus, plan
-        )
+        report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
         assert report.skipped_sequences == 1
-
-    def test_worker_count_does_not_change_report(self):
-        rng = np.random.default_rng(8)
-        seqs = [rng.integers(0, 4, size=15).tolist() for _ in range(10)]
-        corpus = corpus_of(seqs, 4)
-        plan = evaluation.make_folds(corpus.student_ids(), 5, seed=3)
-
-        def factory(train, fold):
-            return ngram.NGramPredictor(ngram.fit(train, 2))
-
-        serial = evaluation.cross_validate(factory, corpus, plan, workers=1)
-        threaded = evaluation.cross_validate(factory, corpus, plan, workers=4)
-        assert serial.to_text() == threaded.to_text()
 
     def test_macro_differs_from_micro_on_constructed_folds(self):
         # fold A holds one long all-wrong-but-one sequence, fold B one short
@@ -238,9 +224,7 @@ class TestCrossValidate:
             StudentSequence("short", short_seq, True),
         ], 2)
         plan = evaluation.FoldPlan(k=2, seed=0, assignment={"long": 0, "short": 1})
-        report = evaluation.cross_validate(
-            lambda train, fold: RepeatLast(), corpus, plan
-        )
+        report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
         macro = (19 / 20 + 0 / 1) / 2
         micro = 19 / 21
         assert report.cv_accuracy == pytest.approx(macro)
@@ -254,12 +238,83 @@ class TestCrossValidate:
 
         def run():
             report = evaluation.cross_validate(
-                lambda train, fold: ngram.NGramPredictor(ngram.fit(train, 3)),
-                corpus, plan, model_name="3-gram",
+                ngram.NGramSpec((3,)), corpus, plan, model_name="3-gram"
             )
             return report.to_text()
 
         assert run() == run()
+
+
+class FailingFold:
+    """Raises a record error from one fold's fit."""
+
+    def fit(self, train_corpus, fold):
+        if fold == 1:
+            raise MalformedRecordError(7, "bad fold", unit="byte")
+        return (RepeatLast(),), None
+
+
+def _tiny_lstm_config(seed=4):
+    return lstm.TrainConfig(
+        learning_rate=0.01, epochs=2, window=4, batch_size=8, dropout_rate=0.2,
+        seed=seed, hidden_size=6, layers=1, embedding_dim=5,
+    )
+
+
+class TestSpecs:
+    @pytest.fixture
+    def corpus_and_plan(self):
+        rng = np.random.default_rng(8)
+        seqs = [rng.integers(0, 4, size=15).tolist() for _ in range(10)]
+        corpus = corpus_of(seqs, 4)
+        return corpus, evaluation.make_folds(corpus.student_ids(), 5, seed=3)
+
+    @pytest.mark.parametrize("spec", [
+        ngram.NGramSpec((2,)),
+        lstm.LstmSpec(_tiny_lstm_config()),
+        evaluation.FixedSpec(baselines.RepeatModel()),
+    ], ids=["ngram", "lstm", "fixed"])
+    def test_worker_count_does_not_change_report(self, corpus_and_plan, spec):
+        corpus, plan = corpus_and_plan
+        serial, pooled = (
+            evaluation.cross_validate(spec, corpus, plan, workers=w, keep_streams=True)
+            for w in (1, 4)
+        )
+        assert serial.to_text() == pooled.to_text()
+        assert serial.streams == pooled.streams
+        assert serial.fold_extras == pooled.fold_extras
+
+    def test_specs_survive_pickling(self):
+        for spec in (ngram.NGramSpec((2, 3)), lstm.LstmSpec(_tiny_lstm_config())):
+            assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_lstm_extras_are_fold_curves_and_full_fit_uses_the_config_seed(self, corpus_and_plan):
+        corpus, plan = corpus_and_plan
+        cfg = _tiny_lstm_config(seed=11)
+        report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, fit_full=True)
+        for fold, curve in enumerate(report.fold_extras):
+            train = Corpus(None, [
+                s for s in corpus.sequences if plan.assignment[s.student_id] != fold
+            ], 4)
+            _, direct = lstm.train(train, replace(cfg, seed=lstm.derive_seed(11, fold)))
+            assert curve == direct
+        (predictor,), final_curve = report.full_fit
+        net, direct = lstm.train(corpus, cfg)
+        assert final_curve == direct
+        for (name, got), (_, want) in zip(predictor.net.param_items(), net.param_items()):
+            assert np.array_equal(got, want), name
+
+    def test_full_fit_is_absent_unless_asked_for(self, corpus_and_plan):
+        corpus, plan = corpus_and_plan
+        report = evaluation.cross_validate(ngram.NGramSpec((2,)), corpus, plan)
+        assert report.full_fit is None and report.fold_extras == [None] * 5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fold_fault_arrives_as_itself(self, corpus_and_plan, workers):
+        corpus, plan = corpus_and_plan
+        with pytest.raises(MalformedRecordError, match="byte 7: bad fold") as caught:
+            evaluation.cross_validate(FailingFold(), corpus, plan, workers=workers)
+        assert (caught.value.lineno, caught.value.reason) == (7, "bad fold")
 
 
 class TestTransferEval:
@@ -274,7 +329,7 @@ class TestTransferEval:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.student_ids(), 5, seed=6)
         model = RepeatLast()
-        report = evaluation.cross_validate(lambda train, fold: model, corpus, plan)
+        report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         for f in range(5):
             fold_corpus = Corpus(None, [
                 s for s in corpus.sequences if plan.assignment[s.student_id] == f

@@ -201,6 +201,22 @@ class TestSweepAndFiles:
         for order, report in reports.items():
             assert report.cv_accuracy == 1.0, f"order {order}"
 
+    def test_sweep_fits_one_table_per_fold(self, monkeypatch):
+        rng = np.random.default_rng(50)
+        corpus = corpus_of([rng.integers(0, 4, size=20).tolist() for _ in range(9)], 4)
+        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=5)
+        fitted = []
+        real_fit = ngram.fit
+
+        def counting_fit(train, order):
+            fitted.append(order)
+            return real_fit(train, order)
+
+        monkeypatch.setattr(ngram, "fit", counting_fit)
+        reports = ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
+        assert fitted == [4, 4, 4]
+        assert sorted(reports) == [2, 3, 4]
+
     def test_model_file_round_trip_and_stability(self, tmp_path):
         rng = np.random.default_rng(51)
         seqs = [rng.integers(0, 5, size=30).tolist() for _ in range(4)]
