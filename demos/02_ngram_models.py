@@ -21,11 +21,16 @@ certified = ingest.filter_cohort(corpus, certified=True)
 table = ngram.fit(certified, max_order=3)
 sample = certified.sequences[0].actions
 context = sample[:6]
-prediction = ngram.predict_next(table, context, with_distribution=True)
+prediction = ngram.predict_next(table, context)
 print(f"context (ids): {context}")
 print(f"predicted next: {prediction.predicted} using order {prediction.order_used}")
-top = sorted(prediction.distribution.items(), key=lambda kv: -kv[1])[:3]
-print("top continuations:", ", ".join(f"{a}: {p:.3f}" for a, p in top))
+# the counts behind it: the continuations of the context at the order used
+order = prediction.order_used
+key = tuple(context[len(context) - order + 1 :]) if order > 1 else ()
+counts = dict(table.continuations[order].items())[key]
+total = sum(counts.values())
+top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
+print("top continuations:", ", ".join(f"{a}: {n / total:.3f}" for a, n in top))
 
 # cross-validated accuracy per order, 2-gram through 10-gram
 plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)

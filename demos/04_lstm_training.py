@@ -38,17 +38,18 @@ for stats in curve:
 lstm_model = lstm.LstmPredictor(net)
 gram_model = ngram.NGramPredictor(ngram.fit(train_corpus, 3))
 
+# one call per model scores the whole held-out fold; the stream pairs each
+# prediction with its student, position and true action
+scored = sorted((s for s in eval_seqs if len(s) >= 2), key=lambda s: s.student_id)
+students = [s.student_id for s in scored for _ in s.actions[1:]]
+positions = [t for s in scored for t in range(2, len(s) + 1)]
+truths = [a for s in scored for a in s.actions[1:]]
+
 def fold_score(model):
-    props, streams = [], []
-    for seq in sorted(eval_seqs, key=lambda s: s.student_id):
-        preds = model.predict_sequence(seq.actions)
-        hits = sum(p == a for p, a in zip(preds, seq.actions[1:]))
-        props.append(hits / (len(seq.actions) - 1))
-        streams.extend(
-            evaluation.PredictionRecord(seq.student_id, t + 2, p, a)
-            for t, (p, a) in enumerate(zip(preds, seq.actions[1:]))
-        )
-    return sum(props) / len(props), streams
+    accuracies, predictions = evaluation.sequence_accuracy(model, [s.actions for s in scored])
+    stream = list(map(evaluation.PredictionRecord, students, positions,
+                      predictions.tolist(), truths))
+    return float(accuracies.mean()), stream
 
 lstm_acc, lstm_stream = fold_score(lstm_model)
 gram_acc, gram_stream = fold_score(gram_model)

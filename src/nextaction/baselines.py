@@ -2,12 +2,12 @@
 
 Each rule reads only the last action of the context (and a course-order
 map), so none needs training.  Each class writes its rule once, over an array
-of last actions: ``predict_sequence`` applies it to every action but the
-final one, and ``predict`` to the last action of one context.  The
-course-order model emits no prediction when the last action is off the course
-order or is its final item; no-prediction is scored incorrect, which keeps
-denominators identical across models.  The combined model stays total by
-falling back to repeat in exactly those cases.
+of last actions: ``predict_sequence`` applies it to every action followed by
+another of its own sequence, and ``predict`` to the last action of one
+context.  The course-order model emits no prediction when the last action is
+off the course order or is its final item; no-prediction is scored incorrect,
+which keeps denominators identical across models.  The combined model stays
+total by falling back to repeat in exactly those cases.
 """
 
 from dataclasses import dataclass
@@ -66,6 +66,11 @@ def _last(context: Sequence[int]) -> np.ndarray:
     return np.asarray(context[-1:], dtype=np.int64)
 
 
+def _previous(actions: Sequence[int], pos: Sequence[int]) -> np.ndarray:
+    """The action before each scored position (``pos >= 1``) of concatenated sequences."""
+    return np.asarray(actions, dtype=np.int64)[:-1][np.asarray(pos)[1:] >= 1]
+
+
 class RepeatModel:
     """The next action is the last action."""
 
@@ -74,8 +79,8 @@ class RepeatModel:
     def predict(self, context: Sequence[int]) -> int:
         return int(_last(context)[0])
 
-    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
-        return np.asarray(actions, dtype=np.int64)[:-1]
+    def predict_sequence(self, actions: Sequence[int], pos: Sequence[int]) -> np.ndarray:
+        return _previous(actions, pos)
 
 
 class SyllabusModel:
@@ -93,8 +98,8 @@ class SyllabusModel:
     def predict(self, context: Sequence[int]) -> int:
         return int(self.rule(_last(context))[0])
 
-    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
-        return self.rule(np.asarray(actions, dtype=np.int64)[:-1])
+    def predict_sequence(self, actions: Sequence[int], pos: Sequence[int]) -> np.ndarray:
+        return self.rule(_previous(actions, pos))
 
 
 class SyllabusRepeatModel(SyllabusModel):

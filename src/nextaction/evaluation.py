@@ -7,9 +7,13 @@ mean over its sequences, and the cross-validated accuracy is the mean over
 folds (macro averaging at both levels, not pooled over positions).
 
 Every model meets one contract, the only call made on it here:
-``model.predict_sequence(actions)`` returns the T-1 predictions for
-positions 2..T in order, each made from the actions before it, as an int
-array.  Any other number of predictions raises NextactionError.
+``model.predict_sequence(actions, pos)`` takes the int64 concatenation of
+one or more sequences and each action's index within its own sequence (one
+sequence is ``pos = arange(T)``; ``ingest.flatten`` builds both), and returns
+the int64 predictions for every action with ``pos >= 1``, in order, each made
+only from the earlier actions of its own sequence.  ``sequence_accuracy``
+makes that call once for a whole fold; any other number of predictions
+raises NextactionError.
 
 Cross-validation is driven by a spec, a small frozen object whose
 ``fit(train_corpus, fold)`` returns the fold's models and extras (such as
@@ -19,6 +23,7 @@ send back arrays, so reports are byte-identical at any worker count.
 """
 
 import multiprocessing
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -29,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, StudentSequence, read_lines
+from .ingest import NUMBER, Corpus, StudentSequence, flatten, read_lines
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -142,21 +147,20 @@ def hill_climb_split(
     return train, holdout
 
 
-def _predictions(model, actions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The model's predictions for positions 2..T and the actions they predict."""
-    predictions = np.asarray(model.predict_sequence(actions))
-    truths = np.asarray(actions, dtype=np.int64)[1:]
+def sequence_accuracy(model, sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sequence proportion of positions 2..T predicted correctly from the
+    prior context, and the concatenated predictions, from one model call."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    if lengths.size == 0 or lengths.min() < 2:
+        raise NextactionError("scoring needs sequences of at least 2 actions")
+    actions, pos = flatten(sequences)
+    predictions = np.asarray(model.predict_sequence(actions, pos))
+    truths = actions[pos >= 1]
     if predictions.shape != truths.shape:
-        raise NextactionError(f"{predictions.size} predictions for {len(truths)} positions")
-    return predictions, truths
-
-
-def sequence_accuracy(model, actions: Sequence[int]) -> float:
-    """Proportion of positions 2..T predicted correctly from the prior context."""
-    if len(actions) < 2:
-        raise NextactionError("sequences shorter than 2 cannot be scored")
-    predictions, truths = _predictions(model, actions)
-    return np.count_nonzero(predictions == truths) / len(truths)
+        raise NextactionError(f"{predictions.size} predictions for {truths.size} positions")
+    starts = np.cumsum(lengths - 1) - (lengths - 1)
+    hits = np.add.reduceat(predictions == truths, starts, dtype=np.int64)
+    return hits / (lengths - 1), predictions
 
 
 @dataclass(frozen=True)
@@ -191,12 +195,8 @@ def _run_task(job: tuple, fold: int | None):
         raise NextactionError(f"fold {fold} has no scoreable sequences")
     train = [s for s in corpus.sequences if plan.assignment[s.student_id] != fold]
     models, extras = spec.fit(Corpus(corpus.vocabulary, train, corpus.vocab_size), fold)
-    scores = []
-    for model in models:
-        pairs = [_predictions(model, seq.actions) for seq in held_out]
-        accuracies = np.array([np.count_nonzero(p == t) / len(t) for p, t in pairs])
-        scores.append((accuracies, np.concatenate([p for p, _ in pairs])))
-    return scores, extras
+    sequences = [s.actions for s in held_out]
+    return [sequence_accuracy(model, sequences) for model in models], extras
 
 
 _job = None  # set in each pool worker by _adopt; the parent never sets it
@@ -236,10 +236,11 @@ def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
 
 
 def _records(seqs: list[StudentSequence], predictions: np.ndarray) -> list[PredictionRecord]:
+    actions, pos = flatten([s.actions for s in seqs])
     sids = [s.student_id for s in seqs for _ in range(len(s) - 1)]
-    positions = [t for s in seqs for t in range(2, len(s) + 1)]
-    truths = np.concatenate([np.asarray(s.actions[1:], dtype=np.int64) for s in seqs])
-    return list(map(PredictionRecord, sids, positions, predictions.tolist(), truths.tolist()))
+    scored = pos >= 1
+    return list(map(PredictionRecord, sids, (pos[scored] + 1).tolist(), predictions.tolist(),
+                    actions[scored].tolist()))
 
 
 def cross_validate_each(
@@ -318,14 +319,11 @@ def transfer_eval(model, corpus: Corpus, min_actions: int = 30) -> tuple[float, 
     Sequences shorter than ``min_actions`` are excluded first.  Returns the
     accuracy and the number of sequences scored.
     """
-    props = [
-        sequence_accuracy(model, seq.actions)
-        for seq in corpus.sequences
-        if len(seq) >= max(min_actions, 2)
-    ]
-    if not props:
+    scored = [s.actions for s in corpus.sequences if len(s) >= max(min_actions, 2)]
+    if not scored:
         raise NextactionError("no sequences satisfy the transfer filter")
-    return float(np.mean(props)), len(props)
+    accuracies, _ = sequence_accuracy(model, scored)
+    return float(np.mean(accuracies)), len(scored)
 
 
 @dataclass
@@ -377,17 +375,22 @@ def write_stream(records: Sequence[PredictionRecord], path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+# student, position >= 2, predicted (-1 for none), truth
+_STREAM_RECORD = re.compile(rf"([^\t]+)\t([2-9]|[1-9][0-9]{{1,17}})\t(-1|{NUMBER})\t({NUMBER})\n")
+
+
 def read_stream(path: str | Path) -> list[PredictionRecord]:
+    """Read a stream as ``write_stream`` writes it: every line, the last
+    included, is a non-empty student id, a position >= 2, a prediction (-1 for
+    none) and a truth in canonical integers, and a newline."""
     records = []
     for lineno, line in read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        try:
-            sid, pos, pred, truth = line.split("\t")  # int() ignores the line break
-            # one shared string per student keeps a long stream small
-            records.append(PredictionRecord(sys.intern(sid), int(pos), int(pred), int(truth)))
-        except ValueError:
+        record = _STREAM_RECORD.fullmatch(line)
+        if record is None:
             raise MalformedRecordError(
-                lineno, f"expected student, position, predicted, truth; got {line.rstrip()!r}"
-            ) from None
+                lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
+            )
+        sid, pos, pred, truth = record.groups()
+        # one shared string per student keeps a long stream small
+        records.append(PredictionRecord(sys.intern(sid), int(pos), int(pred), int(truth)))
     return records

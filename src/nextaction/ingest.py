@@ -1,13 +1,13 @@
 """Event-log ingestion: parsing, action extraction, vocabulary, encoded corpora.
 
-Input formats (UTF-8 text, one record per line, lines starting with '#' and
-blank lines ignored):
+Input formats (UTF-8 text, one record per line; in the event log and roster,
+lines starting with '#' and blank lines are ignored):
 
   event log:  timestamp <TAB> student_id <TAB> event_type <TAB> page <TAB> object_name
               absent optional fields (page, object_name) are written as '-'
   roster:     student_id <TAB> certified(0|1)
   vocabulary: header '#V=<int> min_count=<int>', then 'token <TAB> id <TAB> count'
-              sorted by id
+              sorted by id; every line, the last included, ends in a line break
 
 The encoded corpus is a binary container (magic ``NACT1``, little-endian):
 vocab size, sequence count, then per sequence the student-id length and bytes,
@@ -19,6 +19,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -28,8 +29,8 @@ from .errors import ConfigError, MalformedRecordError
 
 CORPUS_MAGIC = b"NACT1"
 NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # a canonical decimal below 2**63
-_INT = re.compile(NUMBER)
 _VOCAB_HEADER = re.compile(rf"#V=({NUMBER}) min_count=({NUMBER})")
+_VOCAB_RECORD = re.compile(rf"([^\t]+)\t({NUMBER})\t({NUMBER})")
 
 
 def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
@@ -38,6 +39,16 @@ def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
     if array.size and (array.min() < 0 or array.max() >= vocab_size):
         raise ConfigError(f"action id outside [0, {vocab_size}) in {actions!r:.80}")
     return array
+
+
+def flatten(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The actions of ``sequences`` concatenated as int64, and each action's index
+    within its own sequence: the ``(actions, pos)`` that every model scores."""
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    total = int(lengths.sum())
+    actions = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=total)
+    starts = np.cumsum(lengths) - lengths
+    return actions, np.arange(total) - np.repeat(starts, lengths)
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -333,10 +344,11 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary file; a malformed line raises MalformedRecordError."""
+    """Read a vocabulary file as ``save_vocabulary`` writes it; any other line,
+    a blank one or a missing final newline included, raises MalformedRecordError."""
     lines = read_lines(path)
-    _, header = next(lines, (1, ""))
-    head = _VOCAB_HEADER.fullmatch(header.rstrip("\r\n"))
+    lineno, line = next(lines, (1, ""))
+    head = _VOCAB_HEADER.fullmatch(line.removesuffix("\n"))
     if head is None:
         raise MalformedRecordError(1, "header is not '#V=<int> min_count=<int>'")
     declared_v, min_count = int(head[1]), int(head[2])
@@ -344,12 +356,10 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     counts: list[int] = []
     token_to_id: dict[str, int] = {}
     for lineno, line in lines:
-        if not line.strip():
-            continue
-        fields = line.rstrip("\r\n").split("\t")
-        if len(fields) != 3 or not all(_INT.fullmatch(field) for field in fields[1:]):
+        record = _VOCAB_RECORD.fullmatch(line.removesuffix("\n"))
+        if record is None:
             raise MalformedRecordError(lineno, "record is not 'token <TAB> id <TAB> count'")
-        token, id_text, count_text = fields
+        token, id_text, count_text = record.groups()
         if int(id_text) != len(id_to_token):
             raise MalformedRecordError(lineno, "vocabulary ids out of order")
         if token in token_to_id:
@@ -357,6 +367,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         token_to_id[token] = len(id_to_token)
         id_to_token.append(token)
         counts.append(int(count_text))
+    if not line.endswith("\n"):
+        raise MalformedRecordError(lineno, "no newline at the end of the file")
     if len(id_to_token) != declared_v:
         raise MalformedRecordError(1, "vocabulary size mismatch with header")
     return Vocabulary(token_to_id, id_to_token, counts, min_count)

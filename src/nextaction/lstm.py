@@ -19,8 +19,7 @@ forward and one backward serve both cells.  Checkpoints and gradients name
 the per-gate views (``W_fx``, ``W_fh``, ``b_f``, ...).
 
 Training minimizes categorical cross-entropy with RMSprop.  Gradients are
-exact under the recorded dropout masks; ``finite_difference_gradients``
-provides an independent numerical check.  Sequences are cut into
+exact under the recorded dropout masks.  Sequences are cut into
 non-overlapping windows of ``window + 1`` actions with zero initial state;
 short trailing windows are padded with a reserved mask id (== vocab size)
 whose steps contribute no loss and no gradient.
@@ -416,43 +415,6 @@ def backward(
     return grads
 
 
-def finite_difference_gradients(
-    net: LstmNetwork,
-    ids: Sequence[int] | np.ndarray,
-    targets: Sequence[int] | np.ndarray,
-    step: float = 1e-5,
-    mask: np.ndarray | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Central-difference loss gradients; the numerical oracle for ``backward``.
-
-    With ``dropout_masks`` the loss is evaluated under those fixed masks,
-    matching a train-mode forward; otherwise dropout is off.
-    """
-
-    def current_loss() -> float:
-        probs, _ = forward_sequence(
-            net, ids, train=dropout_masks is not None, dropout_masks=dropout_masks
-        )
-        return loss(probs, targets, mask)
-
-    grads = {}
-    for name, arr in net.param_items():
-        grad = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        flat_grad = grad.reshape(-1)
-        for j in range(flat.size):
-            original = flat[j]
-            flat[j] = original + step
-            up = current_loss()
-            flat[j] = original - step
-            down = current_loss()
-            flat[j] = original
-            flat_grad[j] = (up - down) / (2.0 * step)
-        grads[name] = grad
-    return grads
-
-
 def rmsprop_step(
     param: np.ndarray,
     grad: np.ndarray,
@@ -533,7 +495,7 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
     windows = make_windows(train_seqs, cfg.window)
     if not windows:
         raise ConfigError("no trainable windows; sequences may be too short")
-    scoreable_hill = [s for s in hill_seqs if len(s) >= 2]
+    scoreable_hill = [s.actions for s in hill_seqs if len(s) >= 2]
 
     curve = []
     for epoch in range(1, cfg.epochs + 1):
@@ -553,30 +515,38 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
             raise NumericalFaultError(
                 f"epoch {epoch}: non-finite " + (f"parameter {bad[0]}" if bad else "training loss")
             )
-        predictor = LstmPredictor(net)
-        hill_acc = (
-            float(np.mean([sequence_accuracy(predictor, s.actions) for s in scoreable_hill]))
-            if scoreable_hill
-            else float("nan")
-        )
+        try:
+            hill_acc = (
+                float(np.mean(sequence_accuracy(LstmPredictor(net), scoreable_hill)[0]))
+                if scoreable_hill else float("nan")
+            )
+        except NumericalFaultError as exc:
+            raise NumericalFaultError(f"epoch {epoch}: {exc}") from None
         curve.append(EpochStats(epoch, train_loss, hill_acc))
     return net, curve
 
 
 class LstmPredictor:
-    """Scores whole sequences with a trained network."""
+    """Scores concatenated sequences with a trained network, one sequence at a time."""
 
     def __init__(self, net: LstmNetwork):
         self.net = net
 
-    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
-        """Predictions for positions 2..T, each from at most the last ``window`` actions.
+    def predict_sequence(self, actions: Sequence[int], pos: Sequence[int]) -> np.ndarray:
+        """Predictions at every ``pos >= 1``, each from at most the last ``window``
+        actions of its own sequence.  Non-finite output probabilities raise
+        NumericalFaultError."""
+        arr = action_array(self.net.vocab_size, actions)
+        starts = np.flatnonzero(np.asarray(pos) == 0)[1:]
+        return np.concatenate([self._score(seq) for seq in np.split(arr, starts)])
+
+    def _score(self, arr: np.ndarray) -> np.ndarray:
+        """Predictions for positions 2..T of one sequence.
 
         The contexts shorter than the window are the prefixes of one run from
         the initial state; the rest are one batch of sliding windows.
         """
         net = self.net
-        arr = action_array(net.vocab_size, actions)
         head = arr[: min(net.window, len(arr)) - 1]
         top_h, _ = _run_layers(net, head[None], False, None, None)
         # a (1, H) @ (H, V) product per prefix rounds as a run over that prefix alone
@@ -587,6 +557,8 @@ class LstmPredictor:
             logits.append((top_h[:, -1] @ net.W_y.T)[:, None])
         # the argmax reads probabilities, whose rounding can tie logits that differ
         probs = softmax(np.concatenate(logits) + net.b_y)
+        if not np.isfinite(probs).all():
+            raise NumericalFaultError("non-finite output probability; activations overflow")
         return np.argmax(probs[:, 0], axis=-1)
 
 

@@ -29,16 +29,13 @@ order over every position at once, with id -1 for a context never seen.
 
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import NUMBER, Corpus, action_array
-
-Context = tuple[int, ...]
+from .ingest import NUMBER, Corpus, action_array, flatten
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -48,7 +45,6 @@ _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in in
 class BackoffPrediction:
     predicted: int
     order_used: int
-    distribution: dict[int, float] | None = None
 
 
 class _Continuations:
@@ -111,37 +107,6 @@ class NGramTable:
             self.best[k] = self.grams[k][lead] % vocab_size
         self.continuations = {k: _Continuations(self, k) for k in orders}
 
-    def _grams_of(self, order: int, c: int) -> slice:
-        """The slice of ``grams[order]`` and ``counts[order]`` of context id c."""
-        return slice(self.first[order][c], self.first[order][c + 1])
-
-    def _gram_slice(self, order: int, ctx: Context) -> slice:
-        """The grams of ``ctx`` at ``order``; empty if the context was never seen."""
-        if len(ctx) != order - 1:
-            return slice(0, 0)
-        actions = np.append(action_array(self.vocab_size, ctx), 0)  # the 0 is never read
-        *_, (_, ids) = _context_ids(self, actions, np.arange(len(actions)), order)
-        return self._grams_of(order, ids[-1]) if ids[-1] >= 0 else slice(0, 0)
-
-    def count(self, order: int, ctx: Context, nxt: int) -> int:
-        span = self._gram_slice(order, ctx)
-        hit = np.flatnonzero(self.grams[order][span] % self.vocab_size == nxt)
-        return int(self.counts[order][span][hit[0]]) if hit.size else 0
-
-    def total(self, order: int, ctx: Context) -> int:
-        return int(self.counts[order][self._gram_slice(order, ctx)].sum())
-
-
-def _flatten(vocab_size: int, sequences) -> tuple[np.ndarray, np.ndarray]:
-    """All actions concatenated, and each one's position within its own sequence."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    total = int(lengths.sum())
-    actions = np.fromiter(
-        chain.from_iterable(s.actions for s in sequences), dtype=np.int64, count=total
-    )
-    starts = np.cumsum(lengths) - lengths
-    return action_array(vocab_size, actions), np.arange(total) - np.repeat(starts, lengths)
-
 
 def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
     """Id of each context (parent's actions, then ``last``) in the sorted ``keys``,
@@ -168,20 +133,18 @@ def _context_ids(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: i
 
 
 def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, scored):
-    """(predicted, order used, context id) at the ``scored`` positions."""
+    """(predicted, order used) at the ``scored`` positions."""
     predicted = np.full(len(actions), -1, dtype=np.int64)
     used = np.zeros(len(actions), dtype=np.int64)
-    context = np.full(len(actions), -1, dtype=np.int64)
     # a context's prefix is itself a context, so the highest hit is the last one
     for order, ids in _context_ids(table, actions, pos, cap):
         hit = ids >= 0
         predicted[hit] = table.best[order][ids[hit]]
         used[hit] = order
-        context[hit] = ids[hit]
-    predicted, used, context = predicted[scored], used[scored], context[scored]
+    predicted, used = predicted[scored], used[scored]
     if not used.all():
         raise UnfittedModelError("n-gram table has no observations")
-    return predicted, used, context
+    return predicted, used
 
 
 def fit(corpus: Corpus, max_order: int) -> NGramTable:
@@ -191,7 +154,8 @@ def fit(corpus: Corpus, max_order: int) -> NGramTable:
     if max_order < 1:
         raise ConfigError(f"max_order must be >= 1, got {max_order}")
     V = corpus.vocab_size
-    actions, pos = _flatten(V, corpus.sequences)
+    actions, pos = flatten([s.actions for s in corpus.sequences])
+    actions = action_array(V, actions)
     at = np.flatnonzero(pos >= 1)  # continuation positions
     contexts = {1: np.zeros(min(len(at), 1), dtype=np.int64)}
     ids = np.zeros(len(actions), dtype=np.int64)
@@ -211,10 +175,7 @@ def _cap(table: NGramTable, max_order: int | None) -> int:
 
 
 def predict_next(
-    table: NGramTable,
-    context: Sequence[int],
-    max_order: int | None = None,
-    with_distribution: bool = False,
+    table: NGramTable, context: Sequence[int], max_order: int | None = None
 ) -> BackoffPrediction:
     """Predict via backoff: the largest usable order with observations wins.
 
@@ -222,18 +183,10 @@ def predict_next(
     single fitted table); it defaults to the table's own order.
     """
     actions = np.append(action_array(table.vocab_size, context), 0)  # the 0 is never read
-    predicted, used, ctx = _backoff(
+    predicted, used = _backoff(
         table, actions, np.arange(len(actions)), _cap(table, max_order), slice(-1, None)
     )
-    order = int(used[0])
-    distribution = None
-    if with_distribution:
-        span = table._grams_of(order, ctx[0])
-        counts = table.counts[order][span]
-        total = int(counts.sum())
-        nexts = table.grams[order][span] % table.vocab_size
-        distribution = {a: n / total for a, n in zip(nexts.tolist(), counts.tolist())}
-    return BackoffPrediction(int(predicted[0]), order, distribution)
+    return BackoffPrediction(int(predicted[0]), int(used[0]))
 
 
 def backoff_usage(
@@ -243,8 +196,8 @@ def backoff_usage(
 ) -> dict[int, float]:
     """Fraction of scored positions served by each gram order."""
     cap = _cap(table, max_order)
-    actions, pos = _flatten(table.vocab_size, corpus.sequences)
-    _, used, _ = _backoff(table, actions, pos, cap, pos >= 1)
+    actions, pos = flatten([s.actions for s in corpus.sequences])
+    _, used = _backoff(table, action_array(table.vocab_size, actions), pos, cap, pos >= 1)
     if len(used) == 0:
         return {order: 0.0 for order in range(1, cap + 1)}
     tally = np.bincount(used, minlength=cap + 1).tolist()
@@ -252,17 +205,16 @@ def backoff_usage(
 
 
 class NGramPredictor:
-    """Scores whole sequences by backoff over one fitted table."""
+    """Scores concatenated sequences by one backoff pass over one fitted table."""
 
     def __init__(self, table: NGramTable, max_order: int | None = None):
         self.table = table
         self.max_order = _cap(table, max_order)
 
-    def predict_sequence(self, actions: Sequence[int]) -> np.ndarray:
+    def predict_sequence(self, actions: Sequence[int], pos: Sequence[int]) -> np.ndarray:
         array = action_array(self.table.vocab_size, actions)
-        predicted, _, _ = _backoff(
-            self.table, array, np.arange(len(array)), self.max_order, slice(1, None)
-        )
+        pos = np.asarray(pos, dtype=np.int64)
+        predicted, _ = _backoff(self.table, array, pos, self.max_order, pos >= 1)
         return predicted
 
 

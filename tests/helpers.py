@@ -3,8 +3,9 @@
 These deliberately re-derive gram statistics and backoff behavior with a
 different traversal than the library (per-order window scans instead of
 per-position order loops), the LSTM step one vector at a time instead of
-a batch at a time, and each LSTM prediction from its own window instead of a
-shared run, so they can serve as a second opinion.
+a batch at a time, each LSTM prediction from its own window instead of a
+shared run, and loss gradients by central differences instead of
+backpropagation, so they can serve as a second opinion.
 """
 
 from collections import Counter
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from nextaction.errors import NumericalFaultError
-from nextaction.lstm import forward_sequence, sigmoid
+from nextaction.lstm import forward_sequence, loss, sigmoid
 
 
 def naive_gram_counts(sequences, max_order):
@@ -33,6 +34,11 @@ def naive_gram_counts(sequences, max_order):
             for ctx, nxt in slots:
                 counts[order].setdefault(ctx, Counter())[nxt] += 1
     return counts
+
+
+def table_counts(table):
+    """counts[k][ctx][next] of a fitted table, read through ``table.continuations``."""
+    return {k: dict(view.items()) for k, view in table.continuations.items()}
 
 
 def naive_backoff_predict(counts, context, max_order):
@@ -96,6 +102,36 @@ def lstm_predict_next(net, context):
     from the predictor's prefix run and sliding-window batch."""
     probs, _ = forward_sequence(net, list(context)[-net.window:])
     return int(np.argmax(probs[0, -1])), probs[0, -1]
+
+
+def finite_difference_gradients(net, ids, targets, step=1e-5, mask=None, dropout_masks=None):
+    """Central-difference loss gradients; the numerical oracle for ``lstm.backward``.
+
+    With ``dropout_masks`` the loss is evaluated under those fixed masks,
+    matching a train-mode forward; otherwise dropout is off.
+    """
+
+    def current_loss() -> float:
+        probs, _ = forward_sequence(
+            net, ids, train=dropout_masks is not None, dropout_masks=dropout_masks
+        )
+        return loss(probs, targets, mask)
+
+    grads = {}
+    for name, arr in net.param_items():
+        grad = np.zeros_like(arr)
+        flat = arr.reshape(-1)
+        flat_grad = grad.reshape(-1)
+        for j in range(flat.size):
+            original = flat[j]
+            flat[j] = original + step
+            up = current_loss()
+            flat[j] = original - step
+            down = current_loss()
+            flat[j] = original
+            flat_grad[j] = (up - down) / (2.0 * step)
+        grads[name] = grad
+    return grads
 
 
 def mutated(draw, blob: bytes) -> bytes:

@@ -47,7 +47,7 @@ class TestRepeat:
 
     def test_constant_sequence_scores_one(self):
         model = baselines.RepeatModel()
-        assert evaluation.sequence_accuracy(model, [7, 7, 7, 7]) == 1.0
+        assert evaluation.sequence_accuracy(model, [[7, 7, 7, 7]])[0].tolist() == [1.0]
 
     def test_empty_context(self):
         with pytest.raises(NextactionError):
@@ -75,7 +75,7 @@ class TestSyllabus:
         model = baselines.SyllabusModel(syl)
         x = vocab.encode("x")
         # off-order context never predicts correctly, even a repeat
-        assert evaluation.sequence_accuracy(model, [x, x, x]) == 0.0
+        assert evaluation.sequence_accuracy(model, [[x, x, x]])[0].tolist() == [0.0]
 
 
 class TestSyllabusRepeat:

@@ -470,6 +470,34 @@ class TestFoldWorkerFault:
         assert "error: byte 5: refused in a worker" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestOverflowingActivations:
+    """Finite parameters whose activations overflow to NaN end a run in exit 2."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_training_stops_in_the_epoch_of_the_fault(self, tiny, tmp_path, capsys, workers):
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--layers", "1", "--nodes", "8", "--emb-dim", "8",
+                     "--window", "5", "--epochs", "2", "--folds", "3", "--seed", "9",
+                     "--lr", "1e300", "--workers", workers, "--out-dir", str(tmp_path)]) == 2
+        assert "error: epoch 1: non-finite output probability" in capsys.readouterr().err
+
+    def test_eval_of_such_a_checkpoint_exits_2(self, tiny, tmp_path, capsys):
+        v = ingest.load_corpus(tiny / "corpus.nact").vocab_size
+        net = lstm.init_network(v, 4, 5, 1, 0.0, 6, rng=np.random.default_rng(0))
+        # every value is finite, but 1e308 * 1e308 - 1e308 * 1e308 is NaN
+        net.embedding[:, :2] = 1e308
+        net.layers[0].W_x[:, :, 0] = 1e308
+        net.layers[0].W_x[:, :, 1] = -1e308
+        lstm.save_checkpoint(net, tmp_path / "model.nlstm")
+        assert main(["eval", "--model", str(tmp_path / "model.nlstm"), "--corpus",
+                     str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv"),
+                     "--min-actions", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "error: non-finite output probability" in capsys.readouterr().err
+        assert not list(tmp_path.glob("transfer-*.txt"))
+
+
 class TestHostileText:
     """Every text reader refuses a line that is not UTF-8, naming the line."""
 

@@ -1,13 +1,18 @@
 import pickle
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import lstm_predict_next, naive_backoff_predict, naive_gram_counts
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts
 from nextaction import baselines, evaluation, lstm, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
-from nextaction.ingest import Corpus, StudentSequence
+from nextaction.ingest import Corpus, StudentSequence, flatten
 
 
 def corpus_of(sequences, vocab_size, certified=True):
@@ -21,20 +26,25 @@ class ConstantModel:
     def __init__(self, value):
         self.value = value
 
-    def predict_sequence(self, actions):
-        return [self.value] * (len(actions) - 1)
+    def predict_sequence(self, actions, pos):
+        return [self.value] * int(np.count_nonzero(pos >= 1))
 
 
 class RepeatLast:
-    def predict_sequence(self, actions):
-        return list(actions[:-1])
+    def predict_sequence(self, actions, pos):
+        return actions[:-1][pos[1:] >= 1]
 
 
 class ShortByOne:
-    """A perfect repeat model that leaves out its last prediction: T-2 of them."""
+    """A repeat model that leaves out its last prediction of the fold."""
 
-    def predict_sequence(self, actions):
-        return list(actions[:-2])
+    def predict_sequence(self, actions, pos):
+        return actions[:-1][pos[1:] >= 1][:-1]
+
+
+def one(actions):
+    """A single sequence as the contract's (actions, pos)."""
+    return flatten([actions])
 
 
 class TestMakeFolds:
@@ -95,26 +105,39 @@ class TestHillClimbSplit:
 
 class TestSequenceAccuracy:
     def test_repeat_on_small_sequence(self):
-        assert evaluation.sequence_accuracy(RepeatLast(), [0, 0, 1, 1]) == pytest.approx(2 / 3)
+        accuracies, _ = evaluation.sequence_accuracy(RepeatLast(), [[0, 0, 1, 1]])
+        assert accuracies.tolist() == pytest.approx([2 / 3])
 
     def test_perfect_model(self):
         seq = [3, 1, 4, 1, 5]
 
         class Oracle:
-            def predict_sequence(self, actions):
-                return list(seq[1 : len(actions)])
+            def predict_sequence(self, actions, pos):
+                return seq[1:]
 
-        assert evaluation.sequence_accuracy(Oracle(), seq) == 1.0
+        accuracies, _ = evaluation.sequence_accuracy(Oracle(), [seq])
+        assert accuracies.tolist() == [1.0]
 
     def test_ngram_on_own_deterministic_sequence(self):
         seq = [0, 1, 2, 3, 4]
         corpus = corpus_of([seq], 5)
         table = ngram.fit(corpus, max_order=3)
-        assert evaluation.sequence_accuracy(ngram.NGramPredictor(table), seq) == 1.0
+        accuracies, _ = evaluation.sequence_accuracy(ngram.NGramPredictor(table), [seq])
+        assert accuracies.tolist() == [1.0]
 
     def test_too_short_raises(self):
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(RepeatLast(), [1])
+            evaluation.sequence_accuracy(RepeatLast(), [[1]])
+        with pytest.raises(NextactionError):
+            evaluation.sequence_accuracy(RepeatLast(), [[0, 1], [1]])
+        with pytest.raises(NextactionError):
+            evaluation.sequence_accuracy(RepeatLast(), [])
+
+    def test_one_call_scores_every_sequence(self):
+        seqs = [[0, 0, 1, 1], [2, 2], [1, 0, 0, 0, 1]]
+        accuracies, predictions = evaluation.sequence_accuracy(RepeatLast(), seqs)
+        assert accuracies.tolist() == pytest.approx([2 / 3, 1.0, 2 / 4])
+        assert predictions.tolist() == [0, 0, 1, 2, 1, 0, 0, 0]
 
 
 def _syllabus_map(items, vocab_size=7):
@@ -124,7 +147,10 @@ def _syllabus_map(items, vocab_size=7):
 
 
 def _contract_case(kind):
-    """(model, single-context rule) pairs that must agree at every position."""
+    """(model, single-context rule) pairs that must agree at every position.
+
+    ``ngram`` caps a 4-gram table at 3, ``ngram<k>`` at k; ``rnn`` is the LSTM
+    network with the tanh cell."""
     if kind == "repeat":
         model = baselines.RepeatModel()
         return model, model.predict
@@ -134,14 +160,15 @@ def _contract_case(kind):
         cls = baselines.SyllabusModel if kind == "syllabus" else baselines.SyllabusRepeatModel
         model = cls(syllabus)
         return model, model.predict
-    if kind == "ngram":
+    if kind.startswith("ngram"):
+        cap = int(kind[5:] or 3)
         rng = np.random.default_rng(20)
         seqs = [rng.integers(0, 7, size=30).tolist() for _ in range(4)]
         table = ngram.fit(corpus_of(seqs, 7), max_order=4)
         naive = naive_gram_counts(seqs, 4)
-        model = ngram.NGramPredictor(table, max_order=3)
-        return model, lambda context: naive_backoff_predict(naive, context, 3)[0]
-    net = lstm.init_network(7, 5, 6, 2, 0.0, 4, rng=np.random.default_rng([19, 0xEE]))
+        model = ngram.NGramPredictor(table, max_order=cap)
+        return model, lambda context: naive_backoff_predict(naive, context, cap)[0]
+    net = lstm.init_network(7, 5, 6, 2, 0.0, 4, kind, rng=np.random.default_rng([19, 0xEE]))
     return lstm.LstmPredictor(net), lambda context: lstm_predict_next(net, context)[0]
 
 
@@ -150,7 +177,7 @@ class TestPredictionContract:
     def test_predict_sequence_matches_per_position_calls(self, kind):
         model, single = _contract_case(kind)
         actions = np.random.default_rng(1).integers(0, 7, size=15).tolist()
-        predictions = model.predict_sequence(actions)
+        predictions = model.predict_sequence(*one(actions))
         assert len(predictions) == len(actions) - 1
         assert predictions.dtype == np.int64
         assert predictions.tolist() == [single(actions[:t]) for t in range(1, len(actions))]
@@ -161,7 +188,22 @@ class TestPredictionContract:
     def test_ids_outside_the_vocabulary_raise(self, kind, bad):
         model, _ = _contract_case(kind)
         with pytest.raises(ConfigError):
-            model.predict_sequence([0, 1, bad, 2])
+            model.predict_sequence(*one([0, 1, bad, 2]))
+
+    # a fold of sequences of lengths 1 and 2 among longer ones, in mixed order
+    @pytest.mark.parametrize("kind", ["repeat", "syllabus", "combined", "ngram1", "ngram2",
+                                      "ngram3", "ngram4", "lstm", "rnn"])
+    def test_a_fold_call_equals_its_sequences_called_one_at_a_time(self, kind):
+        model, single = _contract_case(kind)
+        rng = np.random.default_rng(3)
+        fold = [rng.integers(0, 7, size=n).tolist() for n in (9, 1, 2, 13, 2, 1, 6, 5)]
+        predictions = model.predict_sequence(*flatten(fold))
+        assert predictions.dtype == np.int64
+        one_by_one = [model.predict_sequence(*one(actions)) for actions in fold]
+        assert predictions.tolist() == np.concatenate(one_by_one).tolist()
+        assert predictions.tolist() == [
+            single(actions[:t]) for actions in fold for t in range(1, len(actions))
+        ]
 
     def test_wrong_prediction_count_raises(self):
         corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
@@ -171,7 +213,7 @@ class TestPredictionContract:
         with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
             evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(ShortByOne(), [0, 1, 1])
+            evaluation.sequence_accuracy(ShortByOne(), [[0, 1, 1]])
 
 
 class TestCrossValidate:
@@ -203,7 +245,7 @@ class TestCrossValidate:
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         for f in range(3):
             direct = np.mean([
-                evaluation.sequence_accuracy(model, by_id[sid])
+                evaluation.sequence_accuracy(model, [by_id[sid]])[0][0]
                 for sid in plan.students_in(f)
             ])
             assert report.per_fold_accuracy[f] == pytest.approx(direct)
@@ -410,3 +452,118 @@ class TestStreamsAndReports:
         assert float(parsed["cv_accuracy"]) == pytest.approx(0.625)
         assert parsed["meta.config.seed"] == "3"
         assert report.to_csv().splitlines()[0] == "fold,accuracy"
+
+
+class CountingRepeat(RepeatLast):
+    def __init__(self):
+        self.calls = 0
+
+    def predict_sequence(self, actions, pos):
+        self.calls += 1
+        return super().predict_sequence(actions, pos)
+
+
+def counting(monkeypatch, cls):
+    """Count the calls of ``cls.predict_sequence``, which keeps its behavior."""
+    calls = []
+    real = cls.predict_sequence
+
+    def counted(self, actions, pos):
+        calls.append(len(actions))
+        return real(self, actions, pos)
+
+    monkeypatch.setattr(cls, "predict_sequence", counted)
+    return calls
+
+
+class TestOneCallPerFold:
+    @pytest.fixture
+    def corpus(self):
+        rng = np.random.default_rng(13)
+        return corpus_of([rng.integers(0, 4, size=rng.integers(2, 15)).tolist()
+                          for _ in range(12)], 4)
+
+    def test_cross_validate_and_transfer(self, corpus):
+        model = CountingRepeat()
+        plan = evaluation.make_folds(corpus.student_ids(), 4, seed=2)
+        evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, keep_streams=True)
+        assert model.calls == 4
+        evaluation.transfer_eval(model, corpus, min_actions=2)
+        assert model.calls == 5
+
+    def test_each_model_of_a_sweep_once_per_fold(self, corpus, monkeypatch):
+        calls = counting(monkeypatch, ngram.NGramPredictor)
+        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=2)
+        ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
+        assert len(calls) == 3 * 3
+        assert sum(calls) == 3 * corpus.total_actions
+
+    def test_hill_climb_once_per_epoch(self, corpus, monkeypatch):
+        calls = counting(monkeypatch, lstm.LstmPredictor)
+        cfg = replace(_tiny_lstm_config(), epochs=3)
+        lstm.train(corpus, cfg)
+        assert len(calls) == 3
+        plan = evaluation.make_folds(corpus.student_ids(), 2, seed=2)
+        evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, workers=1)
+        assert len(calls) == 3 + 2 * (3 + 1)
+
+
+def _stream_text(rows):
+    return "".join(f"{sid}\t{pos}\t{pred}\t{truth}\n" for sid, pos, pred, truth in rows)
+
+
+class TestStreamFormat:
+    GOOD = "s1\t2\t1\t1\ns1\t3\t-1\t3\n"
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("s1\t2\t1\t1\ns1\t3\t-1\t3", 2),  # no newline at the end
+        ("s1\t2\t1\t1\ns1\t3\t2\t31"[:-1], 2),  # cut inside the final truth id
+        ("\ns1\t2\t1\t1\n", 1),
+        ("# comment\n", 1),
+        ("\t2\t1\t1\n", 1),
+        ("s1\t1\t1\t1\n", 1),
+        ("s1\t0\t1\t1\n", 1),
+        ("s1\t02\t1\t1\n", 1),
+        ("s1\t+3\t1\t1\n", 1),
+        ("s1\t1_2\t1\t1\n", 1),
+        ("s1\t 2\t1\t1\n", 1),
+        ("s1\t2\t-2\t1\n", 1),
+        ("s1\t2\t1\t-1\n", 1),
+        ("s1\t٣\t1\t1\n", 1),
+        ("s1\t2\t1\t1\t\n", 1),
+        ("s1\t2\t1\t1\r\n", 1),
+    ])
+    def test_anything_write_stream_would_not_write_is_refused(self, tmp_path, text, lineno):
+        path = tmp_path / "model.pred"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as caught:
+            evaluation.read_stream(path)
+        assert caught.value.lineno == lineno
+
+    def test_no_prediction_and_empty_stream_read(self, tmp_path):
+        path = tmp_path / "model.pred"
+        path.write_text(self.GOOD, encoding="utf-8")
+        assert evaluation.read_stream(path) == records([("s1", 2, 1, 1), ("s1", 3, -1, 3)])
+        path.write_text("", encoding="utf-8")
+        assert evaluation.read_stream(path) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["s1", "sé", "s 3", "#4"]),
+                              st.integers(2, 10**6), st.integers(-1, 10**6),
+                              st.integers(0, 10**6)), min_size=1, max_size=6), st.data())
+    def test_round_trip_and_corruption(self, rows, data):
+        """A stream reads back as written; a truncated or flipped one raises a
+        NextactionError or reads to records that write back byte for byte."""
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.pred"
+            evaluation.write_stream(records(rows), path)
+            assert path.read_text(encoding="utf-8") == _stream_text(rows)
+            assert evaluation.read_stream(path) == records(rows)
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            changed = path.read_bytes()
+            try:
+                loaded = evaluation.read_stream(path)
+            except NextactionError:
+                return
+            evaluation.write_stream(loaded, path)
+            assert path.read_bytes() == changed

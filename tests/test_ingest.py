@@ -1,7 +1,13 @@
-import pytest
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import mutated
 from nextaction import ingest
-from nextaction.errors import ConfigError, MalformedRecordError
+from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 
 
 def make_log(tmp_path, lines, name="events.tsv"):
@@ -294,6 +300,14 @@ class TestVocabularyRejects:
         ("#V=2 min_count=1\na\t0\t5\na\t1\t3\n", 3, "duplicate token 'a'"),
         ("#V=2 min_count=1\na\t0\t5\nb\t2\t3\n", 3, "vocabulary ids out of order"),
         ("#V=3 min_count=1\na\t0\t5\nb\t1\t3\n", 1, "vocabulary size mismatch with header"),
+        ("#V=2 min_count=1\na\t0\t5\nb\t1\t3", 3, "no newline at the end of the file"),
+        ("#V=2 min_count=1\na\t0\t5\nb\t1\t18"[:-1], 3, "no newline at the end of the file"),
+        ("#V=0 min_count=1", 1, "no newline at the end of the file"),
+        ("#V=2 min_count=1\na\t0\t5\n\nb\t1\t3\n", 3, RECORD),
+        ("#V=2 min_count=1\na\t0\t5\nb\t1\t3\n\n", 4, RECORD),
+        ("#V=2 min_count=1\r\na\t0\t5\nb\t1\t3\n", 1, HEADER),
+        ("#V=2 min_count=1\na\t0\t5\r\nb\t1\t3\n", 2, RECORD),
+        ("#V=2 min_count=1\n\t0\t5\nb\t1\t3\n", 2, RECORD),
     ])
     def test_malformed_vocabulary(self, tmp_path, text, lineno, reason):
         path = tmp_path / "vocab.tsv"
@@ -315,6 +329,39 @@ class TestVocabularyRejects:
         vocab = ingest.load_vocabulary(path)
         assert (vocab.id_to_token, vocab.counts) == (["a", "b"], [5, 3])
         assert vocab.token_to_id == {"a": 0, "b": 1}
+
+
+tokens = st.text(st.characters(blacklist_characters="\t\n", blacklist_categories=("Cs",)),
+                min_size=1, max_size=6)
+
+
+@st.composite
+def vocabularies(draw):
+    id_to_token = draw(st.lists(tokens, max_size=6, unique=True))
+    counts = draw(st.lists(st.integers(1, 10**6), min_size=len(id_to_token),
+                           max_size=len(id_to_token)))
+    return ingest.Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token, counts,
+                             draw(st.integers(1, 50)))
+
+
+class TestVocabularyProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(vocabularies(), st.data())
+    def test_round_trip_and_corruption(self, vocab, data):
+        """A vocabulary reads back as saved; a truncated or flipped file raises a
+        NextactionError or loads to a vocabulary that saves back byte for byte."""
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "vocab.tsv"
+            ingest.save_vocabulary(vocab, path)
+            assert ingest.load_vocabulary(path) == vocab
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            changed = path.read_bytes()
+            try:
+                loaded = ingest.load_vocabulary(path)
+            except NextactionError:
+                return
+            ingest.save_vocabulary(loaded, path)
+            assert path.read_bytes() == changed
 
 
 class TestCorpusRejects:

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LstmLayerState, forward_cell, lstm_predict_next, mutated
+from helpers import (
+    LstmLayerState, finite_difference_gradients, forward_cell, lstm_predict_next, mutated,
+)
 from nextaction import evaluation, lstm
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
-from nextaction.ingest import Corpus, StudentSequence
+from nextaction.ingest import Corpus, StudentSequence, flatten
 
 
 def tiny_net(seed=0, vocab=7, emb=5, hidden=6, layers=2, dropout=0.0, window=9, cell="lstm"):
@@ -217,7 +219,7 @@ class TestBackward:
         targets = rng.integers(0, 7, size=9)
         _, cache = lstm.forward_sequence(net, ids, train=True, rng=rng)
         analytic = lstm.backward(net, cache, targets)
-        numeric = lstm.finite_difference_gradients(net, ids, targets, step=1e-5)
+        numeric = finite_difference_gradients(net, ids, targets, step=1e-5)
         for name in analytic:
             assert relative_error(analytic[name], numeric[name]) <= 1e-4, name
 
@@ -345,6 +347,16 @@ class TestTraining:
         with pytest.raises(NumericalFaultError, match="epoch 1: non-finite parameter"):
             lstm.train(cycle_corpus(n_students=5, length=12), cfg)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_activations_stop_training(self):
+        # the parameters stay finite, but the hill-climb outputs are NaN
+        cfg = lstm.TrainConfig(learning_rate=1e300, epochs=3, window=5, batch_size=4, seed=0,
+                               hidden_size=8, layers=1, embedding_dim=6)
+        with pytest.raises(NumericalFaultError,
+                           match="epoch 1: non-finite output probability"):
+            lstm.train(cycle_corpus(n_students=10, length=12), cfg)
+
     def test_curve_has_one_row_per_epoch(self):
         cfg = lstm.TrainConfig(epochs=4, window=5, batch_size=4, seed=0,
                                hidden_size=8, layers=1, embedding_dim=6)
@@ -373,7 +385,7 @@ class TestPrediction:
         predictor = lstm.LstmPredictor(net)
         actions = np.random.default_rng(2).integers(0, 7, size=9).tolist()
         for n in range(len(actions) + 1):
-            predictions = predictor.predict_sequence(actions[:n])
+            predictions = predictor.predict_sequence(*flatten([actions[:n]]))
             assert predictions.dtype == np.int64
             assert predictions.tolist() == [
                 lstm_predict_next(net, actions[:t])[0] for t in range(1, n)

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated, naive_backoff_predict, naive_backoff_usage, naive_gram_counts
+from helpers import (
+    mutated, naive_backoff_predict, naive_backoff_usage, naive_gram_counts, table_counts,
+)
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
-from nextaction.ingest import Corpus, StudentSequence
+from nextaction.ingest import Corpus, StudentSequence, flatten
 
 
 def corpus_of(sequences, vocab_size):
@@ -22,34 +24,25 @@ A, B, Z = 0, 1, 2
 
 class TestFit:
     def test_hand_counts_order_two(self):
-        table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=2)
-        assert table.count(2, (A,), B) == 2
-        assert table.count(2, (B,), A) == 1
-        assert table.count(2, (B,), B) == 0
+        counts = table_counts(ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=2))
+        assert counts[2][(A,)][B] == 2
+        assert counts[2][(B,)][A] == 1
+        assert counts[2][(B,)].get(B, 0) == 0
 
     def test_unigram_counts_continuation_positions(self):
-        table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=1)
+        counts = table_counts(ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=1))
         # continuations are B, A, B: position 1 is never a continuation
-        assert table.count(1, (), A) == 1
-        assert table.count(1, (), B) == 2
-        assert table.total(1, ()) == 3
+        assert counts[1][()][A] == 1
+        assert counts[1][()][B] == 2
+        assert sum(counts[1][()].values()) == 3
 
     def test_two_identical_sequences_double_counts(self):
         one = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=3)
-        two = ngram.fit(corpus_of([[A, B, A, B]] * 2, 3), max_order=3)
+        two = table_counts(ngram.fit(corpus_of([[A, B, A, B]] * 2, 3), max_order=3))
         for order in (1, 2, 3):
             for ctx, counter in one.continuations[order].items():
                 for nxt, count in counter.items():
-                    assert two.count(order, ctx, nxt) == 2 * count
-
-    def test_context_totals_are_sums(self):
-        rng = np.random.default_rng(4)
-        seqs = [rng.integers(0, 5, size=30).tolist() for _ in range(4)]
-        table = ngram.fit(corpus_of(seqs, 5), max_order=4)
-        for order in range(1, 5):
-            for ctx, counter in table.continuations[order].items():
-                assert sum(counter.values()) == table.total(order, ctx)
-                assert all(c <= table.total(order, ctx) for c in counter.values())
+                    assert two[order][ctx][nxt] == 2 * count
 
     def test_invalid_order(self):
         with pytest.raises(ConfigError):
@@ -98,15 +91,6 @@ class TestPredict:
                     == ngram.predict_next(t2, seq[:t]).predicted
                 )
 
-    def test_distribution_normalized(self):
-        rng = np.random.default_rng(12)
-        seqs = [rng.integers(0, 6, size=40).tolist() for _ in range(3)]
-        table = ngram.fit(corpus_of(seqs, 6), max_order=3)
-        for seq in seqs:
-            for t in range(1, len(seq), 5):
-                pred = ngram.predict_next(table, seq[:t], with_distribution=True)
-                assert abs(sum(pred.distribution.values()) - 1.0) <= 1e-9
-
     def test_matches_known_markov_chain_argmax(self):
         # order-2 chain: dominant successor (a + 2b + 1) mod V with mass 0.7
         V = 6
@@ -124,11 +108,12 @@ class TestPredict:
                 seq.append(int(rng.choice(V, p=probs)))
             seqs.append(seq)
         table = ngram.fit(corpus_of(seqs, V), max_order=3)
+        trigrams = table_counts(table)[3]
 
         checked = agreed = 0
         for a in range(V):
             for b in range(V):
-                total = table.total(3, (a, b))
+                total = sum(trigrams.get((a, b), {}).values())
                 if total < 50:
                     continue
                 checked += 1
@@ -187,8 +172,9 @@ class TestBackoffUsage:
         for seqs in ([], [[A]], [[B], [Z]]):
             assert ngram.backoff_usage(table, corpus_of(seqs, 3)) == {1: 0.0, 2: 0.0, 3: 0.0}
         predictor = ngram.NGramPredictor(table)
-        assert (predictor.predict_sequence([]).tolist()
-                == predictor.predict_sequence([Z]).tolist() == [])
+        assert (predictor.predict_sequence(*flatten([])).tolist()
+                == predictor.predict_sequence(*flatten([[Z]])).tolist()
+                == predictor.predict_sequence(*flatten([[B], [Z]])).tolist() == [])
 
 
 class TestSweepAndFiles:
@@ -239,7 +225,7 @@ class TestActionRange:
     def test_out_of_range_ids_are_refused(self, bad):
         table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=2)
         with pytest.raises(ConfigError):
-            ngram.NGramPredictor(table).predict_sequence([A, bad, B])
+            ngram.NGramPredictor(table).predict_sequence(*flatten([[A, bad, B]]))
         with pytest.raises(ConfigError):
             ngram.predict_next(table, [A, bad])
 
@@ -350,14 +336,11 @@ class TestProperties:
             predictor = ngram.NGramPredictor(table, max_order=cap)
             for seq in train + held_out:
                 expected = [naive_backoff_predict(naive, seq[:t], cap) for t in range(1, len(seq))]
-                assert predictor.predict_sequence(seq).tolist() == [p for p, _ in expected]
+                assert (predictor.predict_sequence(*flatten([seq])).tolist()
+                        == [p for p, _ in expected])
                 for t, (predicted, order) in zip(range(1, len(seq)), expected):
-                    pred = ngram.predict_next(table, seq[:t], cap, with_distribution=True)
-                    ctx = tuple(seq[t - order + 1 : t]) if order > 1 else ()
-                    counts = naive[order][ctx]
-                    total = sum(counts.values())
+                    pred = ngram.predict_next(table, seq[:t], cap)
                     assert (pred.predicted, pred.order_used) == (predicted, order)
-                    assert pred.distribution == {a: counts[a] / total for a in sorted(counts)}
             usage = ngram.backoff_usage(table, corpus_of(held_out, vocab_size), cap)
             assert usage == naive_backoff_usage(naive, held_out, cap)
 
@@ -372,9 +355,9 @@ class TestProperties:
             loaded = ngram.load_table(first)
             ngram.save_table(loaded, second)
             assert first.read_bytes() == second.read_bytes()
-        for seq in held_out:
-            assert (ngram.NGramPredictor(loaded).predict_sequence(seq).tolist()
-                    == ngram.NGramPredictor(table).predict_sequence(seq).tolist())
+        fold = flatten(held_out)
+        assert (ngram.NGramPredictor(loaded).predict_sequence(*fold).tolist()
+                == ngram.NGramPredictor(table).predict_sequence(*fold).tolist())
 
     @settings(max_examples=300, deadline=None)
     @given(gram_corpora(max_vocab=30, max_length=12), st.data())
