@@ -10,6 +10,12 @@ two the resulting process is order-2 Markov, so the conditional distribution
 of the next action given the state is known exactly and the accuracy of the
 best possible predictor can be estimated by Monte Carlo.
 
+``GeneratorModel.distribution(state)`` is the kernel.  Sampling is
+table-driven: one CDF row per (advance target, last action), built from the
+kernel as ``Generator.choice`` builds its own, so a walk reads the same
+doubles and draws the same actions as one ``choice(p=distribution(state))``
+per step, and corpora are byte-identical to those of that sampler per seed.
+
 The uncertified cohort follows a perturbed kernel: its advance mass is
 halved, the difference moved onto jumps, and a tenth of its students quit
 early with very short logs.
@@ -17,6 +23,8 @@ early with very short logs.
 Emitted files use the ingestion formats (event log, roster, course order).
 """
 
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -32,6 +40,7 @@ UNCERTIFIED_DROPOUT_FRACTION = 0.1
 DROPOUT_LENGTH_RANGE = (3, 30)
 PROBLEM_ITEM_STRIDE = 5
 _BASE_INSTANT = datetime(2020, 1, 6, tzinfo=timezone.utc)
+_CHOICE_ATOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on the sum
 
 
 @dataclass(frozen=True)
@@ -83,8 +92,8 @@ class GeneratorModel:
     """The explicit transition kernel induced by a config.
 
     ``distribution(state)`` returns the exact next-action probabilities for a
-    lookback state (the most recent up-to-``markov_order`` actions), and is
-    the same rule the sampler draws from.
+    lookback state (the most recent up-to-``markov_order`` actions).  The
+    sampler and ``oracle_accuracy`` read it through the rows of ``_rows``.
     """
 
     def __init__(self, config: SynthConfig, p_advance: float | None = None):
@@ -99,6 +108,8 @@ class GeneratorModel:
         if self.p_jump < -1e-12:
             raise ConfigError("advance and repeat masses exceed 1")
         self.p_jump = max(self.p_jump, 0.0)
+        # (advance target, last action) -> (CDF, argmax)
+        self._table: dict[tuple[int, int], tuple[array, int]] = {}
 
     def advance_target(self, state: Sequence[int]) -> int:
         """Successor of the most recent on-course action, item 0 if none."""
@@ -107,13 +118,11 @@ class GeneratorModel:
                 return (action + 1) % self.syllabus_length
         return 0
 
-    def distribution(self, state: Sequence[int]) -> np.ndarray:
-        if not state:
-            raise ConfigError("the kernel needs at least one prior action")
-        state = state[-self.markov_order:]
+    def _probs(self, target: int, last: int) -> np.ndarray:
+        """The kernel's next-action probabilities for one (target, last) pair."""
         probs = np.zeros(self.vocab_size)
-        probs[self.advance_target(state)] += self.p_advance
-        probs[state[-1]] += self.p_repeat
+        probs[target] += self.p_advance
+        probs[last] += self.p_repeat
         n_off = self.vocab_size - self.syllabus_length
         if n_off > 0:
             probs[self.syllabus_length:] += self.p_jump / n_off
@@ -121,16 +130,46 @@ class GeneratorModel:
             probs += self.p_jump / self.vocab_size
         return probs
 
-    def best_prediction(self, state: Sequence[int]) -> int:
-        return int(np.argmax(self.distribution(state)))
+    def distribution(self, state: Sequence[int]) -> np.ndarray:
+        if not state:
+            raise ConfigError("the kernel needs at least one prior action")
+        state = state[-self.markov_order:]
+        return self._probs(self.advance_target(state), state[-1])
+
+    def _rows(self, seq: list[int]):
+        """Yield the (CDF, argmax) row each next action of ``seq`` is drawn from.
+
+        Reads ``seq`` lazily, so the sampler may append to it between steps,
+        and tracks the age of the most recent on-course action.  A row is
+        checked and built as ``Generator.choice`` checks and builds its CDF.
+        """
+        table, order, syllabus = self._table, self.markov_order, self.syllabus_length
+        on_at, target = -order, 0
+        for t, last in enumerate(seq):
+            if last < syllabus:
+                on_at, target = t, (last + 1) % syllabus
+            elif t - on_at >= order:
+                target = 0
+            row = table.get((target, last))
+            if row is None:
+                probs = self._probs(target, last)
+                total = probs.sum()
+                if np.isnan(total) or (probs < 0).any() or abs(total - 1) > _CHOICE_ATOL:
+                    raise ConfigError(f"move probabilities must be >= 0 and sum to 1: {probs}")
+                cdf = probs.cumsum()
+                cdf /= cdf[-1]
+                row = table[target, last] = (array("d", cdf), int(np.argmax(probs)))
+            yield row
 
     def sample_sequence(self, length: int, rng: np.random.Generator) -> list[int]:
+        """A walk from item 0: ``length - 1`` doubles drawn at once (the same
+        stream as one per step), each placed in its row's CDF as ``choice``'s
+        ``searchsorted(side="right")`` places it."""
         if length < 1:
             raise ConfigError("sequence length must be >= 1")
         seq = [0]  # every student starts at the first course item
-        for _ in range(length - 1):
-            probs = self.distribution(seq[-self.markov_order:])
-            seq.append(int(rng.choice(self.vocab_size, p=probs)))
+        for x, (cdf, _) in zip(rng.random(length - 1).tolist(), self._rows(seq)):
+            seq.append(bisect_right(cdf, x))
         return seq
 
     def sample_length(self, rng: np.random.Generator) -> int:
@@ -158,14 +197,14 @@ def token_name(config: SynthConfig, action: int) -> str:
     return f"forum/thread{off_index:03d}"
 
 
-def _event_fields(config: SynthConfig, action: int) -> tuple[str, str, str]:
-    """(event_type, page, object_name) columns for one action."""
+def _event_columns(config: SynthConfig, action: int) -> str:
+    """The event_type, page and object_name columns of one action's events."""
     token = token_name(config, action)
     if token.startswith("i4x://"):
-        return "save_problem_check", "-", token
+        return f"\tsave_problem_check\t-\t{token}\n"
     if token == "page_close":
-        return "page_close", "-", "-"
-    return "page_view", token, "-"
+        return "\tpage_close\t-\t-\n"
+    return f"\tpage_view\t{token}\t-\n"
 
 
 @dataclass
@@ -197,24 +236,26 @@ def generate(config: SynthConfig, out_dir: str | Path) -> SynthOutputs:
         ("unc", uncert, config.students_uncertified, False),
     ]
 
-    event_lines = ["# timestamp\tstudent_id\tevent_type\tpage\tobject_name\n"]
+    # each action's event columns and each step's timestamp are formatted once
+    columns = [_event_columns(config, action) for action in range(config.vocab_size)]
+    stamps: list[str] = []
     roster_lines = []
-    for cohort_tag, kernel, n_students, certified in cohorts:
-        for index in range(n_students):
-            student_id = f"{cohort_tag}{index + 1:04d}"
-            rng = np.random.default_rng([config.seed, 0x5E9, 0 if certified else 1, index])
-            length = kernel.sample_length(rng)
-            if not certified and rng.random() < UNCERTIFIED_DROPOUT_FRACTION:
-                length = int(rng.integers(*DROPOUT_LENGTH_RANGE))
-            for step, action in enumerate(kernel.sample_sequence(length, rng)):
-                stamp = _format_timestamp(step)
-                event_type, page, object_name = _event_fields(config, action)
-                event_lines.append(
-                    f"{stamp}\t{student_id}\t{event_type}\t{page}\t{object_name}\n"
-                )
-            roster_lines.append(f"{student_id}\t{1 if certified else 0}\n")
+    with open(outputs.events_path, "w", encoding="utf-8") as events:
+        events.write("# timestamp\tstudent_id\tevent_type\tpage\tobject_name\n")
+        for cohort_tag, kernel, n_students, certified in cohorts:
+            for index in range(n_students):
+                student_id = f"{cohort_tag}{index + 1:04d}"
+                rng = np.random.default_rng([config.seed, 0x5E9, 0 if certified else 1, index])
+                length = kernel.sample_length(rng)
+                if not certified and rng.random() < UNCERTIFIED_DROPOUT_FRACTION:
+                    length = int(rng.integers(*DROPOUT_LENGTH_RANGE))
+                stamps.extend(_format_timestamp(step) for step in range(len(stamps), length))
+                events.write("".join(
+                    f"{stamps[step]}\t{student_id}{columns[action]}"
+                    for step, action in enumerate(kernel.sample_sequence(length, rng))
+                ))
+                roster_lines.append(f"{student_id}\t{1 if certified else 0}\n")
 
-    outputs.events_path.write_text("".join(event_lines), encoding="utf-8")
     outputs.roster_path.write_text("".join(roster_lines), encoding="utf-8")
     outputs.syllabus_path.write_text(
         "".join(token_name(config, item) + "\n" for item in range(config.syllabus_length)),
@@ -236,9 +277,9 @@ def oracle_accuracy(
 ) -> tuple[float, float]:
     """Monte-Carlo accuracy of the best possible predictor on fresh sequences.
 
-    Samples ``horizon`` sequences, scores positions 2..T with the kernel's
-    argmax, and macro-averages the per-sequence proportions.  Returns the
-    estimate and its standard error.
+    Samples ``horizon`` sequences, scores positions 2..T with the argmax of
+    each step's table row, and macro-averages the per-sequence proportions.
+    Returns the estimate and its standard error.
     """
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
@@ -246,9 +287,7 @@ def oracle_accuracy(
     props = []
     for _ in range(horizon):
         seq = kernel.sample_sequence(kernel.sample_length(rng), rng)
-        correct = sum(
-            kernel.best_prediction(seq[:t]) == seq[t] for t in range(1, len(seq))
-        )
+        correct = sum(best == action for (_, best), action in zip(kernel._rows(seq), seq[1:]))
         props.append(correct / (len(seq) - 1))
     props_arr = np.asarray(props)
     stderr = float(props_arr.std(ddof=1) / np.sqrt(horizon)) if horizon > 1 else 0.0

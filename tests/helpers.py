@@ -4,8 +4,10 @@ These deliberately re-derive gram statistics and backoff behavior with a
 different traversal than the library (per-order window scans instead of
 per-position order loops), the LSTM step one vector at a time instead of
 a batch at a time, each LSTM prediction from its own window instead of a
-shared run, and loss gradients by central differences instead of
-backpropagation, so they can serve as a second opinion.
+shared run, loss gradients by central differences instead of
+backpropagation, and synthetic walks by one ``Generator.choice`` over the
+kernel's ``distribution`` per step instead of a cached CDF table, so they
+can serve as a second opinion.
 """
 
 from collections import Counter
@@ -141,3 +143,28 @@ def mutated(draw, blob: bytes) -> bytes:
     at = draw(st.integers(0, len(blob) - 1))
     value = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
     return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+
+def per_step_sample(kernel, length, rng):
+    """A generator walk drawn one ``rng.choice`` over ``distribution`` per step."""
+    seq = [0]
+    for _ in range(length - 1):
+        probs = kernel.distribution(seq[-kernel.markov_order:])
+        seq.append(int(rng.choice(kernel.vocab_size, p=probs)))
+    return seq
+
+
+def per_step_oracle_accuracy(kernel, horizon, seed):
+    """``synth.oracle_accuracy`` re-derived with per-step walks, scoring each
+    position by the argmax of ``distribution`` over its whole prefix."""
+    rng = np.random.default_rng([seed, 0x0AC1E])
+    props = []
+    for _ in range(horizon):
+        seq = per_step_sample(kernel, kernel.sample_length(rng), rng)
+        correct = sum(
+            int(np.argmax(kernel.distribution(seq[:t]))) == seq[t] for t in range(1, len(seq))
+        )
+        props.append(correct / (len(seq) - 1))
+    props_arr = np.asarray(props)
+    stderr = float(props_arr.std(ddof=1) / np.sqrt(horizon)) if horizon > 1 else 0.0
+    return float(props_arr.mean()), stderr

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import mutated
-from nextaction import ingest
+from nextaction import ingest, synth
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 
 
@@ -342,6 +342,37 @@ def vocabularies(draw):
                            max_size=len(id_to_token)))
     return ingest.Vocabulary({t: i for i, t in enumerate(id_to_token)}, id_to_token, counts,
                              draw(st.integers(1, 50)))
+
+
+class TestRosterProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+    def test_round_trip_and_corruption(self, n_certified, n_uncertified, seed, data):
+        """The roster ``synth.generate`` writes reads back as written; a truncated
+        file raises a NextactionError or loads a prefix of it, and a flipped byte
+        raises or changes at most one student's entry."""
+        cfg = synth.SynthConfig(
+            vocab_size=4, syllabus_length=2, students_certified=n_certified,
+            students_uncertified=n_uncertified, mean_sequence_length=2, seed=seed,
+        )
+        with tempfile.TemporaryDirectory() as root:
+            path = synth.generate(cfg, root).roster_path
+            saved = ingest.load_roster(path)
+            assert saved == {
+                **{f"cert{i + 1:04d}": True for i in range(n_certified)},
+                **{f"unc{i + 1:04d}": False for i in range(n_uncertified)},
+            }
+            blob = path.read_bytes()
+            path.write_bytes(mutated(data.draw, blob))
+            truncated = len(path.read_bytes()) < len(blob)
+            try:
+                loaded = ingest.load_roster(path)
+            except NextactionError:
+                return
+            if truncated:
+                assert list(loaded.items()) == list(saved.items())[: len(loaded)]
+            else:
+                assert len(set(saved.items()) ^ set(loaded.items())) <= 2
 
 
 class TestVocabularyProperties:

@@ -537,6 +537,28 @@ class TestCheckpointRejects:
             lstm.save_checkpoint(loaded, path)
             assert path.read_bytes() == changed
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["lstm", "rnn"]), st.integers(1, 3), st.data())
+    def test_corrupt_manifest_is_refused_or_read_exactly(self, cell, layers, data):
+        """A truncated or flipped manifest raises a NextactionError, or the
+        checkpoint loads to the saved network; the window, which only the
+        manifest records, is then the one its window line now reads."""
+        net = tiny_net(seed=layers, vocab=3, emb=2, hidden=2, layers=layers, cell=cell)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.nlstm"
+            lstm.save_checkpoint(net, path)
+            manifest = Path(str(path) + ".manifest.txt")
+            manifest.write_bytes(mutated(data.draw, manifest.read_bytes()))
+            try:
+                loaded = lstm.load_checkpoint(path)
+            except NextactionError:
+                return
+            assert loaded.window == net.window or (
+                f"\nwindow: {loaded.window}\n".encode() in manifest.read_bytes())
+            again = Path(root) / "again.nlstm"
+            lstm.save_checkpoint(loaded, again)
+            assert again.read_bytes() == path.read_bytes()
+
 
 class TestGridSearch:
     def test_shape_of_desk_scale_grid(self):

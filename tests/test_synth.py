@@ -1,14 +1,31 @@
+import hashlib
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import per_step_oracle_accuracy, per_step_sample
 from nextaction import ingest, synth
 from nextaction.errors import ConfigError
 
 # frozen once from synth.oracle_accuracy on the default config (horizon 300,
 # seed 99); guards both the kernel and the sampler against drift
 FROZEN_DEFAULT_ORACLE_H300 = 0.7525131328003657
+
+# SHA-256 of events.tsv, roster.tsv and syllabus.txt for the criterion-8 config,
+# recorded from the per-step sampler before the table-driven one replaced it
+CRITERION_8_SYNTH = dict(
+    vocab_size=16, syllabus_length=8, students_certified=15,
+    students_uncertified=5, mean_sequence_length=40,
+)
+CRITERION_8_ROSTER_SHA = "d3fcee1d3c37b89eeff3e4a6440481ae31b83fcb64bc5d3adbd666c6d4e7a4c7"
+CRITERION_8_SYLLABUS_SHA = "bc42a9719537e2c6c8eccf35d523774322d222bfcdb781013f308e9855865019"
+CRITERION_8_EVENTS_SHA = {
+    1234: "56891734a520cdd95064e7ee3004e8e9c745b5fe3e523a79c1c58a97ab4671c0",
+    8191: "7de088a16f3a95d19eeca991ff1347320c9ff87e68d812fbaf8ef74b6d301cda",
+}
 
 
 def tiny_config(**overrides):
@@ -58,6 +75,12 @@ class TestKernel:
         assert kernel.advance_target((off, off)) == 0
         assert kernel.advance_target((kernel.syllabus_length - 1,)) == 0  # wraps
 
+    @pytest.mark.parametrize("p_advance", [-0.5, np.nan])
+    def test_invalid_row_is_refused_when_sampled(self, p_advance):
+        kernel = synth.GeneratorModel(tiny_config(), p_advance=p_advance)
+        with pytest.raises(ConfigError, match="must be >= 0 and sum to 1"):
+            kernel.sample_sequence(3, np.random.default_rng(0))
+
     def test_uncertified_kernel_reduces_advance(self):
         cfg = tiny_config()
         cert = synth.certified_kernel(cfg)
@@ -74,6 +97,17 @@ class TestGenerate:
         out_b = synth.generate(cfg, tmp_path / "b")
         for field in ("events_path", "roster_path", "syllabus_path"):
             assert getattr(out_a, field).read_bytes() == getattr(out_b, field).read_bytes()
+
+    @pytest.mark.parametrize("seed", sorted(CRITERION_8_EVENTS_SHA))
+    def test_criterion_8_files_are_pinned(self, tmp_path, seed):
+        out = synth.generate(synth.SynthConfig(**CRITERION_8_SYNTH, seed=seed), tmp_path)
+        digests = [
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (out.events_path, out.roster_path, out.syllabus_path)
+        ]
+        assert digests == [
+            CRITERION_8_EVENTS_SHA[seed], CRITERION_8_ROSTER_SHA, CRITERION_8_SYLLABUS_SHA,
+        ]
 
     def test_different_seed_differs(self, tmp_path):
         out_a = synth.generate(tiny_config(seed=1), tmp_path / "a")
@@ -124,6 +158,42 @@ class TestGenerate:
         assert "save_problem_check" in text
         assert "page_view" in text
         assert "page_close\t-\t-" in text
+
+
+@st.composite
+def kernels(draw):
+    """A certified or uncertified kernel over a small config, with any of the
+    advance, repeat and jump masses possibly zero."""
+    vocab_size = draw(st.integers(2, 10))
+    weights = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
+    p_advance, p_repeat, p_jump = (w / sum(weights) for w in weights)
+    cfg = synth.SynthConfig(
+        vocab_size=vocab_size, syllabus_length=draw(st.integers(2, vocab_size)),
+        p_advance=p_advance, p_repeat=p_repeat, p_jump=p_jump,
+        markov_order=draw(st.integers(1, 5)),
+    )
+    return draw(st.sampled_from([synth.certified_kernel, synth.uncertified_kernel]))(cfg)
+
+
+class TestTableSampler:
+    @settings(max_examples=300, deadline=None)
+    @given(kernels(), st.lists(st.integers(1, 60), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_step_sampler(self, kernel, lengths, seed):
+        """Walks and the generator state after them equal the per-step
+        sampler's, with the table reused across walks."""
+        table_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for length in lengths:
+            assert kernel.sample_sequence(length, table_rng) == per_step_sample(
+                kernel, length, step_rng)
+            assert table_rng.bit_generator.state == step_rng.bit_generator.state
+
+    @pytest.mark.parametrize("markov_order", [1, 2, 4])
+    @pytest.mark.parametrize("make_kernel", [synth.certified_kernel, synth.uncertified_kernel])
+    def test_oracle_accuracy_matches_prefix_argmax(self, make_kernel, markov_order):
+        kernel = make_kernel(synth.SynthConfig(markov_order=markov_order, mean_sequence_length=40))
+        assert synth.oracle_accuracy(kernel, 20, seed=3) == per_step_oracle_accuracy(
+            kernel, 20, seed=3)
 
 
 class TestOracle:
