@@ -41,15 +41,10 @@ gram_model = ngram.NGramPredictor(ngram.fit(train_corpus, 3))
 # one call per model scores the whole held-out fold; the stream pairs each
 # prediction with its student, position and true action
 scored = sorted((s for s in eval_seqs if len(s) >= 2), key=lambda s: s.student_id)
-students = [s.student_id for s in scored for _ in s.actions[1:]]
-positions = [t for s in scored for t in range(2, len(s) + 1)]
-truths = [a for s in scored for a in s.actions[1:]]
 
 def fold_score(model):
     accuracies, predictions = evaluation.sequence_accuracy(model, [s.actions for s in scored])
-    stream = list(map(evaluation.PredictionRecord, students, positions,
-                      predictions.tolist(), truths))
-    return float(accuracies.mean()), stream
+    return float(accuracies.mean()), evaluation.prediction_stream(scored, predictions)
 
 lstm_acc, lstm_stream = fold_score(lstm_model)
 gram_acc, gram_stream = fold_score(gram_model)

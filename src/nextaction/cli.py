@@ -97,13 +97,13 @@ def _load_corpus(options: dict) -> ingest.Corpus:
     return ingest.load_corpus(options["corpus"], vocab)
 
 
+_COHORTS = {"certified": True, "uncertified": False, "all": None}
+
+
 def _select_cohort(corpus: ingest.Corpus, cohort: str, min_actions: int) -> ingest.Corpus:
-    if cohort == "all":
-        kept = [s for s in corpus.sequences if len(s) >= min_actions]
-        return ingest.Corpus(corpus.vocabulary, kept, corpus.vocab_size)
-    if cohort not in ("certified", "uncertified"):
+    if cohort not in _COHORTS:
         raise ConfigError(f"cohort must be certified, uncertified or all, got {cohort!r}")
-    return ingest.filter_cohort(corpus, cohort == "certified", min_actions)
+    return ingest.filter_cohort(corpus, _COHORTS[cohort], min_actions)
 
 
 # ---------------------------------------------------------------- synth

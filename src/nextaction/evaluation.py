@@ -49,12 +49,17 @@ class FoldPlan:
         return sorted(s for s, f in self.assignment.items() if f == fold)
 
 
-@dataclass(slots=True)
-class PredictionRecord:
-    student_id: str
-    position: int  # 1-indexed position of the predicted action (2..T)
-    predicted: int
-    truth: int
+@dataclass(frozen=True, eq=False)
+class PredictionStream:
+    """Four columns with one entry per scored position, the last three int64."""
+
+    student: np.ndarray  # object array of interned student ids
+    position: np.ndarray  # 1-indexed position of the predicted action (2..T)
+    predicted: np.ndarray  # -1 for no prediction
+    truth: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.position)
 
 
 @dataclass
@@ -64,7 +69,7 @@ class EvalReport:
     metadata: dict[str, str] = field(default_factory=dict)
     per_sequence: list[tuple[str, float]] | None = None
     skipped_sequences: int = 0
-    streams: list["PredictionRecord"] | None = None  # not serialized, only counted
+    streams: PredictionStream | None = None  # not serialized, only counted
     # not serialized: the spec's per-fold extras, and its full-corpus fit if asked for
     fold_extras: list = field(default_factory=list)
     full_fit: tuple | None = None
@@ -173,12 +178,10 @@ class FixedSpec:
         return (self.model,), None
 
 
-def _held_out(corpus: Corpus, plan: FoldPlan, fold: int) -> tuple[list[StudentSequence], int]:
-    """A fold's scoreable sequences in student order, and how many are too short."""
+def _held_out(corpus: Corpus, plan: FoldPlan, fold: int) -> list[StudentSequence]:
+    """A fold's scoreable sequences, in student order."""
     by_student = {s.student_id: s for s in corpus.sequences}
-    seqs = [by_student[sid] for sid in plan.students_in(fold) if sid in by_student]
-    scoreable = [s for s in seqs if len(s) >= 2]
-    return scoreable, len(seqs) - len(scoreable)
+    return [by_student[sid] for sid in plan.students_in(fold) if len(by_student.get(sid, ())) >= 2]
 
 
 def _run_task(job: tuple, fold: int | None):
@@ -190,7 +193,7 @@ def _run_task(job: tuple, fold: int | None):
     spec, corpus, plan = job
     if fold is None:
         return spec.fit(corpus, None)
-    held_out, _ = _held_out(corpus, plan, fold)
+    held_out = _held_out(corpus, plan, fold)
     if not held_out:
         raise NextactionError(f"fold {fold} has no scoreable sequences")
     train = [s for s in corpus.sequences if plan.assignment[s.student_id] != fold]
@@ -235,12 +238,15 @@ def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _records(seqs: list[StudentSequence], predictions: np.ndarray) -> list[PredictionRecord]:
-    actions, pos = flatten([s.actions for s in seqs])
-    sids = [s.student_id for s in seqs for _ in range(len(s) - 1)]
+def prediction_stream(
+    sequences: Sequence[StudentSequence], predictions: np.ndarray
+) -> PredictionStream:
+    """The stream of ``sequences`` in order, from their concatenated predictions."""
+    actions, pos = flatten([s.actions for s in sequences])
+    student = np.array([s.student_id for s in sequences], dtype=object)
     scored = pos >= 1
-    return list(map(PredictionRecord, sids, (pos[scored] + 1).tolist(), predictions.tolist(),
-                    actions[scored].tolist()))
+    return PredictionStream(np.repeat(student, [len(s) - 1 for s in sequences]), pos[scored] + 1,
+                            np.asarray(predictions, dtype=np.int64), actions[scored])
 
 
 def cross_validate_each(
@@ -262,6 +268,8 @@ def cross_validate_each(
     FixedSpec, and are merged in fold order, so reports do not depend on the
     worker count.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     missing = set(corpus.student_ids()) - set(plan.assignment)
     if missing:
         raise ConfigError(f"fold plan does not cover students {sorted(missing)[:5]}")
@@ -270,26 +278,22 @@ def cross_validate_each(
     # a fixed model fits nothing, and scoring it costs less than forking workers
     results = _run_tasks((spec, corpus, plan), tasks, 1 if isinstance(spec, FixedSpec) else workers)
     full_fit = results.pop(0) if fit_full else None
-    held_out = [_held_out(corpus, plan, fold) for fold in range(plan.k)]
+    scored = [s for fold in range(plan.k) for s in _held_out(corpus, plan, fold)]  # in fold order
 
     reports = []
     for index, name in enumerate(model_names):
+        accuracies, predictions = zip(*(scores[index] for scores, _ in results))
+        per_sequence = np.concatenate(accuracies).tolist()
         report = EvalReport(
-            model=name, per_fold_accuracy=[], per_sequence=[],
-            skipped_sequences=sum(skipped for _, skipped in held_out),
+            model=name, per_fold_accuracy=[float(np.mean(a)) for a in accuracies],
+            per_sequence=list(zip((s.student_id for s in scored), per_sequence)),
+            skipped_sequences=sum(len(s) < 2 for s in corpus.sequences),
             fold_extras=[extras for _, extras in results], full_fit=full_fit,
         )
-        streams: list[PredictionRecord] = []
-        for (seqs, _), (scores, _) in zip(held_out, results):
-            accuracies, predictions = scores[index]
-            report.per_fold_accuracy.append(float(np.mean(accuracies)))
-            report.per_sequence.extend(zip((s.student_id for s in seqs), accuracies.tolist()))
-            if keep_streams:
-                streams.extend(_records(seqs, predictions))
         report.metadata["folds.seed"] = str(plan.seed)
         if keep_streams:
-            report.metadata["stream_records"] = str(len(streams))
-            report.streams = streams
+            report.streams = prediction_stream(scored, np.concatenate(predictions))
+            report.metadata["stream_records"] = str(len(report.streams))
         reports.append(report)
     return reports
 
@@ -316,9 +320,11 @@ def cross_validate(
 def transfer_eval(model, corpus: Corpus, min_actions: int = 30) -> tuple[float, int]:
     """Macro accuracy of a fixed model on another cohort's sequences.
 
-    Sequences shorter than ``min_actions`` are excluded first.  Returns the
-    accuracy and the number of sequences scored.
+    Sequences shorter than ``min_actions`` (at least 1) are excluded first.
+    Returns the accuracy and the number of sequences scored.
     """
+    if min_actions < 1:
+        raise ConfigError(f"min_actions must be >= 1, got {min_actions}")
     scored = [s.actions for s in corpus.sequences if len(s) >= max(min_actions, 2)]
     if not scored:
         raise NextactionError("no sequences satisfy the transfer filter")
@@ -350,47 +356,44 @@ class AgreementTable:
         )
 
 
-def agreement(
-    a: Sequence[PredictionRecord], b: Sequence[PredictionRecord]
-) -> AgreementTable:
+def agreement(a: PredictionStream, b: PredictionStream) -> AgreementTable:
     """Count joint correctness of two aligned prediction streams."""
     if len(a) != len(b):
         raise NextactionError(f"prediction streams differ in length: {len(a)} vs {len(b)}")
-    cells = [0, 0, 0, 0]
-    for ra, rb in zip(a, b):
-        if (ra.student_id, ra.position, ra.truth) != (rb.student_id, rb.position, rb.truth):
-            raise NextactionError(
-                f"misaligned streams at {ra.student_id}:{ra.position} vs {rb.student_id}:{rb.position}"
-            )
-        a_ok = ra.predicted == ra.truth
-        b_ok = rb.predicted == rb.truth
-        cells[(0 if a_ok else 2) + (0 if b_ok else 1)] += 1
-    return AgreementTable(*cells)
+    aligned = (a.student == b.student) & (a.position == b.position) & (a.truth == b.truth)
+    if not aligned.all():
+        i = int(np.argmin(aligned))
+        raise NextactionError(
+            f"misaligned streams at {a.student[i]}:{a.position[i]} vs {b.student[i]}:{b.position[i]}"
+        )
+    cells = 2 * (a.predicted != a.truth) + (b.predicted != b.truth)
+    return AgreementTable(*np.bincount(cells, minlength=4).tolist())
 
 
-def write_stream(records: Sequence[PredictionRecord], path: str | Path) -> None:
-    lines = [
-        f"{r.student_id}\t{r.position}\t{r.predicted}\t{r.truth}\n" for r in records
-    ]
+def write_stream(stream: PredictionStream, path: str | Path) -> None:
+    ints = [column.tolist() for column in (stream.position, stream.predicted, stream.truth)]
+    lines = [f"{sid}\t{t}\t{pred}\t{truth}\n" for sid, t, pred, truth in zip(stream.student, *ints)]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 # student, position >= 2, predicted (-1 for none), truth
-_STREAM_RECORD = re.compile(rf"([^\t]+)\t([2-9]|[1-9][0-9]{{1,17}})\t(-1|{NUMBER})\t({NUMBER})\n")
+_STREAM_RECORD = re.compile(rf"[^\t]+\t(?:[2-9]|[1-9][0-9]{{1,17}})\t(?:-1|{NUMBER})\t{NUMBER}\n")
+_STUDENT_FIELD = re.compile(r"^([^\t]+)\t", re.MULTILINE)
 
 
-def read_stream(path: str | Path) -> list[PredictionRecord]:
+def read_stream(path: str | Path) -> PredictionStream:
     """Read a stream as ``write_stream`` writes it: every line, the last
     included, is a non-empty student id, a position >= 2, a prediction (-1 for
     none) and a truth in canonical integers, and a newline."""
-    records = []
+    lines = []
     for lineno, line in read_lines(path):
-        record = _STREAM_RECORD.fullmatch(line)
-        if record is None:
+        if _STREAM_RECORD.fullmatch(line) is None:
             raise MalformedRecordError(
                 lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
             )
-        sid, pos, pred, truth = record.groups()
-        # one shared string per student keeps a long stream small
-        records.append(PredictionRecord(sys.intern(sid), int(pos), int(pred), int(truth)))
-    return records
+        lines.append(line)
+    text = "".join(lines)
+    # one shared string per student keeps a long stream small
+    student = np.array(list(map(sys.intern, _STUDENT_FIELD.findall(text))), dtype=object)
+    numbers = np.fromstring(_STUDENT_FIELD.sub("", text), dtype=np.int64, sep=" ")
+    return PredictionStream(student, *numbers.reshape(-1, 3).T)

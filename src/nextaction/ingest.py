@@ -309,13 +309,13 @@ def ingest_files(
     return corpus, stats
 
 
-def filter_cohort(corpus: Corpus, certified: bool, min_actions: int = 1) -> Corpus:
-    """Keep sequences of one cohort with at least ``min_actions`` actions."""
+def filter_cohort(corpus: Corpus, certified: bool | None, min_actions: int = 1) -> Corpus:
+    """Keep sequences of one cohort (of both for None) with at least ``min_actions`` actions."""
     if min_actions < 1:
         raise ConfigError(f"min_actions must be >= 1, got {min_actions}")
     kept = [
         s for s in corpus.sequences
-        if s.certified == certified and len(s) >= min_actions
+        if certified in (None, s.certified) and len(s) >= min_actions
     ]
     return Corpus(vocabulary=corpus.vocabulary, sequences=kept, vocab_size=corpus.vocab_size)
 
@@ -386,7 +386,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpus:
-    """Read a NACT1 corpus, refusing truncation, trailing bytes and ids >= V.
+    """Read a NACT1 corpus, refusing truncation, trailing bytes, ids >= V, and
+    student ids that are empty, repeated, or hold a tab or a newline.
 
     Errors are MalformedRecordError with the byte offset of the bad field.
     """
@@ -411,6 +412,7 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpu
             f"vocabulary size {len(vocabulary)} does not match corpus header {vocab_size}"
         )
     sequences = []
+    seen: set[str] = set()
     for _ in range(n_sequences):
         (sid_len,) = struct.unpack_from("<I", blob, take(4, "a student-id length"))
         at = take(sid_len, "a student id")
@@ -418,6 +420,13 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpu
             sid = blob[at:offset].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedRecordError(at, "student id is not UTF-8", unit="byte") from exc
+        if not sid or "\t" in sid or "\n" in sid:
+            raise MalformedRecordError(
+                at, f"student id {sid!r} is empty or holds a tab or a newline", unit="byte"
+            )
+        if sid in seen:
+            raise MalformedRecordError(at, f"student id {sid!r} appears twice", unit="byte")
+        seen.add(sid)
         at = take(5, "a sequence header")
         certified, n_actions = struct.unpack_from("<BI", blob, at)
         if certified > 1:

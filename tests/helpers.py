@@ -5,18 +5,22 @@ different traversal than the library (per-order window scans instead of
 per-position order loops), the LSTM step one vector at a time instead of
 a batch at a time, each LSTM prediction from its own window instead of a
 shared run, loss gradients by central differences instead of
-backpropagation, and synthetic walks by one ``Generator.choice`` over the
-kernel's ``distribution`` per step instead of a cached CDF table, so they
-can serve as a second opinion.
+backpropagation, synthetic walks by one ``Generator.choice`` over the
+kernel's ``distribution`` per step instead of a cached CDF table, and
+prediction streams one record at a time instead of as columns, so they can
+serve as a second opinion.
 """
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from nextaction.errors import NumericalFaultError
+from nextaction.errors import MalformedRecordError, NextactionError, NumericalFaultError
+from nextaction.evaluation import AgreementTable
+from nextaction.ingest import NUMBER, read_lines
 from nextaction.lstm import forward_sequence, loss, sigmoid
 
 
@@ -168,3 +172,41 @@ def per_step_oracle_accuracy(kernel, horizon, seed):
     props_arr = np.asarray(props)
     stderr = float(props_arr.std(ddof=1) / np.sqrt(horizon)) if horizon > 1 else 0.0
     return float(props_arr.mean()), stderr
+
+
+def columns(stream):
+    """The four columns of a prediction stream as lists, after checking their types."""
+    assert stream.student.dtype == object
+    ints = (stream.position, stream.predicted, stream.truth)
+    assert all(column.dtype == np.int64 for column in ints)
+    return stream.student.tolist(), *(column.tolist() for column in ints)
+
+
+_STREAM_LINE = re.compile(rf"([^\t]+)\t([2-9]|[1-9][0-9]{{1,17}})\t(-1|{NUMBER})\t({NUMBER})\n")
+
+
+def per_line_read_stream(path):
+    """The (student, position, predicted, truth) rows of a stream file, one line
+    at a time, with the columnar reader's errors."""
+    rows = []
+    for lineno, line in read_lines(path):
+        row = _STREAM_LINE.fullmatch(line)
+        if row is None:
+            raise MalformedRecordError(
+                lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
+            )
+        sid, pos, pred, truth = row.groups()
+        rows.append((sid, int(pos), int(pred), int(truth)))
+    return rows
+
+
+def per_record_agreement(a, b):
+    """The agreement table of two lists of stream rows, one record at a time."""
+    if len(a) != len(b):
+        raise NextactionError(f"prediction streams differ in length: {len(a)} vs {len(b)}")
+    cells = [0, 0, 0, 0]
+    for (sid_a, pos_a, pred_a, truth_a), (sid_b, pos_b, pred_b, truth_b) in zip(a, b):
+        if (sid_a, pos_a, truth_a) != (sid_b, pos_b, truth_b):
+            raise NextactionError(f"misaligned streams at {sid_a}:{pos_a} vs {sid_b}:{pos_b}")
+        cells[(0 if pred_a == truth_a else 2) + (0 if pred_b == truth_b else 1)] += 1
+    return AgreementTable(*cells)

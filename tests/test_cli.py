@@ -279,6 +279,22 @@ class TestHostileModelAndCorpus:
         assert "truncated" in capsys.readouterr().err
         assert self.eval_exit(pipeline, model, cut, tmp_path) == 2
 
+    @pytest.mark.parametrize("sid, reason", [
+        (None, "appears twice"), ("s\t4", "is empty or holds a tab or a newline"),
+    ])
+    def test_bad_student_id_exits_2(self, pipeline, tmp_path, capsys, sid, reason):
+        corpus = ingest.load_corpus(pipeline / "corpus.nact")
+        first = corpus.sequences[0]
+        corpus.sequences.append(ingest.StudentSequence(sid or first.student_id, first.actions, True))
+        hostile = tmp_path / "hostile.nact"
+        ingest.save_corpus(corpus, hostile)
+        assert main([
+            "baseline", "--corpus", str(hostile), "--vocab", str(pipeline / "vocab.tsv"),
+            "--folds", "3", "--stream", str(tmp_path / "b.pred"), "--out-dir", str(tmp_path),
+        ]) == 2
+        assert reason in capsys.readouterr().err
+        assert not (tmp_path / "b.pred").exists()
+
 
 class TestHostileCheckpointAndVocabulary:
     @pytest.fixture
@@ -440,6 +456,38 @@ class TestWorkerCount:
         assert names == {"report.txt", "lstm.pred", "model.nlstm", "model.nlstm.manifest.txt",
                          "curve-fold0.csv", "curve-fold1.csv", "curve-fold2.csv",
                          "curve-final.csv"}
+
+
+class TestValuesBelowOne:
+    """--workers and --min-actions below 1 exit 2 on every path that reads them."""
+
+    GRID = ["lstm", "--layers", "1", "--nodes", "4,8", "--epochs", "1", "--window", "5",
+            "--emb-dim", "8"]
+
+    @pytest.mark.parametrize("command", [*TestWorkerCount.COMMANDS, "lstm-grid"])
+    def test_workers_below_one_exits_2(self, tiny, tmp_path, capsys, command):
+        argv = self.GRID if command == "lstm-grid" else [
+            arg.format(out=tmp_path, data=tiny) for arg in TestWorkerCount.COMMANDS[command]]
+        assert main([*argv, "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--folds", "3", "--workers", "0",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "workers must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cohort", ["certified", "uncertified", "all"])
+    def test_min_actions_below_one_exits_2_for_every_cohort(self, tiny, tmp_path, capsys, cohort):
+        assert main(["baseline", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--folds", "3", "--cohort", cohort,
+                     "--min-actions", "-5", "--out-dir", str(tmp_path)]) == 2
+        assert "min_actions must be >= 1, got -5" in capsys.readouterr().err
+
+    def test_eval_min_actions_below_one_exits_2(self, tiny, tmp_path, capsys):
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        model = tmp_path / "model.ngram"
+        assert main(["ngram", *corpus, "--max-order", "2", "--folds", "3",
+                     "--save-model", str(model), "--out-dir", str(tmp_path)]) == 0
+        assert main(["eval", *corpus, "--model", str(model), "--min-actions", "-5",
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "min_actions must be >= 1, got -5" in capsys.readouterr().err
 
 
 class TestFoldWorkerFault:

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts
+from helpers import (
+    columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
+    per_line_read_stream, per_record_agreement,
+)
 from nextaction import baselines, evaluation, lstm, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 from nextaction.ingest import Corpus, StudentSequence, flatten
@@ -323,7 +326,7 @@ class TestSpecs:
             for w in (1, 4)
         )
         assert serial.to_text() == pooled.to_text()
-        assert serial.streams == pooled.streams
+        assert columns(serial.streams) == columns(pooled.streams)
         assert serial.fold_extras == pooled.fold_extras
 
     def test_specs_survive_pickling(self):
@@ -384,9 +387,19 @@ class TestTransferEval:
         with pytest.raises(NextactionError):
             evaluation.transfer_eval(RepeatLast(), corpus, min_actions=30)
 
+    @pytest.mark.parametrize("min_actions", [0, -5])
+    def test_min_actions_below_one(self, min_actions):
+        corpus = corpus_of([[1, 2, 3]], 4)
+        with pytest.raises(ConfigError, match=f"got {min_actions}"):
+            evaluation.transfer_eval(RepeatLast(), corpus, min_actions=min_actions)
+
 
 def records(rows):
-    return [evaluation.PredictionRecord(*row) for row in rows]
+    """The columnar stream of (student, position, predicted, truth) rows."""
+    student, *ints = zip(*rows) if rows else ((),) * 4
+    return evaluation.PredictionStream(
+        np.array(student, dtype=object), *(np.array(c, dtype=np.int64) for c in ints)
+    )
 
 
 class TestAgreement:
@@ -411,8 +424,8 @@ class TestAgreement:
         a = records([("s", t + 2, int(rng.integers(0, 3)), int(v)) for t, v in enumerate(truths)])
         b = records([("s", t + 2, int(rng.integers(0, 3)), int(v)) for t, v in enumerate(truths)])
         table = evaluation.agreement(a, b)
-        a_correct = sum(r.predicted == r.truth for r in a)
-        b_correct = sum(r.predicted == r.truth for r in b)
+        a_correct = int(np.sum(a.predicted == a.truth))
+        b_correct = int(np.sum(b.predicted == b.truth))
         assert table.both_correct + table.a_only == a_correct
         assert table.both_correct + table.b_only == b_correct
 
@@ -430,7 +443,7 @@ class TestStreamsAndReports:
         stream = records([("s1", 2, 1, 1), ("s2", 5, 0, 3)])
         path = tmp_path / "model.pred"
         evaluation.write_stream(stream, path)
-        assert evaluation.read_stream(path) == stream
+        assert columns(evaluation.read_stream(path)) == columns(stream)
 
     @pytest.mark.parametrize("bad", ["s1\t2\tx\t3", "s1\t2\t3"])
     def test_malformed_stream_line_names_its_line(self, tmp_path, bad):
@@ -543,9 +556,10 @@ class TestStreamFormat:
     def test_no_prediction_and_empty_stream_read(self, tmp_path):
         path = tmp_path / "model.pred"
         path.write_text(self.GOOD, encoding="utf-8")
-        assert evaluation.read_stream(path) == records([("s1", 2, 1, 1), ("s1", 3, -1, 3)])
+        expected = records([("s1", 2, 1, 1), ("s1", 3, -1, 3)])
+        assert columns(evaluation.read_stream(path)) == columns(expected)
         path.write_text("", encoding="utf-8")
-        assert evaluation.read_stream(path) == []
+        assert columns(evaluation.read_stream(path)) == ([], [], [], [])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["s1", "sé", "s 3", "#4"]),
@@ -558,7 +572,7 @@ class TestStreamFormat:
             path = Path(root) / "model.pred"
             evaluation.write_stream(records(rows), path)
             assert path.read_text(encoding="utf-8") == _stream_text(rows)
-            assert evaluation.read_stream(path) == records(rows)
+            assert columns(evaluation.read_stream(path)) == columns(records(rows))
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
@@ -567,3 +581,63 @@ class TestStreamFormat:
                 return
             evaluation.write_stream(loaded, path)
             assert path.read_bytes() == changed
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the type and text of the NextactionError it raises."""
+    try:
+        return call(*args)
+    except NextactionError as exc:
+        return type(exc), str(exc)
+
+
+def read_rows(path):
+    return list(zip(*columns(evaluation.read_stream(path))))
+
+
+# ids with a carriage return, NEL and a line separator, which split only on "\n"
+STREAM_ROWS = st.lists(st.tuples(
+    st.sampled_from(["s1", "sé", "s 3", "#4", "a\rb", "c\x85d", "e\u2028f"]),
+    st.integers(2, 10**6), st.integers(-1, 4), st.integers(0, 4),
+), max_size=8)
+
+
+class TestStreamOracles:
+    """The columnar reader and agreement against the per-record ones they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(STREAM_ROWS, st.data())
+    def test_agreement_matches_the_per_record_loop(self, a_rows, data):
+        b_rows = [(sid, pos, data.draw(st.integers(-1, 4)), truth) for sid, pos, _, truth in a_rows]
+        for _ in range(data.draw(st.integers(0, 2))):
+            change = data.draw(st.sampled_from(["student", "position", "truth", "length"]))
+            if change == "length":
+                b_rows = b_rows[:-1] if data.draw(st.booleans()) else [*b_rows, ("s1", 2, 0, 0)]
+            elif b_rows:
+                i = data.draw(st.integers(0, len(b_rows) - 1))
+                sid, pos, pred, truth = b_rows[i]
+                b_rows[i] = {"student": (sid + "x", pos, pred, truth),
+                             "position": (sid, pos + 1, pred, truth),
+                             "truth": (sid, pos, pred, truth + 1)}[change]
+        expected = outcome(per_record_agreement, a_rows, b_rows)
+        assert outcome(evaluation.agreement, records(a_rows), records(b_rows)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(STREAM_ROWS.filter(bool), st.data())
+    def test_reader_matches_the_per_line_reader_on_damaged_files(self, rows, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.pred"
+            evaluation.write_stream(records(rows), path)
+            path.write_bytes(mutated(data.draw, path.read_bytes()))
+            assert outcome(read_rows, path) == outcome(per_line_read_stream, path)
+
+    @pytest.mark.parametrize("bad_line, non_utf8_line", [(3, 1900), (1900, 3)])
+    def test_the_earlier_fault_wins_across_decoder_chunks(self, tmp_path, bad_line, non_utf8_line):
+        lines = [f"s{i}\t{i + 2}\t1\t1\n".encode() for i in range(2000)]
+        lines[bad_line - 1] = b"s\t2\tx\t1\n"
+        lines[non_utf8_line - 1] = b"s\xff\t2\t1\t1\n"
+        path = tmp_path / "model.pred"
+        path.write_bytes(b"".join(lines))
+        expected = outcome(per_line_read_stream, path)
+        assert outcome(read_rows, path) == expected
+        assert expected[1].startswith(f"line {min(bad_line, non_utf8_line)}: ")

@@ -229,6 +229,19 @@ class TestFilterCohort:
         kept = ingest.filter_cohort(corpus, certified=False, min_actions=4)
         assert [s.student_id for s in kept.sequences] == ["s1"]
 
+    def test_both_cohorts_and_min_actions_below_one(self, tmp_path):
+        log = make_log(tmp_path, [
+            "2013-03-01T10:00:00Z\ts1\tview\ta\t-",
+            "2013-03-01T10:00:01Z\ts2\tview\ta\t-",
+        ])
+        roster = make_roster(tmp_path, [("s1", True), ("s2", False)])
+        corpus, _ = ingest.ingest_files(log, roster, min_count=1)
+        kept = ingest.filter_cohort(corpus, certified=None)
+        assert [s.student_id for s in kept.sequences] == ["s1", "s2"]
+        for certified in (True, False, None):
+            with pytest.raises(ConfigError):
+                ingest.filter_cohort(corpus, certified, min_actions=0)
+
 
 class TestFileFormats:
     def test_vocabulary_file_round_trip(self, tmp_path):
@@ -448,3 +461,19 @@ class TestCorpusRejects:
         blob[flag] = 1
         blob[5 + 8 + 4] = 0xFF
         assert self.load_error(saved, bytes(blob)).lineno == 5 + 8 + 4
+
+    @pytest.mark.parametrize("sid, reason", [
+        ("", "student id '' is empty or holds a tab or a newline"),
+        ("s\t4", "student id 's\\t4' is empty or holds a tab or a newline"),
+        ("s\n4", "student id 's\\n4' is empty or holds a tab or a newline"),
+        ("alpha", "student id 'alpha' appears twice"),
+    ])
+    def test_empty_tabbed_or_repeated_student_id(self, saved, sid, reason):
+        corpus = ingest.Corpus(None, [
+            ingest.StudentSequence("alpha", [0, 1, 0], True),
+            ingest.StudentSequence(sid, [1, 1], False),
+        ], vocab_size=2)
+        ingest.save_corpus(corpus, saved)
+        error = self.load_error(saved, saved.read_bytes())
+        # the second id follows alpha's length, id, flag and count, and three ids
+        assert (error.lineno, error.reason) == (5 + 8 + 4 + 5 + 5 + 12 + 4, reason)
