@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import NUMBER, Corpus, StudentSequence, flatten, read_lines
+from .ingest import Corpus, StudentSequence, flatten, read_lines
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -376,8 +376,12 @@ def write_stream(stream: PredictionStream, path: str | Path) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-# student, position >= 2, predicted (-1 for none), truth
-_STREAM_RECORD = re.compile(rf"[^\t]+\t(?:[2-9]|[1-9][0-9]{{1,17}})\t(?:-1|{NUMBER})\t{NUMBER}\n")
+# student, position >= 2, predicted (-1 for none), truth, in canonical decimals below
+# 2**63, and a newline; lookaheads, not alternations, keep a scan of a whole stream fast
+_DECIMAL = r"(?!0[0-9])[0-9]{1,18}"
+_STREAM_RECORD = re.compile(
+    rf"^([^\t\n]+)\t(?![01]\t){_DECIMAL}\t(?:-1|{_DECIMAL})\t{_DECIMAL}\n", re.MULTILINE
+)
 _STUDENT_FIELD = re.compile(r"^([^\t]+)\t", re.MULTILINE)
 
 
@@ -385,15 +389,23 @@ def read_stream(path: str | Path) -> PredictionStream:
     """Read a stream as ``write_stream`` writes it: every line, the last
     included, is a non-empty student id, a position >= 2, a prediction (-1 for
     none) and a truth in canonical integers, and a newline."""
-    lines = []
-    for lineno, line in read_lines(path):
-        if _STREAM_RECORD.fullmatch(line) is None:
-            raise MalformedRecordError(
-                lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
-            )
-        lines.append(line)
+    lines, error = [], None
+    try:
+        for _, line in read_lines(path):
+            lines.append(line)
+    except MalformedRecordError as exc:  # not UTF-8, unless an earlier line is bad
+        error = exc
     text = "".join(lines)
+    # a match is one whole line, so every line is a record when each one matched
+    student = _STREAM_RECORD.findall(text)
+    if error is not None or len(student) != len(lines):
+        for lineno, line in enumerate(lines, start=1):
+            if _STREAM_RECORD.fullmatch(line) is None:
+                raise MalformedRecordError(
+                    lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
+                )
+        raise error
     # one shared string per student keeps a long stream small
-    student = np.array(list(map(sys.intern, _STUDENT_FIELD.findall(text))), dtype=object)
+    student = np.array(list(map(sys.intern, student)), dtype=object)
     numbers = np.fromstring(_STUDENT_FIELD.sub("", text), dtype=np.int64, sep=" ")
     return PredictionStream(student, *numbers.reshape(-1, 3).T)

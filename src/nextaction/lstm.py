@@ -12,6 +12,10 @@ the LSTM computes, with logistic gates and elementwise products,
     o_t = logistic(W_ox x_t + W_oh h_{t-1} + b_o)
     h_t = o_t * tanh(C_t)
 
+The logistic takes one pass, e = exp(-|z|) and then 1 / (1 + e) where
+z >= 0 and e / (1 + e) elsewhere: no exp overflows, and each element rounds
+exactly as in the two-branch form 1 / (1 + exp(-z)), exp(z) / (1 + exp(z)).
+
 Each layer stores its weights with the gate axis first (``RecurrentLayer``):
 ``W_x`` (G, H, D), ``W_h`` (G, H, H) and ``b`` (G, H), with G = 4 gates in
 f, i, C, o order for the LSTM and G = 1 for the tanh cell, so one time loop
@@ -48,11 +52,10 @@ _CELL_KINDS = {"lstm": 0, "rnn": 1}
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out
 
 
@@ -221,8 +224,8 @@ def _run_layers(
 ):
     """Batched forward through embedding and all recurrent layers.
 
-    Returns the top layer's hidden states (B, T, H) and the cache needed by
-    ``backward``.
+    Returns the top layer's hidden states (B, T, H) and the cache; only train
+    mode keeps the per-step gates and cell states that ``backward`` reads.
     """
     n_batch, n_steps = ids.shape
     hidden = net.hidden_size
@@ -250,9 +253,11 @@ def _run_layers(
         xs = layer_inputs
         W_xT, W_hT = layer.W_x.transpose(0, 2, 1), layer.W_h.transpose(0, 2, 1)
         bias = layer.b[:, None]
-        gates = np.empty((len(layer.b), n_batch, n_steps, hidden))
         hs = np.empty((n_batch, n_steps, hidden))
-        cs = np.empty_like(hs) if lstm else None
+        lc = {"xs": xs, "h": hs}
+        if train:
+            lc["gates"] = np.empty((len(layer.b), n_batch, n_steps, hidden))
+            lc["c"], lc["tanh_c"] = (np.empty_like(hs), np.empty_like(hs)) if lstm else (None, None)
         h = layer.initial_state(n_batch).copy()
         c = np.zeros((n_batch, hidden))
         for t in range(n_steps):
@@ -261,14 +266,17 @@ def _run_layers(
                 act = sigmoid(pre)
                 act[2] = np.tanh(pre[2])
                 c = act[0] * c + act[1] * act[2]
-                h = act[3] * np.tanh(c)
-                cs[:, t] = c
+                tanh_c = np.tanh(c)
+                h = act[3] * tanh_c
+                if train:
+                    lc["c"][:, t], lc["tanh_c"][:, t] = c, tanh_c
             else:
                 act = np.tanh(pre)
                 h = act[0]
-            gates[:, :, t] = act
+            if train:
+                lc["gates"][:, :, t] = act
             hs[:, t] = h
-        layer_caches.append({"xs": xs, "gates": gates, "c": cs, "h": hs})
+        layer_caches.append(lc)
         layer_inputs = hs
 
     cache = {"ids": ids, "layers": layer_caches, "dropout_masks": masks, "top_h": layer_inputs}
@@ -340,8 +348,8 @@ def backward(
     mask: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Exact loss gradients for every parameter under the cached dropout masks."""
-    if "probs" not in cache:
-        raise NextactionError("backward needs the cache of a prior forward pass")
+    if "gates" not in cache.get("layers", [{}])[0]:
+        raise NextactionError("backward needs the cache of a train-mode forward pass")
     probs = cache["probs"]
     ids = cache["ids"]
     n_batch, n_steps, _ = probs.shape
@@ -374,21 +382,25 @@ def backward(
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         lc = cache["layers"][idx]
-        xs, gates, cs, hs = lc["xs"], lc["gates"], lc["c"], lc["h"]
+        xs, gates, cs, tanh_cs, hs = lc["xs"], lc["gates"], lc["c"], lc["tanh_c"], lc["h"]
         h_start = layer.initial_state(n_batch)
         grad = RecurrentLayer.zeros(net.cell, xs.shape[2], hidden)
         dxs = np.empty_like(xs)
         dh_rec = np.zeros((n_batch, hidden))
         dc_rec = np.zeros((n_batch, hidden))
+        d_act = np.empty((4, n_batch, hidden))
         for t in range(n_steps - 1, -1, -1):
             act = gates[:, :, t]
             dh = dh_above[:, t] + dh_rec
             if net.cell == "lstm":
                 f, i, ct, o = act
                 c_prev = cs[:, t - 1] if t > 0 else np.zeros((n_batch, hidden))
-                tanh_c = np.tanh(cs[:, t])
+                tanh_c = tanh_cs[:, t]
                 dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
-                d_act = np.stack([dc * c_prev, dc * ct, dc * i, dh * tanh_c])
+                np.multiply(dc, c_prev, out=d_act[0])
+                np.multiply(dc, ct, out=d_act[1])
+                np.multiply(dc, i, out=d_act[2])
+                np.multiply(dh, tanh_c, out=d_act[3])
                 dpre = d_act * act * (1.0 - act)
                 dpre[2] = d_act[2] * (1.0 - ct * ct)
                 dc_rec = dc * f

@@ -3,12 +3,12 @@
 These deliberately re-derive gram statistics and backoff behavior with a
 different traversal than the library (per-order window scans instead of
 per-position order loops), the LSTM step one vector at a time instead of
-a batch at a time, each LSTM prediction from its own window instead of a
-shared run, loss gradients by central differences instead of
-backpropagation, synthetic walks by one ``Generator.choice`` over the
-kernel's ``distribution`` per step instead of a cached CDF table, and
-prediction streams one record at a time instead of as columns, so they can
-serve as a second opinion.
+a batch at a time, the logistic in two masked branches instead of one pass,
+each LSTM prediction from its own window instead of a shared run, loss
+gradients by central differences instead of backpropagation, synthetic
+walks by one ``Generator.choice`` over the kernel's ``distribution`` per
+step instead of a cached CDF table, and prediction streams one record at a
+time instead of as columns, so they can serve as a second opinion.
 """
 
 import re
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from nextaction.errors import MalformedRecordError, NextactionError, NumericalFaultError
 from nextaction.evaluation import AgreementTable
 from nextaction.ingest import NUMBER, read_lines
-from nextaction.lstm import forward_sequence, loss, sigmoid
+from nextaction.lstm import forward_sequence, loss
 
 
 def naive_gram_counts(sequences, max_order):
@@ -72,6 +72,17 @@ def naive_backoff_usage(counts, sequences, max_order):
     return {order: used.get(order, 0) / total for order in range(1, max_order + 1)}
 
 
+def naive_sigmoid(z):
+    """The logistic in two masked branches: 1 / (1 + exp(-z)) where z >= 0,
+    exp(z) / (1 + exp(z)) elsewhere, so that no exp overflows."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 @dataclass
 class LstmLayerState:
     """One step's activations of a single LSTM cell."""
@@ -93,11 +104,11 @@ def forward_cell(params, x, prev):
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(prev.h)) and np.all(np.isfinite(prev.C))):
         raise NumericalFaultError("non-finite input to LSTM cell")
     W_x, W_h, b = params.W_x, params.W_h, params.b
-    f = sigmoid(W_x[0] @ x + W_h[0] @ prev.h + b[0])
-    i = sigmoid(W_x[1] @ x + W_h[1] @ prev.h + b[1])
+    f = naive_sigmoid(W_x[0] @ x + W_h[0] @ prev.h + b[0])
+    i = naive_sigmoid(W_x[1] @ x + W_h[1] @ prev.h + b[1])
     c_tilde = np.tanh(W_x[2] @ x + W_h[2] @ prev.h + b[2])
     C = f * prev.C + i * c_tilde
-    o = sigmoid(W_x[3] @ x + W_h[3] @ prev.h + b[3])
+    o = naive_sigmoid(W_x[3] @ x + W_h[3] @ prev.h + b[3])
     h = o * np.tanh(C)
     return LstmLayerState(h=h, C=C, f=f, i=i, o=o, c_tilde=c_tilde)
 

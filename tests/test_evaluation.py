@@ -631,6 +631,17 @@ class TestStreamOracles:
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             assert outcome(read_rows, path) == outcome(per_line_read_stream, path)
 
+    # a line with no tab would pass if an id could run across "\n" into the next line
+    @pytest.mark.parametrize("bad", ["garbage\n", "s\t1\t1\t1\n", "s\t2\t-0\t1\n", "\n"])
+    def test_a_bad_line_in_the_middle_of_a_long_stream(self, tmp_path, bad):
+        lines = [f"s{i // 30}\t{i % 30 + 2}\t{i % 7 - 1}\t{i % 5}\n" for i in range(20000)]
+        lines[12345] = bad
+        path = tmp_path / "model.pred"
+        path.write_text("".join(lines), encoding="utf-8")
+        expected = outcome(per_line_read_stream, path)
+        assert outcome(read_rows, path) == expected
+        assert expected[1].startswith("line 12346: ")
+
     @pytest.mark.parametrize("bad_line, non_utf8_line", [(3, 1900), (1900, 3)])
     def test_the_earlier_fault_wins_across_decoder_chunks(self, tmp_path, bad_line, non_utf8_line):
         lines = [f"s{i}\t{i + 2}\t1\t1\n".encode() for i in range(2000)]

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from helpers import (
     LstmLayerState, finite_difference_gradients, forward_cell, lstm_predict_next, mutated,
+    naive_sigmoid,
 )
 from nextaction import evaluation, lstm
 from nextaction.errors import (
@@ -43,6 +45,30 @@ def straight_line_cell(params, x, h_prev, c_prev):
     c = f * c_prev + i * g
     o = logistic(p["W_ox"].dot(x) + p["W_oh"].dot(h_prev) + p["b_o"])
     return o * np.tanh(c), c
+
+
+# signed zeros, subnormals, the exp underflow edge (|z| 700-750), any float and infinities
+LOGISTIC_INPUTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]),
+    st.floats(700, 750), st.floats(-750, -700),
+    st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestSigmoid:
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=LOGISTIC_INPUTS))
+    def test_one_pass_equals_the_masked_branches_bit_for_bit(self, z):
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            out = lstm.sigmoid(z)
+        assert out.dtype == np.float64 and out.shape == z.shape
+        assert out.tobytes() == naive_sigmoid(z).tobytes()
+
+    def test_nan_in_nan_out(self):
+        z = np.array([np.nan, -np.nan, 0.5, -np.inf])
+        out = lstm.sigmoid(z)
+        assert np.isnan(out[:2]).all()
+        assert out[2:].tobytes() == naive_sigmoid(z[2:]).tobytes()
 
 
 class TestForwardCell:
@@ -126,13 +152,6 @@ class TestForwardSequence:
         assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
         assert np.all(probs >= 0) and np.all(probs <= 1)
 
-    def test_zero_dropout_train_equals_infer(self):
-        net = tiny_net(seed=2, dropout=0.0)
-        rng = np.random.default_rng(0)
-        train_probs, _ = lstm.forward_sequence(net, [0, 1, 2], train=True, rng=rng)
-        infer_probs, _ = lstm.forward_sequence(net, [0, 1, 2], train=False)
-        assert np.array_equal(train_probs, infer_probs)
-
     def test_single_layer_matches_iterated_cell(self):
         net = tiny_net(seed=3, layers=1)
         ids = [1, 4, 2, 0]
@@ -170,6 +189,25 @@ class TestForwardSequence:
         p1, _ = lstm.forward_sequence(net, [0, 1, 2])
         p2, _ = lstm.forward_sequence(net, [0, 1, 2])
         assert np.array_equal(p1, p2)
+
+    @pytest.mark.parametrize("cell", ["lstm", "rnn"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_zero_dropout_train_equals_infer(self, cell, layers):
+        """Bit for bit at every length up to the window; the infer pass keeps no
+        per-step gates or cell states."""
+        net = tiny_net(seed=20 + layers, layers=layers, cell=cell, window=5)
+        ids = np.random.default_rng(layers).integers(0, 8, size=(3, net.window))  # 7 is the pad id
+        for n_steps in range(1, net.window + 1):
+            infer_probs, cache = lstm.forward_sequence(net, ids[:, :n_steps])
+            assert all("gates" not in lc and "c" not in lc for lc in cache["layers"])
+            train_probs, _ = lstm.forward_sequence(net, ids[:, :n_steps], train=True)
+            assert infer_probs.tobytes() == train_probs.tobytes()
+
+    def test_train_cache_holds_tanh_of_the_cell_state(self):
+        net = tiny_net(seed=24, layers=3, dropout=0.3)
+        _, cache = lstm.forward_sequence(net, [0, 1, 2, 3], train=True, rng=np.random.default_rng(1))
+        for lc in cache["layers"]:
+            assert lc["tanh_c"].tobytes() == np.tanh(lc["c"]).tobytes()
 
     def test_train_mode_gate_ranges(self):
         net = tiny_net(seed=7)
@@ -269,10 +307,14 @@ class TestBackward:
         for name, arr in net.param_items():
             assert grads[name].shape == arr.shape, name
 
-    def test_missing_cache_rejected(self):
-        net = tiny_net(seed=11)
+    @pytest.mark.parametrize("cell", ["lstm", "rnn"])
+    def test_missing_cache_rejected(self, cell):
+        net = tiny_net(seed=11, cell=cell)
         with pytest.raises(NextactionError):
             lstm.backward(net, {}, [0])
+        _, cache = lstm.forward_sequence(net, [0, 1, 2])
+        with pytest.raises(NextactionError, match="needs the cache of a train-mode forward pass"):
+            lstm.backward(net, cache, [1, 2, 3])
 
 
 class TestRmsprop:
@@ -390,6 +432,16 @@ class TestPrediction:
             assert predictions.tolist() == [
                 lstm_predict_next(net, actions[:t])[0] for t in range(1, n)
             ]
+
+    @pytest.mark.parametrize("cell", ["lstm", "rnn"])
+    @pytest.mark.parametrize("layers", [1, 3])
+    def test_window_one_scores_from_a_zero_step_head_run(self, cell, layers):
+        net = tiny_net(seed=25, layers=layers, cell=cell, window=1)
+        actions = [3, 1, 4, 1, 5]
+        predictions = lstm.LstmPredictor(net).predict_sequence(*flatten([actions, actions[:2]]))
+        expected = [lstm_predict_next(net, seq[:t])[0]
+                    for seq in (actions, actions[:2]) for t in range(1, len(seq))]
+        assert predictions.tolist() == expected
 
     def test_context_clipped_to_window(self):
         net = tiny_net(seed=18, window=4)
