@@ -9,21 +9,32 @@ lines starting with '#' and blank lines are ignored):
   vocabulary: header '#V=<int> min_count=<int>', then 'token <TAB> id <TAB> count'
               sorted by id; every line, the last included, ends in a line break
 
+The event log is read from disk once.  A log in canonical form is split into
+columns with array operations: no NUL byte, blank lines and '#' lines, and
+records of five non-empty fields, a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, no
+whitespace at a field's edge, no field above ``_MAX_FIELD`` (128) bytes.  Any other
+log, which may use any ISO-8601 stamp, padded fields or bad lines, goes through
+the per-line reader (``iter_events``) over the same bytes, which gives the same
+output for a canonical log and names the first bad line.  Both readers feed one
+vocabulary rule and one encoder.
+
 The encoded corpus is a binary container (magic ``NACT1``, little-endian):
 vocab size, sequence count, then per sequence the student-id length and bytes,
 one certified byte, the action count, and the action ids as 32-bit unsigned.
 """
 
+import os
 import re
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError
 
@@ -31,6 +42,11 @@ CORPUS_MAGIC = b"NACT1"
 NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # a canonical decimal below 2**63
 _VOCAB_HEADER = re.compile(rf"#V=({NUMBER}) min_count=({NUMBER})")
 _VOCAB_RECORD = re.compile(rf"([^\t]+)\t({NUMBER})\t({NUMBER})")
+_MAX_FIELD = 128  # bytes; a longer event-log field sends the log to the per-line reader
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)  # '0' marks a digit
+_STAMP_DIGIT = _STAMP == ord("0")
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
@@ -51,6 +67,15 @@ def flatten(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]
     return actions, np.arange(total) - np.repeat(starts, lengths)
 
 
+def _decode(blob: bytes) -> str:
+    """``blob`` as UTF-8 text; a byte that is not UTF-8 raises MalformedRecordError
+    with the number of its line."""
+    try:
+        return str(blob, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecordError(bytes(blob[: exc.start]).count(b"\n") + 1, "not UTF-8") from None
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Stream ``(line number, text)`` pairs of a UTF-8 file; a line that is not
     UTF-8 raises MalformedRecordError with its number."""
@@ -58,11 +83,7 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         with open(path, encoding="utf-8", newline="\n") as handle:
             yield from enumerate(handle, start=1)
     except UnicodeDecodeError:
-        blob = Path(path).read_bytes()  # the decoder runs ahead of the lines yielded
-        try:
-            blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRecordError(blob.count(b"\n", 0, exc.start) + 1, "not UTF-8") from None
+        _decode(Path(path).read_bytes())  # the decoder runs ahead of the lines yielded
         raise
 
 
@@ -147,6 +168,19 @@ class IngestStats:
     unrostered_students: int = 0
 
 
+@dataclass
+class EventColumns:
+    """Parsed events as columns in log order: each event's student (an index into
+    ``students``, listed in order of first appearance), UTC time in microseconds,
+    and action token (an index into ``tokens``)."""
+
+    students: list[str]
+    student: np.ndarray
+    time: np.ndarray
+    tokens: list[str]
+    token: np.ndarray
+
+
 def _parse_timestamp(text: str, lineno: int) -> datetime:
     raw = text.strip()
     if raw.endswith(("Z", "z")):
@@ -183,20 +217,34 @@ def parse_event(line: str, lineno: int = 0) -> RawEvent:
     )
 
 
+def _check_on_malformed(on_malformed: str) -> None:
+    if on_malformed not in ("abort", "skip"):
+        raise ConfigError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
+
+
+def _check_min_count(min_count: int) -> None:
+    if min_count < 1:
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+
+
 def iter_events(
-    path: str | Path,
+    log: bytes,
     on_malformed: str = "abort",
     stats: IngestStats | None = None,
 ) -> Iterator[RawEvent]:
-    """Yield events from an event-log file.
+    """Yield the events of an event log held in memory, one line at a time.
 
     ``on_malformed`` is either "abort" (raise on the first bad line) or
-    "skip" (count it and continue).
+    "skip" (count it and continue).  A byte that is not UTF-8 raises
+    MalformedRecordError under either.
     """
-    if on_malformed not in ("abort", "skip"):
-        raise ConfigError(f"on_malformed must be 'abort' or 'skip', got {on_malformed!r}")
+    _check_on_malformed(on_malformed)
     stats = stats if stats is not None else IngestStats()
-    for lineno, line in read_lines(path):
+    text = _decode(log)
+    start = lineno = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        line, start, lineno = text[start:end], end, lineno + 1
         stats.total_lines += 1
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -228,10 +276,134 @@ def extract_action(event: RawEvent) -> str:
     return event.event_type
 
 
-def build_vocabulary(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
-    """Count tokens and keep those occurring at least ``min_count`` times."""
-    if min_count < 1:
-        raise ConfigError(f"min_count must be >= 1, got {min_count}")
+def _line_columns(events: Iterable[RawEvent]) -> EventColumns:
+    """The per-line reader's events as columns."""
+    students: dict[str, int] = {}
+    tokens: dict[str, int] = {}
+    student, time, token = [], [], []
+    for event in events:
+        student.append(students.setdefault(event.student_id, len(students)))
+        time.append((event.timestamp - _EPOCH) // _MICROSECOND)
+        token.append(tokens.setdefault(extract_action(event), len(tokens)))
+    return EventColumns(
+        list(students), np.array(student, dtype=np.int64), np.array(time, dtype=np.int64),
+        list(tokens), np.array(token, dtype=np.int64),
+    )
+
+
+def _read_log(path: str | Path) -> tuple[np.ndarray, int]:
+    """A file's bytes at the head of a uint8 array, with ``_MAX_FIELD`` zero bytes
+    after them so that a field window from any line stays inside; and their count."""
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        buf = np.zeros(size + _MAX_FIELD, dtype=np.uint8)
+        size = handle.readinto(memoryview(buf)[:size])
+        rest = handle.read()  # what a pipe, which reports size 0, or a growing file holds
+    if rest:
+        buf = np.concatenate((buf[:size], np.frombuffer(rest, np.uint8), buf[size:]))
+        size += len(rest)
+    return buf, size
+
+
+def _field(
+    buf: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The distinct values of one field, the bytes from ``left`` up to ``right`` in
+    each record; the record of each value's first use; each record's index into
+    them.  None when a value is empty, wider than ``_MAX_FIELD`` bytes or has
+    whitespace at an edge, which the per-line reader strips."""
+    width = right - left
+    widest = int(width.max(initial=1))
+    if width.min(initial=1) < 1 or widest > _MAX_FIELD:
+        return None
+    values = sliding_window_view(buf, widest)[left]
+    values[np.arange(widest) >= width[:, None]] = 0  # a bytes value drops trailing NULs
+    del width
+    distinct, first, codes = np.unique(
+        values.view(f"S{widest}")[:, 0], return_index=True, return_inverse=True
+    )
+    del values
+    names = [value.decode("utf-8") for value in distinct.tolist()]
+    if any(name != name.strip() for name in names):
+        return None
+    return names, first, codes
+
+
+def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumns | None:
+    """Split a log in canonical form (see the module docstring) into columns with
+    array operations; for any other log return None and leave ``stats`` as it was."""
+    data = buf[:size]
+    if size and data.min() == 0:  # a bytes value would drop trailing NULs
+        return None
+    if size and data.max() >= 0x80:
+        try:
+            _decode(memoryview(data))
+        except MalformedRecordError:
+            return None
+    ends = np.flatnonzero(data == ord("\n"))
+    if size and data[-1] != ord("\n"):
+        ends = np.append(ends, size)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    records = (ends > starts) & (buf[starts] != ord("#"))
+    lines, starts, ends = len(ends), starts[records], ends[records]
+    del records
+    tabs = np.flatnonzero(data == ord("\t"))
+    first_tab = np.searchsorted(tabs, starts)
+    if (np.searchsorted(tabs, ends) - first_tab != 4).any():
+        return None
+    # each record's line start, four tabs and line end; field k lies between edges k and k+1
+    edges = [starts, *(tabs[first_tab + j] for j in range(4)), ends]
+    del starts, ends, tabs, first_tab
+
+    if (edges[1] - edges[0] != len(_STAMP)).any():
+        return None
+    stamps = sliding_window_view(buf, len(_STAMP))[edges[0]]
+    if ((stamps[:, _STAMP_DIGIT] - ord("0") > 9).any()  # uint8: bytes below '0' wrap
+            or (stamps[:, ~_STAMP_DIGIT] != _STAMP[~_STAMP_DIGIT]).any()
+            or (stamps[:, :4] == ord("0")).all(axis=1).any()):  # fromisoformat refuses year 0
+        return None
+    stamps[:, -1] = 0  # the Z
+    try:
+        time = stamps.view(f"S{len(_STAMP)}")[:, 0].astype("datetime64[s]").astype(np.int64)
+    except ValueError:  # a day, hour, minute or second out of range
+        return None
+    del stamps
+    time *= 1_000_000
+
+    fields = []
+    for column in (1, 2, 3, 4):
+        edges[column - 1] = None  # no later field reads it
+        field = _field(buf, edges[column] + 1, edges[column + 1])
+        if field is None or column in (1, 2) and "-" in field[0]:
+            return None
+        fields.append(field)
+    (students, first, student), *token_fields = fields
+
+    order = np.argsort(first)  # students in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    tokens: dict[str, int] = {}
+    event, page, obj = (
+        np.array([-1 if name == "-" else tokens.setdefault(name, len(tokens)) for name in names],
+                 dtype=np.int64)[codes]
+        for names, _, codes in token_fields
+    )
+    token = np.where(page >= 0, page, event)
+    check = (event == tokens.get("save_problem_check", -1)) & (obj >= 0)
+    token[check] = obj[check]
+
+    stats.total_lines += lines
+    stats.ignored_lines += lines - len(time)
+    stats.parsed_events += len(time)
+    return EventColumns([students[i] for i in order.tolist()], rank[student], time,
+                        list(tokens), token)
+
+
+def build_vocabulary(tokens: Iterable[str] | Mapping[str, int], min_count: int = 1) -> Vocabulary:
+    """Count tokens (or take a mapping of token to count) and keep those
+    occurring at least ``min_count`` times."""
+    _check_min_count(min_count)
     counts = Counter(tokens)
     retained = sorted(
         ((token, n) for token, n in counts.items() if n >= min_count),
@@ -246,44 +418,40 @@ def build_vocabulary(tokens: Iterable[str], min_count: int = 1) -> Vocabulary:
 
 
 def encode_corpus(
-    rows: dict[str, list[tuple[datetime, int, str]]],
+    columns: EventColumns,
     vocab: Vocabulary,
     roster: dict[str, bool],
     stats: IngestStats | None = None,
 ) -> Corpus:
-    """Sort each student's ``(timestamp, log order, token)`` rows and encode them.
+    """Sort each student's events by time, log order breaking ties, and encode them.
 
     Events whose token is out of vocabulary are dropped; students with no
     surviving actions are omitted.  Students missing from the roster are
     treated as uncertified and tallied.
     """
     stats = stats if stats is not None else IngestStats()
+    ids = np.array([vocab.token_to_id.get(t, -1) for t in columns.tokens], dtype=np.int64)
+    ids = ids[columns.token]
+    n_students = len(columns.students)
+    events = np.bincount(columns.student, minlength=n_students)
+    kept = np.bincount(columns.student[ids >= 0], minlength=n_students)
+    ids = ids[np.lexsort((columns.time, columns.student))]  # stable, so log order breaks ties
+    actions = ids[ids >= 0].tolist()
+    dropped = kept == 0
+    stats.dropped_students += int(dropped.sum())
+    stats.dropped_student_events += int(events[dropped].sum())
+    stats.dropped_token_events += int((events - kept)[~dropped].sum())
+    stats.kept_actions += len(actions)
     sequences = []
-    for student_id, student_rows in rows.items():
-        student_rows.sort(key=lambda row: (row[0], row[1]))  # stable on timestamp ties
-        actions = []
-        dropped_here = 0
-        for _, _, token in student_rows:
-            action_id = vocab.encode(token)
-            if action_id is None:
-                dropped_here += 1
-            else:
-                actions.append(action_id)
-        if not actions:
-            stats.dropped_students += 1
-            stats.dropped_student_events += len(student_rows)
-            continue
-        stats.dropped_token_events += dropped_here
-        stats.kept_actions += len(actions)
-        if student_id not in roster:
-            stats.unrostered_students += 1
-        sequences.append(
-            StudentSequence(
-                student_id=student_id,
-                actions=actions,
-                certified=roster.get(student_id, False),
-            )
-        )
+    end = 0
+    for student_id, n in zip(columns.students, kept.tolist()):
+        if n:
+            if student_id not in roster:
+                stats.unrostered_students += 1
+            sequences.append(StudentSequence(
+                student_id, actions[end:end + n], roster.get(student_id, False)
+            ))
+            end += n
     return Corpus(vocabulary=vocab, sequences=sequences, vocab_size=len(vocab))
 
 
@@ -293,19 +461,19 @@ def ingest_files(
     min_count: int = 40,
     on_malformed: str = "abort",
 ) -> tuple[Corpus, IngestStats]:
-    """Full ingestion in one pass over the log, which fills the student rows as
-    ``build_vocabulary`` counts the tokens."""
+    """Full ingestion from one read of the log: a log in canonical form is split
+    into columns in bulk, any other goes through the per-line reader."""
+    _check_min_count(min_count)
+    _check_on_malformed(on_malformed)
     stats = IngestStats()
-    rows: dict[str, list[tuple[datetime, int, str]]] = {}
-
-    def tokens() -> Iterator[str]:
-        for order, event in enumerate(iter_events(events_path, on_malformed, stats)):
-            token = extract_action(event)
-            rows.setdefault(event.student_id, []).append((event.timestamp, order, token))
-            yield token
-
-    vocab = build_vocabulary(tokens(), min_count=min_count)
-    corpus = encode_corpus(rows, vocab, load_roster(roster_path), stats)
+    buf, size = _read_log(events_path)
+    columns = _bulk_columns(buf, size, stats)
+    if columns is None:
+        columns = _line_columns(iter_events(memoryview(buf)[:size], on_malformed, stats))
+    del buf
+    counts = np.bincount(columns.token, minlength=len(columns.tokens)).tolist()
+    vocab = build_vocabulary(dict(zip(columns.tokens, counts)), min_count=min_count)
+    corpus = encode_corpus(columns, vocab, load_roster(roster_path), stats)
     return corpus, stats
 
 

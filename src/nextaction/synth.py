@@ -80,14 +80,6 @@ def load_config(path: str | Path) -> SynthConfig:
     return cfg
 
 
-def save_config(cfg: SynthConfig, path: str | Path) -> None:
-    lines = [
-        f"{name}={getattr(cfg, name)}"
-        for name in SynthConfig.__dataclass_fields__
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 class GeneratorModel:
     """The explicit transition kernel induced by a config.
 

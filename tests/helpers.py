@@ -14,6 +14,7 @@ time instead of as columns, so they can serve as a second opinion.
 import re
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from nextaction.errors import MalformedRecordError, NextactionError, NumericalFa
 from nextaction.evaluation import AgreementTable
 from nextaction.ingest import NUMBER, read_lines
 from nextaction.lstm import forward_sequence, loss
+from nextaction.synth import SynthConfig
 
 
 def naive_gram_counts(sequences, max_order):
@@ -158,6 +160,12 @@ def mutated(draw, blob: bytes) -> bytes:
     at = draw(st.integers(0, len(blob) - 1))
     value = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
     return blob[:at] + bytes([value]) + blob[at + 1 :]
+
+
+def save_config(cfg, path):
+    """Write a synth config as ``key=value`` lines, one per ``SynthConfig`` field."""
+    lines = [f"{name}={getattr(cfg, name)}" for name in SynthConfig.__dataclass_fields__]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def per_step_sample(kernel, length, rng):

@@ -1,5 +1,11 @@
+import builtins
+import io
+import os
 import tempfile
+import threading
+from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -181,16 +187,55 @@ class TestEncodeCorpus:
         assert stats.malformed_lines == 1
         assert corpus.total_actions == 1
 
-
-    def test_log_is_read_once(self, tmp_path, monkeypatch):
-        log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts1\tview\ta\t-"] * 3)
+    @pytest.mark.parametrize("last, on_malformed, passes, counts", [
+        ("2013-03-01T10:00:02Z\ts1\tview\ta\t-", "abort", 0, (3, 3, 3)),
+        ("2013-03-01T11:00:02+01:00\ts1\tview\ta\t-", "abort", 1, (3, 3, 3)),
+        ("broken line", "skip", 1, (3, 2, 2)),
+    ], ids=["canonical", "offset-stamp", "skip-bad-line"])
+    def test_log_is_read_once(self, tmp_path, monkeypatch, last, on_malformed, passes, counts):
+        """The log is opened once on either reader; only a log that is not in
+        canonical form goes through the per-line ``iter_events``."""
+        log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts1\tview\ta\t-"] * 2 + [last])
         roster = make_roster(tmp_path, [("s1", True)])
-        passes = []
-        read = ingest.iter_events
-        monkeypatch.setattr(ingest, "iter_events", lambda *a: passes.append(a) or read(*a))
-        corpus, stats = ingest.ingest_files(log, roster, min_count=1)
-        assert len(passes) == 1
-        assert (stats.total_lines, stats.parsed_events, corpus.total_actions) == (3, 3, 3)
+        opened, calls = [], []
+        real_open, read = io.open, ingest.iter_events
+
+        def spy_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        for owner in (builtins, io):
+            monkeypatch.setattr(owner, "open", spy_open)
+        monkeypatch.setattr(ingest, "iter_events", lambda *a: calls.append(a) or read(*a))
+        corpus, stats = ingest.ingest_files(log, roster, min_count=1, on_malformed=on_malformed)
+        assert [Path(f) for f in opened].count(log) == 1
+        assert len(calls) == passes
+        assert (stats.total_lines, stats.parsed_events, corpus.total_actions) == counts
+
+    def test_log_from_a_pipe(self, tmp_path):
+        """A pipe reports size 0; its bytes are still read to the end."""
+        log = tmp_path / "events.fifo"
+        os.mkfifo(log)
+        text = "".join(f"2013-03-01T10:00:{i:02d}Z\ts1\tview\ta\t-\n" for i in range(3))
+
+        def write():
+            with open(log, "w", encoding="utf-8") as handle:
+                handle.write(text)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        corpus, stats = ingest.ingest_files(log, make_roster(tmp_path, [("s1", True)]), 1)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (stats.total_lines, corpus.total_actions) == (3, 3)
+
+    @pytest.mark.parametrize("options", [
+        {"min_count": 0}, {"min_count": -1}, {"on_malformed": "ignore"},
+    ])
+    def test_bad_options_raise_before_any_read(self, tmp_path, options):
+        missing = tmp_path / "absent.tsv"
+        with pytest.raises(ConfigError):
+            ingest.ingest_files(missing, missing, **{"min_count": 1, **options})
 
 
 class TestHostileText:
@@ -477,3 +522,128 @@ class TestCorpusRejects:
         error = self.load_error(saved, saved.read_bytes())
         # the second id follows alpha's length, id, flag and count, and three ids
         assert (error.lineno, error.reason) == (5 + 8 + 4 + 5 + 5 + 12 + 4, reason)
+
+
+STUDENTS = ["s1", "s2", "é3", "a b"]
+EVENTS = ["view", "play_video", "save_problem_check"]
+PAGES = ["-", "p1", "p2", "unit/ü"]
+OBJECTS = ["-", "q1", "p1"]
+STAMPS = st.one_of(
+    st.sampled_from([datetime(2013, 3, 1, 10), datetime(2013, 3, 1, 10, 0, 1)]),
+    st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)),
+)
+FILLER_LINES = ["", "# a comment", "#\tholds\ttabs\t\t"]
+
+
+@st.composite
+def canonical_logs(draw):
+    """The lines of an event log in canonical form, blank and comment lines included."""
+    records = draw(st.lists(st.tuples(
+        STAMPS, *(st.sampled_from(values) for values in (STUDENTS, EVENTS, PAGES, OBJECTS))
+    ), max_size=12))
+    lines = [
+        "\t".join((stamp.isoformat(timespec="seconds") + "Z", *fields))
+        for stamp, *fields in records
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(FILLER_LINES)))
+    return lines
+
+
+def _edit_stamp(edit):
+    return lambda fields, draw: [edit(fields[0]), *fields[1:]]
+
+
+def _set_field(column, value):
+    return lambda fields, draw: fields[:column] + [value] + fields[column + 1:]
+
+
+def _pad_edge(pad):
+    def edit(fields, draw):
+        column = draw(st.integers(0, 4))
+        padded = pad + fields[column] if draw(st.booleans()) else fields[column] + pad
+        return fields[:column] + [padded] + fields[column + 1:]
+    return edit
+
+
+# a corruption of one record's fields: each makes the line one that only the
+# per-line reader reads, or one that it refuses
+RECORD_EDITS = {
+    "space-at-edge": _pad_edge(" "),
+    "nbsp-at-edge": _pad_edge("\xa0"),
+    "dash-student": _set_field(1, "-"),
+    "empty-student": _set_field(1, ""),
+    "dash-event": _set_field(2, "-"),
+    "empty-event": _set_field(2, ""),
+    "lowercase-z": _edit_stamp(lambda t: t[:-1] + "z"),
+    "year-0000": _edit_stamp(lambda t: "0000" + t[4:]),
+    "signed-year": _edit_stamp(lambda t: "-" + t[1:]),
+    "space-in-year": _edit_stamp(lambda t: " " + t[1:]),
+    "feb-30": _edit_stamp(lambda t: t[:5] + "02-30" + t[10:]),
+    "hour-24": _edit_stamp(lambda t: t[:11] + "24" + t[13:]),
+    "offset-stamp": _edit_stamp(lambda t: t[:-1] + "+01:00"),
+    "fractional-stamp": _edit_stamp(lambda t: t[:-1] + ".5Z"),
+    "carriage-return": lambda fields, draw: fields[:4] + [fields[4] + "\r"],
+    "nul": lambda fields, draw: fields[:3] + [fields[3] + "\0"] + fields[4:],
+    "four-fields": lambda fields, draw: fields[:4],
+    "six-fields": lambda fields, draw: fields + ["x"],
+}
+
+
+def _insert_non_utf8_byte(text, draw):
+    blob = text.encode()
+    at = draw(st.integers(0, len(blob)))
+    return blob[:at] + b"\xff" + blob[at:]
+
+
+# a corruption of the file as a whole
+LOG_EDITS = {
+    "none": lambda text, draw: text.encode(),
+    "crlf": lambda text, draw: text.replace("\n", "\r\n").encode(),
+    "bom": lambda text, draw: b"\xef\xbb\xbf" + text.encode(),
+    "not-utf8": _insert_non_utf8_byte,
+    "no-final-newline": lambda text, draw: text.removesuffix("\n").encode(),
+    "whitespace-lines": lambda text, draw: text.encode() + draw(
+        st.sampled_from([b"\t\t\t\t\n", b" \t \n", b"\r\n"])),
+    "mutated": lambda text, draw: mutated(draw, text.encode()) if text else b"",
+}
+
+
+def _ingest(log, roster, min_count, on_malformed):
+    """(vocabulary, sequences, stats) of one ingest, or the refusal's (line, reason)."""
+    try:
+        corpus, stats = ingest.ingest_files(log, roster, min_count, on_malformed)
+    except MalformedRecordError as exc:
+        return exc.lineno, exc.reason
+    return corpus.vocabulary, corpus.sequences, stats
+
+
+class TestReadersAgree:
+    @settings(max_examples=300, deadline=None)
+    @given(canonical_logs(), st.sampled_from([None, *RECORD_EDITS]),
+           st.sampled_from(list(LOG_EDITS)), st.integers(1, 3), st.sampled_from(["abort", "skip"]),
+           st.data())
+    def test_bulk_reader_matches_per_line_reader(self, lines, record_edit, log_edit, min_count,
+                                                 on_malformed, data):
+        """On canonical logs and corruptions of them, ingest gives what the per-line
+        reader alone gives: the same vocabulary, sequences and stats, or the same
+        refusal; and it reads an uncorrupted canonical log in bulk."""
+        records = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+        if record_edit is not None and records:
+            at = data.draw(st.sampled_from(records))
+            lines[at] = "\t".join(RECORD_EDITS[record_edit](lines[at].split("\t"), data.draw))
+        blob = LOG_EDITS[log_edit]("".join(line + "\n" for line in lines), data.draw)
+        with tempfile.TemporaryDirectory() as root:
+            log = Path(root) / "events.tsv"
+            log.write_bytes(blob)
+            roster = make_roster(Path(root), [("s1", True), ("é3", False)])
+            bulk = ingest._bulk_columns
+            accepted = []
+            with mock.patch.object(ingest, "_bulk_columns",
+                                   lambda *a: accepted.append(bulk(*a)) or accepted[-1]):
+                got = _ingest(log, roster, min_count, on_malformed)
+            with mock.patch.object(ingest, "_bulk_columns", lambda *a: None):
+                want = _ingest(log, roster, min_count, on_malformed)
+        assert got == want
+        if record_edit is None and log_edit in ("none", "no-final-newline"):
+            assert accepted[0] is not None

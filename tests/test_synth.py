@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_step_oracle_accuracy, per_step_sample
+from helpers import per_step_oracle_accuracy, per_step_sample, save_config
 from nextaction import ingest, synth
 from nextaction.errors import ConfigError
 
@@ -49,7 +49,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "synth.cfg"
-        synth.save_config(cfg, path)
+        save_config(cfg, path)
         assert synth.load_config(path) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
