@@ -9,6 +9,8 @@ which order actually served each prediction for the largest model.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from nextaction import evaluation, ingest, ngram, synth
 
 out_dir = Path(tempfile.mkdtemp(prefix="nextaction-demo-"))
@@ -19,8 +21,7 @@ certified = ingest.filter_cohort(corpus, certified=True)
 
 # a tiny portrait of prediction and backoff on one table
 table = ngram.fit(certified, max_order=3)
-sample = certified.sequences[0].actions
-context = sample[:6]
+context = certified.actions[:6].tolist()  # the first student's first six actions
 prediction = ngram.predict_next(table, context)
 print(f"context (ids): {context}")
 print(f"predicted next: {prediction.predicted} using order {prediction.order_used}")
@@ -33,7 +34,7 @@ top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
 print("top continuations:", ", ".join(f"{a}: {n / total:.3f}" for a, n in top))
 
 # cross-validated accuracy per order, 2-gram through 10-gram
-plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)
+plan = evaluation.make_folds(certified.students, 5, seed=11)
 print("\ncross-validated accuracy by gram order:")
 reports = ngram.sweep_orders(certified, range(2, 11), plan)
 best = max(reports, key=lambda order: reports[order].cv_accuracy)
@@ -43,14 +44,9 @@ for order, report in sorted(reports.items()):
 
 # which order actually served each prediction: train the 10-gram on four
 # folds and look at the held-out fold, where long contexts are often unseen
-train_seqs = [s for s in certified.sequences if plan.assignment[s.student_id] != 0]
-held_out = [s for s in certified.sequences if plan.assignment[s.student_id] == 0]
-big = ngram.fit(
-    ingest.Corpus(certified.vocabulary, train_seqs, certified.vocab_size), max_order=10
-)
-usage = ngram.backoff_usage(
-    big, ingest.Corpus(certified.vocabulary, held_out, certified.vocab_size)
-)
+fold_of = np.array([plan.assignment[student] for student in certified.students])
+big = ngram.fit(certified.take(fold_of != 0), max_order=10)
+usage = ngram.backoff_usage(big, certified.take(fold_of == 0))
 print("\nshare of held-out predictions served by each order (10-gram model):")
 for order in range(10, 0, -1):
     bar = "#" * int(round(usage[order] * 60))

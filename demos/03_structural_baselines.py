@@ -21,7 +21,7 @@ certified = ingest.filter_cohort(corpus, certified=True)
 syllabus = baselines.load_syllabus(outputs.syllabus_path, corpus.vocabulary)
 print(f"course order: {syllabus.coverage} items matched, {len(syllabus.unmatched)} unmatched")
 
-plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)
+plan = evaluation.make_folds(certified.students, 5, seed=11)
 models = [
     baselines.RepeatModel(),
     baselines.SyllabusModel(syllabus),

@@ -10,6 +10,8 @@ jointly right or wrong on the same held-out students.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from nextaction import evaluation, ingest, lstm, ngram, synth
 
 out_dir = Path(tempfile.mkdtemp(prefix="nextaction-demo-"))
@@ -19,17 +21,17 @@ corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_co
 certified = ingest.filter_cohort(corpus, certified=True)
 
 # one fold of the usual split: train on 80% of students, score the rest
-plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)
-train_seqs = [s for s in certified.sequences if plan.assignment[s.student_id] != 0]
-eval_seqs = [s for s in certified.sequences if plan.assignment[s.student_id] == 0]
-train_corpus = ingest.Corpus(certified.vocabulary, train_seqs, certified.vocab_size)
+plan = evaluation.make_folds(certified.students, 5, seed=11)
+fold_of = np.array([plan.assignment[student] for student in certified.students])
+train_corpus = certified.take(fold_of != 0)
+eval_corpus = certified.take(fold_of == 0)
 
 cfg = lstm.TrainConfig(
     learning_rate=0.01, epochs=8, window=10, batch_size=32,
     dropout_rate=0.2, seed=11, hidden_size=32, layers=2, embedding_dim=64,
 )
 print(f"training a {cfg.layers}-layer, {cfg.hidden_size}-node LSTM on "
-      f"{len(train_seqs)} students ({train_corpus.total_actions} actions)")
+      f"{len(train_corpus)} students ({train_corpus.total_actions} actions)")
 net, curve = lstm.train(train_corpus, cfg)
 print("\nepoch  train loss  hill-climb accuracy")
 for stats in curve:
@@ -40,10 +42,11 @@ gram_model = ngram.NGramPredictor(ngram.fit(train_corpus, 3))
 
 # one call per model scores the whole held-out fold; the stream pairs each
 # prediction with its student, position and true action
-scored = sorted((s for s in eval_seqs if len(s) >= 2), key=lambda s: s.student_id)
+scored = eval_corpus.take(np.argsort(eval_corpus.students))  # in student order
+scored = scored.take(scored.lengths >= 2)
 
 def fold_score(model):
-    accuracies, predictions = evaluation.sequence_accuracy(model, [s.actions for s in scored])
+    accuracies, predictions = evaluation.sequence_accuracy(model, scored)
     return float(accuracies.mean()), evaluation.prediction_stream(scored, predictions)
 
 lstm_acc, lstm_stream = fold_score(lstm_model)

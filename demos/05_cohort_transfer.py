@@ -18,7 +18,7 @@ corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_co
 certified = ingest.filter_cohort(corpus, certified=True)
 uncertified = ingest.filter_cohort(corpus, certified=False)
 
-plan = evaluation.make_folds(certified.student_ids(), 5, seed=11)
+plan = evaluation.make_folds(certified.students, 5, seed=11)
 report = evaluation.cross_validate(
     ngram.NGramSpec((3,)), certified, plan, model_name="3-gram backoff"
 )

@@ -152,7 +152,7 @@ def _cmd_ingest(args) -> int:
     meta = _config_metadata(options, {"events": options["events"], "roster": options["roster"]})
     lines = ["# nextaction ingest report"]
     lines.append(f"vocab_size: {corpus.vocab_size}")
-    lines.append(f"sequences: {len(corpus.sequences)}")
+    lines.append(f"sequences: {len(corpus)}")
     lines.append(f"total_actions: {corpus.total_actions}")
     for name in (
         "total_lines", "ignored_lines", "malformed_lines", "parsed_events",
@@ -180,7 +180,7 @@ def _cmd_ngram(args) -> int:
     if options["sweep"] and options["max_order"] < 2:
         raise ConfigError("--sweep needs --max-order >= 2")
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
-    plan = evaluation.make_folds(corpus.student_ids(), options["folds"], options["seed"])
+    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
 
     if options["sweep"]:
@@ -239,7 +239,7 @@ def _cmd_lstm(args) -> int:
         raise ConfigError("--layers, --nodes and --lr need at least one value")
 
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
-    plan = evaluation.make_folds(corpus.student_ids(), options["folds"], options["seed"])
+    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
     base_cfg = lstm.TrainConfig(
         learning_rate=lr_list[0], epochs=options["epochs"], window=options["window"],
@@ -304,7 +304,7 @@ def _cmd_baseline(args) -> int:
         else:
             raise ConfigError(f"unknown baseline {options['model']!r}")
 
-    plan = evaluation.make_folds(corpus.student_ids(), options["folds"], options["seed"])
+    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     report = evaluation.cross_validate(
         evaluation.FixedSpec(model), corpus, plan,
         model_name=model.name, workers=options["workers"],

@@ -9,11 +9,11 @@ folds (macro averaging at both levels, not pooled over positions).
 Every model meets one contract, the only call made on it here:
 ``model.predict_sequence(actions, pos)`` takes the int64 concatenation of
 one or more sequences and each action's index within its own sequence (one
-sequence is ``pos = arange(T)``; ``ingest.flatten`` builds both), and returns
-the int64 predictions for every action with ``pos >= 1``, in order, each made
-only from the earlier actions of its own sequence.  ``sequence_accuracy``
-makes that call once for a whole fold; any other number of predictions
-raises NextactionError.
+sequence is ``pos = arange(T)``; a corpus holds both as ``corpus.actions``
+and ``corpus.pos``), and returns the int64 predictions for every action with
+``pos >= 1``, in order, each made only from the earlier actions of its own
+sequence.  ``sequence_accuracy`` makes that call once for a whole fold; any
+other number of predictions raises NextactionError.
 
 Cross-validation is driven by a spec, a small frozen object whose
 ``fit(train_corpus, fold)`` returns the fold's models and extras (such as
@@ -29,12 +29,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, StudentSequence, flatten, read_lines
+from .ingest import Corpus, read_lines
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -44,9 +44,6 @@ class FoldPlan:
     k: int
     seed: int
     assignment: dict[str, int]
-
-    def students_in(self, fold: int) -> list[str]:
-        return sorted(s for s, f in self.assignment.items() if f == fold)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +116,7 @@ def read_report(path: str | Path) -> dict[str, str]:
     return parsed
 
 
-def make_folds(students: Sequence[str], k: int, seed: int) -> FoldPlan:
+def make_folds(students: Iterable[str], k: int, seed: int) -> FoldPlan:
     """Seeded shuffle of the sorted student set, then round-robin assignment."""
     unique = sorted(set(students))
     if k < 2:
@@ -133,34 +130,32 @@ def make_folds(students: Sequence[str], k: int, seed: int) -> FoldPlan:
 
 
 def hill_climb_split(
-    sequences: Sequence[StudentSequence],
+    corpus: Corpus,
     fraction: float = 0.1,
     seed: int = 0,
-) -> tuple[list[StudentSequence], list[StudentSequence]]:
+) -> tuple[Corpus, Corpus]:
     """Student-level holdout of ceil(fraction * n) sequences for hill climbing."""
     if not 0 < fraction < 1:
         raise ConfigError(f"holdout fraction must be in (0,1), got {fraction}")
-    ordered = sorted(sequences, key=lambda s: s.student_id)
-    if len(ordered) < 2:
+    if len(corpus) < 2:
         raise ConfigError("hill-climb split needs at least 2 students")
     rng = np.random.default_rng([seed, 0xC11A])
-    order = rng.permutation(len(ordered))
-    n_holdout = int(np.ceil(fraction * len(ordered)))
-    holdout_ids = {ordered[j].student_id for j in order[:n_holdout]}
-    train = [s for s in sequences if s.student_id not in holdout_ids]
-    holdout = [s for s in sequences if s.student_id in holdout_ids]
-    return train, holdout
+    order = rng.permutation(len(corpus))
+    n_holdout = int(np.ceil(fraction * len(corpus)))
+    holdout = np.zeros(len(corpus), dtype=bool)
+    holdout[np.argsort(corpus.students)[order[:n_holdout]]] = True  # drawn in student order
+    return corpus.take(~holdout), corpus.take(holdout)
 
 
-def sequence_accuracy(model, sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+def sequence_accuracy(model, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Per-sequence proportion of positions 2..T predicted correctly from the
     prior context, and the concatenated predictions, from one model call."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    lengths = corpus.lengths
     if lengths.size == 0 or lengths.min() < 2:
         raise NextactionError("scoring needs sequences of at least 2 actions")
-    actions, pos = flatten(sequences)
-    predictions = np.asarray(model.predict_sequence(actions, pos))
-    truths = actions[pos >= 1]
+    pos = corpus.pos
+    predictions = np.asarray(model.predict_sequence(corpus.actions, pos))
+    truths = corpus.actions[pos >= 1]
     if predictions.shape != truths.shape:
         raise NextactionError(f"{predictions.size} predictions for {truths.size} positions")
     starts = np.cumsum(lengths - 1) - (lengths - 1)
@@ -178,10 +173,10 @@ class FixedSpec:
         return (self.model,), None
 
 
-def _held_out(corpus: Corpus, plan: FoldPlan, fold: int) -> list[StudentSequence]:
-    """A fold's scoreable sequences, in student order."""
-    by_student = {s.student_id: s for s in corpus.sequences}
-    return [by_student[sid] for sid in plan.students_in(fold) if len(by_student.get(sid, ())) >= 2]
+def _held_out(corpus: Corpus, folds: np.ndarray, fold: int) -> np.ndarray:
+    """The indices of a fold's scoreable sequences, in student order."""
+    index = np.flatnonzero((folds == fold) & (corpus.lengths >= 2))
+    return index[np.argsort(corpus.students[index])]
 
 
 def _run_task(job: tuple, fold: int | None):
@@ -189,17 +184,16 @@ def _run_task(job: tuple, fold: int | None):
 
     A fold yields its extras and, per model the spec fits, the per-sequence
     accuracies and the predictions of every scored sequence in one array.
+    The job is the spec, the corpus and the fold of each of its sequences.
     """
-    spec, corpus, plan = job
+    spec, corpus, folds = job
     if fold is None:
         return spec.fit(corpus, None)
-    held_out = _held_out(corpus, plan, fold)
-    if not held_out:
+    held_out = corpus.take(_held_out(corpus, folds, fold))
+    if not len(held_out):
         raise NextactionError(f"fold {fold} has no scoreable sequences")
-    train = [s for s in corpus.sequences if plan.assignment[s.student_id] != fold]
-    models, extras = spec.fit(Corpus(corpus.vocabulary, train, corpus.vocab_size), fold)
-    sequences = [s.actions for s in held_out]
-    return [sequence_accuracy(model, sequences) for model in models], extras
+    models, extras = spec.fit(corpus.take(folds != fold), fold)
+    return [sequence_accuracy(model, held_out) for model in models], extras
 
 
 _job = None  # set in each pool worker by _adopt; the parent never sets it
@@ -238,15 +232,13 @@ def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def prediction_stream(
-    sequences: Sequence[StudentSequence], predictions: np.ndarray
-) -> PredictionStream:
-    """The stream of ``sequences`` in order, from their concatenated predictions."""
-    actions, pos = flatten([s.actions for s in sequences])
-    student = np.array([s.student_id for s in sequences], dtype=object)
+def prediction_stream(corpus: Corpus, predictions: np.ndarray) -> PredictionStream:
+    """The stream of the sequences of ``corpus`` in order, from their concatenated
+    predictions."""
+    pos = corpus.pos
     scored = pos >= 1
-    return PredictionStream(np.repeat(student, [len(s) - 1 for s in sequences]), pos[scored] + 1,
-                            np.asarray(predictions, dtype=np.int64), actions[scored])
+    return PredictionStream(np.repeat(corpus.students, corpus.lengths - 1), pos[scored] + 1,
+                            np.asarray(predictions, dtype=np.int64), corpus.actions[scored])
 
 
 def cross_validate_each(
@@ -270,15 +262,19 @@ def cross_validate_each(
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    missing = set(corpus.student_ids()) - set(plan.assignment)
+    missing = set(corpus.students) - set(plan.assignment)
     if missing:
         raise ConfigError(f"fold plan does not cover students {sorted(missing)[:5]}")
+    folds = np.fromiter(map(plan.assignment.__getitem__, corpus.students), dtype=np.int64,
+                        count=len(corpus))
 
     tasks = ([None] if fit_full else []) + list(range(plan.k))
     # a fixed model fits nothing, and scoring it costs less than forking workers
-    results = _run_tasks((spec, corpus, plan), tasks, 1 if isinstance(spec, FixedSpec) else workers)
+    results = _run_tasks((spec, corpus, folds), tasks,
+                         1 if isinstance(spec, FixedSpec) else workers)
     full_fit = results.pop(0) if fit_full else None
-    scored = [s for fold in range(plan.k) for s in _held_out(corpus, plan, fold)]  # in fold order
+    scored = corpus.take(np.concatenate(  # in fold order
+        [_held_out(corpus, folds, fold) for fold in range(plan.k)]))
 
     reports = []
     for index, name in enumerate(model_names):
@@ -286,8 +282,8 @@ def cross_validate_each(
         per_sequence = np.concatenate(accuracies).tolist()
         report = EvalReport(
             model=name, per_fold_accuracy=[float(np.mean(a)) for a in accuracies],
-            per_sequence=list(zip((s.student_id for s in scored), per_sequence)),
-            skipped_sequences=sum(len(s) < 2 for s in corpus.sequences),
+            per_sequence=list(zip(scored.students.tolist(), per_sequence)),
+            skipped_sequences=int((corpus.lengths < 2).sum()),
             fold_extras=[extras for _, extras in results], full_fit=full_fit,
         )
         report.metadata["folds.seed"] = str(plan.seed)
@@ -325,8 +321,8 @@ def transfer_eval(model, corpus: Corpus, min_actions: int = 30) -> tuple[float, 
     """
     if min_actions < 1:
         raise ConfigError(f"min_actions must be >= 1, got {min_actions}")
-    scored = [s.actions for s in corpus.sequences if len(s) >= max(min_actions, 2)]
-    if not scored:
+    scored = corpus.take(corpus.lengths >= max(min_actions, 2))
+    if not len(scored):
         raise NextactionError("no sequences satisfy the transfer filter")
     accuracies, _ = sequence_accuracy(model, scored)
     return float(np.mean(accuracies)), len(scored)

@@ -15,8 +15,15 @@ records of five non-empty fields, a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, no
 whitespace at a field's edge, no field above ``_MAX_FIELD`` (128) bytes.  Any other
 log, which may use any ISO-8601 stamp, padded fields or bad lines, goes through
 the per-line reader (``iter_events``) over the same bytes, which gives the same
-output for a canonical log and names the first bad line.  Both readers feed one
-vocabulary rule and one encoder.
+output for a canonical log and names the first bad line.  Both readers code
+each event's type, page and object name alike and feed one action-token rule,
+one vocabulary rule and one encoder.
+
+In memory a corpus is columnar (``Corpus``): one int64 array of every
+sequence's action ids, concatenated in sequence order, and per sequence its
+length, student id and certified flag.  ``Corpus.pos`` gives each action's
+index within its own sequence, so ``(corpus.actions, corpus.pos)`` is the
+input every model scores, and ``Corpus.take`` gathers a subset of sequences.
 
 The encoded corpus is a binary container (magic ``NACT1``, little-endian):
 vocab size, sequence count, then per sequence the student-id length and bytes,
@@ -29,7 +36,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from itertools import chain
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,16 +64,6 @@ def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
     return array
 
 
-def flatten(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The actions of ``sequences`` concatenated as int64, and each action's index
-    within its own sequence: the ``(actions, pos)`` that every model scores."""
-    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    total = int(lengths.sum())
-    actions = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=total)
-    starts = np.cumsum(lengths) - lengths
-    return actions, np.arange(total) - np.repeat(starts, lengths)
-
-
 def _decode(blob: bytes) -> str:
     """``blob`` as UTF-8 text; a byte that is not UTF-8 raises MalformedRecordError
     with the number of its line."""
@@ -85,17 +82,6 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError:
         _decode(Path(path).read_bytes())  # the decoder runs ahead of the lines yielded
         raise
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """One parsed event-log record."""
-
-    timestamp: datetime
-    student_id: str
-    event_type: str
-    page: str | None = None
-    object_name: str | None = None
 
 
 @dataclass
@@ -123,7 +109,7 @@ class Vocabulary:
 
 @dataclass
 class StudentSequence:
-    """One student's time-ordered encoded actions plus cohort flag."""
+    """One row of ``Corpus.sequences``: a student's actions and cohort flag."""
 
     student_id: str
     actions: list[int]
@@ -133,18 +119,51 @@ class StudentSequence:
         return len(self.actions)
 
 
-@dataclass
+@dataclass(eq=False)
 class Corpus:
+    """Encoded sequences as columns (see the module docstring)."""
+
     vocabulary: Vocabulary | None
-    sequences: list[StudentSequence]
     vocab_size: int
+    actions: np.ndarray  # int64, every sequence's action ids concatenated
+    lengths: np.ndarray  # int64, one entry per sequence, as are the two below
+    students: np.ndarray  # object array of student ids
+    certified: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return len(self.lengths)
 
     @property
     def total_actions(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return len(self.actions)
 
-    def student_ids(self) -> list[str]:
-        return [s.student_id for s in self.sequences]
+    @property
+    def starts(self) -> np.ndarray:
+        """The index in ``actions`` of each sequence's first action."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    @property
+    def pos(self) -> np.ndarray:
+        """Each action's index within its own sequence."""
+        return np.arange(len(self.actions)) - np.repeat(self.starts, self.lengths)
+
+    def take(self, index: np.ndarray) -> "Corpus":
+        """The sequences picked by ``index`` (integer indices, in their order, or a
+        boolean mask), with their actions gathered into new columns."""
+        lengths = self.lengths[index]
+        shift = self.starts[index] - (np.cumsum(lengths) - lengths)
+        gather = np.arange(int(lengths.sum())) + np.repeat(shift, lengths)
+        return Corpus(self.vocabulary, self.vocab_size, self.actions[gather], lengths,
+                      self.students[index], self.certified[index])
+
+    @property
+    def sequences(self) -> list[StudentSequence]:
+        """The corpus as rows, built on every access; the library reads the columns."""
+        blocks = np.split(self.actions, np.cumsum(self.lengths)[:-1])
+        return [
+            StudentSequence(student, block.tolist(), flag)
+            for student, block, flag in zip(self.students, blocks, self.certified.tolist())
+        ]
 
 
 @dataclass
@@ -194,8 +213,12 @@ def _parse_timestamp(text: str, lineno: int) -> datetime:
     return ts
 
 
-def parse_event(line: str, lineno: int = 0) -> RawEvent:
-    """Parse one tab-separated event record.
+Event = tuple[datetime, str, str, str | None, str | None]
+
+
+def parse_event(line: str, lineno: int = 0) -> Event:
+    """Parse one tab-separated event record into (timestamp, student_id,
+    event_type, page, object_name), an absent page or object name as None.
 
     Raises MalformedRecordError on a wrong field count, an empty or '-'
     required field, or an unparseable timestamp.
@@ -208,12 +231,12 @@ def parse_event(line: str, lineno: int = 0) -> RawEvent:
         raise MalformedRecordError(lineno, "missing student_id")
     if not event_type or event_type == "-":
         raise MalformedRecordError(lineno, "missing event_type")
-    return RawEvent(
-        timestamp=_parse_timestamp(ts_text, lineno),
-        student_id=student_id,
-        event_type=event_type,
-        page=None if page in ("", "-") else page,
-        object_name=None if object_name in ("", "-") else object_name,
+    return (
+        _parse_timestamp(ts_text, lineno),
+        student_id,
+        event_type,
+        None if page in ("", "-") else page,
+        None if object_name in ("", "-") else object_name,
     )
 
 
@@ -231,7 +254,7 @@ def iter_events(
     log: bytes,
     on_malformed: str = "abort",
     stats: IngestStats | None = None,
-) -> Iterator[RawEvent]:
+) -> Iterator[Event]:
     """Yield the events of an event log held in memory, one line at a time.
 
     ``on_malformed`` is either "abort" (raise on the first bad line) or
@@ -261,33 +284,28 @@ def iter_events(
         yield event
 
 
-def extract_action(event: RawEvent) -> str:
-    """Map a raw event to its action token.
-
-    Problem-check submissions are identified by their object name; any other
-    event with an explicit page uses the page; the event type is the
-    fallback.  A problem check without an object name falls through to the
-    page/event-type rule.
-    """
-    if event.event_type == "save_problem_check" and event.object_name is not None:
-        return event.object_name
-    if event.page is not None:
-        return event.page
-    return event.event_type
+def _action_token(names: dict[str, int], event, page, obj) -> np.ndarray:
+    """Each event's action token, from its event-type, page and object-name codes
+    (indices into ``names``, -1 for an absent page or object name): a problem
+    check's object name, else the page, else the event type.  A problem check
+    without an object name falls through to the page/event-type rule."""
+    check = (event == names.get("save_problem_check", -1)) & (obj >= 0)
+    return np.where(check, obj, np.where(page >= 0, page, event))
 
 
-def _line_columns(events: Iterable[RawEvent]) -> EventColumns:
+def _line_columns(events: Iterable[Event]) -> EventColumns:
     """The per-line reader's events as columns."""
     students: dict[str, int] = {}
-    tokens: dict[str, int] = {}
-    student, time, token = [], [], []
-    for event in events:
-        student.append(students.setdefault(event.student_id, len(students)))
-        time.append((event.timestamp - _EPOCH) // _MICROSECOND)
-        token.append(tokens.setdefault(extract_action(event), len(tokens)))
+    names: dict[str, int] = {}
+    student, time, fields = [], [], []
+    for stamp, student_id, *raw in events:
+        student.append(students.setdefault(student_id, len(students)))
+        time.append((stamp - _EPOCH) // _MICROSECOND)
+        fields.extend(-1 if name is None else names.setdefault(name, len(names)) for name in raw)
+    event, page, obj = np.array(fields, dtype=np.int64).reshape(-1, 3).T
     return EventColumns(
         list(students), np.array(student, dtype=np.int64), np.array(time, dtype=np.int64),
-        list(tokens), np.array(token, dtype=np.int64),
+        list(names), _action_token(names, event, page, obj),
     )
 
 
@@ -383,21 +401,18 @@ def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumn
     order = np.argsort(first)  # students in order of first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    tokens: dict[str, int] = {}
+    names: dict[str, int] = {}
     event, page, obj = (
-        np.array([-1 if name == "-" else tokens.setdefault(name, len(tokens)) for name in names],
+        np.array([-1 if value == "-" else names.setdefault(value, len(names)) for value in values],
                  dtype=np.int64)[codes]
-        for names, _, codes in token_fields
+        for values, _, codes in token_fields
     )
-    token = np.where(page >= 0, page, event)
-    check = (event == tokens.get("save_problem_check", -1)) & (obj >= 0)
-    token[check] = obj[check]
 
     stats.total_lines += lines
     stats.ignored_lines += lines - len(time)
     stats.parsed_events += len(time)
     return EventColumns([students[i] for i in order.tolist()], rank[student], time,
-                        list(tokens), token)
+                        list(names), _action_token(names, event, page, obj))
 
 
 def build_vocabulary(tokens: Iterable[str] | Mapping[str, int], min_count: int = 1) -> Vocabulary:
@@ -436,23 +451,17 @@ def encode_corpus(
     events = np.bincount(columns.student, minlength=n_students)
     kept = np.bincount(columns.student[ids >= 0], minlength=n_students)
     ids = ids[np.lexsort((columns.time, columns.student))]  # stable, so log order breaks ties
-    actions = ids[ids >= 0].tolist()
+    actions = ids[ids >= 0]
     dropped = kept == 0
     stats.dropped_students += int(dropped.sum())
     stats.dropped_student_events += int(events[dropped].sum())
     stats.dropped_token_events += int((events - kept)[~dropped].sum())
     stats.kept_actions += len(actions)
-    sequences = []
-    end = 0
-    for student_id, n in zip(columns.students, kept.tolist()):
-        if n:
-            if student_id not in roster:
-                stats.unrostered_students += 1
-            sequences.append(StudentSequence(
-                student_id, actions[end:end + n], roster.get(student_id, False)
-            ))
-            end += n
-    return Corpus(vocabulary=vocab, sequences=sequences, vocab_size=len(vocab))
+    students = np.array(columns.students, dtype=object)[~dropped]
+    certified = np.fromiter(map(roster.get, students, repeat(False)), dtype=bool,
+                            count=len(students))
+    stats.unrostered_students += len(students) - sum(map(roster.__contains__, students))
+    return Corpus(vocab, len(vocab), actions, kept[~dropped], students, certified)
 
 
 def ingest_files(
@@ -481,11 +490,10 @@ def filter_cohort(corpus: Corpus, certified: bool | None, min_actions: int = 1) 
     """Keep sequences of one cohort (of both for None) with at least ``min_actions`` actions."""
     if min_actions < 1:
         raise ConfigError(f"min_actions must be >= 1, got {min_actions}")
-    kept = [
-        s for s in corpus.sequences
-        if certified in (None, s.certified) and len(s) >= min_actions
-    ]
-    return Corpus(vocabulary=corpus.vocabulary, sequences=kept, vocab_size=corpus.vocab_size)
+    keep = corpus.lengths >= min_actions
+    if certified is not None:
+        keep &= corpus.certified == certified
+    return corpus.take(keep)
 
 
 def load_roster(path: str | Path) -> dict[str, bool]:
@@ -543,13 +551,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    parts = [CORPUS_MAGIC, struct.pack("<II", corpus.vocab_size, len(corpus.sequences))]
-    for seq in corpus.sequences:
-        sid = seq.student_id.encode("utf-8")
-        parts.append(struct.pack("<I", len(sid)))
-        parts.append(sid)
-        parts.append(struct.pack("<BI", 1 if seq.certified else 0, len(seq.actions)))
-        parts.append(struct.pack(f"<{len(seq.actions)}I", *seq.actions))
+    ids = corpus.actions.astype("<u4").tobytes()
+    parts = [CORPUS_MAGIC, struct.pack("<II", corpus.vocab_size, len(corpus))]
+    for student, certified, start, n in zip(
+        corpus.students, corpus.certified.tolist(), corpus.starts.tolist(), corpus.lengths.tolist()
+    ):
+        sid = student.encode("utf-8")
+        parts += [struct.pack("<I", len(sid)), sid, struct.pack("<BI", certified, n),
+                  ids[4 * start : 4 * (start + n)]]
     Path(path).write_bytes(b"".join(parts))
 
 
@@ -557,7 +566,8 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpu
     """Read a NACT1 corpus, refusing truncation, trailing bytes, ids >= V, and
     student ids that are empty, repeated, or hold a tab or a newline.
 
-    Errors are MalformedRecordError with the byte offset of the bad field.
+    Errors are MalformedRecordError with the byte offset of the bad field; of
+    several bad fields, the first in the file is reported.
     """
     blob = Path(path).read_bytes()
     if blob[: len(CORPUS_MAGIC)] != CORPUS_MAGIC:
@@ -579,34 +589,43 @@ def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpu
         raise ConfigError(
             f"vocabulary size {len(vocabulary)} does not match corpus header {vocab_size}"
         )
-    sequences = []
+    students, flags, lengths, blocks = [], [], [], []  # blocks: each sequence's id offset
     seen: set[str] = set()
-    for _ in range(n_sequences):
-        (sid_len,) = struct.unpack_from("<I", blob, take(4, "a student-id length"))
-        at = take(sid_len, "a student id")
-        try:
-            sid = blob[at:offset].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedRecordError(at, "student id is not UTF-8", unit="byte") from exc
-        if not sid or "\t" in sid or "\n" in sid:
-            raise MalformedRecordError(
-                at, f"student id {sid!r} is empty or holds a tab or a newline", unit="byte"
-            )
-        if sid in seen:
-            raise MalformedRecordError(at, f"student id {sid!r} appears twice", unit="byte")
-        seen.add(sid)
-        at = take(5, "a sequence header")
-        certified, n_actions = struct.unpack_from("<BI", blob, at)
-        if certified > 1:
-            raise MalformedRecordError(at, f"certified byte is {certified}, not 0 or 1", unit="byte")
-        at = take(4 * n_actions, "the action ids")
-        actions = np.frombuffer(blob, dtype="<u4", count=n_actions, offset=at)
-        bad = np.flatnonzero(actions >= vocab_size)
+    try:
+        for _ in range(n_sequences):
+            (sid_len,) = struct.unpack_from("<I", blob, take(4, "a student-id length"))
+            at = take(sid_len, "a student id")
+            try:
+                sid = blob[at:offset].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedRecordError(at, "student id is not UTF-8", unit="byte") from exc
+            if not sid or "\t" in sid or "\n" in sid:
+                raise MalformedRecordError(
+                    at, f"student id {sid!r} is empty or holds a tab or a newline", unit="byte"
+                )
+            if sid in seen:
+                raise MalformedRecordError(at, f"student id {sid!r} appears twice", unit="byte")
+            seen.add(sid)
+            at = take(5, "a sequence header")
+            certified, n_actions = struct.unpack_from("<BI", blob, at)
+            if certified > 1:
+                raise MalformedRecordError(at, f"certified byte is {certified}, not 0 or 1",
+                                           unit="byte")
+            blocks.append(take(4 * n_actions, "the action ids"))
+            students.append(sid)
+            flags.append(certified == 1)
+            lengths.append(n_actions)
+        if offset != len(blob):
+            raise MalformedRecordError(offset, f"{len(blob) - offset} trailing bytes", unit="byte")
+    finally:  # every id read is checked, so a bad id is reported ahead of a later fault
+        ids = np.frombuffer(b"".join(blob[at : at + 4 * n] for at, n in zip(blocks, lengths)),
+                            dtype="<u4")
+        bad = np.flatnonzero(ids >= vocab_size)[:1]
         if bad.size:
-            raise MalformedRecordError(
-                at + 4 * int(bad[0]), f"action id {actions[bad[0]]} >= V={vocab_size}", unit="byte"
-            )
-        sequences.append(StudentSequence(sid, actions.tolist(), certified == 1))
-    if offset != len(blob):
-        raise MalformedRecordError(offset, f"{len(blob) - offset} trailing bytes", unit="byte")
-    return Corpus(vocabulary=vocabulary, sequences=sequences, vocab_size=vocab_size)
+            ends = np.cumsum(lengths)
+            sequence = int(np.searchsorted(ends, bad[0], side="right"))
+            at = blocks[sequence] + 4 * int(bad[0] - ends[sequence] + lengths[sequence])
+            raise MalformedRecordError(at, f"action id {ids[bad[0]]} >= V={vocab_size}",
+                                       unit="byte")
+    return Corpus(vocabulary, vocab_size, ids.astype(np.int64), np.array(lengths, dtype=np.int64),
+                  np.array(students, dtype=object), np.array(flags, dtype=bool))

@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
-from .ingest import Corpus, StudentSequence, action_array
+from .ingest import Corpus, action_array
 
 PROB_FLOOR = 1e-12
 HILL_FRACTION = 0.1  # share of training students held out for hill climbing
@@ -456,28 +456,19 @@ class RmsPropOptimizer:
             )
 
 
-def make_windows(sequences: Iterable[StudentSequence], window: int) -> list[np.ndarray]:
-    """Cut each sequence into non-overlapping chunks of window+1 actions.
+def make_windows(corpus: Corpus, window: int, pad_id: int) -> np.ndarray:
+    """Cut each sequence into non-overlapping chunks of window+1 actions, one
+    chunk per row of a matrix, in corpus order, padded at the end with ``pad_id``.
 
     The trailing short chunk is kept when it still holds one transition.
     """
-    chunks = []
-    for seq in sequences:
-        actions = np.asarray(seq.actions, dtype=np.int64)
-        for start in range(0, len(actions), window + 1):
-            chunk = actions[start : start + window + 1]
-            if len(chunk) >= 2:
-                chunks.append(chunk)
-    return chunks
-
-
-def _pad_batch(windows: list[np.ndarray], length: int, pad_id: int):
-    batch = np.full((len(windows), length), pad_id, dtype=np.int64)
-    for row, chunk in enumerate(windows):
-        batch[row, : len(chunk)] = chunk
-    inputs = batch[:, :-1]
-    targets = batch[:, 1:]
-    return inputs, targets, targets != pad_id
+    column = corpus.pos % (window + 1)
+    chunk = np.cumsum(column == 0) - 1  # each action's chunk
+    kept = np.bincount(chunk) >= 2
+    keep = kept[chunk]
+    windows = np.full((int(kept.sum()), window + 1), pad_id, dtype=np.int64)
+    windows[(np.cumsum(kept) - 1)[chunk[keep]], column[keep]] = corpus.actions[keep]
+    return windows
 
 
 @dataclass
@@ -496,31 +487,32 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
     that ends with a non-finite loss or parameter raises NumericalFaultError.
     """
     cfg.validate()
-    if not corpus.sequences:
+    if not len(corpus):
         raise ConfigError("cannot train on an empty corpus")
-    train_seqs, hill_seqs = hill_climb_split(corpus.sequences, HILL_FRACTION, cfg.seed)
+    train_corpus, hill_corpus = hill_climb_split(corpus, HILL_FRACTION, cfg.seed)
     net = network_from_config(corpus.vocab_size, cfg)
     optimizer = RmsPropOptimizer(net, cfg)
     shuffle_rng = np.random.default_rng([cfg.seed, 0x5F0F])
     dropout_rng = np.random.default_rng([cfg.seed, 0xD0])
 
-    windows = make_windows(train_seqs, cfg.window)
-    if not windows:
+    windows = make_windows(train_corpus, cfg.window, net.pad_id)
+    if not len(windows):
         raise ConfigError("no trainable windows; sequences may be too short")
-    scoreable_hill = [s.actions for s in hill_seqs if len(s) >= 2]
+    scoreable_hill = hill_corpus.take(hill_corpus.lengths >= 2)
 
     curve = []
     for epoch in range(1, cfg.epochs + 1):
         order = shuffle_rng.permutation(len(windows))
         loss_sum = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            batch_windows = [windows[j] for j in order[start : start + cfg.batch_size]]
-            inputs, targets, valid = _pad_batch(batch_windows, cfg.window + 1, net.pad_id)
+            batch = windows[order[start : start + cfg.batch_size]]
+            inputs, targets = batch[:, :-1], batch[:, 1:]
+            valid = targets != net.pad_id
             probs, cache = forward_sequence(net, inputs, train=True, rng=dropout_rng)
             batch_loss = loss(probs, targets, valid)
             grads = backward(net, cache, targets, valid)
             optimizer.apply(net, grads)
-            loss_sum += batch_loss * len(batch_windows)
+            loss_sum += batch_loss * len(batch)
         train_loss = loss_sum / len(windows)
         bad = [name for name, arr in net.param_items() if not np.all(np.isfinite(arr))]
         if bad or not np.isfinite(train_loss):
@@ -530,7 +522,7 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
         try:
             hill_acc = (
                 float(np.mean(sequence_accuracy(LstmPredictor(net), scoreable_hill)[0]))
-                if scoreable_hill else float("nan")
+                if len(scoreable_hill) else float("nan")
             )
         except NumericalFaultError as exc:
             raise NumericalFaultError(f"epoch {epoch}: {exc}") from None

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import NUMBER, Corpus, action_array, flatten
+from .ingest import NUMBER, Corpus, action_array
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -149,13 +149,12 @@ def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, 
 
 def fit(corpus: Corpus, max_order: int) -> NGramTable:
     """Count all grams of order <= max_order over the corpus sequences."""
-    if not corpus.sequences:
+    if not len(corpus):
         raise ConfigError("cannot fit an n-gram table on an empty corpus")
     if max_order < 1:
         raise ConfigError(f"max_order must be >= 1, got {max_order}")
     V = corpus.vocab_size
-    actions, pos = flatten([s.actions for s in corpus.sequences])
-    actions = action_array(V, actions)
+    actions, pos = action_array(V, corpus.actions), corpus.pos
     at = np.flatnonzero(pos >= 1)  # continuation positions
     contexts = {1: np.zeros(min(len(at), 1), dtype=np.int64)}
     ids = np.zeros(len(actions), dtype=np.int64)
@@ -196,8 +195,8 @@ def backoff_usage(
 ) -> dict[int, float]:
     """Fraction of scored positions served by each gram order."""
     cap = _cap(table, max_order)
-    actions, pos = flatten([s.actions for s in corpus.sequences])
-    _, used = _backoff(table, action_array(table.vocab_size, actions), pos, cap, pos >= 1)
+    pos = corpus.pos
+    _, used = _backoff(table, action_array(table.vocab_size, corpus.actions), pos, cap, pos >= 1)
     if len(used) == 0:
         return {order: 0.0 for order in range(1, cap + 1)}
     tally = np.bincount(used, minlength=cap + 1).tolist()

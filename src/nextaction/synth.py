@@ -10,11 +10,11 @@ two the resulting process is order-2 Markov, so the conditional distribution
 of the next action given the state is known exactly and the accuracy of the
 best possible predictor can be estimated by Monte Carlo.
 
-``GeneratorModel.distribution(state)`` is the kernel.  Sampling is
-table-driven: one CDF row per (advance target, last action), built from the
-kernel as ``Generator.choice`` builds its own, so a walk reads the same
-doubles and draws the same actions as one ``choice(p=distribution(state))``
-per step, and corpora are byte-identical to those of that sampler per seed.
+The kernel, ``GeneratorModel._probs(target, last)``, reads a state only
+through its advance target (the successor of its most recent on-course
+action, item 0 if none) and its last action.  Sampling is table-driven: one
+CDF row per such pair, built as ``Generator.choice`` builds its own, so
+corpora are byte-identical per seed to those of one ``choice`` per step.
 
 The uncertified cohort follows a perturbed kernel: its advance mass is
 halved, the difference moved onto jumps, and a tenth of its students quit
@@ -28,7 +28,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -83,9 +82,10 @@ def load_config(path: str | Path) -> SynthConfig:
 class GeneratorModel:
     """The explicit transition kernel induced by a config.
 
-    ``distribution(state)`` returns the exact next-action probabilities for a
-    lookback state (the most recent up-to-``markov_order`` actions).  The
-    sampler and ``oracle_accuracy`` read it through the rows of ``_rows``.
+    ``_probs(target, last)`` returns the exact next-action probabilities for
+    a lookback state (the most recent up-to-``markov_order`` actions) with
+    that advance target and last action.  The sampler and
+    ``oracle_accuracy`` read them through the rows of ``_rows``.
     """
 
     def __init__(self, config: SynthConfig, p_advance: float | None = None):
@@ -103,13 +103,6 @@ class GeneratorModel:
         # (advance target, last action) -> (CDF, argmax)
         self._table: dict[tuple[int, int], tuple[array, int]] = {}
 
-    def advance_target(self, state: Sequence[int]) -> int:
-        """Successor of the most recent on-course action, item 0 if none."""
-        for action in reversed(state):
-            if action < self.syllabus_length:
-                return (action + 1) % self.syllabus_length
-        return 0
-
     def _probs(self, target: int, last: int) -> np.ndarray:
         """The kernel's next-action probabilities for one (target, last) pair."""
         probs = np.zeros(self.vocab_size)
@@ -121,12 +114,6 @@ class GeneratorModel:
         else:
             probs += self.p_jump / self.vocab_size
         return probs
-
-    def distribution(self, state: Sequence[int]) -> np.ndarray:
-        if not state:
-            raise ConfigError("the kernel needs at least one prior action")
-        state = state[-self.markov_order:]
-        return self._probs(self.advance_target(state), state[-1])
 
     def _rows(self, seq: list[int]):
         """Yield the (CDF, argmax) row each next action of ``seq`` is drawn from.

@@ -7,8 +7,10 @@ a batch at a time, the logistic in two masked branches instead of one pass,
 each LSTM prediction from its own window instead of a shared run, loss
 gradients by central differences instead of backpropagation, synthetic
 walks by one ``Generator.choice`` over the kernel's ``distribution`` per
-step instead of a cached CDF table, and prediction streams one record at a
-time instead of as columns, so they can serve as a second opinion.
+step instead of a cached CDF table, prediction streams one record at a
+time instead of as columns, and corpus subsets, splits and training windows
+one row at a time instead of by gathers over the columns, so they can serve
+as a second opinion.
 """
 
 import re
@@ -19,9 +21,11 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from nextaction.errors import MalformedRecordError, NextactionError, NumericalFaultError
+from nextaction.errors import (
+    ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
+)
 from nextaction.evaluation import AgreementTable
-from nextaction.ingest import NUMBER, read_lines
+from nextaction.ingest import NUMBER, Corpus, StudentSequence, read_lines
 from nextaction.lstm import forward_sequence, loss
 from nextaction.synth import SynthConfig
 
@@ -168,11 +172,28 @@ def save_config(cfg, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def advance_target(kernel, state):
+    """Successor of the most recent on-course action of ``state``, item 0 if none."""
+    for action in reversed(state):
+        if action < kernel.syllabus_length:
+            return (action + 1) % kernel.syllabus_length
+    return 0
+
+
+def distribution(kernel, state):
+    """The kernel: exact next-action probabilities after a lookback ``state``, of
+    which the last ``markov_order`` actions count, from ``kernel._probs``."""
+    if not state:
+        raise ConfigError("the kernel needs at least one prior action")
+    state = state[-kernel.markov_order:]
+    return kernel._probs(advance_target(kernel, state), state[-1])
+
+
 def per_step_sample(kernel, length, rng):
     """A generator walk drawn one ``rng.choice`` over ``distribution`` per step."""
     seq = [0]
     for _ in range(length - 1):
-        probs = kernel.distribution(seq[-kernel.markov_order:])
+        probs = distribution(kernel, seq[-kernel.markov_order:])
         seq.append(int(rng.choice(kernel.vocab_size, p=probs)))
     return seq
 
@@ -185,7 +206,7 @@ def per_step_oracle_accuracy(kernel, horizon, seed):
     for _ in range(horizon):
         seq = per_step_sample(kernel, kernel.sample_length(rng), rng)
         correct = sum(
-            int(np.argmax(kernel.distribution(seq[:t]))) == seq[t] for t in range(1, len(seq))
+            int(np.argmax(distribution(kernel, seq[:t]))) == seq[t] for t in range(1, len(seq))
         )
         props.append(correct / (len(seq) - 1))
     props_arr = np.asarray(props)
@@ -229,3 +250,56 @@ def per_record_agreement(a, b):
             raise NextactionError(f"misaligned streams at {sid_a}:{pos_a} vs {sid_b}:{pos_b}")
         cells[(0 if pred_a == truth_a else 2) + (0 if pred_b == truth_b else 1)] += 1
     return AgreementTable(*cells)
+
+
+def corpus_of(rows, vocab_size=None, vocabulary=None):
+    """A columnar corpus of ``rows``: ``StudentSequence``s, or action lists, which
+    become certified students s0, s1, ...; V defaults to the largest id plus one."""
+    rows = [row if isinstance(row, StudentSequence) else StudentSequence(f"s{i}", list(row), True)
+            for i, row in enumerate(rows)]
+    actions = np.array([a for row in rows for a in row.actions], dtype=np.int64)
+    if vocab_size is None:
+        vocab_size = int(actions.max(initial=-1)) + 1
+    return Corpus(
+        vocabulary, vocab_size, actions, np.array([len(row) for row in rows], dtype=np.int64),
+        np.array([row.student_id for row in rows], dtype=object),
+        np.array([row.certified for row in rows], dtype=bool),
+    )
+
+
+def actions_pos(sequences):
+    """The prediction contract's ``(actions, pos)`` of a list of action lists."""
+    corpus = corpus_of(sequences)
+    return corpus.actions, corpus.pos
+
+
+def students_in(plan, fold):
+    """The students a fold plan assigns to ``fold``, sorted."""
+    return sorted(s for s, f in plan.assignment.items() if f == fold)
+
+
+def per_row_filter_cohort(rows, certified, min_actions):
+    """The rows of one cohort (of both for None) with at least ``min_actions`` actions."""
+    return [row for row in rows if certified in (None, row.certified) and len(row) >= min_actions]
+
+
+def per_row_hill_climb_split(rows, fraction, seed):
+    """(train, holdout) rows: ceil(fraction * n) students drawn from the rows in
+    student order, each part kept in row order."""
+    ordered = sorted(rows, key=lambda row: row.student_id)
+    order = np.random.default_rng([seed, 0xC11A]).permutation(len(ordered))
+    holdout = {ordered[j].student_id for j in order[: int(np.ceil(fraction * len(ordered)))]}
+    return ([row for row in rows if row.student_id not in holdout],
+            [row for row in rows if row.student_id in holdout])
+
+
+def per_row_windows(rows, window, pad_id):
+    """Each row cut into chunks of window+1 actions (a trailing chunk kept when
+    it holds two), one chunk per row of a matrix padded with ``pad_id``."""
+    chunks = [row.actions[start : start + window + 1]
+              for row in rows for start in range(0, len(row), window + 1)]
+    chunks = [chunk for chunk in chunks if len(chunk) >= 2]
+    batch = np.full((len(chunks), window + 1), pad_id, dtype=np.int64)
+    for i, chunk in enumerate(chunks):
+        batch[i, : len(chunk)] = chunk
+    return batch

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    finite_difference_gradients, naive_backoff_predict, naive_backoff_usage, naive_gram_counts,
+    corpus_of, finite_difference_gradients, naive_backoff_predict, naive_backoff_usage,
+    naive_gram_counts, students_in,
 )
 from nextaction import baselines, evaluation, ingest, lstm, ngram, synth
 from nextaction.cli import main
@@ -28,7 +29,7 @@ def certified(default_data):
 
 @pytest.fixture(scope="module")
 def fold_plan(certified):
-    return evaluation.make_folds(certified.student_ids(), 5, seed=FOLD_SEED)
+    return evaluation.make_folds(certified.students, 5, seed=FOLD_SEED)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def test_criterion_2_ngram_count_oracle():
                 break
             sequences.append(rng.integers(0, vocab_size, size=length).tolist())
             budget -= length
-        corpus = ingest.Corpus(None, [
+        corpus = corpus_of([
             ingest.StudentSequence(f"s{i}", seq, True)
             for i, seq in enumerate(sequences)
         ], vocab_size)
@@ -262,23 +263,23 @@ def test_criterion_9_protocol_shape():
     plan = evaluation.make_folds(students, 5, seed=3)
     seen = Counter()
     for fold in range(5):
-        for student in plan.students_in(fold):
+        for student in students_in(plan, fold):
             seen[student] += 1
     assert all(count == 1 for count in seen.values())
     assert sorted(seen) == students
-    sizes = sorted(len(plan.students_in(f)) for f in range(5))
+    sizes = sorted(len(students_in(plan, f)) for f in range(5))
     assert sizes[-1] - sizes[0] <= 1
 
     # hill-climb holdout takes the ceiling of 10% by student count
     for n_students, expected in ((20, 2), (9, 1), (31, 4)):
         seqs = [ingest.StudentSequence(f"u{i}", [0, 1], True) for i in range(n_students)]
-        train, hold = evaluation.hill_climb_split(seqs, 0.1, seed=4)
+        train, hold = evaluation.hill_climb_split(corpus_of(seqs, 2), 0.1, seed=4)
         assert len(hold) == expected
         assert len(train) + len(hold) == n_students
-        assert not {s.student_id for s in train} & {s.student_id for s in hold}
+        assert not set(train.students) & set(hold.students)
 
     # macro vs micro averaging differ on a constructed two-fold corpus
-    corpus = ingest.Corpus(None, [
+    corpus = corpus_of([
         ingest.StudentSequence("long", [0] + [1] * 20, True),
         ingest.StudentSequence("short", [0, 1], True),
     ], 2)

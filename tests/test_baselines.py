@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import corpus_of
 from nextaction import baselines, evaluation, ingest
 from nextaction.errors import DuplicateItemError, NextactionError
 
@@ -47,7 +48,7 @@ class TestRepeat:
 
     def test_constant_sequence_scores_one(self):
         model = baselines.RepeatModel()
-        assert evaluation.sequence_accuracy(model, [[7, 7, 7, 7]])[0].tolist() == [1.0]
+        assert evaluation.sequence_accuracy(model, corpus_of([[7, 7, 7, 7]]))[0].tolist() == [1.0]
 
     def test_empty_context(self):
         with pytest.raises(NextactionError):
@@ -75,7 +76,7 @@ class TestSyllabus:
         model = baselines.SyllabusModel(syl)
         x = vocab.encode("x")
         # off-order context never predicts correctly, even a repeat
-        assert evaluation.sequence_accuracy(model, [[x, x, x]])[0].tolist() == [0.0]
+        assert evaluation.sequence_accuracy(model, corpus_of([[x, x, x]]))[0].tolist() == [0.0]
 
 
 class TestSyllabusRepeat:
@@ -107,7 +108,7 @@ class TestCombinedDominates:
             default_data.outputs.syllabus_path, default_data.corpus.vocabulary
         )
         cert = default_data.certified
-        plan = evaluation.make_folds(cert.student_ids(), 5, seed=77)
+        plan = evaluation.make_folds(cert.students, 5, seed=77)
         scores = {}
         for model in (
             baselines.RepeatModel(),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import corpus_of
 from nextaction import evaluation, ingest, lstm, ngram
 from nextaction.cli import main
 from nextaction.errors import MalformedRecordError
@@ -284,10 +285,10 @@ class TestHostileModelAndCorpus:
     ])
     def test_bad_student_id_exits_2(self, pipeline, tmp_path, capsys, sid, reason):
         corpus = ingest.load_corpus(pipeline / "corpus.nact")
-        first = corpus.sequences[0]
-        corpus.sequences.append(ingest.StudentSequence(sid or first.student_id, first.actions, True))
+        rows = corpus.sequences
+        rows.append(ingest.StudentSequence(sid or rows[0].student_id, rows[0].actions, True))
         hostile = tmp_path / "hostile.nact"
-        ingest.save_corpus(corpus, hostile)
+        ingest.save_corpus(corpus_of(rows, corpus.vocab_size), hostile)
         assert main([
             "baseline", "--corpus", str(hostile), "--vocab", str(pipeline / "vocab.tsv"),
             "--folds", "3", "--stream", str(tmp_path / "b.pred"), "--out-dir", str(tmp_path),

@@ -10,19 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
-    per_line_read_stream, per_record_agreement,
+    actions_pos, columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
+    per_line_read_stream, per_record_agreement, students_in,
 )
+from helpers import corpus_of as rows_corpus
 from nextaction import baselines, evaluation, lstm, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
-from nextaction.ingest import Corpus, StudentSequence, flatten
+from nextaction.ingest import StudentSequence
 
 
-def corpus_of(sequences, vocab_size, certified=True):
+def corpus_of(sequences, vocab_size=None, certified=True):
     seqs = [
         StudentSequence(f"s{i:03d}", list(a), certified) for i, a in enumerate(sequences)
     ]
-    return Corpus(vocabulary=None, sequences=seqs, vocab_size=vocab_size)
+    return rows_corpus(seqs, vocab_size)
 
 
 class ConstantModel:
@@ -47,13 +48,13 @@ class ShortByOne:
 
 def one(actions):
     """A single sequence as the contract's (actions, pos)."""
-    return flatten([actions])
+    return actions_pos([actions])
 
 
 class TestMakeFolds:
     def test_even_split(self):
         plan = evaluation.make_folds([f"s{i}" for i in range(10)], 5, seed=1)
-        sizes = [len(plan.students_in(f)) for f in range(5)]
+        sizes = [len(students_in(plan, f)) for f in range(5)]
         assert sizes == [2, 2, 2, 2, 2]
 
     def test_same_seed_same_assignment(self):
@@ -70,13 +71,13 @@ class TestMakeFolds:
 
     def test_eleven_students_five_folds(self):
         plan = evaluation.make_folds([f"s{i}" for i in range(11)], 5, seed=2)
-        sizes = sorted((len(plan.students_in(f)) for f in range(5)), reverse=True)
+        sizes = sorted((len(students_in(plan, f)) for f in range(5)), reverse=True)
         assert sizes == [3, 2, 2, 2, 2]
 
     def test_partition_exact(self):
         students = [f"s{i}" for i in range(23)]
         plan = evaluation.make_folds(students, 4, seed=3)
-        seen = [s for f in range(4) for s in plan.students_in(f)]
+        seen = [s for f in range(4) for s in students_in(plan, f)]
         assert sorted(seen) == sorted(students)
 
     def test_too_few_students(self):
@@ -89,26 +90,26 @@ class TestMakeFolds:
 class TestHillClimbSplit:
     def test_twenty_students_two_held_out(self):
         corpus = corpus_of([[0, 1]] * 20, 2)
-        train, hold = evaluation.hill_climb_split(corpus.sequences, 0.1, seed=4)
+        train, hold = evaluation.hill_climb_split(corpus, 0.1, seed=4)
         assert len(hold) == 2 and len(train) == 18
 
     def test_ceiling_rounding(self):
         corpus = corpus_of([[0, 1]] * 9, 2)
-        train, hold = evaluation.hill_climb_split(corpus.sequences, 0.1, seed=4)
+        train, hold = evaluation.hill_climb_split(corpus, 0.1, seed=4)
         assert len(hold) == 1 and len(train) == 8
 
     def test_disjoint_and_complete(self):
         corpus = corpus_of([[0, 1]] * 13, 2)
-        train, hold = evaluation.hill_climb_split(corpus.sequences, 0.25, seed=4)
-        train_ids = {s.student_id for s in train}
-        hold_ids = {s.student_id for s in hold}
+        train, hold = evaluation.hill_climb_split(corpus, 0.25, seed=4)
+        train_ids = {s.student_id for s in train.sequences}
+        hold_ids = {s.student_id for s in hold.sequences}
         assert not train_ids & hold_ids
         assert train_ids | hold_ids == {s.student_id for s in corpus.sequences}
 
 
 class TestSequenceAccuracy:
     def test_repeat_on_small_sequence(self):
-        accuracies, _ = evaluation.sequence_accuracy(RepeatLast(), [[0, 0, 1, 1]])
+        accuracies, _ = evaluation.sequence_accuracy(RepeatLast(), corpus_of([[0, 0, 1, 1]]))
         assert accuracies.tolist() == pytest.approx([2 / 3])
 
     def test_perfect_model(self):
@@ -118,27 +119,27 @@ class TestSequenceAccuracy:
             def predict_sequence(self, actions, pos):
                 return seq[1:]
 
-        accuracies, _ = evaluation.sequence_accuracy(Oracle(), [seq])
+        accuracies, _ = evaluation.sequence_accuracy(Oracle(), corpus_of([seq]))
         assert accuracies.tolist() == [1.0]
 
     def test_ngram_on_own_deterministic_sequence(self):
         seq = [0, 1, 2, 3, 4]
         corpus = corpus_of([seq], 5)
         table = ngram.fit(corpus, max_order=3)
-        accuracies, _ = evaluation.sequence_accuracy(ngram.NGramPredictor(table), [seq])
+        accuracies, _ = evaluation.sequence_accuracy(ngram.NGramPredictor(table), corpus)
         assert accuracies.tolist() == [1.0]
 
     def test_too_short_raises(self):
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(RepeatLast(), [[1]])
+            evaluation.sequence_accuracy(RepeatLast(), corpus_of([[1]]))
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(RepeatLast(), [[0, 1], [1]])
+            evaluation.sequence_accuracy(RepeatLast(), corpus_of([[0, 1], [1]]))
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(RepeatLast(), [])
+            evaluation.sequence_accuracy(RepeatLast(), corpus_of([]))
 
     def test_one_call_scores_every_sequence(self):
         seqs = [[0, 0, 1, 1], [2, 2], [1, 0, 0, 0, 1]]
-        accuracies, predictions = evaluation.sequence_accuracy(RepeatLast(), seqs)
+        accuracies, predictions = evaluation.sequence_accuracy(RepeatLast(), corpus_of(seqs))
         assert accuracies.tolist() == pytest.approx([2 / 3, 1.0, 2 / 4])
         assert predictions.tolist() == [0, 0, 1, 2, 1, 0, 0, 0]
 
@@ -200,7 +201,7 @@ class TestPredictionContract:
         model, single = _contract_case(kind)
         rng = np.random.default_rng(3)
         fold = [rng.integers(0, 7, size=n).tolist() for n in (9, 1, 2, 13, 2, 1, 6, 5)]
-        predictions = model.predict_sequence(*flatten(fold))
+        predictions = model.predict_sequence(*actions_pos(fold))
         assert predictions.dtype == np.int64
         one_by_one = [model.predict_sequence(*one(actions)) for actions in fold]
         assert predictions.tolist() == np.concatenate(one_by_one).tolist()
@@ -210,13 +211,13 @@ class TestPredictionContract:
 
     def test_wrong_prediction_count_raises(self):
         corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=0)
+        plan = evaluation.make_folds(corpus.students, 3, seed=0)
         with pytest.raises(NextactionError, match="predictions for"):
             evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan)
         with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
             evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
         with pytest.raises(NextactionError):
-            evaluation.sequence_accuracy(ShortByOne(), [[0, 1, 1]])
+            evaluation.sequence_accuracy(ShortByOne(), corpus_of([[0, 1, 1]]))
 
 
 class TestCrossValidate:
@@ -224,14 +225,14 @@ class TestCrossValidate:
         rng = np.random.default_rng(6)
         seqs = [rng.integers(0, 3, size=rng.integers(4, 12)).tolist() for _ in range(12)]
         corpus = corpus_of(seqs, 3)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=0)
+        plan = evaluation.make_folds(corpus.students, 3, seed=0)
         report = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
         # direct recomputation of the macro base rate of action 1
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         fold_means = []
         for f in range(3):
             props = []
-            for sid in plan.students_in(f):
+            for sid in students_in(plan, f):
                 actions = by_id[sid]
                 props.append(sum(a == 1 for a in actions[1:]) / (len(actions) - 1))
             fold_means.append(np.mean(props))
@@ -242,20 +243,20 @@ class TestCrossValidate:
         rng = np.random.default_rng(7)
         seqs = [rng.integers(0, 4, size=10).tolist() for _ in range(9)]
         corpus = corpus_of(seqs, 4)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=1)
+        plan = evaluation.make_folds(corpus.students, 3, seed=1)
         model = RepeatLast()
         report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         for f in range(3):
             direct = np.mean([
-                evaluation.sequence_accuracy(model, [by_id[sid]])[0][0]
-                for sid in plan.students_in(f)
+                evaluation.sequence_accuracy(model, corpus_of([by_id[sid]]))[0][0]
+                for sid in students_in(plan, f)
             ])
             assert report.per_fold_accuracy[f] == pytest.approx(direct)
 
     def test_short_sequences_skipped_and_tallied(self):
         corpus = corpus_of([[0, 1, 0], [0], [1, 1], [0, 0]], 2)
-        plan = evaluation.make_folds(corpus.student_ids(), 2, seed=2)
+        plan = evaluation.make_folds(corpus.students, 2, seed=2)
         report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
         assert report.skipped_sequences == 1
 
@@ -264,7 +265,7 @@ class TestCrossValidate:
         # all-correct sequence: macro treats them equally, micro would not.
         long_seq = [0] + [1] * 20  # repeat scores 19/20
         short_seq = [0, 1]  # repeat scores 0/1
-        corpus = Corpus(None, [
+        corpus = rows_corpus([
             StudentSequence("long", long_seq, True),
             StudentSequence("short", short_seq, True),
         ], 2)
@@ -279,7 +280,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(9)
         seqs = [rng.integers(0, 4, size=12).tolist() for _ in range(8)]
         corpus = corpus_of(seqs, 4)
-        plan = evaluation.make_folds(corpus.student_ids(), 4, seed=5)
+        plan = evaluation.make_folds(corpus.students, 4, seed=5)
 
         def run():
             report = evaluation.cross_validate(
@@ -312,7 +313,7 @@ class TestSpecs:
         rng = np.random.default_rng(8)
         seqs = [rng.integers(0, 4, size=15).tolist() for _ in range(10)]
         corpus = corpus_of(seqs, 4)
-        return corpus, evaluation.make_folds(corpus.student_ids(), 5, seed=3)
+        return corpus, evaluation.make_folds(corpus.students, 5, seed=3)
 
     @pytest.mark.parametrize("spec", [
         ngram.NGramSpec((2,)),
@@ -338,7 +339,7 @@ class TestSpecs:
         cfg = _tiny_lstm_config(seed=11)
         report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, fit_full=True)
         for fold, curve in enumerate(report.fold_extras):
-            train = Corpus(None, [
+            train = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] != fold
             ], 4)
             _, direct = lstm.train(train, replace(cfg, seed=lstm.derive_seed(11, fold)))
@@ -372,11 +373,11 @@ class TestTransferEval:
         rng = np.random.default_rng(10)
         seqs = [rng.integers(0, 4, size=20).tolist() for _ in range(10)]
         corpus = corpus_of(seqs, 4)
-        plan = evaluation.make_folds(corpus.student_ids(), 5, seed=6)
+        plan = evaluation.make_folds(corpus.students, 5, seed=6)
         model = RepeatLast()
         report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         for f in range(5):
-            fold_corpus = Corpus(None, [
+            fold_corpus = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] == f
             ], 4)
             acc, _ = evaluation.transfer_eval(model, fold_corpus, min_actions=1)
@@ -498,7 +499,7 @@ class TestOneCallPerFold:
 
     def test_cross_validate_and_transfer(self, corpus):
         model = CountingRepeat()
-        plan = evaluation.make_folds(corpus.student_ids(), 4, seed=2)
+        plan = evaluation.make_folds(corpus.students, 4, seed=2)
         evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, keep_streams=True)
         assert model.calls == 4
         evaluation.transfer_eval(model, corpus, min_actions=2)
@@ -506,7 +507,7 @@ class TestOneCallPerFold:
 
     def test_each_model_of_a_sweep_once_per_fold(self, corpus, monkeypatch):
         calls = counting(monkeypatch, ngram.NGramPredictor)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=2)
+        plan = evaluation.make_folds(corpus.students, 3, seed=2)
         ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
         assert len(calls) == 3 * 3
         assert sum(calls) == 3 * corpus.total_actions
@@ -516,7 +517,7 @@ class TestOneCallPerFold:
         cfg = replace(_tiny_lstm_config(), epochs=3)
         lstm.train(corpus, cfg)
         assert len(calls) == 3
-        plan = evaluation.make_folds(corpus.student_ids(), 2, seed=2)
+        plan = evaluation.make_folds(corpus.students, 2, seed=2)
         evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, workers=1)
         assert len(calls) == 3 + 2 * (3 + 1)
 

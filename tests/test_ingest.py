@@ -7,12 +7,15 @@ from datetime import datetime
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated
-from nextaction import ingest, synth
+from helpers import (
+    corpus_of, mutated, per_row_filter_cohort, per_row_hill_climb_split, per_row_windows,
+)
+from nextaction import evaluation, ingest, lstm, synth
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 
 
@@ -30,11 +33,13 @@ def make_roster(tmp_path, entries, name="roster.tsv"):
 
 class TestParseEvent:
     def test_direct_field_mapping(self):
-        ev = ingest.parse_event("2013-03-01T10:00:00Z\ts1\tplay_video\tcourseware/w1/v2\t-", 1)
-        assert ev.student_id == "s1"
-        assert ev.event_type == "play_video"
-        assert ev.page == "courseware/w1/v2"
-        assert ev.object_name is None
+        _, student_id, event_type, page, object_name = ingest.parse_event(
+            "2013-03-01T10:00:00Z\ts1\tplay_video\tcourseware/w1/v2\t-", 1
+        )
+        assert student_id == "s1"
+        assert event_type == "play_video"
+        assert page == "courseware/w1/v2"
+        assert object_name is None
 
     def test_two_fields_is_malformed(self):
         with pytest.raises(MalformedRecordError) as err:
@@ -42,9 +47,11 @@ class TestParseEvent:
         assert err.value.lineno == 7
 
     def test_object_name_field(self):
-        ev = ingest.parse_event("2013-03-01T10:00:01Z\ts1\tsave_problem_check\t-\ti4x://quiz1_q3", 1)
-        assert ev.object_name == "i4x://quiz1_q3"
-        assert ev.page is None
+        *_, page, object_name = ingest.parse_event(
+            "2013-03-01T10:00:01Z\ts1\tsave_problem_check\t-\ti4x://quiz1_q3", 1
+        )
+        assert object_name == "i4x://quiz1_q3"
+        assert page is None
 
     def test_bad_timestamp(self):
         with pytest.raises(MalformedRecordError):
@@ -57,35 +64,32 @@ class TestParseEvent:
             ingest.parse_event("2013-03-01T10:00:00Z\ts1\t\t-\t-", 1)
 
 
-class TestExtractAction:
-    def test_problem_check_uses_object_name(self):
-        ev = ingest.RawEvent(
-            timestamp=ingest._parse_timestamp("2013-03-01T10:00:00Z", 0),
-            student_id="s1", event_type="save_problem_check",
-            page="x", object_name="i4x://quiz1_q3",
-        )
-        assert ingest.extract_action(ev) == "i4x://quiz1_q3"
+# a canonical stamp, read in bulk, and one that only the per-line reader reads
+STAMP_FORMS = ["2013-03-01T10:00:00Z", "2013-03-01T10:00:00+00:00"]
 
-    def test_page_when_present(self):
-        ev = ingest.RawEvent(
-            timestamp=ingest._parse_timestamp("2013-03-01T10:00:00Z", 0),
-            student_id="s1", event_type="play_video", page="courseware/w1/v2",
-        )
-        assert ingest.extract_action(ev) == "courseware/w1/v2"
 
-    def test_event_type_fallback(self):
-        ev = ingest.RawEvent(
-            timestamp=ingest._parse_timestamp("2013-03-01T10:00:00Z", 0),
-            student_id="s1", event_type="seq_goto",
-        )
-        assert ingest.extract_action(ev) == "seq_goto"
+@pytest.mark.parametrize("stamp", STAMP_FORMS)
+class TestActionToken:
+    def token(self, tmp_path, stamp, event_type, page, object_name):
+        """The one action token of a one-line log."""
+        log = make_log(tmp_path, [f"{stamp}\ts1\t{event_type}\t{page}\t{object_name}"])
+        corpus, _ = ingest.ingest_files(log, make_roster(tmp_path, [("s1", True)]), min_count=1)
+        (token,) = corpus.vocabulary.id_to_token
+        return token
 
-    def test_problem_check_without_object_falls_through(self):
-        ev = ingest.RawEvent(
-            timestamp=ingest._parse_timestamp("2013-03-01T10:00:00Z", 0),
-            student_id="s1", event_type="save_problem_check", page="p1",
-        )
-        assert ingest.extract_action(ev) == "p1"
+    def test_problem_check_uses_object_name(self, tmp_path, stamp):
+        token = self.token(tmp_path, stamp, "save_problem_check", "x", "i4x://quiz1_q3")
+        assert token == "i4x://quiz1_q3"
+
+    def test_page_when_present(self, tmp_path, stamp):
+        token = self.token(tmp_path, stamp, "play_video", "courseware/w1/v2", "-")
+        assert token == "courseware/w1/v2"
+
+    def test_event_type_fallback(self, tmp_path, stamp):
+        assert self.token(tmp_path, stamp, "seq_goto", "-", "-") == "seq_goto"
+
+    def test_problem_check_without_object_falls_through(self, tmp_path, stamp):
+        assert self.token(tmp_path, stamp, "save_problem_check", "p1", "-") == "p1"
 
 
 class TestVocabulary:
@@ -301,10 +305,10 @@ class TestFileFormats:
 
     def test_corpus_binary_round_trip(self, tmp_path):
         vocab = ingest.build_vocabulary(["a", "b"], min_count=1)
-        corpus = ingest.Corpus(vocab, [
+        corpus = corpus_of([
             ingest.StudentSequence("alpha", [0, 1, 0], True),
             ingest.StudentSequence("beta", [1, 1], False),
-        ], vocab_size=2)
+        ], vocab_size=2, vocabulary=vocab)
         path = tmp_path / "corpus.nact"
         ingest.save_corpus(corpus, path)
         assert path.read_bytes().startswith(b"NACT1")
@@ -330,7 +334,7 @@ class TestFileFormats:
 
     def test_corpus_header_vocab_mismatch(self, tmp_path):
         vocab = ingest.build_vocabulary(["a", "b"], min_count=1)
-        corpus = ingest.Corpus(vocab, [ingest.StudentSequence("s", [0], True)], 2)
+        corpus = corpus_of([ingest.StudentSequence("s", [0], True)], 2, vocab)
         path = tmp_path / "c.nact"
         ingest.save_corpus(corpus, path)
         wrong = ingest.build_vocabulary(["a", "b", "c"], min_count=1)
@@ -456,7 +460,7 @@ class TestVocabularyProperties:
 class TestCorpusRejects:
     @pytest.fixture
     def saved(self, tmp_path):
-        corpus = ingest.Corpus(None, [
+        corpus = corpus_of([
             ingest.StudentSequence("alpha", [0, 1, 0], True),
             ingest.StudentSequence("beta", [1, 1], False),
         ], vocab_size=2)
@@ -514,7 +518,7 @@ class TestCorpusRejects:
         ("alpha", "student id 'alpha' appears twice"),
     ])
     def test_empty_tabbed_or_repeated_student_id(self, saved, sid, reason):
-        corpus = ingest.Corpus(None, [
+        corpus = corpus_of([
             ingest.StudentSequence("alpha", [0, 1, 0], True),
             ingest.StudentSequence(sid, [1, 1], False),
         ], vocab_size=2)
@@ -522,6 +526,25 @@ class TestCorpusRejects:
         error = self.load_error(saved, saved.read_bytes())
         # the second id follows alpha's length, id, flag and count, and three ids
         assert (error.lineno, error.reason) == (5 + 8 + 4 + 5 + 5 + 12 + 4, reason)
+
+    @pytest.mark.parametrize("later", ["truncated", "repeated student", "trailing bytes"])
+    def test_first_bad_field_in_file_order_is_reported(self, saved, later):
+        """A bad id in the first sequence is reported before a fault further on."""
+        corpus = corpus_of([
+            ingest.StudentSequence("alpha", [0, 1, 0], True),
+            ingest.StudentSequence("alpha" if later == "repeated student" else "beta",
+                                   [1, 1], False),
+        ], vocab_size=2)
+        ingest.save_corpus(corpus, saved)
+        blob = bytearray(saved.read_bytes())
+        first_id = 5 + 8 + 4 + 5 + 5
+        blob[first_id + 4] = 2  # alpha's second id becomes 2 with V=2
+        if later == "truncated":
+            blob = blob[:-3]
+        elif later == "trailing bytes":
+            blob += b"\0"
+        error = self.load_error(saved, bytes(blob))
+        assert (error.lineno, error.reason) == (first_id + 4, "action id 2 >= V=2")
 
 
 STUDENTS = ["s1", "s2", "é3", "a b"]
@@ -647,3 +670,66 @@ class TestReadersAgree:
         assert got == want
         if record_edit is None and log_edit in ("none", "no-final-newline"):
             assert accepted[0] is not None
+
+
+STUDENT_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), min_size=1, max_size=3
+)
+
+
+@st.composite
+def corpus_rows(draw):
+    """(V, rows): sequences of 0 to 12 ids below V under distinct student ids."""
+    vocab_size = draw(st.integers(1, 6))
+    students = draw(st.lists(STUDENT_IDS, max_size=8, unique=True))
+    return vocab_size, [
+        ingest.StudentSequence(student, draw(st.lists(st.integers(0, vocab_size - 1), max_size=12)),
+                               draw(st.booleans()))
+        for student in students
+    ]
+
+
+class TestColumnarCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(corpus_rows(), st.data())
+    def test_columns_agree_with_row_oracles(self, case, data):
+        """Gathers, cohort filters, hill-climb splits, training windows and a
+        save/load round trip over the columns give what the same steps give
+        one row at a time."""
+        vocab_size, rows = case
+        corpus = corpus_of(rows, vocab_size)
+        assert corpus.sequences == rows
+        assert corpus.pos.tolist() == [t for row in rows for t in range(len(row))]
+
+        index = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10) if rows
+                          else st.just([]))
+        picked = corpus.take(np.array(index, dtype=np.int64))
+        assert picked.sequences == [rows[i] for i in index]
+        assert picked.actions.dtype == picked.lengths.dtype == np.int64
+        mask = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        assert (corpus.take(np.array(mask, dtype=bool)).sequences
+                == [row for row, keep in zip(rows, mask) if keep])
+
+        certified = data.draw(st.sampled_from([None, True, False]))
+        min_actions = data.draw(st.integers(1, 4))
+        assert (ingest.filter_cohort(corpus, certified, min_actions).sequences
+                == per_row_filter_cohort(rows, certified, min_actions))
+
+        if len(rows) >= 2:
+            fraction = data.draw(st.sampled_from([0.1, 0.25, 0.5, 0.9]))
+            seed = data.draw(st.integers(0, 2**16))
+            train, holdout = evaluation.hill_climb_split(corpus, fraction, seed)
+            assert ((train.sequences, holdout.sequences)
+                    == per_row_hill_climb_split(rows, fraction, seed))
+
+        window = data.draw(st.integers(1, 5))
+        windows = lstm.make_windows(corpus, window, vocab_size)
+        assert windows.dtype == np.int64
+        assert np.array_equal(windows, per_row_windows(rows, window, vocab_size))
+
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "corpus.nact"
+            ingest.save_corpus(corpus, path)
+            loaded = ingest.load_corpus(path)
+        assert loaded.vocab_size == vocab_size
+        assert loaded.sequences == rows

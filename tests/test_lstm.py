@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from helpers import (
-    LstmLayerState, finite_difference_gradients, forward_cell, lstm_predict_next, mutated,
-    naive_sigmoid,
+    LstmLayerState, actions_pos, corpus_of, finite_difference_gradients, forward_cell,
+    lstm_predict_next, mutated, naive_sigmoid,
 )
 from nextaction import evaluation, lstm
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
-from nextaction.ingest import Corpus, StudentSequence, flatten
+from nextaction.ingest import StudentSequence
 
 
 def tiny_net(seed=0, vocab=7, emb=5, hidden=6, layers=2, dropout=0.0, window=9, cell="lstm"):
@@ -30,7 +30,7 @@ def cycle_corpus(n_students=10, length=30, period=3):
         StudentSequence(f"s{i}", [(j + i) % period for j in range(length)], True)
         for i in range(n_students)
     ]
-    return Corpus(vocabulary=None, sequences=seqs, vocab_size=period)
+    return corpus_of(seqs, period)
 
 
 def straight_line_cell(params, x, h_prev, c_prev):
@@ -427,7 +427,7 @@ class TestPrediction:
         predictor = lstm.LstmPredictor(net)
         actions = np.random.default_rng(2).integers(0, 7, size=9).tolist()
         for n in range(len(actions) + 1):
-            predictions = predictor.predict_sequence(*flatten([actions[:n]]))
+            predictions = predictor.predict_sequence(*actions_pos([actions[:n]]))
             assert predictions.dtype == np.int64
             assert predictions.tolist() == [
                 lstm_predict_next(net, actions[:t])[0] for t in range(1, n)
@@ -438,7 +438,7 @@ class TestPrediction:
     def test_window_one_scores_from_a_zero_step_head_run(self, cell, layers):
         net = tiny_net(seed=25, layers=layers, cell=cell, window=1)
         actions = [3, 1, 4, 1, 5]
-        predictions = lstm.LstmPredictor(net).predict_sequence(*flatten([actions, actions[:2]]))
+        predictions = lstm.LstmPredictor(net).predict_sequence(*actions_pos([actions, actions[:2]]))
         expected = [lstm_predict_next(net, seq[:t])[0]
                     for seq in (actions, actions[:2]) for t in range(1, len(seq))]
         assert predictions.tolist() == expected
@@ -615,7 +615,7 @@ class TestCheckpointRejects:
 class TestGridSearch:
     def test_shape_of_desk_scale_grid(self):
         corpus = cycle_corpus(n_students=10, length=24)
-        plan = evaluation.make_folds(corpus.student_ids(), 5, seed=1)
+        plan = evaluation.make_folds(corpus.students, 5, seed=1)
         base = lstm.TrainConfig(epochs=1, window=5, batch_size=8, seed=2,
                                 embedding_dim=6, dropout_rate=0.0)
         results = lstm.grid_search(

@@ -7,16 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    mutated, naive_backoff_predict, naive_backoff_usage, naive_gram_counts, table_counts,
+    actions_pos, corpus_of, mutated, naive_backoff_predict, naive_backoff_usage,
+    naive_gram_counts, table_counts,
 )
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
-from nextaction.ingest import Corpus, StudentSequence, flatten
-
-
-def corpus_of(sequences, vocab_size):
-    seqs = [StudentSequence(f"s{i}", list(a), True) for i, a in enumerate(sequences)]
-    return Corpus(vocabulary=None, sequences=seqs, vocab_size=vocab_size)
+from nextaction.ingest import StudentSequence
 
 
 A, B, Z = 0, 1, 2
@@ -50,7 +46,7 @@ class TestFit:
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
-            ngram.fit(Corpus(None, [], 2), max_order=2)
+            ngram.fit(corpus_of([], 2), max_order=2)
 
 
 class TestPredict:
@@ -172,9 +168,9 @@ class TestBackoffUsage:
         for seqs in ([], [[A]], [[B], [Z]]):
             assert ngram.backoff_usage(table, corpus_of(seqs, 3)) == {1: 0.0, 2: 0.0, 3: 0.0}
         predictor = ngram.NGramPredictor(table)
-        assert (predictor.predict_sequence(*flatten([])).tolist()
-                == predictor.predict_sequence(*flatten([[Z]])).tolist()
-                == predictor.predict_sequence(*flatten([[B], [Z]])).tolist() == [])
+        assert (predictor.predict_sequence(*actions_pos([])).tolist()
+                == predictor.predict_sequence(*actions_pos([[Z]])).tolist()
+                == predictor.predict_sequence(*actions_pos([[B], [Z]])).tolist() == [])
 
 
 class TestSweepAndFiles:
@@ -182,7 +178,7 @@ class TestSweepAndFiles:
         cycle = [(i % 3) for i in range(30)]
         seqs = [list(cycle)] * 6
         corpus = corpus_of(seqs, 3)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=5)
+        plan = evaluation.make_folds(corpus.students, 3, seed=5)
         reports = ngram.sweep_orders(corpus, range(2, 5), plan)
         for order, report in reports.items():
             assert report.cv_accuracy == 1.0, f"order {order}"
@@ -190,7 +186,7 @@ class TestSweepAndFiles:
     def test_sweep_fits_one_table_per_fold(self, monkeypatch):
         rng = np.random.default_rng(50)
         corpus = corpus_of([rng.integers(0, 4, size=20).tolist() for _ in range(9)], 4)
-        plan = evaluation.make_folds(corpus.student_ids(), 3, seed=5)
+        plan = evaluation.make_folds(corpus.students, 3, seed=5)
         fitted = []
         real_fit = ngram.fit
 
@@ -225,7 +221,7 @@ class TestActionRange:
     def test_out_of_range_ids_are_refused(self, bad):
         table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=2)
         with pytest.raises(ConfigError):
-            ngram.NGramPredictor(table).predict_sequence(*flatten([[A, bad, B]]))
+            ngram.NGramPredictor(table).predict_sequence(*actions_pos([[A, bad, B]]))
         with pytest.raises(ConfigError):
             ngram.predict_next(table, [A, bad])
 
@@ -336,7 +332,7 @@ class TestProperties:
             predictor = ngram.NGramPredictor(table, max_order=cap)
             for seq in train + held_out:
                 expected = [naive_backoff_predict(naive, seq[:t], cap) for t in range(1, len(seq))]
-                assert (predictor.predict_sequence(*flatten([seq])).tolist()
+                assert (predictor.predict_sequence(*actions_pos([seq])).tolist()
                         == [p for p, _ in expected])
                 for t, (predicted, order) in zip(range(1, len(seq)), expected):
                     pred = ngram.predict_next(table, seq[:t], cap)
@@ -355,7 +351,7 @@ class TestProperties:
             loaded = ngram.load_table(first)
             ngram.save_table(loaded, second)
             assert first.read_bytes() == second.read_bytes()
-        fold = flatten(held_out)
+        fold = actions_pos(held_out)
         assert (ngram.NGramPredictor(loaded).predict_sequence(*fold).tolist()
                 == ngram.NGramPredictor(table).predict_sequence(*fold).tolist())
 
@@ -384,7 +380,7 @@ class TestProperties:
     def test_corrupt_corpus_is_refused_or_read_exactly(self, case, data):
         """The same for an encoded corpus: NextactionError, or an exact re-read."""
         vocab_size, _, train, _ = case
-        corpus = Corpus(None, [
+        corpus = corpus_of([
             StudentSequence(f"s\u00e9{i}", seq, i % 2 == 0) for i, seq in enumerate(train)
         ], vocab_size)
         path = _scratch_file(b"")
