@@ -102,20 +102,6 @@ class EvalReport:
         return "\n".join(rows) + "\n"
 
 
-def read_report(path: str | Path) -> dict[str, str]:
-    """Parse the flat key-value section of a saved report."""
-    parsed: dict[str, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or "\t" in line:
-            continue
-        if line == "per_sequence:":
-            break
-        if ": " in line:
-            key, value = line.split(": ", 1)
-            parsed[key] = value
-    return parsed
-
-
 def make_folds(students: Iterable[str], k: int, seed: int) -> FoldPlan:
     """Seeded shuffle of the sorted student set, then round-robin assignment."""
     unique = sorted(set(students))

@@ -12,9 +12,12 @@ the LSTM computes, with logistic gates and elementwise products,
     o_t = logistic(W_ox x_t + W_oh h_{t-1} + b_o)
     h_t = o_t * tanh(C_t)
 
-The logistic takes one pass, e = exp(-|z|) and then 1 / (1 + e) where
-z >= 0 and e / (1 + e) elsewhere: no exp overflows, and each element rounds
-exactly as in the two-branch form 1 / (1 + exp(-z)), exp(z) / (1 + exp(z)).
+The logistic takes one pass with no branch per element: e = exp(-|z|), a
+numerator max(e, [z >= 0]) that is 1 where z >= 0 (there e <= 1) and e
+elsewhere, then numerator / (1 + e).  No exp overflows, and each element
+rounds exactly as in the two-branch form 1 / (1 + exp(-z)),
+exp(z) / (1 + exp(z)).  A step applies it to the f, i and o gates only and
+tanh to the candidate.
 
 Each layer stores its weights with the gate axis first (``RecurrentLayer``):
 ``W_x`` (G, H, D), ``W_h`` (G, H, H) and ``b`` (G, H), with G = 4 gates in
@@ -51,10 +54,10 @@ _HEADER = struct.Struct("<IIIIdB")  # V, embedding, hidden, layers, dropout, cel
 _CELL_KINDS = {"lstm": 0, "rnn": 1}
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     e = np.abs(z)
     np.exp(np.negative(e, out=e), out=e)
-    out = np.where(z >= 0, 1.0, e)
+    out = np.maximum(e, z >= 0, out=out)  # 1 where z >= 0, since e <= 1; e elsewhere
     out /= np.add(e, 1.0, out=e)
     return out
 
@@ -226,6 +229,15 @@ def _run_layers(
 
     Returns the top layer's hidden states (B, T, H) and the cache; only train
     mode keeps the per-step gates and cell states that ``backward`` reads.
+
+    Each layer's steps reuse one set of buffers: ``act`` (G, B, H), where the
+    gate pre-activations (x W_x + h W_h) + b are summed and then activated in
+    place, the recurrent product, and c, tanh(c), i * g and h (B, H).  Every
+    operation keeps its operands and their order, so the buffers change no
+    bit.  The outputs of exp (inside the logistic) and tanh are whole
+    buffers or gate slices of ``act``, all C-contiguous: numpy vectorises
+    these functions only into a contiguous output, and a strided one may
+    round differently.
     """
     n_batch, n_steps = ids.shape
     hidden = net.hidden_size
@@ -258,21 +270,25 @@ def _run_layers(
         if train:
             lc["gates"] = np.empty((len(layer.b), n_batch, n_steps, hidden))
             lc["c"], lc["tanh_c"] = (np.empty_like(hs), np.empty_like(hs)) if lstm else (None, None)
+        act = np.empty((len(layer.b), n_batch, hidden))
+        h_proj = np.empty_like(act)
         h = layer.initial_state(n_batch).copy()
-        c = np.zeros((n_batch, hidden))
+        c, tanh_c, i_g = np.zeros((n_batch, hidden)), np.empty_like(h), np.empty_like(h)
         for t in range(n_steps):
-            pre = np.matmul(xs[:, t], W_xT) + np.matmul(h, W_hT) + bias
+            np.matmul(xs[:, t], W_xT, out=act)
+            act += np.matmul(h, W_hT, out=h_proj)
+            act += bias
             if lstm:
-                act = sigmoid(pre)
-                act[2] = np.tanh(pre[2])
-                c = act[0] * c + act[1] * act[2]
-                tanh_c = np.tanh(c)
-                h = act[3] * tanh_c
+                sigmoid(act[:2], out=act[:2])
+                np.tanh(act[2], out=act[2])
+                sigmoid(act[3], out=act[3])
+                c *= act[0]
+                c += np.multiply(act[1], act[2], out=i_g)
+                np.multiply(act[3], np.tanh(c, out=tanh_c), out=h)
                 if train:
                     lc["c"][:, t], lc["tanh_c"][:, t] = c, tanh_c
             else:
-                act = np.tanh(pre)
-                h = act[0]
+                h[...] = np.tanh(act, out=act)[0]
             if train:
                 lc["gates"][:, :, t] = act
             hs[:, t] = h
@@ -387,25 +403,33 @@ def backward(
         grad = RecurrentLayer.zeros(net.cell, xs.shape[2], hidden)
         dxs = np.empty_like(xs)
         dh_rec = np.zeros((n_batch, hidden))
-        dc_rec = np.zeros((n_batch, hidden))
-        d_act = np.empty((4, n_batch, hidden))
+        dc_rec, c_start = np.zeros_like(dh_rec), np.zeros_like(dh_rec)
+        dh, dc = np.empty_like(dh_rec), np.empty_like(dh_rec)
+        d_act, dpre, scratch = (np.empty((len(layer.b), n_batch, hidden)) for _ in range(3))
         for t in range(n_steps - 1, -1, -1):
             act = gates[:, :, t]
-            dh = dh_above[:, t] + dh_rec
+            np.add(dh_above[:, t], dh_rec, out=dh)
             if net.cell == "lstm":
                 f, i, ct, o = act
-                c_prev = cs[:, t - 1] if t > 0 else np.zeros((n_batch, hidden))
+                c_prev = cs[:, t - 1] if t > 0 else c_start
                 tanh_c = tanh_cs[:, t]
-                dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
+                # dc = dc_rec + dh * o * (1 - tanh_c^2)
+                np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=dc), out=dc)
+                dc *= np.multiply(dh, o, out=scratch[0])
+                dc += dc_rec
                 np.multiply(dc, c_prev, out=d_act[0])
                 np.multiply(dc, ct, out=d_act[1])
                 np.multiply(dc, i, out=d_act[2])
                 np.multiply(dh, tanh_c, out=d_act[3])
-                dpre = d_act * act * (1.0 - act)
-                dpre[2] = d_act[2] * (1.0 - ct * ct)
-                dc_rec = dc * f
+                # dpre = d_act * act * (1 - act), and d_act * (1 - ct^2) for the tanh gate
+                np.multiply(d_act, act, out=dpre)
+                dpre *= np.subtract(1.0, act, out=scratch)
+                np.subtract(1.0, np.multiply(ct, ct, out=dpre[2]), out=dpre[2])
+                dpre[2] *= d_act[2]
+                np.multiply(dc, f, out=dc_rec)
             else:
-                dpre = dh * (1.0 - act * act)
+                np.subtract(1.0, np.multiply(act, act, out=dpre), out=dpre)
+                dpre *= dh
             dpre_T = dpre.transpose(0, 2, 1)
             grad.W_x += np.matmul(dpre_T, xs[:, t])
             grad.W_h += np.matmul(dpre_T, hs[:, t - 1] if t > 0 else h_start)
@@ -436,9 +460,12 @@ def rmsprop_step(
     epsilon: float = 1e-8,
 ) -> None:
     """In place: accum <- d*accum + (1-d)*g^2; param <- param - lr*g/(sqrt(accum)+eps)."""
+    step = np.multiply(grad, 1.0 - decay)
     accum *= decay
-    accum += (1.0 - decay) * grad * grad
-    param -= learning_rate * grad / (np.sqrt(accum) + epsilon)
+    accum += np.multiply(step, grad, out=step)
+    denom = np.sqrt(accum)
+    denom += epsilon
+    param -= np.divide(np.multiply(grad, learning_rate, out=step), denom, out=step)
 
 
 class RmsPropOptimizer:

@@ -10,13 +10,15 @@ walks by one ``Generator.choice`` over the kernel's ``distribution`` per
 step instead of a cached CDF table, prediction streams one record at a
 time instead of as columns, and corpus subsets, splits and training windows
 one row at a time instead of by gathers over the columns, so they can serve
-as a second opinion.
+as a second opinion.  The batched LSTM kernel is also kept here as it was
+before its step buffers, as a byte-for-byte oracle.
 """
 
 import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,8 +27,10 @@ from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
 from nextaction.evaluation import AgreementTable
-from nextaction.ingest import NUMBER, Corpus, StudentSequence, read_lines
-from nextaction.lstm import forward_sequence, loss
+from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, read_lines
+from nextaction.lstm import (
+    PROB_FLOOR, LstmNetwork, RecurrentLayer, forward_sequence, loss, softmax,
+)
 from nextaction.synth import SynthConfig
 
 
@@ -240,6 +244,20 @@ def per_line_read_stream(path):
     return rows
 
 
+def read_report(path):
+    """The flat key-value section of a saved report."""
+    parsed = {}
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("#") or "\t" in line:
+            continue
+        if line == "per_sequence:":
+            break
+        if ": " in line:
+            key, value = line.split(": ", 1)
+            parsed[key] = value
+    return parsed
+
+
 def per_record_agreement(a, b):
     """The agreement table of two lists of stream rows, one record at a time."""
     if len(a) != len(b):
@@ -303,3 +321,198 @@ def per_row_windows(rows, window, pad_id):
     for i, chunk in enumerate(chunks):
         batch[i, : len(chunk)] = chunk
     return batch
+
+
+# The LSTM kernel as it stood before its step buffers, kept verbatim as the
+# oracle of ``lstm._run_layers``, ``forward_sequence`` and ``backward``: a fresh
+# array for every step's temporaries, and the logistic over all four gates with
+# a per-element ``np.where``.  Each output of the buffered kernel must equal
+# its counterpart here byte for byte, since both make the same BLAS calls.
+def frozen_sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
+    return out
+
+
+def frozen_run_layers(
+    net: LstmNetwork,
+    ids: np.ndarray,
+    train: bool,
+    rng: np.random.Generator | None,
+    dropout_masks: list[np.ndarray] | None,
+):
+    """Batched forward through embedding and all recurrent layers.
+
+    Returns the top layer's hidden states (B, T, H) and the cache; only train
+    mode keeps the per-step gates and cell states that ``backward`` reads.
+    """
+    n_batch, n_steps = ids.shape
+    hidden = net.hidden_size
+    layer_inputs = net.embedding[ids]  # (B, T, D)
+    use_dropout = train and net.dropout_rate > 0 and len(net.layers) > 1
+    lstm = net.cell == "lstm"
+    masks: list[np.ndarray | None] = []
+    layer_caches = []
+
+    for idx, layer in enumerate(net.layers):
+        if idx > 0:
+            if use_dropout:
+                if dropout_masks is not None:
+                    mask = dropout_masks[idx - 1]
+                else:
+                    if rng is None:
+                        raise ConfigError("train-mode dropout needs an rng or explicit masks")
+                    keep = rng.random((n_batch, n_steps, hidden)) >= net.dropout_rate
+                    mask = keep / (1.0 - net.dropout_rate)
+                masks.append(mask)
+                layer_inputs = layer_inputs * mask
+            else:
+                masks.append(None)
+
+        xs = layer_inputs
+        W_xT, W_hT = layer.W_x.transpose(0, 2, 1), layer.W_h.transpose(0, 2, 1)
+        bias = layer.b[:, None]
+        hs = np.empty((n_batch, n_steps, hidden))
+        lc = {"xs": xs, "h": hs}
+        if train:
+            lc["gates"] = np.empty((len(layer.b), n_batch, n_steps, hidden))
+            lc["c"], lc["tanh_c"] = (np.empty_like(hs), np.empty_like(hs)) if lstm else (None, None)
+        h = layer.initial_state(n_batch).copy()
+        c = np.zeros((n_batch, hidden))
+        for t in range(n_steps):
+            pre = np.matmul(xs[:, t], W_xT) + np.matmul(h, W_hT) + bias
+            if lstm:
+                act = frozen_sigmoid(pre)
+                act[2] = np.tanh(pre[2])
+                c = act[0] * c + act[1] * act[2]
+                tanh_c = np.tanh(c)
+                h = act[3] * tanh_c
+                if train:
+                    lc["c"][:, t], lc["tanh_c"][:, t] = c, tanh_c
+            else:
+                act = np.tanh(pre)
+                h = act[0]
+            if train:
+                lc["gates"][:, :, t] = act
+            hs[:, t] = h
+        layer_caches.append(lc)
+        layer_inputs = hs
+
+    cache = {"ids": ids, "layers": layer_caches, "dropout_masks": masks, "top_h": layer_inputs}
+    return layer_inputs, cache
+
+
+def frozen_forward_sequence(
+    net: LstmNetwork,
+    ids: Sequence[int] | np.ndarray,
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+    dropout_masks: list[np.ndarray] | None = None,
+):
+    """Per-step output distributions for one window or a batch of windows.
+
+    ``ids`` is (T,) or (B, T) with T <= the training window; entries equal to
+    the pad id mark padded steps, and an id above it raises ConfigError.
+    Returns (probs, cache) with probs of shape (B, T, V); pass the cache to
+    ``backward`` after a train-mode run.
+    """
+    arr = action_array(net.pad_id + 1, ids)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise NextactionError("ids must be a non-empty window or batch of windows")
+    if arr.shape[1] > net.window:
+        raise ConfigError(f"window of {arr.shape[1]} exceeds the model window {net.window}")
+    top_h, cache = frozen_run_layers(net, arr, train, rng, dropout_masks)
+    logits = top_h @ net.W_y.T + net.b_y
+    probs = softmax(logits)
+    cache["probs"] = probs
+    return probs, cache
+
+
+def frozen_backward(
+    net: LstmNetwork,
+    cache: dict,
+    targets: Sequence[int] | np.ndarray,
+    mask: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Exact loss gradients for every parameter under the cached dropout masks."""
+    if "gates" not in cache.get("layers", [{}])[0]:
+        raise NextactionError("backward needs the cache of a train-mode forward pass")
+    probs = cache["probs"]
+    ids = cache["ids"]
+    n_batch, n_steps, _ = probs.shape
+    t_arr = np.asarray(targets, dtype=np.int64)
+    if t_arr.ndim == 1:
+        t_arr = t_arr[None, :]
+    valid = (
+        np.ones(t_arr.shape, dtype=bool) if mask is None
+        else np.asarray(mask, dtype=bool)
+    )
+
+    rows = np.arange(n_batch)[:, None]
+    cols = np.arange(n_steps)[None, :]
+    safe_t = np.where(valid, t_arr, 0)
+    picked = probs[rows, cols, safe_t]
+    live = valid & (picked > PROB_FLOOR)  # floored steps have zero gradient
+
+    dz = probs * live[:, :, None]
+    dz[rows, cols, safe_t] -= live
+    scale = live / (n_batch * np.maximum(valid.sum(axis=1, keepdims=True), 1))
+    dz *= scale[:, :, None]
+
+    grads: dict[str, np.ndarray] = {}
+    top_h = cache["top_h"]
+    grads["output.W_y"] = np.einsum("btv,bth->vh", dz, top_h)
+    grads["output.b_y"] = dz.sum(axis=(0, 1))
+    dh_above = dz @ net.W_y  # (B, T, H)
+
+    hidden = net.hidden_size
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        lc = cache["layers"][idx]
+        xs, gates, cs, tanh_cs, hs = lc["xs"], lc["gates"], lc["c"], lc["tanh_c"], lc["h"]
+        h_start = layer.initial_state(n_batch)
+        grad = RecurrentLayer.zeros(net.cell, xs.shape[2], hidden)
+        dxs = np.empty_like(xs)
+        dh_rec = np.zeros((n_batch, hidden))
+        dc_rec = np.zeros((n_batch, hidden))
+        d_act = np.empty((4, n_batch, hidden))
+        for t in range(n_steps - 1, -1, -1):
+            act = gates[:, :, t]
+            dh = dh_above[:, t] + dh_rec
+            if net.cell == "lstm":
+                f, i, ct, o = act
+                c_prev = cs[:, t - 1] if t > 0 else np.zeros((n_batch, hidden))
+                tanh_c = tanh_cs[:, t]
+                dc = dc_rec + dh * o * (1.0 - tanh_c * tanh_c)
+                np.multiply(dc, c_prev, out=d_act[0])
+                np.multiply(dc, ct, out=d_act[1])
+                np.multiply(dc, i, out=d_act[2])
+                np.multiply(dh, tanh_c, out=d_act[3])
+                dpre = d_act * act * (1.0 - act)
+                dpre[2] = d_act[2] * (1.0 - ct * ct)
+                dc_rec = dc * f
+            else:
+                dpre = dh * (1.0 - act * act)
+            dpre_T = dpre.transpose(0, 2, 1)
+            grad.W_x += np.matmul(dpre_T, xs[:, t])
+            grad.W_h += np.matmul(dpre_T, hs[:, t - 1] if t > 0 else h_start)
+            grad.b += dpre.sum(axis=1)
+            dxs[:, t] = np.matmul(dpre, layer.W_x).sum(axis=0)
+            dh_rec = np.matmul(dpre, layer.W_h).sum(axis=0)
+        if grad.h0 is not None:
+            grad.h0 += dh_rec.sum(axis=0)
+        grads.update((f"layer{idx}.{name}", g) for name, g in grad.tensors())
+
+        if idx > 0:
+            mask_below = cache["dropout_masks"][idx - 1]
+            dh_above = dxs if mask_below is None else dxs * mask_below
+        else:
+            demb = np.zeros_like(net.embedding)
+            np.add.at(demb, ids, dxs)
+            grads["embedding"] = demb
+
+    return grads

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import corpus_of
-from nextaction import evaluation, ingest, lstm, ngram
+from helpers import corpus_of, read_report
+from nextaction import ingest, lstm, ngram
 from nextaction.cli import main
 from nextaction.errors import MalformedRecordError
 
@@ -36,7 +36,7 @@ class TestPipelineSmoke:
             "--report", str(report_path), "--out-dir", str(tmp_path),
         ])
         assert rc == 0
-        parsed = evaluation.read_report(report_path)
+        parsed = read_report(report_path)
         assert parsed["folds"] == "5"
         assert 0.0 <= float(parsed["cv_accuracy"]) <= 1.0
         assert parsed["meta.config.seed"] == "7"
@@ -102,7 +102,7 @@ class TestBaselineAndEval:
                 "--report", str(tmp_path / f"{model}.txt"), "--out-dir", str(tmp_path),
             ])
             assert rc == 0
-            parsed = evaluation.read_report(tmp_path / f"{model}.txt")
+            parsed = read_report(tmp_path / f"{model}.txt")
             assert parsed["model"] == model if model != "combined" else True
 
     def test_eval_saved_ngram_on_uncertified(self, pipeline, tmp_path):
@@ -123,7 +123,7 @@ class TestBaselineAndEval:
             "--report", str(tmp_path / "transfer.txt"), "--out-dir", str(tmp_path),
         ])
         assert rc == 0
-        parsed = evaluation.read_report(tmp_path / "transfer.txt")
+        parsed = read_report(tmp_path / "transfer.txt")
         assert 0.0 <= float(parsed["accuracy"]) <= 1.0
 
     def test_lstm_single_run_with_curves_and_checkpoint(self, pipeline, tmp_path):
@@ -182,7 +182,7 @@ class TestConfigMerging:
             "--report", str(report_path), "--out-dir", str(tmp_path),
         ])
         assert rc == 0
-        parsed = evaluation.read_report(report_path)
+        parsed = read_report(report_path)
         assert parsed["meta.config.max_order"] == "4"  # flag wins
         assert parsed["meta.config.folds"] == "3"  # file fills the gap
         assert parsed["meta.config.seed"] == "5"
@@ -380,9 +380,9 @@ class TestEvalChecksModelAgainstCorpus:
         v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
         path = self.checkpoint(tmp_path, v)
         assert self.eval_run(pipeline, path, tmp_path) == 0
-        assert "meta.config.window" not in evaluation.read_report(tmp_path / "transfer.txt")
+        assert "meta.config.window" not in read_report(tmp_path / "transfer.txt")
         assert self.eval_run(pipeline, path, tmp_path, "--window", "3") == 0
-        assert evaluation.read_report(tmp_path / "transfer.txt")["meta.config.window"] == "3"
+        assert read_report(tmp_path / "transfer.txt")["meta.config.window"] == "3"
 
 
 class TestEvalWindowOnTable:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     actions_pos, columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
-    per_line_read_stream, per_record_agreement, students_in,
+    per_line_read_stream, per_record_agreement, read_report, students_in,
 )
 from helpers import corpus_of as rows_corpus
 from nextaction import baselines, evaluation, lstm, ngram
@@ -461,7 +461,7 @@ class TestStreamsAndReports:
         )
         path = tmp_path / "report.txt"
         path.write_text(report.to_text(), encoding="utf-8")
-        parsed = evaluation.read_report(path)
+        parsed = read_report(path)
         assert parsed["model"] == "demo"
         assert float(parsed["cv_accuracy"]) == pytest.approx(0.625)
         assert parsed["meta.config.seed"] == "3"

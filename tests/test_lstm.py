@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import (
     LstmLayerState, actions_pos, corpus_of, finite_difference_gradients, forward_cell,
-    lstm_predict_next, mutated, naive_sigmoid,
+    frozen_backward, frozen_forward_sequence, frozen_run_layers, lstm_predict_next, mutated,
+    naive_sigmoid,
 )
 from nextaction import evaluation, lstm
 from nextaction.errors import (
@@ -63,6 +65,16 @@ class TestSigmoid:
             out = lstm.sigmoid(z)
         assert out.dtype == np.float64 and out.shape == z.shape
         assert out.tobytes() == naive_sigmoid(z).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3, max_side=6), elements=LOGISTIC_INPUTS),
+           st.booleans())
+    def test_out_buffer_and_out_aliased_to_z_equal_the_masked_branches(self, z, aliased):
+        expected = naive_sigmoid(z).tobytes()
+        out = z.copy() if aliased else np.full_like(z, np.nan)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = lstm.sigmoid(out if aliased else z, out=out)
+        assert result is out and out.tobytes() == expected
 
     def test_nan_in_nan_out(self):
         z = np.array([np.nan, -np.nan, 0.5, -np.inf])
@@ -217,6 +229,79 @@ class TestForwardSequence:
             for vals in (f, i, o):
                 assert np.all(vals > 0) and np.all(vals < 1)
             assert np.all(ct > -1) and np.all(ct < 1)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small network, possibly scaled until gate inputs reach |z| of 700-750,
+    with a batch of windows that may hold pad ids, and its targets and masks."""
+    cell = draw(st.sampled_from(["lstm", "rnn"]))
+    layers = draw(st.integers(1, 3))
+    window = draw(st.integers(1, 5))
+    vocab, emb, hidden = (draw(st.integers(1, 5)) for _ in range(3))
+    dropout = draw(st.sampled_from([0.0, 0.4]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = tiny_net(seed, vocab, emb, hidden, layers, dropout, window, cell)
+    rng = np.random.default_rng([seed, 0x0C])
+    scale = draw(st.sampled_from([1.0, 30.0, 750.0]))
+    for layer in net.layers:
+        layer.b[...] = rng.uniform(-1.0, 1.0, layer.b.shape)
+        for arr in (layer.W_x, layer.W_h, layer.b):
+            arr *= scale
+    n_batch = draw(st.sampled_from([1, 2, 33, 190]))
+    n_steps = draw(st.integers(1, window))
+    ids = rng.integers(0, vocab + 1, size=(n_batch, n_steps))  # vocab is the pad id
+    targets = rng.integers(0, vocab + 1, size=(n_batch, n_steps))
+    masks = None
+    if dropout and layers > 1 and draw(st.booleans()):
+        masks = [(rng.random((n_batch, n_steps, hidden)) >= dropout) / (1.0 - dropout)
+                 for _ in range(layers - 1)]
+    return net, ids, targets, masks, seed
+
+
+def same_bytes(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_bytes(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(same_bytes(x, y) for x, y in zip(a, b))
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelOracle:
+    """The buffered kernel against its frozen predecessor in ``helpers``: both
+    make the same BLAS calls, so every output must match byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases())
+    def test_train_pass_caches_and_gradients_equal_the_frozen_kernel(self, case):
+        net, ids, targets, masks, seed = case
+        valid = targets != net.pad_id
+        runs = []
+        for forward, backward in ((lstm.forward_sequence, lstm.backward),
+                                  (frozen_forward_sequence, frozen_backward)):
+            rng = np.random.default_rng(seed)
+            probs, cache = forward(net, ids, train=True, rng=rng, dropout_masks=masks)
+            infer_probs, _ = forward(net, ids)
+            runs.append((probs, cache, infer_probs, backward(net, cache, targets, valid)))
+        assert all(same_bytes(new, old) for new, old in zip(*runs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel_cases(), st.lists(st.sampled_from([0, 1, 2, 33, 190]), min_size=1, max_size=3),
+           st.integers(1, 5))
+    def test_predictions_equal_the_frozen_kernel(self, case, n_windows, short):
+        """Sequences of at most the window, scored by the prefix run alone, and
+        longer ones whose sliding windows form batches of 1, 2, 33 or 190 rows."""
+        net, _, _, _, seed = case
+        rng = np.random.default_rng([seed, 0x9E])
+        lengths = [net.window + n if n else min(short, net.window) for n in n_windows]
+        actions, pos = actions_pos([rng.integers(0, net.vocab_size, n).tolist() for n in lengths])
+        predictor = lstm.LstmPredictor(net)
+        predicted = predictor.predict_sequence(actions, pos)
+        with mock.patch.object(lstm, "_run_layers", frozen_run_layers):
+            expected = predictor.predict_sequence(actions, pos)
+        assert predicted.tobytes() == expected.tobytes()
 
 
 class TestLoss:
