@@ -29,12 +29,12 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, read_lines
+from .ingest import Corpus, format_decimals, parse_decimals, read_lines, text_rows
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -352,10 +352,59 @@ def agreement(a: PredictionStream, b: PredictionStream) -> AgreementTable:
     return AgreementTable(*np.bincount(cells, minlength=4).tolist())
 
 
+_TEXT_BYTES = 1 << 24  # the matrix of a block of stream records, as bounded by write_stream
+
+
+def _check_stream(stream: PredictionStream, names: list[bytes], runs: np.ndarray) -> None:
+    """Raise NextactionError for the first record that ``read_stream`` would refuse;
+    ``names`` are the UTF-8 student ids of the runs of equal ids starting at ``runs``."""
+    faults = [(int(runs[i]), "a student id that is empty or holds a tab or newline")
+              for i, name in enumerate(names) if not name or b"\t" in name or b"\n" in name][:1]
+    widest = np.maximum(np.maximum(stream.position, stream.predicted), stream.truth)
+    checks = [(stream.position < 2, "position below 2"),
+              (stream.predicted < -1, "predicted id below -1"),
+              (stream.truth < 0, "negative truth"),
+              (widest >= 10**18, "a value of 19 or more digits")]
+    faults += [(int(np.argmax(bad)), reason) for bad, reason in checks if bad.any()]
+    if faults:
+        index, reason = min(faults)
+        raise NextactionError(f"cannot write stream record {index + 1}: {reason}")
+
+
+def _stream_text(stream: PredictionStream, names: list[bytes], runs: np.ndarray,
+                 lo: int, hi: int) -> np.ndarray:
+    """The text of records lo..hi-1 as packed bytes; ``runs`` are the first records
+    of the stream's runs of equal student ids, and ``names`` their UTF-8 ids."""
+    first, end = np.searchsorted(runs, lo, side="right") - 1, np.searchsorted(runs, hi)
+    repeats = np.diff(np.append(np.maximum(runs[first:end], lo), hi))
+    lengths = np.array([len(name) for name in names[first:end]], dtype=np.int64)
+    own = np.arange(lengths.max()) < lengths[:, None]  # id bytes, NULs included
+    ids = np.zeros(own.shape, dtype=np.uint8)
+    ids[own] = np.frombuffer(b"".join(names[first:end]), dtype=np.uint8)
+    predicted = stream.predicted[lo:hi]
+    text = text_rows(
+        hi - lo, np.repeat(ids, repeats, axis=0), b"\t", format_decimals(stream.position[lo:hi]),
+        b"\t", (predicted < 0).astype(np.uint8)[:, None] * np.uint8(ord("-")),
+        format_decimals(np.abs(predicted)), b"\t", format_decimals(stream.truth[lo:hi]), b"\n",
+    )
+    keep = text != 0
+    keep[:, : own.shape[1]] = np.repeat(own, repeats, axis=0)
+    return text[keep]
+
+
 def write_stream(stream: PredictionStream, path: str | Path) -> None:
-    ints = [column.tolist() for column in (stream.position, stream.predicted, stream.truth)]
-    lines = [f"{sid}\t{t}\t{pred}\t{truth}\n" for sid, t, pred, truth in zip(stream.student, *ints)]
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    """Write a stream as ``read_stream`` reads it, refusing a record it would refuse
+    before writing any byte.  The fields are formatted as NUL-padded byte columns,
+    each run of equal student ids encoded once, and packed once per block of
+    records; a block's matrix stays near ``_TEXT_BYTES`` however long an id is."""
+    student, count = stream.student, len(stream)
+    runs = np.flatnonzero(np.concatenate(([True], student[1:] != student[:-1]))[:count])
+    names = [name.encode("utf-8") for name in student[runs].tolist()]
+    _check_stream(stream, names, runs)
+    rows = max(1, _TEXT_BYTES // (max(map(len, names), default=0) + 64))  # ids, then 64 bytes
+    with open(path, "wb") as out:
+        for lo in range(0, count, rows):
+            out.write(_stream_text(stream, names, runs, lo, min(lo + rows, count)))
 
 
 # student, position >= 2, predicted (-1 for none), truth, in canonical decimals below
@@ -364,30 +413,50 @@ _DECIMAL = r"(?!0[0-9])[0-9]{1,18}"
 _STREAM_RECORD = re.compile(
     rf"^([^\t\n]+)\t(?![01]\t){_DECIMAL}\t(?:-1|{_DECIMAL})\t{_DECIMAL}\n", re.MULTILINE
 )
-_STUDENT_FIELD = re.compile(r"^([^\t]+)\t", re.MULTILINE)
 
 
-def read_stream(path: str | Path) -> PredictionStream:
-    """Read a stream as ``write_stream`` writes it: every line, the last
-    included, is a non-empty student id, a position >= 2, a prediction (-1 for
-    none) and a truth in canonical integers, and a newline."""
+def _refuse_stream(path: str | Path) -> NoReturn:
+    """Raise for the first line of a stream that is not a record, one line at a time."""
     lines, error = [], None
     try:
         for _, line in read_lines(path):
             lines.append(line)
     except MalformedRecordError as exc:  # not UTF-8, unless an earlier line is bad
         error = exc
-    text = "".join(lines)
+    for lineno, line in enumerate(lines, start=1):
+        if _STREAM_RECORD.fullmatch(line) is None:
+            raise MalformedRecordError(
+                lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
+            )
+    raise error
+
+
+def read_stream(path: str | Path) -> PredictionStream:
+    """Read a stream as ``write_stream`` writes it: every line, the last
+    included, is a non-empty student id, a position >= 2, a prediction (-1 for
+    none) and a truth in canonical integers, and a newline.
+
+    The file is read and decoded once and checked with one anchored scan; the
+    three integer columns are parsed from its bytes, backwards from each newline.
+    Only a bad file is read again, one line at a time, to name its first bad line."""
+    blob = Path(path).read_bytes()
+    try:
+        text = str(blob, "utf-8")
+    except UnicodeDecodeError:
+        _refuse_stream(path)
     # a match is one whole line, so every line is a record when each one matched
     student = _STREAM_RECORD.findall(text)
-    if error is not None or len(student) != len(lines):
-        for lineno, line in enumerate(lines, start=1):
-            if _STREAM_RECORD.fullmatch(line) is None:
-                raise MalformedRecordError(
-                    lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
-                )
-        raise error
+    if len(student) != text.count("\n") or (text and not text.endswith("\n")):
+        _refuse_stream(path)
+    del text
+    data = np.frombuffer(blob, dtype=np.uint8)
+    end = np.flatnonzero(data == ord("\n"))
+    truth, digits = parse_decimals(data, end)
+    end -= digits + 1
+    predicted, digits = parse_decimals(data, end)
+    end -= digits + 1
+    negative = np.take(data, end) == ord("-")
+    position, _ = parse_decimals(data, end - negative)
     # one shared string per student keeps a long stream small
     student = np.array(list(map(sys.intern, student)), dtype=object)
-    numbers = np.fromstring(_STUDENT_FIELD.sub("", text), dtype=np.int64, sep=" ")
-    return PredictionStream(student, *numbers.reshape(-1, 3).T)
+    return PredictionStream(student, position, np.where(negative, -1, predicted), truth)

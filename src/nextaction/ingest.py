@@ -28,6 +28,10 @@ input every model scores, and ``Corpus.take`` gathers a subset of sequences.
 The encoded corpus is a binary container (magic ``NACT1``, little-endian):
 vocab size, sequence count, then per sequence the student-id length and bytes,
 one certified byte, the action count, and the action ids as 32-bit unsigned.
+
+The integer columns of the package's other text files, n-gram tables and
+prediction streams, are written and read as whole byte columns with
+``format_decimals``, ``text_rows`` and ``parse_decimals``.
 """
 
 import os
@@ -82,6 +86,49 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     except UnicodeDecodeError:
         _decode(Path(path).read_bytes())  # the decoder runs ahead of the lines yielded
         raise
+
+
+def format_decimals(values: np.ndarray) -> np.ndarray:
+    """The canonical decimals of non-negative ints as ASCII digits in a new last
+    axis, right-aligned and padded on the left with NUL bytes to the widest."""
+    top = int(values.max(initial=0))
+    rest = values.astype(np.min_scalar_type(top))
+    digits = np.empty(values.shape + (len(str(top)),), dtype=np.uint8)
+    rest, digit = np.divmod(rest, 10)
+    digits[..., -1] = digit + ord("0")
+    for column in range(digits.shape[-1] - 2, -1, -1):
+        nonzero = rest != 0  # a leading zero becomes NUL
+        rest, digit = np.divmod(rest, 10)
+        digits[..., column] = (digit + ord("0")) * nonzero
+    return digits
+
+
+def text_rows(count: int, *fields) -> np.ndarray:
+    """A uint8 matrix of ``count`` rows of text, field after field: a field is
+    either a ``(count, width)`` uint8 matrix or bytes that every row shares."""
+    fields = [np.frombuffer(f, np.uint8)[None] if isinstance(f, bytes) else f for f in fields]
+    return np.concatenate([np.broadcast_to(f, (count, f.shape[1])) for f in fields], axis=1)
+
+
+def parse_decimals(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and length of the run of ASCII digits in the uint8 ``data`` that
+    ends just before each index in ``ends``; 0 and 0 for no run.  Every run must
+    have a byte before it in ``data``.  A run of more than 18 digits reads as
+    length 19, with a meaningless value."""
+    digit = np.take(data, ends - 1) - np.uint8(ord("0"))  # uint8: bytes below '0' wrap
+    live = digit < 10
+    value, length = np.where(live, digit, 0).astype(np.int64), live.astype(np.int64)
+    at = np.flatnonzero(live)  # the runs still being read, right to left
+    before = np.take(ends, at) - 2
+    for exponent in range(1, 19):
+        digit = np.take(data, before) - np.uint8(ord("0"))
+        more = np.flatnonzero(digit < 10)
+        if not more.size:
+            break
+        at, before = np.take(at, more), np.take(before, more) - 1
+        value[at] += np.take(digit, more) * np.int64(10**exponent)
+        length[at] += 1
+    return value, length
 
 
 @dataclass

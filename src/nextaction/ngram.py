@@ -29,13 +29,14 @@ order over every position at once, with id -1 for a context never seen.
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import NUMBER, Corpus, action_array
+from .ingest import NUMBER, Corpus, action_array, format_decimals, parse_decimals, text_rows
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -60,9 +61,7 @@ class _Continuations:
 
     def items(self):
         table, order, V = self._table, self._order, self._table.vocab_size
-        rows = np.zeros((len(table.contexts[1]), 0), dtype=np.int64)
-        for k in range(2, order + 1):  # each context is its parent's row plus its last id
-            rows = np.column_stack([rows[table.contexts[k] // V], table.contexts[k] % V])
+        rows = next(islice(_context_rows(table), order - 1, None))
         nexts = (table.grams[order] % V).tolist()
         counts = table.counts[order].tolist()
         first = table.first[order].tolist()
@@ -106,6 +105,17 @@ class NGramTable:
             lead = leaders[np.searchsorted(owner[leaders], np.arange(n_contexts))]
             self.best[k] = self.grams[k][lead] % vocab_size
         self.continuations = {k: _Continuations(self, k) for k in orders}
+
+
+def _context_rows(table: NGramTable):
+    """Yield the contexts of each order k = 1, 2, ... as rows of k - 1 ids: each
+    context is its parent's row plus its last id."""
+    rows = np.zeros((len(table.contexts[1]), 0), dtype=np.int64)
+    yield rows
+    for k in range(2, table.max_order + 1):
+        parent, last = np.divmod(table.contexts[k], table.vocab_size)
+        rows = np.column_stack([np.take(rows, parent, axis=0), last])
+        yield rows
 
 
 def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
@@ -247,31 +257,34 @@ def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):
     return dict(zip(orders, reports))
 
 
+def _context_text(rows: np.ndarray) -> np.ndarray:
+    """The context field of each row of ids: the ids joined by commas, then a tab."""
+    digits = format_decimals(rows)
+    commas = np.full(rows.shape + (1,), ord(","), dtype=np.uint8)
+    text = np.concatenate((digits, commas), axis=2).reshape(len(rows), -1)
+    return text_rows(len(rows), text[:, :-1], b"\t")
+
+
 def save_table(table: NGramTable, path: str | Path) -> None:
-    """Write the table as sorted text, bit-exact across runs."""
+    """Write the table as sorted text, bit-exact across runs: each order's records
+    are formatted as NUL-padded byte columns and packed once."""
     V = table.vocab_size
-    lines = [f"#NGRAM max_order={table.max_order} V={V}\n"]
-    ctx_text = [""] * len(table.contexts[1])
-    for k in range(1, table.max_order + 1):
-        if k > 1:  # a context's text is its parent's, then its last id
-            keys, sep = table.contexts[k], "," if k > 2 else ""
-            ctx_text = [
-                f"{ctx_text[p]}{sep}{a}" for p, a in zip((keys // V).tolist(), (keys % V).tolist())
-            ]
-        grams = table.grams[k]
-        lines.extend(
-            f"{k}\t{ctx_text[c]}\t{nxt}\t{n}\n"
-            for c, nxt, n in zip(
-                (grams // V).tolist(), (grams % V).tolist(), table.counts[k].tolist()
+    with open(path, "wb") as out:
+        out.write(f"#NGRAM max_order={table.max_order} V={V}\n".encode())
+        for k, rows in enumerate(_context_rows(table), start=1):
+            if not len(table.grams[k]):
+                continue
+            context, nxt = np.divmod(table.grams[k], V)
+            text = text_rows(
+                len(nxt), f"{k}\t".encode(), np.take(_context_text(rows), context, axis=0),
+                format_decimals(nxt), b"\t", format_decimals(table.counts[k]), b"\n",
             )
-        )
-    Path(path).write_text("".join(lines), encoding="utf-8")
+            out.write(text[text != 0])
 
 
 _HEADER = re.compile(rf"#NGRAM max_order=({NUMBER}) V=({NUMBER})")
 _RECORD = re.compile(rf"{NUMBER}\t(?:{NUMBER}(?:,{NUMBER})*)?\t{NUMBER}\t{NUMBER}")
-_SHAPES = str.maketrans("23456789", "11111111")
-_SPACES = str.maketrans("\t,", "  ")
+_CHUNK = 1 << 18  # bytes of whole records parsed at a time, which bounds the temporaries
 
 
 def _reject(checks) -> None:
@@ -282,16 +295,45 @@ def _reject(checks) -> None:
         raise MalformedRecordError(index + 2, reason)  # records start on line 2
 
 
-def _read_tokens(path: str | Path) -> tuple[int, int, np.ndarray]:
-    """(max_order, V, tokens) of a table file whose header and record syntax
-    are valid: each record's integers in order, then -1."""
+def _parse_records(data: np.ndarray, lo: int, hi: int):
+    """(order, context width, next, count, context ids) of the records in the
+    whole lines ``data[lo:hi]``, or None unless every one of those lines is
+    order<TAB>context<TAB>next<TAB>count in canonical integers."""
+    ends = lo + np.flatnonzero(data[lo:hi] - np.uint8(ord("0")) > 9)  # each field ends at one
+    kind = np.take(data, ends)
+    value, length = parse_decimals(data, ends)
+    tab = kind == ord("\t")
+    last = np.flatnonzero(kind == ord("\n"))  # each line's separators are first..last
+    first = np.concatenate(([0], last[:-1] + 1))
+    after_first = np.zeros(len(ends) + 1, dtype=bool)
+    after_first[first + 1] = True
+    # a line's separators are a tab, commas, two tabs and a newline, and each field
+    # but an empty context is 1 to 18 digits with no leading zero
+    if (((kind != ord(",")) & ~tab & (kind != ord("\n"))).any()
+            or (last - first < 3).any() or np.count_nonzero(tab) != 3 * len(last)
+            or not (tab[first].all() and tab[last - 1].all() and tab[last - 2].all())
+            or length.max() > 18
+            or ((length == 0) & ~(tab & after_first[:-1])).any()
+            or ((length > 1) & (np.take(data, ends - length) == ord("0"))).any()):
+        return None
+    width = last - first - 2 - (length[last - 2] == 0)
+    context = length > 0
+    context[first] = context[last - 1] = context[last] = False
+    return value[first], width, value[last - 1], value[last], value[context]
+
+
+def _read_records(path: str | Path):
+    """(max_order, V, order, next, count, context ids) of the records of a table
+    file, refusing whatever one record can get wrong on its own.  The file is
+    read once and parsed in chunks of whole lines; the context ids are kept in
+    the narrowest dtype that holds V - 1."""
     blob = Path(path).read_bytes()
-    try:
-        text = blob.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(blob.count(b"\n", 0, exc.start) + 1, "non-ASCII byte") from exc
-    header, _, body = text.partition("\n")
-    head = _HEADER.fullmatch(header)
+    if not blob.isascii():
+        at = int(np.argmax(np.frombuffer(blob, dtype=np.uint8) >= 0x80))
+        raise MalformedRecordError(blob.count(b"\n", 0, at) + 1, "non-ASCII byte")
+    newline = blob.find(b"\n")
+    header = blob if newline < 0 else blob[:newline]
+    head = _HEADER.fullmatch(header.decode("ascii"))
     if head is None:
         raise MalformedRecordError(1, "expected the header '#NGRAM max_order=<N> V=<int>'")
     max_order, V = int(head[1]), int(head[2])
@@ -299,22 +341,42 @@ def _read_tokens(path: str | Path) -> tuple[int, int, np.ndarray]:
         raise MalformedRecordError(1, f"max_order must be >= 1, got {max_order}")
     if V > _MAX_VOCAB:
         raise MalformedRecordError(1, f"V={V} exceeds the 32-bit action id range")
-    if not text.endswith("\n"):
-        raise MalformedRecordError(text.count("\n") + 1, "no newline at the end of the file")
-    # digits 1-9 all map to 1, so records of one shape share one regex check
-    shapes = body.translate(_SHAPES).split("\n")[:-1]
-    malformed = {shape for shape in set(shapes) if _RECORD.fullmatch(shape) is None}
-    if malformed:
-        index = next(i for i, shape in enumerate(shapes) if shape in malformed)
-        raise MalformedRecordError(
-            index + 2, "expected order<TAB>context<TAB>next<TAB>count in canonical integers"
-        )
-    if not shapes:
-        return max_order, V, _EMPTY
-    del blob, text, shapes  # the token array is the largest object; free these first
-    return max_order, V, np.fromstring(
-        body.translate(_SPACES).replace("\n", " -1 "), dtype=np.int64, sep=" "
-    )
+    if not blob.endswith(b"\n"):
+        raise MalformedRecordError(blob.count(b"\n") + 1, "no newline at the end of the file")
+    data = np.frombuffer(blob, dtype=np.uint8)
+    ids = np.min_scalar_type(max(V - 1, 0))  # ids below V; a larger one is refused
+    parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY, np.zeros(0, dtype=ids))]
+    records, outside = 0, None
+    lo = len(header) + 1
+    while lo < len(blob):
+        hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
+        parsed = _parse_records(data, lo, hi)
+        if parsed is None:
+            lines = blob[len(header) + 1 :].decode("ascii").split("\n")[:-1]
+            index = next(i for i, line in enumerate(lines) if _RECORD.fullmatch(line) is None)
+            raise MalformedRecordError(
+                index + 2, "expected order<TAB>context<TAB>next<TAB>count in canonical integers"
+            )
+        *columns, context = parsed
+        if outside is None and (context >= V).any():
+            at = int(np.argmax(context >= V))
+            outside = records + int(np.searchsorted(np.cumsum(columns[1]), at, side="right"))
+        parts.append((*columns, context.astype(ids)))
+        records += len(columns[0])
+        lo = hi
+    del data, blob
+    order, width, nxt, count, digits = (np.concatenate(column) for column in zip(*parts))
+    del parts
+    _reject([
+        ((order < 1) | (order > max_order), f"order outside 1..{max_order}"),
+        (width != order - 1, "context length is not order - 1"),
+        (nxt >= V, f"next id outside [0, {V})"),
+        (count < 1, "count below 1"),
+        (np.diff(order, prepend=1) < 0, "record out of order"),
+    ])
+    if outside is not None:
+        raise MalformedRecordError(outside + 2, f"context id outside [0, {V})")
+    return max_order, V, order, nxt, count, digits
 
 
 def load_table(path: str | Path) -> NGramTable:
@@ -326,27 +388,8 @@ def load_table(path: str | Path) -> NGramTable:
     count below 1, a record out of order or repeated, or an order-k context
     whose (k-1)-prefix has no record at order k-1.
     """
-    max_order, V, tokens = _read_tokens(path)
-    ends = np.flatnonzero(tokens < 0)
-    begins = np.concatenate(([0], ends + 1))[:-1]
-    order, nxt, count = tokens[begins], tokens[ends - 2], tokens[ends - 1]
-    width = ends - begins - 3
-    _reject([
-        ((order < 1) | (order > max_order), f"order outside 1..{max_order}"),
-        (width != order - 1, "context length is not order - 1"),
-        (nxt >= V, f"next id outside [0, {V})"),
-        (count < 1, "count below 1"),
-        (np.diff(order, prepend=1) < 0, "record out of order"),
-    ])
-    in_context = np.ones(len(tokens), dtype=bool)
-    in_context[np.concatenate((begins, ends - 2, ends - 1, ends))] = False
-    digits = tokens[in_context]  # record by record, so each order's are contiguous
-    del tokens, in_context
-    digit_at = np.concatenate(([0], np.cumsum(width)))  # record i's are digit_at[i]:[i + 1]
-    bad = np.flatnonzero(digits >= V)
-    if bad.size:
-        record = np.searchsorted(digit_at, bad[0], side="right") - 1
-        raise MalformedRecordError(record + 2, f"context id outside [0, {V})")
+    max_order, V, order, nxt, count, digits = _read_records(path)
+    digit_at = np.concatenate(([0], np.cumsum(order - 1)))  # record i's are digit_at[i]:[i + 1]
 
     def flag(at: np.ndarray, bad: np.ndarray) -> np.ndarray:
         mask = np.zeros(len(order), dtype=bool)

@@ -8,10 +8,11 @@ each LSTM prediction from its own window instead of a shared run, loss
 gradients by central differences instead of backpropagation, synthetic
 walks by one ``Generator.choice`` over the kernel's ``distribution`` per
 step instead of a cached CDF table, prediction streams one record at a
-time instead of as columns, and corpus subsets, splits and training windows
-one row at a time instead of by gathers over the columns, so they can serve
-as a second opinion.  The batched LSTM kernel is also kept here as it was
-before its step buffers, as a byte-for-byte oracle.
+time instead of as columns, stream and n-gram table files written one
+f-string per record instead of as byte columns, and corpus subsets, splits
+and training windows one row at a time instead of by gathers over the
+columns, so they can serve as a second opinion.  The batched LSTM kernel is
+also kept here as it was before its step buffers, as a byte-for-byte oracle.
 """
 
 import re
@@ -224,6 +225,36 @@ def columns(stream):
     ints = (stream.position, stream.predicted, stream.truth)
     assert all(column.dtype == np.int64 for column in ints)
     return stream.student.tolist(), *(column.tolist() for column in ints)
+
+
+def per_line_write_stream(stream, path):
+    """``evaluation.write_stream`` as it was before its columns were formatted as
+    bytes: one f-string per record, then one join."""
+    ints = [column.tolist() for column in (stream.position, stream.predicted, stream.truth)]
+    lines = [f"{sid}\t{t}\t{pred}\t{truth}\n" for sid, t, pred, truth in zip(stream.student, *ints)]
+    Path(path).write_text("".join(lines), encoding="utf-8")
+
+
+def per_line_save_table(table, path):
+    """``ngram.save_table`` as it was before its columns were formatted as bytes:
+    one f-string per record, each context's text built from its parent's."""
+    V = table.vocab_size
+    lines = [f"#NGRAM max_order={table.max_order} V={V}\n"]
+    ctx_text = [""] * len(table.contexts[1])
+    for k in range(1, table.max_order + 1):
+        if k > 1:  # a context's text is its parent's, then its last id
+            keys, sep = table.contexts[k], "," if k > 2 else ""
+            ctx_text = [
+                f"{ctx_text[p]}{sep}{a}" for p, a in zip((keys // V).tolist(), (keys % V).tolist())
+            ]
+        grams = table.grams[k]
+        lines.extend(
+            f"{k}\t{ctx_text[c]}\t{nxt}\t{n}\n"
+            for c, nxt, n in zip(
+                (grams // V).tolist(), (grams % V).tolist(), table.counts[k].tolist()
+            )
+        )
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 _STREAM_LINE = re.compile(rf"([^\t]+)\t([2-9]|[1-9][0-9]{{1,17}})\t(-1|{NUMBER})\t({NUMBER})\n")

@@ -2,6 +2,7 @@ import pickle
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     actions_pos, columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
-    per_line_read_stream, per_record_agreement, read_report, students_in,
+    per_line_read_stream, per_line_write_stream, per_record_agreement, read_report, students_in,
 )
 from helpers import corpus_of as rows_corpus
 from nextaction import baselines, evaluation, lstm, ngram
@@ -653,3 +654,49 @@ class TestStreamOracles:
         expected = outcome(per_line_read_stream, path)
         assert outcome(read_rows, path) == expected
         assert expected[1].startswith(f"line {min(bad_line, non_utf8_line)}: ")
+
+
+# values across decimal-width boundaries, up to the 18 digits a stream holds
+WIDE = st.one_of(st.integers(0, 12), st.integers(1, 17).map(lambda k: 10**k),
+                 st.integers(1, 18).map(lambda k: 10**k - 1))
+# ids with multi-byte, carriage-return, NEL, space and NUL characters
+WRITER_ROWS = st.lists(st.tuples(
+    st.sampled_from(["s1", "sé", "a\rb", "c\x85d", "e f", "g\x00h", "\x00"]),
+    WIDE.map(lambda v: max(v, 2)), st.one_of(st.just(-1), WIDE), WIDE,
+), max_size=12)
+
+
+class TestStreamWriter:
+    """The byte-column stream writer against the per-line writer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(WRITER_ROWS)
+    def test_write_stream_matches_the_per_line_writer(self, rows):
+        with tempfile.TemporaryDirectory() as root:
+            columnar, per_line = Path(root) / "a.pred", Path(root) / "b.pred"
+            evaluation.write_stream(records(rows), columnar)
+            per_line_write_stream(records(rows), per_line)
+            assert columnar.read_bytes() == per_line.read_bytes()
+            assert read_rows(columnar) == per_line_read_stream(per_line) == rows
+            # blocks of two or three records, so that runs of one id cross blocks
+            with mock.patch.object(evaluation, "_TEXT_BYTES", 200):
+                evaluation.write_stream(records(rows), columnar)
+            assert columnar.read_bytes() == per_line.read_bytes()
+
+    @pytest.mark.parametrize("row, reason", [
+        (("", 2, 1, 1), "student id"),
+        (("a\tb", 2, 1, 1), "student id"),
+        (("a\nb", 2, 1, 1), "student id"),
+        (("s", 1, 1, 1), "position below 2"),
+        (("s", 2, -2, 1), "predicted id below -1"),
+        (("s", 2, 1, -1), "negative truth"),
+        (("s", 10**18, 1, 1), "19 or more digits"),
+        (("s", 2, 10**18, 1), "19 or more digits"),
+        (("s", 2, 1, 10**18), "19 or more digits"),
+    ])
+    def test_a_record_read_stream_would_refuse_is_not_written(self, tmp_path, row, reason):
+        path = tmp_path / "model.pred"
+        with pytest.raises(NextactionError) as caught:
+            evaluation.write_stream(records([("s0", 2, 0, 0), row, ("s0", 3, 0, 0)]), path)
+        assert "record 2" in str(caught.value) and reason in str(caught.value)
+        assert not path.exists()

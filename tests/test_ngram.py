@@ -3,12 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     actions_pos, corpus_of, mutated, naive_backoff_predict, naive_backoff_usage,
-    naive_gram_counts, table_counts,
+    naive_gram_counts, per_line_save_table, table_counts,
 )
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
@@ -396,3 +396,90 @@ class TestProperties:
             assert path.read_bytes() == changed
         finally:
             path.unlink()
+
+
+# --- the byte-column table codec against the per-line writer and the record regex
+
+@st.composite
+def boundary_tables(draw):
+    """A fitted table whose ids, contexts and counts sit at decimal-width boundaries:
+    V in {1, 9, 10, 11, 100, 2**32}, counts drawn across powers of ten, and orders
+    above the longest sequence left empty (max_order 1 gives an order-1-only table)."""
+    vocab_size = draw(st.sampled_from([1, 9, 10, 11, 100, 2**32]))
+    ids = st.sampled_from(sorted({0, 1, 8, 9, 10, 11, 99, 100, vocab_size - 1} & set(
+        range(min(vocab_size, 101))) | {vocab_size - 1}))
+    train = draw(st.lists(st.lists(ids, min_size=2, max_size=6), min_size=1, max_size=4))
+    table = ngram.fit(corpus_of(train, vocab_size), draw(st.integers(1, 8)))
+    # up to the 18 digits that a table file holds
+    count = st.one_of(st.integers(1, 12), st.integers(1, 17).map(lambda k: 10**k),
+                      st.integers(1, 18).map(lambda k: 10**k - 1))
+    counts = {k: np.array(draw(st.lists(count, min_size=len(g), max_size=len(g))), dtype=np.int64)
+              for k, g in table.grams.items()}
+    return ngram.NGramTable(table.max_order, vocab_size, table.contexts, table.grams, counts)
+
+
+# fields of a table record, mostly canonical, for the byte check against the regex
+FIELDS = st.sampled_from(["0", "7", "10", "1" * 18] * 4 + ["", "01", "00", "x", "-1", " 1", "1" * 19])
+
+
+@st.composite
+def record_lines(draw):
+    """A table record line, one with a character inserted, or random characters."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet="019\t,x ", max_size=14))
+    context = ",".join(draw(st.lists(FIELDS, max_size=3)))
+    line = f"{draw(FIELDS)}\t{context}\t{draw(FIELDS)}\t{draw(FIELDS)}"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from("\t,0x")) + line[at:]
+    return line
+
+
+class TestByteColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_tables())
+    @example(ngram.fit(corpus_of([[A, B]], 3), 4))  # orders 3 and 4 empty
+    @example(ngram.fit(corpus_of([[A, B, A]], 3), 1))  # order 1 alone
+    def test_save_table_matches_the_per_line_writer(self, table):
+        with tempfile.TemporaryDirectory() as root:
+            columnar, per_line = Path(root) / "a.ngram", Path(root) / "b.ngram"
+            ngram.save_table(table, columnar)
+            per_line_save_table(table, per_line)
+            assert columnar.read_bytes() == per_line.read_bytes()
+            ngram.save_table(ngram.load_table(columnar), per_line)
+            assert per_line.read_bytes() == columnar.read_bytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(record_lines(), min_size=1, max_size=3))
+    def test_byte_check_matches_the_record_regex(self, lines):
+        blob = ("#\n" + "".join(line + "\n" for line in lines)).encode()
+        parsed = ngram._parse_records(np.frombuffer(blob, dtype=np.uint8), 2, len(blob))
+        assert (parsed is not None) == all(ngram._RECORD.fullmatch(line) for line in lines)
+        if parsed is None:
+            return
+        fields = [line.replace(",", "\t").split("\t") for line in lines]
+        order, width, nxt, count, context = (column.tolist() for column in parsed)
+        assert order == [int(f[0]) for f in fields]
+        assert nxt == [int(f[-2]) for f in fields] and count == [int(f[-1]) for f in fields]
+        ids = [[int(i) for i in f[1:-2] if i] for f in fields]
+        assert width == [len(row) for row in ids]
+        assert context == [i for row in ids for i in row]
+
+    def test_a_table_longer_than_one_chunk(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(52)
+        table = ngram.fit(corpus_of([rng.integers(0, 40, size=300).tolist()], 40), 5)
+        ngram.save_table(table, tmp_path / "m.ngram")
+        whole = ngram.load_table(tmp_path / "m.ngram")
+        monkeypatch.setattr(ngram, "_CHUNK", 64)
+        chunked = ngram.load_table(tmp_path / "m.ngram")
+        for k in range(1, 6):
+            assert chunked.grams[k].tolist() == whole.grams[k].tolist()
+            assert chunked.contexts[k].tolist() == whole.contexts[k].tolist()
+            assert chunked.counts[k].tolist() == whole.counts[k].tolist()
+        text = (tmp_path / "m.ngram").read_text().splitlines(keepends=True)
+        for at, line, reason in ((900, "1\t\t0\t00\n", "canonical"),
+                                 (901, "5\t1,2,3,99\t0\t1\n", "context id")):
+            (tmp_path / "bad.ngram").write_text("".join(text[:at] + [line] + text[at + 1:]))
+            with pytest.raises(MalformedRecordError) as caught:
+                ngram.load_table(tmp_path / "bad.ngram")
+            assert caught.value.lineno == at + 1 and reason in str(caught.value)
