@@ -43,12 +43,12 @@ def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
     seen: set[str] = set()
     items: list[int] = []
     unmatched: list[str] = []
-    for _, line in read_lines(path):
+    for lineno, line in read_lines(path):
         token = line.strip()
         if not token or token.startswith("#"):
             continue
         if token in seen:
-            raise DuplicateItemError(f"duplicate course item {token!r}")
+            raise DuplicateItemError(f"line {lineno}: duplicate course item {token!r}")
         seen.add(token)
         action_id = vocab.encode(token)
         if action_id is None:

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import sys
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 from . import baselines, evaluation, ingest, lstm, ngram, synth
@@ -74,6 +75,13 @@ def _write_cv_outputs(report: evaluation.EvalReport, args, prefix: str) -> int:
         Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
         print(f"wrote {args.csv}")
     return 0
+
+
+def _refuse_outputs(mode: str, outputs: dict[str, object]) -> None:
+    """Raise ConfigError for the first output flag given that ``mode`` writes nothing for."""
+    for flag, value in outputs.items():
+        if value:
+            raise ConfigError(f"{mode} writes one comparison report; it takes no {flag}")
 
 
 _PATH_OPTIONS = {"events", "roster", "corpus", "vocab", "model", "syllabus"}
@@ -179,6 +187,9 @@ def _cmd_ngram(args) -> int:
         raise ConfigError(f"--max-order must be >= 1, got {options['max_order']}")
     if options["sweep"] and options["max_order"] < 2:
         raise ConfigError("--sweep needs --max-order >= 2")
+    if options["sweep"]:
+        _refuse_outputs("--sweep", {"--usage": options["usage"], "--save-model": args.save_model,
+                                    "--stream": args.stream, "--csv": args.csv})
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
     plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
@@ -232,35 +243,37 @@ def _cmd_lstm(args) -> int:
         "dropout": 0.2, "emb_dim": 64, "batch": 32, "folds": 5, "seed": 0,
         "cell": "lstm", "cohort": "certified", "min_actions": 1, "workers": 1,
     })
-    layer_list = _parse_list(options["layers"], int)
-    node_list = _parse_list(options["nodes"], int)
-    lr_list = _parse_list(options["lr"], float)
-    if not layer_list or not node_list or not lr_list:
+    configs = [lstm.TrainConfig(
+        learning_rate=lr, epochs=options["epochs"], window=options["window"],
+        batch_size=options["batch"], dropout_rate=options["dropout"],
+        seed=options["seed"], hidden_size=nodes, layers=layers,
+        embedding_dim=options["emb_dim"], cell=options["cell"],
+    ) for layers, nodes, lr in product(_parse_list(options["layers"], int),
+                                       _parse_list(options["nodes"], int),
+                                       _parse_list(options["lr"], float))]
+    if not configs:
         raise ConfigError("--layers, --nodes and --lr need at least one value")
+    for cfg in configs:  # every combination of a grid, before any of them trains
+        cfg.validate()
+    if len(configs) > 1:
+        _refuse_outputs("a grid", {"--save-model": args.save_model, "--stream": args.stream,
+                                   "--csv": args.csv, "--curve-prefix": args.curve_prefix})
 
     corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
     plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
-    base_cfg = lstm.TrainConfig(
-        learning_rate=lr_list[0], epochs=options["epochs"], window=options["window"],
-        batch_size=options["batch"], dropout_rate=options["dropout"],
-        seed=options["seed"], hidden_size=node_list[0], layers=layer_list[0],
-        embedding_dim=options["emb_dim"], cell=options["cell"],
-    )
-    base_cfg.validate()
-
-    combos = [(l, n, r) for l in layer_list for n in node_list for r in lr_list]
-    if len(combos) > 1:
-        results = lstm.grid_search(corpus, combos, plan, base_cfg, workers=options["workers"])
+    if len(configs) > 1:
+        results = lstm.grid_search(corpus, configs, plan, workers=options["workers"])
         rows = [
             (f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}", report)
             for cfg, report in results
         ]
         return _write_comparison("# nextaction lstm grid report", meta, rows, args, "lstm-grid")
 
+    (cfg,) = configs
     report = evaluation.cross_validate(
-        lstm.LstmSpec(base_cfg), corpus, plan,
-        model_name=f"{base_cfg.cell} layers={base_cfg.layers} nodes={base_cfg.hidden_size}",
+        lstm.LstmSpec(cfg), corpus, plan,
+        model_name=f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size}",
         workers=options["workers"],
         keep_streams=bool(args.stream),
         fit_full=bool(args.save_model),
@@ -363,7 +376,7 @@ def _cmd_agree(args) -> int:
     )
     text = table.to_text()
     sys.stdout.write(text)
-    if args.report or args.out_dir != ".":
+    if args.report or args.out_dir is not None:
         _write_artifact(text, args.out_dir, "agreement", args.report)
     return 0
 
@@ -465,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="first prediction stream")
     p.add_argument("b", help="second prediction stream")
     p.add_argument("--report", default=None)
-    p.add_argument("--out-dir", default=".", dest="out_dir")
+    p.add_argument("--out-dir", default=None, dest="out_dir")
     p.set_defaults(func=_cmd_agree)
 
     return parser

@@ -34,7 +34,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, format_decimals, parse_decimals, read_lines, text_rows
+from .ingest import Corpus, format_decimals, parse_decimals, text_lines, text_rows
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -415,20 +415,13 @@ _STREAM_RECORD = re.compile(
 )
 
 
-def _refuse_stream(path: str | Path) -> NoReturn:
-    """Raise for the first line of a stream that is not a record, one line at a time."""
-    lines, error = [], None
-    try:
-        for _, line in read_lines(path):
-            lines.append(line)
-    except MalformedRecordError as exc:  # not UTF-8, unless an earlier line is bad
-        error = exc
-    for lineno, line in enumerate(lines, start=1):
+def _refuse_stream(blob: bytes) -> NoReturn:
+    """Raise for the first line of a stream's bytes that is not a record."""
+    for lineno, line in text_lines(blob):
         if _STREAM_RECORD.fullmatch(line) is None:
             raise MalformedRecordError(
                 lineno, f"expected student, position >= 2, predicted, truth; got {line!r:.80}"
             )
-    raise error
 
 
 def read_stream(path: str | Path) -> PredictionStream:
@@ -438,16 +431,16 @@ def read_stream(path: str | Path) -> PredictionStream:
 
     The file is read and decoded once and checked with one anchored scan; the
     three integer columns are parsed from its bytes, backwards from each newline.
-    Only a bad file is read again, one line at a time, to name its first bad line."""
+    Only a bad file is split into lines, to name its first bad line."""
     blob = Path(path).read_bytes()
     try:
         text = str(blob, "utf-8")
     except UnicodeDecodeError:
-        _refuse_stream(path)
+        _refuse_stream(blob)
     # a match is one whole line, so every line is a record when each one matched
     student = _STREAM_RECORD.findall(text)
     if len(student) != text.count("\n") or (text and not text.endswith("\n")):
-        _refuse_stream(path)
+        _refuse_stream(blob)
     del text
     data = np.frombuffer(blob, dtype=np.uint8)
     end = np.flatnonzero(data == ord("\n"))

@@ -29,8 +29,9 @@ The encoded corpus is a binary container (magic ``NACT1``, little-endian):
 vocab size, sequence count, then per sequence the student-id length and bytes,
 one certified byte, the action count, and the action ids as 32-bit unsigned.
 
-The integer columns of the package's other text files, n-gram tables and
-prediction streams, are written and read as whole byte columns with
+Every text reader names its first bad line in file order, one that is not UTF-8
+included, through ``text_lines``.  The integer columns of n-gram tables and
+prediction streams are written and read as whole byte columns with
 ``format_decimals``, ``text_rows`` and ``parse_decimals``.
 """
 
@@ -68,24 +69,23 @@ def action_array(vocab_size: int, actions: Sequence[int]) -> np.ndarray:
     return array
 
 
-def _decode(blob: bytes) -> str:
-    """``blob`` as UTF-8 text; a byte that is not UTF-8 raises MalformedRecordError
-    with the number of its line."""
-    try:
-        return str(blob, "utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedRecordError(bytes(blob[: exc.start]).count(b"\n") + 1, "not UTF-8") from None
+def text_lines(blob: bytes) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` of each line of ``blob``, split after each ``\n`` and
+    decoded on its own; a line that is not UTF-8 raises MalformedRecordError."""
+    start = lineno = 0
+    while start < len(blob):
+        end, lineno = blob.find(b"\n", start) + 1 or len(blob), lineno + 1
+        try:
+            line = str(blob[start:end], "utf-8")
+        except UnicodeDecodeError:
+            raise MalformedRecordError(lineno, "not UTF-8") from None
+        yield lineno, line
+        start = end
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """Stream ``(line number, text)`` pairs of a UTF-8 file; a line that is not
-    UTF-8 raises MalformedRecordError with its number."""
-    try:
-        with open(path, encoding="utf-8", newline="\n") as handle:
-            yield from enumerate(handle, start=1)
-    except UnicodeDecodeError:
-        _decode(Path(path).read_bytes())  # the decoder runs ahead of the lines yielded
-        raise
+    """The ``text_lines`` of a file, read whole."""
+    return text_lines(Path(path).read_bytes())
 
 
 def format_decimals(values: np.ndarray) -> np.ndarray:
@@ -305,16 +305,12 @@ def iter_events(
     """Yield the events of an event log held in memory, one line at a time.
 
     ``on_malformed`` is either "abort" (raise on the first bad line) or
-    "skip" (count it and continue).  A byte that is not UTF-8 raises
-    MalformedRecordError under either.
+    "skip" (count it and continue).  A line that is not UTF-8 raises
+    MalformedRecordError under either, once the lines before it are read.
     """
     _check_on_malformed(on_malformed)
     stats = stats if stats is not None else IngestStats()
-    text = _decode(log)
-    start = lineno = 0
-    while start < len(text):
-        end = text.find("\n", start) + 1 or len(text)
-        line, start, lineno = text[start:end], end, lineno + 1
+    for lineno, line in text_lines(bytes(log)):
         stats.total_lines += 1
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -402,8 +398,8 @@ def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumn
         return None
     if size and data.max() >= 0x80:
         try:
-            _decode(memoryview(data))
-        except MalformedRecordError:
+            str(memoryview(data), "utf-8")
+        except UnicodeDecodeError:
             return None
     ends = np.flatnonzero(data == ord("\n"))
     if size and data[-1] != ord("\n"):

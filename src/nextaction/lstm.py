@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
-from .ingest import Corpus, action_array
+from .ingest import Corpus, action_array, read_lines
 
 PROB_FLOOR = 1e-12
 HILL_FRACTION = 0.1  # share of training students held out for hill climbing
@@ -609,28 +609,15 @@ class LstmSpec:
         return (LstmPredictor(net),), curve
 
 
-def grid_search(
-    corpus: Corpus,
-    combos: Iterable[tuple[int, int, float]],
-    plan,
-    base_cfg: TrainConfig,
-    workers: int = 1,
-):
-    """Cross-validated accuracy for each (layers, nodes, learning rate) combo.
-
-    Returns (config, report) pairs sorted by descending accuracy.
-    """
+def grid_search(corpus: Corpus, configs: Iterable[TrainConfig], plan, workers: int = 1):
+    """Cross-validated accuracy for each config; returns (config, report) pairs
+    sorted by descending accuracy."""
     from .evaluation import cross_validate
 
     results = []
-    for layers, nodes, lr in combos:
-        cfg = replace(base_cfg, layers=layers, hidden_size=nodes, learning_rate=lr)
-        name = f"{cfg.cell} layers={layers} nodes={nodes} lr={lr:g}"
+    for cfg in configs:
+        name = f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size} lr={cfg.learning_rate:g}"
         report = cross_validate(LstmSpec(cfg), corpus, plan, model_name=name, workers=workers)
-        report.metadata.update({
-            "layers": str(layers), "nodes": str(nodes), "lr": f"{lr:g}",
-            "epochs": str(cfg.epochs), "window": str(cfg.window),
-        })
         results.append((cfg, report))
     results.sort(key=lambda item: -item[1].cv_accuracy)
     return results
@@ -698,16 +685,17 @@ def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
 
     manifest_path = Path(str(path) + ".manifest.txt")
     if manifest_path.exists():
-        lines = manifest_path.read_text(encoding="utf-8", errors="replace").splitlines()
-        fields = {key: (n, value) for n, (key, _, value)
-                  in enumerate((line.partition(": ") for line in lines), start=1)}
-        if fields.get("sha256", (0, ""))[1] != hashlib.sha256(blob).hexdigest():
+        fields = {}
+        for lineno, line in read_lines(manifest_path):
+            key, _, text = line.removesuffix("\n").partition(": ")
+            if key == "window" and window is None and not (
+                    text.isascii() and text.isdigit() and int(text) >= 1):
+                raise MalformedRecordError(lineno, f"window is not a positive integer: {text!r}")
+            fields[key] = text
+        if fields.get("sha256") != hashlib.sha256(blob).hexdigest():
             raise ConfigError(f"{path.name} does not match the SHA-256 in its manifest")
         if window is None and "window" in fields:
-            lineno, text = fields["window"]
-            if not (text.isascii() and text.isdigit() and int(text) >= 1):
-                raise MalformedRecordError(lineno, f"window is not a positive integer: {text!r}")
-            window = int(text)
+            window = int(fields["window"])
     if window is None:
         raise ConfigError("checkpoint manifest missing; pass the window explicitly")
 

@@ -31,12 +31,14 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
-from .ingest import NUMBER, Corpus, action_array, format_decimals, parse_decimals, text_rows
+from .ingest import (
+    NUMBER, Corpus, action_array, format_decimals, parse_decimals, text_lines, text_rows,
+)
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -322,18 +324,25 @@ def _parse_records(data: np.ndarray, lo: int, hi: int):
     return value[first], width, value[last - 1], value[last], value[context]
 
 
+def _refuse_records(blob: bytes) -> NoReturn:
+    """Raise for the first line after a table's header that is not a record and a newline."""
+    for lineno, line in text_lines(blob):
+        if lineno > 1 and _RECORD.fullmatch(line.removesuffix("\n")) is None:
+            raise MalformedRecordError(
+                lineno, "expected order<TAB>context<TAB>next<TAB>count in canonical integers"
+            )
+    raise MalformedRecordError(lineno, "no newline at the end of the file")
+
+
 def _read_records(path: str | Path):
     """(max_order, V, order, next, count, context ids) of the records of a table
     file, refusing whatever one record can get wrong on its own.  The file is
     read once and parsed in chunks of whole lines; the context ids are kept in
     the narrowest dtype that holds V - 1."""
     blob = Path(path).read_bytes()
-    if not blob.isascii():
-        at = int(np.argmax(np.frombuffer(blob, dtype=np.uint8) >= 0x80))
-        raise MalformedRecordError(blob.count(b"\n", 0, at) + 1, "non-ASCII byte")
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
-    head = _HEADER.fullmatch(header.decode("ascii"))
+    head = _HEADER.fullmatch(header.decode("ascii", "replace"))
     if head is None:
         raise MalformedRecordError(1, "expected the header '#NGRAM max_order=<N> V=<int>'")
     max_order, V = int(head[1]), int(head[2])
@@ -342,7 +351,7 @@ def _read_records(path: str | Path):
     if V > _MAX_VOCAB:
         raise MalformedRecordError(1, f"V={V} exceeds the 32-bit action id range")
     if not blob.endswith(b"\n"):
-        raise MalformedRecordError(blob.count(b"\n") + 1, "no newline at the end of the file")
+        _refuse_records(blob)
     data = np.frombuffer(blob, dtype=np.uint8)
     ids = np.min_scalar_type(max(V - 1, 0))  # ids below V; a larger one is refused
     parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY, np.zeros(0, dtype=ids))]
@@ -352,11 +361,7 @@ def _read_records(path: str | Path):
         hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
         parsed = _parse_records(data, lo, hi)
         if parsed is None:
-            lines = blob[len(header) + 1 :].decode("ascii").split("\n")[:-1]
-            index = next(i for i, line in enumerate(lines) if _RECORD.fullmatch(line) is None)
-            raise MalformedRecordError(
-                index + 2, "expected order<TAB>context<TAB>next<TAB>count in canonical integers"
-            )
+            _refuse_records(blob)
         *columns, context = parsed
         if outside is None and (context >= V).any():
             at = int(np.argmax(context >= V))

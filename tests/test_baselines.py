@@ -32,7 +32,7 @@ class TestLoadSyllabus:
         assert syl.unmatched == ["zz"]
 
     def test_duplicate_raises(self, tmp_path, vocab):
-        with pytest.raises(DuplicateItemError):
+        with pytest.raises(DuplicateItemError, match="^line 3: duplicate course item 'a'$"):
             baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "a"]), vocab)
 
     def test_comments_ignored(self, tmp_path, vocab):

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import corpus_of, read_report
-from nextaction import ingest, lstm, ngram
+from nextaction import baselines, evaluation, ingest, lstm, ngram, synth
 from nextaction.cli import main
-from nextaction.errors import MalformedRecordError
+from nextaction.config import read_kv_file
+from nextaction.errors import MalformedRecordError, NextactionError
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +93,18 @@ class TestAgree:
         assert "a_only_correct: 0" in out
         assert "b_only_correct: 0" in out
 
+    @pytest.mark.parametrize("out_dir", [None, ".", "sub"])
+    def test_out_dir_writes_the_report(self, tmp_path, monkeypatch, out_dir):
+        """With --out-dir, the current directory included, the table is also
+        written there under a content-addressed name; without it, only printed."""
+        monkeypatch.chdir(tmp_path)
+        stream = tmp_path / "a.pred"
+        stream.write_text("s1\t2\t1\t1\n", encoding="utf-8")
+        argv = ["agree", str(stream), str(stream)]
+        assert main(argv if out_dir is None else [*argv, "--out-dir", out_dir]) == 0
+        written = [path.parent for path in tmp_path.rglob("agreement-*.txt")]
+        assert written == ([] if out_dir is None else [tmp_path / out_dir])
+
 
 class TestBaselineAndEval:
     def test_baseline_models(self, pipeline, tmp_path):
@@ -168,6 +183,51 @@ class TestBaselineAndEval:
         text = report_path.read_text()
         assert "grid.layers=1.nodes=8.lr=0.01.cv_accuracy:" in text
         assert "grid.layers=2.nodes=8.lr=0.01.cv_accuracy:" in text
+
+
+# a sweep or a grid writes one comparison report and none of these outputs
+SWEEP = ["ngram", "--max-order", "3", "--sweep"]
+GRID = ["lstm", "--layers", "1", "--nodes", "4,8", "--epochs", "1", "--window", "5",
+        "--emb-dim", "8"]
+
+
+class TestSweepAndGridOutputs:
+    @pytest.mark.parametrize("argv, flag", [
+        (SWEEP + ["--usage"], "--usage"),
+        (SWEEP + ["--config", "{out}/usage.cfg"], "--usage"),
+        (SWEEP + ["--save-model", "{out}/m.ngram"], "--save-model"),
+        (SWEEP + ["--stream", "{out}/s.pred"], "--stream"),
+        (SWEEP + ["--csv", "{out}/f.csv"], "--csv"),
+        (GRID + ["--save-model", "{out}/m.nlstm"], "--save-model"),
+        (GRID + ["--stream", "{out}/s.pred"], "--stream"),
+        (GRID + ["--csv", "{out}/f.csv"], "--csv"),
+        (GRID + ["--curve-prefix", "grid"], "--curve-prefix"),
+    ])
+    def test_an_output_they_would_drop_exits_2_before_any_fold(self, tiny, tmp_path, capsys,
+                                                                monkeypatch, argv, flag):
+        (tmp_path / "usage.cfg").write_text("usage=true\n", encoding="utf-8")
+        runs = []
+        for name in ("cross_validate", "cross_validate_each"):
+            monkeypatch.setattr(evaluation, name, lambda *a, **k: runs.append(a))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main([*(arg.format(out=tmp_path) for arg in argv), "--corpus",
+                     str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv"),
+                     "--folds", "3", "--out-dir", str(out)]) == 2
+        assert f"takes no {flag}" in capsys.readouterr().err
+        assert runs == [] and list(out.iterdir()) == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "usage.cfg"]
+
+    def test_every_grid_combination_is_checked_before_any_trains(self, tiny, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = []
+        train = lstm.train
+        monkeypatch.setattr(lstm, "train", lambda *a, **k: calls.append(a) or train(*a, **k))
+        assert main(["lstm", "--nodes", "8,0", "--epochs", "1", "--folds", "3", "--corpus",
+                     str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv"),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert "error: hidden and embedding sizes must be >= 1" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestConfigMerging:
@@ -603,3 +663,77 @@ class TestHostileText:
         ]) == 2
         line = roster.count("\n") + 1
         assert f"error: line {line}: student" in capsys.readouterr().err
+
+
+
+def _log_line(i):
+    return f"2013-03-01T10:00:{i:02d}Z\ts1\tview\ta\t-"
+
+
+# reader: the 60 lines of a good file, the read, a line that is malformed where it
+# stands and the error it raises ({n} is its line number), and a line that is not UTF-8
+FILE_ORDER = {
+    "events": ([_log_line(i) for i in range(60)],
+               lambda path: ingest.ingest_files(path, path.with_name("roster.tsv"), 1),
+               "broken line", "line {n}: expected 5 fields, got 1",
+               _log_line(0).encode().replace(b"s1", b"s\xff")),
+    "roster": ([f"s{i}\t1" for i in range(60)], ingest.load_roster,
+               "s\t2", "line {n}: bad roster line 's\\t2'", b"s\xff\t1"),
+    "vocabulary": (["#V=59 min_count=1", *(f"t{i}\t{i}\t5" for i in range(59))],
+                   ingest.load_vocabulary,
+                   "t\tx\t5", "line {n}: record is not 'token <TAB> id <TAB> count'",
+                   b"t\xff\t0\t5"),
+    "syllabus": ([f"t{i}" for i in range(60)],
+                 lambda path: baselines.load_syllabus(path, ingest.build_vocabulary(["t1"])),
+                 "t0", "line {n}: duplicate course item 't0'", b"t\xff"),
+    "config": ([f"k{i}={i}" for i in range(60)],
+               lambda path: read_kv_file(path, {f"k{i}": int for i in range(60)}),
+               "k0", "input, line {n}: expected key=value, got 'k0'", b"k0=\xff"),
+    "synth-config": ([f"seed={i}" for i in range(60)], synth.load_config,
+                     "seed=x", "input, line {n}: bad int value for seed: 'x'", b"seed=\xff"),
+    "stream": ([f"s{i}\t{i + 2}\t1\t1" for i in range(60)], evaluation.read_stream,
+               "s\t2\tx\t1",
+               "line {n}: expected student, position >= 2, predicted, truth; got 's\\t2\\tx\\t1\\n'",
+               b"s\xff\t2\t1\t1"),
+    "table": (["#NGRAM max_order=1 V=60", *(f"1\t\t{i}\t1" for i in range(59))],
+              ngram.load_table, "1\t\tx\t1",
+              "line {n}: expected order<TAB>context<TAB>next<TAB>count in canonical integers",
+              b"1\t\t\xff\t1"),
+}
+
+
+class TestFirstBadLineInFileOrder:
+    """Every text reader names the first bad line of a file, whether that line is
+    malformed or not UTF-8, with both lines in the first 8 KB."""
+
+    def check(self, path, read, lines, malformed, message, non_utf8, at, bad_at):
+        """Put ``malformed`` on line ``at`` and ``non_utf8`` on line ``bad_at``."""
+        lines[at - 1], lines[bad_at - 1] = malformed, non_utf8
+        blob = b"".join(line + b"\n" for line in lines)
+        assert len(blob) < 8192
+        path.write_bytes(blob)
+        with pytest.raises(NextactionError) as caught:
+            read(path)
+        if at < bad_at:
+            assert str(caught.value) == message.format(n=at)
+        else:
+            assert type(caught.value) is MalformedRecordError
+            assert str(caught.value) == f"line {bad_at}: not UTF-8"
+
+    @pytest.mark.parametrize("at, bad_at", [(5, 50), (50, 5)])
+    @pytest.mark.parametrize("reader", list(FILE_ORDER))
+    def test_first_bad_line_is_named(self, tmp_path, reader, at, bad_at):
+        lines, read, malformed, message, non_utf8 = FILE_ORDER[reader]
+        (tmp_path / "roster.tsv").write_text("s1\t1\n", encoding="utf-8")
+        self.check(tmp_path / "input", read, [line.encode() for line in lines],
+                   malformed.encode(), message, non_utf8, at, bad_at)
+
+    @pytest.mark.parametrize("bad_at", [6, 2])
+    def test_first_bad_manifest_line_is_named(self, tmp_path, bad_at):
+        """The window line, line 3, is the manifest line that can be malformed."""
+        path = tmp_path / "model.nlstm"
+        lstm.save_checkpoint(lstm.init_network(5, 2, 2, 1, 0.0, 9), path)
+        manifest = Path(str(path) + ".manifest.txt")
+        self.check(manifest, lambda _: lstm.load_checkpoint(path),
+                   manifest.read_bytes().splitlines(), b"window: x",
+                   "line {n}: window is not a positive integer: 'x'", b"cell: \xff", 3, bad_at)

@@ -251,6 +251,18 @@ class TestHostileText:
             ingest.ingest_files(log, roster, min_count=1, on_malformed="skip")
         assert (caught.value.lineno, caught.value.reason) == (3, "not UTF-8")
 
+    def test_bad_lines_before_a_non_utf8_line_are_counted_when_skipping(self):
+        good = b"2013-03-01T10:00:00Z\ts1\tview\ta\t-\n"
+        log = good + b"broken\n" + good + b"# note\n" + b"s1\tview\n" + b"\xff\n" + good
+        stats = ingest.IngestStats()
+        events = []
+        with pytest.raises(MalformedRecordError) as caught:
+            events.extend(ingest.iter_events(log, "skip", stats))
+        assert (caught.value.lineno, caught.value.reason) == (6, "not UTF-8")
+        assert len(events) == 2
+        assert (stats.total_lines, stats.ignored_lines, stats.malformed_lines,
+                stats.parsed_events) == (5, 1, 2, 2)
+
 
 class TestFilterCohort:
     def test_min_actions_one_is_identity_on_cohort(self, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -703,9 +704,8 @@ class TestGridSearch:
         plan = evaluation.make_folds(corpus.students, 5, seed=1)
         base = lstm.TrainConfig(epochs=1, window=5, batch_size=8, seed=2,
                                 embedding_dim=6, dropout_rate=0.0)
-        results = lstm.grid_search(
-            corpus, [(l, n, 0.01) for l in (1, 2) for n in (16, 32)], plan, base
-        )
+        configs = [replace(base, layers=l, hidden_size=n) for l in (1, 2) for n in (16, 32)]
+        results = lstm.grid_search(corpus, configs, plan)
         assert len(results) == 4
         for cfg, report in results:
             assert len(report.per_fold_accuracy) == 5
