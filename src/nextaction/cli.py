@@ -226,8 +226,12 @@ def _cmd_ngram(args) -> int:
 
 # ---------------------------------------------------------------- lstm
 
-def _parse_list(raw: str, caster):
-    return [caster(part) for part in str(raw).split(",") if part != ""]
+def _parse_list(options: dict, key: str, caster) -> list:
+    """The comma list of option ``key``, from a flag or a config file alike."""
+    try:
+        return [caster(part) for part in str(options[key]).split(",") if part != ""]
+    except ValueError:
+        raise ConfigError(f"--{key} needs {caster.__name__} values, got {options[key]!r}") from None
 
 
 def _write_curve(curve: list[lstm.EpochStats], path: Path) -> None:
@@ -248,9 +252,9 @@ def _cmd_lstm(args) -> int:
         batch_size=options["batch"], dropout_rate=options["dropout"],
         seed=options["seed"], hidden_size=nodes, layers=layers,
         embedding_dim=options["emb_dim"], cell=options["cell"],
-    ) for layers, nodes, lr in product(_parse_list(options["layers"], int),
-                                       _parse_list(options["nodes"], int),
-                                       _parse_list(options["lr"], float))]
+    ) for layers, nodes, lr in product(_parse_list(options, "layers", int),
+                                       _parse_list(options, "nodes", int),
+                                       _parse_list(options, "lr", float))]
     if not configs:
         raise ConfigError("--layers, --nodes and --lr need at least one value")
     for cfg in configs:  # every combination of a grid, before any of them trains
@@ -331,11 +335,12 @@ def _cmd_baseline(args) -> int:
 
 def _load_model(path: str, window: int | None):
     """(predictor, description, V) of a saved checkpoint or n-gram table."""
-    blob = Path(path).read_bytes()
-    if blob.startswith(lstm.CHECKPOINT_MAGIC):
+    with open(path, "rb") as handle:
+        magic = handle.read(6)  # the length of either magic
+    if magic == lstm.CHECKPOINT_MAGIC:
         net = lstm.load_checkpoint(path, window=window)
         return lstm.LstmPredictor(net), f"lstm checkpoint {Path(path).name}", net.vocab_size
-    if blob.startswith(b"#NGRAM"):
+    if magic == b"#NGRAM":
         if window is not None:
             raise ConfigError("--window overrides a checkpoint's window; an n-gram table has none")
         table = ngram.load_table(path)

@@ -12,14 +12,20 @@ one or more sequences and each action's index within its own sequence (one
 sequence is ``pos = arange(T)``; a corpus holds both as ``corpus.actions``
 and ``corpus.pos``), and returns the int64 predictions for every action with
 ``pos >= 1``, in order, each made only from the earlier actions of its own
-sequence.  ``sequence_accuracy`` makes that call once for a whole fold; any
-other number of predictions raises NextactionError.
+sequence.  ``sequence_accuracy`` makes that call once for a whole corpus,
+and cross-validation once per model and held-out fold, unless the spec
+predicts its folds itself; any other number of predictions raises
+NextactionError.
 
-Cross-validation is driven by a spec, a small frozen object whose
-``fit(train_corpus, fold)`` returns the fold's models and extras (such as
-an LSTM epoch curve); fold None is the fit on the whole corpus.  Folds run
-on a pool of forked worker processes, which inherit the spec and corpus and
-send back arrays, so reports are byte-identical at any worker count.
+Cross-validation is driven by a spec, a small frozen object of one of two
+kinds.  One kind scores every fold in this process: its
+``fit_folds(corpus, folds, held_out)`` returns the full-corpus fit and, per
+fold, each model's predictions for the held-out sequences and the fold's
+extras.  The other kind is fitted once per fold: its
+``fit(train_corpus, fold)`` returns the fold's models and extras (such as an
+LSTM epoch curve), and fold None is the fit on the whole corpus.  Such folds
+run on a pool of forked worker processes, which inherit the spec and corpus
+and send back arrays, so reports are byte-identical at any worker count.
 """
 
 import multiprocessing
@@ -133,30 +139,37 @@ def hill_climb_split(
     return corpus.take(~holdout), corpus.take(holdout)
 
 
+def _accuracy(corpus: Corpus, predictions: np.ndarray) -> np.ndarray:
+    """Per-sequence proportion of positions 2..T that ``predictions``, a model's
+    concatenated predictions for ``corpus``, got right."""
+    lengths, truths = corpus.lengths, corpus.actions[corpus.pos >= 1]
+    if predictions.shape != truths.shape:
+        raise NextactionError(f"{predictions.size} predictions for {truths.size} positions")
+    starts = np.cumsum(lengths - 1) - (lengths - 1)
+    hits = np.add.reduceat(predictions == truths, starts, dtype=np.int64)
+    return hits / (lengths - 1)
+
+
 def sequence_accuracy(model, corpus: Corpus) -> tuple[np.ndarray, np.ndarray]:
     """Per-sequence proportion of positions 2..T predicted correctly from the
     prior context, and the concatenated predictions, from one model call."""
     lengths = corpus.lengths
     if lengths.size == 0 or lengths.min() < 2:
         raise NextactionError("scoring needs sequences of at least 2 actions")
-    pos = corpus.pos
-    predictions = np.asarray(model.predict_sequence(corpus.actions, pos))
-    truths = corpus.actions[pos >= 1]
-    if predictions.shape != truths.shape:
-        raise NextactionError(f"{predictions.size} predictions for {truths.size} positions")
-    starts = np.cumsum(lengths - 1) - (lengths - 1)
-    hits = np.add.reduceat(predictions == truths, starts, dtype=np.int64)
-    return hits / (lengths - 1), predictions
+    predictions = np.asarray(model.predict_sequence(corpus.actions, corpus.pos))
+    return _accuracy(corpus, predictions), predictions
 
 
 @dataclass(frozen=True)
 class FixedSpec:
-    """A model that needs no training: every fold scores the same one."""
+    """A model that needs no training: every fold scores the same one, in this process."""
 
     model: object
 
-    def fit(self, train_corpus: Corpus, fold: int | None):
-        return (self.model,), None
+    def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
+        held = map(corpus.take, held_out)
+        return ((self.model,), None), [
+            ([self.model.predict_sequence(fold.actions, fold.pos)], None) for fold in held]
 
 
 def _held_out(corpus: Corpus, folds: np.ndarray, fold: int) -> np.ndarray:
@@ -168,18 +181,16 @@ def _held_out(corpus: Corpus, folds: np.ndarray, fold: int) -> np.ndarray:
 def _run_task(job: tuple, fold: int | None):
     """One pool task: the full-corpus fit (fold None), or one fold fitted and scored.
 
-    A fold yields its extras and, per model the spec fits, the per-sequence
-    accuracies and the predictions of every scored sequence in one array.
-    The job is the spec, the corpus and the fold of each of its sequences.
+    A fold yields, per model the spec fits, the predictions of its held-out
+    sequences in one array, and its extras.  The job is the spec, the corpus,
+    the fold of each of its sequences and the held-out sequences of each fold.
     """
-    spec, corpus, folds = job
+    spec, corpus, folds, held_out = job
     if fold is None:
         return spec.fit(corpus, None)
-    held_out = corpus.take(_held_out(corpus, folds, fold))
-    if not len(held_out):
-        raise NextactionError(f"fold {fold} has no scoreable sequences")
     models, extras = spec.fit(corpus.take(folds != fold), fold)
-    return [sequence_accuracy(model, held_out) for model in models], extras
+    held = corpus.take(held_out[fold])
+    return [model.predict_sequence(held.actions, held.pos) for model in models], extras
 
 
 _job = None  # set in each pool worker by _adopt; the parent never sets it
@@ -236,14 +247,13 @@ def cross_validate_each(
     keep_streams: bool = False,
     fit_full: bool = False,
 ) -> list[EvalReport]:
-    """One report per model the spec fits, from a single fit per fold.
+    """One report per model the spec fits, in the order of ``model_names``,
+    from a single fit per fold (see the module doc for the two kinds of spec).
 
-    ``spec.fit(train_corpus, fold)`` returns the models to score on the
-    held-out fold, in the order of ``model_names``, and the fold's extras,
-    which every report carries in fold order.  With ``fit_full`` the reports
-    also carry ``spec.fit(corpus, None)``, run as one more task ahead of the
-    folds.  Tasks run on ``workers`` forked processes, except for a
-    FixedSpec, and are merged in fold order, so reports do not depend on the
+    Every report carries the folds' extras in fold order and, with
+    ``fit_full``, the full-corpus fit, which a spec fitted per fold runs as
+    one more task ahead of the folds.  Such tasks run on ``workers`` forked
+    processes and are merged in fold order, so reports do not depend on the
     worker count.
     """
     if workers < 1:
@@ -254,23 +264,31 @@ def cross_validate_each(
     folds = np.fromiter(map(plan.assignment.__getitem__, corpus.students), dtype=np.int64,
                         count=len(corpus))
 
-    tasks = ([None] if fit_full else []) + list(range(plan.k))
-    # a fixed model fits nothing, and scoring it costs less than forking workers
-    results = _run_tasks((spec, corpus, folds), tasks,
-                         1 if isinstance(spec, FixedSpec) else workers)
-    full_fit = results.pop(0) if fit_full else None
-    scored = corpus.take(np.concatenate(  # in fold order
-        [_held_out(corpus, folds, fold) for fold in range(plan.k)]))
+    held_out = [_held_out(corpus, folds, fold) for fold in range(plan.k)]
+    for fold, index in enumerate(held_out):
+        if not len(index):
+            raise NextactionError(f"fold {fold} has no scoreable sequences")
+
+    if hasattr(spec, "fit_folds"):
+        full_fit, results = spec.fit_folds(corpus, folds, held_out)
+    else:
+        tasks = ([None] if fit_full else []) + list(range(plan.k))
+        results = _run_tasks((spec, corpus, folds, held_out), tasks, workers)
+        full_fit = results.pop(0) if fit_full else None
+    held = [corpus.take(index) for index in held_out]
+    scored = corpus.take(np.concatenate(held_out))  # in fold order
 
     reports = []
     for index, name in enumerate(model_names):
-        accuracies, predictions = zip(*(scores[index] for scores, _ in results))
+        predictions = [np.asarray(scores[index]) for scores, _ in results]
+        accuracies = [_accuracy(fold, p) for fold, p in zip(held, predictions)]
         per_sequence = np.concatenate(accuracies).tolist()
         report = EvalReport(
             model=name, per_fold_accuracy=[float(np.mean(a)) for a in accuracies],
             per_sequence=list(zip(scored.students.tolist(), per_sequence)),
             skipped_sequences=int((corpus.lengths < 2).sum()),
-            fold_extras=[extras for _, extras in results], full_fit=full_fit,
+            fold_extras=[extras for _, extras in results],
+            full_fit=full_fit if fit_full else None,
         )
         report.metadata["folds.seed"] = str(plan.seed)
         if keep_streams:
@@ -408,10 +426,10 @@ def write_stream(stream: PredictionStream, path: str | Path) -> None:
 
 
 # student, position >= 2, predicted (-1 for none), truth, in canonical decimals below
-# 2**63, and a newline; lookaheads, not alternations, keep a scan of a whole stream fast
+# 2**63, and a newline: the per-line check that names a bad file's first bad line
 _DECIMAL = r"(?!0[0-9])[0-9]{1,18}"
 _STREAM_RECORD = re.compile(
-    rf"^([^\t\n]+)\t(?![01]\t){_DECIMAL}\t(?:-1|{_DECIMAL})\t{_DECIMAL}\n", re.MULTILINE
+    rf"([^\t\n]+)\t(?![01]\t){_DECIMAL}\t(?:-1|{_DECIMAL})\t{_DECIMAL}\n"
 )
 
 
@@ -424,32 +442,86 @@ def _refuse_stream(blob: bytes) -> NoReturn:
             )
 
 
+def _parse_stream(data: np.ndarray, end: np.ndarray):
+    """(id starts, id ends, position, predicted, truth) of the lines that end at
+    the newlines ``end`` of ``data``, or None unless each of them is a record."""
+    start = np.concatenate(([0], end + 1))[: len(end)]
+
+    def byte(at: np.ndarray) -> np.ndarray:  # an index below 0 only ever marks a bad line
+        return np.take(data, np.maximum(at, 0))
+
+    def field(stop: np.ndarray):
+        """The canonical decimal that ends at ``stop``, whether it is one, and its tab."""
+        value, length = parse_decimals(data, np.maximum(stop, 0))
+        leading = byte(stop - length) != ord("0")
+        return value, (length >= 1) & (length <= 18) & ((length == 1) | leading), stop - length - 1
+
+    truth, good, tab = field(end)
+    good &= byte(tab) == ord("\t")
+    predicted, canonical, minus = field(tab)
+    negative = byte(minus) == ord("-")
+    good &= canonical & (~negative | (predicted == 1))
+    tab = minus - negative
+    good &= byte(tab) == ord("\t")
+    position, canonical, tab = field(tab)
+    good &= canonical & (position >= 2) & (byte(tab) == ord("\t")) & (tab > start)
+    if not good.all() or np.count_nonzero(data == ord("\t")) != 3 * len(end):
+        return None
+    return start, tab, position, np.where(negative, -1, predicted), truth
+
+
+_ID_WORDS = _TEXT_BYTES // 64  # 8-byte words of ids compared at a time, which bounds the arrays
+
+
+def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The lines whose student id, ``data[start[i]:stop[i]]`` for line i, differs
+    from the line before's, for lines that are records.  Only an id as long as
+    the one before is compared, as 8-byte words, ``_ID_WORDS`` at a time, so the
+    work is bounded by the bytes of the ids, not by their number times the
+    longest."""
+    length = stop - start
+    new = np.ones(len(start), dtype=bool)
+    same = np.flatnonzero(length[1:] == length[:-1]) + 1
+    # every id is followed by at least 7 bytes ("\t2\t0\t0\n"), so each word is in data
+    words = np.ndarray(max(len(data) - 7, 0), "<u8", data, strides=(1,))
+    count = (length[same] + 7) // 8
+    cuts = np.flatnonzero(np.diff(np.cumsum(count) // _ID_WORDS)) + 1
+    for block, size in zip(np.split(same, cuts), np.split(count, cuts)):
+        first = np.cumsum(size) - size
+        offset = 8 * (np.arange(int(size.sum())) - np.repeat(first, size))
+        at = np.repeat(start[block], size) + offset
+        behind = at - np.repeat(start[block] - start[block - 1], size)
+        # the bytes of each word that belong to its id, 1 to 8 of them
+        keep = np.repeat(length[block], size) - offset
+        mask = np.uint64(2**64 - 1) >> (8 * (8 - np.minimum(keep, 8))).astype(np.uint64)
+        differ = (words[at] ^ words[behind]) & mask != 0
+        new[block] = np.logical_or.reduceat(differ, first)
+    return np.flatnonzero(new)
+
+
 def read_stream(path: str | Path) -> PredictionStream:
     """Read a stream as ``write_stream`` writes it: every line, the last
     included, is a non-empty student id, a position >= 2, a prediction (-1 for
     none) and a truth in canonical integers, and a newline.
 
-    The file is read and decoded once and checked with one anchored scan; the
-    three integer columns are parsed from its bytes, backwards from each newline.
-    Only a bad file is split into lines, to name its first bad line."""
+    The file is read and decoded once; its lines are checked and their three
+    integer columns parsed from its bytes, backwards from each newline, and
+    one string is decoded per run of equal student ids.  Only a bad file is
+    split into lines, to name its first bad line."""
     blob = Path(path).read_bytes()
     try:
-        text = str(blob, "utf-8")
+        str(blob, "utf-8")
     except UnicodeDecodeError:
         _refuse_stream(blob)
-    # a match is one whole line, so every line is a record when each one matched
-    student = _STREAM_RECORD.findall(text)
-    if len(student) != text.count("\n") or (text and not text.endswith("\n")):
-        _refuse_stream(blob)
-    del text
     data = np.frombuffer(blob, dtype=np.uint8)
     end = np.flatnonzero(data == ord("\n"))
-    truth, digits = parse_decimals(data, end)
-    end -= digits + 1
-    predicted, digits = parse_decimals(data, end)
-    end -= digits + 1
-    negative = np.take(data, end) == ord("-")
-    position, _ = parse_decimals(data, end - negative)
-    # one shared string per student keeps a long stream small
-    student = np.array(list(map(sys.intern, student)), dtype=object)
-    return PredictionStream(student, position, np.where(negative, -1, predicted), truth)
+    parsed = _parse_stream(data, end) if blob.endswith(b"\n") or not blob else None
+    if parsed is None:
+        _refuse_stream(blob)
+    start, stop, position, predicted, truth = parsed
+    runs = _id_runs(data, start, stop)
+    # one shared string per run keeps a long stream small
+    names = [sys.intern(str(blob[a:b], "utf-8")) for a, b in zip(start[runs].tolist(),
+                                                                 stop[runs].tolist())]
+    student = np.repeat(np.array(names, dtype=object), np.diff(np.append(runs, len(end))))
+    return PredictionStream(student, position, predicted, truth)

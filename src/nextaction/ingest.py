@@ -194,14 +194,17 @@ class Corpus:
         """Each action's index within its own sequence."""
         return np.arange(len(self.actions)) - np.repeat(self.starts, self.lengths)
 
-    def take(self, index: np.ndarray) -> "Corpus":
-        """The sequences picked by ``index`` (integer indices, in their order, or a
-        boolean mask), with their actions gathered into new columns."""
+    def gather(self, index: np.ndarray) -> np.ndarray:
+        """The index in ``actions`` of every action of the sequences picked by
+        ``index`` (integer indices, in their order, or a boolean mask)."""
         lengths = self.lengths[index]
         shift = self.starts[index] - (np.cumsum(lengths) - lengths)
-        gather = np.arange(int(lengths.sum())) + np.repeat(shift, lengths)
-        return Corpus(self.vocabulary, self.vocab_size, self.actions[gather], lengths,
-                      self.students[index], self.certified[index])
+        return np.arange(int(lengths.sum())) + np.repeat(shift, lengths)
+
+    def take(self, index: np.ndarray) -> "Corpus":
+        """The sequences picked by ``index``, with their actions gathered into new columns."""
+        return Corpus(self.vocabulary, self.vocab_size, self.actions[self.gather(index)],
+                      self.lengths[index], self.students[index], self.certified[index])
 
     @property
     def sequences(self) -> list[StudentSequence]:

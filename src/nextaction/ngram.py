@@ -25,6 +25,8 @@ the whole corpus:
 
 A context is found by rolling its id up the orders: one ``searchsorted`` per
 order over every position at once, with id -1 for a context never seen.
+Cross-validation needs no lookup: it counts the whole corpus once and derives
+every fold from that count (see ``NGramSpec``).
 """
 
 import re
@@ -94,19 +96,22 @@ class NGramTable:
         self.first: dict[int, np.ndarray] = {}
         self.best: dict[int, np.ndarray] = {}
         for k in orders:
-            n_contexts = len(self.contexts[k])
             owner = self.grams[k] // vocab_size
-            first = np.searchsorted(owner, np.arange(n_contexts + 1))
-            self.first[k] = first
-            if n_contexts == 0:
-                self.best[k] = _EMPTY
-                continue
-            # the first gram whose count is its context's maximum has the lowest next id
-            top = np.maximum.reduceat(self.counts[k], first[:-1])
-            leaders = np.flatnonzero(self.counts[k] == top[owner])
-            lead = leaders[np.searchsorted(owner[leaders], np.arange(n_contexts))]
-            self.best[k] = self.grams[k][lead] % vocab_size
+            self.first[k] = np.searchsorted(owner, np.arange(len(self.contexts[k]) + 1))
+            self.best[k] = _best(self.counts[k], self.first[k], self.grams[k] % vocab_size)
         self.continuations = {k: _Continuations(self, k) for k in orders}
+
+
+def _best(counts: np.ndarray, first: np.ndarray, nexts: np.ndarray) -> np.ndarray:
+    """Each context's count argmax, the lowest next id on ties, or -1 where all its
+    counts are 0; ``first[c]:first[c + 1]`` is context c's non-empty slice of
+    ``counts`` and of ``nexts``, which is in next id order."""
+    top = np.maximum.reduceat(counts, first[:-1])
+    # the first gram whose count is its context's maximum has the lowest next id
+    leaders = np.where(counts == np.repeat(top, np.diff(first)), np.arange(len(counts)),
+                       len(counts))
+    lead = np.minimum.reduceat(leaders, first[:-1])
+    return np.where(top > 0, nexts[lead], -1)
 
 
 def _context_rows(table: NGramTable):
@@ -159,8 +164,13 @@ def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, 
     return predicted, used
 
 
-def fit(corpus: Corpus, max_order: int) -> NGramTable:
-    """Count all grams of order <= max_order over the corpus sequences."""
+def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGramTable:
+    """Count all grams of order <= max_order over the corpus sequences.
+
+    Given a dict, the count also sets ``gram_index[k]`` to the index in the
+    table's ``grams[k]`` of the order-k gram that ends at each action, or -1 at
+    an action that ends none.
+    """
     if not len(corpus):
         raise ConfigError("cannot fit an n-gram table on an empty corpus")
     if max_order < 1:
@@ -177,7 +187,12 @@ def fit(corpus: Corpus, max_order: int) -> NGramTable:
             contexts[k], ranks = np.unique(ids[at - 1] * V + actions[at - 1], return_inverse=True)
             ids = np.full(len(actions), -1, dtype=np.int64)
             ids[at] = ranks
-        grams[k], counts[k] = np.unique(ids[at] * V + actions[at], return_counts=True)
+        found = np.unique(ids[at] * V + actions[at], return_inverse=gram_index is not None,
+                          return_counts=True)
+        grams[k], counts[k] = found[0], found[-1]
+        if gram_index is not None:
+            gram_index[k] = np.full(len(actions), -1, dtype=np.int64)
+            gram_index[k][at] = found[1]
     return NGramTable(max_order, V, contexts, grams, counts)
 
 
@@ -231,22 +246,48 @@ class NGramPredictor:
 
 @dataclass(frozen=True)
 class NGramSpec:
-    """Cross-validation spec: per fold, one table of the largest order, scored at each order.
+    """Cross-validation spec: one count of the whole corpus, scored at each order.
 
-    Counts at order k are identical to a table fitted at order k, so every
-    model matches an independent fit at its order.  Fold None fits the
-    whole corpus.
+    The whole-corpus table is the full fit, and no fold builds a table of its
+    own.  A fold's counts are those of the grams of its training actions, so
+    its best next id per context is the argmax of those counts, and a held-out
+    action backs off through the contexts of the grams that end at it.  That
+    is what a table fitted on the fold's training sequences predicts, and
+    counts at order k are those of a table fitted at order k, so every model
+    matches an independent fit per fold at its order.
     """
 
     orders: tuple[int, ...]
 
-    def fit(self, train_corpus: Corpus, fold: int | None):
-        table = fit(train_corpus, max(self.orders))
-        return tuple(NGramPredictor(table, max_order=order) for order in self.orders), None
+    def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
+        """The whole-corpus fit, and per fold the predictions of each order at the
+        scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold."""
+        gram_index: dict[int, np.ndarray] = {}
+        table = fit(corpus, max(self.orders), gram_index)
+        pos, fold_of = corpus.pos, np.repeat(folds, corpus.lengths)
+        scored = [at[pos[at] >= 1] for at in map(corpus.gather, held_out)]
+        found = [np.full(len(at), -1, dtype=np.int64) for at in scored]
+        by_order: list[dict[int, np.ndarray]] = [{} for _ in scored]
+        for k in range(1, max(self.orders) + 1):
+            counted = gram_index[k] >= 0
+            grams, gram_fold = gram_index[k][counted], fold_of[counted]
+            first, nexts = table.first[k], table.grams[k] % table.vocab_size
+            for fold, at in enumerate(scored):
+                counts = np.bincount(grams[gram_fold != fold], minlength=len(nexts))
+                # each gram's context's best, and -1 at index -1 for an action that ends none
+                best = np.append(np.repeat(_best(counts, first, nexts), np.diff(first)), -1)
+                guess = best[gram_index[k][at]]
+                found[fold] = np.where(guess >= 0, guess, found[fold])
+                if k == 1 and (found[fold] < 0).any():
+                    raise UnfittedModelError("n-gram table has no observations")
+                if k in self.orders:
+                    by_order[fold][k] = found[fold]
+        full = tuple(NGramPredictor(table, max_order=order) for order in self.orders), None
+        return full, [([own[order] for order in self.orders], None) for own in by_order]
 
 
 def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):
-    """Cross-validated accuracy per gram order, from one table fitted per fold."""
+    """Cross-validated accuracy per gram order, from one count of the whole corpus."""
     from .evaluation import cross_validate_each  # local import avoids a cycle
 
     orders = sorted(set(orders))

@@ -9,9 +9,10 @@ gradients by central differences instead of backpropagation, synthetic
 walks by one ``Generator.choice`` over the kernel's ``distribution`` per
 step instead of a cached CDF table, prediction streams one record at a
 time instead of as columns, stream and n-gram table files written one
-f-string per record instead of as byte columns, and corpus subsets, splits
-and training windows one row at a time instead of by gathers over the
-columns, so they can serve as a second opinion.  The batched LSTM kernel is
+f-string per record instead of as byte columns, n-gram cross-validation
+by one table fitted per fold instead of by one count of the whole corpus,
+and corpus subsets, splits and training windows one row at a time instead
+of by gathers over the columns, so they can serve as a second opinion.  The batched LSTM kernel is
 also kept here as it was before its step buffers, as a byte-for-byte oracle.
 """
 
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
+from nextaction import ngram
 from nextaction.evaluation import AgreementTable
 from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, read_lines
 from nextaction.lstm import (
@@ -299,6 +301,19 @@ def per_record_agreement(a, b):
             raise NextactionError(f"misaligned streams at {sid_a}:{pos_a} vs {sid_b}:{pos_b}")
         cells[(0 if pred_a == truth_a else 2) + (0 if pred_b == truth_b else 1)] += 1
     return AgreementTable(*cells)
+
+
+@dataclass(frozen=True)
+class RefitNGramSpec:
+    """``ngram.NGramSpec`` as it was before its folds were derived from one count:
+    a table fitted on each fold's training sequences, scored at each order by
+    ``NGramPredictor``."""
+
+    orders: tuple[int, ...]
+
+    def fit(self, train_corpus, fold):
+        table = ngram.fit(train_corpus, max(self.orders))
+        return tuple(ngram.NGramPredictor(table, max_order=order) for order in self.orders), None
 
 
 def corpus_of(rows, vocab_size=None, vocabulary=None):

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,23 @@ class TestConfigErrors:
         assert not list(tmp_path.glob("ngram-report-*.txt"))
 
 
+    @pytest.mark.parametrize("flag, value, kind", [
+        ("--layers", "abc", "int"), ("--nodes", "8,x", "int"), ("--lr", "fast", "float"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_non_numeric_list_value_exits_2(self, tiny, tmp_path, capsys, flag, value, kind,
+                                            source):
+        given = [flag, value]
+        if source == "config":
+            cfg = tmp_path / "lstm.cfg"
+            cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+            given = ["--config", str(cfg)]
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), *given, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: {flag} needs {kind} values, got {value!r}"]
+
+
 class TestMalformedStream:
     def test_agree_exits_2_on_a_bad_record(self, tmp_path, capsys):
         good = tmp_path / "a.pred"
@@ -551,8 +569,35 @@ class TestValuesBelowOne:
         assert "min_actions must be >= 1, got -5" in capsys.readouterr().err
 
 
+class TestInProcessNgram:
+    def test_ngram_starts_no_process(self, tiny, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        for mode in (["--usage", "--save-model", str(tmp_path / "model.ngram"),
+                      "--stream", str(tmp_path / "model.pred")], ["--sweep"]):
+            assert main(["ngram", *corpus, "--max-order", "3", "--folds", "3", "--workers",
+                         "2", *mode, "--out-dir", str(tmp_path)]) == 0
+
+    def test_eval_reads_an_ngram_table_twice(self, tiny, tmp_path, monkeypatch):
+        """Once to load it and once to hash it; its magic is read from six bytes."""
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        model = tmp_path / "model.ngram"
+        assert main(["ngram", *corpus, "--max-order", "2", "--folds", "3",
+                     "--save-model", str(model), "--out-dir", str(tmp_path)]) == 0
+        reads, read_bytes = [], Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        assert main(["eval", *corpus, "--model", str(model), "--cohort", "all",
+                     "--min-actions", "2", "--out-dir", str(tmp_path)]) == 0
+        assert reads.count(model) == 2
+
+
 class TestFoldWorkerFault:
-    """A fault raised inside a forked fold worker ends in exit 2 with its message."""
+    """A fault raised inside a forked fold worker, or in the n-gram count that
+    serves every fold in process, ends in exit 2 with its message."""
 
     def test_numerical_fault(self, tiny, tmp_path, capsys, monkeypatch):
         build = lstm.network_from_config
@@ -569,14 +614,15 @@ class TestFoldWorkerFault:
         assert "error: epoch 1: non-finite parameter" in capsys.readouterr().err
 
     def test_record_error(self, tiny, tmp_path, capsys, monkeypatch):
-        def refuse(train_corpus, max_order):
-            raise MalformedRecordError(5, "refused in a worker", unit="byte")
+        def refuse(corpus, max_order, *rest):
+            raise MalformedRecordError(5, "refused in the count", unit="byte")
 
         monkeypatch.setattr(ngram, "fit", refuse)
-        assert main(["ngram", "--corpus", str(tiny / "corpus.nact"), "--vocab",
-                     str(tiny / "vocab.tsv"), "--folds", "3", "--workers", "2",
-                     "--out-dir", str(tmp_path)]) == 2
-        assert "error: byte 5: refused in a worker" in capsys.readouterr().err
+        for sweep in ([], ["--sweep"]):
+            assert main(["ngram", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                         str(tiny / "vocab.tsv"), "--folds", "3", "--workers", "2", *sweep,
+                         "--out-dir", str(tmp_path)]) == 2
+            assert "error: byte 5: refused in the count" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -507,11 +507,17 @@ class TestOneCallPerFold:
         assert model.calls == 5
 
     def test_each_model_of_a_sweep_once_per_fold(self, corpus, monkeypatch):
+        """The sweep counts once and calls no predictor, and each order's
+        predictions are scored once per fold."""
         calls = counting(monkeypatch, ngram.NGramPredictor)
+        scored, accuracy = [], evaluation._accuracy
+        monkeypatch.setattr(evaluation, "_accuracy",
+                            lambda fold, p: scored.append(len(p)) or accuracy(fold, p))
         plan = evaluation.make_folds(corpus.students, 3, seed=2)
         ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
-        assert len(calls) == 3 * 3
-        assert sum(calls) == 3 * corpus.total_actions
+        assert calls == []
+        assert len(scored) == 3 * 3
+        assert sum(scored) == 3 * int((corpus.lengths - 1).clip(0).sum())
 
     def test_hill_climb_once_per_epoch(self, corpus, monkeypatch):
         calls = counting(monkeypatch, lstm.LstmPredictor)
@@ -632,6 +638,33 @@ class TestStreamOracles:
             evaluation.write_stream(records(rows), path)
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             assert outcome(read_rows, path) == outcome(per_line_read_stream, path)
+
+    # ids of 1 to 3 words that differ only in their last byte, or in their first
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["a", "b", "a" * 8, "a" * 7 + "b", "b" + "a" * 7, "a" * 9, "a" * 8 + "b",
+                         "a" * 17, "a" * 16 + "é", "é" + "a" * 15]),
+        st.integers(2, 9), st.integers(-1, 4), st.integers(0, 4),
+    ), min_size=1, max_size=10), st.integers(1, 3))
+    def test_long_ids_compared_a_few_words_at_a_time(self, rows, words):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.pred"
+            per_line_write_stream(records(rows), path)
+            with mock.patch.object(evaluation, "_ID_WORDS", words):
+                assert read_rows(path) == rows
+
+    def test_megabyte_ids_among_short_ones(self, tmp_path):
+        """Each id is compared with the one before only: a run of two megabyte ids
+        and one that differs in its last byte, among 20,000 short-id records."""
+        long = "x" * (1 << 20)
+        ids = [f"s{i // 40}" for i in range(20000)]
+        ids[10000:10000] = [long, long, long[:-1] + "y"]
+        rows = [(sid, 2, 0, 0) for sid in ids]
+        path = tmp_path / "model.pred"
+        per_line_write_stream(records(rows), path)
+        student = evaluation.read_stream(path).student
+        assert student.tolist() == ids
+        assert student[10000] is student[10001] and student[10002] != long
 
     # a line with no tab would pass if an id could run across "\n" into the next line
     @pytest.mark.parametrize("bad", ["garbage\n", "s\t1\t1\t1\n", "s\t2\t-0\t1\n", "\n"])

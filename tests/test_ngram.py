@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    actions_pos, corpus_of, mutated, naive_backoff_predict, naive_backoff_usage,
-    naive_gram_counts, per_line_save_table, table_counts,
+    RefitNGramSpec, actions_pos, columns, corpus_of, mutated, naive_backoff_predict,
+    naive_backoff_usage, naive_gram_counts, per_line_save_table, table_counts,
 )
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
@@ -183,21 +183,62 @@ class TestSweepAndFiles:
         for order, report in reports.items():
             assert report.cv_accuracy == 1.0, f"order {order}"
 
-    def test_sweep_fits_one_table_per_fold(self, monkeypatch):
+    def test_sweep_counts_the_corpus_once(self, monkeypatch):
         rng = np.random.default_rng(50)
         corpus = corpus_of([rng.integers(0, 4, size=20).tolist() for _ in range(9)], 4)
         plan = evaluation.make_folds(corpus.students, 3, seed=5)
         fitted = []
         real_fit = ngram.fit
 
-        def counting_fit(train, order):
-            fitted.append(order)
-            return real_fit(train, order)
+        def counting_fit(counted, order, *rest):
+            fitted.append((counted.total_actions, order))
+            return real_fit(counted, order, *rest)
 
         monkeypatch.setattr(ngram, "fit", counting_fit)
-        reports = ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
-        assert fitted == [4, 4, 4]
-        assert sorted(reports) == [2, 3, 4]
+        for workers in (1, 2):
+            fitted.clear()
+            reports = ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=workers)
+            assert fitted == [(corpus.total_actions, 4)]
+            assert sorted(reports) == [2, 3, 4]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=2,
+                    max_size=24),
+           st.lists(st.integers(1, 5), min_size=1, max_size=4, unique=True), st.data())
+    def test_count_once_matches_a_table_fitted_per_fold(self, rows, orders, data):
+        """Reports, streams and the full fit equal those of one table fitted per
+        fold, for sweeps in any order, 2 to 10 folds and sequences of length 1."""
+        corpus = corpus_of(rows, 4)
+        k = data.draw(st.integers(2, min(10, len(rows))))
+        plan = evaluation.make_folds(corpus.students, k, seed=data.draw(st.integers(0, 9)))
+
+        def run(spec):
+            try:
+                return evaluation.cross_validate_each(
+                    spec(tuple(orders)), corpus, plan, [f"{o}-gram" for o in orders],
+                    keep_streams=True, fit_full=True)
+            except NextactionError as exc:
+                return type(exc), str(exc)
+
+        counted, refit = run(ngram.NGramSpec), run(RefitNGramSpec)
+        if isinstance(refit, tuple):
+            assert counted == refit
+            return
+        for mine, theirs in zip(counted, refit, strict=True):
+            assert mine.to_text() == theirs.to_text()
+            assert columns(mine.streams) == columns(theirs.streams)
+            assert mine.fold_extras == theirs.fold_extras == [None] * k
+        (full, _), (again, _) = counted[0].full_fit, refit[0].full_fit
+        assert [p.max_order for p in full] == [p.max_order for p in again] == orders
+        assert table_counts(full[0].table) == table_counts(again[0].table)
+
+    def test_a_fold_with_no_counted_position_has_no_observations(self):
+        """Fold 0 trains on one sequence of one action alone."""
+        corpus = corpus_of([[A, B, A], [B]], 3)
+        plan = evaluation.FoldPlan(k=1, seed=0, assignment={"s0": 0, "s1": 1})
+        for spec in (ngram.NGramSpec((2,)), RefitNGramSpec((2,))):
+            with pytest.raises(UnfittedModelError, match="n-gram table has no observations"):
+                evaluation.cross_validate(spec, corpus, plan)
 
     def test_model_file_round_trip_and_stability(self, tmp_path):
         rng = np.random.default_rng(51)
