@@ -40,7 +40,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import Corpus, format_decimals, parse_decimals, text_lines, text_rows
+from .ingest import NUMBER, Corpus, format_decimals, parse_decimals, text_lines, text_rows
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -113,6 +113,8 @@ def make_folds(students: Iterable[str], k: int, seed: int) -> FoldPlan:
     unique = sorted(set(students))
     if k < 2:
         raise ConfigError(f"fold count must be >= 2, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if len(unique) < k:
         raise ConfigError(f"{len(unique)} students cannot fill {k} folds")
     rng = np.random.default_rng([seed, 0xF01D])
@@ -427,10 +429,7 @@ def write_stream(stream: PredictionStream, path: str | Path) -> None:
 
 # student, position >= 2, predicted (-1 for none), truth, in canonical decimals below
 # 2**63, and a newline: the per-line check that names a bad file's first bad line
-_DECIMAL = r"(?!0[0-9])[0-9]{1,18}"
-_STREAM_RECORD = re.compile(
-    rf"([^\t\n]+)\t(?![01]\t){_DECIMAL}\t(?:-1|{_DECIMAL})\t{_DECIMAL}\n"
-)
+_STREAM_RECORD = re.compile(rf"([^\t\n]+)\t(?![01]\t){NUMBER}\t(?:-1|{NUMBER})\t{NUMBER}\n")
 
 
 def _refuse_stream(blob: bytes) -> NoReturn:

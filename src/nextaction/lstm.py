@@ -155,8 +155,10 @@ class TrainConfig:
     cell: str = "lstm"
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # nan fails this too
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.window < 1 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("window, epochs and batch size must be >= 1")
         if self.layers not in (1, 2, 3):

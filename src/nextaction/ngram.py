@@ -330,14 +330,6 @@ _RECORD = re.compile(rf"{NUMBER}\t(?:{NUMBER}(?:,{NUMBER})*)?\t{NUMBER}\t{NUMBER
 _CHUNK = 1 << 18  # bytes of whole records parsed at a time, which bounds the temporaries
 
 
-def _reject(checks) -> None:
-    """Raise for the earliest record flagged by any (mask over records, reason)."""
-    found = [(int(np.argmax(bad)), reason) for bad, reason in checks if bad.any()]
-    if found:
-        index, reason = min(found)
-        raise MalformedRecordError(index + 2, reason)  # records start on line 2
-
-
 def _parse_records(data: np.ndarray, lo: int, hi: int):
     """(order, context width, next, count, context ids) of the records in the
     whole lines ``data[lo:hi]``, or None unless every one of those lines is
@@ -365,21 +357,48 @@ def _parse_records(data: np.ndarray, lo: int, hi: int):
     return value[first], width, value[last - 1], value[last], value[context]
 
 
-def _refuse_records(blob: bytes) -> NoReturn:
-    """Raise for the first line after a table's header that is not a record and a newline."""
-    for lineno, line in text_lines(blob):
-        if lineno > 1 and _RECORD.fullmatch(line.removesuffix("\n")) is None:
+def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
+    """Raise for the first record line of a table's bytes that ``save_table``
+    would not write after the lines before it, naming the first of its faults
+    in the order README lists them."""
+    seen = {k: set() for k in range(1, max_order + 1)} | {0: {()}}  # each order's contexts
+    last: tuple = (0,)  # sorts below every record's (order, context, next)
+    for lineno, line in islice(text_lines(blob), 1, None):
+        record = line.removesuffix("\n")
+        if _RECORD.fullmatch(record) is None:
             raise MalformedRecordError(
                 lineno, "expected order<TAB>context<TAB>next<TAB>count in canonical integers"
             )
-    raise MalformedRecordError(lineno, "no newline at the end of the file")
+        if record == line:
+            raise MalformedRecordError(lineno, "no newline at the end of the file")
+        k, context, nxt, count = record.split("\t")
+        k, nxt, count = int(k), int(nxt), int(count)
+        context = tuple(int(i) for i in context.split(",") if i)
+        for bad, reason in (
+            (not 1 <= k <= max_order, f"order outside 1..{max_order}"),
+            (len(context) != k - 1, "context length is not order - 1"),
+            (any(i >= V for i in context), f"context id outside [0, {V})"),
+            (nxt >= V, f"next id outside [0, {V})"),
+            (count < 1, "count below 1"),
+            ((k, context, nxt) <= last, "record out of order or repeated"),
+            (context[:-1] not in seen.get(k - 1, ()), f"context has no record at order {k - 1}"),
+        ):
+            if bad:
+                raise MalformedRecordError(lineno, reason)
+        seen[k].add(context)
+        last = (k, context, nxt)
+    raise AssertionError("the byte parse refused a table whose every line is good")
 
 
-def _read_records(path: str | Path):
-    """(max_order, V, order, next, count, context ids) of the records of a table
-    file, refusing whatever one record can get wrong on its own.  The file is
-    read once and parsed in chunks of whole lines; the context ids are kept in
-    the narrowest dtype that holds V - 1."""
+def load_table(path: str | Path) -> NGramTable:
+    """Read a table written by ``save_table``, refusing anything it would not write.
+
+    The file is read once and its records parsed in chunks of whole lines, the
+    context ids kept in the narrowest dtype that holds V - 1.  The byte parse and
+    the whole-array checks only decide whether the table is clean: on any fault
+    ``_refuse_table`` raises MalformedRecordError for the first bad line, as a
+    bad header does for line 1.
+    """
     blob = Path(path).read_bytes()
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
@@ -391,77 +410,42 @@ def _read_records(path: str | Path):
         raise MalformedRecordError(1, f"max_order must be >= 1, got {max_order}")
     if V > _MAX_VOCAB:
         raise MalformedRecordError(1, f"V={V} exceeds the 32-bit action id range")
+    if newline < 0:
+        raise MalformedRecordError(1, "no newline at the end of the file")
     if not blob.endswith(b"\n"):
-        _refuse_records(blob)
+        _refuse_table(blob, max_order, V)
     data = np.frombuffer(blob, dtype=np.uint8)
-    ids = np.min_scalar_type(max(V - 1, 0))  # ids below V; a larger one is refused
+    ids = np.min_scalar_type(max(V - 1, 0))
     parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY, np.zeros(0, dtype=ids))]
-    records, outside = 0, None
-    lo = len(header) + 1
+    lo = newline + 1
     while lo < len(blob):
         hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
         parsed = _parse_records(data, lo, hi)
-        if parsed is None:
-            _refuse_records(blob)
+        if parsed is None or (parsed[-1] >= V).any():  # before the ids are narrowed
+            _refuse_table(blob, max_order, V)
         *columns, context = parsed
-        if outside is None and (context >= V).any():
-            at = int(np.argmax(context >= V))
-            outside = records + int(np.searchsorted(np.cumsum(columns[1]), at, side="right"))
         parts.append((*columns, context.astype(ids)))
-        records += len(columns[0])
         lo = hi
-    del data, blob
     order, width, nxt, count, digits = (np.concatenate(column) for column in zip(*parts))
     del parts
-    _reject([
-        ((order < 1) | (order > max_order), f"order outside 1..{max_order}"),
-        (width != order - 1, "context length is not order - 1"),
-        (nxt >= V, f"next id outside [0, {V})"),
-        (count < 1, "count below 1"),
-        (np.diff(order, prepend=1) < 0, "record out of order"),
-    ])
-    if outside is not None:
-        raise MalformedRecordError(outside + 2, f"context id outside [0, {V})")
-    return max_order, V, order, nxt, count, digits
-
-
-def load_table(path: str | Path) -> NGramTable:
-    """Read a table written by ``save_table``, refusing anything it would not write.
-
-    Raises MalformedRecordError with the line number on a bad header, a
-    record that is not four canonical integer fields, an order outside
-    1..max_order, a context of the wrong length, an id outside [0, V), a
-    count below 1, a record out of order or repeated, or an order-k context
-    whose (k-1)-prefix has no record at order k-1.
-    """
-    max_order, V, order, nxt, count, digits = _read_records(path)
+    if (((order < 1) | (order > max_order) | (width != order - 1) | (nxt >= V) | (count < 1)).any()
+            or (np.diff(order) < 0).any()):
+        _refuse_table(blob, max_order, V)
     digit_at = np.concatenate(([0], np.cumsum(order - 1)))  # record i's are digit_at[i]:[i + 1]
-
-    def flag(at: np.ndarray, bad: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(order), dtype=bool)
-        mask[at[bad]] = True
-        return mask
-
     contexts, grams, counts = {}, {}, {}
     for k in range(1, max_order + 1):
         lo, hi = np.searchsorted(order, [k, k + 1])
-        at = np.arange(lo, hi)
         rows = digits[digit_at[lo] : digit_at[hi]].reshape(hi - lo, k - 1)
         new = np.ones(hi - lo, dtype=bool)  # a context is a run of equal rows
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         own = rows[new]
-        if k == 1:
-            keys, orphan = np.zeros(len(own), dtype=np.int64), np.zeros(len(own), dtype=bool)
-        else:
-            parent = np.full(len(own), 0 if len(contexts[1]) else -1, dtype=np.int64)
-            for j in range(2, k):
-                parent = _child(contexts[j], parent, own[:, j - 2], V)
-            keys, orphan = parent * V + own[:, -1], parent < 0
+        parent = np.full(len(own), 0 if k == 1 or len(contexts[1]) else -1, dtype=np.int64)
+        for j in range(2, k):
+            parent = _child(contexts[j], parent, own[:, j - 2], V)
+        keys = parent if k == 1 else parent * V + own[:, -1]
         gram_keys = (np.cumsum(new) - 1) * V + nxt[lo:hi]
-        _reject([
-            (flag(at[new], orphan), f"context has no record at order {k - 1}"),
-            (flag(at[new][1:], np.diff(keys) <= 0), "record out of order or repeated"),
-            (flag(at[1:], np.diff(gram_keys) <= 0), "record out of order or repeated"),
-        ])
+        if (parent < 0).any() or (np.diff(keys) <= 0).any() or (np.diff(gram_keys) <= 0).any():
+            _refuse_table(blob, max_order, V)
         contexts[k], grams[k], counts[k] = keys, gram_keys, count[lo:hi]
+    del data, blob  # no fault is left to name, so the bytes go before the table is built
     return NGramTable(max_order, V, contexts, grams, counts)

@@ -57,7 +57,7 @@ class SynthConfig:
 
     def validate(self) -> None:
         total = self.p_advance + self.p_repeat + self.p_jump
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:  # a nan sum fails this too
             raise ConfigError(f"move probabilities must sum to 1, got {total!r}")
         if min(self.p_advance, self.p_repeat, self.p_jump) < 0:
             raise ConfigError("move probabilities must be non-negative")
@@ -69,6 +69,8 @@ class SynthConfig:
             raise ConfigError("mean sequence length must be >= 2")
         if self.markov_order < 1:
             raise ConfigError("markov_order must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def load_config(path: str | Path) -> SynthConfig:

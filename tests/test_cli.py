@@ -1,8 +1,12 @@
+import io
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import corpus_of, read_report
 from nextaction import baselines, evaluation, ingest, lstm, ngram, synth
@@ -302,6 +306,40 @@ class TestConfigErrors:
                      str(tiny / "vocab.tsv"), *given, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {flag} needs {kind} values, got {value!r}"]
+
+
+@pytest.mark.filterwarnings("error")
+class TestSeedAndNonFiniteValues:
+    """A negative seed, a non-finite learning rate and a nan move probability are
+    refused before any work, with one error line."""
+
+    @pytest.mark.parametrize("command", ["synth", "ngram", "lstm", "baseline"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tiny, tmp_path, capsys, command, source):
+        given = ["--seed", "-3"]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text("seed=-3\n", encoding="utf-8")
+            given = ["--config", str(tmp_path / "run.cfg")]
+        data = [] if command == "synth" else [
+            "--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        assert main([command, *data, *given, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -3"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tiny, tmp_path, capsys, lr):
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--lr", lr, "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: learning rate must be finite and > 0, got {lr}"]
+
+    def test_nan_move_probability_exits_2(self, tmp_path, capsys):
+        (tmp_path / "synth.cfg").write_text("p_jump=nan\n", encoding="utf-8")
+        assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: move probabilities must sum to 1, got nan"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedStream:
@@ -783,3 +821,61 @@ class TestFirstBadLineInFileOrder:
         self.check(manifest, lambda _: lstm.load_checkpoint(path),
                    manifest.read_bytes().splitlines(), b"window: x",
                    "line {n}: window is not a positive integer: 'x'", b"cell: \xff", 3, bad_at)
+
+
+# each subcommand's fixed arguments ({data}: the fixture corpus, {out}: a scratch
+# directory), the flags drawn per example with a valid value of each, and its switches
+_DATA = ["--corpus", "{data}/corpus.nact", "--vocab", "{data}/vocab.tsv"]
+_CV = {"--folds": "3", "--seed": "1", "--workers": "1", "--min-actions": "2"}
+ARGV = {
+    "synth": (["--config", "{data}/synth.cfg"], {"--seed": "5"}, []),
+    "ingest": (["--events", "{data}/events.tsv", "--roster", "{data}/roster.tsv"],
+               {"--min-count": "1", "--on-malformed": "skip"}, []),
+    "ngram": (_DATA, {**_CV, "--max-order": "3", "--cohort": "all"}, ["--sweep", "--usage"]),
+    "lstm": (_DATA, {**_CV, "--folds": "2", "--layers": "1", "--nodes": "2", "--lr": "0.1",
+                     "--epochs": "1", "--window": "3", "--dropout": "0.1", "--emb-dim": "2",
+                     "--batch": "8"}, []),
+    "baseline": ([*_DATA, "--syllabus", "{data}/syllabus.txt"],
+                 {**_CV, "--model": "combined", "--cohort": "certified"}, []),
+    "eval": ([*_DATA, "--model", "{out}/model.nlstm"],
+             {"--window": "3", "--min-actions": "2", "--cohort": "all"}, []),
+    "agree": (["{out}/a.pred", "{out}/b.pred"], {}, []),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tiny, tmp_path_factory):
+    """A scratch directory holding a checkpoint for eval and two streams for agree."""
+    out = tmp_path_factory.mktemp("argv")
+    net = lstm.init_network(ingest.load_corpus(tiny / "corpus.nact").vocab_size, 2, 2, 1, 0.0,
+                            3, rng=np.random.default_rng(0))
+    lstm.save_checkpoint(net, out / "model.nlstm")
+    for name in ("a.pred", "b.pred"):
+        assert main(["baseline", *(arg.format(data=tiny) for arg in _DATA), "--folds", "3",
+                     "--stream", str(out / name), "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestArgvAtTheProcessBoundary:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_argv_exits_0_or_2_with_one_error_line(self, tiny, argv_inputs, data):
+        """Up to two flags get an empty, zero, negative, non-numeric or comma-list
+        value and the rest a valid one: the run exits 0, or 2 with one ``error:``
+        line and no traceback."""
+        command = data.draw(st.sampled_from(sorted(ARGV)))
+        fixed, flags, switches = ARGV[command]
+        argv = [command, *(arg.format(data=tiny, out=argv_inputs) for arg in fixed)]
+        hostile = data.draw(st.sets(st.sampled_from(sorted(flags)), max_size=2)) if flags else ()
+        for flag, valid in flags.items():
+            token = st.one_of(st.just(""), st.just("0"), st.just("-1"),
+                              st.sampled_from(["x", "nan", "inf"]), st.just("1,2"))
+            argv += [flag, data.draw(token, label=flag) if flag in hostile else valid]
+        argv += [switch for switch in switches if data.draw(st.booleans(), label=switch)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main([*argv, "--out-dir", str(argv_inputs / "out")])
+        assert rc in (0, 2)
+        lines = err.getvalue().splitlines()
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in line for line in lines) == (rc == 2)

@@ -1,4 +1,5 @@
 import tempfile
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +285,16 @@ SAVED = (
 )
 SAVED_LINES = SAVED.splitlines(keepends=True)
 
+# a fault of each kind for line n of a saved table's lines, and its reason: a
+# non-record, a count of 0, a repeat of line n - 1, an order-3 context whose
+# 1-id prefix (99) is no order-2 context and which sorts after every one
+TWO_FAULTS = {
+    "format": (lambda lines, n: "3\t0,x\t0\t1\n", "canonical integers"),
+    "value": (lambda lines, n: lines[n].rsplit("\t", 1)[0] + "\t0\n", "count below 1"),
+    "sort": (lambda lines, n: lines[n - 1], "repeated"),
+    "orphan": (lambda lines, n: "3\t99,0\t0\t1\n", "no record at order 2"),
+}
+
 
 class TestLoadRejects:
     def test_saved_text_is_the_expected_table(self, tmp_path):
@@ -309,12 +320,29 @@ class TestLoadRejects:
         (SAVED + "3\t1,0\t3\t1\n", 8, "next id"),
         (SAVED + "3\t1,7\t0\t1\n", 8, "context id"),
         (SAVED.replace("3\t1,0\t1\t1", "3\t1,0\t1\t0"), 7, "count below 1"),
-        ("".join(SAVED_LINES[:3] + SAVED_LINES[5:] + SAVED_LINES[3:5]), 6, "out of order"),
+        # order 3 ahead of order 2: line 4 is the first bad given the lines before it
+        ("".join(SAVED_LINES[:3] + SAVED_LINES[5:] + SAVED_LINES[3:5]), 4, "no record at order 2"),
         ("".join(SAVED_LINES[:5] + SAVED_LINES[6:5:-1] + SAVED_LINES[5:6]), 7, "out of order"),
         (SAVED + SAVED_LINES[-1], 8, "repeated"),
         (SAVED.replace("1\t\t0\t1\n1\t\t1", "1\t\t1\t1\n1\t\t0"), 3, "repeated"),
         (SAVED + "3\t2,0\t1\t1\n", 8, "no record at order 2"),
         ("".join(SAVED_LINES[:1] + SAVED_LINES[3:]), 2, "no record at order 1"),
+        # a value fault on line 3 is named ahead of a format fault on line 50
+        ("".join(["#NGRAM max_order=1 V=60\n", "1\t\t0\t1\n", "2\t\t1\t1\n",
+                  *(f"1\t\t{i}\t1\n" for i in range(2, 48)), "1\t\tx\t1\n",
+                  *(f"1\t\t{i}\t1\n" for i in range(49, 60))]), 3, "order outside 1..1"),
+        # a line with several faults is named for the first in README's list; line 8
+        # is good, and each line 9 but the last has one more fault listed later
+        *((SAVED.replace("max_order=3", "max_order=4") + "4\t1,0,1\t0\t1\n" + line, 9, reason)
+          for line, reason in [
+              ("5\t1\t9\t0\n", "order outside 1..4"),
+              ("4\t1\t9\t0\n", "context length is not order - 1"),
+              ("4\t1,0,7\t9\t0\n", "context id outside [0, 3)"),
+              ("4\t1,0,1\t9\t0\n", "next id outside [0, 3)"),
+              ("4\t1,0,1\t0\t0\n", "count below 1"),
+              ("4\t0,0,1\t0\t1\n", "record out of order or repeated"),  # (0, 0): no context
+              ("4\t2,0,1\t0\t1\n", "context has no record at order 3"),
+          ]),
     ])
     def test_malformed_table(self, tmp_path, text, lineno, reason):
         path = tmp_path / "m.ngram"
@@ -330,6 +358,21 @@ class TestLoadRejects:
         with pytest.raises(MalformedRecordError) as caught:
             ngram.load_table(path)
         assert caught.value.lineno == 4
+
+    @pytest.mark.parametrize("first, second", list(permutations(TWO_FAULTS, 2)))
+    def test_the_earlier_of_two_faults_is_named(self, tmp_path, first, second):
+        """Faults of two kinds on order-3 lines i < j: line i is named, for its own reason."""
+        actions = np.random.default_rng(7).integers(0, 6, size=200).tolist()
+        ngram.save_table(ngram.fit(corpus_of([actions], 100), 3), tmp_path / "m.ngram")
+        lines = (tmp_path / "m.ngram").read_text().splitlines(keepends=True)
+        i = next(n for n, line in enumerate(lines) if line.startswith("3\t")) + 2
+        spoiled = list(lines)
+        for at, kind in ((i, first), (i + 4, second)):
+            spoiled[at] = TWO_FAULTS[kind][0](lines, at)
+        (tmp_path / "bad.ngram").write_text("".join(spoiled), encoding="ascii")
+        with pytest.raises(MalformedRecordError) as caught:
+            ngram.load_table(tmp_path / "bad.ngram")
+        assert caught.value.lineno == i + 1 and TWO_FAULTS[first][1] in str(caught.value)
 
 
 # --- properties against the brute-force oracles in helpers.py
