@@ -14,6 +14,7 @@ import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import baselines, evaluation, ingest, lstm, ngram, synth
 from .config import read_kv_file
@@ -24,20 +25,21 @@ def _sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _merge_options(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flag value if given, else config-file value, else the hard default.
+def _kind(default) -> type:
+    """The type that parses an option: a bare type, or the type of its default."""
+    return default if isinstance(default, type) else type(default)
 
-    The config file may set only the keys in ``defaults``, each parsed as the
-    type of its default (text for a default of None).
+
+def _merge_options(args: argparse.Namespace) -> dict:
+    """Flag value if given, else config-file value, else the default in _COMMANDS.
+
+    The config file may set only the subcommand's options, each parsed by its kind.
     """
-    file_values = {}
-    if getattr(args, "config", None):
-        kinds = {key: str if value is None else type(value) for key, value in defaults.items()}
-        file_values = read_kv_file(args.config, kinds)
-    merged = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else file_values.get(key, default)
+    defaults = _COMMANDS[args.command].options
+    merged = {key: None if isinstance(d, type) else d for key, d in defaults.items()}
+    if args.config:
+        merged.update(read_kv_file(args.config, {key: _kind(d) for key, d in defaults.items()}))
+    merged.update((key, getattr(args, key)) for key in defaults if getattr(args, key) is not None)
     return merged
 
 
@@ -84,9 +86,6 @@ def _refuse_outputs(mode: str, outputs: dict[str, object]) -> None:
             raise ConfigError(f"{mode} writes one comparison report; it takes no {flag}")
 
 
-_PATH_OPTIONS = {"events", "roster", "corpus", "vocab", "model", "syllabus"}
-
-
 def _config_metadata(options: dict, inputs: dict[str, str]) -> dict[str, str]:
     # path-valued options are echoed by basename; the checksums below pin
     # the exact content, keeping reports byte-stable across directories
@@ -94,15 +93,14 @@ def _config_metadata(options: dict, inputs: dict[str, str]) -> dict[str, str]:
     for key, value in options.items():
         if value is None:
             continue
-        meta[f"config.{key}"] = Path(str(value)).name if key in _PATH_OPTIONS else str(value)
+        meta[f"config.{key}"] = Path(value).name if key in ("events", "roster") else str(value)
     for name, path in inputs.items():
         meta[f"input.{name}.sha256"] = _sha256_file(path)
     return meta
 
 
-def _load_corpus(options: dict) -> ingest.Corpus:
-    vocab = ingest.load_vocabulary(options["vocab"])
-    return ingest.load_corpus(options["corpus"], vocab)
+def _load_corpus(args) -> ingest.Corpus:
+    return ingest.load_corpus(args.corpus, ingest.load_vocabulary(args.vocab))
 
 
 _COHORTS = {"certified": True, "uncertified": False, "all": None}
@@ -112,6 +110,15 @@ def _select_cohort(corpus: ingest.Corpus, cohort: str, min_actions: int) -> inge
     if cohort not in _COHORTS:
         raise ConfigError(f"cohort must be certified, uncertified or all, got {cohort!r}")
     return ingest.filter_cohort(corpus, _COHORTS[cohort], min_actions)
+
+
+def _cv_inputs(args, options: dict, **inputs: str):
+    """The cohort, fold plan and provenance of a ngram, lstm or baseline run;
+    ``inputs`` names input files besides the corpus and vocabulary."""
+    corpus = _select_cohort(_load_corpus(args), options["cohort"], options["min_actions"])
+    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
+    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab, **inputs})
+    return corpus, plan, meta
 
 
 # ---------------------------------------------------------------- synth
@@ -125,11 +132,8 @@ def _cmd_synth(args) -> int:
     lines = ["# nextaction synth report"]
     for name in synth.SynthConfig.__dataclass_fields__:
         lines.append(f"config.{name}: {getattr(cfg, name)}")
-    for label, path in (
-        ("events", outputs.events_path),
-        ("roster", outputs.roster_path),
-        ("syllabus", outputs.syllabus_path),
-    ):
+    for label in ("events", "roster", "syllabus"):
+        path = getattr(outputs, f"{label}_path")
         lines.append(f"output.{label}: {path.name}")
         lines.append(f"output.{label}.sha256: {_sha256_file(path)}")
     _write_artifact("\n".join(lines) + "\n", args.out_dir, "synth", args.report)
@@ -139,9 +143,7 @@ def _cmd_synth(args) -> int:
 # ---------------------------------------------------------------- ingest
 
 def _cmd_ingest(args) -> int:
-    options = _merge_options(args, {
-        "events": None, "roster": None, "min_count": 40, "on_malformed": "abort",
-    })
+    options = _merge_options(args)
     if not options["events"] or not options["roster"]:
         raise ConfigError("ingest needs --events and --roster")
     corpus, stats = ingest.ingest_files(
@@ -158,15 +160,9 @@ def _cmd_ingest(args) -> int:
     print(f"wrote {corpus_path}")
 
     meta = _config_metadata(options, {"events": options["events"], "roster": options["roster"]})
-    lines = ["# nextaction ingest report"]
-    lines.append(f"vocab_size: {corpus.vocab_size}")
-    lines.append(f"sequences: {len(corpus)}")
-    lines.append(f"total_actions: {corpus.total_actions}")
-    for name in (
-        "total_lines", "ignored_lines", "malformed_lines", "parsed_events",
-        "kept_actions", "dropped_token_events", "dropped_student_events",
-        "dropped_students", "unrostered_students",
-    ):
+    lines = ["# nextaction ingest report", f"vocab_size: {corpus.vocab_size}",
+             f"sequences: {len(corpus)}", f"total_actions: {corpus.total_actions}"]
+    for name in ingest.IngestStats.__dataclass_fields__:
         lines.append(f"stats.{name}: {getattr(stats, name)}")
     lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
     lines.append(f"output.vocab.sha256: {_sha256_file(vocab_path)}")
@@ -178,11 +174,7 @@ def _cmd_ingest(args) -> int:
 # ---------------------------------------------------------------- ngram
 
 def _cmd_ngram(args) -> int:
-    options = _merge_options(args, {
-        "max_order": 10, "folds": 5, "seed": 0, "cohort": "certified",
-        "min_actions": 1, "workers": 1, "sweep": False,
-        "usage": False,
-    })
+    options = _merge_options(args)
     if options["max_order"] < 1:
         raise ConfigError(f"--max-order must be >= 1, got {options['max_order']}")
     if options["sweep"] and options["max_order"] < 2:
@@ -190,14 +182,11 @@ def _cmd_ngram(args) -> int:
     if options["sweep"]:
         _refuse_outputs("--sweep", {"--usage": options["usage"], "--save-model": args.save_model,
                                     "--stream": args.stream, "--csv": args.csv})
-    corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
-    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
-    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
+    corpus, plan, meta = _cv_inputs(args, options)
 
     if options["sweep"]:
-        reports = ngram.sweep_orders(
-            corpus, range(2, options["max_order"] + 1), plan, workers=options["workers"]
-        )
+        orders = range(2, options["max_order"] + 1)
+        reports = ngram.sweep_orders(corpus, orders, plan, workers=options["workers"])
         rows = [(f"order.{order}", reports[order]) for order in sorted(reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
@@ -205,8 +194,7 @@ def _cmd_ngram(args) -> int:
     report = evaluation.cross_validate(
         ngram.NGramSpec((options["max_order"],)), corpus, plan,
         model_name=f"{options['max_order']}-gram backoff",
-        workers=options["workers"],
-        keep_streams=bool(args.stream),
+        workers=options["workers"], keep_streams=bool(args.stream),
         fit_full=bool(options["usage"] or args.save_model),
     )
     report.metadata.update(meta)
@@ -242,11 +230,7 @@ def _write_curve(curve: list[lstm.EpochStats], path: Path) -> None:
 
 
 def _cmd_lstm(args) -> int:
-    options = _merge_options(args, {
-        "layers": "1", "nodes": "64", "lr": "0.01", "epochs": 10, "window": 10,
-        "dropout": 0.2, "emb_dim": 64, "batch": 32, "folds": 5, "seed": 0,
-        "cell": "lstm", "cohort": "certified", "min_actions": 1, "workers": 1,
-    })
+    options = _merge_options(args)
     configs = [lstm.TrainConfig(
         learning_rate=lr, epochs=options["epochs"], window=options["window"],
         batch_size=options["batch"], dropout_rate=options["dropout"],
@@ -263,9 +247,7 @@ def _cmd_lstm(args) -> int:
         _refuse_outputs("a grid", {"--save-model": args.save_model, "--stream": args.stream,
                                    "--csv": args.csv, "--curve-prefix": args.curve_prefix})
 
-    corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
-    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
-    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab})
+    corpus, plan, meta = _cv_inputs(args, options)
     if len(configs) > 1:
         results = lstm.grid_search(corpus, configs, plan, workers=options["workers"])
         rows = [
@@ -278,8 +260,7 @@ def _cmd_lstm(args) -> int:
     report = evaluation.cross_validate(
         lstm.LstmSpec(cfg), corpus, plan,
         model_name=f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size}",
-        workers=options["workers"],
-        keep_streams=bool(args.stream),
+        workers=options["workers"], keep_streams=bool(args.stream),
         fit_full=bool(args.save_model),
     )
     report.metadata.update(meta)
@@ -299,35 +280,30 @@ def _cmd_lstm(args) -> int:
 
 # ---------------------------------------------------------------- baseline
 
-def _cmd_baseline(args) -> int:
-    options = _merge_options(args, {
-        "model": "repeat", "folds": 5, "seed": 0, "cohort": "certified",
-        "min_actions": 1, "workers": 1,
-    })
-    corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], options["min_actions"])
-    inputs = {"corpus": args.corpus, "vocab": args.vocab}
+_SYLLABUS_MODELS = {"syllabus": baselines.SyllabusModel,
+                    "combined": baselines.SyllabusRepeatModel}
 
-    if options["model"] == "repeat":
+
+def _cmd_baseline(args) -> int:
+    options = _merge_options(args)
+    name = options["model"]
+    if name != "repeat" and name not in _SYLLABUS_MODELS:
+        raise ConfigError(f"baseline model must be repeat, syllabus or combined, got {name!r}")
+    if name != "repeat" and not args.syllabus:
+        raise ConfigError(f"baseline {name!r} needs --syllabus")
+    inputs = {} if name == "repeat" else {"syllabus": args.syllabus}
+    corpus, plan, meta = _cv_inputs(args, options, **inputs)
+    if name == "repeat":
         model = baselines.RepeatModel()
     else:
-        if not args.syllabus:
-            raise ConfigError(f"baseline {options['model']!r} needs --syllabus")
-        syllabus = baselines.load_syllabus(args.syllabus, corpus.vocabulary)
-        inputs["syllabus"] = args.syllabus
-        if options["model"] == "syllabus":
-            model = baselines.SyllabusModel(syllabus)
-        elif options["model"] == "combined":
-            model = baselines.SyllabusRepeatModel(syllabus)
-        else:
-            raise ConfigError(f"unknown baseline {options['model']!r}")
+        model = _SYLLABUS_MODELS[name](baselines.load_syllabus(args.syllabus, corpus.vocabulary))
 
-    plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
     report = evaluation.cross_validate(
         evaluation.FixedSpec(model), corpus, plan,
         model_name=model.name, workers=options["workers"],
         keep_streams=bool(args.stream),
     )
-    report.metadata.update(_config_metadata(options, inputs))
+    report.metadata.update(meta)
     return _write_cv_outputs(report, args, "baseline-report")
 
 
@@ -350,24 +326,19 @@ def _load_model(path: str, window: int | None):
 
 
 def _cmd_eval(args) -> int:
-    options = _merge_options(args, {
-        "cohort": "uncertified", "min_actions": 30,
-    })
-    corpus = _select_cohort(_load_corpus(args.__dict__), options["cohort"], 1)
-    model, description, vocab_size = _load_model(args.model, args.window)
+    options = _merge_options(args)
+    corpus = _select_cohort(_load_corpus(args), options["cohort"], 1)
+    model, description, vocab_size = _load_model(args.model, options["window"])
     if vocab_size != corpus.vocab_size:
         raise ConfigError(
             f"{description} has V={vocab_size}, which does not match corpus V={corpus.vocab_size}"
         )
     accuracy, n_scored = evaluation.transfer_eval(model, corpus, options["min_actions"])
-    # a --window override is echoed only when given, so other reports keep their bytes
-    meta = _config_metadata({**options, "window": args.window}, {
-        "corpus": args.corpus, "vocab": args.vocab, "model": args.model,
-    })
-    lines = ["# nextaction transfer report"]
-    lines.append(f"model: {description}")
-    lines.append(f"accuracy: {accuracy:.10f}")
-    lines.append(f"sequences_scored: {n_scored}")
+    # a window override is echoed only when given, so other reports keep their bytes
+    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab,
+                                      "model": args.model})
+    lines = ["# nextaction transfer report", f"model: {description}",
+             f"accuracy: {accuracy:.10f}", f"sequences_scored: {n_scored}"]
     lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
     _write_artifact("\n".join(lines) + "\n", args.out_dir, "transfer", args.report)
     return 0
@@ -376,9 +347,7 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- agree
 
 def _cmd_agree(args) -> int:
-    table = evaluation.agreement(
-        evaluation.read_stream(args.a), evaluation.read_stream(args.b)
-    )
+    table = evaluation.agreement(evaluation.read_stream(args.a), evaluation.read_stream(args.b))
     text = table.to_text()
     sys.stdout.write(text)
     if args.report or args.out_dir is not None:
@@ -388,30 +357,70 @@ def _cmd_agree(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub, *names):
-    if "config" in names:
-        sub.add_argument("--config", help="key=value file supplying option defaults")
-    if "seed" in names:
-        sub.add_argument("--seed", type=int, default=None)
-    if "workers" in names:
-        sub.add_argument("--workers", type=int, default=None,
-                         help="parallel fold workers (default 1)")
-    if "corpus" in names:
-        sub.add_argument("--corpus", required=True, help="encoded corpus file")
-        sub.add_argument("--vocab", required=True, help="vocabulary file")
-    if "cohort" in names:
-        sub.add_argument("--cohort", choices=["certified", "uncertified", "all"], default=None)
-        sub.add_argument("--min-actions", type=int, default=None, dest="min_actions")
-    if "report" in names:
-        sub.add_argument("--report", help="explicit report path (default content-addressed)")
-        sub.add_argument("--out-dir", default=".", dest="out_dir")
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    # each option is a flag and a --config key of the same name, with its default, whose
+    # type parses the value (False makes a switch); a bare type is an option with no default
+    options: dict[str, object]
+    files: tuple[str, ...]  # flags that only name a file, besides --config and --report
+
+
+_CV_OPTIONS = {"folds": 5, "seed": 0, "cohort": "certified", "min_actions": 1, "workers": 1}
+_COMMANDS = {
+    "ingest": _Command(_cmd_ingest, "event log + roster -> vocab + corpus", {
+        "events": str, "roster": str, "min_count": 40, "on_malformed": "abort",
+    }, ("vocab_out", "corpus_out")),
+    "ngram": _Command(_cmd_ngram, "fit/sweep gram models with CV report", {
+        "max_order": 10, **_CV_OPTIONS, "sweep": False, "usage": False,
+    }, ("corpus", "vocab", "save_model", "stream", "csv")),
+    "lstm": _Command(_cmd_lstm, "train or grid-search the recurrent model", {
+        "layers": "1", "nodes": "64", "lr": "0.01", "epochs": 10, "window": 10,
+        "dropout": 0.2, "emb_dim": 64, "batch": 32, "cell": "lstm", **_CV_OPTIONS,
+    }, ("corpus", "vocab", "save_model", "stream", "csv", "curve_prefix")),
+    "baseline": _Command(_cmd_baseline, "repeat / syllabus / combined predictors", {
+        "model": "repeat", **_CV_OPTIONS,
+    }, ("corpus", "vocab", "syllabus", "stream", "csv")),
+    "eval": _Command(_cmd_eval, "apply a saved model to a cohort", {
+        "cohort": "uncertified", "min_actions": 30, "window": int,
+    }, ("corpus", "vocab", "model")),
+}
+_REQUIRED_FILES = {"corpus", "vocab", "model"}  # baseline's --model is an option, not a file
+
+# help by option name, or by "<subcommand> <name>" where subcommands differ
+_HELP = {
+    "config": "key=value file supplying option defaults",
+    "report": "explicit report path (default content-addressed)",
+    "workers": "parallel fold workers; only lstm forks, ngram and baseline echo the value",
+    "corpus": "encoded corpus file", "vocab": "vocabulary file",
+    "cohort": "certified, uncertified or all", "on_malformed": "abort or skip",
+    "sweep": "evaluate every order from 2 to --max-order",
+    "usage": "include the backoff order-usage histogram",
+    "stream": "write the per-position prediction stream", "csv": "write fold accuracies as CSV",
+    "layers": "layer count, or comma list for a grid",
+    "nodes": "hidden size, or comma list for a grid",
+    "lr": "learning rate, or comma list for a grid", "cell": "lstm or rnn",
+    "baseline model": "repeat, syllabus or combined", "syllabus": "course-order token file",
+    "eval model": "saved n-gram table or checkpoint",
+    "eval window": "context window override for checkpoints",
+}
+
+
+def _add_flag(parser, command: str, name: str, default, required: bool = False) -> None:
+    """``--name`` into ``dest=name``, None unless given, so _merge_options sees it unset."""
+    text = _HELP.get(f"{command} {name}", _HELP.get(name))
+    if not isinstance(default, (bool, type)):
+        text = f"{text} (default {default})" if text else f"default {default}"
+    flag = "--" + name.replace("_", "-")
+    if isinstance(default, bool):
+        parser.add_argument(flag, action="store_const", const=True, dest=name, help=text)
+    else:
+        parser.add_argument(flag, type=_kind(default), dest=name, required=required, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nextaction",
-        description="Next-action prediction pipeline for sequential event logs",
-    )
+        prog="nextaction", description="Next-action prediction pipeline for sequential event logs")
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("synth", help="generate a synthetic corpus")
@@ -421,63 +430,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".", dest="out_dir")
     p.set_defaults(func=_cmd_synth)
 
-    p = commands.add_parser("ingest", help="event log + roster -> vocab + corpus")
-    _add_common(p, "config", "report")
-    p.add_argument("--events")
-    p.add_argument("--roster")
-    p.add_argument("--min-count", type=int, default=None, dest="min_count")
-    p.add_argument("--on-malformed", choices=["abort", "skip"], default=None,
-                   dest="on_malformed")
-    p.add_argument("--vocab-out", dest="vocab_out")
-    p.add_argument("--corpus-out", dest="corpus_out")
-    p.set_defaults(func=_cmd_ingest)
-
-    p = commands.add_parser("ngram", help="fit/sweep gram models with CV report")
-    _add_common(p, "config", "seed", "workers", "corpus", "cohort", "report")
-    p.add_argument("--max-order", type=int, default=None, dest="max_order")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--sweep", action="store_const", const=True, default=None,
-                   help="evaluate every order from 2 to --max-order")
-    p.add_argument("--usage", action="store_const", const=True, default=None,
-                   help="include the backoff order-usage histogram")
-    p.add_argument("--save-model", dest="save_model")
-    p.add_argument("--stream", help="write the per-position prediction stream")
-    p.add_argument("--csv", help="write fold accuracies as CSV")
-    p.set_defaults(func=_cmd_ngram)
-
-    p = commands.add_parser("lstm", help="train or grid-search the recurrent model")
-    _add_common(p, "config", "seed", "workers", "corpus", "cohort", "report")
-    p.add_argument("--layers", help="layer count, or comma list for a grid")
-    p.add_argument("--nodes", help="hidden size, or comma list for a grid")
-    p.add_argument("--lr", help="learning rate, or comma list for a grid")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--emb-dim", type=int, default=None, dest="emb_dim")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--cell", choices=["lstm", "rnn"], default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--save-model", dest="save_model")
-    p.add_argument("--stream")
-    p.add_argument("--csv", help="write fold accuracies as CSV")
-    p.add_argument("--curve-prefix", dest="curve_prefix")
-    p.set_defaults(func=_cmd_lstm)
-
-    p = commands.add_parser("baseline", help="repeat / syllabus / combined predictors")
-    _add_common(p, "config", "seed", "workers", "corpus", "cohort", "report")
-    p.add_argument("--model", choices=["repeat", "syllabus", "combined"], default=None)
-    p.add_argument("--syllabus", help="course-order token file")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--stream")
-    p.add_argument("--csv", help="write fold accuracies as CSV")
-    p.set_defaults(func=_cmd_baseline)
-
-    p = commands.add_parser("eval", help="apply a saved model to a cohort")
-    _add_common(p, "config", "corpus", "cohort", "report")
-    p.add_argument("--model", required=True, help="saved n-gram table or checkpoint")
-    p.add_argument("--window", type=int, default=None,
-                   help="context window override for checkpoints")
-    p.set_defaults(func=_cmd_eval)
+    for command, spec in _COMMANDS.items():
+        p = commands.add_parser(command, help=spec.help)
+        for name, default in spec.options.items():
+            _add_flag(p, command, name, default)
+        for name in ("config", "report", *spec.files):
+            _add_flag(p, command, name, str, required=name in _REQUIRED_FILES)
+        p.add_argument("--out-dir", default=".", dest="out_dir")
+        p.set_defaults(func=spec.run)
 
     p = commands.add_parser("agree", help="2x2 agreement between prediction streams")
     p.add_argument("a", help="first prediction stream")

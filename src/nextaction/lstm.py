@@ -146,8 +146,6 @@ class TrainConfig:
     window: int = 10
     batch_size: int = 32
     dropout_rate: float = 0.2
-    rmsprop_decay: float = 0.9
-    rmsprop_epsilon: float = 1e-8
     seed: int = 0
     hidden_size: int = 64
     layers: int = 1
@@ -168,7 +166,7 @@ class TrainConfig:
         if not 0 <= self.dropout_rate < 1:
             raise ConfigError("dropout rate must be in [0, 1)")
         if self.cell not in _CELL_KINDS:
-            raise ConfigError(f"cell must be one of {sorted(_CELL_KINDS)}")
+            raise ConfigError(f"cell must be lstm or rnn, got {self.cell!r}")
 
 
 def derive_seed(*parts: int) -> int:
@@ -479,10 +477,7 @@ class RmsPropOptimizer:
 
     def apply(self, net: LstmNetwork, grads: dict[str, np.ndarray]) -> None:
         for name, param in net.param_items():
-            rmsprop_step(
-                param, grads[name], self.accum[name],
-                self.cfg.learning_rate, self.cfg.rmsprop_decay, self.cfg.rmsprop_epsilon,
-            )
+            rmsprop_step(param, grads[name], self.accum[name], self.cfg.learning_rate)
 
 
 def make_windows(corpus: Corpus, window: int, pad_id: int) -> np.ndarray:

@@ -1,5 +1,8 @@
+import argparse
 import io
 import os
+import shutil
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -9,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import corpus_of, read_report
-from nextaction import baselines, evaluation, ingest, lstm, ngram, synth
-from nextaction.cli import main
+from nextaction import baselines, cli, evaluation, ingest, lstm, ngram, synth
+from nextaction.cli import build_parser, main
 from nextaction.config import read_kv_file
 from nextaction.errors import MalformedRecordError, NextactionError
 
@@ -834,7 +837,7 @@ ARGV = {
     "ngram": (_DATA, {**_CV, "--max-order": "3", "--cohort": "all"}, ["--sweep", "--usage"]),
     "lstm": (_DATA, {**_CV, "--folds": "2", "--layers": "1", "--nodes": "2", "--lr": "0.1",
                      "--epochs": "1", "--window": "3", "--dropout": "0.1", "--emb-dim": "2",
-                     "--batch": "8"}, []),
+                     "--batch": "8", "--cell": "rnn", "--cohort": "all"}, []),
     "baseline": ([*_DATA, "--syllabus", "{data}/syllabus.txt"],
                  {**_CV, "--model": "combined", "--cohort": "certified"}, []),
     "eval": ([*_DATA, "--model", "{out}/model.nlstm"],
@@ -856,6 +859,22 @@ def argv_inputs(tiny, tmp_path_factory):
     return out
 
 
+def _run(argv: list[str]) -> tuple[int, str]:
+    """The exit code and stderr of one in-process run, stdout dropped."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _exits_0_or_2_with_one_error_line(argv: list[str]) -> int:
+    rc, err = _run(argv)
+    assert rc in (0, 2)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == (rc == 2)
+    return rc
+
+
 class TestArgvAtTheProcessBoundary:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
@@ -872,10 +891,249 @@ class TestArgvAtTheProcessBoundary:
                               st.sampled_from(["x", "nan", "inf"]), st.just("1,2"))
             argv += [flag, data.draw(token, label=flag) if flag in hostile else valid]
         argv += [switch for switch in switches if data.draw(st.booleans(), label=switch)]
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            rc = main([*argv, "--out-dir", str(argv_inputs / "out")])
-        assert rc in (0, 2)
-        lines = err.getvalue().splitlines()
-        assert "Traceback" not in err.getvalue()
-        assert sum("error:" in line for line in lines) == (rc == 2)
+        _exits_0_or_2_with_one_error_line([*argv, "--out-dir", str(argv_inputs / "out")])
+
+
+# each subcommand's flags, and its required flags and arguments
+_CV_FLAGS = "--cohort --config --corpus --folds --min-actions --out-dir --report --seed --vocab " \
+            "--workers"
+SURFACE = {
+    "synth": ("--config --out-dir --report --seed", []),
+    "ingest": ("--config --corpus-out --events --min-count --on-malformed --out-dir --report "
+               "--roster --vocab-out", []),
+    "ngram": (f"{_CV_FLAGS} --csv --max-order --save-model --stream --sweep --usage",
+              ["--corpus", "--vocab"]),
+    "lstm": (f"{_CV_FLAGS} --batch --cell --csv --curve-prefix --dropout --emb-dim --epochs "
+             "--layers --lr --nodes --save-model --stream --window", ["--corpus", "--vocab"]),
+    "baseline": (f"{_CV_FLAGS} --csv --model --stream --syllabus", ["--corpus", "--vocab"]),
+    "eval": ("--cohort --config --corpus --min-actions --model --out-dir --report --vocab "
+             "--window", ["--corpus", "--model", "--vocab"]),
+    "agree": ("--out-dir --report", ["a", "b"]),
+}
+
+# the meta.config lines of each report, at every default a run leaves unset
+_CKPT = ["--model", "{out}/model.nlstm"]
+ECHOED = {
+    "ingest": (["ingest", "--events", "{data}/events.tsv", "--roster", "{data}/roster.tsv"],
+               "events: events.tsv | min_count: 40 | on_malformed: abort | roster: roster.tsv"),
+    "ngram": (["ngram", *_DATA], "cohort: certified | folds: 5 | max_order: 10 | min_actions: 1 | seed: 0 | "
+                     "sweep: False | usage: False | workers: 1"),
+    "ngram --sweep": (["ngram", *_DATA, "--sweep", "--max-order", "3"],
+                      "cohort: certified | folds: 5 | max_order: 3 | min_actions: 1 | seed: 0 | "
+                      "sweep: True | usage: False | workers: 1"),
+    "lstm": (["lstm", *_DATA], "batch: 32 | cell: lstm | cohort: certified | dropout: 0.2 | emb_dim: 64 | "
+                    "epochs: 10 | folds: 5 | layers: 1 | lr: 0.01 | min_actions: 1 | nodes: 64 | "
+                    "seed: 0 | window: 10 | workers: 1"),
+    "lstm grid": (["lstm", *_DATA, "--nodes", "4,8", "--epochs", "1", "--emb-dim", "4"],
+                  "batch: 32 | cell: lstm | cohort: certified | dropout: 0.2 | emb_dim: 4 | "
+                  "epochs: 1 | folds: 5 | layers: 1 | lr: 0.01 | min_actions: 1 | nodes: 4,8 | "
+                  "seed: 0 | window: 10 | workers: 1"),
+    "baseline": (["baseline", *_DATA], "cohort: certified | folds: 5 | min_actions: 1 | model: repeat | seed: 0 | "
+                        "workers: 1"),
+    "eval": (["eval", *_DATA, *_CKPT], "cohort: uncertified | min_actions: 30"),
+    "eval --window": (["eval", *_DATA, *_CKPT, "--window", "4"],
+                      "cohort: uncertified | min_actions: 30 | window: 4"),
+}
+
+# a value other than the default for every option of each subcommand: the
+# subcommand, its fixed arguments and the values (True: a switch)
+_CV_VALUES = {"folds": "3", "seed": "4", "cohort": "all", "min_actions": "2", "workers": "2"}
+SET_EITHER_WAY = {
+    "ingest": ("ingest", [], {"events": "{data}/events.tsv", "roster": "{data}/roster.tsv",
+                              "min_count": "2", "on_malformed": "skip"}),
+    "ngram": ("ngram", _DATA, {"max_order": "3", **_CV_VALUES, "usage": True}),
+    "ngram --sweep": ("ngram", _DATA, {"sweep": True}),
+    "lstm": ("lstm", _DATA, {"layers": "2", "nodes": "4", "lr": "0.1", "epochs": "1",
+                             "window": "3", "dropout": "0.1", "emb_dim": "4", "batch": "8",
+                             "cell": "rnn", **_CV_VALUES}),
+    "baseline": ("baseline", [*_DATA, "--syllabus", "{data}/syllabus.txt"],
+                 {"model": "combined", **_CV_VALUES}),
+    "eval": ("eval", [*_DATA, *_CKPT], {"cohort": "all", "min_actions": "2", "window": "4"}),
+}
+
+
+class TestOptionSurface:
+    """Each subcommand takes the same flags with the same defaults, and each of
+    its options is set alike by its flag and by a --config key of the same name."""
+
+    def test_each_subcommand_accepts_its_flags(self):
+        (commands,) = [action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == list(SURFACE)
+        for command, (flags, required) in SURFACE.items():
+            actions = [a for a in commands[command]._actions if a.dest != "help"]
+            assert {s for a in actions for s in a.option_strings} == set(flags.split())
+            assert sorted((a.option_strings or [a.dest])[0] for a in actions if a.required) \
+                == required
+            # unset options stay None, so that a --config file can fill them
+            assert {a.dest: a.default for a in actions if a.default is not None} == (
+                {} if command == "agree" else {"out_dir": "."})
+
+    @pytest.mark.parametrize("case", list(ECHOED))
+    def test_reports_echo_the_defaults(self, tiny, argv_inputs, tmp_path, case):
+        argv, echoed = ECHOED[case]
+        report = tmp_path / "report.txt"
+        assert main([*(arg.format(data=tiny, out=argv_inputs) for arg in argv),
+                     "--out-dir", str(tmp_path), "--report", str(report)]) == 0
+        lines = report.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if line.startswith("meta.config.")] == [
+            f"meta.config.{pair}" for pair in echoed.split(" | ")]
+
+    @pytest.mark.parametrize("case", list(SET_EITHER_WAY))
+    def test_flag_and_config_key_set_an_option_alike(self, tiny, argv_inputs, tmp_path, case):
+        command, fixed, values = SET_EITHER_WAY[case]
+        argv = [command, *(arg.format(data=tiny, out=argv_inputs) for arg in fixed)]
+        values = {key: value if value is True else value.format(data=tiny)
+                  for key, value in values.items()}
+        flags = []
+        for key, value in values.items():
+            flags += ["--" + key.replace("_", "-")] + ([] if value is True else [value])
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key}={str(value).lower() if value is True else value}\n"
+                                  for key, value in values.items()), encoding="utf-8")
+        reports = []
+        for source, given in (("flag", flags), ("config", ["--config", str(config)])):
+            out = tmp_path / source
+            assert main([*argv, *given, "--out-dir", str(out), "--report",
+                         str(out / "report.txt")]) == 0
+            reports.append((out / "report.txt").read_bytes())
+        assert reports[0] == reports[1]
+        echoed = read_report(tmp_path / "flag" / "report.txt")
+        for key, value in values.items():
+            assert echoed[f"meta.config.{key}"] == (Path(value).name if "/" in str(value)
+                                                    else str(value))
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_option_is_covered(self, command):
+        """A new option joins these properties: ARGV and SET_EITHER_WAY name every
+        option in the table."""
+        options = {"--" + name.replace("_", "-") for name in cli._COMMANDS[command].options}
+        fixed, flags, switches = ARGV[command]
+        assert options <= {*fixed, *flags, *switches}
+        assert options == {"--" + key.replace("_", "-") for name, (sub, _, values)
+                           in SET_EITHER_WAY.items() if sub == command for key in values}
+
+
+class TestOneCheckPerChoice:
+    """A value outside an option's few choices exits 2 with one error line and writes
+    nothing, by flag or by --config alike; a bad baseline model is refused before
+    the syllabus is read."""
+
+    @pytest.mark.parametrize("argv, key, message", [
+        (["ingest", "--events", "{data}/events.tsv", "--roster", "{data}/roster.tsv"],
+         "on_malformed", "on_malformed must be 'abort' or 'skip', got 'foo'"),
+        (["ngram", *_DATA], "cohort", "cohort must be certified, uncertified or all, got 'foo'"),
+        (["eval", *_DATA, *_CKPT], "cohort",
+         "cohort must be certified, uncertified or all, got 'foo'"),
+        (["lstm", *_DATA], "cell", "cell must be lstm or rnn, got 'foo'"),
+        (["baseline", *_DATA], "model",
+         "baseline model must be repeat, syllabus or combined, got 'foo'"),
+        (["baseline", *_DATA, "--syllabus", "{data}/syllabus.txt"], "model",
+         "baseline model must be repeat, syllabus or combined, got 'foo'"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_choice_exits_2(self, tiny, argv_inputs, tmp_path, monkeypatch, argv, key,
+                                message, source):
+        loads = []
+        monkeypatch.setattr(baselines, "load_syllabus", lambda *a: loads.append(a))
+        given = ["--" + key.replace("_", "-"), "foo"]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text(f"{key}=foo\n", encoding="utf-8")
+            given = ["--config", str(tmp_path / "run.cfg")]
+        rc, err = _run([*(arg.format(data=tiny, out=argv_inputs) for arg in argv), *given,
+                        "--out-dir", str(tmp_path / "out")])
+        assert (rc, err.splitlines()) == (2, [f"error: {message}"])
+        assert loads == [] and not (tmp_path / "out").exists()
+
+
+def _mutate(blob: bytes, data) -> bytes:
+    """``blob`` truncated, with one byte flipped, with a NUL or 0xff inserted, or
+    with two of its lines swapped."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "insert", "swap"]), label="how")
+    if how == "swap":
+        lines = blob.splitlines(keepends=True)
+        i, j = (data.draw(st.integers(0, len(lines) - 1), label=f"line {k}") for k in "ij")
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"".join(lines)
+    at = data.draw(st.integers(0, len(blob) - (how != "insert")), label="at")
+    if how == "truncate":
+        return blob[:at]
+    if how == "insert":
+        return blob[:at] + data.draw(st.sampled_from([b"\0", b"\xff"]), label="byte") + blob[at:]
+    flipped = blob[at] ^ data.draw(st.integers(1, 255), label="xor")
+    return blob[:at] + bytes([flipped]) + blob[at + 1:]
+
+
+# each input file the CLI reads: the intact file ({data}: the fixture corpus,
+# {models}: saved models, streams and configs) and a run that reads its mutated
+# copy in {work}, with its outputs in {work}/out
+_INGEST = ["ingest", "--events", "{data}/events.tsv", "--roster", "{data}/roster.tsv",
+           "--min-count", "1", "--vocab-out", "{work}/out/vocab.tsv",
+           "--corpus-out", "{work}/out/corpus.nact"]
+_NGRAM = ["ngram", *_DATA, "--max-order", "2", "--folds", "3", "--stream", "{work}/out/s.pred",
+          "--save-model", "{work}/out/m.ngram"]
+_EVAL = ["eval", *_DATA, "--min-actions", "2", "--model"]
+MUTATED = {
+    "events": ("{data}/events.tsv", [*_INGEST, "--events", "{work}/events.tsv"]),
+    "roster": ("{data}/roster.tsv", [*_INGEST, "--roster", "{work}/roster.tsv"]),
+    "corpus": ("{data}/corpus.nact", [*_NGRAM, "--corpus", "{work}/corpus.nact"]),
+    "vocab": ("{data}/vocab.tsv", [*_NGRAM, "--vocab", "{work}/vocab.tsv"]),
+    "syllabus": ("{data}/syllabus.txt", ["baseline", *_DATA, "--model", "combined", "--folds", "3",
+                                         "--syllabus", "{work}/syllabus.txt",
+                                         "--stream", "{work}/out/s.pred"]),
+    "table": ("{models}/model.ngram", [*_EVAL, "{work}/model.ngram"]),
+    "checkpoint": ("{models}/model.nlstm", [*_EVAL, "{work}/model.nlstm"]),
+    "manifest": ("{models}/model.nlstm.manifest.txt", [*_EVAL, "{work}/model.nlstm"]),
+    "stream": ("{models}/a.pred", ["agree", "{work}/a.pred", "{models}/b.pred"]),
+    "config": ("{models}/ngram.cfg", ["ngram", *_DATA, "--config", "{work}/ngram.cfg",
+                                      "--stream", "{work}/out/s.pred"]),
+    "synth-config": ("{data}/synth.cfg", ["synth", "--config", "{work}/synth.cfg"]),
+}
+
+# the outputs a run that exits 0 writes, each read back
+READ_BACK = {
+    "report.txt": read_report,
+    "s.pred": evaluation.read_stream,
+    "m.ngram": ngram.load_table,
+    "corpus.nact": lambda path: ingest.load_corpus(path,
+                                                   ingest.load_vocabulary(path.parent / "vocab.tsv")),
+}
+
+
+@pytest.fixture(scope="module")
+def models(tiny, argv_inputs, tmp_path_factory):
+    """A saved n-gram table, checkpoint, two streams and an n-gram --config file."""
+    root = tmp_path_factory.mktemp("models")
+    for name in ("model.nlstm", "model.nlstm.manifest.txt", "a.pred", "b.pred"):
+        shutil.copy(argv_inputs / name, root)
+    assert main(["ngram", *(arg.format(data=tiny) for arg in _DATA), "--max-order", "3",
+                 "--folds", "3", "--save-model", str(root / "model.ngram"),
+                 "--out-dir", str(root)]) == 0
+    (root / "ngram.cfg").write_text("max_order=3\nfolds=3\nseed=2\ncohort=all\nusage=true\n",
+                                    encoding="utf-8")
+    return root
+
+
+class TestHostileFilesAtTheProcessBoundary:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_every_mutated_input_exits_0_or_2_with_one_error_line(self, tiny, models, data):
+        """A truncated, flipped, NUL- or 0xff-spiked or line-swapped input file: the run
+        exits 0 and every output it wrote reads back, or it exits 2 with one
+        ``error:`` line and no traceback."""
+        kind = data.draw(st.sampled_from(sorted(MUTATED)), label="file")
+        source, argv = MUTATED[kind]
+        source = Path(source.format(data=tiny, models=models))
+        with tempfile.TemporaryDirectory() as work:
+            if source.name.startswith("model.nlstm"):  # a checkpoint and its manifest
+                shutil.copy(models / "model.nlstm", work)
+                shutil.copy(models / "model.nlstm.manifest.txt", work)
+            (Path(work) / source.name).write_bytes(_mutate(source.read_bytes(), data))
+            out = Path(work) / "out"
+            argv = [arg.format(data=tiny, models=models, work=work) for arg in argv]
+            if _exits_0_or_2_with_one_error_line(
+                    [*argv, "--out-dir", str(out), "--report", str(out / "report.txt")]) == 0:
+                assert read_report(out / "report.txt")
+                for path in out.iterdir():
+                    if path.name in READ_BACK:
+                        READ_BACK[path.name](path)
