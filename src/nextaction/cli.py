@@ -86,7 +86,8 @@ def _refuse_outputs(mode: str, outputs: dict[str, object]) -> None:
             raise ConfigError(f"{mode} writes one comparison report; it takes no {flag}")
 
 
-def _config_metadata(options: dict, inputs: dict[str, str]) -> dict[str, str]:
+def _config_metadata(options: dict, digests: dict[str, str]) -> dict[str, str]:
+    """The report's config echo, then the SHA-256 of each input by name."""
     # path-valued options are echoed by basename; the checksums below pin
     # the exact content, keeping reports byte-stable across directories
     meta = {}
@@ -94,9 +95,13 @@ def _config_metadata(options: dict, inputs: dict[str, str]) -> dict[str, str]:
         if value is None:
             continue
         meta[f"config.{key}"] = Path(value).name if key in ("events", "roster") else str(value)
-    for name, path in inputs.items():
-        meta[f"input.{name}.sha256"] = _sha256_file(path)
+    for name, digest in digests.items():
+        meta[f"input.{name}.sha256"] = digest
     return meta
+
+
+def _file_digests(**paths: str) -> dict[str, str]:
+    return {name: _sha256_file(path) for name, path in paths.items()}
 
 
 def _load_corpus(args) -> ingest.Corpus:
@@ -117,7 +122,7 @@ def _cv_inputs(args, options: dict, **inputs: str):
     ``inputs`` names input files besides the corpus and vocabulary."""
     corpus = _select_cohort(_load_corpus(args), options["cohort"], options["min_actions"])
     plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
-    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab, **inputs})
+    meta = _config_metadata(options, _file_digests(corpus=args.corpus, vocab=args.vocab, **inputs))
     return corpus, plan, meta
 
 
@@ -133,9 +138,8 @@ def _cmd_synth(args) -> int:
     for name in synth.SynthConfig.__dataclass_fields__:
         lines.append(f"config.{name}: {getattr(cfg, name)}")
     for label in ("events", "roster", "syllabus"):
-        path = getattr(outputs, f"{label}_path")
-        lines.append(f"output.{label}: {path.name}")
-        lines.append(f"output.{label}.sha256: {_sha256_file(path)}")
+        lines.append(f"output.{label}: {getattr(outputs, f'{label}_path').name}")
+        lines.append(f"output.{label}.sha256: {outputs.sha256[label]}")
     _write_artifact("\n".join(lines) + "\n", args.out_dir, "synth", args.report)
     return 0
 
@@ -146,27 +150,28 @@ def _cmd_ingest(args) -> int:
     options = _merge_options(args)
     if not options["events"] or not options["roster"]:
         raise ConfigError("ingest needs --events and --roster")
+    inputs: dict[str, str] = {}  # the SHA-256 of the bytes ingest read
     corpus, stats = ingest.ingest_files(
         options["events"], options["roster"],
-        min_count=options["min_count"], on_malformed=options["on_malformed"],
+        min_count=options["min_count"], on_malformed=options["on_malformed"], sha256=inputs,
     )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_path = Path(args.vocab_out) if args.vocab_out else out_dir / "vocab.tsv"
     corpus_path = Path(args.corpus_out) if args.corpus_out else out_dir / "corpus.nact"
-    ingest.save_vocabulary(corpus.vocabulary, vocab_path)
-    ingest.save_corpus(corpus, corpus_path)
+    vocab_blob = ingest.save_vocabulary(corpus.vocabulary, vocab_path)
+    corpus_blob = ingest.save_corpus(corpus, corpus_path)
     print(f"wrote {vocab_path}")
     print(f"wrote {corpus_path}")
 
-    meta = _config_metadata(options, {"events": options["events"], "roster": options["roster"]})
+    meta = _config_metadata(options, inputs)
     lines = ["# nextaction ingest report", f"vocab_size: {corpus.vocab_size}",
              f"sequences: {len(corpus)}", f"total_actions: {corpus.total_actions}"]
     for name in ingest.IngestStats.__dataclass_fields__:
         lines.append(f"stats.{name}: {getattr(stats, name)}")
     lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
-    lines.append(f"output.vocab.sha256: {_sha256_file(vocab_path)}")
-    lines.append(f"output.corpus.sha256: {_sha256_file(corpus_path)}")
+    lines.append(f"output.vocab.sha256: {hashlib.sha256(vocab_blob).hexdigest()}")
+    lines.append(f"output.corpus.sha256: {hashlib.sha256(corpus_blob).hexdigest()}")
     _write_artifact("\n".join(lines) + "\n", args.out_dir, "ingest", args.report)
     return 0
 
@@ -335,8 +340,8 @@ def _cmd_eval(args) -> int:
         )
     accuracy, n_scored = evaluation.transfer_eval(model, corpus, options["min_actions"])
     # a window override is echoed only when given, so other reports keep their bytes
-    meta = _config_metadata(options, {"corpus": args.corpus, "vocab": args.vocab,
-                                      "model": args.model})
+    meta = _config_metadata(options, _file_digests(corpus=args.corpus, vocab=args.vocab,
+                                                   model=args.model))
     lines = ["# nextaction transfer report", f"model: {description}",
              f"accuracy: {accuracy:.10f}", f"sequences_scored: {n_scored}"]
     lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))

@@ -15,9 +15,14 @@ records of five non-empty fields, a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, no
 whitespace at a field's edge, no field above ``_MAX_FIELD`` (128) bytes.  Any other
 log, which may use any ISO-8601 stamp, padded fields or bad lines, goes through
 the per-line reader (``iter_events``) over the same bytes, which gives the same
-output for a canonical log and names the first bad line.  Both readers code
-each event's type, page and object name alike and feed one action-token rule,
-one vocabulary rule and one encoder.
+output for a canonical log and names the first bad line.  The bulk reader
+builds each field's dictionary without sorting bytes: a value is keyed by a
+64-bit mix of its 8-byte words (``_mix``), the keys are made unique, and every
+record's words are checked against those of its key's first record; only when
+two values share a key are that field's values sorted as bytes.  Both readers
+list a field's values in order of first use, code each event's type, page and
+object name alike and feed one action-token rule, one vocabulary rule and one
+encoder.
 
 In memory a corpus is columnar (``Corpus``): one int64 array of every
 sequence's action ids, concatenated in sequence order, and per sequence its
@@ -35,6 +40,7 @@ prediction streams are written and read as whole byte columns with
 ``format_decimals``, ``text_rows`` and ``parse_decimals``.
 """
 
+import hashlib
 import os
 import re
 import struct
@@ -369,28 +375,62 @@ def _read_log(path: str | Path) -> tuple[np.ndarray, int]:
     return buf, size
 
 
+def _mix(key: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """``key`` with one more 8-byte word of each value mixed in, in place."""
+    key ^= word
+    key *= np.uint64(0x9E3779B97F4A7C15)
+    key ^= key >> np.uint64(29)
+    return key
+
+
+def _windows(buf: np.ndarray, at: np.ndarray, width: np.ndarray, span: int) -> np.ndarray:
+    """The ``span`` bytes of ``buf`` from each index in ``at``, those from ``width`` on
+    set to NUL (which a bytes value drops at its end)."""
+    rows = sliding_window_view(buf, span)[at]
+    rows[np.arange(span) >= width[:, None]] = 0
+    return rows
+
+
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
 def _field(
     buf: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+) -> tuple[list[str], np.ndarray] | None:
     """The distinct values of one field, the bytes from ``left`` up to ``right`` in
-    each record; the record of each value's first use; each record's index into
-    them.  None when a value is empty, wider than ``_MAX_FIELD`` bytes or has
-    whitespace at an edge, which the per-line reader strips."""
+    each record, in order of first use, and each record's index into them.  None
+    when a value is empty, wider than ``_MAX_FIELD`` bytes or has whitespace at
+    an edge, which the per-line reader strips.
+
+    A value's key mixes its 8-byte words, NUL past its end; every record's words
+    are then checked against those of its key's first record, and only when two
+    values share a key are the values sorted as bytes."""
     width = right - left
     widest = int(width.max(initial=1))
     if width.min(initial=1) < 1 or widest > _MAX_FIELD:
         return None
-    values = sliding_window_view(buf, widest)[left]
-    values[np.arange(widest) >= width[:, None]] = 0  # a bytes value drops trailing NULs
-    del width
-    distinct, first, codes = np.unique(
-        values.view(f"S{widest}")[:, 0], return_index=True, return_inverse=True
-    )
-    del values
+    unaligned = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each index
+
+    def word(at: int) -> np.ndarray:
+        return unaligned[left + at] & _LOW_BYTES[np.clip(width - at, 0, 8)]
+
+    key = np.zeros(len(left), dtype=np.uint64)
+    for at in range(0, widest, 8):
+        _mix(key, word(at))
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    del key
+    if any((w != w[first][codes]).any() for w in map(word, range(0, widest, 8))):
+        _, first, codes = np.unique(_windows(buf, left, width, widest).view(f"S{widest}")[:, 0],
+                                    return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    first = first[order]
+    distinct = _windows(buf, left[first], width[first], widest).view(f"S{widest}")[:, 0]
     names = [value.decode("utf-8") for value in distinct.tolist()]
     if any(name != name.strip() for name in names):
         return None
-    return names, first, codes
+    return names, rank[codes]
 
 
 def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumns | None:
@@ -442,23 +482,20 @@ def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumn
         if field is None or column in (1, 2) and "-" in field[0]:
             return None
         fields.append(field)
-    (students, first, student), *token_fields = fields
+    (students, student), *token_fields = fields
 
-    order = np.argsort(first)  # students in order of first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
     names: dict[str, int] = {}
     event, page, obj = (
         np.array([-1 if value == "-" else names.setdefault(value, len(names)) for value in values],
                  dtype=np.int64)[codes]
-        for values, _, codes in token_fields
+        for values, codes in token_fields
     )
 
     stats.total_lines += lines
     stats.ignored_lines += lines - len(time)
     stats.parsed_events += len(time)
-    return EventColumns([students[i] for i in order.tolist()], rank[student], time,
-                        list(names), _action_token(names, event, page, obj))
+    return EventColumns(students, student, time, list(names),
+                        _action_token(names, event, page, obj))
 
 
 def build_vocabulary(tokens: Iterable[str] | Mapping[str, int], min_count: int = 1) -> Vocabulary:
@@ -515,20 +552,27 @@ def ingest_files(
     roster_path: str | Path,
     min_count: int = 40,
     on_malformed: str = "abort",
+    sha256: dict[str, str] | None = None,
 ) -> tuple[Corpus, IngestStats]:
-    """Full ingestion from one read of the log: a log in canonical form is split
-    into columns in bulk, any other goes through the per-line reader."""
+    """Full ingestion from one read of each input: a log in canonical form is split
+    into columns in bulk, any other goes through the per-line reader.  A given
+    ``sha256`` dict receives the SHA-256 of the bytes read, under "events" and
+    "roster"."""
     _check_min_count(min_count)
     _check_on_malformed(on_malformed)
+    sha256 = {} if sha256 is None else sha256
     stats = IngestStats()
     buf, size = _read_log(events_path)
+    sha256["events"] = hashlib.sha256(memoryview(buf)[:size]).hexdigest()
     columns = _bulk_columns(buf, size, stats)
     if columns is None:
         columns = _line_columns(iter_events(memoryview(buf)[:size], on_malformed, stats))
     del buf
     counts = np.bincount(columns.token, minlength=len(columns.tokens)).tolist()
     vocab = build_vocabulary(dict(zip(columns.tokens, counts)), min_count=min_count)
-    corpus = encode_corpus(columns, vocab, load_roster(roster_path), stats)
+    roster = Path(roster_path).read_bytes()
+    sha256["roster"] = hashlib.sha256(roster).hexdigest()
+    corpus = encode_corpus(columns, vocab, parse_roster(roster), stats)
     return corpus, stats
 
 
@@ -542,10 +586,11 @@ def filter_cohort(corpus: Corpus, certified: bool | None, min_actions: int = 1) 
     return corpus.take(keep)
 
 
-def load_roster(path: str | Path) -> dict[str, bool]:
-    """Read a roster; a malformed line or a repeated student raises MalformedRecordError."""
+def parse_roster(blob: bytes) -> dict[str, bool]:
+    """A roster's students and flags; a malformed line or a repeated student
+    raises MalformedRecordError."""
     roster: dict[str, bool] = {}
-    for lineno, line in read_lines(path):
+    for lineno, line in text_lines(blob):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -558,11 +603,14 @@ def load_roster(path: str | Path) -> dict[str, bool]:
     return roster
 
 
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
+def save_vocabulary(vocab: Vocabulary, path: str | Path) -> bytes:
+    """Write a vocabulary file; returns the bytes written."""
     lines = [f"#V={len(vocab)} min_count={vocab.min_count}\n"]
     for action_id, token in enumerate(vocab.id_to_token):
         lines.append(f"{token}\t{action_id}\t{vocab.counts[action_id]}\n")
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    blob = "".join(lines).encode("utf-8")
+    Path(path).write_bytes(blob)
+    return blob
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -596,7 +644,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
     return Vocabulary(token_to_id, id_to_token, counts, min_count)
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
+def save_corpus(corpus: Corpus, path: str | Path) -> bytes:
+    """Write a NACT1 corpus file; returns the bytes written."""
     ids = corpus.actions.astype("<u4").tobytes()
     parts = [CORPUS_MAGIC, struct.pack("<II", corpus.vocab_size, len(corpus))]
     for student, certified, start, n in zip(
@@ -605,7 +654,9 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         sid = student.encode("utf-8")
         parts += [struct.pack("<I", len(sid)), sid, struct.pack("<BI", certified, n),
                   ids[4 * start : 4 * (start + n)]]
-    Path(path).write_bytes(b"".join(parts))
+    blob = b"".join(parts)
+    Path(path).write_bytes(blob)
+    return blob
 
 
 def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpus:

@@ -644,13 +644,53 @@ def save_checkpoint(net: LstmNetwork, path: str | Path) -> None:
     Path(str(path) + ".manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
 
 
+_MANIFEST_KEYS = ("checkpoint", "cell", "window", "sha256", "tensor")
+
+
+def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
+                   read_window: bool) -> int | None:
+    """The window a checkpoint's manifest states (None unless ``read_window``), after
+    checking every line, in order, against what ``save_checkpoint`` writes for a
+    checkpoint named ``name`` holding ``net`` with SHA-256 ``digest``."""
+    expected = [("checkpoint", name), ("cell", net.cell), ("window", None), ("sha256", digest)]
+    expected += [("tensor", f"{tensor} {'x'.join(str(d) for d in arr.shape)}")
+                 for tensor, arr in net.param_items()]
+    lines, seen, window = read_lines(path), set(), None
+    for lineno, (key, want) in enumerate([*expected, (None, None)], start=1):
+        line = next(lines, (lineno, None))[1]
+        if line is None:
+            if key is None:
+                return window
+            raise MalformedRecordError(lineno, f"missing {key!r} line")
+        got, _, value = line.removesuffix("\n").partition(": ")
+        if got != key:
+            raise MalformedRecordError(lineno, f"unknown key {got!r}" if got not in _MANIFEST_KEYS
+                                       else f"repeated key {got!r}" if got in seen
+                                       else f"missing {key!r} line")
+        seen.add(key)
+        if not line.endswith("\n"):
+            raise MalformedRecordError(lineno, "no newline at the end of the line")
+        if key == "window":
+            if read_window:
+                if not (value.isascii() and value.isdigit() and int(value) >= 1):
+                    raise MalformedRecordError(lineno,
+                                               f"window is not a positive integer: {value!r}")
+                window = int(value)
+        elif key == "sha256":
+            if value != digest:
+                raise ConfigError(f"{name} does not match the SHA-256 in its manifest")
+        elif value != want:
+            raise MalformedRecordError(lineno, f"{key} is {value!r}, the checkpoint's is {want!r}")
+
+
 def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
-    """Read a checkpoint, verifying the SHA-256 in its manifest when one exists.
+    """Read a checkpoint, verifying its manifest when one exists.
 
     The window comes from ``window`` or else the manifest.  A malformed file
     raises MalformedRecordError with the byte offset (in the manifest, the
     line) of the bad field; a checksum mismatch or a ``window`` below 1
-    raises ConfigError.
+    raises ConfigError.  Every manifest line must be the one ``save_checkpoint``
+    writes for this file, its name included, except the window's value.
     """
     if window is not None and window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
@@ -680,19 +720,12 @@ def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
             f"tensor region ends early, needs {end} bytes" if len(blob) < end
             else "trailing bytes after the tensors"), unit="byte")
 
+    net = init_network(vocab_size, emb_dim, hidden, n_layers, dropout_rate, 1, cell)
     manifest_path = Path(str(path) + ".manifest.txt")
     if manifest_path.exists():
-        fields = {}
-        for lineno, line in read_lines(manifest_path):
-            key, _, text = line.removesuffix("\n").partition(": ")
-            if key == "window" and window is None and not (
-                    text.isascii() and text.isdigit() and int(text) >= 1):
-                raise MalformedRecordError(lineno, f"window is not a positive integer: {text!r}")
-            fields[key] = text
-        if fields.get("sha256") != hashlib.sha256(blob).hexdigest():
-            raise ConfigError(f"{path.name} does not match the SHA-256 in its manifest")
-        if window is None and "window" in fields:
-            window = int(fields["window"])
+        stated = _read_manifest(manifest_path, path.name, net, hashlib.sha256(blob).hexdigest(),
+                                read_window=window is None)
+        window = stated if window is None else window
     if window is None:
         raise ConfigError("checkpoint manifest missing; pass the window explicitly")
 
@@ -701,7 +734,7 @@ def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
     if not finite.all():
         bad = start + 8 * int(np.argmin(finite))
         raise MalformedRecordError(bad, "non-finite parameter", unit="byte")
-    net = init_network(vocab_size, emb_dim, hidden, n_layers, dropout_rate, window, cell)
+    net.window = window
     for _, arr in net.param_items():
         arr[...] = values[: arr.size].reshape(arr.shape)
         values = values[arr.size :]

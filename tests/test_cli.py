@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import hashlib
 import io
 import os
 import shutil
@@ -83,6 +85,46 @@ class TestPipelineSmoke:
         text = report_path.read_text()
         assert "order.2.cv_accuracy:" in text
         assert "order.3.cv_accuracy:" in text
+
+
+class TestSetUpReadsEachFileOnce:
+    def test_inputs_are_read_once_and_outputs_only_written(self, tmp_path, monkeypatch):
+        """``synth`` opens its config once and its outputs only to write them;
+        ``ingest`` opens the log and the roster once each, hashes the bytes it
+        read, and opens its outputs only to write them."""
+        opened = []
+        real_open = io.open
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            opened.append((Path(file).name, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        (tmp_path / "synth.cfg").write_text("students_certified=5\nstudents_uncertified=2\n")
+        for owner in (builtins, io):
+            monkeypatch.setattr(owner, "open", spy_open)
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                         "--out-dir", str(tmp_path), "--report", str(tmp_path / "s.txt")]) == 0
+            synth_opens, opened[:] = opened[:], []
+            assert main(["ingest", "--events", str(tmp_path / "events.tsv"),
+                         "--roster", str(tmp_path / "roster.tsv"), "--out-dir", str(tmp_path),
+                         "--report", str(tmp_path / "i.txt")]) == 0
+        monkeypatch.undo()
+        reads = [name for name, mode in synth_opens if "r" in mode]
+        assert reads == ["synth.cfg"]
+        assert sorted(name for name, mode in synth_opens if "w" in mode) == [
+            "events.tsv", "roster.tsv", "s.txt", "syllabus.txt"]
+        assert sorted(opened) == [("corpus.nact", "wb"), ("events.tsv", "rb"), ("i.txt", "w"),
+                                  ("roster.tsv", "rb"), ("vocab.tsv", "wb")]
+        synth_report = read_report(tmp_path / "s.txt")
+        ingest_report = read_report(tmp_path / "i.txt")
+        for name, report, key in [("events.tsv", synth_report, "output.events.sha256"),
+                                  ("events.tsv", ingest_report, "meta.input.events.sha256"),
+                                  ("roster.tsv", ingest_report, "meta.input.roster.sha256"),
+                                  ("syllabus.txt", synth_report, "output.syllabus.sha256"),
+                                  ("vocab.tsv", ingest_report, "output.vocab.sha256"),
+                                  ("corpus.nact", ingest_report, "output.corpus.sha256")]:
+            assert report[key] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
 
 class TestAgree:
@@ -764,7 +806,8 @@ FILE_ORDER = {
                lambda path: ingest.ingest_files(path, path.with_name("roster.tsv"), 1),
                "broken line", "line {n}: expected 5 fields, got 1",
                _log_line(0).encode().replace(b"s1", b"s\xff")),
-    "roster": ([f"s{i}\t1" for i in range(60)], ingest.load_roster,
+    "roster": ([f"s{i}\t1" for i in range(60)],
+               lambda path: ingest.parse_roster(path.read_bytes()),
                "s\t2", "line {n}: bad roster line 's\\t2'", b"s\xff\t1"),
     "vocabulary": (["#V=59 min_count=1", *(f"t{i}\t{i}\t5" for i in range(59))],
                    ingest.load_vocabulary,

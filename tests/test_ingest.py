@@ -431,7 +431,7 @@ class TestRosterProperties:
         )
         with tempfile.TemporaryDirectory() as root:
             path = synth.generate(cfg, root).roster_path
-            saved = ingest.load_roster(path)
+            saved = ingest.parse_roster(path.read_bytes())
             assert saved == {
                 **{f"cert{i + 1:04d}": True for i in range(n_certified)},
                 **{f"unc{i + 1:04d}": False for i in range(n_uncertified)},
@@ -440,7 +440,7 @@ class TestRosterProperties:
             path.write_bytes(mutated(data.draw, blob))
             truncated = len(path.read_bytes()) < len(blob)
             try:
-                loaded = ingest.load_roster(path)
+                loaded = ingest.parse_roster(path.read_bytes())
             except NextactionError:
                 return
             if truncated:
@@ -682,6 +682,38 @@ class TestReadersAgree:
         assert got == want
         if record_edit is None and log_edit in ("none", "no-final-newline"):
             assert accepted[0] is not None
+
+
+class TestFieldKeys:
+    def bulk(self, log):
+        buf, size = ingest._read_log(log)
+        columns = ingest._bulk_columns(buf, size, ingest.IngestStats())
+        return (columns.students, columns.student.tolist(), columns.time.tolist(),
+                columns.tokens, columns.token.tolist())
+
+    def test_values_that_share_a_key_are_sorted_as_bytes(self, tmp_path):
+        """With a key mix under which every value collides, the check of each
+        record against its key's first record fails and the field falls back to a
+        sort of its bytes: the event columns and the corpus are unchanged."""
+        out = synth.generate(synth.SynthConfig(vocab_size=16, syllabus_length=8,
+                                               students_certified=6, students_uncertified=3,
+                                               mean_sequence_length=30, seed=4), tmp_path)
+        keyed = self.bulk(out.events_path)
+        corpus, stats = ingest.ingest_files(out.events_path, out.roster_path, 1)
+        with mock.patch.object(ingest, "_mix", lambda key, word: key):
+            assert self.bulk(out.events_path) == keyed
+            collided, collided_stats = ingest.ingest_files(out.events_path, out.roster_path, 1)
+        assert min(len(keyed[0]), len(keyed[3])) >= 2  # so every field collided
+        assert (collided.vocabulary, collided.sequences, collided_stats) == (
+            corpus.vocabulary, corpus.sequences, stats)
+
+    def test_values_are_listed_in_order_of_first_use(self, tmp_path):
+        log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts2\tview\tb\t-",
+                                  "2013-03-01T10:00:01Z\ts10\tview\ta\t-",
+                                  "2013-03-01T10:00:02Z\ts2\tview\tlong/page/name\t-"])
+        students, student, _, tokens, token = self.bulk(log)
+        assert (students, student) == (["s2", "s10"], [0, 1, 0])
+        assert [tokens[t] for t in token] == ["b", "a", "long/page/name"]
 
 
 STUDENT_IDS = st.text(

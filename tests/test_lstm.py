@@ -647,6 +647,46 @@ class TestCheckpointRejects:
         assert str(error) == "line 3: window is not a positive integer: '9.5'"
         assert lstm.load_checkpoint(saved, window=4).window == 4
 
+    # tiny_net(seed=24, layers=2): V=7, embedding 5, hidden 6; line 5 is the embedding's
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.__setitem__(1, "cell: rnn"),
+         "line 2: cell is 'rnn', the checkpoint's is 'lstm'"),
+        (lambda lines: lines.__setitem__(4, "tensor: embedding 99x5"),
+         "line 5: tensor is 'embedding 99x5', the checkpoint's is 'embedding 8x5'"),
+        (lambda lines: lines.__setitem__(0, "checkpoint: other.nlstm"),
+         "line 1: checkpoint is 'other.nlstm', the checkpoint's is 'model.nlstm'"),
+        (lambda lines: lines.insert(2, "cell: lstm"), "line 3: repeated key 'cell'"),
+        (lambda lines: lines.insert(3, "note: kept"), "line 4: unknown key 'note'"),
+        (lambda lines: lines.pop(3), "line 4: missing 'sha256' line"),
+        (lambda lines: lines.pop(), "line {n}: missing 'tensor' line"),
+        (lambda lines: lines.append(lines[-1]), "line {n}: repeated key 'tensor'"),
+    ])
+    def test_every_manifest_line_is_checked(self, saved, edit, message):
+        manifest = Path(str(saved) + ".manifest.txt")
+        lines = manifest.read_text().splitlines()
+        edit(lines)
+        manifest.write_text("".join(line + "\n" for line in lines))
+        error = self.load_error(saved, saved.read_bytes())
+        assert str(error) == message.format(n=len(lines) + (message.endswith("'tensor' line")))
+
+    def test_manifest_without_a_final_newline(self, saved):
+        manifest = Path(str(saved) + ".manifest.txt")
+        text = manifest.read_text()
+        manifest.write_text(text[:-1])
+        error = self.load_error(saved, saved.read_bytes())
+        assert str(error) == f"line {text.count(chr(10))}: no newline at the end of the line"
+
+    def test_every_byte_flip_outside_the_window_digits_is_refused(self, saved):
+        manifest = Path(str(saved) + ".manifest.txt")
+        text = manifest.read_bytes()
+        first = text.index(b"\nwindow: ") + len(b"\nwindow: ")
+        digits = range(first, text.index(b"\n", first))
+        for at in (at for at in range(len(text)) if at not in digits):
+            for value in {text[at] ^ 1, text[at] ^ 0x20, ord("\n")} - {text[at]}:
+                manifest.write_bytes(text[:at] + bytes([value]) + text[at + 1 :])
+                with pytest.raises(NextactionError):
+                    lstm.load_checkpoint(saved)
+
     def test_non_finite_parameter(self, saved):
         Path(str(saved) + ".manifest.txt").unlink()
         blob = bytearray(saved.read_bytes())
@@ -678,21 +718,24 @@ class TestCheckpointRejects:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["lstm", "rnn"]), st.integers(1, 3), st.data())
     def test_corrupt_manifest_is_refused_or_read_exactly(self, cell, layers, data):
-        """A truncated or flipped manifest raises a NextactionError, or the
-        checkpoint loads to the saved network; the window, which only the
-        manifest records, is then the one its window line now reads."""
+        """A truncated or flipped manifest raises a NextactionError unless the
+        change falls in the window's digits, which no checksum covers; the
+        checkpoint then loads to the saved network with the window they read."""
         net = tiny_net(seed=layers, vocab=3, emb=2, hidden=2, layers=layers, cell=cell)
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "model.nlstm"
             lstm.save_checkpoint(net, path)
             manifest = Path(str(path) + ".manifest.txt")
+            saved = manifest.read_bytes().split(b"\n")
             manifest.write_bytes(mutated(data.draw, manifest.read_bytes()))
             try:
                 loaded = lstm.load_checkpoint(path)
             except NextactionError:
                 return
-            assert loaded.window == net.window or (
-                f"\nwindow: {loaded.window}\n".encode() in manifest.read_bytes())
+            lines = manifest.read_bytes().split(b"\n")
+            assert len(lines) == len(saved) and lines[:2] + lines[3:] == saved[:2] + saved[3:]
+            assert lines[2] == f"window: {lines[2][8:].decode()}".encode()
+            assert loaded.window == int(lines[2][8:])
             again = Path(root) / "again.nlstm"
             lstm.save_checkpoint(loaded, again)
             assert again.read_bytes() == path.read_bytes()

@@ -163,31 +163,48 @@ class TestGenerate:
 
 
 @st.composite
-def kernels(draw):
-    """A certified or uncertified kernel over a small config, with any of the
-    advance, repeat and jump masses possibly zero."""
-    vocab_size = draw(st.integers(2, 10))
+def cohort_kernels(draw):
+    """The certified and uncertified kernels of one config: V up to a few hundred,
+    the syllabus possibly the whole vocabulary, any of the advance, repeat and
+    jump masses possibly zero, and a lookback of 1 to 5."""
+    vocab_size = draw(st.one_of(st.integers(2, 12), st.integers(13, 300)))
     weights = draw(st.tuples(*[st.integers(0, 3)] * 3).filter(any))
     p_advance, p_repeat, p_jump = (w / sum(weights) for w in weights)
     cfg = synth.SynthConfig(
-        vocab_size=vocab_size, syllabus_length=draw(st.integers(2, vocab_size)),
+        vocab_size=vocab_size,
+        syllabus_length=draw(st.one_of(st.just(vocab_size), st.integers(2, vocab_size))),
         p_advance=p_advance, p_repeat=p_repeat, p_jump=p_jump,
         markov_order=draw(st.integers(1, 5)),
     )
-    return draw(st.sampled_from([synth.certified_kernel, synth.uncertified_kernel]))(cfg)
+    return [synth.certified_kernel(cfg), synth.uncertified_kernel(cfg)]
 
 
 class TestTableSampler:
     @settings(max_examples=300, deadline=None)
-    @given(kernels(), st.lists(st.integers(1, 60), min_size=1, max_size=4),
+    @given(cohort_kernels(),
+           st.lists(st.tuples(st.sampled_from([1, 2, 3, 17, 60]), st.integers(0, 1)),
+                    min_size=1, max_size=6),
            st.integers(0, 2**32 - 1))
-    def test_matches_per_step_sampler(self, kernel, lengths, seed):
-        """Walks and the generator state after them equal the per-step
-        sampler's, with the table reused across walks."""
+    def test_walks_match_the_per_step_sampler(self, kernels, walks, seed):
+        """Walks of mixed lengths from both cohorts, walked in one lockstep, equal
+        the per-step sampler's walks over the same uniforms, one by one."""
+        rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [rng.random(length - 1) for length, _ in walks]
+        which = np.array([cohort for _, cohort in walks])
+        expected = [per_step_sample(kernels[cohort], length, step_rng) for length, cohort in walks]
+        assert synth.walks(kernels, draws, which).tolist() == sum(expected, [])
+        assert rng.bit_generator.state == step_rng.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(cohort_kernels(), st.lists(st.integers(1, 60), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_step_sampler(self, kernels, lengths, seed):
+        """``sample_sequence``, one walk per call, and the generator state after
+        each equal the per-step sampler's."""
         table_rng, step_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for length in lengths:
-            assert kernel.sample_sequence(length, table_rng) == per_step_sample(
-                kernel, length, step_rng)
+            assert kernels[0].sample_sequence(length, table_rng) == per_step_sample(
+                kernels[0], length, step_rng)
             assert table_rng.bit_generator.state == step_rng.bit_generator.state
 
     @pytest.mark.parametrize("markov_order", [1, 2, 4])
@@ -196,6 +213,21 @@ class TestTableSampler:
         kernel = make_kernel(synth.SynthConfig(markov_order=markov_order, mean_sequence_length=40))
         assert synth.oracle_accuracy(kernel, 20, seed=3) == per_step_oracle_accuracy(
             kernel, 20, seed=3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cohort_kernels(), st.integers(0, 1), st.integers(0, 2**16))
+    def test_oracle_accuracy_matches_prefix_argmax_on_any_kernel(self, kernels, cohort, seed):
+        assert synth.oracle_accuracy(kernels[cohort], 3, seed) == per_step_oracle_accuracy(
+            kernels[cohort], 3, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**80)), st.integers(0, 1),
+           st.integers(1, 300))
+    def test_student_seeds_are_those_of_default_rng(self, seed, cohort, count):
+        """Each student's generator is in the state ``default_rng`` gives the seed list."""
+        for index, seeds in enumerate(synth._student_seeds(seed, cohort, count)):
+            assert np.random.Generator(np.random.PCG64(synth._Drawn(seeds))).bit_generator.state \
+                == np.random.default_rng([seed, 0x5E9, cohort, index]).bit_generator.state
 
 
 class TestOracle:
