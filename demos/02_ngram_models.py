@@ -36,9 +36,12 @@ print("top continuations:", ", ".join(f"{a}: {n / total:.3f}" for a, n in top))
 # cross-validated accuracy per order, 2-gram through 10-gram
 plan = evaluation.make_folds(certified.students, 5, seed=11)
 print("\ncross-validated accuracy by gram order:")
-reports = ngram.sweep_orders(certified, range(2, 11), plan)
-best = max(reports, key=lambda order: reports[order].cv_accuracy)
-for order, report in sorted(reports.items()):
+# the evaluator scores every order of one spec from a single count of the corpus
+orders = tuple(range(2, 11))
+reports = evaluation.cross_validate_each(ngram.NGramSpec(orders), certified, plan,
+                                         [f"{order}-gram backoff" for order in orders])
+best, _ = max(zip(orders, reports), key=lambda item: item[1].cv_accuracy)
+for order, report in zip(orders, reports):
     marker = "  <- best" if order == best else ""
     print(f"  {order:2d}-gram  {report.cv_accuracy:.4f}{marker}")
 

@@ -191,8 +191,10 @@ def _cmd_ngram(args) -> int:
 
     if options["sweep"]:
         orders = range(2, options["max_order"] + 1)
-        reports = ngram.sweep_orders(corpus, orders, plan, workers=options["workers"])
-        rows = [(f"order.{order}", reports[order]) for order in sorted(reports)]
+        reports = evaluation.cross_validate_each(
+            ngram.NGramSpec(tuple(orders)), corpus, plan,
+            [f"{order}-gram backoff" for order in orders], workers=options["workers"])
+        rows = [(f"order.{order}", report) for order, report in zip(orders, reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
 
@@ -254,11 +256,10 @@ def _cmd_lstm(args) -> int:
 
     corpus, plan, meta = _cv_inputs(args, options)
     if len(configs) > 1:
-        results = lstm.grid_search(corpus, configs, plan, workers=options["workers"])
-        rows = [
-            (f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}", report)
-            for cfg, report in results
-        ]
+        rows = [(f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}",
+                 evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan,
+                                           workers=options["workers"])) for cfg in configs]
+        rows.sort(key=lambda row: -row[1].cv_accuracy)  # stable: ties keep grid order
         return _write_comparison("# nextaction lstm grid report", meta, rows, args, "lstm-grid")
 
     (cfg,) = configs
@@ -296,6 +297,8 @@ def _cmd_baseline(args) -> int:
         raise ConfigError(f"baseline model must be repeat, syllabus or combined, got {name!r}")
     if name != "repeat" and not args.syllabus:
         raise ConfigError(f"baseline {name!r} needs --syllabus")
+    if name == "repeat" and args.syllabus:
+        raise ConfigError("baseline 'repeat' reads no course order; it takes no --syllabus")
     inputs = {} if name == "repeat" else {"syllabus": args.syllabus}
     corpus, plan, meta = _cv_inputs(args, options, **inputs)
     if name == "repeat":
@@ -405,6 +408,7 @@ _HELP = {
     "layers": "layer count, or comma list for a grid",
     "nodes": "hidden size, or comma list for a grid",
     "lr": "learning rate, or comma list for a grid", "cell": "lstm or rnn",
+    "dropout": "dropout rate, applied only between stacked layers (none with --layers 1)",
     "baseline model": "repeat, syllabus or combined", "syllabus": "course-order token file",
     "eval model": "saved n-gram table or checkpoint",
     "eval window": "context window override for checkpoints",

@@ -38,7 +38,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -327,65 +327,40 @@ def forward_sequence(
     return probs, cache
 
 
-def loss(
-    probs: np.ndarray,
-    targets: Sequence[int] | np.ndarray,
-    mask: np.ndarray | None = None,
-) -> float:
+def _target_probs(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """(index of each step's target in ``probs``, its probability); a masked step reads id 0."""
+    n_batch, n_steps, _ = probs.shape
+    at = (np.arange(n_batch)[:, None], np.arange(n_steps)[None, :], np.where(mask, targets, 0))
+    return at, probs[at]
+
+
+def loss(probs: np.ndarray, targets: np.ndarray, mask: np.ndarray) -> float:
     """Mean over steps of -log p(target), then mean over windows in a batch.
 
-    Probabilities are floored at 1e-12.  ``mask`` marks real (non-pad)
-    steps; by default every step counts.
+    ``probs`` is (B, T, V), ``targets`` (B, T) int64 and ``mask`` (B, T) bool,
+    true at real (non-pad) steps.  Probabilities are floored at 1e-12.
     """
-    p = np.asarray(probs)
-    t = np.asarray(targets, dtype=np.int64)
-    if p.ndim == 2:
-        p = p[None]
-    if t.ndim == 1:
-        t = t[None, :]
-    if mask is None:
-        valid = np.ones(t.shape, dtype=bool)
-    else:
-        valid = np.asarray(mask, dtype=bool)
-        if valid.ndim == 1:
-            valid = valid[None, :]
-    n_batch, n_steps, _ = p.shape
-    picked = p[np.arange(n_batch)[:, None], np.arange(n_steps)[None, :],
-               np.where(valid, t, 0)]
-    step_loss = -np.log(np.maximum(picked, PROB_FLOOR)) * valid
-    per_window = step_loss.sum(axis=1) / np.maximum(valid.sum(axis=1), 1)
+    _, picked = _target_probs(probs, targets, mask)
+    step_loss = -np.log(np.maximum(picked, PROB_FLOOR)) * mask
+    per_window = step_loss.sum(axis=1) / np.maximum(mask.sum(axis=1), 1)
     return float(per_window.mean())
 
 
-def backward(
-    net: LstmNetwork,
-    cache: dict,
-    targets: Sequence[int] | np.ndarray,
-    mask: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact loss gradients for every parameter under the cached dropout masks."""
+def backward(net: LstmNetwork, cache: dict, targets: np.ndarray,
+             mask: np.ndarray) -> dict[str, np.ndarray]:
+    """Exact gradients of ``loss`` for every parameter under the cached dropout
+    masks; ``targets`` and ``mask`` are as in ``loss``."""
     if "gates" not in cache.get("layers", [{}])[0]:
         raise NextactionError("backward needs the cache of a train-mode forward pass")
     probs = cache["probs"]
     ids = cache["ids"]
     n_batch, n_steps, _ = probs.shape
-    t_arr = np.asarray(targets, dtype=np.int64)
-    if t_arr.ndim == 1:
-        t_arr = t_arr[None, :]
-    valid = (
-        np.ones(t_arr.shape, dtype=bool) if mask is None
-        else np.asarray(mask, dtype=bool)
-    )
-
-    rows = np.arange(n_batch)[:, None]
-    cols = np.arange(n_steps)[None, :]
-    safe_t = np.where(valid, t_arr, 0)
-    picked = probs[rows, cols, safe_t]
-    live = valid & (picked > PROB_FLOOR)  # floored steps have zero gradient
+    at, picked = _target_probs(probs, targets, mask)
+    live = mask & (picked > PROB_FLOOR)  # floored steps have zero gradient
 
     dz = probs * live[:, :, None]
-    dz[rows, cols, safe_t] -= live
-    scale = live / (n_batch * np.maximum(valid.sum(axis=1, keepdims=True), 1))
+    dz[at] -= live
+    scale = live / (n_batch * np.maximum(mask.sum(axis=1, keepdims=True), 1))
     dz *= scale[:, :, None]
 
     grads: dict[str, np.ndarray] = {}
@@ -606,20 +581,6 @@ class LstmSpec:
         return (LstmPredictor(net),), curve
 
 
-def grid_search(corpus: Corpus, configs: Iterable[TrainConfig], plan, workers: int = 1):
-    """Cross-validated accuracy for each config; returns (config, report) pairs
-    sorted by descending accuracy."""
-    from .evaluation import cross_validate
-
-    results = []
-    for cfg in configs:
-        name = f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size} lr={cfg.learning_rate:g}"
-        report = cross_validate(LstmSpec(cfg), corpus, plan, model_name=name, workers=workers)
-        results.append((cfg, report))
-    results.sort(key=lambda item: -item[1].cv_accuracy)
-    return results
-
-
 def save_checkpoint(net: LstmNetwork, path: str | Path) -> None:
     """Binary checkpoint plus a text manifest with shapes and a checksum."""
     path = Path(path)
@@ -630,31 +591,26 @@ def save_checkpoint(net: LstmNetwork, path: str | Path) -> None:
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     blob = b"".join(parts)
     path.write_bytes(blob)
-
-    manifest = [
-        f"checkpoint: {path.name}",
-        f"cell: {net.cell}",
-        f"window: {net.window}",
-        f"sha256: {hashlib.sha256(blob).hexdigest()}",
-    ]
-    manifest.extend(
-        f"tensor: {name} {'x'.join(str(d) for d in arr.shape)}"
-        for name, arr in net.param_items()
-    )
-    Path(str(path) + ".manifest.txt").write_text("\n".join(manifest) + "\n", encoding="utf-8")
+    manifest = _manifest(path.name, net, hashlib.sha256(blob).hexdigest())
+    Path(str(path) + ".manifest.txt").write_text(
+        "".join(f"{key}: {value}\n" for key, value in manifest), encoding="utf-8")
 
 
-_MANIFEST_KEYS = ("checkpoint", "cell", "window", "sha256", "tensor")
+def _manifest(name: str, net: LstmNetwork, digest: str) -> list[tuple[str, str]]:
+    """The (key, value) lines of the manifest of a checkpoint named ``name`` holding
+    ``net`` with SHA-256 ``digest``, in file order."""
+    return [("checkpoint", name), ("cell", net.cell), ("window", str(net.window)),
+            ("sha256", digest), *(("tensor", f"{tensor} {'x'.join(map(str, arr.shape))}")
+                                  for tensor, arr in net.param_items())]
 
 
 def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
                    read_window: bool) -> int | None:
     """The window a checkpoint's manifest states (None unless ``read_window``), after
-    checking every line, in order, against what ``save_checkpoint`` writes for a
-    checkpoint named ``name`` holding ``net`` with SHA-256 ``digest``."""
-    expected = [("checkpoint", name), ("cell", net.cell), ("window", None), ("sha256", digest)]
-    expected += [("tensor", f"{tensor} {'x'.join(str(d) for d in arr.shape)}")
-                 for tensor, arr in net.param_items()]
+    checking every line, in order, against ``_manifest(name, net, digest)``; only
+    the window's value may differ from ``net``'s."""
+    expected = _manifest(name, net, digest)
+    keys = {key for key, _ in expected}
     lines, seen, window = read_lines(path), set(), None
     for lineno, (key, want) in enumerate([*expected, (None, None)], start=1):
         line = next(lines, (lineno, None))[1]
@@ -664,7 +620,7 @@ def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
             raise MalformedRecordError(lineno, f"missing {key!r} line")
         got, _, value = line.removesuffix("\n").partition(": ")
         if got != key:
-            raise MalformedRecordError(lineno, f"unknown key {got!r}" if got not in _MANIFEST_KEYS
+            raise MalformedRecordError(lineno, f"unknown key {got!r}" if got not in keys
                                        else f"repeated key {got!r}" if got in seen
                                        else f"missing {key!r} line")
         seen.add(key)

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -259,6 +259,10 @@ class NGramSpec:
 
     orders: tuple[int, ...]
 
+    def __post_init__(self):
+        if not self.orders or min(self.orders) < 1:
+            raise ConfigError(f"gram orders must be >= 1, got {list(self.orders)}")
+
     def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
         """The whole-corpus fit, and per fold the predictions of each order at the
         scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold."""
@@ -284,20 +288,6 @@ class NGramSpec:
                     by_order[fold][k] = found[fold]
         full = tuple(NGramPredictor(table, max_order=order) for order in self.orders), None
         return full, [([own[order] for order in self.orders], None) for own in by_order]
-
-
-def sweep_orders(corpus: Corpus, orders: Iterable[int], plan, workers: int = 1):
-    """Cross-validated accuracy per gram order, from one count of the whole corpus."""
-    from .evaluation import cross_validate_each  # local import avoids a cycle
-
-    orders = sorted(set(orders))
-    if not orders or orders[0] < 1:
-        raise ConfigError(f"gram orders must be >= 1, got {orders}")
-    reports = cross_validate_each(
-        NGramSpec(tuple(orders)), corpus, plan,
-        [f"{order}-gram backoff" for order in orders], workers=workers,
-    )
-    return dict(zip(orders, reports))
 
 
 def _context_text(rows: np.ndarray) -> np.ndarray:

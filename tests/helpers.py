@@ -134,8 +134,9 @@ def lstm_predict_next(net, context):
     return int(np.argmax(probs[0, -1])), probs[0, -1]
 
 
-def finite_difference_gradients(net, ids, targets, step=1e-5, mask=None, dropout_masks=None):
-    """Central-difference loss gradients; the numerical oracle for ``lstm.backward``.
+def finite_difference_gradients(net, ids, targets, mask, step=1e-5, dropout_masks=None):
+    """Central-difference loss gradients; the numerical oracle for ``lstm.backward``,
+    with its (B, T) ``targets`` and ``mask``.
 
     With ``dropout_masks`` the loss is evaluated under those fixed masks,
     matching a train-mode forward; otherwise dropout is off.

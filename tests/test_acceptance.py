@@ -51,8 +51,9 @@ def test_criterion_1_gradient_fidelity():
         ids = rng.integers(0, 7, size=9)
         targets = rng.integers(0, 7, size=9)
         _, cache = lstm.forward_sequence(net, ids, train=True, rng=rng)
-        analytic = lstm.backward(net, cache, targets)
-        numeric = finite_difference_gradients(net, ids, targets, step=1e-5)
+        batch = targets[None], np.ones((1, len(targets)), dtype=bool)
+        analytic = lstm.backward(net, cache, *batch)
+        numeric = finite_difference_gradients(net, ids, *batch, step=1e-5)
         assert analytic.keys() == numeric.keys()
         for name, grad in analytic.items():
             ref = numeric[name]

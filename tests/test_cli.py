@@ -159,16 +159,28 @@ class TestAgree:
 class TestBaselineAndEval:
     def test_baseline_models(self, pipeline, tmp_path):
         for model in ("repeat", "syllabus", "combined"):
+            syllabus = [] if model == "repeat" else ["--syllabus", str(pipeline / "syllabus.txt")]
             rc = main([
                 "baseline", "--corpus", str(pipeline / "corpus.nact"),
-                "--vocab", str(pipeline / "vocab.tsv"), "--model", model,
-                "--syllabus", str(pipeline / "syllabus.txt"),
+                "--vocab", str(pipeline / "vocab.tsv"), "--model", model, *syllabus,
                 "--folds", "3", "--seed", "2",
                 "--report", str(tmp_path / f"{model}.txt"), "--out-dir", str(tmp_path),
             ])
             assert rc == 0
             parsed = read_report(tmp_path / f"{model}.txt")
             assert parsed["model"] == model if model != "combined" else True
+
+    def test_repeat_refuses_a_syllabus_before_reading_any_input(self, tiny, tmp_path, capsys,
+                                                                 monkeypatch):
+        loads = []
+        monkeypatch.setattr(cli, "_load_corpus", lambda args: loads.append(args))
+        out = tmp_path / "out"
+        assert main(["baseline", "--model", "repeat", "--syllabus", str(tmp_path / "nonexistent"),
+                     "--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv"),
+                     "--folds", "3", "--out-dir", str(out)]) == 2
+        assert ("error: baseline 'repeat' reads no course order; it takes no --syllabus"
+                in capsys.readouterr().err)
+        assert loads == [] and not out.exists()
 
     def test_eval_saved_ngram_on_uncertified(self, pipeline, tmp_path):
         model_path = tmp_path / "model.ngram"
@@ -278,6 +290,70 @@ class TestSweepAndGridOutputs:
                      "--out-dir", str(tmp_path)]) == 2
         assert "error: hidden and embedding sizes must be >= 1" in capsys.readouterr().err
         assert calls == []
+
+
+class TestSweepAndGridThroughTheEvaluator:
+    """A sweep row or a grid row is the evaluator's report of that one model."""
+
+    @staticmethod
+    def rows(report_path) -> dict[str, str]:
+        return {key: value for key, value in read_report(report_path).items()
+                if key.startswith(("order.", "grid."))}
+
+    @staticmethod
+    def lines(key: str, report: evaluation.EvalReport) -> dict[str, str]:
+        return {f"{key}.cv_accuracy": f"{report.cv_accuracy:.10f}",
+                f"{key}.fold_accuracy": " ".join(f"{a:.10f}" for a in report.per_fold_accuracy)}
+
+    def test_each_sweep_row_is_the_evaluator_at_its_order(self, tiny, tmp_path):
+        assert main(["ngram", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--max-order", "4", "--sweep", "--folds", "3",
+                     "--seed", "9", "--report", str(tmp_path / "sweep.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
+        corpus = ingest.filter_cohort(ingest.load_corpus(tiny / "corpus.nact"), True)
+        plan = evaluation.make_folds(corpus.students, 3, 9)
+        expected = {}
+        for order in (2, 3, 4):
+            report = evaluation.cross_validate(ngram.NGramSpec((order,)), corpus, plan)
+            expected.update(self.lines(f"order.{order}", report))
+        assert self.rows(tmp_path / "sweep.txt") == expected
+
+    def test_tied_grid_combinations_keep_grid_order(self, tmp_path):
+        """With one action id every combination predicts it, and so scores 1.0 in
+        every fold whatever it learned."""
+        ingest.save_corpus(corpus_of([[0] * 12] * 9, 1), tmp_path / "corpus.nact")
+        ingest.save_vocabulary(ingest.Vocabulary({"a": 0}, ["a"], [108], 1),
+                               tmp_path / "vocab.tsv")
+        assert main(["lstm", "--corpus", str(tmp_path / "corpus.nact"), "--vocab",
+                     str(tmp_path / "vocab.tsv"), "--layers", "1,2", "--nodes", "8,16",
+                     "--lr", "0.1", "--epochs", "1", "--window", "5", "--emb-dim", "4",
+                     "--folds", "3", "--seed", "1", "--report", str(tmp_path / "grid.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = self.rows(tmp_path / "grid.txt")
+        assert list(rows) == [f"grid.layers={layers}.nodes={nodes}.lr=0.1.{line}"
+                              for layers in (1, 2) for nodes in (8, 16)
+                              for line in ("cv_accuracy", "fold_accuracy")]
+        assert set(rows.values()) == {"1.0000000000", " ".join(["1.0000000000"] * 3)}
+
+    def test_grid_rows_are_the_evaluator_in_descending_accuracy(self, tiny, tmp_path):
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--nodes", "2,8", "--lr", "0.01,0.1",
+                     "--epochs", "1", "--window", "5", "--emb-dim", "4", "--folds", "3",
+                     "--seed", "9", "--report", str(tmp_path / "grid.txt"),
+                     "--out-dir", str(tmp_path)]) == 0
+        corpus = ingest.filter_cohort(ingest.load_corpus(tiny / "corpus.nact"), True)
+        plan = evaluation.make_folds(corpus.students, 3, 9)
+        expected = {}
+        for nodes in (2, 8):
+            for lr in (0.01, 0.1):
+                cfg = lstm.TrainConfig(learning_rate=lr, epochs=1, window=5, seed=9,
+                                       hidden_size=nodes, embedding_dim=4)
+                report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
+                expected.update(self.lines(f"grid.layers=1.nodes={nodes}.lr={lr:g}", report))
+        rows = self.rows(tmp_path / "grid.txt")
+        assert rows == expected
+        accuracies = [float(v) for k, v in rows.items() if k.endswith(".cv_accuracy")]
+        assert accuracies == sorted(accuracies, reverse=True)
 
 
 class TestConfigMerging:

@@ -514,7 +514,8 @@ class TestOneCallPerFold:
         monkeypatch.setattr(evaluation, "_accuracy",
                             lambda fold, p: scored.append(len(p)) or accuracy(fold, p))
         plan = evaluation.make_folds(corpus.students, 3, seed=2)
-        ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=1)
+        evaluation.cross_validate_each(ngram.NGramSpec((2, 3, 4)), corpus, plan,
+                                       ["2-gram", "3-gram", "4-gram"], workers=1)
         assert calls == []
         assert len(scored) == 3 * 3
         assert sum(scored) == 3 * int((corpus.lengths - 1).clip(0).sum())

@@ -305,28 +305,34 @@ class TestKernelOracle:
         assert predicted.tobytes() == expected.tobytes()
 
 
+def window_of(targets):
+    """One window's (1, T) int64 targets and its all-true (1, T) mask."""
+    targets = np.asarray(targets, dtype=np.int64)[None]
+    return targets, np.ones(targets.shape, dtype=bool)
+
+
 class TestLoss:
     def test_uniform_distribution(self):
         probs = np.full((3, 4), 0.25)
-        assert lstm.loss(probs, [0, 3, 2]) == pytest.approx(np.log(4))
+        assert lstm.loss(probs[None], *window_of([0, 3, 2])) == pytest.approx(np.log(4))
 
     def test_certain_prediction(self):
         probs = np.zeros((2, 4))
         probs[:, 1] = 1.0
-        assert lstm.loss(probs, [1, 1]) == 0.0
+        assert lstm.loss(probs[None], *window_of([1, 1])) == 0.0
 
     def test_batch_is_mean_of_window_losses(self):
         rng = np.random.default_rng(20)
         probs = rng.dirichlet(np.ones(5), size=(2, 3))
         targets = rng.integers(0, 5, size=(2, 3))
-        batch = lstm.loss(probs, targets)
-        singles = [lstm.loss(probs[b], targets[b]) for b in range(2)]
+        batch = lstm.loss(probs, targets, np.ones(targets.shape, dtype=bool))
+        singles = [lstm.loss(probs[b][None], *window_of(targets[b])) for b in range(2)]
         assert batch == pytest.approx(np.mean(singles))
 
     def test_floor_applies(self):
         probs = np.zeros((1, 3))
         probs[0, 0] = 1.0
-        value = lstm.loss(probs, [2])
+        value = lstm.loss(probs[None], *window_of([2]))
         assert value == pytest.approx(-np.log(1e-12))
 
 
@@ -342,8 +348,8 @@ class TestBackward:
         ids = rng.integers(0, 7, size=9)
         targets = rng.integers(0, 7, size=9)
         _, cache = lstm.forward_sequence(net, ids, train=True, rng=rng)
-        analytic = lstm.backward(net, cache, targets)
-        numeric = finite_difference_gradients(net, ids, targets, step=1e-5)
+        analytic = lstm.backward(net, cache, *window_of(targets))
+        numeric = finite_difference_gradients(net, ids, *window_of(targets), step=1e-5)
         for name in analytic:
             assert relative_error(analytic[name], numeric[name]) <= 1e-4, name
 
@@ -352,7 +358,7 @@ class TestBackward:
         ids = np.array([0, 1, 2, 3, 4])
         targets = np.array([1, 2, 3, 4, 5])
         probs, cache = lstm.forward_sequence(net, ids, train=True)
-        grads = lstm.backward(net, cache, targets)
+        grads = lstm.backward(net, cache, *window_of(targets))
         onehot = np.zeros((5, 7))
         onehot[np.arange(5), targets] = 1.0
         expected = (probs[0] - onehot).mean(axis=0)
@@ -365,7 +371,7 @@ class TestBackward:
         mask = np.ones((1, 4, net.hidden_size)) / (1 - net.dropout_rate)
         mask[:, :, 2] = 0.0  # silence hidden unit 2 between the layers
         _, cache = lstm.forward_sequence(net, ids, train=True, dropout_masks=[mask])
-        grads = lstm.backward(net, cache, targets)
+        grads = lstm.backward(net, cache, targets, np.ones(targets.shape, dtype=bool))
         for gate in ("f", "i", "C", "o"):
             assert np.allclose(grads[f"layer1.W_{gate}x"][:, 2], 0.0)
 
@@ -378,7 +384,7 @@ class TestBackward:
         t_padded = np.array([[1, 4, pad, pad]])
         _, cache_s = lstm.forward_sequence(net, short, train=True)
         _, cache_p = lstm.forward_sequence(net, padded, train=True)
-        g_s = lstm.backward(net, cache_s, t_short)
+        g_s = lstm.backward(net, cache_s, t_short, np.ones(t_short.shape, dtype=bool))
         g_p = lstm.backward(net, cache_p, t_padded, t_padded != pad)
         for name in g_s:
             assert np.allclose(g_s[name], g_p[name], atol=1e-12), name
@@ -388,7 +394,7 @@ class TestBackward:
     def test_keys_are_the_parameter_names(self, cell):
         net = tiny_net(seed=12, cell=cell, dropout=0.3)
         _, cache = lstm.forward_sequence(net, [0, 1, 2], train=True, rng=np.random.default_rng(0))
-        grads = lstm.backward(net, cache, [1, 2, 3])
+        grads = lstm.backward(net, cache, *window_of([1, 2, 3]))
         assert sorted(grads) == sorted(name for name, _ in net.param_items())
         for name, arr in net.param_items():
             assert grads[name].shape == arr.shape, name
@@ -397,10 +403,10 @@ class TestBackward:
     def test_missing_cache_rejected(self, cell):
         net = tiny_net(seed=11, cell=cell)
         with pytest.raises(NextactionError):
-            lstm.backward(net, {}, [0])
+            lstm.backward(net, {}, *window_of([0]))
         _, cache = lstm.forward_sequence(net, [0, 1, 2])
         with pytest.raises(NextactionError, match="needs the cache of a train-mode forward pass"):
-            lstm.backward(net, cache, [1, 2, 3])
+            lstm.backward(net, cache, *window_of([1, 2, 3]))
 
 
 class TestRmsprop:
@@ -748,12 +754,10 @@ class TestGridSearch:
         base = lstm.TrainConfig(epochs=1, window=5, batch_size=8, seed=2,
                                 embedding_dim=6, dropout_rate=0.0)
         configs = [replace(base, layers=l, hidden_size=n) for l in (1, 2) for n in (16, 32)]
-        results = lstm.grid_search(corpus, configs, plan)
-        assert len(results) == 4
-        for cfg, report in results:
+        for cfg in configs:
+            report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
             assert len(report.per_fold_accuracy) == 5
-        accs = [report.cv_accuracy for _, report in results]
-        assert accs == sorted(accs, reverse=True)
+            assert 0.0 <= report.cv_accuracy <= 1.0
 
 
 class TestConfigValidation:

@@ -180,8 +180,9 @@ class TestSweepAndFiles:
         seqs = [list(cycle)] * 6
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.students, 3, seed=5)
-        reports = ngram.sweep_orders(corpus, range(2, 5), plan)
-        for order, report in reports.items():
+        reports = evaluation.cross_validate_each(ngram.NGramSpec((2, 3, 4)), corpus, plan,
+                                                 ["2-gram", "3-gram", "4-gram"])
+        for order, report in zip((2, 3, 4), reports):
             assert report.cv_accuracy == 1.0, f"order {order}"
 
     def test_sweep_counts_the_corpus_once(self, monkeypatch):
@@ -198,9 +199,16 @@ class TestSweepAndFiles:
         monkeypatch.setattr(ngram, "fit", counting_fit)
         for workers in (1, 2):
             fitted.clear()
-            reports = ngram.sweep_orders(corpus, [2, 3, 4], plan, workers=workers)
+            reports = evaluation.cross_validate_each(
+                ngram.NGramSpec((2, 3, 4)), corpus, plan, ["2-gram", "3-gram", "4-gram"],
+                workers=workers)
             assert fitted == [(corpus.total_actions, 4)]
-            assert sorted(reports) == [2, 3, 4]
+            assert [report.model for report in reports] == ["2-gram", "3-gram", "4-gram"]
+
+    @pytest.mark.parametrize("orders", [(), (0, 2)])
+    def test_orders_must_be_given_and_at_least_one(self, orders):
+        with pytest.raises(ConfigError, match="gram orders must be >= 1"):
+            ngram.NGramSpec(orders)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=2,
