@@ -180,42 +180,36 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_ngram(args) -> int:
     options = _merge_options(args)
-    if options["max_order"] < 1:
-        raise ConfigError(f"--max-order must be >= 1, got {options['max_order']}")
     if options["sweep"] and options["max_order"] < 2:
         raise ConfigError("--sweep needs --max-order >= 2")
     if options["sweep"]:
         _refuse_outputs("--sweep", {"--usage": options["usage"], "--save-model": args.save_model,
                                     "--stream": args.stream, "--csv": args.csv})
+    orders = range(2 if options["sweep"] else options["max_order"], options["max_order"] + 1)
+    spec = ngram.NGramSpec(tuple(orders))
     corpus, plan, meta = _cv_inputs(args, options)
 
     if options["sweep"]:
-        orders = range(2, options["max_order"] + 1)
         reports = evaluation.cross_validate_each(
-            ngram.NGramSpec(tuple(orders)), corpus, plan,
-            [f"{order}-gram backoff" for order in orders], workers=options["workers"])
+            spec, corpus, plan, [f"{order}-gram backoff" for order in orders],
+            workers=options["workers"])
         rows = [(f"order.{order}", report) for order, report in zip(orders, reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
 
     report = evaluation.cross_validate(
-        ngram.NGramSpec((options["max_order"],)), corpus, plan,
-        model_name=f"{options['max_order']}-gram backoff",
+        spec, corpus, plan, model_name=f"{options['max_order']}-gram backoff",
         workers=options["workers"], keep_streams=bool(args.stream),
-        fit_full=bool(options["usage"] or args.save_model),
+        fit_full=bool(args.save_model),
     )
     report.metadata.update(meta)
-
-    if report.full_fit:
+    if options["usage"]:
+        for order, fraction in ngram.fitted_usage(corpus, options["max_order"]).items():
+            report.metadata[f"backoff_usage.{order}"] = f"{fraction:.10f}"
+    if args.save_model:
         (predictor,), _ = report.full_fit
-        table = predictor.table
-        if options["usage"]:
-            usage = ngram.backoff_usage(table, corpus)
-            for order, fraction in usage.items():
-                report.metadata[f"backoff_usage.{order}"] = f"{fraction:.10f}"
-        if args.save_model:
-            ngram.save_table(table, args.save_model)
-            print(f"wrote {args.save_model}")
+        ngram.save_table(predictor.table, args.save_model)
+        print(f"wrote {args.save_model}")
     return _write_cv_outputs(report, args, "ngram-report")
 
 

@@ -17,20 +17,26 @@ the whole corpus:
   actions and ``last`` is its final action.  A context's id is its index in
   this array (its dense rank), so ids stay below the number of positions
   counted and keys fit in int64 for any 32-bit V.  Ranks keep lexicographic
-  tuple order.  Order 1 has one context, the empty one, with id 0.
+  tuple order.  Order 1 has one context, the empty one, with id 0.  That key
+  is the key of the order-(k-1) gram ending one action earlier, so for k >= 3
+  the contexts are the grams of the order below seen there, picked in order
+  with no sort of their own: each order sorts only its grams.
 - ``grams[k]`` holds the sorted keys ``ctx_id * V + next`` and ``counts[k]``
   their counts; ``first[k][c]:first[k][c + 1]`` is the gram slice of context c.
-- ``best[k][c]`` is context c's count argmax, computed once when the table
-  is built.
+- ``best[k][c]`` is context c's count argmax, computed once, at the table's
+  first lookup.
 
 A context is found by rolling its id up the orders: one ``searchsorted`` per
 order over every position at once, with id -1 for a context never seen.
 Cross-validation needs no lookup: it counts the whole corpus once and derives
-every fold from that count (see ``NGramSpec``).
+every fold's counts from that count with one ``bincount`` per order (see
+``NGramSpec``).  Nor does the usage histogram of a table over the corpus it
+was fitted on (``fitted_usage``).
 """
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import NoReturn, Sequence
@@ -93,13 +99,16 @@ class NGramTable:
         self.contexts = contexts or {k: _EMPTY for k in orders}
         self.grams = grams or {k: _EMPTY for k in orders}
         self.counts = counts or {k: _EMPTY for k in orders}
-        self.first: dict[int, np.ndarray] = {}
-        self.best: dict[int, np.ndarray] = {}
-        for k in orders:
-            owner = self.grams[k] // vocab_size
-            self.first[k] = np.searchsorted(owner, np.arange(len(self.contexts[k]) + 1))
-            self.best[k] = _best(self.counts[k], self.first[k], self.grams[k] % vocab_size)
+        self.first = {k: np.searchsorted(self.grams[k] // vocab_size,
+                                         np.arange(len(self.contexts[k]) + 1)) for k in orders}
         self.continuations = {k: _Continuations(self, k) for k in orders}
+
+    @cached_property
+    def best(self) -> dict[int, np.ndarray]:
+        """Each order's ``_best``, made at the first lookup: a table that is only
+        counted and saved, as cross-validation's is, never needs it."""
+        return {k: _best(self.counts[k], first, self.grams[k] % self.vocab_size)
+                for k, first in self.first.items()}
 
 
 def _best(counts: np.ndarray, first: np.ndarray, nexts: np.ndarray) -> np.ndarray:
@@ -179,20 +188,21 @@ def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGram
     actions, pos = action_array(V, corpus.actions), corpus.pos
     at = np.flatnonzero(pos >= 1)  # continuation positions
     contexts = {1: np.zeros(min(len(at), 1), dtype=np.int64)}
-    ids = np.zeros(len(actions), dtype=np.int64)
+    ranks = np.zeros(len(at), dtype=np.int64)  # the context id at each of them
+    index = {} if gram_index is None else gram_index
     grams, counts = {}, {}
     for k in range(1, max_order + 1):
-        if k > 1:
+        if k == 2:
+            contexts[k], ranks = np.unique(actions[at - 1], return_inverse=True)
+        elif k > 2:  # an order-k context is the order-(k-1) gram that ends one action earlier
             at = at[pos[at] >= k - 1]
-            contexts[k], ranks = np.unique(ids[at - 1] * V + actions[at - 1], return_inverse=True)
-            ids = np.full(len(actions), -1, dtype=np.int64)
-            ids[at] = ranks
-        found = np.unique(ids[at] * V + actions[at], return_inverse=gram_index is not None,
-                          return_counts=True)
-        grams[k], counts[k] = found[0], found[-1]
-        if gram_index is not None:
-            gram_index[k] = np.full(len(actions), -1, dtype=np.int64)
-            gram_index[k][at] = found[1]
+            parents = index[k - 1][at - 1]
+            seen = np.bincount(parents, minlength=len(grams[k - 1])) > 0
+            contexts[k], ranks = grams[k - 1][seen], (np.cumsum(seen) - 1)[parents]
+        grams[k], inverse, counts[k] = np.unique(ranks * V + actions[at], return_inverse=True,
+                                                 return_counts=True)
+        index[k] = np.full(len(actions), -1, dtype=np.int64)
+        index[k][at] = inverse
     return NGramTable(max_order, V, contexts, grams, counts)
 
 
@@ -224,6 +234,18 @@ def backoff_usage(
     cap = _cap(table, max_order)
     pos = corpus.pos
     _, used = _backoff(table, action_array(table.vocab_size, corpus.actions), pos, cap, pos >= 1)
+    return _usage(used, cap)
+
+
+def fitted_usage(corpus: Corpus, max_order: int) -> dict[int, float]:
+    """``backoff_usage`` of the table fitted on ``corpus`` at ``max_order``, over
+    that same corpus: the table holds every context in it, so each position p >= 1
+    is served at order min(max_order, p + 1)."""
+    pos = corpus.pos
+    return _usage(np.minimum(pos[pos >= 1] + 1, max_order), max_order)
+
+
+def _usage(used: np.ndarray, cap: int) -> dict[int, float]:
     if len(used) == 0:
         return {order: 0.0 for order in range(1, cap + 1)}
     tally = np.bincount(used, minlength=cap + 1).tolist()
@@ -268,16 +290,20 @@ class NGramSpec:
         scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold."""
         gram_index: dict[int, np.ndarray] = {}
         table = fit(corpus, max(self.orders), gram_index)
-        pos, fold_of = corpus.pos, np.repeat(folds, corpus.lengths)
+        F, pos = len(held_out), corpus.pos
+        # a sequence in no held-out fold (a plan's fold outside 0..F-1) trains every fold
+        fold_of = np.repeat(np.where((folds >= 0) & (folds < F), folds, F), corpus.lengths)
         scored = [at[pos[at] >= 1] for at in map(corpus.gather, held_out)]
         found = [np.full(len(at), -1, dtype=np.int64) for at in scored]
         by_order: list[dict[int, np.ndarray]] = [{} for _ in scored]
         for k in range(1, max(self.orders) + 1):
             counted = gram_index[k] >= 0
-            grams, gram_fold = gram_index[k][counted], fold_of[counted]
             first, nexts = table.first[k], table.grams[k] % table.vocab_size
+            # each fold's count of each gram, from one bincount over the fold-major keys
+            by_fold = np.bincount(fold_of[counted] * len(nexts) + gram_index[k][counted],
+                                  minlength=(F + 1) * len(nexts)).reshape(F + 1, -1)
             for fold, at in enumerate(scored):
-                counts = np.bincount(grams[gram_fold != fold], minlength=len(nexts))
+                counts = table.counts[k] - by_fold[fold]
                 # each gram's context's best, and -1 at index -1 for an action that ends none
                 best = np.append(np.repeat(_best(counts, first, nexts), np.diff(first)), -1)
                 guess = best[gram_index[k][at]]
@@ -290,12 +316,16 @@ class NGramSpec:
         return full, [([own[order] for order in self.orders], None) for own in by_order]
 
 
-def _context_text(rows: np.ndarray) -> np.ndarray:
-    """The context field of each row of ids: the ids joined by commas, then a tab."""
-    digits = format_decimals(rows)
-    commas = np.full(rows.shape + (1,), ord(","), dtype=np.uint8)
-    text = np.concatenate((digits, commas), axis=2).reshape(len(rows), -1)
-    return text_rows(len(rows), text[:, :-1], b"\t")
+def _context_fields(table: NGramTable):
+    """Yield each order's context fields, NUL-padded: a context's ids joined by
+    commas, then a tab, built as its parent's ids, a comma and its last id."""
+    ids = np.zeros((len(table.contexts[1]), 0), dtype=np.uint8)
+    yield text_rows(len(ids), ids, b"\t")
+    for k in range(2, table.max_order + 1):
+        parent, last = np.divmod(table.contexts[k], table.vocab_size)
+        ids = text_rows(len(last), np.take(ids, parent, axis=0), b"," if k > 2 else b"",
+                        format_decimals(last))
+        yield text_rows(len(ids), ids, b"\t")
 
 
 def save_table(table: NGramTable, path: str | Path) -> None:
@@ -304,12 +334,12 @@ def save_table(table: NGramTable, path: str | Path) -> None:
     V = table.vocab_size
     with open(path, "wb") as out:
         out.write(f"#NGRAM max_order={table.max_order} V={V}\n".encode())
-        for k, rows in enumerate(_context_rows(table), start=1):
+        for k, field in enumerate(_context_fields(table), start=1):
             if not len(table.grams[k]):
                 continue
             context, nxt = np.divmod(table.grams[k], V)
             text = text_rows(
-                len(nxt), f"{k}\t".encode(), np.take(_context_text(rows), context, axis=0),
+                len(nxt), f"{k}\t".encode(), np.take(field, context, axis=0),
                 format_decimals(nxt), b"\t", format_decimals(table.counts[k]), b"\n",
             )
             out.write(text[text != 0])

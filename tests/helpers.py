@@ -11,6 +11,8 @@ step instead of a cached CDF table, prediction streams one record at a
 time instead of as columns, stream and n-gram table files written one
 f-string per record instead of as byte columns, n-gram cross-validation
 by one table fitted per fold instead of by one count of the whole corpus,
+n-gram contexts by a second sort per order instead of from the grams of the
+order below,
 and corpus subsets, splits and training windows one row at a time instead
 of by gathers over the columns, so they can serve as a second opinion.  The batched LSTM kernel is
 also kept here as it was before its step buffers, as a byte-for-byte oracle.
@@ -83,6 +85,28 @@ def naive_backoff_usage(counts, sequences, max_order):
             used[order] += 1
             total += 1
     return {order: used.get(order, 0) / total for order in range(1, max_order + 1)}
+
+
+def two_sort_fit(corpus, max_order, gram_index):
+    """``ngram.fit`` as it was before its contexts came from the grams of the order
+    below: one ``np.unique`` of the contexts and one of the grams per order."""
+    V = corpus.vocab_size
+    actions, pos = action_array(V, corpus.actions), corpus.pos
+    at = np.flatnonzero(pos >= 1)
+    contexts = {1: np.zeros(min(len(at), 1), dtype=np.int64)}
+    ids = np.zeros(len(actions), dtype=np.int64)
+    grams, counts = {}, {}
+    for k in range(1, max_order + 1):
+        if k > 1:
+            at = at[pos[at] >= k - 1]
+            contexts[k], ranks = np.unique(ids[at - 1] * V + actions[at - 1], return_inverse=True)
+            ids = np.full(len(actions), -1, dtype=np.int64)
+            ids[at] = ranks
+        grams[k], inverse, counts[k] = np.unique(ids[at] * V + actions[at], return_inverse=True,
+                                                 return_counts=True)
+        gram_index[k] = np.full(len(actions), -1, dtype=np.int64)
+        gram_index[k][at] = inverse
+    return ngram.NGramTable(max_order, V, contexts, grams, counts)
 
 
 def naive_sigmoid(z):

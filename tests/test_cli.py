@@ -741,6 +741,20 @@ class TestInProcessNgram:
             assert main(["ngram", *corpus, "--max-order", "3", "--folds", "3", "--workers",
                          "2", *mode, "--out-dir", str(tmp_path)]) == 0
 
+    def test_usage_runs_no_backoff_lookup(self, tiny, tmp_path, monkeypatch):
+        """The histogram of the table fitted on the corpus is read from positions."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a backoff lookup ran")
+
+        monkeypatch.setattr(ngram, "backoff_usage", refuse)
+        monkeypatch.setattr(ngram, "_backoff", refuse)
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        for save in ([], ["--save-model", str(tmp_path / "model.ngram")]):
+            report = tmp_path / f"ngram-{len(save)}.txt"
+            assert main(["ngram", *corpus, "--max-order", "3", "--folds", "3", "--usage", *save,
+                         "--report", str(report), "--out-dir", str(tmp_path)]) == 0
+            assert "meta.backoff_usage.3" in read_report(report)
+
     def test_eval_reads_an_ngram_table_twice(self, tiny, tmp_path, monkeypatch):
         """Once to load it and once to hash it; its magic is read from six bytes."""
         corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     RefitNGramSpec, actions_pos, columns, corpus_of, mutated, naive_backoff_predict,
-    naive_backoff_usage, naive_gram_counts, per_line_save_table, table_counts,
+    naive_backoff_usage, naive_gram_counts, per_line_save_table, table_counts, two_sort_fit,
 )
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
@@ -249,6 +249,17 @@ class TestSweepAndFiles:
             with pytest.raises(UnfittedModelError, match="n-gram table has no observations"):
                 evaluation.cross_validate(spec, corpus, plan)
 
+    def test_a_sequence_in_no_held_out_fold_trains_every_fold(self):
+        """A hand-made plan may name folds outside 0..k-1: those sequences are
+        scored in no fold and counted in every fold's training."""
+        rng = np.random.default_rng(52)
+        corpus = corpus_of([rng.integers(0, 4, size=12).tolist() for _ in range(6)], 4)
+        plan = evaluation.FoldPlan(k=2, seed=0, assignment={
+            "s0": 0, "s1": 1, "s2": 5, "s3": -1, "s4": 0, "s5": 1})
+        counted, refit = (evaluation.cross_validate_each(spec((2, 3)), corpus, plan, ["2", "3"])
+                          for spec in (ngram.NGramSpec, RefitNGramSpec))
+        assert [r.to_text() for r in counted] == [r.to_text() for r in refit]
+
     def test_model_file_round_trip_and_stability(self, tmp_path):
         rng = np.random.default_rng(51)
         seqs = [rng.integers(0, 5, size=30).tolist() for _ in range(4)]
@@ -400,6 +411,56 @@ def gram_corpora(draw, max_vocab=4000, max_length=40):
     train = draw(st.lists(sequence, min_size=1, max_size=5))
     held_out = draw(st.lists(sequence, min_size=1, max_size=3))
     return vocab_size, max_order, train, held_out
+
+
+@st.composite
+def fit_cases(draw):
+    """(sequences, V, max_order): sequences of 1 to 9 ids from a small pool, V up
+    to the 32-bit limit, and orders up to 12, above every sequence length."""
+    vocab_size = draw(st.one_of(st.integers(1, 50), st.just(2**32)))
+    pool = st.sampled_from(draw(st.lists(st.integers(0, vocab_size - 1), min_size=1,
+                                         max_size=4, unique=True)))
+    rows = draw(st.lists(st.lists(pool, min_size=1, max_size=9), min_size=1, max_size=6))
+    return rows, vocab_size, draw(st.integers(1, 12))
+
+
+class TestDerivations:
+    """What ``fit`` takes from the order below, and the usage read from positions."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    @example(([[A]], 1, 3))  # no scored position
+    @example(([[A], [B]], 2, 1))
+    @example(([[A, B, A], [B]], 2, 12))
+    def test_fitted_usage_is_the_backoff_usage_of_the_fit(self, case):
+        rows, vocab_size, max_order = case
+        corpus = corpus_of(rows, vocab_size)
+        table = ngram.fit(corpus, max_order)
+        assert ngram.fitted_usage(corpus, max_order) == ngram.backoff_usage(table, corpus)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    @example(([[A]], 1, 3))
+    def test_fit_matches_the_two_sort_derivation(self, case):
+        rows, vocab_size, max_order = case
+        corpus = corpus_of(rows, vocab_size)
+        index, oracle_index = {}, {}
+        oracle = two_sort_fit(corpus, max_order, oracle_index)
+        for table in (ngram.fit(corpus, max_order, index), ngram.fit(corpus, max_order)):
+            for k in range(1, max_order + 1):
+                for name in ("contexts", "grams", "counts"):
+                    mine, theirs = getattr(table, name)[k], getattr(oracle, name)[k]
+                    assert mine.dtype == theirs.dtype == np.int64
+                    assert np.array_equal(mine, theirs), (name, k)
+                assert np.array_equal(index[k], oracle_index[k])
+
+    @settings(max_examples=100, deadline=None)
+    @given(fit_cases())
+    def test_contexts_above_order_two_are_grams_of_the_order_below(self, case):
+        rows, vocab_size, max_order = case
+        table = ngram.fit(corpus_of(rows, vocab_size), max_order)
+        for k in range(3, max_order + 1):
+            assert np.isin(table.contexts[k], table.grams[k - 1]).all()
 
 
 def _scratch_file(data: bytes) -> Path:
