@@ -421,39 +421,47 @@ def _add_flag(parser, command: str, name: str, default, required: bool = False) 
         parser.add_argument(flag, type=_kind(default), dest=name, required=required, help=text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand with its name and help, and the flags of
+    ``command`` alone, or of every subcommand when it is None."""
     parser = argparse.ArgumentParser(
         prog="nextaction", description="Next-action prediction pipeline for sequential event logs")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--config", help="key=value generator config")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--report", default=None)
-    p.add_argument("--out-dir", default=".", dest="out_dir")
-    p.set_defaults(func=_cmd_synth)
+    def add(name: str, text: str) -> argparse.ArgumentParser | None:
+        p = commands.add_parser(name, help=text)
+        return p if command in (None, name) else None
 
-    for command, spec in _COMMANDS.items():
-        p = commands.add_parser(command, help=spec.help)
-        for name, default in spec.options.items():
-            _add_flag(p, command, name, default)
-        for name in ("config", "report", *spec.files):
-            _add_flag(p, command, name, str, required=name in _REQUIRED_FILES)
+    if p := add("synth", "generate a synthetic corpus"):
+        p.add_argument("--config", help="key=value generator config")
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--report", default=None)
         p.add_argument("--out-dir", default=".", dest="out_dir")
-        p.set_defaults(func=spec.run)
+        p.set_defaults(func=_cmd_synth)
 
-    p = commands.add_parser("agree", help="2x2 agreement between prediction streams")
-    p.add_argument("a", help="first prediction stream")
-    p.add_argument("b", help="second prediction stream")
-    p.add_argument("--report", default=None)
-    p.add_argument("--out-dir", default=None, dest="out_dir")
-    p.set_defaults(func=_cmd_agree)
+    for name, spec in _COMMANDS.items():
+        if p := add(name, spec.help):
+            for option, default in spec.options.items():
+                _add_flag(p, name, option, default)
+            for option in ("config", "report", *spec.files):
+                _add_flag(p, name, option, str, required=option in _REQUIRED_FILES)
+            p.add_argument("--out-dir", default=".", dest="out_dir")
+            p.set_defaults(func=spec.run)
+
+    if p := add("agree", "2x2 agreement between prediction streams"):
+        p.add_argument("a", help="first prediction stream")
+        p.add_argument("b", help="second prediction stream")
+        p.add_argument("--report", default=None)
+        p.add_argument("--out-dir", default=None, dest="out_dir")
+        p.set_defaults(func=_cmd_agree)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the first word that is not an option names the subcommand; only its flags are built
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

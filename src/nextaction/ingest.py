@@ -9,20 +9,29 @@ lines starting with '#' and blank lines are ignored):
   vocabulary: header '#V=<int> min_count=<int>', then 'token <TAB> id <TAB> count'
               sorted by id; every line, the last included, ends in a line break
 
-The event log is read from disk once.  A log in canonical form is split into
-columns with array operations: no NUL byte, blank lines and '#' lines, and
-records of five non-empty fields, a ``YYYY-MM-DDTHH:MM:SSZ`` stamp, no
-whitespace at a field's edge, no field above ``_MAX_FIELD`` (128) bytes.  Any other
-log, which may use any ISO-8601 stamp, padded fields or bad lines, goes through
-the per-line reader (``iter_events``) over the same bytes, which gives the same
-output for a canonical log and names the first bad line.  The bulk reader
-builds each field's dictionary without sorting bytes: a value is keyed by a
-64-bit mix of its 8-byte words (``_mix``), the keys are made unique, and every
-record's words are checked against those of its key's first record; only when
-two values share a key are that field's values sorted as bytes.  Both readers
-list a field's values in order of first use, code each event's type, page and
-object name alike and feed one action-token rule, one vocabulary rule and one
-encoder.
+The event log is read from disk once, in blocks of whole lines of about
+``_BLOCK`` (256 KiB) bytes, each hashed as it is read, so neither the log nor a
+copy of it is held whole.  Each block is split into columns with array
+operations.  A line in it is *odd* unless it is blank, a '#' line or a record in
+canonical form: no NUL byte, five fields split by four tabs, a
+``YYYY-MM-DDTHH:MM:SSZ`` stamp of a calendar date and time from year 1, no field
+over ``_MAX_FIELD`` (128) bytes, no whitespace at a field's edge, and a student
+and event type that are neither empty nor '-'.  Each odd line costs one parse
+by the per-line rule (``_parse_line``, which ``iter_events`` applies to every
+line): it reads any ISO-8601 stamp and padded fields alike, names a bad line or,
+under "skip", counts it, and its event joins the columns at its place in the
+log.  A line that is not UTF-8 is named once the lines before it are read, so
+the first bad line in file order is the one named.  Each field's values are
+keyed without sorting bytes: a value's key is a 64-bit mix of its 8-byte words
+(``_mix``), the keys are made unique, and every record's words are checked
+against those of its key's first record; only when two values share a key are
+that field's values sorted as bytes.  Students and names enter one dictionary
+each in order of first use over the whole log (student order is corpus order),
+and each event is held as a narrow student code, a time and a narrow token code.
+The peak is then one block's work, a few times the block, or the encoder's few
+int64 columns, so once a log spans a few blocks the traced peak of
+``ingest_files`` stays under the log's bytes plus 20 bytes an event.  One
+action-token rule, one vocabulary rule and one encoder follow.
 
 In memory a corpus is columnar (``Corpus``): one int64 array of every
 sequence's action ids, concatenated in sequence order, and per sequence its
@@ -41,7 +50,6 @@ prediction streams are written and read as whole byte columns with
 """
 
 import hashlib
-import os
 import re
 import struct
 from collections import Counter
@@ -52,7 +60,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError
 
@@ -60,7 +67,8 @@ CORPUS_MAGIC = b"NACT1"
 NUMBER = r"(?:0|[1-9][0-9]{0,17})"  # a canonical decimal below 2**63
 _VOCAB_HEADER = re.compile(rf"#V=({NUMBER}) min_count=({NUMBER})")
 _VOCAB_RECORD = re.compile(rf"([^\t]+)\t({NUMBER})\t({NUMBER})")
-_MAX_FIELD = 128  # bytes; a longer event-log field sends the log to the per-line reader
+_MAX_FIELD = 128  # bytes; a longer event-log field makes its line odd, read by the per-line rule
+_BLOCK = 1 << 18  # bytes of whole event-log lines read and split at a time
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)  # '0' marks a digit
 _STAMP_DIGIT = _STAMP == ord("0")
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -306,12 +314,32 @@ def _check_min_count(min_count: int) -> None:
         raise ConfigError(f"min_count must be >= 1, got {min_count}")
 
 
+def _parse_line(line: str, lineno: int, on_malformed: str, stats: IngestStats) -> Event | None:
+    """The per-line rule: the event of one line of the log, or None for a blank or
+    '#' line and, under "skip", for a bad one; every line is tallied in ``stats``."""
+    stats.total_lines += 1
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        stats.ignored_lines += 1
+        return None
+    try:
+        event = parse_event(line, lineno)
+    except MalformedRecordError:
+        if on_malformed == "abort":
+            raise
+        stats.malformed_lines += 1
+        return None
+    stats.parsed_events += 1
+    return event
+
+
 def iter_events(
     log: bytes,
     on_malformed: str = "abort",
     stats: IngestStats | None = None,
 ) -> Iterator[Event]:
-    """Yield the events of an event log held in memory, one line at a time.
+    """Yield the events of an event log held in memory, every line through the
+    per-line rule.
 
     ``on_malformed`` is either "abort" (raise on the first bad line) or
     "skip" (count it and continue).  A line that is not UTF-8 raises
@@ -320,20 +348,9 @@ def iter_events(
     _check_on_malformed(on_malformed)
     stats = stats if stats is not None else IngestStats()
     for lineno, line in text_lines(bytes(log)):
-        stats.total_lines += 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            stats.ignored_lines += 1
-            continue
-        try:
-            event = parse_event(line, lineno)
-        except MalformedRecordError:
-            if on_malformed == "abort":
-                raise
-            stats.malformed_lines += 1
-            continue
-        stats.parsed_events += 1
-        yield event
+        event = _parse_line(line, lineno, on_malformed, stats)
+        if event is not None:
+            yield event
 
 
 def _action_token(names: dict[str, int], event, page, obj) -> np.ndarray:
@@ -345,34 +362,27 @@ def _action_token(names: dict[str, int], event, page, obj) -> np.ndarray:
     return np.where(check, obj, np.where(page >= 0, page, event))
 
 
-def _line_columns(events: Iterable[Event]) -> EventColumns:
-    """The per-line reader's events as columns."""
-    students: dict[str, int] = {}
-    names: dict[str, int] = {}
-    student, time, fields = [], [], []
-    for stamp, student_id, *raw in events:
-        student.append(students.setdefault(student_id, len(students)))
-        time.append((stamp - _EPOCH) // _MICROSECOND)
-        fields.extend(-1 if name is None else names.setdefault(name, len(names)) for name in raw)
-    event, page, obj = np.array(fields, dtype=np.int64).reshape(-1, 3).T
-    return EventColumns(
-        list(students), np.array(student, dtype=np.int64), np.array(time, dtype=np.int64),
-        list(names), _action_token(names, event, page, obj),
-    )
-
-
-def _read_log(path: str | Path) -> tuple[np.ndarray, int]:
-    """A file's bytes at the head of a uint8 array, with ``_MAX_FIELD`` zero bytes
-    after them so that a field window from any line stays inside; and their count."""
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        buf = np.zeros(size + _MAX_FIELD, dtype=np.uint8)
-        size = handle.readinto(memoryview(buf)[:size])
-        rest = handle.read()  # what a pipe, which reports size 0, or a growing file holds
-    if rest:
-        buf = np.concatenate((buf[:size], np.frombuffer(rest, np.uint8), buf[size:]))
-        size += len(rest)
-    return buf, size
+def _blocks(handle, digest) -> Iterator[tuple[bytearray, int]]:
+    """The whole lines of an open file, about ``_BLOCK`` bytes of them at a time, at
+    the head of a buffer with at least ``_MAX_FIELD`` bytes after them so that a field
+    window from any line stays inside; and their count.  Only the last block may
+    lack a final newline.  The buffer is reused, so a block is gone once the next
+    is asked for.  ``digest`` takes every byte read, in order."""
+    buf, held, more = bytearray(_BLOCK + _MAX_FIELD), 0, True
+    while more:
+        size = held  # the bytes of a partial line carried from the last block come first
+        with memoryview(buf) as view:
+            while more and size < len(buf) - _MAX_FIELD:
+                got = handle.readinto(view[size : len(buf) - _MAX_FIELD])
+                digest.update(view[size : size + got])
+                size, more = size + got, got > 0
+        cut = buf.rfind(b"\n", held, size) + 1 if more else size
+        if cut:
+            yield buf, cut
+            held = size - cut
+            buf[:held] = buf[cut:size]
+        elif more:  # one line fills the buffer: double it
+            buf, held = buf + bytes(len(buf)), size
 
 
 def _mix(key: np.ndarray, word: np.ndarray) -> np.ndarray:
@@ -383,119 +393,214 @@ def _mix(key: np.ndarray, word: np.ndarray) -> np.ndarray:
     return key
 
 
+def _rows(buf: np.ndarray, span: int) -> np.ndarray:
+    """The ``span`` bytes of ``buf`` from each index, a view of ``buf``."""
+    return np.ndarray((len(buf) - span + 1, span), np.uint8, buf, 0, (1, 1))
+
+
 def _windows(buf: np.ndarray, at: np.ndarray, width: np.ndarray, span: int) -> np.ndarray:
     """The ``span`` bytes of ``buf`` from each index in ``at``, those from ``width`` on
     set to NUL (which a bytes value drops at its end)."""
-    rows = sliding_window_view(buf, span)[at]
+    rows = _rows(buf, span)[at]
     rows[np.arange(span) >= width[:, None]] = 0
     return rows
 
 
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct key's first record, in order of first use, and
+    each record's index into them."""
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[codes]
+
+
+# the low n bytes of a word for n in 0..8, then zeros, which a negative n up to
+# -_MAX_FIELD indexes from the end
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)] + [0] * _MAX_FIELD, dtype=np.uint64)
 
 
 def _field(
     buf: np.ndarray, left: np.ndarray, right: np.ndarray
-) -> tuple[list[str], np.ndarray] | None:
-    """The distinct values of one field, the bytes from ``left`` up to ``right`` in
-    each record, in order of first use, and each record's index into them.  None
-    when a value is empty, wider than ``_MAX_FIELD`` bytes or has whitespace at
-    an edge, which the per-line reader strips.
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct values of one field, the at most ``_MAX_FIELD`` bytes from ``left``
+    up to ``right`` in each record, in order of first use; each record's index into
+    them; and the record of each value's first use.
 
     A value's key mixes its 8-byte words, NUL past its end; every record's words
     are then checked against those of its key's first record, and only when two
     values share a key are the values sorted as bytes."""
     width = right - left
     widest = int(width.max(initial=1))
-    if width.min(initial=1) < 1 or widest > _MAX_FIELD:
-        return None
     unaligned = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each index
 
-    def word(at: int) -> np.ndarray:
-        return unaligned[left + at] & _LOW_BYTES[np.clip(width - at, 0, 8)]
-
+    words = [unaligned[left + at] & _LOW_BYTES[np.minimum(width - at, 8)]
+             for at in range(0, widest, 8)]
     key = np.zeros(len(left), dtype=np.uint64)
-    for at in range(0, widest, 8):
-        _mix(key, word(at))
-    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    for word in words:
+        _mix(key, word)
+    first, codes = _first_use(key)
     del key
-    if any((w != w[first][codes]).any() for w in map(word, range(0, widest, 8))):
-        _, first, codes = np.unique(_windows(buf, left, width, widest).view(f"S{widest}")[:, 0],
-                                    return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    first = first[order]
+    if any((word != word[first][codes]).any() for word in words):
+        first, codes = _first_use(_windows(buf, left, width, widest).view(f"S{widest}")[:, 0])
     distinct = _windows(buf, left[first], width[first], widest).view(f"S{widest}")[:, 0]
-    names = [value.decode("utf-8") for value in distinct.tolist()]
-    if any(name != name.strip() for name in names):
-        return None
-    return names, rank[codes]
+    return [value.decode("utf-8") for value in distinct.tolist()], codes, first
 
 
-def _bulk_columns(buf: np.ndarray, size: int, stats: IngestStats) -> EventColumns | None:
-    """Split a log in canonical form (see the module docstring) into columns with
-    array operations; for any other log return None and leave ``stats`` as it was."""
-    data = buf[:size]
-    if size and data.min() == 0:  # a bytes value would drop trailing NULs
-        return None
-    if size and data.max() >= 0x80:
-        try:
-            str(memoryview(data), "utf-8")
-        except UnicodeDecodeError:
-            return None
-    ends = np.flatnonzero(data == ord("\n"))
-    if size and data[-1] != ord("\n"):
+# by a stamp's two-digit month: its days in a common year (0 for no month), and the days before it
+_MONTH_DAYS = np.zeros(256, dtype=np.uint8)
+_MONTH_DAYS[1:13] = 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31
+_MONTH_START = np.zeros(256, dtype=np.int16)
+_MONTH_START[1:13] = np.cumsum(_MONTH_DAYS[:12])
+_EPOCH_DAYS = 719_162  # days from 0001-01-01 to 1970-01-01
+
+
+def _stamp_times(buf: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The UTC time in microseconds of the ``YYYY-MM-DDTHH:MM:SSZ`` stamp at each index
+    in ``at``, and whether it is one: a year from 1, a date of the calendar and a
+    time of day, as ``datetime.fromisoformat`` reads them.  Any other time is
+    meaningless."""
+    stamps = _rows(buf, len(_STAMP))[at]
+    valid = (stamps[:, ~_STAMP_DIGIT] == _STAMP[~_STAMP_DIGIT]).all(axis=1)
+    digits = stamps[:, _STAMP_DIGIT] - np.uint8(ord("0"))  # uint8: bytes below '0' wrap
+    valid &= (digits <= 9).all(axis=1)
+    century, year, month, day, hour, minute, second = (
+        digits[:, ::2] * np.uint8(10) + digits[:, 1::2]).T
+    # a year is leap when 4 divides it, or for a century year, when 400 does
+    leap = np.where(year == 0, century, year) % 4 == 0
+    valid &= (((century > 0) | (year > 0)) & (day >= 1)
+              & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
+              & (hour < 24) & (minute < 60) & (second < 60))
+    before = century.astype(np.int32) * 100 + year - 1  # whole years since 0001-01-01
+    days = (before * 365 + before // 4 - before // 100 + before // 400 - _EPOCH_DAYS
+            + _MONTH_START[month] + (leap & (month > 2)) + day - 1)
+    return (((days.astype(np.int64) * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000, valid
+
+
+_ABSENT = (None, "", "-")  # an absent page or object name; as a student or event type, a bad line
+
+
+def _canonical_records(data: np.ndarray, size: int):
+    """The structural index of the whole lines ``data[:size]``, each line's end and
+    start; its records, the lines that are neither blank nor '#' lines; the records
+    in canonical form, their times, and each field's values (see ``_field``)."""
+    ends = np.flatnonzero(data[:size] == ord("\n"))
+    if size and data[size - 1] != ord("\n"):
         ends = np.append(ends, size)
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
-    records = (ends > starts) & (buf[starts] != ord("#"))
-    lines, starts, ends = len(ends), starts[records], ends[records]
-    del records
-    tabs = np.flatnonzero(data == ord("\t"))
-    first_tab = np.searchsorted(tabs, starts)
-    if (np.searchsorted(tabs, ends) - first_tab != 4).any():
-        return None
+    records = np.flatnonzero((ends > starts) & (data[starts] != ord("#")))
+    canonical = np.ones(len(records), dtype=bool)
+    if data[:size].min(initial=1) == 0:  # a bytes value would drop a trailing NUL
+        canonical[np.isin(records, np.searchsorted(ends, np.flatnonzero(data[:size] == 0)))] = False
+    tabs = np.flatnonzero(data[:size] == ord("\t"))
+    first_tab = np.searchsorted(tabs, starts[records])
+    canonical &= np.searchsorted(tabs, ends[records]) - first_tab == 4
+    keep, first_tab = records[canonical], first_tab[canonical]
     # each record's line start, four tabs and line end; field k lies between edges k and k+1
-    edges = [starts, *(tabs[first_tab + j] for j in range(4)), ends]
-    del starts, ends, tabs, first_tab
+    edges = [starts[keep], *(tabs[first_tab + j] for j in range(4)), ends[keep]]
+    del tabs, first_tab
+    time, canonical = _stamp_times(data, edges[0])
+    canonical &= edges[1] - edges[0] == len(_STAMP)
+    for k in (1, 2, 3, 4):
+        canonical &= edges[k + 1] - edges[k] <= _MAX_FIELD + 1
+    keep, time = keep[canonical], time[canonical]
+    fields = [_field(data, edges[k][canonical] + 1, edges[k + 1][canonical]) for k in (1, 2, 3, 4)]
+    del edges
+    # a value with whitespace at an edge, which the per-line rule strips, or a missing
+    # student or event type, makes its records odd
+    canonical = ~np.any([np.array([value != value.strip() or k < 2 and value in _ABSENT
+                                   for value in values], dtype=bool)[codes]
+                         for k, (values, codes, _) in enumerate(fields)], axis=0)
+    if not canonical.all():
+        keep, time = keep[canonical], time[canonical]
+        for k, (values, codes, _) in enumerate(fields):
+            codes = codes[canonical]
+            first, ranks = _first_use(codes)
+            fields[k] = [values[i] for i in codes[first]], ranks, first
+    return ends, starts, records, keep, time, fields
 
-    if (edges[1] - edges[0] != len(_STAMP)).any():
-        return None
-    stamps = sliding_window_view(buf, len(_STAMP))[edges[0]]
-    if ((stamps[:, _STAMP_DIGIT] - ord("0") > 9).any()  # uint8: bytes below '0' wrap
-            or (stamps[:, ~_STAMP_DIGIT] != _STAMP[~_STAMP_DIGIT]).any()
-            or (stamps[:, :4] == ord("0")).all(axis=1).any()):  # fromisoformat refuses year 0
-        return None
-    stamps[:, -1] = 0  # the Z
-    try:
-        time = stamps.view(f"S{len(_STAMP)}")[:, 0].astype("datetime64[s]").astype(np.int64)
-    except ValueError:  # a day, hour, minute or second out of range
-        return None
-    del stamps
-    time *= 1_000_000
 
-    fields = []
-    for column in (1, 2, 3, 4):
-        edges[column - 1] = None  # no later field reads it
-        field = _field(buf, edges[column] + 1, edges[column + 1])
-        if field is None or column in (1, 2) and "-" in field[0]:
-            return None
-        fields.append(field)
-    (students, student), *token_fields = fields
+def _block_columns(
+    buf: bytearray, size: int, lineno: int, on_malformed: str, stats: IngestStats,
+    students: dict[str, int], names: dict[str, int],
+) -> tuple[int, list[np.ndarray]]:
+    """The line count and the event columns (student, time, token) of the whole lines
+    ``buf[:size]``, the first of them line ``lineno + 1`` of the log: records in
+    canonical form split with array operations, each odd line through the per-line
+    rule, and every value keyed into ``students`` or ``names`` at its first use."""
+    ends, starts, records, keep, time, fields = _canonical_records(
+        np.frombuffer(buf, dtype=np.uint8), size)
+    kept = np.zeros(len(ends), dtype=bool)
+    kept[keep] = True
+    odd = records[~kept[records]]
+    stats.total_lines += len(ends) - len(odd)
+    stats.ignored_lines += len(ends) - len(records)
+    stats.parsed_events += len(keep)
+    events = []
+    for line in odd.tolist():
+        event = _parse_line(str(memoryview(buf)[starts[line] : ends[line]], "utf-8"),
+                            lineno + line + 1, on_malformed, stats)
+        if event is not None:
+            events.append((line, event))
 
+    # each field's canonical values, then its value in each odd event; keyed in
+    # order of first use: by line, then field by field within a line
+    at = np.concatenate((keep, np.array([line for line, _ in events], dtype=np.int64)))
+    values = [values + [event[k] for _, event in events] for k, (values, _, _) in
+              enumerate(fields, 1)]
+    codes = [np.concatenate((codes, len(fields[k][0]) + np.arange(len(events))))
+             for k, (_, codes, _) in enumerate(fields)]
+    first_use = [at[np.concatenate((first, np.arange(len(keep), len(at))))]
+                 for _, _, first in fields]
+    for dictionary, columns in ((students, (0,)), (names, (1, 2, 3))):
+        for *_, value in sorted((line, k, value) for k in columns
+                                for line, value in zip(first_use[k].tolist(), values[k])
+                                if value not in _ABSENT):
+            dictionary.setdefault(value, len(dictionary))
+    student, event, page, obj = (
+        np.array([-1 if value in _ABSENT else (names if k else students)[value]
+                  for value in values[k]], dtype=np.int64)[codes[k]] for k in range(4))
+    time = np.concatenate((time, np.array([(event[0] - _EPOCH) // _MICROSECOND
+                                           for _, event in events], dtype=np.int64)))
+    if events:  # into log order
+        order = np.argsort(at, kind="stable")
+        student, time, event, page, obj = (c[order] for c in (student, time, event, page, obj))
+    token = _action_token(names, event, page, obj)
+    return len(ends), [student.astype(np.min_scalar_type(len(students))), time,
+                       token.astype(np.min_scalar_type(len(names)))]
+
+
+def _read_events(handle, on_malformed: str, stats: IngestStats, digest) -> EventColumns:
+    """The events of an open event log as columns, read a block of whole lines at a
+    time (see the module docstring); ``digest`` takes every byte read."""
+    students: dict[str, int] = {}
     names: dict[str, int] = {}
-    event, page, obj = (
-        np.array([-1 if value == "-" else names.setdefault(value, len(names)) for value in values],
-                 dtype=np.int64)[codes]
-        for values, codes in token_fields
-    )
+    parts: tuple[list, list, list] = ([], [], [])
+    lines = 0
+    for buf, size in _blocks(handle, digest):
+        end = size
+        if np.frombuffer(buf, dtype=np.uint8)[:size].max(initial=0) >= 0x80:
+            try:
+                str(memoryview(buf)[:size], "utf-8")
+            except UnicodeDecodeError as exc:  # read the lines before the first bad one
+                end = buf.rfind(b"\n", 0, exc.start) + 1
+        block_lines, columns = _block_columns(buf, end, lines, on_malformed, stats,
+                                              students, names)
+        lines += block_lines
+        for part, column in zip(parts, columns):
+            part.append(column)
+        if end < size:
+            raise MalformedRecordError(lines + 1, "not UTF-8")
 
-    stats.total_lines += lines
-    stats.ignored_lines += lines - len(time)
-    stats.parsed_events += len(time)
-    return EventColumns(students, student, time, list(names),
-                        _action_token(names, event, page, obj))
+    def joined(part: list) -> np.ndarray:  # each column's blocks go as it is joined
+        column = np.concatenate(part) if part else np.zeros(0, dtype=np.int64)
+        part.clear()
+        return column
+
+    student, time, token = map(joined, parts)
+    return EventColumns(list(students), student, time, list(names), token)
 
 
 def build_vocabulary(tokens: Iterable[str] | Mapping[str, int], min_count: int = 1) -> Vocabulary:
@@ -554,20 +659,17 @@ def ingest_files(
     on_malformed: str = "abort",
     sha256: dict[str, str] | None = None,
 ) -> tuple[Corpus, IngestStats]:
-    """Full ingestion from one read of each input: a log in canonical form is split
-    into columns in bulk, any other goes through the per-line reader.  A given
-    ``sha256`` dict receives the SHA-256 of the bytes read, under "events" and
-    "roster"."""
+    """Full ingestion from one read of each input, the event log a block of whole
+    lines at a time.  A given ``sha256`` dict receives the SHA-256 of the bytes
+    read, under "events" and "roster"."""
     _check_min_count(min_count)
     _check_on_malformed(on_malformed)
     sha256 = {} if sha256 is None else sha256
     stats = IngestStats()
-    buf, size = _read_log(events_path)
-    sha256["events"] = hashlib.sha256(memoryview(buf)[:size]).hexdigest()
-    columns = _bulk_columns(buf, size, stats)
-    if columns is None:
-        columns = _line_columns(iter_events(memoryview(buf)[:size], on_malformed, stats))
-    del buf
+    digest = hashlib.sha256()
+    with open(events_path, "rb") as handle:
+        columns = _read_events(handle, on_malformed, stats, digest)
+    sha256["events"] = digest.hexdigest()
     counts = np.bincount(columns.token, minlength=len(columns.tokens)).tolist()
     vocab = build_vocabulary(dict(zip(columns.tokens, counts)), min_count=min_count)
     roster = Path(roster_path).read_bytes()

@@ -101,7 +101,12 @@ class NGramTable:
         self.counts = counts or {k: _EMPTY for k in orders}
         self.first = {k: np.searchsorted(self.grams[k] // vocab_size,
                                          np.arange(len(self.contexts[k]) + 1)) for k in orders}
-        self.continuations = {k: _Continuations(self, k) for k in orders}
+
+    @property
+    def continuations(self) -> dict[int, _Continuations]:
+        """Each order's read-only view, made on each access: a table that held views
+        of itself would be a reference cycle, freed only by the cyclic collector."""
+        return {k: _Continuations(self, k) for k in range(1, self.max_order + 1)}
 
     @cached_property
     def best(self) -> dict[int, np.ndarray]:

@@ -12,7 +12,8 @@ time instead of as columns, stream and n-gram table files written one
 f-string per record instead of as byte columns, n-gram cross-validation
 by one table fitted per fold instead of by one count of the whole corpus,
 n-gram contexts by a second sort per order instead of from the grams of the
-order below,
+order below, event logs through the per-line rule on every line instead of in
+blocks of array operations,
 and corpus subsets, splits and training windows one row at a time instead
 of by gathers over the columns, so they can serve as a second opinion.  The batched LSTM kernel is
 also kept here as it was before its step buffers, as a byte-for-byte oracle.
@@ -21,6 +22,7 @@ also kept here as it was before its step buffers, as a byte-for-byte oracle.
 import re
 from collections import Counter
 from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
-from nextaction import ngram
+from nextaction import ingest, ngram
 from nextaction.evaluation import AgreementTable
 from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, read_lines
 from nextaction.lstm import (
@@ -354,6 +356,33 @@ def corpus_of(rows, vocab_size=None, vocabulary=None):
         np.array([row.student_id for row in rows], dtype=object),
         np.array([row.certified for row in rows], dtype=bool),
     )
+
+
+def per_line_columns(log: bytes, on_malformed: str, stats) -> ingest.EventColumns:
+    """The event columns of a whole log, every line through ``ingest.iter_events``:
+    each value is coded at its first use, in log order, field after field."""
+    students: dict[str, int] = {}
+    names: dict[str, int] = {}
+    student, time, fields = [], [], []
+    for stamp, student_id, *raw in ingest.iter_events(log, on_malformed, stats):
+        student.append(students.setdefault(student_id, len(students)))
+        time.append((stamp - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1))
+        fields.extend(-1 if name is None else names.setdefault(name, len(names)) for name in raw)
+    event, page, obj = np.array(fields, dtype=np.int64).reshape(-1, 3).T
+    return ingest.EventColumns(
+        list(students), np.array(student, dtype=np.int64), np.array(time, dtype=np.int64),
+        list(names), ingest._action_token(names, event, page, obj),
+    )
+
+
+def per_line_ingest(events_path, roster_path, min_count, on_malformed="abort"):
+    """``ingest.ingest_files`` with the log read whole through ``per_line_columns``."""
+    stats = ingest.IngestStats()
+    columns = per_line_columns(Path(events_path).read_bytes(), on_malformed, stats)
+    counts = np.bincount(columns.token, minlength=len(columns.tokens)).tolist()
+    vocab = ingest.build_vocabulary(dict(zip(columns.tokens, counts)), min_count)
+    roster = ingest.parse_roster(Path(roster_path).read_bytes())
+    return ingest.encode_corpus(columns, vocab, roster, stats), stats
 
 
 def actions_pos(sequences):

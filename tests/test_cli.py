@@ -1102,6 +1102,31 @@ class TestOptionSurface:
             assert {a.dest: a.default for a in actions if a.default is not None} == (
                 {} if command == "agree" else {"out_dir": "."})
 
+    @pytest.mark.parametrize("command", list(SURFACE))
+    def test_one_subcommand_parser_helps_as_the_full_one(self, command, capsys):
+        """``build_parser(command)`` lists every subcommand and prints the full
+        parser's help, at the top level and for ``command``, with no flag of
+        another subcommand built."""
+        helps = []
+        for parser in (build_parser(), build_parser(command)):
+            for argv in (["--help"], [command, "--help"]):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+                helps.append(capsys.readouterr().out)
+        assert helps[:2] == helps[2:]
+        (commands,) = [action.choices for action in build_parser(command)._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert list(commands) == list(SURFACE)
+        assert [name for name, p in commands.items() if len(p._actions) > 1] == [command]
+
+    def test_main_builds_the_flags_of_its_subcommand_only(self, monkeypatch, capsys):
+        built, real = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or real(command))
+        assert main(["eval", "--help"]) == 0
+        assert main(["--help"]) == 0
+        assert built == ["eval", ""]
+
     @pytest.mark.parametrize("case", list(ECHOED))
     def test_reports_echo_the_defaults(self, tiny, argv_inputs, tmp_path, case):
         argv, echoed = ECHOED[case]

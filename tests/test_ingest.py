@@ -1,9 +1,11 @@
 import builtins
+import hashlib
 import io
 import os
 import tempfile
 import threading
-from datetime import datetime
+import tracemalloc
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    corpus_of, mutated, per_row_filter_cohort, per_row_hill_climb_split, per_row_windows,
+    corpus_of, mutated, per_line_columns, per_line_ingest, per_row_filter_cohort,
+    per_row_hill_climb_split, per_row_windows,
 )
 from nextaction import evaluation, ingest, lstm, synth
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
@@ -191,18 +194,18 @@ class TestEncodeCorpus:
         assert stats.malformed_lines == 1
         assert corpus.total_actions == 1
 
-    @pytest.mark.parametrize("last, on_malformed, passes, counts", [
+    @pytest.mark.parametrize("last, on_malformed, parses, counts", [
         ("2013-03-01T10:00:02Z\ts1\tview\ta\t-", "abort", 0, (3, 3, 3)),
         ("2013-03-01T11:00:02+01:00\ts1\tview\ta\t-", "abort", 1, (3, 3, 3)),
         ("broken line", "skip", 1, (3, 2, 2)),
     ], ids=["canonical", "offset-stamp", "skip-bad-line"])
-    def test_log_is_read_once(self, tmp_path, monkeypatch, last, on_malformed, passes, counts):
-        """The log is opened once on either reader; only a log that is not in
-        canonical form goes through the per-line ``iter_events``."""
+    def test_log_is_read_once(self, tmp_path, monkeypatch, last, on_malformed, parses, counts):
+        """The log is opened once, and only its odd lines go through the per-line
+        rule, once each: none of a log in canonical form."""
         log = make_log(tmp_path, ["2013-03-01T10:00:00Z\ts1\tview\ta\t-"] * 2 + [last])
         roster = make_roster(tmp_path, [("s1", True)])
         opened, calls = [], []
-        real_open, read = io.open, ingest.iter_events
+        real_open, parse = io.open, ingest._parse_line
 
         def spy_open(file, *args, **kwargs):
             opened.append(file)
@@ -210,10 +213,10 @@ class TestEncodeCorpus:
 
         for owner in (builtins, io):
             monkeypatch.setattr(owner, "open", spy_open)
-        monkeypatch.setattr(ingest, "iter_events", lambda *a: calls.append(a) or read(*a))
+        monkeypatch.setattr(ingest, "_parse_line", lambda *a: calls.append(a) or parse(*a))
         corpus, stats = ingest.ingest_files(log, roster, min_count=1, on_malformed=on_malformed)
         assert [Path(f) for f in opened].count(log) == 1
-        assert len(calls) == passes
+        assert len(calls) == parses
         assert (stats.total_lines, stats.parsed_events, corpus.total_actions) == counts
 
     def test_log_from_a_pipe(self, tmp_path):
@@ -240,6 +243,22 @@ class TestEncodeCorpus:
         missing = tmp_path / "absent.tsv"
         with pytest.raises(ConfigError):
             ingest.ingest_files(missing, missing, **{"min_count": 1, **options})
+
+
+class TestBoundedMemory:
+    def test_peak_stays_under_the_log_and_twenty_bytes_an_event(self, tmp_path):
+        """The log is read in blocks, so ingest never holds it whole, nor a copy of it:
+        its traced peak stays under the log's bytes plus 20 bytes an event."""
+        out = synth.generate(synth.SynthConfig(students_certified=340, students_uncertified=160,
+                                               mean_sequence_length=40, seed=7), tmp_path)
+        tracemalloc.start()
+        try:
+            corpus, stats = ingest.ingest_files(out.events_path, out.roster_path, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 19_000 < stats.parsed_events == corpus.total_actions < 21_000
+        assert peak < out.events_path.stat().st_size + 20 * stats.parsed_events
 
 
 class TestHostileText:
@@ -644,25 +663,50 @@ LOG_EDITS = {
 }
 
 
-def _ingest(log, roster, min_count, on_malformed):
+def _ingest(log, roster, min_count, on_malformed, read=ingest.ingest_files):
     """(vocabulary, sequences, stats) of one ingest, or the refusal's (line, reason)."""
     try:
-        corpus, stats = ingest.ingest_files(log, roster, min_count, on_malformed)
+        corpus, stats = read(log, roster, min_count, on_malformed)
     except MalformedRecordError as exc:
         return exc.lineno, exc.reason
     return corpus.vocabulary, corpus.sequences, stats
+
+
+def _counting_parses(log, roster, min_count, on_malformed):
+    """``_ingest`` of the block reader, and the numbers of the lines that it sent
+    through the per-line rule, in the order it did."""
+    parsed, parse = [], ingest._parse_line
+    with mock.patch.object(ingest, "_parse_line",
+                           lambda line, lineno, *a: parsed.append(lineno) or parse(line, lineno, *a)):
+        return _ingest(log, roster, min_count, on_malformed), parsed
+
+
+def _columns(log, on_malformed, per_line=False):
+    """The event columns and stats of one log, or the refusal's (line, reason)."""
+    stats = ingest.IngestStats()
+    try:
+        if per_line:
+            columns = per_line_columns(log.read_bytes(), on_malformed, stats)
+        else:
+            with open(log, "rb") as handle:
+                columns = ingest._read_events(handle, on_malformed, stats, hashlib.sha256())
+    except MalformedRecordError as exc:
+        return exc.lineno, exc.reason
+    return (columns.students, columns.student.tolist(), columns.time.tolist(), columns.tokens,
+            columns.token.tolist(), stats)
 
 
 class TestReadersAgree:
     @settings(max_examples=300, deadline=None)
     @given(canonical_logs(), st.sampled_from([None, *RECORD_EDITS]),
            st.sampled_from(list(LOG_EDITS)), st.integers(1, 3), st.sampled_from(["abort", "skip"]),
-           st.data())
+           st.sampled_from([16, 64, 1 << 18]), st.data())
     def test_bulk_reader_matches_per_line_reader(self, lines, record_edit, log_edit, min_count,
-                                                 on_malformed, data):
-        """On canonical logs and corruptions of them, ingest gives what the per-line
-        reader alone gives: the same vocabulary, sequences and stats, or the same
-        refusal; and it reads an uncorrupted canonical log in bulk."""
+                                                 on_malformed, block, data):
+        """On canonical logs and corruptions of them, read in blocks of a line or a
+        few or whole, ingest gives what the per-line reader alone gives: the same
+        event columns, vocabulary, sequences and stats, or the same refusal; and of
+        a log in canonical form it parses no line one at a time."""
         records = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
         if record_edit is not None and records:
             at = data.draw(st.sampled_from(records))
@@ -672,22 +716,69 @@ class TestReadersAgree:
             log = Path(root) / "events.tsv"
             log.write_bytes(blob)
             roster = make_roster(Path(root), [("s1", True), ("é3", False)])
-            bulk = ingest._bulk_columns
-            accepted = []
-            with mock.patch.object(ingest, "_bulk_columns",
-                                   lambda *a: accepted.append(bulk(*a)) or accepted[-1]):
-                got = _ingest(log, roster, min_count, on_malformed)
-            with mock.patch.object(ingest, "_bulk_columns", lambda *a: None):
-                want = _ingest(log, roster, min_count, on_malformed)
-        assert got == want
-        if record_edit is None and log_edit in ("none", "no-final-newline"):
-            assert accepted[0] is not None
+            with mock.patch.object(ingest, "_BLOCK", block):
+                got, parsed = _counting_parses(log, roster, min_count, on_malformed)
+                assert _columns(log, on_malformed) == _columns(log, on_malformed, per_line=True)
+            assert got == _ingest(log, roster, min_count, on_malformed, per_line_ingest)
+        if log_edit in ("none", "no-final-newline"):
+            assert len(parsed) == (record_edit is not None and len(records) > 0)
+
+
+@pytest.fixture(scope="module")
+def course_log(tmp_path_factory):
+    """The lines of a synthetic log in canonical form of about 2,000 events, and its roster."""
+    out = synth.generate(synth.SynthConfig(vocab_size=16, syllabus_length=8, students_certified=40,
+                                           students_uncertified=10, mean_sequence_length=40,
+                                           seed=5), tmp_path_factory.mktemp("course"))
+    return out.events_path.read_text(encoding="utf-8").splitlines(), out.roster_path
+
+
+class TestOddLines:
+    @pytest.mark.parametrize("kind", RECORD_EDITS)
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_one_odd_line_costs_one_per_line_parse(self, course_log, kind, data):
+        """One odd line in the middle of a long canonical log is the only line parsed
+        one at a time, and ingest gives what the per-line reader gives."""
+        lines, roster = course_log
+        at = len(lines) // 2
+        assert len(lines) > 1_900 and not lines[at].startswith("#")
+        odd = "\t".join(RECORD_EDITS[kind](lines[at].split("\t"), data.draw))
+        with tempfile.TemporaryDirectory() as root:
+            log = Path(root) / "events.tsv"
+            log.write_text("".join(line + "\n" for line in lines[:at] + [odd] + lines[at + 1:]),
+                           encoding="utf-8")
+            for on_malformed in ("skip", "abort"):
+                got, parsed = _counting_parses(log, roster, 1, on_malformed)
+                assert parsed == [at + 1]
+                assert got == _ingest(log, roster, 1, on_malformed, per_line_ingest)
+
+
+class TestStamps:
+    def test_canonical_stamps_read_as_fromisoformat_reads_them(self):
+        """A stamp of the canonical shape is read to the time that fromisoformat
+        gives it, or refused where fromisoformat refuses it: leap days, month ends,
+        century years, year 0000 and times past 23:59:59 included."""
+        texts = [f"{y:04d}-{m:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}Z"
+                 for y in (0, 1, 4, 100, 400, 1900, 1969, 1970, 2000, 2012, 2013, 2100, 9999)
+                 for m in range(14) for d in (0, 1, 28, 29, 30, 31, 32)
+                 for h, mi, s in ((0, 0, 0), (23, 59, 59), (24, 0, 0), (0, 60, 0), (0, 0, 60))]
+        buf = np.frombuffer("".join(texts).encode() + bytes(64), dtype=np.uint8)
+        time, valid = ingest._stamp_times(buf, np.arange(len(texts)) * 20)
+        epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+        for text, got, ok in zip(texts, time.tolist(), valid.tolist()):
+            try:
+                want = (datetime.fromisoformat(text[:-1] + "+00:00") - epoch) // timedelta(
+                    microseconds=1)
+            except ValueError:
+                want = None
+            assert (got if ok else None) == want, text
 
 
 class TestFieldKeys:
     def bulk(self, log):
-        buf, size = ingest._read_log(log)
-        columns = ingest._bulk_columns(buf, size, ingest.IngestStats())
+        with open(log, "rb") as handle:
+            columns = ingest._read_events(handle, "abort", ingest.IngestStats(), hashlib.sha256())
         return (columns.students, columns.student.tolist(), columns.time.tolist(),
                 columns.tokens, columns.token.tolist())
 

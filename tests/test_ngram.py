@@ -1,4 +1,6 @@
+import gc
 import tempfile
+import weakref
 from itertools import permutations
 from pathlib import Path
 
@@ -40,6 +42,20 @@ class TestFit:
             for ctx, counter in one.continuations[order].items():
                 for nxt, count in counter.items():
                     assert two[order][ctx][nxt] == 2 * count
+
+    def test_a_table_is_freed_once_unreachable(self):
+        """A table holds no reference to itself, so its arrays go when its last
+        reference does, without waiting for the cyclic collector."""
+        table = ngram.fit(corpus_of([[A, B, A, B]], 3), max_order=3)
+        assert len(table.continuations[2]) == 2
+        table.best  # the lookup arrays, cached on the table
+        freed = weakref.ref(table)
+        gc.disable()
+        try:
+            del table
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_invalid_order(self):
         with pytest.raises(ConfigError):
