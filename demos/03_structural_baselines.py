@@ -18,7 +18,7 @@ outputs = synth.generate(config, out_dir)
 corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_count=40)
 certified = ingest.filter_cohort(corpus, certified=True)
 
-syllabus = baselines.load_syllabus(outputs.syllabus_path, corpus.vocabulary)
+syllabus = baselines.load_syllabus(outputs.syllabus_path.read_bytes(), corpus.vocabulary)
 print(f"course order: {syllabus.coverage} items matched, {len(syllabus.unmatched)} unmatched")
 
 plan = evaluation.make_folds(certified.students, 5, seed=11)

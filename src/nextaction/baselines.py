@@ -11,13 +11,12 @@ total by falling back to repeat in exactly those cases.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DuplicateItemError, NextactionError
-from .ingest import Vocabulary, action_array, read_lines
+from .ingest import Vocabulary, action_array, text_lines
 
 NO_PREDICTION = -1  # sentinel id; never matches a real action
 
@@ -38,12 +37,13 @@ class SyllabusMap:
     unmatched: list[str]
 
 
-def load_syllabus(path: str | Path, vocab: Vocabulary) -> SyllabusMap:
-    """Read one token per line (course order) and resolve against the vocabulary."""
+def load_syllabus(blob: bytes, vocab: Vocabulary) -> SyllabusMap:
+    """Parse a course-order file's bytes, one token per line, and resolve each
+    token against the vocabulary."""
     seen: set[str] = set()
     items: list[int] = []
     unmatched: list[str] = []
-    for lineno, line in read_lines(path):
+    for lineno, line in text_lines(blob):
         token = line.strip()
         if not token or token.startswith("#"):
             continue

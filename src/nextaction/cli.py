@@ -1,7 +1,9 @@
 """Command-line pipeline: synth, ingest, ngram, lstm, baseline, eval, agree.
 
 Every report embeds the effective option values and the SHA-256 of each input
-file, so a result can be re-derived from the report alone.  Randomness flows
+file, so a result can be re-derived from the report alone.  Each such file is
+read once, by ``_sha256_file``, and its loader parses the bytes that were
+hashed, so a report names the bytes its run used.  Randomness flows
 from the --seed flag of the invocation; outputs are byte-identical across
 repeated runs with the same seed, at any --workers count (which a report
 echoes).  Reports default to content-addressed filenames in --out-dir to
@@ -21,8 +23,12 @@ from .config import read_kv_file
 from .errors import ConfigError, NextactionError
 
 
-def _sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _sha256_file(path: str | Path, name: str, digests: dict[str, str]) -> bytes:
+    """The bytes of input file ``path``, read once; their SHA-256 goes into
+    ``digests`` under ``name``."""
+    blob = Path(path).read_bytes()
+    digests[name] = hashlib.sha256(blob).hexdigest()
+    return blob
 
 
 def _kind(default) -> type:
@@ -100,12 +106,9 @@ def _config_metadata(options: dict, digests: dict[str, str]) -> dict[str, str]:
     return meta
 
 
-def _file_digests(**paths: str) -> dict[str, str]:
-    return {name: _sha256_file(path) for name, path in paths.items()}
-
-
-def _load_corpus(args) -> ingest.Corpus:
-    return ingest.load_corpus(args.corpus, ingest.load_vocabulary(args.vocab))
+def _load_corpus(args, digests: dict[str, str]) -> ingest.Corpus:
+    vocabulary = ingest.load_vocabulary(_sha256_file(args.vocab, "vocab", digests))
+    return ingest.load_corpus(_sha256_file(args.corpus, "corpus", digests), vocabulary)
 
 
 _COHORTS = {"certified": True, "uncertified": False, "all": None}
@@ -117,13 +120,15 @@ def _select_cohort(corpus: ingest.Corpus, cohort: str, min_actions: int) -> inge
     return ingest.filter_cohort(corpus, _COHORTS[cohort], min_actions)
 
 
-def _cv_inputs(args, options: dict, **inputs: str):
-    """The cohort, fold plan and provenance of a ngram, lstm or baseline run;
-    ``inputs`` names input files besides the corpus and vocabulary."""
-    corpus = _select_cohort(_load_corpus(args), options["cohort"], options["min_actions"])
+def _cv_inputs(args, options: dict, syllabus: str | None = None):
+    """The cohort, fold plan and provenance of a ngram, lstm or baseline run, and
+    the course order in file ``syllabus`` (None without one)."""
+    digests: dict[str, str] = {}
+    corpus = _select_cohort(_load_corpus(args, digests), options["cohort"], options["min_actions"])
     plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
-    meta = _config_metadata(options, _file_digests(corpus=args.corpus, vocab=args.vocab, **inputs))
-    return corpus, plan, meta
+    order = syllabus and baselines.load_syllabus(_sha256_file(syllabus, "syllabus", digests),
+                                                 corpus.vocabulary)
+    return corpus, plan, _config_metadata(options, digests), order
 
 
 # ---------------------------------------------------------------- synth
@@ -187,7 +192,7 @@ def _cmd_ngram(args) -> int:
                                     "--stream": args.stream, "--csv": args.csv})
     orders = range(2 if options["sweep"] else options["max_order"], options["max_order"] + 1)
     spec = ngram.NGramSpec(tuple(orders))
-    corpus, plan, meta = _cv_inputs(args, options)
+    corpus, plan, meta, _ = _cv_inputs(args, options)
 
     if options["sweep"]:
         reports = evaluation.cross_validate_each(
@@ -248,7 +253,7 @@ def _cmd_lstm(args) -> int:
         _refuse_outputs("a grid", {"--save-model": args.save_model, "--stream": args.stream,
                                    "--csv": args.csv, "--curve-prefix": args.curve_prefix})
 
-    corpus, plan, meta = _cv_inputs(args, options)
+    corpus, plan, meta, _ = _cv_inputs(args, options)
     if len(configs) > 1:
         rows = [(f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}",
                  evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan,
@@ -293,12 +298,8 @@ def _cmd_baseline(args) -> int:
         raise ConfigError(f"baseline {name!r} needs --syllabus")
     if name == "repeat" and args.syllabus:
         raise ConfigError("baseline 'repeat' reads no course order; it takes no --syllabus")
-    inputs = {} if name == "repeat" else {"syllabus": args.syllabus}
-    corpus, plan, meta = _cv_inputs(args, options, **inputs)
-    if name == "repeat":
-        model = baselines.RepeatModel()
-    else:
-        model = _SYLLABUS_MODELS[name](baselines.load_syllabus(args.syllabus, corpus.vocabulary))
+    corpus, plan, meta, syllabus = _cv_inputs(args, options, args.syllabus)
+    model = baselines.RepeatModel() if name == "repeat" else _SYLLABUS_MODELS[name](syllabus)
 
     report = evaluation.cross_validate(
         evaluation.FixedSpec(model), corpus, plan,
@@ -311,17 +312,16 @@ def _cmd_baseline(args) -> int:
 
 # ---------------------------------------------------------------- eval
 
-def _load_model(path: str, window: int | None):
+def _load_model(path: str, window: int | None, digests: dict[str, str]):
     """(predictor, description, V) of a saved checkpoint or n-gram table."""
-    with open(path, "rb") as handle:
-        magic = handle.read(6)  # the length of either magic
-    if magic == lstm.CHECKPOINT_MAGIC:
-        net = lstm.load_checkpoint(path, window=window)
+    blob = _sha256_file(path, "model", digests)
+    if blob.startswith(lstm.CHECKPOINT_MAGIC):
+        net = lstm.load_checkpoint(blob, path, window=window)
         return lstm.LstmPredictor(net), f"lstm checkpoint {Path(path).name}", net.vocab_size
-    if magic == b"#NGRAM":
+    if blob.startswith(b"#NGRAM"):
         if window is not None:
             raise ConfigError("--window overrides a checkpoint's window; an n-gram table has none")
-        table = ngram.load_table(path)
+        table = ngram.load_table(blob)
         description = f"{table.max_order}-gram table {Path(path).name}"
         return ngram.NGramPredictor(table), description, table.vocab_size
     raise ConfigError(f"unrecognized model file {path!r}")
@@ -329,16 +329,16 @@ def _load_model(path: str, window: int | None):
 
 def _cmd_eval(args) -> int:
     options = _merge_options(args)
-    corpus = _select_cohort(_load_corpus(args), options["cohort"], 1)
-    model, description, vocab_size = _load_model(args.model, options["window"])
+    digests: dict[str, str] = {}
+    corpus = _select_cohort(_load_corpus(args, digests), options["cohort"], 1)
+    model, description, vocab_size = _load_model(args.model, options["window"], digests)
     if vocab_size != corpus.vocab_size:
         raise ConfigError(
             f"{description} has V={vocab_size}, which does not match corpus V={corpus.vocab_size}"
         )
     accuracy, n_scored = evaluation.transfer_eval(model, corpus, options["min_actions"])
     # a window override is echoed only when given, so other reports keep their bytes
-    meta = _config_metadata(options, _file_digests(corpus=args.corpus, vocab=args.vocab,
-                                                   model=args.model))
+    meta = _config_metadata(options, digests)
     lines = ["# nextaction transfer report", f"model: {description}",
              f"accuracy: {accuracy:.10f}", f"sequences_scored: {n_scored}"]
     lines.extend(f"meta.{k}: {v}" for k, v in sorted(meta.items()))
@@ -349,7 +349,8 @@ def _cmd_eval(args) -> int:
 # ---------------------------------------------------------------- agree
 
 def _cmd_agree(args) -> int:
-    table = evaluation.agreement(evaluation.read_stream(args.a), evaluation.read_stream(args.b))
+    table = evaluation.agreement(evaluation.read_stream(Path(args.a).read_bytes()),
+                                 evaluation.read_stream(Path(args.b).read_bytes()))
     text = table.to_text()
     sys.stdout.write(text)
     if args.report or args.out_dir is not None:

@@ -498,16 +498,15 @@ def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     return np.flatnonzero(new)
 
 
-def read_stream(path: str | Path) -> PredictionStream:
-    """Read a stream as ``write_stream`` writes it: every line, the last
-    included, is a non-empty student id, a position >= 2, a prediction (-1 for
-    none) and a truth in canonical integers, and a newline.
+def read_stream(blob: bytes) -> PredictionStream:
+    """Parse a stream file's bytes as ``write_stream`` writes them: every line, the
+    last included, is a non-empty student id, a position >= 2, a prediction (-1
+    for none) and a truth in canonical integers, and a newline.
 
-    The file is read and decoded once; its lines are checked and their three
-    integer columns parsed from its bytes, backwards from each newline, and
-    one string is decoded per run of equal student ids.  Only a bad file is
-    split into lines, to name its first bad line."""
-    blob = Path(path).read_bytes()
+    The bytes are decoded once; their lines are checked and their three integer
+    columns parsed backwards from each newline, and one string is decoded per
+    run of equal student ids.  Only a bad file is split into lines, to name its
+    first bad line."""
     try:
         str(blob, "utf-8")
     except UnicodeDecodeError:

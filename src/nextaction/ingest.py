@@ -97,11 +97,6 @@ def text_lines(blob: bytes) -> Iterator[tuple[int, str]]:
         start = end
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    """The ``text_lines`` of a file, read whole."""
-    return text_lines(Path(path).read_bytes())
-
-
 def format_decimals(values: np.ndarray) -> np.ndarray:
     """The canonical decimals of non-negative ints as ASCII digits in a new last
     axis, right-aligned and padded on the left with NUL bytes to the widest."""
@@ -715,10 +710,10 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> bytes:
     return blob
 
 
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary file as ``save_vocabulary`` writes it; any other line,
-    a blank one or a missing final newline included, raises MalformedRecordError."""
-    lines = read_lines(path)
+def load_vocabulary(blob: bytes) -> Vocabulary:
+    """Parse a vocabulary file's bytes as ``save_vocabulary`` writes them; any other
+    line, a blank one or a missing final newline included, raises MalformedRecordError."""
+    lines = text_lines(blob)
     lineno, line = next(lines, (1, ""))
     head = _VOCAB_HEADER.fullmatch(line.removesuffix("\n"))
     if head is None:
@@ -761,14 +756,15 @@ def save_corpus(corpus: Corpus, path: str | Path) -> bytes:
     return blob
 
 
-def load_corpus(path: str | Path, vocabulary: Vocabulary | None = None) -> Corpus:
-    """Read a NACT1 corpus, refusing truncation, trailing bytes, ids >= V, and
-    student ids that are empty, repeated, or hold a tab or a newline.
+def load_corpus(blob: bytes, vocabulary: Vocabulary | None = None) -> Corpus:
+    """Parse a NACT1 corpus file's bytes, refusing truncation, trailing bytes, ids
+    >= V, and student ids that are empty, repeated, or hold a tab or a newline.
 
     Errors are MalformedRecordError with the byte offset of the bad field; of
-    several bad fields, the first in the file is reported.
+    several bad fields, the first in the file is reported.  A str or Path is read
+    first; ``corpus_facts`` in ``benchmarks/run.py`` is the one caller that passes one.
     """
-    blob = Path(path).read_bytes()
+    blob = Path(blob).read_bytes() if isinstance(blob, (str, Path)) else blob
     if blob[: len(CORPUS_MAGIC)] != CORPUS_MAGIC:
         raise MalformedRecordError(0, "bad corpus magic", unit="byte")
     offset = len(CORPUS_MAGIC)

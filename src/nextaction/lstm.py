@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
-from .ingest import Corpus, action_array, read_lines
+from .ingest import Corpus, action_array, text_lines
 
 PROB_FLOOR = 1e-12
 HILL_FRACTION = 0.1  # share of training students held out for hill climbing
@@ -611,7 +611,7 @@ def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
     the window's value may differ from ``net``'s."""
     expected = _manifest(name, net, digest)
     keys = {key for key, _ in expected}
-    lines, seen, window = read_lines(path), set(), None
+    lines, seen, window = text_lines(path.read_bytes()), set(), None
     for lineno, (key, want) in enumerate([*expected, (None, None)], start=1):
         line = next(lines, (lineno, None))[1]
         if line is None:
@@ -639,8 +639,9 @@ def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
             raise MalformedRecordError(lineno, f"{key} is {value!r}, the checkpoint's is {want!r}")
 
 
-def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
-    """Read a checkpoint, verifying its manifest when one exists.
+def load_checkpoint(blob: bytes, path: str | Path, window: int | None = None) -> LstmNetwork:
+    """Parse the bytes of the checkpoint at ``path``, verifying against them the
+    manifest beside that path when one exists.
 
     The window comes from ``window`` or else the manifest.  A malformed file
     raises MalformedRecordError with the byte offset (in the manifest, the
@@ -651,7 +652,6 @@ def load_checkpoint(path: str | Path, window: int | None = None) -> LstmNetwork:
     if window is not None and window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     path = Path(path)
-    blob = path.read_bytes()
     start = len(CHECKPOINT_MAGIC) + _HEADER.size
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise MalformedRecordError(0, "bad checkpoint magic", unit="byte")

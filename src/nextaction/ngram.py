@@ -170,6 +170,8 @@ def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, 
     # a context's prefix is itself a context, so the highest hit is the last one
     for order, ids in _context_ids(table, actions, pos, cap):
         hit = ids >= 0
+        if not hit.any():  # nor will any order above, as the child of -1 is -1
+            break
         predicted[hit] = table.best[order][ids[hit]]
         used[hit] = order
     predicted, used = predicted[scored], used[scored]
@@ -386,7 +388,7 @@ def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
     """Raise for the first record line of a table's bytes that ``save_table``
     would not write after the lines before it, naming the first of its faults
     in the order README lists them."""
-    seen = {k: set() for k in range(1, max_order + 1)} | {0: {()}}  # each order's contexts
+    seen = {0: {()}}  # the contexts of each order met so far
     last: tuple = (0,)  # sorts below every record's (order, context, next)
     for lineno, line in islice(text_lines(blob), 1, None):
         record = line.removesuffix("\n")
@@ -410,21 +412,20 @@ def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
         ):
             if bad:
                 raise MalformedRecordError(lineno, reason)
-        seen[k].add(context)
+        seen.setdefault(k, set()).add(context)
         last = (k, context, nxt)
     raise AssertionError("the byte parse refused a table whose every line is good")
 
 
-def load_table(path: str | Path) -> NGramTable:
-    """Read a table written by ``save_table``, refusing anything it would not write.
+def load_table(blob: bytes) -> NGramTable:
+    """Parse a table's bytes as ``save_table`` writes them, refusing anything else.
 
-    The file is read once and its records parsed in chunks of whole lines, the
-    context ids kept in the narrowest dtype that holds V - 1.  The byte parse and
-    the whole-array checks only decide whether the table is clean: on any fault
-    ``_refuse_table`` raises MalformedRecordError for the first bad line, as a
-    bad header does for line 1.
+    The records are parsed in chunks of whole lines, the context ids kept in the
+    narrowest dtype that holds V - 1.  The byte parse and the whole-array checks
+    only decide whether the table is clean: on any fault ``_refuse_table`` raises
+    MalformedRecordError for the first bad line, as a bad header does for line 1.
+    An order with no record costs no context lookup, however large ``max_order`` is.
     """
-    blob = Path(path).read_bytes()
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
     head = _HEADER.fullmatch(header.decode("ascii", "replace"))
@@ -457,8 +458,9 @@ def load_table(path: str | Path) -> NGramTable:
             or (np.diff(order) < 0).any()):
         _refuse_table(blob, max_order, V)
     digit_at = np.concatenate(([0], np.cumsum(order - 1)))  # record i's are digit_at[i]:[i + 1]
-    contexts, grams, counts = {}, {}, {}
-    for k in range(1, max_order + 1):
+    empty = {k: _EMPTY for k in range(1, max_order + 1)}  # the orders with no record
+    contexts, grams, counts = dict(empty), dict(empty), empty
+    for k in np.flatnonzero(np.bincount(order)).tolist():
         lo, hi = np.searchsorted(order, [k, k + 1])
         rows = digits[digit_at[lo] : digit_at[hi]].reshape(hi - lo, k - 1)
         new = np.ones(hi - lo, dtype=bool)  # a context is a run of equal rows

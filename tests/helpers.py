@@ -34,7 +34,7 @@ from nextaction.errors import (
 )
 from nextaction import ingest, ngram
 from nextaction.evaluation import AgreementTable
-from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, read_lines
+from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, text_lines
 from nextaction.lstm import (
     PROB_FLOOR, LstmNetwork, RecurrentLayer, forward_sequence, loss, softmax,
 )
@@ -293,7 +293,7 @@ def per_line_read_stream(path):
     """The (student, position, predicted, truth) rows of a stream file, one line
     at a time, with the columnar reader's errors."""
     rows = []
-    for lineno, line in read_lines(path):
+    for lineno, line in text_lines(Path(path).read_bytes()):
         row = _STREAM_LINE.fullmatch(line)
         if row is None:
             raise MalformedRecordError(

@@ -147,7 +147,7 @@ def test_criterion_4_lstm_learnability(certified, fold_plan, trigram_report):
 def test_criterion_5_structural_ordering(default_data, certified, fold_plan):
     start = time.time()
     syllabus = baselines.load_syllabus(
-        default_data.outputs.syllabus_path, default_data.corpus.vocabulary
+        default_data.outputs.syllabus_path.read_bytes(), default_data.corpus.vocabulary
     )
     scores = {}
     for model in (

@@ -10,15 +10,13 @@ def vocab():
     return ingest.build_vocabulary(["a", "b", "c", "x"], min_count=1)
 
 
-def syllabus_file(tmp_path, tokens):
-    path = tmp_path / "syllabus.txt"
-    path.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
-    return path
+def syllabus_bytes(tokens):
+    return "".join(t + "\n" for t in tokens).encode("utf-8")
 
 
 class TestLoadSyllabus:
-    def test_all_matched(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "c"]), vocab)
+    def test_all_matched(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b", "c"]), vocab)
         assert len(syl.items) == 3
         assert syl.coverage == 3
         assert syl.unmatched == []
@@ -26,18 +24,18 @@ class TestLoadSyllabus:
         successor = {a: b, b: c, c: baselines.NO_PREDICTION, x: baselines.NO_PREDICTION}
         assert syl.successor_of.tolist() == [successor[i] for i in range(len(vocab))]
 
-    def test_unknown_token_tallied(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "zz"]), vocab)
+    def test_unknown_token_tallied(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "zz"]), vocab)
         assert [vocab.decode(i) for i in syl.items] == ["a"]
         assert syl.unmatched == ["zz"]
 
-    def test_duplicate_raises(self, tmp_path, vocab):
+    def test_duplicate_raises(self, vocab):
         with pytest.raises(DuplicateItemError, match="^line 3: duplicate course item 'a'$"):
-            baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "a"]), vocab)
+            baselines.load_syllabus(syllabus_bytes(["a", "b", "a"]), vocab)
 
-    def test_comments_ignored(self, tmp_path, vocab):
+    def test_comments_ignored(self, vocab):
         syl = baselines.load_syllabus(
-            syllabus_file(tmp_path, ["# course order", "a", "", "b"]), vocab
+            syllabus_bytes(["# course order", "a", "", "b"]), vocab
         )
         assert syl.coverage == 2
 
@@ -56,23 +54,23 @@ class TestRepeat:
 
 
 class TestSyllabus:
-    def test_successor(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "c"]), vocab)
+    def test_successor(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b", "c"]), vocab)
         a, b, c = (vocab.encode(t) for t in "abc")
         assert baselines.SyllabusModel(syl).predict([a, b]) == c
 
-    def test_final_item_gives_no_prediction(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b", "c"]), vocab)
+    def test_final_item_gives_no_prediction(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b", "c"]), vocab)
         model = baselines.SyllabusModel(syl)
         assert model.predict([vocab.encode("c")]) == baselines.NO_PREDICTION
 
-    def test_off_order_gives_no_prediction(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_off_order_gives_no_prediction(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         model = baselines.SyllabusModel(syl)
         assert model.predict([vocab.encode("x")]) == baselines.NO_PREDICTION
 
-    def test_model_wrapper_scores_no_prediction_incorrect(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_model_wrapper_scores_no_prediction_incorrect(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         model = baselines.SyllabusModel(syl)
         x = vocab.encode("x")
         # off-order context never predicts correctly, even a repeat
@@ -80,23 +78,23 @@ class TestSyllabus:
 
 
 class TestSyllabusRepeat:
-    def test_off_order_repeats(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_off_order_repeats(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         x = vocab.encode("x")
         assert baselines.SyllabusRepeatModel(syl).predict([x]) == x
 
-    def test_on_order_advances(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_on_order_advances(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         a, b = vocab.encode("a"), vocab.encode("b")
         assert baselines.SyllabusRepeatModel(syl).predict([a]) == b
 
-    def test_final_item_repeats(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_final_item_repeats(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         b = vocab.encode("b")
         assert baselines.SyllabusRepeatModel(syl).predict([b]) == b
 
-    def test_always_emits_a_prediction(self, tmp_path, vocab):
-        syl = baselines.load_syllabus(syllabus_file(tmp_path, ["a", "b"]), vocab)
+    def test_always_emits_a_prediction(self, vocab):
+        syl = baselines.load_syllabus(syllabus_bytes(["a", "b"]), vocab)
         model = baselines.SyllabusRepeatModel(syl)
         for context in ([0], [1], [2], [3], [3, 2, 1]):
             assert model.predict(context) >= 0
@@ -105,7 +103,7 @@ class TestSyllabusRepeat:
 class TestCombinedDominates:
     def test_combined_at_least_each_part_on_default_corpus(self, default_data):
         syl = baselines.load_syllabus(
-            default_data.outputs.syllabus_path, default_data.corpus.vocabulary
+            default_data.outputs.syllabus_path.read_bytes(), default_data.corpus.vocabulary
         )
         cert = default_data.certified
         plan = evaluation.make_folds(cert.students, 5, seed=77)

@@ -87,21 +87,27 @@ class TestPipelineSmoke:
         assert "order.3.cv_accuracy:" in text
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The (file name, mode) of each file opened while the test runs."""
+    opened, real_open = [], io.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    for owner in (builtins, io):
+        monkeypatch.setattr(owner, "open", spy_open)
+    return opened
+
+
 class TestSetUpReadsEachFileOnce:
-    def test_inputs_are_read_once_and_outputs_only_written(self, tmp_path, monkeypatch):
+    def test_inputs_are_read_once_and_outputs_only_written(self, tmp_path, opened, monkeypatch):
         """``synth`` opens its config once and its outputs only to write them;
         ``ingest`` opens the log and the roster once each, hashes the bytes it
         read, and opens its outputs only to write them."""
-        opened = []
-        real_open = io.open
-
-        def spy_open(file, mode="r", *args, **kwargs):
-            opened.append((Path(file).name, mode))
-            return real_open(file, mode, *args, **kwargs)
-
         (tmp_path / "synth.cfg").write_text("students_certified=5\nstudents_uncertified=2\n")
-        for owner in (builtins, io):
-            monkeypatch.setattr(owner, "open", spy_open)
+        opened.clear()
         with redirect_stdout(io.StringIO()):
             assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
                          "--out-dir", str(tmp_path), "--report", str(tmp_path / "s.txt")]) == 0
@@ -125,6 +131,68 @@ class TestSetUpReadsEachFileOnce:
                                   ("vocab.tsv", ingest_report, "output.vocab.sha256"),
                                   ("corpus.nact", ingest_report, "output.corpus.sha256")]:
             assert report[key] == hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+
+class TestEachHashedInputIsReadOnce:
+    def test_each_subcommand_opens_each_input_once(self, tmp_path, opened):
+        """From synth to agree, a subcommand opens each file it reads once, and its
+        report's SHA-256 of that file, where it has one, is the file's."""
+        (tmp_path / "synth.cfg").write_text("vocab_size=8\nsyllabus_length=4\n"
+                                            "students_certified=6\nstudents_uncertified=3\n"
+                                            "mean_sequence_length=12\n")
+        at = {name: str(tmp_path / name) for name in (
+            "synth.cfg", "events.tsv", "roster.tsv", "syllabus.txt", "model.ngram",
+            "model.nlstm", "a.pred", "b.pred")}
+        data = ["--corpus", str(tmp_path / "corpus.nact"), "--vocab", str(tmp_path / "vocab.tsv")]
+        cv = [*data, "--folds", "3", "--cohort", "all"]
+        evals = [*data, "--cohort", "all", "--min-actions", "2", "--model"]
+        inputs = {"corpus.nact": "corpus", "vocab.tsv": "vocab"}  # each read, by its report key
+        runs = [
+            (["synth", "--config", at["synth.cfg"]], {"synth.cfg": None}),
+            (["ingest", "--events", at["events.tsv"], "--roster", at["roster.tsv"],
+              "--min-count", "1"], {"events.tsv": "events", "roster.tsv": "roster"}),
+            (["ngram", *cv, "--max-order", "2", "--save-model", at["model.ngram"],
+              "--stream", at["a.pred"]], inputs),
+            (["lstm", *cv, "--nodes", "2", "--emb-dim", "2", "--epochs", "1", "--window", "3",
+              "--save-model", at["model.nlstm"]], inputs),
+            (["baseline", *cv, "--model", "combined", "--syllabus", at["syllabus.txt"],
+              "--stream", at["b.pred"]], {**inputs, "syllabus.txt": "syllabus"}),
+            (["eval", *evals, at["model.ngram"]], {**inputs, "model.ngram": "model"}),
+            (["eval", *evals, at["model.nlstm"]],
+             {**inputs, "model.nlstm": "model", "model.nlstm.manifest.txt": None}),
+            (["agree", at["a.pred"], at["b.pred"]], {"a.pred": None, "b.pred": None}),
+        ]
+        for argv, reads in runs:
+            opened.clear()
+            report = tmp_path / f"{argv[0]}.txt"
+            with redirect_stdout(io.StringIO()):
+                assert main([*argv, "--report", str(report), "--out-dir", str(tmp_path)]) == 0
+            assert sorted(name for name, mode in opened if "r" in mode) == sorted(reads), argv
+            meta = read_report(report)
+            for name, key in reads.items():
+                if key is not None:
+                    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    assert meta[f"meta.input.{key}.sha256"] == digest, argv
+
+    def test_a_report_hashes_the_bytes_it_parsed(self, tiny, tmp_path, monkeypatch):
+        """A corpus file rewritten after it is parsed leaves the report's digest
+        that of the bytes parsed."""
+        corpus = tmp_path / "corpus.nact"
+        shutil.copy(tiny / "corpus.nact", corpus)
+        parsed = hashlib.sha256(corpus.read_bytes()).hexdigest()
+        load = ingest.load_corpus
+
+        def load_then_overwrite(*args, **kwargs):
+            loaded = load(*args, **kwargs)
+            corpus.write_bytes(b"overwritten")
+            return loaded
+
+        monkeypatch.setattr(ingest, "load_corpus", load_then_overwrite)
+        with redirect_stdout(io.StringIO()):
+            assert main(["ngram", "--corpus", str(corpus), "--vocab", str(tiny / "vocab.tsv"),
+                         "--folds", "3", "--report", str(tmp_path / "r.txt"),
+                         "--out-dir", str(tmp_path)]) == 0
+        assert read_report(tmp_path / "r.txt")["meta.input.corpus.sha256"] == parsed
 
 
 class TestAgree:
@@ -173,7 +241,7 @@ class TestBaselineAndEval:
     def test_repeat_refuses_a_syllabus_before_reading_any_input(self, tiny, tmp_path, capsys,
                                                                  monkeypatch):
         loads = []
-        monkeypatch.setattr(cli, "_load_corpus", lambda args: loads.append(args))
+        monkeypatch.setattr(cli, "_load_corpus", lambda *args: loads.append(args))
         out = tmp_path / "out"
         assert main(["baseline", "--model", "repeat", "--syllabus", str(tmp_path / "nonexistent"),
                      "--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv"),
@@ -310,7 +378,8 @@ class TestSweepAndGridThroughTheEvaluator:
                      str(tiny / "vocab.tsv"), "--max-order", "4", "--sweep", "--folds", "3",
                      "--seed", "9", "--report", str(tmp_path / "sweep.txt"),
                      "--out-dir", str(tmp_path)]) == 0
-        corpus = ingest.filter_cohort(ingest.load_corpus(tiny / "corpus.nact"), True)
+        corpus = ingest.filter_cohort(
+            ingest.load_corpus((tiny / "corpus.nact").read_bytes()), True)
         plan = evaluation.make_folds(corpus.students, 3, 9)
         expected = {}
         for order in (2, 3, 4):
@@ -341,7 +410,8 @@ class TestSweepAndGridThroughTheEvaluator:
                      "--epochs", "1", "--window", "5", "--emb-dim", "4", "--folds", "3",
                      "--seed", "9", "--report", str(tmp_path / "grid.txt"),
                      "--out-dir", str(tmp_path)]) == 0
-        corpus = ingest.filter_cohort(ingest.load_corpus(tiny / "corpus.nact"), True)
+        corpus = ingest.filter_cohort(
+            ingest.load_corpus((tiny / "corpus.nact").read_bytes()), True)
         plan = evaluation.make_folds(corpus.students, 3, 9)
         expected = {}
         for nodes in (2, 8):
@@ -521,7 +591,7 @@ class TestHostileModelAndCorpus:
         (None, "appears twice"), ("s\t4", "is empty or holds a tab or a newline"),
     ])
     def test_bad_student_id_exits_2(self, pipeline, tmp_path, capsys, sid, reason):
-        corpus = ingest.load_corpus(pipeline / "corpus.nact")
+        corpus = ingest.load_corpus((pipeline / "corpus.nact").read_bytes())
         rows = corpus.sequences
         rows.append(ingest.StudentSequence(sid or rows[0].student_id, rows[0].actions, True))
         hostile = tmp_path / "hostile.nact"
@@ -537,7 +607,7 @@ class TestHostileModelAndCorpus:
 class TestHostileCheckpointAndVocabulary:
     @pytest.fixture
     def checkpoint(self, pipeline, tmp_path):
-        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size
         path = tmp_path / "model.nlstm"
         net = lstm.init_network(v, 4, 5, 2, 0.2, 6, rng=np.random.default_rng(0))
         lstm.save_checkpoint(net, path)
@@ -600,7 +670,7 @@ class TestEvalChecksModelAgainstCorpus:
 
     @pytest.mark.parametrize("shift", [1, -1])  # the corpus V is smaller, then larger
     def test_checkpoint_v_differs_from_corpus(self, pipeline, tmp_path, capsys, shift):
-        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size
         path = self.checkpoint(tmp_path, v + shift)
         assert self.eval_run(pipeline, path, tmp_path) == 2
         err = capsys.readouterr().err
@@ -608,13 +678,13 @@ class TestEvalChecksModelAgainstCorpus:
 
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_window_below_one_exits_2(self, pipeline, tmp_path, capsys, window):
-        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size
         path = self.checkpoint(tmp_path, v)
         assert self.eval_run(pipeline, path, tmp_path, "--window", window) == 2
         assert f"error: window must be >= 1, got {window}" in capsys.readouterr().err
 
     def test_window_override_is_recorded(self, pipeline, tmp_path):
-        v = ingest.load_corpus(pipeline / "corpus.nact").vocab_size
+        v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size
         path = self.checkpoint(tmp_path, v)
         assert self.eval_run(pipeline, path, tmp_path) == 0
         assert "meta.config.window" not in read_report(tmp_path / "transfer.txt")
@@ -632,6 +702,21 @@ class TestEvalWindowOnTable:
         assert main(["eval", *corpus, "--model", str(table), "--window", "3",
                      "--min-actions", "2", "--out-dir", str(tmp_path)]) == 2
         assert "error: --window overrides a checkpoint's window" in capsys.readouterr().err
+
+    def test_a_table_whose_header_order_is_far_above_its_records(self, pipeline, tmp_path):
+        """max_order=20000 over records of orders 1-2 scores as the order-2 table does."""
+        corpus = ["--corpus", str(pipeline / "corpus.nact"), "--vocab", str(pipeline / "vocab.tsv")]
+        table, wide = tmp_path / "model.ngram", tmp_path / "wide.ngram"
+        assert main(["ngram", *corpus, "--max-order", "2", "--folds", "3",
+                     "--save-model", str(table), "--out-dir", str(tmp_path)]) == 0
+        wide.write_bytes(table.read_bytes().replace(b"max_order=2", b"max_order=20000", 1))
+        for model in (table, wide):
+            assert main(["eval", *corpus, "--model", str(model), "--min-actions", "2",
+                         "--report", str(tmp_path / f"{model.stem}.txt"),
+                         "--out-dir", str(tmp_path)]) == 0
+        reports = [read_report(tmp_path / f"{name}.txt") for name in ("model", "wide")]
+        assert reports[1]["model"] == "20000-gram table wide.ngram"
+        assert reports[0]["accuracy"] == reports[1]["accuracy"]
 
 
 @pytest.fixture(scope="module")
@@ -755,17 +840,16 @@ class TestInProcessNgram:
                          "--report", str(report), "--out-dir", str(tmp_path)]) == 0
             assert "meta.backoff_usage.3" in read_report(report)
 
-    def test_eval_reads_an_ngram_table_twice(self, tiny, tmp_path, monkeypatch):
-        """Once to load it and once to hash it; its magic is read from six bytes."""
+    def test_eval_reads_an_ngram_table_once(self, tiny, tmp_path, opened):
+        """Its magic, its table and its digest all come from one read."""
         corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
         model = tmp_path / "model.ngram"
         assert main(["ngram", *corpus, "--max-order", "2", "--folds", "3",
                      "--save-model", str(model), "--out-dir", str(tmp_path)]) == 0
-        reads, read_bytes = [], Path.read_bytes
-        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or read_bytes(path))
+        opened.clear()
         assert main(["eval", *corpus, "--model", str(model), "--cohort", "all",
                      "--min-actions", "2", "--out-dir", str(tmp_path)]) == 0
-        assert reads.count(model) == 2
+        assert [mode for name, mode in opened if name == model.name] == ["rb"]
 
 
 class TestFoldWorkerFault:
@@ -812,7 +896,7 @@ class TestOverflowingActivations:
         assert "error: epoch 1: non-finite output probability" in capsys.readouterr().err
 
     def test_eval_of_such_a_checkpoint_exits_2(self, tiny, tmp_path, capsys):
-        v = ingest.load_corpus(tiny / "corpus.nact").vocab_size
+        v = ingest.load_corpus((tiny / "corpus.nact").read_bytes()).vocab_size
         net = lstm.init_network(v, 4, 5, 1, 0.0, 6, rng=np.random.default_rng(0))
         # every value is finite, but 1e308 * 1e308 - 1e308 * 1e308 is NaN
         net.embedding[:, :2] = 1e308
@@ -900,23 +984,25 @@ FILE_ORDER = {
                lambda path: ingest.parse_roster(path.read_bytes()),
                "s\t2", "line {n}: bad roster line 's\\t2'", b"s\xff\t1"),
     "vocabulary": (["#V=59 min_count=1", *(f"t{i}\t{i}\t5" for i in range(59))],
-                   ingest.load_vocabulary,
+                   lambda path: ingest.load_vocabulary(path.read_bytes()),
                    "t\tx\t5", "line {n}: record is not 'token <TAB> id <TAB> count'",
                    b"t\xff\t0\t5"),
     "syllabus": ([f"t{i}" for i in range(60)],
-                 lambda path: baselines.load_syllabus(path, ingest.build_vocabulary(["t1"])),
+                 lambda path: baselines.load_syllabus(path.read_bytes(),
+                                                      ingest.build_vocabulary(["t1"])),
                  "t0", "line {n}: duplicate course item 't0'", b"t\xff"),
     "config": ([f"k{i}={i}" for i in range(60)],
                lambda path: read_kv_file(path, {f"k{i}": int for i in range(60)}),
                "k0", "input, line {n}: expected key=value, got 'k0'", b"k0=\xff"),
     "synth-config": ([f"seed={i}" for i in range(60)], synth.load_config,
                      "seed=x", "input, line {n}: bad int value for seed: 'x'", b"seed=\xff"),
-    "stream": ([f"s{i}\t{i + 2}\t1\t1" for i in range(60)], evaluation.read_stream,
+    "stream": ([f"s{i}\t{i + 2}\t1\t1" for i in range(60)],
+               lambda path: evaluation.read_stream(path.read_bytes()),
                "s\t2\tx\t1",
                "line {n}: expected student, position >= 2, predicted, truth; got 's\\t2\\tx\\t1\\n'",
                b"s\xff\t2\t1\t1"),
     "table": (["#NGRAM max_order=1 V=60", *(f"1\t\t{i}\t1" for i in range(59))],
-              ngram.load_table, "1\t\tx\t1",
+              lambda path: ngram.load_table(path.read_bytes()), "1\t\tx\t1",
               "line {n}: expected order<TAB>context<TAB>next<TAB>count in canonical integers",
               b"1\t\t\xff\t1"),
 }
@@ -954,7 +1040,7 @@ class TestFirstBadLineInFileOrder:
         path = tmp_path / "model.nlstm"
         lstm.save_checkpoint(lstm.init_network(5, 2, 2, 1, 0.0, 9), path)
         manifest = Path(str(path) + ".manifest.txt")
-        self.check(manifest, lambda _: lstm.load_checkpoint(path),
+        self.check(manifest, lambda _: lstm.load_checkpoint(path.read_bytes(), path),
                    manifest.read_bytes().splitlines(), b"window: x",
                    "line {n}: window is not a positive integer: 'x'", b"cell: \xff", 3, bad_at)
 
@@ -983,8 +1069,8 @@ ARGV = {
 def argv_inputs(tiny, tmp_path_factory):
     """A scratch directory holding a checkpoint for eval and two streams for agree."""
     out = tmp_path_factory.mktemp("argv")
-    net = lstm.init_network(ingest.load_corpus(tiny / "corpus.nact").vocab_size, 2, 2, 1, 0.0,
-                            3, rng=np.random.default_rng(0))
+    v = ingest.load_corpus((tiny / "corpus.nact").read_bytes()).vocab_size
+    net = lstm.init_network(v, 2, 2, 1, 0.0, 3, rng=np.random.default_rng(0))
     lstm.save_checkpoint(net, out / "model.nlstm")
     for name in ("a.pred", "b.pred"):
         assert main(["baseline", *(arg.format(data=tiny) for arg in _DATA), "--folds", "3",
@@ -1251,10 +1337,10 @@ MUTATED = {
 # the outputs a run that exits 0 writes, each read back
 READ_BACK = {
     "report.txt": read_report,
-    "s.pred": evaluation.read_stream,
-    "m.ngram": ngram.load_table,
-    "corpus.nact": lambda path: ingest.load_corpus(path,
-                                                   ingest.load_vocabulary(path.parent / "vocab.tsv")),
+    "s.pred": lambda path: evaluation.read_stream(path.read_bytes()),
+    "m.ngram": lambda path: ngram.load_table(path.read_bytes()),
+    "corpus.nact": lambda path: ingest.load_corpus(
+        path.read_bytes(), ingest.load_vocabulary((path.parent / "vocab.tsv").read_bytes())),
 }
 
 

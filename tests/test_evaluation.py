@@ -445,14 +445,14 @@ class TestStreamsAndReports:
         stream = records([("s1", 2, 1, 1), ("s2", 5, 0, 3)])
         path = tmp_path / "model.pred"
         evaluation.write_stream(stream, path)
-        assert columns(evaluation.read_stream(path)) == columns(stream)
+        assert columns(evaluation.read_stream(path.read_bytes())) == columns(stream)
 
     @pytest.mark.parametrize("bad", ["s1\t2\tx\t3", "s1\t2\t3"])
     def test_malformed_stream_line_names_its_line(self, tmp_path, bad):
         path = tmp_path / "model.pred"
         path.write_text(f"s1\t2\t1\t1\n{bad}\n", encoding="utf-8")
         with pytest.raises(MalformedRecordError) as caught:
-            evaluation.read_stream(path)
+            evaluation.read_stream(path.read_bytes())
         assert caught.value.lineno == 2
 
     def test_report_text_parses(self, tmp_path):
@@ -559,16 +559,16 @@ class TestStreamFormat:
         path = tmp_path / "model.pred"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(MalformedRecordError) as caught:
-            evaluation.read_stream(path)
+            evaluation.read_stream(path.read_bytes())
         assert caught.value.lineno == lineno
 
     def test_no_prediction_and_empty_stream_read(self, tmp_path):
         path = tmp_path / "model.pred"
         path.write_text(self.GOOD, encoding="utf-8")
         expected = records([("s1", 2, 1, 1), ("s1", 3, -1, 3)])
-        assert columns(evaluation.read_stream(path)) == columns(expected)
+        assert columns(evaluation.read_stream(path.read_bytes())) == columns(expected)
         path.write_text("", encoding="utf-8")
-        assert columns(evaluation.read_stream(path)) == ([], [], [], [])
+        assert columns(evaluation.read_stream(path.read_bytes())) == ([], [], [], [])
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["s1", "sé", "s 3", "#4"]),
@@ -581,11 +581,11 @@ class TestStreamFormat:
             path = Path(root) / "model.pred"
             evaluation.write_stream(records(rows), path)
             assert path.read_text(encoding="utf-8") == _stream_text(rows)
-            assert columns(evaluation.read_stream(path)) == columns(records(rows))
+            assert columns(evaluation.read_stream(path.read_bytes())) == columns(records(rows))
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
-                loaded = evaluation.read_stream(path)
+                loaded = evaluation.read_stream(path.read_bytes())
             except NextactionError:
                 return
             evaluation.write_stream(loaded, path)
@@ -601,7 +601,7 @@ def outcome(call, *args):
 
 
 def read_rows(path):
-    return list(zip(*columns(evaluation.read_stream(path))))
+    return list(zip(*columns(evaluation.read_stream(path.read_bytes()))))
 
 
 # ids with a carriage return, NEL and a line separator, which split only on "\n"
@@ -663,7 +663,7 @@ class TestStreamOracles:
         rows = [(sid, 2, 0, 0) for sid in ids]
         path = tmp_path / "model.pred"
         per_line_write_stream(records(rows), path)
-        student = evaluation.read_stream(path).student
+        student = evaluation.read_stream(path.read_bytes()).student
         assert student.tolist() == ids
         assert student[10000] is student[10001] and student[10002] != long
 

@@ -328,7 +328,7 @@ class TestFileFormats:
         vocab = ingest.build_vocabulary(["a", "a", "b"], min_count=1)
         path = tmp_path / "vocab.tsv"
         ingest.save_vocabulary(vocab, path)
-        loaded = ingest.load_vocabulary(path)
+        loaded = ingest.load_vocabulary(path.read_bytes())
         assert loaded.id_to_token == vocab.id_to_token
         assert loaded.counts == vocab.counts
         assert loaded.min_count == vocab.min_count
@@ -343,7 +343,7 @@ class TestFileFormats:
         path = tmp_path / "corpus.nact"
         ingest.save_corpus(corpus, path)
         assert path.read_bytes().startswith(b"NACT1")
-        loaded = ingest.load_corpus(path, vocab)
+        loaded = ingest.load_corpus(path.read_bytes(), vocab)
         assert [s.student_id for s in loaded.sequences] == ["alpha", "beta"]
         assert loaded.sequences[0].actions == [0, 1, 0]
         assert loaded.sequences[0].certified is True
@@ -370,7 +370,7 @@ class TestFileFormats:
         ingest.save_corpus(corpus, path)
         wrong = ingest.build_vocabulary(["a", "b", "c"], min_count=1)
         with pytest.raises(ConfigError):
-            ingest.load_corpus(path, wrong)
+            ingest.load_corpus(path.read_bytes(), wrong)
 
 
 HEADER = "header is not '#V=<int> min_count=<int>'"
@@ -406,20 +406,20 @@ class TestVocabularyRejects:
         path = tmp_path / "vocab.tsv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(MalformedRecordError) as caught:
-            ingest.load_vocabulary(path)
+            ingest.load_vocabulary(path.read_bytes())
         assert (caught.value.lineno, caught.value.reason) == (lineno, reason)
 
     def test_non_utf8_byte(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_bytes(self.GOOD.encode() + b"\xff\t2\t1\n")
         with pytest.raises(MalformedRecordError) as caught:
-            ingest.load_vocabulary(path)
+            ingest.load_vocabulary(path.read_bytes())
         assert (caught.value.lineno, caught.value.reason) == (4, "not UTF-8")
 
     def test_good_file_loads(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text(self.GOOD, encoding="utf-8")
-        vocab = ingest.load_vocabulary(path)
+        vocab = ingest.load_vocabulary(path.read_bytes())
         assert (vocab.id_to_token, vocab.counts) == (["a", "b"], [5, 3])
         assert vocab.token_to_id == {"a": 0, "b": 1}
 
@@ -477,11 +477,11 @@ class TestVocabularyProperties:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "vocab.tsv"
             ingest.save_vocabulary(vocab, path)
-            assert ingest.load_vocabulary(path) == vocab
+            assert ingest.load_vocabulary(path.read_bytes()) == vocab
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
-                loaded = ingest.load_vocabulary(path)
+                loaded = ingest.load_vocabulary(path.read_bytes())
             except NextactionError:
                 return
             ingest.save_vocabulary(loaded, path)
@@ -502,7 +502,7 @@ class TestCorpusRejects:
     def load_error(self, path, blob):
         path.write_bytes(blob)
         with pytest.raises(MalformedRecordError) as caught:
-            ingest.load_corpus(path)
+            ingest.load_corpus(path.read_bytes())
         return caught.value
 
     def test_every_truncation(self, saved):
@@ -865,6 +865,6 @@ class TestColumnarCorpus:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "corpus.nact"
             ingest.save_corpus(corpus, path)
-            loaded = ingest.load_corpus(path)
+            loaded = ingest.load_corpus(path.read_bytes())
         assert loaded.vocab_size == vocab_size
         assert loaded.sequences == rows

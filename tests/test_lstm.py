@@ -553,7 +553,7 @@ class TestCheckpoint:
         assert path.read_bytes().startswith(b"NLSTM1")
         manifest = (tmp_path / "model.nlstm.manifest.txt").read_text()
         assert "window: 9" in manifest
-        loaded = lstm.load_checkpoint(path)
+        loaded = lstm.load_checkpoint(path.read_bytes(), path)
         assert loaded.window == net.window
         for (name_a, a), (name_b, b) in zip(net.param_items(), loaded.param_items()):
             assert name_a == name_b
@@ -565,7 +565,7 @@ class TestCheckpoint:
         net = tiny_net(seed=23, cell="rnn", layers=2)
         path = tmp_path / "model.nlstm"
         lstm.save_checkpoint(net, path)
-        loaded = lstm.load_checkpoint(path)
+        loaded = lstm.load_checkpoint(path.read_bytes(), path)
         assert loaded.cell == "rnn"
         probs_a, _ = lstm.forward_sequence(net, [0, 1, 2])
         probs_b, _ = lstm.forward_sequence(loaded, [0, 1, 2])
@@ -602,7 +602,7 @@ class TestCheckpointRejects:
     def load_error(self, path, blob, error=MalformedRecordError, window=None):
         path.write_bytes(blob)
         with pytest.raises(error) as caught:
-            lstm.load_checkpoint(path, window)
+            lstm.load_checkpoint(path.read_bytes(), path, window)
         return caught.value
 
     def test_every_header_truncation(self, saved):
@@ -644,14 +644,15 @@ class TestCheckpointRejects:
         error = self.load_error(saved, bytes(blob), error=ConfigError)
         assert "SHA-256" in str(error)
         Path(str(saved) + ".manifest.txt").unlink()
-        lstm.load_checkpoint(saved, window=9)  # no manifest: nothing to check against
+        # no manifest: nothing to check against
+        lstm.load_checkpoint(saved.read_bytes(), saved, window=9)
 
     def test_non_integer_window_line(self, saved):
         manifest = Path(str(saved) + ".manifest.txt")
         manifest.write_text(manifest.read_text().replace("window: 9", "window: 9.5"))
         error = self.load_error(saved, saved.read_bytes())
         assert str(error) == "line 3: window is not a positive integer: '9.5'"
-        assert lstm.load_checkpoint(saved, window=4).window == 4
+        assert lstm.load_checkpoint(saved.read_bytes(), saved, window=4).window == 4
 
     # tiny_net(seed=24, layers=2): V=7, embedding 5, hidden 6; line 5 is the embedding's
     @pytest.mark.parametrize("edit, message", [
@@ -691,7 +692,7 @@ class TestCheckpointRejects:
             for value in {text[at] ^ 1, text[at] ^ 0x20, ord("\n")} - {text[at]}:
                 manifest.write_bytes(text[:at] + bytes([value]) + text[at + 1 :])
                 with pytest.raises(NextactionError):
-                    lstm.load_checkpoint(saved)
+                    lstm.load_checkpoint(saved.read_bytes(), saved)
 
     def test_non_finite_parameter(self, saved):
         Path(str(saved) + ".manifest.txt").unlink()
@@ -714,7 +715,8 @@ class TestCheckpointRejects:
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
-                loaded = lstm.load_checkpoint(path, None if manifest else net.window)
+                loaded = lstm.load_checkpoint(path.read_bytes(), path,
+                                              None if manifest else net.window)
             except NextactionError:
                 return
             assert not manifest, "a changed checkpoint passed its manifest's SHA-256"
@@ -735,7 +737,7 @@ class TestCheckpointRejects:
             saved = manifest.read_bytes().split(b"\n")
             manifest.write_bytes(mutated(data.draw, manifest.read_bytes()))
             try:
-                loaded = lstm.load_checkpoint(path)
+                loaded = lstm.load_checkpoint(path.read_bytes(), path)
             except NextactionError:
                 return
             lines = manifest.read_bytes().split(b"\n")

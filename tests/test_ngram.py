@@ -282,7 +282,7 @@ class TestSweepAndFiles:
         table = ngram.fit(corpus_of(seqs, 5), max_order=3)
         p1, p2 = tmp_path / "m1.ngram", tmp_path / "m2.ngram"
         ngram.save_table(table, p1)
-        loaded = ngram.load_table(p1)
+        loaded = ngram.load_table(p1.read_bytes())
         ngram.save_table(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
         for seq in seqs:
@@ -378,12 +378,15 @@ class TestLoadRejects:
               ("4\t0,0,1\t0\t1\n", "record out of order or repeated"),  # (0, 0): no context
               ("4\t2,0,1\t0\t1\n", "context has no record at order 3"),
           ]),
+        # a record above orders that hold none
+        (SAVED.replace("max_order=3", "max_order=9") + "5\t1,0,1,0\t0\t1\n", 8,
+         "no record at order 4"),
     ])
     def test_malformed_table(self, tmp_path, text, lineno, reason):
         path = tmp_path / "m.ngram"
         path.write_text(text, encoding="ascii")
         with pytest.raises(MalformedRecordError) as caught:
-            ngram.load_table(path)
+            ngram.load_table(path.read_bytes())
         assert caught.value.lineno == lineno
         assert reason in str(caught.value)
 
@@ -391,7 +394,7 @@ class TestLoadRejects:
         path = tmp_path / "m.ngram"
         path.write_bytes(SAVED.encode().replace(b"2\t0\t1", b"2\t\xff\t1"))
         with pytest.raises(MalformedRecordError) as caught:
-            ngram.load_table(path)
+            ngram.load_table(path.read_bytes())
         assert caught.value.lineno == 4
 
     @pytest.mark.parametrize("first, second", list(permutations(TWO_FAULTS, 2)))
@@ -406,8 +409,30 @@ class TestLoadRejects:
             spoiled[at] = TWO_FAULTS[kind][0](lines, at)
         (tmp_path / "bad.ngram").write_text("".join(spoiled), encoding="ascii")
         with pytest.raises(MalformedRecordError) as caught:
-            ngram.load_table(tmp_path / "bad.ngram")
+            ngram.load_table((tmp_path / "bad.ngram").read_bytes())
         assert caught.value.lineno == i + 1 and TWO_FAULTS[first][1] in str(caught.value)
+
+
+class TestHeaderOrderAboveTheRecords:
+    """A header's max_order may exceed the highest order that holds a record."""
+
+    def test_orders_without_records_look_up_no_context(self, monkeypatch):
+        """Records at orders 1-2 under max_order=50 need no parent lookup at all."""
+        blob = SAVED.replace("max_order=3", "max_order=50").encode()
+        calls, child = [], ngram._child
+        monkeypatch.setattr(ngram, "_child", lambda *a: calls.append(a) or child(*a))
+        table = ngram.load_table(b"".join(line for line in blob.splitlines(keepends=True)
+                                          if not line.startswith(b"3\t")))
+        assert calls == []
+        assert table.max_order == 50 and all(len(table.grams[k]) == 0 for k in range(3, 51))
+        assert ngram.predict_next(table, [A, B]) == ngram.BackoffPrediction(A, 2)
+
+    def test_a_large_order_loads_and_saves_back_the_same_bytes(self, tmp_path):
+        blob = SAVED.replace("max_order=3", "max_order=2000").encode()
+        table = ngram.load_table(blob)
+        assert ngram.predict_next(table, [A, B]) == ngram.BackoffPrediction(A, 3)
+        ngram.save_table(table, tmp_path / "m.ngram")
+        assert (tmp_path / "m.ngram").read_bytes() == blob
 
 
 # --- properties against the brute-force oracles in helpers.py
@@ -517,7 +542,7 @@ class TestProperties:
         with tempfile.TemporaryDirectory() as root:
             first, second = Path(root) / "a.ngram", Path(root) / "b.ngram"
             ngram.save_table(table, first)
-            loaded = ngram.load_table(first)
+            loaded = ngram.load_table(first.read_bytes())
             ngram.save_table(loaded, second)
             assert first.read_bytes() == second.read_bytes()
         fold = actions_pos(held_out)
@@ -536,7 +561,7 @@ class TestProperties:
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
-                loaded = ngram.load_table(path)
+                loaded = ngram.load_table(path.read_bytes())
             except NextactionError:
                 return
             ngram.save_table(loaded, path)
@@ -558,7 +583,7 @@ class TestProperties:
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             changed = path.read_bytes()
             try:
-                loaded = ingest.load_corpus(path)
+                loaded = ingest.load_corpus(path.read_bytes())
             except NextactionError:
                 return
             ingest.save_corpus(loaded, path)
@@ -615,7 +640,7 @@ class TestByteColumns:
             ngram.save_table(table, columnar)
             per_line_save_table(table, per_line)
             assert columnar.read_bytes() == per_line.read_bytes()
-            ngram.save_table(ngram.load_table(columnar), per_line)
+            ngram.save_table(ngram.load_table(columnar.read_bytes()), per_line)
             assert per_line.read_bytes() == columnar.read_bytes()
 
     @settings(max_examples=500, deadline=None)
@@ -638,9 +663,9 @@ class TestByteColumns:
         rng = np.random.default_rng(52)
         table = ngram.fit(corpus_of([rng.integers(0, 40, size=300).tolist()], 40), 5)
         ngram.save_table(table, tmp_path / "m.ngram")
-        whole = ngram.load_table(tmp_path / "m.ngram")
+        whole = ngram.load_table((tmp_path / "m.ngram").read_bytes())
         monkeypatch.setattr(ngram, "_CHUNK", 64)
-        chunked = ngram.load_table(tmp_path / "m.ngram")
+        chunked = ngram.load_table((tmp_path / "m.ngram").read_bytes())
         for k in range(1, 6):
             assert chunked.grams[k].tolist() == whole.grams[k].tolist()
             assert chunked.contexts[k].tolist() == whole.contexts[k].tolist()
@@ -650,5 +675,5 @@ class TestByteColumns:
                                  (901, "5\t1,2,3,99\t0\t1\n", "context id")):
             (tmp_path / "bad.ngram").write_text("".join(text[:at] + [line] + text[at + 1:]))
             with pytest.raises(MalformedRecordError) as caught:
-                ngram.load_table(tmp_path / "bad.ngram")
+                ngram.load_table((tmp_path / "bad.ngram").read_bytes())
             assert caught.value.lineno == at + 1 and reason in str(caught.value)
