@@ -401,16 +401,6 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: np.ndarray, span: int) -> n
     return rows
 
 
-def _first_use(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of each distinct key's first record, in order of first use, and
-    each record's index into them."""
-    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[codes]
-
-
 # the low n bytes of a word for n in 0..8, then zeros, which a negative n up to
 # -_MAX_FIELD indexes from the end
 _LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)] + [0] * _MAX_FIELD, dtype=np.uint64)
@@ -420,8 +410,8 @@ def _field(
     buf: np.ndarray, left: np.ndarray, right: np.ndarray
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The distinct values of one field, the at most ``_MAX_FIELD`` bytes from ``left``
-    up to ``right`` in each record, in order of first use; each record's index into
-    them; and the record of each value's first use.
+    up to ``right`` in each record, in the order of their keys; each record's index
+    into them; and the record of each value's first use.
 
     A value's key mixes its 8-byte words, NUL past its end; every record's words
     are then checked against those of its key's first record, and only when two
@@ -435,10 +425,11 @@ def _field(
     key = np.zeros(len(left), dtype=np.uint64)
     for word in words:
         _mix(key, word)
-    first, codes = _first_use(key)
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
     del key
     if any((word != word[first][codes]).any() for word in words):
-        first, codes = _first_use(_windows(buf, left, width, widest).view(f"S{widest}")[:, 0])
+        _, first, codes = np.unique(_windows(buf, left, width, widest).view(f"S{widest}")[:, 0],
+                                    return_index=True, return_inverse=True)
     distinct = _windows(buf, left[first], width[first], widest).view(f"S{widest}")[:, 0]
     return [value.decode("utf-8") for value in distinct.tolist()], codes, first
 
@@ -512,8 +503,8 @@ def _canonical_records(data: np.ndarray, size: int):
         keep, time = keep[canonical], time[canonical]
         for k, (values, codes, _) in enumerate(fields):
             codes = codes[canonical]
-            first, ranks = _first_use(codes)
-            fields[k] = [values[i] for i in codes[first]], ranks, first
+            used, first, ranks = np.unique(codes, return_index=True, return_inverse=True)
+            fields[k] = [values[i] for i in used.tolist()], ranks, first
     return ends, starts, records, keep, time, fields
 
 

@@ -1,7 +1,8 @@
 """Gram-count tables with recursive backoff next-action prediction.
 
-A table of order N stores, for every order k in 1..N, the count of each
-(k-1 context ids, next id) pair observed in training.  Only continuation
+A table stores, for each order k in 1..n, the count of each (k-1 context ids,
+next id) pair observed in training, n being the highest order with a gram;
+``max_order`` only caps the orders backoff starts from.  Only continuation
 positions are counted: position t of a sequence contributes the grams that
 end at t for t >= 2, so all orders share the same scored positions.  The
 order-1 context is empty.
@@ -67,10 +68,12 @@ class _Continuations:
         self._order = order
 
     def __len__(self) -> int:
-        return len(self._table.contexts[self._order])
+        return len(self._table.contexts.get(self._order, ()))
 
     def items(self):
         table, order, V = self._table, self._order, self._table.vocab_size
+        if order not in table.grams:  # an order above the table's highest holds nothing
+            return
         rows = next(islice(_context_rows(table), order - 1, None))
         nexts = (table.grams[order] % V).tolist()
         counts = table.counts[order].tolist()
@@ -81,7 +84,8 @@ class _Continuations:
 
 
 class NGramTable:
-    """Per-order sorted context keys, gram keys and counts (see the module doc)."""
+    """Per-order sorted context keys, gram keys and counts (see the module doc),
+    keyed by the orders 1..n that hold a gram; ``max_order`` is the backoff cap."""
 
     def __init__(
         self,
@@ -91,16 +95,13 @@ class NGramTable:
         grams: dict[int, np.ndarray] | None = None,
         counts: dict[int, np.ndarray] | None = None,
     ):
-        if max_order < 1:
-            raise ConfigError(f"max_order must be >= 1, got {max_order}")
-        orders = range(1, max_order + 1)
-        self.max_order = max_order
+        self.max_order = _check_order(max_order)
         self.vocab_size = vocab_size
-        self.contexts = contexts or {k: _EMPTY for k in orders}
-        self.grams = grams or {k: _EMPTY for k in orders}
-        self.counts = counts or {k: _EMPTY for k in orders}
-        self.first = {k: np.searchsorted(self.grams[k] // vocab_size,
-                                         np.arange(len(self.contexts[k]) + 1)) for k in orders}
+        self.contexts = contexts or {}
+        self.grams = grams or {}
+        self.counts = counts or {}
+        self.first = {k: np.searchsorted(keys // vocab_size, np.arange(len(self.contexts[k]) + 1))
+                      for k, keys in self.grams.items()}
 
     @property
     def continuations(self) -> dict[int, _Continuations]:
@@ -129,37 +130,35 @@ def _best(counts: np.ndarray, first: np.ndarray, nexts: np.ndarray) -> np.ndarra
 
 
 def _context_rows(table: NGramTable):
-    """Yield the contexts of each order k = 1, 2, ... as rows of k - 1 ids: each
-    context is its parent's row plus its last id."""
-    rows = np.zeros((len(table.contexts[1]), 0), dtype=np.int64)
-    yield rows
-    for k in range(2, table.max_order + 1):
-        parent, last = np.divmod(table.contexts[k], table.vocab_size)
-        rows = np.column_stack([np.take(rows, parent, axis=0), last])
+    """Yield the contexts of each order k the table holds as rows of k - 1 ids:
+    each context is its parent's row plus its last id."""
+    rows = np.zeros((1, 0), dtype=np.int64)  # order 1's one context, the empty one
+    for k in table.grams:
+        if k > 1:
+            parent, last = np.divmod(table.contexts[k], table.vocab_size)
+            rows = np.column_stack([np.take(rows, parent, axis=0), last])
         yield rows
 
 
 def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
-    """Id of each context (parent's actions, then ``last``) in the sorted ``keys``,
-    or -1 if it is absent or its parent id is -1."""
-    if len(keys) == 0:
-        return np.full(len(parent), -1, dtype=np.int64)
+    """Id of each context (parent's actions, then ``last``) in the sorted, non-empty
+    ``keys``, or -1 if it is absent or its parent id is -1."""
     query = np.where(parent >= 0, parent * V + last, -1)
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[at] == query, at, -1)
 
 
 def _context_ids(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int):
-    """Yield ``(k, ids)`` for k = 1..cap, ids[i] being the id of the context
-    ``actions[i-k+1:i]``, or -1 if unseen or if it would cross the start of
-    i's sequence (``pos[i]`` is i's index within it)."""
-    ids = np.full(len(actions), 0 if len(table.contexts[1]) else -1, dtype=np.int64)
-    yield 1, ids
+    """Yield ``(k, ids)`` for each order k <= cap that the table holds, ids[i] being
+    the id of the context ``actions[i-k+1:i]``, or -1 if unseen or if it would
+    cross the start of i's sequence (``pos[i]`` is i's index within it)."""
+    ids = np.zeros(len(actions), dtype=np.int64)  # order 1's one context, the empty one
     previous = np.roll(actions, 1)
-    for k in range(2, cap + 1):
-        parent = np.roll(ids, 1)
-        parent[pos < k - 1] = -1  # this also covers the value rolled in at index 0
-        ids = _child(table.contexts[k], parent, previous, table.vocab_size)
+    for k in islice(table.grams, cap):
+        if k > 1:
+            parent = np.roll(ids, 1)
+            parent[pos < k - 1] = -1  # this also covers the value rolled in at index 0
+            ids = _child(table.contexts[k], parent, previous, table.vocab_size)
         yield k, ids
 
 
@@ -181,28 +180,30 @@ def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, 
 
 
 def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGramTable:
-    """Count all grams of order <= max_order over the corpus sequences.
+    """Count all grams of order <= max_order over the corpus sequences, up to the
+    first order that no position reaches.
 
-    Given a dict, the count also sets ``gram_index[k]`` to the index in the
-    table's ``grams[k]`` of the order-k gram that ends at each action, or -1 at
-    an action that ends none.
+    Given a dict, the count also sets ``gram_index[k]``, for each order k the
+    table holds, to the index in the table's ``grams[k]`` of the order-k gram
+    that ends at each action, or -1 at an action that ends none.
     """
     if not len(corpus):
         raise ConfigError("cannot fit an n-gram table on an empty corpus")
-    if max_order < 1:
-        raise ConfigError(f"max_order must be >= 1, got {max_order}")
+    _check_order(max_order)
     V = corpus.vocab_size
     actions, pos = action_array(V, corpus.actions), corpus.pos
     at = np.flatnonzero(pos >= 1)  # continuation positions
-    contexts = {1: np.zeros(min(len(at), 1), dtype=np.int64)}
-    ranks = np.zeros(len(at), dtype=np.int64)  # the context id at each of them
     index = {} if gram_index is None else gram_index
-    grams, counts = {}, {}
+    contexts, grams, counts = {}, {}, {}
     for k in range(1, max_order + 1):
-        if k == 2:
+        at = at[pos[at] >= k - 1]
+        if not len(at):  # nor does any position reach an order above
+            break
+        if k == 1:  # the empty context, id 0, is the context at each position
+            contexts[k], ranks = np.zeros(1, dtype=np.int64), np.zeros(len(at), dtype=np.int64)
+        elif k == 2:
             contexts[k], ranks = np.unique(actions[at - 1], return_inverse=True)
-        elif k > 2:  # an order-k context is the order-(k-1) gram that ends one action earlier
-            at = at[pos[at] >= k - 1]
+        else:  # an order-k context is the order-(k-1) gram that ends one action earlier
             parents = index[k - 1][at - 1]
             seen = np.bincount(parents, minlength=len(grams[k - 1])) > 0
             contexts[k], ranks = grams[k - 1][seen], (np.cumsum(seen) - 1)[parents]
@@ -213,8 +214,14 @@ def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGram
     return NGramTable(max_order, V, contexts, grams, counts)
 
 
+def _check_order(max_order: int) -> int:
+    if max_order < 1:
+        raise ConfigError(f"max_order must be >= 1, got {max_order}")
+    return max_order
+
+
 def _cap(table: NGramTable, max_order: int | None) -> int:
-    return table.max_order if max_order is None else min(max_order, table.max_order)
+    return table.max_order if max_order is None else min(_check_order(max_order), table.max_order)
 
 
 def predict_next(
@@ -249,7 +256,7 @@ def fitted_usage(corpus: Corpus, max_order: int) -> dict[int, float]:
     that same corpus: the table holds every context in it, so each position p >= 1
     is served at order min(max_order, p + 1)."""
     pos = corpus.pos
-    return _usage(np.minimum(pos[pos >= 1] + 1, max_order), max_order)
+    return _usage(np.minimum(pos[pos >= 1] + 1, _check_order(max_order)), max_order)
 
 
 def _usage(used: np.ndarray, cap: int) -> dict[int, float]:
@@ -294,7 +301,8 @@ class NGramSpec:
 
     def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
         """The whole-corpus fit, and per fold the predictions of each order at the
-        scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold."""
+        scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold.
+        An order above the table's highest predicts as that highest order."""
         gram_index: dict[int, np.ndarray] = {}
         table = fit(corpus, max(self.orders), gram_index)
         F, pos = len(held_out), corpus.pos
@@ -303,7 +311,7 @@ class NGramSpec:
         scored = [at[pos[at] >= 1] for at in map(corpus.gather, held_out)]
         found = [np.full(len(at), -1, dtype=np.int64) for at in scored]
         by_order: list[dict[int, np.ndarray]] = [{} for _ in scored]
-        for k in range(1, max(self.orders) + 1):
+        for k in table.grams:
             counted = gram_index[k] >= 0
             first, nexts = table.first[k], table.grams[k] % table.vocab_size
             # each fold's count of each gram, from one bincount over the fold-major keys
@@ -320,18 +328,19 @@ class NGramSpec:
                 if k in self.orders:
                     by_order[fold][k] = found[fold]
         full = tuple(NGramPredictor(table, max_order=order) for order in self.orders), None
-        return full, [([own[order] for order in self.orders], None) for own in by_order]
+        return full, [([own.get(order, top) for order in self.orders], None)
+                      for own, top in zip(by_order, found)]
 
 
 def _context_fields(table: NGramTable):
-    """Yield each order's context fields, NUL-padded: a context's ids joined by
-    commas, then a tab, built as its parent's ids, a comma and its last id."""
-    ids = np.zeros((len(table.contexts[1]), 0), dtype=np.uint8)
-    yield text_rows(len(ids), ids, b"\t")
-    for k in range(2, table.max_order + 1):
-        parent, last = np.divmod(table.contexts[k], table.vocab_size)
-        ids = text_rows(len(last), np.take(ids, parent, axis=0), b"," if k > 2 else b"",
-                        format_decimals(last))
+    """Yield each held order's context fields, NUL-padded: a context's ids joined
+    by commas, then a tab, built as its parent's ids, a comma and its last id."""
+    ids = np.zeros((1, 0), dtype=np.uint8)  # order 1's one context, the empty one
+    for k in table.grams:
+        if k > 1:
+            parent, last = np.divmod(table.contexts[k], table.vocab_size)
+            ids = text_rows(len(last), np.take(ids, parent, axis=0), b"," if k > 2 else b"",
+                            format_decimals(last))
         yield text_rows(len(ids), ids, b"\t")
 
 
@@ -342,8 +351,6 @@ def save_table(table: NGramTable, path: str | Path) -> None:
     with open(path, "wb") as out:
         out.write(f"#NGRAM max_order={table.max_order} V={V}\n".encode())
         for k, field in enumerate(_context_fields(table), start=1):
-            if not len(table.grams[k]):
-                continue
             context, nxt = np.divmod(table.grams[k], V)
             text = text_rows(
                 len(nxt), f"{k}\t".encode(), np.take(field, context, axis=0),
@@ -424,7 +431,7 @@ def load_table(blob: bytes) -> NGramTable:
     narrowest dtype that holds V - 1.  The byte parse and the whole-array checks
     only decide whether the table is clean: on any fault ``_refuse_table`` raises
     MalformedRecordError for the first bad line, as a bad header does for line 1.
-    An order with no record costs no context lookup, however large ``max_order`` is.
+    The orders above the highest record hold nothing, however large ``max_order`` is.
     """
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
@@ -454,19 +461,19 @@ def load_table(blob: bytes) -> NGramTable:
         lo = hi
     order, width, nxt, count, digits = (np.concatenate(column) for column in zip(*parts))
     del parts
+    # every field in range, and the orders sorted as 1, 2, ..., n with none left out
     if (((order < 1) | (order > max_order) | (width != order - 1) | (nxt >= V) | (count < 1)).any()
-            or (np.diff(order) < 0).any()):
+            or not np.isin(np.diff(order, prepend=0), (0, 1)).all()):
         _refuse_table(blob, max_order, V)
     digit_at = np.concatenate(([0], np.cumsum(order - 1)))  # record i's are digit_at[i]:[i + 1]
-    empty = {k: _EMPTY for k in range(1, max_order + 1)}  # the orders with no record
-    contexts, grams, counts = dict(empty), dict(empty), empty
-    for k in np.flatnonzero(np.bincount(order)).tolist():
+    contexts, grams, counts = {}, {}, {}
+    for k in range(1, int(order.max(initial=0)) + 1):
         lo, hi = np.searchsorted(order, [k, k + 1])
         rows = digits[digit_at[lo] : digit_at[hi]].reshape(hi - lo, k - 1)
         new = np.ones(hi - lo, dtype=bool)  # a context is a run of equal rows
         new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         own = rows[new]
-        parent = np.full(len(own), 0 if k == 1 or len(contexts[1]) else -1, dtype=np.int64)
+        parent = np.zeros(len(own), dtype=np.int64)  # order 1's one context, the empty one
         for j in range(2, k):
             parent = _child(contexts[j], parent, own[:, j - 2], V)
         keys = parent if k == 1 else parent * V + own[:, -1]

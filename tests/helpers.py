@@ -270,7 +270,7 @@ def per_line_save_table(table, path):
     V = table.vocab_size
     lines = [f"#NGRAM max_order={table.max_order} V={V}\n"]
     ctx_text = [""] * len(table.contexts[1])
-    for k in range(1, table.max_order + 1):
+    for k in table.grams:
         if k > 1:  # a context's text is its parent's, then its last id
             keys, sep = table.contexts[k], "," if k > 2 else ""
             ctx_text = [

@@ -1,5 +1,6 @@
 import gc
 import tempfile
+import tracemalloc
 import weakref
 from itertools import permutations
 from pathlib import Path
@@ -86,6 +87,18 @@ class TestPredict:
         table = ngram.NGramTable(2, 3)
         with pytest.raises(UnfittedModelError):
             ngram.predict_next(table, [A])
+
+    @pytest.mark.parametrize("call", [
+        lambda table, corpus: ngram.predict_next(table, [A], 0),
+        lambda table, corpus: ngram.predict_next(table, [A], -5),
+        lambda table, corpus: ngram.NGramPredictor(table, max_order=-1),
+        lambda table, corpus: ngram.backoff_usage(table, corpus, 0),
+        lambda table, corpus: ngram.fitted_usage(corpus, 0),
+    ])
+    def test_a_cap_below_one_is_refused(self, call):
+        corpus = corpus_of([[A, B, A, B]], 3)
+        with pytest.raises(ConfigError, match="max_order must be >= 1"):
+            call(ngram.fit(corpus, max_order=2), corpus)
 
     def test_tie_break_lowest_id(self):
         # continuations of A are B once and Z once: tie broken toward B
@@ -424,8 +437,44 @@ class TestHeaderOrderAboveTheRecords:
         table = ngram.load_table(b"".join(line for line in blob.splitlines(keepends=True)
                                           if not line.startswith(b"3\t")))
         assert calls == []
-        assert table.max_order == 50 and all(len(table.grams[k]) == 0 for k in range(3, 51))
+        assert table.max_order == 50 and sorted(table.grams) == [1, 2]
         assert ngram.predict_next(table, [A, B]) == ngram.BackoffPrediction(A, 2)
+
+    def test_a_header_far_above_the_records_costs_nothing_per_order(self, tmp_path):
+        """Load, predict and save a two-order table under max_order=10**4 in well
+        under the memory of one array per order, and save back the same bytes."""
+        blob = b"".join(line for line in SAVED.replace("max_order=3", f"max_order={10**4}")
+                        .encode().splitlines(keepends=True) if not line.startswith(b"3\t"))
+        tracemalloc.start()
+        try:
+            table = ngram.load_table(blob)
+            prediction = ngram.predict_next(table, [A, B])
+            ngram.save_table(table, tmp_path / "m.ngram")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert prediction == ngram.BackoffPrediction(A, 2)
+        assert (tmp_path / "m.ngram").read_bytes() == blob
+        assert peak < 2**20
+
+    def test_a_fit_far_above_the_data_stops_at_its_longest_sequence(self):
+        """Sequences of 5 actions fitted at order 10**4 hold orders 1-5, and that
+        order predicts every fold as order 5 does."""
+        rows = np.random.default_rng(3).integers(0, 4, size=(6, 5)).tolist()
+        corpus = corpus_of(rows, 4)
+        tracemalloc.start()
+        try:
+            table = ngram.fit(corpus, 10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 and table.max_order == 10**4 and sorted(table.grams) == [1, 2, 3, 4, 5]
+        folds = np.arange(6) % 3
+        held_out = [np.flatnonzero(folds == fold) for fold in range(3)]
+        far, five = (ngram.NGramSpec((order,)).fit_folds(corpus, folds, held_out)[1]
+                     for order in (10**4, 5))
+        assert [[p.tolist() for p in own] for own, _ in far] == [
+            [p.tolist() for p in own] for own, _ in five]
 
     def test_a_large_order_loads_and_saves_back_the_same_bytes(self, tmp_path):
         blob = SAVED.replace("max_order=3", "max_order=2000").encode()
@@ -488,19 +537,23 @@ class TestDerivations:
         index, oracle_index = {}, {}
         oracle = two_sort_fit(corpus, max_order, oracle_index)
         for table in (ngram.fit(corpus, max_order, index), ngram.fit(corpus, max_order)):
-            for k in range(1, max_order + 1):
+            for k in table.grams:
                 for name in ("contexts", "grams", "counts"):
                     mine, theirs = getattr(table, name)[k], getattr(oracle, name)[k]
                     assert mine.dtype == theirs.dtype == np.int64
                     assert np.array_equal(mine, theirs), (name, k)
                 assert np.array_equal(index[k], oracle_index[k])
+            assert sorted(index) == sorted(table.grams)
+            # the orders the table leaves out are those where the oracle counts no gram
+            for k in range(len(table.grams) + 1, max_order + 1):
+                assert len(oracle.grams[k]) == 0 and (oracle_index[k] == -1).all()
 
     @settings(max_examples=100, deadline=None)
     @given(fit_cases())
     def test_contexts_above_order_two_are_grams_of_the_order_below(self, case):
         rows, vocab_size, max_order = case
         table = ngram.fit(corpus_of(rows, vocab_size), max_order)
-        for k in range(3, max_order + 1):
+        for k in range(3, len(table.grams) + 1):
             assert np.isin(table.contexts[k], table.grams[k - 1]).all()
 
 
