@@ -10,7 +10,6 @@ verification.
 from . import baselines, evaluation, ingest, lstm, ngram, synth
 from .errors import (
     ConfigError,
-    DuplicateItemError,
     MalformedRecordError,
     NextactionError,
     NumericalFaultError,
@@ -27,7 +26,6 @@ __all__ = [
     "ngram",
     "synth",
     "ConfigError",
-    "DuplicateItemError",
     "MalformedRecordError",
     "NextactionError",
     "NumericalFaultError",

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateItemError, NextactionError
+from .errors import MalformedRecordError, NextactionError
 from .ingest import Vocabulary, action_array, text_lines
 
 NO_PREDICTION = -1  # sentinel id; never matches a real action
@@ -48,7 +48,7 @@ def load_syllabus(blob: bytes, vocab: Vocabulary) -> SyllabusMap:
         if not token or token.startswith("#"):
             continue
         if token in seen:
-            raise DuplicateItemError(f"line {lineno}: duplicate course item {token!r}")
+            raise MalformedRecordError(lineno, f"duplicate course item {token!r}")
         seen.add(token)
         action_id = vocab.encode(token)
         if action_id is None:

@@ -12,8 +12,8 @@ def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
     """Parse ``path``, converting each value to the type ``kinds`` gives its key.
 
     ``-`` in a key reads as ``_``.  A line that is not key=value, a key not in
-    ``kinds`` or a value its type rejects raises ConfigError naming the line; a
-    line that is not UTF-8 raises MalformedRecordError.
+    ``kinds``, a key set twice or a value its type rejects raises ConfigError
+    naming the line; a line that is not UTF-8 raises MalformedRecordError.
     """
     values: dict[str, object] = {}
     for lineno, line in text_lines(Path(path).read_bytes()):
@@ -27,6 +27,8 @@ def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
         key = key.replace("-", "_")
         if key not in kinds:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{where}: config key {key!r} is set twice")
         kind = kinds[key]
         try:
             values[key] = _BOOLEANS[raw.lower()] if kind is bool else kind(raw)

@@ -34,9 +34,5 @@ class UnfittedModelError(NextactionError):
     """A prediction was requested from a model with no observations."""
 
 
-class DuplicateItemError(NextactionError):
-    """A course-order file lists the same token more than once."""
-
-
 class NumericalFaultError(NextactionError):
     """Non-finite values were fed into a numerical routine."""

@@ -451,9 +451,8 @@ def _parse_stream(data: np.ndarray, end: np.ndarray):
 
     def field(stop: np.ndarray):
         """The canonical decimal that ends at ``stop``, whether it is one, and its tab."""
-        value, length = parse_decimals(data, np.maximum(stop, 0))
-        leading = byte(stop - length) != ord("0")
-        return value, (length >= 1) & (length <= 18) & ((length == 1) | leading), stop - length - 1
+        value, length, canonical = parse_decimals(data, np.maximum(stop, 0))
+        return value, canonical, stop - length - 1
 
     truth, good, tab = field(end)
     good &= byte(tab) == ord("\t")

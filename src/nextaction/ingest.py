@@ -119,11 +119,12 @@ def text_rows(count: int, *fields) -> np.ndarray:
     return np.concatenate([np.broadcast_to(f, (count, f.shape[1])) for f in fields], axis=1)
 
 
-def parse_decimals(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def parse_decimals(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The value and length of the run of ASCII digits in the uint8 ``data`` that
-    ends just before each index in ``ends``; 0 and 0 for no run.  Every run must
-    have a byte before it in ``data``.  A run of more than 18 digits reads as
-    length 19, with a meaningless value."""
+    ends just before each index in ``ends``, 0 and 0 for no run; and whether the
+    run is a canonical decimal below 2**63: 1 to 18 digits, no leading zero.
+    Every run must have a byte before it in ``data``.  A run of more than 18
+    digits reads as length 19, with a meaningless value."""
     digit = np.take(data, ends - 1) - np.uint8(ord("0"))  # uint8: bytes below '0' wrap
     live = digit < 10
     value, length = np.where(live, digit, 0).astype(np.int64), live.astype(np.int64)
@@ -137,7 +138,8 @@ def parse_decimals(data: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.n
         at, before = np.take(at, more), np.take(before, more) - 1
         value[at] += np.take(digit, more) * np.int64(10**exponent)
         length[at] += 1
-    return value, length
+    leading = np.take(data, ends - length) != ord("0")
+    return value, length, (length >= 1) & (length <= 18) & ((length == 1) | leading)
 
 
 @dataclass
@@ -492,8 +494,9 @@ def _canonical_records(data: np.ndarray, size: int):
     for k in (1, 2, 3, 4):
         canonical &= edges[k + 1] - edges[k] <= _MAX_FIELD + 1
     keep, time = keep[canonical], time[canonical]
-    fields = [_field(data, edges[k][canonical] + 1, edges[k + 1][canonical]) for k in (1, 2, 3, 4)]
+    spans = [(edges[k][canonical] + 1, edges[k + 1][canonical]) for k in (1, 2, 3, 4)]
     del edges
+    fields = [_field(data, *span) for span in spans]
     # a value with whitespace at an edge, which the per-line rule strips, or a missing
     # student or event type, makes its records odd
     canonical = ~np.any([np.array([value != value.strip() or k < 2 and value in _ABSENT
@@ -501,10 +504,7 @@ def _canonical_records(data: np.ndarray, size: int):
                          for k, (values, codes, _) in enumerate(fields)], axis=0)
     if not canonical.all():
         keep, time = keep[canonical], time[canonical]
-        for k, (values, codes, _) in enumerate(fields):
-            codes = codes[canonical]
-            used, first, ranks = np.unique(codes, return_index=True, return_inverse=True)
-            fields[k] = [values[i] for i in used.tolist()], ranks, first
+        fields = [_field(data, left[canonical], right[canonical]) for left, right in spans]
     return ends, starts, records, keep, time, fields
 
 

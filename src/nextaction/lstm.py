@@ -174,11 +174,6 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_network(
     vocab_size: int,
     embedding_dim: int,
@@ -191,22 +186,23 @@ def init_network(
 ) -> LstmNetwork:
     """Seeded uniform init in [-1/sqrt(fan_in), 1/sqrt(fan_in)]; biases zero.
 
-    Draw order is fixed: embedding, then each layer's gate matrices in
-    checkpoint order, then the output projection.
+    The weight matrices, the embedding and every ``W_*`` tensor, are drawn in
+    ``param_items`` order, the checkpoint's, each with fan-in ``shape[1]``.
     """
     if cell not in _CELL_KINDS:
         raise ConfigError(f"unknown cell kind {cell!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    emb = _uniform_init(rng, (vocab_size + 1, embedding_dim), embedding_dim)
-    layer_params = []
-    for idx in range(layers):
-        layer = RecurrentLayer.zeros(cell, embedding_dim if idx == 0 else hidden_size, hidden_size)
-        for name, view in layer.tensors():
-            if name.startswith("W"):
-                view[...] = _uniform_init(rng, view.shape, view.shape[1])
-        layer_params.append(layer)
-    W_y = _uniform_init(rng, (vocab_size, hidden_size), hidden_size)
-    return LstmNetwork(emb, layer_params, W_y, np.zeros(vocab_size), dropout_rate, window, cell)
+    net = LstmNetwork(
+        np.zeros((vocab_size + 1, embedding_dim)),
+        [RecurrentLayer.zeros(cell, embedding_dim if idx == 0 else hidden_size, hidden_size)
+         for idx in range(layers)],
+        np.zeros((vocab_size, hidden_size)), np.zeros(vocab_size), dropout_rate, window, cell,
+    )
+    for name, array in net.param_items():
+        if name == "embedding" or name.rpartition(".")[2].startswith("W"):
+            limit = 1.0 / np.sqrt(array.shape[1])
+            array[...] = rng.uniform(-limit, limit, size=array.shape)
+    return net
 
 
 def network_from_config(vocab_size: int, cfg: TrainConfig) -> LstmNetwork:

@@ -370,20 +370,18 @@ def _parse_records(data: np.ndarray, lo: int, hi: int):
     order<TAB>context<TAB>next<TAB>count in canonical integers."""
     ends = lo + np.flatnonzero(data[lo:hi] - np.uint8(ord("0")) > 9)  # each field ends at one
     kind = np.take(data, ends)
-    value, length = parse_decimals(data, ends)
+    value, length, canonical = parse_decimals(data, ends)
     tab = kind == ord("\t")
     last = np.flatnonzero(kind == ord("\n"))  # each line's separators are first..last
     first = np.concatenate(([0], last[:-1] + 1))
     after_first = np.zeros(len(ends) + 1, dtype=bool)
     after_first[first + 1] = True
     # a line's separators are a tab, commas, two tabs and a newline, and each field
-    # but an empty context is 1 to 18 digits with no leading zero
+    # but an empty context is a canonical decimal
     if (((kind != ord(",")) & ~tab & (kind != ord("\n"))).any()
             or (last - first < 3).any() or np.count_nonzero(tab) != 3 * len(last)
             or not (tab[first].all() and tab[last - 1].all() and tab[last - 2].all())
-            or length.max() > 18
-            or ((length == 0) & ~(tab & after_first[:-1])).any()
-            or ((length > 1) & (np.take(data, ends - length) == ord("0"))).any()):
+            or (~canonical & ~((length == 0) & tab & after_first[:-1])).any()):
         return None
     width = last - first - 2 - (length[last - 2] == 0)
     context = length > 0

@@ -2,7 +2,7 @@ import pytest
 
 from helpers import corpus_of
 from nextaction import baselines, evaluation, ingest
-from nextaction.errors import DuplicateItemError, NextactionError
+from nextaction.errors import MalformedRecordError, NextactionError
 
 
 @pytest.fixture
@@ -30,8 +30,10 @@ class TestLoadSyllabus:
         assert syl.unmatched == ["zz"]
 
     def test_duplicate_raises(self, vocab):
-        with pytest.raises(DuplicateItemError, match="^line 3: duplicate course item 'a'$"):
+        with pytest.raises(MalformedRecordError,
+                           match="^line 3: duplicate course item 'a'$") as caught:
             baselines.load_syllabus(syllabus_bytes(["a", "b", "a"]), vocab)
+        assert caught.value.lineno == 3
 
     def test_comments_ignored(self, vocab):
         syl = baselines.load_syllabus(

@@ -250,6 +250,22 @@ class TestBaselineAndEval:
                 in capsys.readouterr().err)
         assert loads == [] and not out.exists()
 
+    def test_syllabus_model_without_a_syllabus_exits_2(self, tiny, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["baseline", "--model", "syllabus", "--corpus", str(tiny / "corpus.nact"),
+                     "--vocab", str(tiny / "vocab.tsv"), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: baseline 'syllabus' needs --syllabus"]
+        assert not out.exists()
+
+    def test_csv_rows_are_the_report_fold_accuracies(self, tiny, tmp_path):
+        assert main(["baseline", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--folds", "3", "--csv", str(tmp_path / "f.csv"),
+                     "--report", str(tmp_path / "r.txt"), "--out-dir", str(tmp_path)]) == 0
+        parsed = read_report(tmp_path / "r.txt")
+        assert (tmp_path / "f.csv").read_text().splitlines() == [
+            "fold,accuracy", *(f"{i},{parsed[f'fold_accuracy.{i}']}" for i in range(3))]
+
     def test_eval_saved_ngram_on_uncertified(self, pipeline, tmp_path):
         model_path = tmp_path / "model.ngram"
         rc = main([
@@ -443,6 +459,11 @@ class TestConfigMerging:
         assert parsed["meta.config.folds"] == "3"  # file fills the gap
         assert parsed["meta.config.seed"] == "5"
 
+    def test_blank_and_comment_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a run\n\n   \nseed=3\n  # folds=9\nfolds=4\n", encoding="utf-8")
+        assert read_kv_file(cfg, {"seed": int, "folds": int}) == {"seed": 3, "folds": 4}
+
     def test_synth_seed_override(self, tmp_path):
         cfg = tmp_path / "synth.cfg"
         cfg.write_text(
@@ -482,6 +503,27 @@ class TestConfigErrors:
         assert not list(tmp_path.glob("ngram-report-*.txt"))
 
 
+    # a repeat is found after '-' reads as '_', and blank and '#' lines count toward its line
+    @pytest.mark.parametrize("command, text, key, line", [
+        ("ngram", "seed=1\nseed=2\n", "seed", 2),
+        ("ingest", "min-count=1\n# again\n\nmin_count=2\n", "min_count", 4),
+        ("synth", "seed=1\nseed=1\n", "seed", 2),
+    ], ids=["ngram", "ingest", "synth"])
+    def test_a_key_set_twice_exits_2(self, pipeline, tmp_path, capsys, command, text, key,
+                                     line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        data = {"synth": [],
+                "ingest": ["--events", str(pipeline / "events.tsv"), "--roster",
+                           str(pipeline / "roster.tsv")],
+                "ngram": ["--corpus", str(pipeline / "corpus.nact"), "--vocab",
+                          str(pipeline / "vocab.tsv")]}[command]
+        out = tmp_path / "out"
+        assert main([command, *data, "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: run.cfg, line {line}: config key {key!r} is set twice"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, value, kind", [
         ("--layers", "abc", "int"), ("--nodes", "8,x", "int"), ("--lr", "fast", "float"),
     ])
@@ -497,6 +539,18 @@ class TestConfigErrors:
                      str(tiny / "vocab.tsv"), *given, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [f"error: {flag} needs {kind} values, got {value!r}"]
+
+
+class TestIngestInputs:
+    @pytest.mark.parametrize("given", ["--events", "--roster", None])
+    def test_ingest_without_events_or_roster_exits_2(self, pipeline, tmp_path, capsys, given):
+        files = {"--events": "events.tsv", "--roster": "roster.tsv"}
+        argv = [] if given is None else [given, str(pipeline / files[given])]
+        out = tmp_path / "out"
+        assert main(["ingest", *argv, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ingest needs --events and --roster"]
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -854,7 +908,8 @@ class TestInProcessNgram:
 
 class TestFoldWorkerFault:
     """A fault raised inside a forked fold worker, or in the n-gram count that
-    serves every fold in process, ends in exit 2 with its message."""
+    serves every fold in process, ends in exit 2 with its message; so does a
+    worker that dies."""
 
     def test_numerical_fault(self, tiny, tmp_path, capsys, monkeypatch):
         build = lstm.network_from_config
@@ -880,6 +935,20 @@ class TestFoldWorkerFault:
                          str(tiny / "vocab.tsv"), "--folds", "3", "--workers", "2", *sweep,
                          "--out-dir", str(tmp_path)]) == 2
             assert "error: byte 5: refused in the count" in capsys.readouterr().err
+
+    def test_a_worker_that_dies(self, tiny, tmp_path, capsys, monkeypatch):
+        build, parent = lstm.network_from_config, os.getpid()
+
+        def die(vocab_size, cfg):
+            if os.getpid() != parent:
+                os._exit(1)
+            return build(vocab_size, cfg)
+
+        monkeypatch.setattr(lstm, "network_from_config", die)  # inherited by the fork
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--nodes", "4", "--emb-dim", "4", "--epochs", "1",
+                     "--folds", "3", "--workers", "2", "--out-dir", str(tmp_path)]) == 2
+        assert "error: a fold worker stopped" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -994,7 +1063,9 @@ FILE_ORDER = {
     "config": ([f"k{i}={i}" for i in range(60)],
                lambda path: read_kv_file(path, {f"k{i}": int for i in range(60)}),
                "k0", "input, line {n}: expected key=value, got 'k0'", b"k0=\xff"),
-    "synth-config": ([f"seed={i}" for i in range(60)], synth.load_config,
+    # each key once, as a repeat is a bad line too
+    "synth-config": ([f"{key}={value}" for key, value in vars(synth.SynthConfig()).items()]
+                     + [f"# {i}" for i in range(50)], synth.load_config,
                      "seed=x", "input, line {n}: bad int value for seed: 'x'", b"seed=\xff"),
     "stream": ([f"s{i}\t{i + 2}\t1\t1" for i in range(60)],
                lambda path: evaluation.read_stream(path.read_bytes()),

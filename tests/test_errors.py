@@ -12,7 +12,6 @@ CASES = [
     errors.MalformedRecordError(12, "short header", unit="byte"),
     errors.ConfigError("bad value"),
     errors.UnfittedModelError("no observations"),
-    errors.DuplicateItemError("duplicate course item"),
     errors.NumericalFaultError("epoch 1: non-finite training loss"),
 ]
 

@@ -107,6 +107,15 @@ class TestHillClimbSplit:
         assert not train_ids & hold_ids
         assert train_ids | hold_ids == {s.student_id for s in corpus.sequences}
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
+    def test_fraction_outside_the_open_unit_interval(self, fraction):
+        with pytest.raises(ConfigError, match="holdout fraction must be in"):
+            evaluation.hill_climb_split(corpus_of([[0, 1]] * 5, 2), fraction)
+
+    def test_fewer_than_two_students(self):
+        with pytest.raises(ConfigError, match="needs at least 2 students"):
+            evaluation.hill_climb_split(corpus_of([[0, 1]], 2), 0.5)
+
 
 class TestSequenceAccuracy:
     def test_repeat_on_small_sequence(self):
@@ -222,6 +231,12 @@ class TestPredictionContract:
 
 
 class TestCrossValidate:
+    def test_a_plan_that_misses_a_student(self):
+        corpus = corpus_of([[0, 1]] * 6, 2)
+        plan = evaluation.make_folds(corpus.students[:-1], 3, seed=0)
+        with pytest.raises(ConfigError, match="fold plan does not cover students"):
+            evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
+
     def test_constant_model_equals_base_rate(self):
         rng = np.random.default_rng(6)
         seqs = [rng.integers(0, 3, size=rng.integers(4, 12)).tolist() for _ in range(12)]

@@ -60,6 +60,11 @@ class TestParseEvent:
         with pytest.raises(MalformedRecordError):
             ingest.parse_event("not-a-time\ts1\tx\t-\t-", 1)
 
+    def test_a_stamp_with_no_zone_reads_as_utc(self):
+        zoned, *_ = ingest.parse_event("2013-03-01T10:00:00Z\ts1\tx\t-\t-", 1)
+        naive, *_ = ingest.parse_event("2013-03-01T10:00:00\ts1\tx\t-\t-", 1)
+        assert naive == zoned and naive.tzinfo is not None
+
     def test_missing_required_fields(self):
         with pytest.raises(MalformedRecordError):
             ingest.parse_event("2013-03-01T10:00:00Z\t-\tx\t-\t-", 1)
@@ -362,6 +367,10 @@ class TestFileFormats:
             ingest.save_corpus(corpus, cpath)
             blobs.append((vpath.read_bytes(), cpath.read_bytes()))
         assert blobs[0] == blobs[1]
+
+    def test_roster_skips_blank_and_comment_lines(self):
+        blob = b"# student\tcertified\n\ns1\t1\n   \n  # s3\t1\ns2\t0\n"
+        assert ingest.parse_roster(blob) == {"s1": True, "s2": False}
 
     def test_corpus_header_vocab_mismatch(self, tmp_path):
         vocab = ingest.build_vocabulary(["a", "b"], min_count=1)

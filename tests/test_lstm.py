@@ -150,6 +150,10 @@ class TestRecurrentLayer:
             assert np.array_equal(views[f"b_{gate}"], layer.b[k])
         assert layer.W_x.shape == (4, 6, 5) and layer.W_h.shape == (4, 6, 6)
 
+    def test_unknown_cell_kind(self):
+        with pytest.raises(ConfigError, match="unknown cell kind 'gru'"):
+            tiny_net(cell="gru")
+
     def test_tanh_cell_has_one_gate_and_an_initial_state(self):
         layer = tiny_net(seed=12, layers=1, cell="rnn").layers[0]
         assert [name for name, _ in layer.tensors()] == ["W_x", "W_h", "b_h", "h0"]
@@ -181,6 +185,16 @@ class TestForwardSequence:
         net = tiny_net(seed=4)
         with pytest.raises(NextactionError):
             lstm.forward_sequence(net, [0, 99])
+
+    @pytest.mark.parametrize("ids", [[], np.zeros((2, 0), dtype=np.int64)])
+    def test_rejects_an_empty_window(self, ids):
+        with pytest.raises(NextactionError, match="non-empty window"):
+            lstm.forward_sequence(tiny_net(seed=4), ids)
+
+    def test_train_mode_dropout_needs_an_rng_or_masks(self):
+        net = tiny_net(seed=4, layers=2, dropout=0.5)
+        with pytest.raises(ConfigError, match="needs an rng or explicit masks"):
+            lstm.forward_sequence(net, [0, 1, 2], train=True)
 
     def test_rejects_window_overflow(self):
         net = tiny_net(seed=4, window=3)
@@ -491,6 +505,15 @@ class TestTraining:
                            match="epoch 1: non-finite output probability"):
             lstm.train(cycle_corpus(n_students=10, length=12), cfg)
 
+    @pytest.mark.parametrize("corpus, message", [
+        (cycle_corpus(n_students=0), "cannot train on an empty corpus"),
+        (cycle_corpus(n_students=5, length=1), "no trainable windows"),
+    ])
+    def test_nothing_to_train_on(self, corpus, message):
+        cfg = lstm.TrainConfig(epochs=1, window=5, hidden_size=4, embedding_dim=4)
+        with pytest.raises(ConfigError, match=message):
+            lstm.train(corpus, cfg)
+
     def test_curve_has_one_row_per_epoch(self):
         cfg = lstm.TrainConfig(epochs=4, window=5, batch_size=4, seed=0,
                                hidden_size=8, layers=1, embedding_dim=6)
@@ -646,6 +669,11 @@ class TestCheckpointRejects:
         Path(str(saved) + ".manifest.txt").unlink()
         # no manifest: nothing to check against
         lstm.load_checkpoint(saved.read_bytes(), saved, window=9)
+
+    def test_no_manifest_and_no_window(self, saved):
+        Path(str(saved) + ".manifest.txt").unlink()
+        error = self.load_error(saved, saved.read_bytes(), error=ConfigError)
+        assert str(error) == "checkpoint manifest missing; pass the window explicitly"
 
     def test_non_integer_window_line(self, saved):
         manifest = Path(str(saved) + ".manifest.txt")

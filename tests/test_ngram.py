@@ -362,6 +362,7 @@ class TestLoadRejects:
         (SAVED + "3\t1,00\t2\t1\n", 8, "canonical"),
         (SAVED + "3\t1,0\t2\t-1\n", 8, "canonical"),
         (SAVED + "\n", 8, "canonical"),
+        (SAVED_LINES[0][:-1], 1, "newline"),
         (SAVED[:-1], 7, "newline"),
         (SAVED + "4\t1,0,1\t0\t1\n", 8, "order outside"),
         (SAVED + "3\t1\t2\t1\n", 8, "context length"),

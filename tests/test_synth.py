@@ -48,11 +48,34 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(syllabus_length=13).validate()
 
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(p_advance=1.25, p_repeat=-0.25, p_jump=0.0), "must be non-negative"),
+        (dict(students_certified=0), "student counts must be positive"),
+        (dict(students_uncertified=-1), "student counts must be positive"),
+        (dict(mean_sequence_length=1), "mean sequence length must be >= 2"),
+        (dict(markov_order=0), "markov_order must be >= 1"),
+    ])
+    def test_each_bound(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_config(**overrides).validate()
+
+    def test_advance_and_repeat_above_one(self):
+        with pytest.raises(ConfigError, match="advance and repeat masses exceed 1"):
+            synth.GeneratorModel(tiny_config(), p_advance=0.95)
+
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "synth.cfg"
         save_config(cfg, path)
         assert synth.load_config(path) == cfg
+
+    def test_a_key_set_twice_is_rejected(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_text("mean-sequence-length=20\nseed=4\nmean_sequence_length=20\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match="^synth.cfg, line 3: config key "
+                                              "'mean_sequence_length' is set twice$"):
+            synth.load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "synth.cfg"
@@ -68,6 +91,10 @@ class TestKernel:
         for a in range(v):
             for b in range(v):
                 assert abs(distribution(kernel, (a, b)).sum() - 1.0) <= 1e-12
+
+    def test_sequence_length_below_one(self):
+        with pytest.raises(ConfigError, match="sequence length must be >= 1"):
+            synth.certified_kernel(tiny_config()).sample_sequence(0, np.random.default_rng(1))
 
     def test_advance_uses_most_recent_on_course_action(self):
         kernel = synth.certified_kernel(tiny_config())
@@ -246,6 +273,10 @@ class TestOracle:
         assert np.allclose(distribution(kernel, (0, 1)), 1.0 / 12)
         acc, stderr = synth.oracle_accuracy(kernel, 400, seed=2)
         assert abs(acc - 1.0 / 12) <= 3 * stderr
+
+    def test_horizon_below_one(self):
+        with pytest.raises(ConfigError, match="horizon must be >= 1"):
+            synth.oracle_accuracy(synth.certified_kernel(tiny_config()), 0, seed=1)
 
     def test_frozen_default_value_reproduced(self):
         kernel = synth.certified_kernel(synth.SynthConfig())
