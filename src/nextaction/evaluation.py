@@ -441,10 +441,14 @@ def _refuse_stream(blob: bytes) -> NoReturn:
             )
 
 
-def _parse_stream(data: np.ndarray, end: np.ndarray):
-    """(id starts, id ends, position, predicted, truth) of the lines that end at
-    the newlines ``end`` of ``data``, or None unless each of them is a record."""
-    start = np.concatenate(([0], end + 1))[: len(end)]
+_CHUNK = 1 << 18  # bytes of whole stream lines parsed at a time, which bounds the temporaries
+
+
+def _parse_stream(data: np.ndarray, lo: int, end: np.ndarray):
+    """(id starts, id ends, position, predicted, truth) of the lines that start at
+    ``lo`` and end at the newlines ``end`` of ``data``, or None unless each of
+    them is a record."""
+    start = np.concatenate(([lo], end[:-1] + 1))
 
     def byte(at: np.ndarray) -> np.ndarray:  # an index below 0 only ever marks a bad line
         return np.take(data, np.maximum(at, 0))
@@ -463,19 +467,16 @@ def _parse_stream(data: np.ndarray, end: np.ndarray):
     good &= byte(tab) == ord("\t")
     position, canonical, tab = field(tab)
     good &= canonical & (position >= 2) & (byte(tab) == ord("\t")) & (tab > start)
-    if not good.all() or np.count_nonzero(data == ord("\t")) != 3 * len(end):
+    if not good.all() or np.count_nonzero(data[lo : end[-1]] == ord("\t")) != 3 * len(end):
         return None
     return start, tab, position, np.where(negative, -1, predicted), truth
 
 
-_ID_WORDS = _TEXT_BYTES // 64  # 8-byte words of ids compared at a time, which bounds the arrays
-
-
 def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The lines whose student id, ``data[start[i]:stop[i]]`` for line i, differs
-    from the line before's, for lines that are records.  Only an id as long as
-    the one before is compared, as 8-byte words, ``_ID_WORDS`` at a time, so the
-    work is bounded by the bytes of the ids, not by their number times the
+    from the line before's, for lines that are records; the first line always
+    does.  Only an id as long as the one before is compared, as 8-byte words, so
+    the work is bounded by the bytes of the ids, not by their number times the
     longest."""
     length = stop - start
     new = np.ones(len(start), dtype=bool)
@@ -483,18 +484,37 @@ def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     # every id is followed by at least 7 bytes ("\t2\t0\t0\n"), so each word is in data
     words = np.ndarray(max(len(data) - 7, 0), "<u8", data, strides=(1,))
     count = (length[same] + 7) // 8
-    cuts = np.flatnonzero(np.diff(np.cumsum(count) // _ID_WORDS)) + 1
-    for block, size in zip(np.split(same, cuts), np.split(count, cuts)):
-        first = np.cumsum(size) - size
-        offset = 8 * (np.arange(int(size.sum())) - np.repeat(first, size))
-        at = np.repeat(start[block], size) + offset
-        behind = at - np.repeat(start[block] - start[block - 1], size)
-        # the bytes of each word that belong to its id, 1 to 8 of them
-        keep = np.repeat(length[block], size) - offset
-        mask = np.uint64(2**64 - 1) >> (8 * (8 - np.minimum(keep, 8))).astype(np.uint64)
-        differ = (words[at] ^ words[behind]) & mask != 0
-        new[block] = np.logical_or.reduceat(differ, first)
+    first = np.cumsum(count) - count
+    offset = 8 * (np.arange(int(count.sum())) - np.repeat(first, count))
+    at = np.repeat(start[same], count) + offset
+    behind = at - np.repeat(start[same] - start[same - 1], count)
+    # the bytes of each word that belong to its id, 1 to 8 of them
+    keep = np.repeat(length[same], count) - offset
+    mask = np.uint64(2**64 - 1) >> (8 * (8 - np.minimum(keep, 8))).astype(np.uint64)
+    differ = (words[at] ^ words[behind]) & mask != 0
+    new[same] = np.logical_or.reduceat(differ, first)
     return np.flatnonzero(new)
+
+
+def _read_chunk(blob: bytes, lo: int, hi: int):
+    """The four columns of the whole lines ``blob[lo:hi]``, or raise for the
+    file's first bad line unless each of them is a record."""
+    try:
+        str(memoryview(blob)[lo:hi], "utf-8")
+    except UnicodeDecodeError:
+        _refuse_stream(blob)
+    data = np.frombuffer(blob, dtype=np.uint8)
+    end = lo + np.flatnonzero(data[lo:hi] == ord("\n"))
+    parsed = _parse_stream(data, lo, end)
+    if parsed is None:
+        _refuse_stream(blob)
+    start, stop, position, predicted, truth = parsed
+    runs = _id_runs(data, start, stop)
+    # one shared string per id keeps a long stream small, across chunks too
+    names = [sys.intern(str(blob[a:b], "utf-8")) for a, b in zip(start[runs].tolist(),
+                                                                 stop[runs].tolist())]
+    student = np.repeat(np.array(names, dtype=object), np.diff(np.append(runs, len(end))))
+    return student, position, predicted, truth
 
 
 def read_stream(blob: bytes) -> PredictionStream:
@@ -502,23 +522,21 @@ def read_stream(blob: bytes) -> PredictionStream:
     last included, is a non-empty student id, a position >= 2, a prediction (-1
     for none) and a truth in canonical integers, and a newline.
 
-    The bytes are decoded once; their lines are checked and their three integer
-    columns parsed backwards from each newline, and one string is decoded per
-    run of equal student ids.  Only a bad file is split into lines, to name its
-    first bad line."""
-    try:
-        str(blob, "utf-8")
-    except UnicodeDecodeError:
+    The stream is read one chunk of whole lines, about ``_CHUNK`` bytes, at a
+    time, into columns sized from its newlines: each chunk is checked as UTF-8,
+    its lines are checked and their three integer columns parsed backwards from
+    each newline, and one string is decoded and interned per run of equal
+    student ids.  Only a bad file is split into lines, to name its first bad
+    line."""
+    if blob and not blob.endswith(b"\n"):
         _refuse_stream(blob)
-    data = np.frombuffer(blob, dtype=np.uint8)
-    end = np.flatnonzero(data == ord("\n"))
-    parsed = _parse_stream(data, end) if blob.endswith(b"\n") or not blob else None
-    if parsed is None:
-        _refuse_stream(blob)
-    start, stop, position, predicted, truth = parsed
-    runs = _id_runs(data, start, stop)
-    # one shared string per run keeps a long stream small
-    names = [sys.intern(str(blob[a:b], "utf-8")) for a, b in zip(start[runs].tolist(),
-                                                                 stop[runs].tolist())]
-    student = np.repeat(np.array(names, dtype=object), np.diff(np.append(runs, len(end))))
+    count = blob.count(b"\n")
+    student = np.empty(count, dtype=object)
+    position, predicted, truth = (np.empty(count, dtype=np.int64) for _ in range(3))
+    lo = line = 0
+    while lo < len(blob):
+        hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
+        rows = slice(line, line + blob.count(b"\n", lo, hi))
+        student[rows], position[rows], predicted[rows], truth[rows] = _read_chunk(blob, lo, hi)
+        lo, line = hi, rows.stop
     return PredictionStream(student, position, predicted, truth)

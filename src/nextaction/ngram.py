@@ -36,9 +36,11 @@ was fitted on (``fitted_usage``).
 """
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from numbers import Integral
 from pathlib import Path
 from typing import NoReturn, Sequence
 
@@ -83,6 +85,25 @@ class _Continuations:
             yield ctx, dict(zip(nexts[lo:hi], counts[lo:hi]))
 
 
+class _Orders(Mapping):
+    """Read-only mapping of each order 1..max_order to its ``_Continuations``,
+    made only when that order is read, so its cost does not follow ``max_order``."""
+
+    def __init__(self, table: "NGramTable"):
+        self._table = table
+
+    def __getitem__(self, order) -> _Continuations:
+        if not (isinstance(order, Integral) and 1 <= order <= self._table.max_order):
+            raise KeyError(order)
+        return _Continuations(self._table, int(order))
+
+    def __iter__(self):
+        return iter(range(1, self._table.max_order + 1))
+
+    def __len__(self) -> int:
+        return self._table.max_order
+
+
 class NGramTable:
     """Per-order sorted context keys, gram keys and counts (see the module doc),
     keyed by the orders 1..n that hold a gram; ``max_order`` is the backoff cap."""
@@ -104,10 +125,11 @@ class NGramTable:
                       for k, keys in self.grams.items()}
 
     @property
-    def continuations(self) -> dict[int, _Continuations]:
-        """Each order's read-only view, made on each access: a table that held views
-        of itself would be a reference cycle, freed only by the cyclic collector."""
-        return {k: _Continuations(self, k) for k in range(1, self.max_order + 1)}
+    def continuations(self) -> _Orders:
+        """The read-only views of orders 1..max_order, made on each access: a table
+        that held views of itself would be a reference cycle, freed only by the
+        cyclic collector."""
+        return _Orders(self)
 
     @cached_property
     def best(self) -> dict[int, np.ndarray]:

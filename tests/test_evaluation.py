@@ -1,5 +1,7 @@
 import pickle
+import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -655,7 +657,8 @@ class TestStreamOracles:
             path.write_bytes(mutated(data.draw, path.read_bytes()))
             assert outcome(read_rows, path) == outcome(per_line_read_stream, path)
 
-    # ids of 1 to 3 words that differ only in their last byte, or in their first
+    # ids of 1 to 3 words that differ only in their last byte, or in their first,
+    # read in chunks of one to a few lines
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from(["a", "b", "a" * 8, "a" * 7 + "b", "b" + "a" * 7, "a" * 9, "a" * 8 + "b",
@@ -666,8 +669,63 @@ class TestStreamOracles:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "model.pred"
             per_line_write_stream(records(rows), path)
-            with mock.patch.object(evaluation, "_ID_WORDS", words):
+            with mock.patch.object(evaluation, "_CHUNK", 8 * words):
                 assert read_rows(path) == rows
+
+    # runs of one to five records of an id, read in chunks of one byte to a few lines
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["s1", "sé", "s1x", "a" * 9, "a" * 8 + "b"]),
+                              st.integers(1, 5)), min_size=1, max_size=8),
+           st.integers(1, 64), st.data())
+    def test_id_runs_that_cross_chunks(self, runs, chunk, data):
+        rows = [(sid, data.draw(st.integers(2, 10**6)), data.draw(st.integers(-1, 4)),
+                 data.draw(st.integers(0, 4))) for sid, size in runs for _ in range(size)]
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.pred"
+            per_line_write_stream(records(rows), path)
+            with mock.patch.object(evaluation, "_CHUNK", chunk):
+                student = evaluation.read_stream(path.read_bytes()).student
+                assert read_rows(path) == per_line_read_stream(path) == rows
+        # one string per id, however the chunks cut its runs
+        assert len({id(sid) for sid in student}) == len(set(student))
+
+    @pytest.mark.parametrize("faults", [
+        {1500: b"s\t2\tx\t1\n"},
+        {1500: b"s\xff\t2\t1\t1\n"},
+        {1500: b"s\t2\t1\t1"},  # a record that runs into the next line
+        {700: b"s\t2\tx\t1\n", 1500: b"s\xff\t2\t1\t1\n"},
+        {700: b"s\xff\t2\t1\t1\n", 1500: b"s\t2\tx\t1\n"},
+        {1999: b"s\t1\t1\t1\n", 2000: b"s\xff\t2\t1\t1"},  # and the file's end
+    ])
+    def test_a_fault_in_a_later_chunk_names_its_line(self, tmp_path, faults):
+        lines = [f"s{i // 3}\t{i % 3 + 2}\t1\t1\n".encode() for i in range(2000)]
+        for lineno, line in faults.items():
+            lines[lineno - 1] = line
+        path = tmp_path / "model.pred"
+        path.write_bytes(b"".join(lines))
+        expected = outcome(per_line_read_stream, path)
+        assert expected[1].startswith(f"line {min(faults)}: ")
+        with mock.patch.object(evaluation, "_CHUNK", 100):  # about eight lines
+            assert outcome(read_rows, path) == expected
+
+    def test_memory_is_the_columns_and_a_few_chunks(self):
+        """The 32 bytes a record of the columns, and temporaries bounded by the
+        chunk, not by the stream: the whole-stream parse took 80 chunks here.
+        The ids are interned first, so that no growth of the interpreter's table
+        of interned strings is counted."""
+        count = 200_000
+        ids = [sys.intern(f"s{i}") for i in range(count // 40)]
+        blob = "".join(f"{ids[i // 40]}\t{i % 40 + 2}\t{i % 7 - 1}\t{i % 5}\n"
+                       for i in range(count)).encode()
+        assert len(blob) > 8 * evaluation._CHUNK
+        tracemalloc.start()
+        try:
+            stream = evaluation.read_stream(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == count
+        assert peak < 32 * count + 16 * evaluation._CHUNK
 
     def test_megabyte_ids_among_short_ones(self, tmp_path):
         """Each id is compared with the one before only: a run of two megabyte ids

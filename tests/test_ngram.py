@@ -1,5 +1,6 @@
 import gc
 import tempfile
+import time
 import tracemalloc
 import weakref
 from itertools import permutations
@@ -457,6 +458,21 @@ class TestHeaderOrderAboveTheRecords:
         assert prediction == ngram.BackoffPrediction(A, 2)
         assert (tmp_path / "m.ngram").read_bytes() == blob
         assert peak < 2**20
+
+    def test_continuations_cost_only_the_order_read(self):
+        """A 4-record table under max_order=10**9 answers one order, an empty order
+        far above its records and its number of orders without a view per order."""
+        table = ngram.load_table(b"#NGRAM max_order=1000000000 V=3\n"
+                                 b"1\t\t0\t2\n1\t\t1\t2\n2\t0\t1\t2\n2\t1\t0\t1\n")
+        start = time.perf_counter()
+        orders = table.continuations
+        assert dict(orders[2].items()) == {(A,): {B: 2}, (B,): {A: 1}} and len(orders[2]) == 2
+        assert len(orders[10**9]) == 0 and list(orders[10**9].items()) == []
+        assert len(orders) == 10**9 and 10**9 in orders
+        assert 0 not in orders and 10**9 + 1 not in orders and "2" not in orders
+        assert time.perf_counter() - start < 1
+        with pytest.raises(TypeError):
+            orders[2] = None
 
     def test_a_fit_far_above_the_data_stops_at_its_longest_sequence(self):
         """Sequences of 5 actions fitted at order 10**4 hold orders 1-5, and that
