@@ -19,8 +19,8 @@ certified = ingest.filter_cohort(corpus, certified=True)
 uncertified = ingest.filter_cohort(corpus, certified=False)
 
 plan = evaluation.make_folds(certified.students, 5, seed=11)
-report = evaluation.cross_validate(
-    ngram.NGramSpec((3,)), certified, plan, model_name="3-gram backoff"
+(report,) = evaluation.cross_validate(
+    ngram.NGramSpec((3,)), certified, plan, ["3-gram backoff"]
 )
 print(f"certified cross-validated accuracy: {report.cv_accuracy:.4f}")
 

@@ -193,20 +193,17 @@ def _cmd_ngram(args) -> int:
     orders = range(2 if options["sweep"] else options["max_order"], options["max_order"] + 1)
     spec = ngram.NGramSpec(tuple(orders))
     corpus, plan, meta, _ = _cv_inputs(args, options)
-
+    reports = evaluation.cross_validate(
+        spec, corpus, plan, [f"{order}-gram backoff" for order in orders],
+        workers=options["workers"], keep_streams=bool(args.stream),
+        fit_full=bool(args.save_model),
+    )
     if options["sweep"]:
-        reports = evaluation.cross_validate_each(
-            spec, corpus, plan, [f"{order}-gram backoff" for order in orders],
-            workers=options["workers"])
         rows = [(f"order.{order}", report) for order, report in zip(orders, reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
 
-    report = evaluation.cross_validate(
-        spec, corpus, plan, model_name=f"{options['max_order']}-gram backoff",
-        workers=options["workers"], keep_streams=bool(args.stream),
-        fit_full=bool(args.save_model),
-    )
+    (report,) = reports
     report.metadata.update(meta)
     if options["usage"]:
         for order, fraction in ngram.fitted_usage(corpus, options["max_order"]).items():
@@ -254,20 +251,19 @@ def _cmd_lstm(args) -> int:
                                    "--csv": args.csv, "--curve-prefix": args.curve_prefix})
 
     corpus, plan, meta, _ = _cv_inputs(args, options)
+    reports = [report for cfg in configs for report in evaluation.cross_validate(
+        lstm.LstmSpec(cfg), corpus, plan,
+        [f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size}"],
+        workers=options["workers"], keep_streams=bool(args.stream),
+        fit_full=bool(args.save_model),
+    )]
     if len(configs) > 1:
         rows = [(f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}",
-                 evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan,
-                                           workers=options["workers"])) for cfg in configs]
+                 report) for cfg, report in zip(configs, reports)]
         rows.sort(key=lambda row: -row[1].cv_accuracy)  # stable: ties keep grid order
         return _write_comparison("# nextaction lstm grid report", meta, rows, args, "lstm-grid")
 
-    (cfg,) = configs
-    report = evaluation.cross_validate(
-        lstm.LstmSpec(cfg), corpus, plan,
-        model_name=f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size}",
-        workers=options["workers"], keep_streams=bool(args.stream),
-        fit_full=bool(args.save_model),
-    )
+    (report,) = reports
     report.metadata.update(meta)
 
     out_dir = Path(args.out_dir)
@@ -301,9 +297,8 @@ def _cmd_baseline(args) -> int:
     corpus, plan, meta, syllabus = _cv_inputs(args, options, args.syllabus)
     model = baselines.RepeatModel() if name == "repeat" else _SYLLABUS_MODELS[name](syllabus)
 
-    report = evaluation.cross_validate(
-        evaluation.FixedSpec(model), corpus, plan,
-        model_name=model.name, workers=options["workers"],
+    (report,) = evaluation.cross_validate(
+        evaluation.FixedSpec(model), corpus, plan, [model.name], workers=options["workers"],
         keep_streams=bool(args.stream),
     )
     report.metadata.update(meta)

@@ -17,8 +17,9 @@ and cross-validation once per model and held-out fold, unless the spec
 predicts its folds itself; any other number of predictions raises
 NextactionError.
 
-Cross-validation is driven by a spec, a small frozen object of one of two
-kinds.  One kind scores every fold in this process: its
+Cross-validation has one entry point, ``cross_validate``, which returns one
+report per model its spec fits.  A spec is a small frozen object of one of
+two kinds.  One kind scores every fold in this process: its
 ``fit_folds(corpus, folds, held_out)`` returns the full-corpus fit and, per
 fold, each model's predictions for the held-out sequences and the fold's
 extras.  The other kind is fitted once per fold: its
@@ -240,7 +241,7 @@ def prediction_stream(corpus: Corpus, predictions: np.ndarray) -> PredictionStre
                             np.asarray(predictions, dtype=np.int64), corpus.actions[scored])
 
 
-def cross_validate_each(
+def cross_validate(
     spec,
     corpus: Corpus,
     plan: FoldPlan,
@@ -250,7 +251,8 @@ def cross_validate_each(
     fit_full: bool = False,
 ) -> list[EvalReport]:
     """One report per model the spec fits, in the order of ``model_names``,
-    from a single fit per fold (see the module doc for the two kinds of spec).
+    from a single fit per fold (see the module doc for the two kinds of spec);
+    a name count other than the spec's model count raises ConfigError.
 
     Every report carries the folds' extras in fold order and, with
     ``fit_full``, the full-corpus fit, which a spec fitted per fold runs as
@@ -277,6 +279,9 @@ def cross_validate_each(
         tasks = ([None] if fit_full else []) + list(range(plan.k))
         results = _run_tasks((spec, corpus, folds, held_out), tasks, workers)
         full_fit = results.pop(0) if fit_full else None
+    if any(len(scores) != len(model_names) for scores, _ in results):
+        raise ConfigError(f"{len(model_names)} model names for a spec that fits "
+                          f"{len(results[0][0])} models")
     held = [corpus.take(index) for index in held_out]
     scored = corpus.take(np.concatenate(held_out))  # in fold order
 
@@ -298,25 +303,6 @@ def cross_validate_each(
             report.metadata["stream_records"] = str(len(report.streams))
         reports.append(report)
     return reports
-
-
-def cross_validate(
-    spec,
-    corpus: Corpus,
-    plan: FoldPlan,
-    model_name: str = "model",
-    workers: int = 1,
-    keep_streams: bool = False,
-    fit_full: bool = False,
-) -> EvalReport:
-    """Train on k-1 folds, score the held-out fold, macro-average twice.
-
-    ``spec`` fits one model per fold; see ``cross_validate_each``.
-    """
-    (report,) = cross_validate_each(
-        spec, corpus, plan, [model_name], workers, keep_streams, fit_full
-    )
-    return report
 
 
 def transfer_eval(model, corpus: Corpus, min_actions: int = 30) -> tuple[float, int]:

@@ -675,14 +675,14 @@ def filter_cohort(corpus: Corpus, certified: bool | None, min_actions: int = 1) 
 
 
 def parse_roster(blob: bytes) -> dict[str, bool]:
-    """A roster's students and flags; a malformed line or a repeated student
-    raises MalformedRecordError."""
+    """A roster's students and flags, each field stripped as an event's are; a
+    malformed line or a repeated student raises MalformedRecordError."""
     roster: dict[str, bool] = {}
     for lineno, line in text_lines(blob):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = stripped.split("\t")
+        fields = [field.strip() for field in stripped.split("\t")]
         if len(fields) != 2 or fields[1] not in ("0", "1"):
             raise MalformedRecordError(lineno, f"bad roster line {stripped!r}")
         if fields[0] in roster:

@@ -600,11 +600,10 @@ def _manifest(name: str, net: LstmNetwork, digest: str) -> list[tuple[str, str]]
                                   for tensor, arr in net.param_items())]
 
 
-def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
-                   read_window: bool) -> int | None:
-    """The window a checkpoint's manifest states (None unless ``read_window``), after
-    checking every line, in order, against ``_manifest(name, net, digest)``; only
-    the window's value may differ from ``net``'s."""
+def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str) -> int:
+    """The window a checkpoint's manifest states, after checking every line, in
+    order, against ``_manifest(name, net, digest)``; only the window's value may
+    differ from ``net``'s, and it must be a positive integer."""
     expected = _manifest(name, net, digest)
     keys = {key for key, _ in expected}
     lines, seen, window = text_lines(path.read_bytes()), set(), None
@@ -623,11 +622,9 @@ def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str,
         if not line.endswith("\n"):
             raise MalformedRecordError(lineno, "no newline at the end of the line")
         if key == "window":
-            if read_window:
-                if not (value.isascii() and value.isdigit() and int(value) >= 1):
-                    raise MalformedRecordError(lineno,
-                                               f"window is not a positive integer: {value!r}")
-                window = int(value)
+            if not (value.isascii() and value.isdigit() and int(value) >= 1):
+                raise MalformedRecordError(lineno, f"window is not a positive integer: {value!r}")
+            window = int(value)
         elif key == "sha256":
             if value != digest:
                 raise ConfigError(f"{name} does not match the SHA-256 in its manifest")
@@ -639,7 +636,8 @@ def load_checkpoint(blob: bytes, path: str | Path, window: int | None = None) ->
     """Parse the bytes of the checkpoint at ``path``, verifying against them the
     manifest beside that path when one exists.
 
-    The window comes from ``window`` or else the manifest.  A malformed file
+    The window comes from ``window`` or else the manifest, whose stated window
+    is checked either way.  A malformed file
     raises MalformedRecordError with the byte offset (in the manifest, the
     line) of the bad field; a checksum mismatch or a ``window`` below 1
     raises ConfigError.  Every manifest line must be the one ``save_checkpoint``
@@ -675,8 +673,7 @@ def load_checkpoint(blob: bytes, path: str | Path, window: int | None = None) ->
     net = init_network(vocab_size, emb_dim, hidden, n_layers, dropout_rate, 1, cell)
     manifest_path = Path(str(path) + ".manifest.txt")
     if manifest_path.exists():
-        stated = _read_manifest(manifest_path, path.name, net, hashlib.sha256(blob).hexdigest(),
-                                read_window=window is None)
+        stated = _read_manifest(manifest_path, path.name, net, hashlib.sha256(blob).hexdigest())
         window = stated if window is None else window
     if window is None:
         raise ConfigError("checkpoint manifest missing; pass the window explicitly")

@@ -34,9 +34,10 @@ def fold_plan(certified):
 
 @pytest.fixture(scope="module")
 def trigram_report(certified, fold_plan):
-    return evaluation.cross_validate(
-        ngram.NGramSpec((3,)), certified, fold_plan, model_name="3-gram backoff"
+    (report,) = evaluation.cross_validate(
+        ngram.NGramSpec((3,)), certified, fold_plan, ["3-gram backoff"]
     )
+    return report
 
 
 def test_criterion_1_gradient_fidelity():
@@ -129,8 +130,8 @@ def test_criterion_4_lstm_learnability(certified, fold_plan, trigram_report):
         dropout_rate=0.2, seed=FOLD_SEED, hidden_size=32, layers=2,
         embedding_dim=64,
     )
-    report = evaluation.cross_validate(
-        lstm.LstmSpec(cfg), certified, fold_plan, model_name="lstm 2x32", workers=2
+    (report,) = evaluation.cross_validate(
+        lstm.LstmSpec(cfg), certified, fold_plan, ["lstm 2x32"], workers=2
     )
     floor = trigram_report.cv_accuracy - 0.05
     assert report.cv_accuracy >= floor, (
@@ -155,8 +156,8 @@ def test_criterion_5_structural_ordering(default_data, certified, fold_plan):
         baselines.SyllabusModel(syllabus),
         baselines.SyllabusRepeatModel(syllabus),
     ):
-        report = evaluation.cross_validate(
-            evaluation.FixedSpec(model), certified, fold_plan, model_name=model.name
+        (report,) = evaluation.cross_validate(
+            evaluation.FixedSpec(model), certified, fold_plan, [model.name]
         )
         scores[model.name] = report.cv_accuracy
     combined = scores["syllabus+repeat"]
@@ -290,7 +291,8 @@ def test_criterion_9_protocol_shape():
         def predict_sequence(self, actions, pos):
             return actions[:-1][pos[1:] >= 1]
 
-    report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
+    (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
+                                          ["repeat"])
     macro = (19 / 20 + 0.0) / 2
     micro = 19 / 21
     assert report.cv_accuracy == pytest.approx(macro)

@@ -115,8 +115,8 @@ class TestCombinedDominates:
             baselines.SyllabusModel(syl),
             baselines.SyllabusRepeatModel(syl),
         ):
-            report = evaluation.cross_validate(
-                evaluation.FixedSpec(model), cert, plan, model_name=model.name
+            (report,) = evaluation.cross_validate(
+                evaluation.FixedSpec(model), cert, plan, [model.name]
             )
             scores[model.name] = report.cv_accuracy
         assert scores["syllabus+repeat"] >= scores["syllabus"]

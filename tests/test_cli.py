@@ -353,8 +353,7 @@ class TestSweepAndGridOutputs:
                                                                 monkeypatch, argv, flag):
         (tmp_path / "usage.cfg").write_text("usage=true\n", encoding="utf-8")
         runs = []
-        for name in ("cross_validate", "cross_validate_each"):
-            monkeypatch.setattr(evaluation, name, lambda *a, **k: runs.append(a))
+        monkeypatch.setattr(evaluation, "cross_validate", lambda *a, **k: runs.append(a))
         out = tmp_path / "out"
         out.mkdir()
         assert main([*(arg.format(out=tmp_path) for arg in argv), "--corpus",
@@ -399,7 +398,8 @@ class TestSweepAndGridThroughTheEvaluator:
         plan = evaluation.make_folds(corpus.students, 3, 9)
         expected = {}
         for order in (2, 3, 4):
-            report = evaluation.cross_validate(ngram.NGramSpec((order,)), corpus, plan)
+            (report,) = evaluation.cross_validate(ngram.NGramSpec((order,)), corpus, plan,
+                                                  [f"{order}-gram"])
             expected.update(self.lines(f"order.{order}", report))
         assert self.rows(tmp_path / "sweep.txt") == expected
 
@@ -434,7 +434,7 @@ class TestSweepAndGridThroughTheEvaluator:
             for lr in (0.01, 0.1):
                 cfg = lstm.TrainConfig(learning_rate=lr, epochs=1, window=5, seed=9,
                                        hidden_size=nodes, embedding_dim=4)
-                report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
+                (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["lstm"])
                 expected.update(self.lines(f"grid.layers=1.nodes={nodes}.lr={lr:g}", report))
         rows = self.rows(tmp_path / "grid.txt")
         assert rows == expected
@@ -736,6 +736,16 @@ class TestEvalChecksModelAgainstCorpus:
         path = self.checkpoint(tmp_path, v)
         assert self.eval_run(pipeline, path, tmp_path, "--window", window) == 2
         assert f"error: window must be >= 1, got {window}" in capsys.readouterr().err
+
+    def test_a_window_override_still_checks_the_stated_window(self, pipeline, tmp_path,
+                                                                capsys):
+        v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size
+        path = self.checkpoint(tmp_path, v)
+        manifest = tmp_path / "model.nlstm.manifest.txt"
+        manifest.write_text(manifest.read_text().replace("window: 6", "window: x"))
+        assert self.eval_run(pipeline, path, tmp_path, "--window", "5") == 2
+        assert ("error: line 3: window is not a positive integer: 'x'"
+                in capsys.readouterr().err)
 
     def test_window_override_is_recorded(self, pipeline, tmp_path):
         v = ingest.load_corpus((pipeline / "corpus.nact").read_bytes()).vocab_size

@@ -225,7 +225,7 @@ class TestPredictionContract:
         corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
         plan = evaluation.make_folds(corpus.students, 3, seed=0)
         with pytest.raises(NextactionError, match="predictions for"):
-            evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan)
+            evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan, ["m"])
         with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
             evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
         with pytest.raises(NextactionError):
@@ -237,14 +237,28 @@ class TestCrossValidate:
         corpus = corpus_of([[0, 1]] * 6, 2)
         plan = evaluation.make_folds(corpus.students[:-1], 3, seed=0)
         with pytest.raises(ConfigError, match="fold plan does not cover students"):
-            evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
+            evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan,
+                                      ["m"])
+
+    @pytest.mark.parametrize("spec, names, fitted", [
+        (evaluation.FixedSpec(baselines.RepeatModel()), ["a", "b"], 1),
+        (ngram.NGramSpec((2, 3)), ["2-gram"], 2),
+        (ngram.NGramSpec((2, 3)), [], 2),
+    ], ids=["more-names", "fewer-names", "no-names"])
+    def test_one_name_per_model_the_spec_fits(self, spec, names, fitted):
+        corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
+        plan = evaluation.make_folds(corpus.students, 3, seed=0)
+        with pytest.raises(ConfigError, match=f"{len(names)} model names for a spec that "
+                                              f"fits {fitted} models"):
+            evaluation.cross_validate(spec, corpus, plan, names)
 
     def test_constant_model_equals_base_rate(self):
         rng = np.random.default_rng(6)
         seqs = [rng.integers(0, 3, size=rng.integers(4, 12)).tolist() for _ in range(12)]
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.students, 3, seed=0)
-        report = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus,
+                                              plan, ["m"])
         # direct recomputation of the macro base rate of action 1
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         fold_means = []
@@ -263,7 +277,7 @@ class TestCrossValidate:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.students, 3, seed=1)
         model = RepeatLast()
-        report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"])
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         for f in range(3):
             direct = np.mean([
@@ -275,7 +289,8 @@ class TestCrossValidate:
     def test_short_sequences_skipped_and_tallied(self):
         corpus = corpus_of([[0, 1, 0], [0], [1, 1], [0, 0]], 2)
         plan = evaluation.make_folds(corpus.students, 2, seed=2)
-        report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
+                                              ["m"])
         assert report.skipped_sequences == 1
 
     def test_macro_differs_from_micro_on_constructed_folds(self):
@@ -288,7 +303,8 @@ class TestCrossValidate:
             StudentSequence("short", short_seq, True),
         ], 2)
         plan = evaluation.FoldPlan(k=2, seed=0, assignment={"long": 0, "short": 1})
-        report = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
+                                              ["m"])
         macro = (19 / 20 + 0 / 1) / 2
         micro = 19 / 21
         assert report.cv_accuracy == pytest.approx(macro)
@@ -301,9 +317,7 @@ class TestCrossValidate:
         plan = evaluation.make_folds(corpus.students, 4, seed=5)
 
         def run():
-            report = evaluation.cross_validate(
-                ngram.NGramSpec((3,)), corpus, plan, model_name="3-gram"
-            )
+            (report,) = evaluation.cross_validate(ngram.NGramSpec((3,)), corpus, plan, ["3-gram"])
             return report.to_text()
 
         assert run() == run()
@@ -341,7 +355,7 @@ class TestSpecs:
     def test_worker_count_does_not_change_report(self, corpus_and_plan, spec):
         corpus, plan = corpus_and_plan
         serial, pooled = (
-            evaluation.cross_validate(spec, corpus, plan, workers=w, keep_streams=True)
+            evaluation.cross_validate(spec, corpus, plan, ["m"], workers=w, keep_streams=True)[0]
             for w in (1, 4)
         )
         assert serial.to_text() == pooled.to_text()
@@ -355,7 +369,8 @@ class TestSpecs:
     def test_lstm_extras_are_fold_curves_and_full_fit_uses_the_config_seed(self, corpus_and_plan):
         corpus, plan = corpus_and_plan
         cfg = _tiny_lstm_config(seed=11)
-        report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, fit_full=True)
+        (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["m"],
+                                              fit_full=True)
         for fold, curve in enumerate(report.fold_extras):
             train = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] != fold
@@ -370,14 +385,14 @@ class TestSpecs:
 
     def test_full_fit_is_absent_unless_asked_for(self, corpus_and_plan):
         corpus, plan = corpus_and_plan
-        report = evaluation.cross_validate(ngram.NGramSpec((2,)), corpus, plan)
+        (report,) = evaluation.cross_validate(ngram.NGramSpec((2,)), corpus, plan, ["m"])
         assert report.full_fit is None and report.fold_extras == [None] * 5
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_fold_fault_arrives_as_itself(self, corpus_and_plan, workers):
         corpus, plan = corpus_and_plan
         with pytest.raises(MalformedRecordError, match="byte 7: bad fold") as caught:
-            evaluation.cross_validate(FailingFold(), corpus, plan, workers=workers)
+            evaluation.cross_validate(FailingFold(), corpus, plan, ["m"], workers=workers)
         assert (caught.value.lineno, caught.value.reason) == (7, "bad fold")
 
 
@@ -393,7 +408,7 @@ class TestTransferEval:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.students, 5, seed=6)
         model = RepeatLast()
-        report = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"])
         for f in range(5):
             fold_corpus = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] == f
@@ -518,7 +533,8 @@ class TestOneCallPerFold:
     def test_cross_validate_and_transfer(self, corpus):
         model = CountingRepeat()
         plan = evaluation.make_folds(corpus.students, 4, seed=2)
-        evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, keep_streams=True)
+        evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"],
+                                  keep_streams=True)
         assert model.calls == 4
         evaluation.transfer_eval(model, corpus, min_actions=2)
         assert model.calls == 5
@@ -531,8 +547,8 @@ class TestOneCallPerFold:
         monkeypatch.setattr(evaluation, "_accuracy",
                             lambda fold, p: scored.append(len(p)) or accuracy(fold, p))
         plan = evaluation.make_folds(corpus.students, 3, seed=2)
-        evaluation.cross_validate_each(ngram.NGramSpec((2, 3, 4)), corpus, plan,
-                                       ["2-gram", "3-gram", "4-gram"], workers=1)
+        evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan,
+                                  ["2-gram", "3-gram", "4-gram"], workers=1)
         assert calls == []
         assert len(scored) == 3 * 3
         assert sum(scored) == 3 * int((corpus.lengths - 1).clip(0).sum())
@@ -543,7 +559,7 @@ class TestOneCallPerFold:
         lstm.train(corpus, cfg)
         assert len(calls) == 3
         plan = evaluation.make_folds(corpus.students, 2, seed=2)
-        evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, workers=1)
+        evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["m"], workers=1)
         assert len(calls) == 3 + 2 * (3 + 1)
 
 

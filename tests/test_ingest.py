@@ -167,6 +167,23 @@ class TestEncodeCorpus:
         assert corpus.sequences[0].certified is False
         assert stats.unrostered_students == 1
 
+    def test_padded_roster_fields_read_as_the_canonical_roster(self, tmp_path):
+        """Each roster field is stripped, as an event's fields are."""
+        log = make_log(tmp_path, [f"2013-03-01T10:00:0{i}Z\t{s}\tview\ta\t-"
+                                  for i, s in enumerate(["a", "b", "c", "a", "b", "c"])])
+        blobs = []
+        for name, text in (("canonical", "a\t1\nb\t1\nc\t0\n"),
+                           ("padded", "a \t1\nb\t 1\n c \t 0 \n")):
+            roster = tmp_path / f"{name}.tsv"
+            roster.write_text(text, encoding="utf-8")
+            corpus, stats = ingest.ingest_files(log, roster, min_count=1)
+            assert stats.unrostered_students == 0
+            ingest.save_corpus(corpus, tmp_path / f"{name}.nact")
+            blobs.append((tmp_path / f"{name}.nact").read_bytes())
+        assert blobs[0] == blobs[1]
+        with pytest.raises(MalformedRecordError, match="line 2: bad roster line"):
+            ingest.parse_roster(b"a \t1\ns\t2\n")
+
     def test_conservation_of_events(self, tmp_path):
         # s2's only event carries a token below threshold, so the whole
         # student drops; s1 loses one event to the token filter.

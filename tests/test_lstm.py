@@ -680,7 +680,15 @@ class TestCheckpointRejects:
         manifest.write_text(manifest.read_text().replace("window: 9", "window: 9.5"))
         error = self.load_error(saved, saved.read_bytes())
         assert str(error) == "line 3: window is not a positive integer: '9.5'"
-        assert lstm.load_checkpoint(saved.read_bytes(), saved, window=4).window == 4
+
+    @pytest.mark.parametrize("stated", ["x", "9.5", "0"])
+    def test_a_window_override_still_checks_the_stated_window(self, saved, stated):
+        manifest = Path(str(saved) + ".manifest.txt")
+        manifest.write_text(manifest.read_text().replace("window: 9", f"window: {stated}"))
+        error = self.load_error(saved, saved.read_bytes(), window=5)
+        assert str(error) == f"line 3: window is not a positive integer: {stated!r}"
+        manifest.write_text(manifest.read_text().replace(f"window: {stated}", "window: 9"))
+        assert lstm.load_checkpoint(saved.read_bytes(), saved, window=5).window == 5
 
     # tiny_net(seed=24, layers=2): V=7, embedding 5, hidden 6; line 5 is the embedding's
     @pytest.mark.parametrize("edit, message", [
@@ -785,7 +793,7 @@ class TestGridSearch:
                                 embedding_dim=6, dropout_rate=0.0)
         configs = [replace(base, layers=l, hidden_size=n) for l in (1, 2) for n in (16, 32)]
         for cfg in configs:
-            report = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
+            (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["lstm"])
             assert len(report.per_fold_accuracy) == 5
             assert 0.0 <= report.cv_accuracy <= 1.0
 

@@ -210,8 +210,8 @@ class TestSweepAndFiles:
         seqs = [list(cycle)] * 6
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.students, 3, seed=5)
-        reports = evaluation.cross_validate_each(ngram.NGramSpec((2, 3, 4)), corpus, plan,
-                                                 ["2-gram", "3-gram", "4-gram"])
+        reports = evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan,
+                                            ["2-gram", "3-gram", "4-gram"])
         for order, report in zip((2, 3, 4), reports):
             assert report.cv_accuracy == 1.0, f"order {order}"
 
@@ -229,7 +229,7 @@ class TestSweepAndFiles:
         monkeypatch.setattr(ngram, "fit", counting_fit)
         for workers in (1, 2):
             fitted.clear()
-            reports = evaluation.cross_validate_each(
+            reports = evaluation.cross_validate(
                 ngram.NGramSpec((2, 3, 4)), corpus, plan, ["2-gram", "3-gram", "4-gram"],
                 workers=workers)
             assert fitted == [(corpus.total_actions, 4)]
@@ -253,7 +253,7 @@ class TestSweepAndFiles:
 
         def run(spec):
             try:
-                return evaluation.cross_validate_each(
+                return evaluation.cross_validate(
                     spec(tuple(orders)), corpus, plan, [f"{o}-gram" for o in orders],
                     keep_streams=True, fit_full=True)
             except NextactionError as exc:
@@ -277,7 +277,7 @@ class TestSweepAndFiles:
         plan = evaluation.FoldPlan(k=1, seed=0, assignment={"s0": 0, "s1": 1})
         for spec in (ngram.NGramSpec((2,)), RefitNGramSpec((2,))):
             with pytest.raises(UnfittedModelError, match="n-gram table has no observations"):
-                evaluation.cross_validate(spec, corpus, plan)
+                evaluation.cross_validate(spec, corpus, plan, ["2-gram"])
 
     def test_a_sequence_in_no_held_out_fold_trains_every_fold(self):
         """A hand-made plan may name folds outside 0..k-1: those sequences are
@@ -286,7 +286,7 @@ class TestSweepAndFiles:
         corpus = corpus_of([rng.integers(0, 4, size=12).tolist() for _ in range(6)], 4)
         plan = evaluation.FoldPlan(k=2, seed=0, assignment={
             "s0": 0, "s1": 1, "s2": 5, "s3": -1, "s4": 0, "s5": 1})
-        counted, refit = (evaluation.cross_validate_each(spec((2, 3)), corpus, plan, ["2", "3"])
+        counted, refit = (evaluation.cross_validate(spec((2, 3)), corpus, plan, ["2", "3"])
                           for spec in (ngram.NGramSpec, RefitNGramSpec))
         assert [r.to_text() for r in counted] == [r.to_text() for r in refit]
 
