@@ -12,18 +12,19 @@ from pathlib import Path
 
 from nextaction import ingest, synth
 
-out_dir = Path(tempfile.mkdtemp(prefix="nextaction-demo-"))
 config = synth.SynthConfig()  # 60 actions, 200 certified students, ~200 actions each
-print(f"generating into {out_dir}")
-outputs = synth.generate(config, out_dir)
+# the generated files are removed once ingested
+with tempfile.TemporaryDirectory(prefix="nextaction-demo-") as out_dir:
+    print(f"generating into {out_dir}")
+    outputs = synth.generate(config, Path(out_dir))
 
-print("\nfirst event-log lines:")
-for line in outputs.events_path.read_text().splitlines()[:6]:
-    print(f"  {line}")
+    print("\nfirst event-log lines:")
+    for line in outputs.events_path.read_text().splitlines()[:6]:
+        print(f"  {line}")
 
-corpus, stats = ingest.ingest_files(
-    outputs.events_path, outputs.roster_path, min_count=40
-)
+    corpus, stats = ingest.ingest_files(
+        outputs.events_path, outputs.roster_path, min_count=40
+    )
 certified = ingest.filter_cohort(corpus, certified=True)
 uncertified = ingest.filter_cohort(corpus, certified=False)
 

@@ -13,10 +13,10 @@ import numpy as np
 
 from nextaction import evaluation, ingest, ngram, synth
 
-out_dir = Path(tempfile.mkdtemp(prefix="nextaction-demo-"))
 config = synth.SynthConfig()
-outputs = synth.generate(config, out_dir)
-corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_count=40)
+with tempfile.TemporaryDirectory(prefix="nextaction-demo-") as out_dir:
+    outputs = synth.generate(config, Path(out_dir))
+    corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_count=40)
 certified = ingest.filter_cohort(corpus, certified=True)
 
 # a tiny portrait of prediction and backoff on one table

@@ -12,13 +12,13 @@ from pathlib import Path
 
 from nextaction import baselines, evaluation, ingest, synth
 
-out_dir = Path(tempfile.mkdtemp(prefix="nextaction-demo-"))
 config = synth.SynthConfig()
-outputs = synth.generate(config, out_dir)
-corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_count=40)
+with tempfile.TemporaryDirectory(prefix="nextaction-demo-") as out_dir:
+    outputs = synth.generate(config, Path(out_dir))
+    corpus, _ = ingest.ingest_files(outputs.events_path, outputs.roster_path, min_count=40)
+    syllabus = baselines.load_syllabus(outputs.syllabus_path.read_bytes(), corpus.vocabulary)
 certified = ingest.filter_cohort(corpus, certified=True)
 
-syllabus = baselines.load_syllabus(outputs.syllabus_path.read_bytes(), corpus.vocabulary)
 print(f"course order: {syllabus.coverage} items matched, {len(syllabus.unmatched)} unmatched")
 
 plan = evaluation.make_folds(certified.students, 5, seed=11)

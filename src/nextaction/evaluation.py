@@ -458,27 +458,29 @@ def _parse_stream(data: np.ndarray, lo: int, end: np.ndarray):
     return start, tab, position, np.where(negative, -1, predicted), truth
 
 
+_TAIL = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # low n bytes of a word
+
+
 def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
     """The lines whose student id, ``data[start[i]:stop[i]]`` for line i, differs
     from the line before's, for lines that are records; the first line always
-    does.  Only an id as long as the one before is compared, as 8-byte words, so
-    the work is bounded by the bytes of the ids, not by their number times the
-    longest."""
+    does.  Only an id as long as the one before is compared, one 8-byte word a
+    round, and only while its words so far are equal, so the work is bounded by
+    the bytes of the ids, not by their number times the longest."""
     length = stop - start
     new = np.ones(len(start), dtype=bool)
     same = np.flatnonzero(length[1:] == length[:-1]) + 1
+    new[same] = False
     # every id is followed by at least 7 bytes ("\t2\t0\t0\n"), so each word is in data
     words = np.ndarray(max(len(data) - 7, 0), "<u8", data, strides=(1,))
-    count = (length[same] + 7) // 8
-    first = np.cumsum(count) - count
-    offset = 8 * (np.arange(int(count.sum())) - np.repeat(first, count))
-    at = np.repeat(start[same], count) + offset
-    behind = at - np.repeat(start[same] - start[same - 1], count)
-    # the bytes of each word that belong to its id, 1 to 8 of them
-    keep = np.repeat(length[same], count) - offset
-    mask = np.uint64(2**64 - 1) >> (8 * (8 - np.minimum(keep, 8))).astype(np.uint64)
-    differ = (words[at] ^ words[behind]) & mask != 0
-    new[same] = np.logical_or.reduceat(differ, first)
+    offset = 0
+    while len(same):
+        left = length[same] - offset  # the id's bytes from this word on, at least 1
+        xor = words[start[same] + offset] ^ words[start[same - 1] + offset]
+        differ = xor & _TAIL[np.minimum(left, 8)] != 0
+        new[same[differ]] = True
+        same = same[~differ & (left > 8)]
+        offset += 8
     return np.flatnonzero(new)
 
 
@@ -522,7 +524,8 @@ def read_stream(blob: bytes) -> PredictionStream:
     lo = line = 0
     while lo < len(blob):
         hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
-        rows = slice(line, line + blob.count(b"\n", lo, hi))
-        student[rows], position[rows], predicted[rows], truth[rows] = _read_chunk(blob, lo, hi)
+        columns = _read_chunk(blob, lo, hi)
+        rows = slice(line, line + len(columns[1]))
+        student[rows], position[rows], predicted[rows], truth[rows] = columns
         lo, line = hi, rows.stop
     return PredictionStream(student, position, predicted, truth)

@@ -51,7 +51,6 @@ from .ingest import (
     NUMBER, Corpus, action_array, format_decimals, parse_decimals, text_lines, text_rows,
 )
 
-_EMPTY = np.zeros(0, dtype=np.int64)
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
 
 
@@ -121,8 +120,10 @@ class NGramTable:
         self.contexts = contexts or {}
         self.grams = grams or {}
         self.counts = counts or {}
-        self.first = {k: np.searchsorted(keys // vocab_size, np.arange(len(self.contexts[k]) + 1))
-                      for k, keys in self.grams.items()}
+        self.first = {}
+        for k, keys in self.grams.items():  # each context's grams are one run of the sorted keys
+            runs = np.bincount(keys // vocab_size, minlength=len(self.contexts[k]))
+            self.first[k] = np.concatenate(([0], np.cumsum(runs)))
 
     @property
     def continuations(self) -> _Orders:
@@ -162,12 +163,50 @@ def _context_rows(table: NGramTable):
         yield rows
 
 
+def _match(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each ``query`` value in the sorted, non-empty ``keys``, or -1 if it is
+    absent."""
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, at, -1)
+
+
 def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
     """Id of each context (parent's actions, then ``last``) in the sorted, non-empty
     ``keys``, or -1 if it is absent or its parent id is -1."""
-    query = np.where(parent >= 0, parent * V + last, -1)
-    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-    return np.where(keys[at] == query, at, -1)
+    return _match(keys, np.where(parent >= 0, parent * V + last, -1))
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Rows of unsigned ids as rows of native uint64 words: each word holds 8 // itemsize
+    ids big-endian, the last word zero-padded, so that rows of one width compare word
+    by word as they do id by id.  A row of no ids is one zero word."""
+    per_word = 8 // rows.itemsize
+    count, width = rows.shape
+    padded = np.zeros((count, max(1, -(-width // per_word)) * per_word),
+                      dtype=rows.dtype.newbyteorder(">"))
+    padded[:, :width] = rows
+    return padded.view(">u8").astype(np.uint64)
+
+
+def _row_ids(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Index of each packed row of ``query`` among the sorted, distinct packed rows
+    ``rows`` of the same width, or -1 if it is absent.
+
+    Rows are matched one word at a time, as ``_child`` matches one id at a time: the
+    first word is its own key, and the key of a row's first j + 1 words is the rank
+    of its first j words among ``rows``, then the rank of word j among the words of
+    column j, so that every key fits int64 however many words a row has.
+    """
+    keys, wanted = rows[:, 0], query[:, 0]
+    for j in range(1, rows.shape[1]):
+        new = np.ones(len(keys), dtype=bool)
+        new[1:] = keys[1:] != keys[:-1]
+        found = _match(keys[new], wanted)
+        words, rank = np.unique(rows[:, j], return_inverse=True)
+        at = _match(words, query[:, j])
+        keys = (np.cumsum(new) - 1) * len(words) + rank
+        wanted = np.where((found >= 0) & (at >= 0), found * len(words) + at, -1)
+    return _match(keys, wanted)
 
 
 def _context_ids(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int):
@@ -447,11 +486,15 @@ def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
 def load_table(blob: bytes) -> NGramTable:
     """Parse a table's bytes as ``save_table`` writes them, refusing anything else.
 
-    The records are parsed in chunks of whole lines, the context ids kept in the
-    narrowest dtype that holds V - 1.  The byte parse and the whole-array checks
-    only decide whether the table is clean: on any fault ``_refuse_table`` raises
-    MalformedRecordError for the first bad line, as a bad header does for line 1.
-    The orders above the highest record hold nothing, however large ``max_order`` is.
+    The records are parsed in chunks of whole lines into columns sized from the
+    file's newlines and commas, the ids kept in the narrowest dtype that holds
+    V - 1.  Each order's contexts are its runs of equal context rows, compared as
+    packed words (``_pack``), and each context's parent is found with one search
+    of its packed prefix among the packed contexts of the order below
+    (``_row_ids``).  The byte parse and the whole-array checks only decide whether
+    the table is clean: on any fault ``_refuse_table`` raises MalformedRecordError
+    for the first bad line, as a bad header does for line 1.  The orders above the
+    highest record hold nothing, however large ``max_order`` is.
     """
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
@@ -469,37 +512,45 @@ def load_table(blob: bytes) -> NGramTable:
         _refuse_table(blob, max_order, V)
     data = np.frombuffer(blob, dtype=np.uint8)
     ids = np.min_scalar_type(max(V - 1, 0))
-    parts = [(_EMPTY, _EMPTY, _EMPTY, _EMPTY, np.zeros(0, dtype=ids))]
-    lo = newline + 1
+    records = np.count_nonzero(data == ord("\n")) - 1
+    # orders 1..n with none left out need a record each, so none is above the records
+    top = min(max_order, records)
+    order, nxt = np.empty(records, dtype=np.min_scalar_type(top)), np.empty(records, dtype=ids)
+    count = np.empty(records, dtype=np.int64)
+    digits = np.empty(np.count_nonzero(data == ord(",")) + records, dtype=ids)  # commas + 1 each
+    lo, row, digit = newline + 1, 0, 0
     while lo < len(blob):
         hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
         parsed = _parse_records(data, lo, hi)
-        if parsed is None or (parsed[-1] >= V).any():  # before the ids are narrowed
+        if parsed is None:
             _refuse_table(blob, max_order, V)
-        *columns, context = parsed
-        parts.append((*columns, context.astype(ids)))
-        lo = hi
-    order, width, nxt, count, digits = (np.concatenate(column) for column in zip(*parts))
-    del parts
-    # every field in range, and the orders sorted as 1, 2, ..., n with none left out
-    if (((order < 1) | (order > max_order) | (width != order - 1) | (nxt >= V) | (count < 1)).any()
-            or not np.isin(np.diff(order, prepend=0), (0, 1)).all()):
+        k, width, n, c, context = parsed
+        # every field in range, before the columns are narrowed
+        if (((k < 1) | (k > top) | (width != k - 1) | (n >= V) | (c < 1)).any()
+                or (context >= V).any()):
+            _refuse_table(blob, max_order, V)
+        order[row : row + len(k)], nxt[row : row + len(k)], count[row : row + len(k)] = k, n, c
+        digits[digit : digit + len(context)] = context
+        lo, row, digit = hi, row + len(k), digit + len(context)
+    # the orders sorted as 1, 2, ..., n with none left out; unsigned, a fall wraps above 1
+    if (np.diff(order, prepend=order.dtype.type(0)) > 1).any():
         _refuse_table(blob, max_order, V)
-    digit_at = np.concatenate(([0], np.cumsum(order - 1)))  # record i's are digit_at[i]:[i + 1]
     contexts, grams, counts = {}, {}, {}
+    below = _pack(np.zeros((1, 0), dtype=ids))  # order 1's one context, the empty one
+    digit = 0
     for k in range(1, int(order.max(initial=0)) + 1):
         lo, hi = np.searchsorted(order, [k, k + 1])
-        rows = digits[digit_at[lo] : digit_at[hi]].reshape(hi - lo, k - 1)
+        rows = digits[digit : digit + (hi - lo) * (k - 1)].reshape(hi - lo, k - 1)
+        digit += (hi - lo) * (k - 1)
+        packed = _pack(rows)
         new = np.ones(hi - lo, dtype=bool)  # a context is a run of equal rows
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        new[1:] = (packed[1:] != packed[:-1]).any(axis=1)
         own = rows[new]
-        parent = np.zeros(len(own), dtype=np.int64)  # order 1's one context, the empty one
-        for j in range(2, k):
-            parent = _child(contexts[j], parent, own[:, j - 2], V)
+        parent = _row_ids(below, _pack(own[:, :-1]))
         keys = parent if k == 1 else parent * V + own[:, -1]
         gram_keys = (np.cumsum(new) - 1) * V + nxt[lo:hi]
         if (parent < 0).any() or (np.diff(keys) <= 0).any() or (np.diff(gram_keys) <= 0).any():
             _refuse_table(blob, max_order, V)
-        contexts[k], grams[k], counts[k] = keys, gram_keys, count[lo:hi]
+        contexts[k], grams[k], counts[k], below = keys, gram_keys, count[lo:hi], packed[new]
     del data, blob  # no fault is left to name, so the bytes go before the table is built
     return NGramTable(max_order, V, contexts, grams, counts)

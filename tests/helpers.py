@@ -12,7 +12,8 @@ time instead of as columns, stream and n-gram table files written one
 f-string per record instead of as byte columns, n-gram cross-validation
 by one table fitted per fold instead of by one count of the whole corpus,
 n-gram contexts by a second sort per order instead of from the grams of the
-order below, event logs through the per-line rule on every line instead of in
+order below, a table context's parent by one search per id instead of one per
+packed word, event logs through the per-line rule on every line instead of in
 blocks of array operations,
 and corpus subsets, splits and training windows one row at a time instead
 of by gathers over the columns, so they can serve as a second opinion.  The batched LSTM kernel is
@@ -109,6 +110,16 @@ def two_sort_fit(corpus, max_order, gram_index):
         gram_index[k] = np.full(len(actions), -1, dtype=np.int64)
         gram_index[k][at] = inverse
     return ngram.NGramTable(max_order, V, contexts, grams, counts)
+
+
+def chained_parents(contexts, rows, V):
+    """The order-(k-1) id of the first k - 2 ids of each order-k context row, or -1
+    where it has none: ``load_table``'s lookup as it was before packed words, rolled
+    one id at a time up the orders' sorted ``contexts`` keys with ``ngram._child``."""
+    parent = np.zeros(len(rows), dtype=np.int64)
+    for j in range(2, rows.shape[1] + 1):
+        parent = ngram._child(contexts[j], parent, rows[:, j - 2], V)
+    return parent
 
 
 def naive_sigmoid(z):

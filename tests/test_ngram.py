@@ -12,8 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    RefitNGramSpec, actions_pos, columns, corpus_of, mutated, naive_backoff_predict,
-    naive_backoff_usage, naive_gram_counts, per_line_save_table, table_counts, two_sort_fit,
+    RefitNGramSpec, actions_pos, chained_parents, columns, corpus_of, mutated,
+    naive_backoff_predict, naive_backoff_usage, naive_gram_counts, per_line_save_table,
+    table_counts, two_sort_fit,
 )
 from nextaction import evaluation, ingest, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError, UnfittedModelError
@@ -427,18 +428,37 @@ class TestLoadRejects:
             ngram.load_table((tmp_path / "bad.ngram").read_bytes())
         assert caught.value.lineno == i + 1 and TWO_FAULTS[first][1] in str(caught.value)
 
+    @pytest.mark.parametrize("vocab_size, order", [(256, 11), (257, 7), (2**32, 5)])
+    def test_a_prefix_that_matches_only_in_its_first_word_is_refused(
+            self, tmp_path, vocab_size, order):
+        """The one order-k record's context prefix is packed as one word and one id;
+        changing that id leaves a prefix whose first word is that of an order-(k-1)
+        context, and which no order-(k-1) record holds."""
+        sequence = [vocab_size - 1 - i for i in range(order)]
+        ngram.save_table(ngram.fit(corpus_of([sequence], vocab_size), order), tmp_path / "m.ngram")
+        lines = (tmp_path / "m.ngram").read_text().splitlines(keepends=True)
+        k, context, rest = lines[-1].split("\t", 2)
+        ids = context.split(",")
+        ids[order - 3] = "0"
+        lines[-1] = "\t".join([k, ",".join(ids), rest])
+        with pytest.raises(MalformedRecordError) as caught:
+            ngram.load_table("".join(lines).encode())
+        assert caught.value.lineno == len(lines)
+        assert f"context has no record at order {order - 1}" in str(caught.value)
+
 
 class TestHeaderOrderAboveTheRecords:
     """A header's max_order may exceed the highest order that holds a record."""
 
     def test_orders_without_records_look_up_no_context(self, monkeypatch):
-        """Records at orders 1-2 under max_order=50 need no parent lookup at all."""
+        """Records at orders 1-2 under max_order=50 need one parent lookup per
+        order that holds a record, and none for the 48 orders above them."""
         blob = SAVED.replace("max_order=3", "max_order=50").encode()
-        calls, child = [], ngram._child
-        monkeypatch.setattr(ngram, "_child", lambda *a: calls.append(a) or child(*a))
+        calls, row_ids = [], ngram._row_ids
+        monkeypatch.setattr(ngram, "_row_ids", lambda *a: calls.append(a) or row_ids(*a))
         table = ngram.load_table(b"".join(line for line in blob.splitlines(keepends=True)
                                           if not line.startswith(b"3\t")))
-        assert calls == []
+        assert len(calls) == 2
         assert table.max_order == 50 and sorted(table.grams) == [1, 2]
         assert ngram.predict_next(table, [A, B]) == ngram.BackoffPrediction(A, 2)
 
@@ -520,6 +540,13 @@ def gram_corpora(draw, max_vocab=4000, max_length=40):
     return vocab_size, max_order, train, held_out
 
 
+def word_boundary_case(vocab_size, max_order):
+    """A ``gram_corpora`` case of ids 0, 1 and V - 1 whose contexts recur up to max_order."""
+    top = vocab_size - 1
+    sequence = [0, top, 1, top, top, 0, 1, top, 0, 0, top, 1, top]
+    return vocab_size, max_order, [sequence * 2], [[top, 0, top, 1]]
+
+
 @st.composite
 def fit_cases(draw):
     """(sequences, V, max_order): sequences of 1 to 9 ids from a small pool, V up
@@ -529,6 +556,17 @@ def fit_cases(draw):
                                          max_size=4, unique=True)))
     rows = draw(st.lists(st.lists(pool, min_size=1, max_size=9), min_size=1, max_size=6))
     return rows, vocab_size, draw(st.integers(1, 12))
+
+
+@st.composite
+def packed_parent_cases(draw):
+    """(sequences, V, max_order, column, id): V on both sides of each packed id width,
+    ids from both ends of its range, sequences long enough for context prefixes of
+    one packed word and of more, and an id to write into one column of each row."""
+    vocab_size = draw(st.sampled_from([1, 2, 60, 256, 257, 2**16, 2**16 + 1, 2**32]))
+    ids = st.sampled_from(sorted({0, min(1, vocab_size - 1), vocab_size // 2, vocab_size - 1}))
+    rows = draw(st.lists(st.lists(ids, min_size=1, max_size=14), min_size=1, max_size=4))
+    return rows, vocab_size, draw(st.integers(1, 12)), draw(st.integers(0, 10)), draw(ids)
 
 
 class TestDerivations:
@@ -564,6 +602,24 @@ class TestDerivations:
             # the orders the table leaves out are those where the oracle counts no gram
             for k in range(len(table.grams) + 1, max_order + 1):
                 assert len(oracle.grams[k]) == 0 and (oracle_index[k] == -1).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(packed_parent_cases())
+    @example(([[0, 1, 2**32 - 1, 0, 1, 0, 2**32 - 1, 1, 0, 1, 1, 0]], 2**32, 8, 3, 1))
+    @example(([[0, 1, 255, 0, 1, 0, 255, 1, 0, 1, 1, 0] * 2], 256, 12, 9, 0))
+    def test_packed_parents_match_the_per_id_chain(self, case):
+        """Each context row's parent, found by packed words, is the one the per-id chain
+        finds, and so is the -1 of a row with one id changed to a prefix the table may lack."""
+        rows, vocab_size, max_order, column, changed = case
+        table = ngram.fit(corpus_of(rows, vocab_size), max_order)
+        dtype = np.min_scalar_type(vocab_size - 1)
+        held = [r.astype(dtype) for r in ngram._context_rows(table)]
+        for k in range(2, len(held) + 1):
+            query = np.concatenate([held[k - 1], held[k - 1]])
+            query[len(held[k - 1]):, column % (k - 1)] = changed
+            found = ngram._row_ids(ngram._pack(held[k - 2]), ngram._pack(query[:, :-1]))
+            assert found.tolist() == chained_parents(table.contexts, query, vocab_size).tolist()
+            assert (found[: len(held[k - 1])] >= 0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(fit_cases())
@@ -606,6 +662,13 @@ class TestProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(gram_corpora())
+    # context prefixes of exactly one packed word, and of one word and one id
+    @example(word_boundary_case(256, 10))
+    @example(word_boundary_case(256, 11))
+    @example(word_boundary_case(257, 6))
+    @example(word_boundary_case(257, 7))
+    @example(word_boundary_case(2**32, 4))
+    @example(word_boundary_case(2**32, 5))
     def test_save_load_save_is_byte_identical(self, case):
         vocab_size, max_order, train, held_out = case
         table = ngram.fit(corpus_of(train, vocab_size), max_order)
@@ -620,7 +683,7 @@ class TestProperties:
                 == ngram.NGramPredictor(table).predict_sequence(*fold).tolist())
 
     @settings(max_examples=300, deadline=None)
-    @given(gram_corpora(max_vocab=30, max_length=12), st.data())
+    @given(gram_corpora(max_vocab=300, max_length=12), st.data())
     def test_corrupt_table_is_refused_or_read_exactly(self, case, data):
         """A truncated or flipped table raises a NextactionError, or it is a
         canonical table that save_table writes back byte for byte."""
