@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MalformedRecordError, NextactionError
-from .ingest import Vocabulary, action_array, text_lines
+from .ingest import Vocabulary, action_array, content_lines
 
 NO_PREDICTION = -1  # sentinel id; never matches a real action
 
@@ -43,10 +43,7 @@ def load_syllabus(blob: bytes, vocab: Vocabulary) -> SyllabusMap:
     seen: set[str] = set()
     items: list[int] = []
     unmatched: list[str] = []
-    for lineno, line in text_lines(blob):
-        token = line.strip()
-        if not token or token.startswith("#"):
-            continue
+    for lineno, token in content_lines(blob):
         if token in seen:
             raise MalformedRecordError(lineno, f"duplicate course item {token!r}")
         seen.add(token)

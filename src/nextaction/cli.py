@@ -205,8 +205,9 @@ def _cmd_ngram(args) -> int:
 
     (report,) = reports
     report.metadata.update(meta)
-    if options["usage"]:
-        for order, fraction in ngram.fitted_usage(corpus, options["max_order"]).items():
+    if options["usage"]:  # no position is served above the longest sequence
+        cap = min(options["max_order"], int(corpus.lengths.max(initial=1)))
+        for order, fraction in ngram.fitted_usage(corpus, cap).items():
             report.metadata[f"backoff_usage.{order}"] = f"{fraction:.10f}"
     if args.save_model:
         (predictor,), _ = report.full_fit

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from .errors import ConfigError
-from .ingest import text_lines
+from .ingest import content_lines
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -16,10 +16,7 @@ def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
     naming the line; a line that is not UTF-8 raises MalformedRecordError.
     """
     values: dict[str, object] = {}
-    for lineno, line in text_lines(Path(path).read_bytes()):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(Path(path).read_bytes()):
         where = f"{Path(path).name}, line {lineno}"
         if "=" not in stripped:
             raise ConfigError(f"{where}: expected key=value, got {stripped!r}")

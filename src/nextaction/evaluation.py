@@ -29,6 +29,7 @@ run on a pool of forked worker processes, which inherit the spec and corpus
 and send back arrays, so reports are byte-identical at any worker count.
 """
 
+import io
 import multiprocessing
 import re
 import sys
@@ -41,7 +42,9 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
-from .ingest import NUMBER, Corpus, format_decimals, parse_decimals, text_lines, text_rows
+from .ingest import (
+    LOW_BYTES, NUMBER, Corpus, format_decimals, line_blocks, parse_decimals, text_lines, text_rows,
+)
 
 ACCURACY_FORMAT = "{:.10f}"
 
@@ -427,14 +430,11 @@ def _refuse_stream(blob: bytes) -> NoReturn:
             )
 
 
-_CHUNK = 1 << 18  # bytes of whole stream lines parsed at a time, which bounds the temporaries
-
-
-def _parse_stream(data: np.ndarray, lo: int, end: np.ndarray):
+def _parse_stream(data: np.ndarray, end: np.ndarray):
     """(id starts, id ends, position, predicted, truth) of the lines that start at
-    ``lo`` and end at the newlines ``end`` of ``data``, or None unless each of
+    index 0 and end at the newlines ``end`` of ``data``, or None unless each of
     them is a record."""
-    start = np.concatenate(([lo], end[:-1] + 1))
+    start = np.concatenate(([0], end[:-1] + 1))
 
     def byte(at: np.ndarray) -> np.ndarray:  # an index below 0 only ever marks a bad line
         return np.take(data, np.maximum(at, 0))
@@ -453,12 +453,9 @@ def _parse_stream(data: np.ndarray, lo: int, end: np.ndarray):
     good &= byte(tab) == ord("\t")
     position, canonical, tab = field(tab)
     good &= canonical & (position >= 2) & (byte(tab) == ord("\t")) & (tab > start)
-    if not good.all() or np.count_nonzero(data[lo : end[-1]] == ord("\t")) != 3 * len(end):
+    if not good.all() or np.count_nonzero(data[: end[-1]] == ord("\t")) != 3 * len(end):
         return None
     return start, tab, position, np.where(negative, -1, predicted), truth
-
-
-_TAIL = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)  # low n bytes of a word
 
 
 def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -477,32 +474,11 @@ def _id_runs(data: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarra
     while len(same):
         left = length[same] - offset  # the id's bytes from this word on, at least 1
         xor = words[start[same] + offset] ^ words[start[same - 1] + offset]
-        differ = xor & _TAIL[np.minimum(left, 8)] != 0
+        differ = xor & LOW_BYTES[np.minimum(left, 8)] != 0
         new[same[differ]] = True
         same = same[~differ & (left > 8)]
         offset += 8
     return np.flatnonzero(new)
-
-
-def _read_chunk(blob: bytes, lo: int, hi: int):
-    """The four columns of the whole lines ``blob[lo:hi]``, or raise for the
-    file's first bad line unless each of them is a record."""
-    try:
-        str(memoryview(blob)[lo:hi], "utf-8")
-    except UnicodeDecodeError:
-        _refuse_stream(blob)
-    data = np.frombuffer(blob, dtype=np.uint8)
-    end = lo + np.flatnonzero(data[lo:hi] == ord("\n"))
-    parsed = _parse_stream(data, lo, end)
-    if parsed is None:
-        _refuse_stream(blob)
-    start, stop, position, predicted, truth = parsed
-    runs = _id_runs(data, start, stop)
-    # one shared string per id keeps a long stream small, across chunks too
-    names = [sys.intern(str(blob[a:b], "utf-8")) for a, b in zip(start[runs].tolist(),
-                                                                 stop[runs].tolist())]
-    student = np.repeat(np.array(names, dtype=object), np.diff(np.append(runs, len(end))))
-    return student, position, predicted, truth
 
 
 def read_stream(blob: bytes) -> PredictionStream:
@@ -510,22 +486,34 @@ def read_stream(blob: bytes) -> PredictionStream:
     last included, is a non-empty student id, a position >= 2, a prediction (-1
     for none) and a truth in canonical integers, and a newline.
 
-    The stream is read one chunk of whole lines, about ``_CHUNK`` bytes, at a
-    time, into columns sized from its newlines: each chunk is checked as UTF-8,
-    its lines are checked and their three integer columns parsed backwards from
-    each newline, and one string is decoded and interned per run of equal
-    student ids.  Only a bad file is split into lines, to name its first bad
-    line."""
+    The stream is read one block of whole lines at a time (``ingest.line_blocks``),
+    into columns sized from its newlines: each block's lines are checked and
+    their three integer columns parsed backwards from each newline, and one
+    string is decoded and interned per run of equal student ids.  Only a bad
+    file is split into lines, to name its first bad line."""
     if blob and not blob.endswith(b"\n"):
         _refuse_stream(blob)
     count = blob.count(b"\n")
     student = np.empty(count, dtype=object)
     position, predicted, truth = (np.empty(count, dtype=np.int64) for _ in range(3))
-    lo = line = 0
-    while lo < len(blob):
-        hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
-        columns = _read_chunk(blob, lo, hi)
-        rows = slice(line, line + len(columns[1]))
-        student[rows], position[rows], predicted[rows], truth[rows] = columns
-        lo, line = hi, rows.stop
+    line = 0
+    for buf, size in line_blocks(io.BytesIO(blob)):
+        data = np.frombuffer(buf, dtype=np.uint8)
+        end = np.flatnonzero(data[:size] == ord("\n"))
+        parsed = _parse_stream(data, end)
+        if parsed is None:
+            _refuse_stream(blob)
+        start, stop, *columns = parsed
+        runs = _id_runs(data, start, stop)
+        # every byte outside the ids is ASCII and every id equals its run's first, so the
+        # one string decoded per run, interned to be shared across blocks, checks the block
+        try:
+            names = [sys.intern(buf[a:b].decode("utf-8"))
+                     for a, b in zip(start[runs].tolist(), stop[runs].tolist())]
+        except UnicodeDecodeError:
+            _refuse_stream(blob)
+        rows = slice(line, line + len(end))
+        student[rows] = np.repeat(np.array(names, dtype=object), np.diff(np.append(runs, len(end))))
+        position[rows], predicted[rows], truth[rows] = columns
+        line = rows.stop
     return PredictionStream(student, position, predicted, truth)

@@ -11,7 +11,8 @@ lines starting with '#' and blank lines are ignored):
 
 The event log is read from disk once, in blocks of whole lines of about
 ``_BLOCK`` (256 KiB) bytes, each hashed as it is read, so neither the log nor a
-copy of it is held whole.  Each block is split into columns with array
+copy of it is held whole; ``line_blocks``, which cuts those blocks, cuts n-gram
+tables and prediction streams too.  Each block is split into columns with array
 operations.  A line in it is *odd* unless it is blank, a '#' line or a record in
 canonical form: no NUL byte, five fields split by four tabs, a
 ``YYYY-MM-DDTHH:MM:SSZ`` stamp of a calendar date and time from year 1, no field
@@ -44,9 +45,10 @@ vocab size, sequence count, then per sequence the student-id length and bytes,
 one certified byte, the action count, and the action ids as 32-bit unsigned.
 
 Every text reader names its first bad line in file order, one that is not UTF-8
-included, through ``text_lines``.  The integer columns of n-gram tables and
-prediction streams are written and read as whole byte columns with
-``format_decimals``, ``text_rows`` and ``parse_decimals``.
+included, through ``text_lines``; ``content_lines`` strips its lines and skips
+blank and '#' ones for the roster, course order and ``--config``.  The integer
+columns of n-gram tables and prediction streams are written and read as whole
+byte columns with ``format_decimals``, ``text_rows`` and ``parse_decimals``.
 """
 
 import hashlib
@@ -95,6 +97,15 @@ def text_lines(blob: bytes) -> Iterator[tuple[int, str]]:
             raise MalformedRecordError(lineno, "not UTF-8") from None
         yield lineno, line
         start = end
+
+
+def content_lines(blob: bytes) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped text)`` of each line of ``blob`` that, stripped, is
+    neither blank nor a '#' line; a line that is not UTF-8 raises as in ``text_lines``."""
+    for lineno, line in text_lines(blob):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped
 
 
 def format_decimals(values: np.ndarray) -> np.ndarray:
@@ -359,25 +370,27 @@ def _action_token(names: dict[str, int], event, page, obj) -> np.ndarray:
     return np.where(check, obj, np.where(page >= 0, page, event))
 
 
-def _blocks(handle, digest) -> Iterator[tuple[bytearray, int]]:
-    """The whole lines of an open file, about ``_BLOCK`` bytes of them at a time, at
-    the head of a buffer with at least ``_MAX_FIELD`` bytes after them so that a field
-    window from any line stays inside; and their count.  Only the last block may
-    lack a final newline.  The buffer is reused, so a block is gone once the next
-    is asked for.  ``digest`` takes every byte read, in order."""
+def line_blocks(handle) -> Iterator[tuple[bytearray, int]]:
+    """The whole lines of an open file from its position on, about ``_BLOCK`` bytes of
+    them at a time, at the head of a buffer whose last ``_MAX_FIELD`` bytes no read
+    writes, so that a field window from any line stays inside and the last byte is
+    NUL; and their count.  The blocks hold every byte read once, in order, and only
+    the last may lack a final newline.  The buffer is reused, so a block is gone
+    once the next is asked for."""
     buf, held, more = bytearray(_BLOCK + _MAX_FIELD), 0, True
     while more:
         size = held  # the bytes of a partial line carried from the last block come first
         with memoryview(buf) as view:
             while more and size < len(buf) - _MAX_FIELD:
                 got = handle.readinto(view[size : len(buf) - _MAX_FIELD])
-                digest.update(view[size : size + got])
                 size, more = size + got, got > 0
         cut = buf.rfind(b"\n", held, size) + 1 if more else size
         if cut:
             yield buf, cut
-            held = size - cut
-            buf[:held] = buf[cut:size]
+            rest, held = buf[cut:size], size - cut
+            if held <= _BLOCK < len(buf) - _MAX_FIELD:  # a long line is read: shrink back
+                buf = bytearray(_BLOCK + _MAX_FIELD)
+            buf[:held] = rest
         elif more:  # one line fills the buffer: double it
             buf, held = buf + bytes(len(buf)), size
 
@@ -405,7 +418,7 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: np.ndarray, span: int) -> n
 
 # the low n bytes of a word for n in 0..8, then zeros, which a negative n up to
 # -_MAX_FIELD indexes from the end
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)] + [0] * _MAX_FIELD, dtype=np.uint64)
+LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)] + [0] * _MAX_FIELD, dtype=np.uint64)
 
 
 def _field(
@@ -422,7 +435,7 @@ def _field(
     widest = int(width.max(initial=1))
     unaligned = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))  # the 8 bytes from each index
 
-    words = [unaligned[left + at] & _LOW_BYTES[np.minimum(width - at, 8)]
+    words = [unaligned[left + at] & LOW_BYTES[np.minimum(width - at, 8)]
              for at in range(0, widest, 8)]
     key = np.zeros(len(left), dtype=np.uint64)
     for word in words:
@@ -565,7 +578,8 @@ def _read_events(handle, on_malformed: str, stats: IngestStats, digest) -> Event
     names: dict[str, int] = {}
     parts: tuple[list, list, list] = ([], [], [])
     lines = 0
-    for buf, size in _blocks(handle, digest):
+    for buf, size in line_blocks(handle):
+        digest.update(memoryview(buf)[:size])
         end = size
         if np.frombuffer(buf, dtype=np.uint8)[:size].max(initial=0) >= 0x80:
             try:
@@ -678,10 +692,7 @@ def parse_roster(blob: bytes) -> dict[str, bool]:
     """A roster's students and flags, each field stripped as an event's are; a
     malformed line or a repeated student raises MalformedRecordError."""
     roster: dict[str, bool] = {}
-    for lineno, line in text_lines(blob):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+    for lineno, stripped in content_lines(blob):
         fields = [field.strip() for field in stripped.split("\t")]
         if len(fields) != 2 or fields[1] not in ("0", "1"):
             raise MalformedRecordError(lineno, f"bad roster line {stripped!r}")

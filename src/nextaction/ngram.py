@@ -35,6 +35,7 @@ every fold's counts from that count with one ``bincount`` per order (see
 was fitted on (``fitted_usage``).
 """
 
+import io
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -48,7 +49,8 @@ import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
 from .ingest import (
-    NUMBER, Corpus, action_array, format_decimals, parse_decimals, text_lines, text_rows,
+    NUMBER, Corpus, action_array, format_decimals, line_blocks, parse_decimals, text_lines,
+    text_rows,
 )
 
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -422,7 +424,6 @@ def save_table(table: NGramTable, path: str | Path) -> None:
 
 _HEADER = re.compile(rf"#NGRAM max_order=({NUMBER}) V=({NUMBER})")
 _RECORD = re.compile(rf"{NUMBER}\t(?:{NUMBER}(?:,{NUMBER})*)?\t{NUMBER}\t{NUMBER}")
-_CHUNK = 1 << 18  # bytes of whole records parsed at a time, which bounds the temporaries
 
 
 def _parse_records(data: np.ndarray, lo: int, hi: int):
@@ -486,7 +487,7 @@ def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
 def load_table(blob: bytes) -> NGramTable:
     """Parse a table's bytes as ``save_table`` writes them, refusing anything else.
 
-    The records are parsed in chunks of whole lines into columns sized from the
+    The records are parsed in blocks of whole lines into columns sized from the
     file's newlines and commas, the ids kept in the narrowest dtype that holds
     V - 1.  Each order's contexts are its runs of equal context rows, compared as
     packed words (``_pack``), and each context's parent is found with one search
@@ -518,10 +519,13 @@ def load_table(blob: bytes) -> NGramTable:
     order, nxt = np.empty(records, dtype=np.min_scalar_type(top)), np.empty(records, dtype=ids)
     count = np.empty(records, dtype=np.int64)
     digits = np.empty(np.count_nonzero(data == ord(",")) + records, dtype=ids)  # commas + 1 each
-    lo, row, digit = newline + 1, 0, 0
-    while lo < len(blob):
-        hi = blob.find(b"\n", min(lo + _CHUNK, len(blob) - 1)) + 1
-        parsed = _parse_records(data, lo, hi)
+    row = digit = 0
+    handle = io.BytesIO(blob)  # shares the bytes; line_blocks copies each block once
+    handle.seek(newline + 1)
+    for buf, size in line_blocks(handle):
+        # a block's first record starts at index 0, so the digits of its order are
+        # read back to index -1: the buffer's last byte, which no read writes
+        parsed = _parse_records(np.frombuffer(buf, dtype=np.uint8), 0, size)
         if parsed is None:
             _refuse_table(blob, max_order, V)
         k, width, n, c, context = parsed
@@ -531,7 +535,8 @@ def load_table(blob: bytes) -> NGramTable:
             _refuse_table(blob, max_order, V)
         order[row : row + len(k)], nxt[row : row + len(k)], count[row : row + len(k)] = k, n, c
         digits[digit : digit + len(context)] = context
-        lo, row, digit = hi, row + len(k), digit + len(context)
+        row, digit = row + len(k), digit + len(context)
+    buf = None  # free the block buffer before the table's arrays are allocated above it
     # the orders sorted as 1, 2, ..., n with none left out; unsigned, a fall wraps above 1
     if (np.diff(order, prepend=order.dtype.type(0)) > 1).any():
         _refuse_table(blob, max_order, V)
@@ -552,5 +557,5 @@ def load_table(blob: bytes) -> NGramTable:
         if (parent < 0).any() or (np.diff(keys) <= 0).any() or (np.diff(gram_keys) <= 0).any():
             _refuse_table(blob, max_order, V)
         contexts[k], grams[k], counts[k], below = keys, gram_keys, count[lo:hi], packed[new]
-    del data, blob  # no fault is left to name, so the bytes go before the table is built
+    del data, blob, handle  # no fault is left to name, so the bytes go before the table is built
     return NGramTable(max_order, V, contexts, grams, counts)

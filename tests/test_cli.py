@@ -596,6 +596,20 @@ class TestMalformedStream:
         assert main(["agree", str(good), str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_agree_names_a_line_whose_id_is_not_utf8(self, tmp_path, capsys):
+        """A stream's parse checks every byte outside the ids as ASCII, and one id is
+        decoded per run of equal ids: a bad byte in an id deep inside a block is
+        named by its line."""
+        lines = [f"s{i // 3}\t{i % 3 + 2}\t1\t1\n".encode() for i in range(2000)]
+        good = tmp_path / "a.pred"
+        good.write_bytes(b"".join(lines))
+        lines[1499] = b"s\xff\t2\t1\t1\n"
+        bad = tmp_path / "b.pred"
+        bad.write_bytes(b"".join(lines))
+        assert len(bad.read_bytes()) < ingest._BLOCK  # one block, whose first line is line 1
+        assert main(["agree", str(good), str(bad)]) == 2
+        assert "line 1500: not UTF-8" in capsys.readouterr().err
+
 
 class TestHostileModelAndCorpus:
     @pytest.fixture(scope="class")
@@ -903,6 +917,17 @@ class TestInProcessNgram:
             assert main(["ngram", *corpus, "--max-order", "3", "--folds", "3", "--usage", *save,
                          "--report", str(report), "--out-dir", str(tmp_path)]) == 0
             assert "meta.backoff_usage.3" in read_report(report)
+
+    def test_usage_stops_at_the_longest_sequence(self, tiny, tmp_path):
+        """A cap far above the data writes no order that no position can reach."""
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        report = tmp_path / "usage.txt"
+        assert main(["ngram", *corpus, "--max-order", "1000000", "--folds", "3", "--usage",
+                     "--cohort", "all", "--report", str(report), "--out-dir", str(tmp_path)]) == 0
+        longest = int(ingest.load_corpus((tiny / "corpus.nact").read_bytes()).lengths.max())
+        orders = sorted(int(key.rsplit(".", 1)[1]) for key in read_report(report)
+                        if key.startswith("meta.backoff_usage."))
+        assert orders == list(range(1, longest + 1))
 
     def test_eval_reads_an_ngram_table_once(self, tiny, tmp_path, opened):
         """Its magic, its table and its digest all come from one read."""

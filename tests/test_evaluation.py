@@ -17,7 +17,7 @@ from helpers import (
     per_line_read_stream, per_line_write_stream, per_record_agreement, read_report, students_in,
 )
 from helpers import corpus_of as rows_corpus
-from nextaction import baselines, evaluation, lstm, ngram
+from nextaction import baselines, evaluation, ingest, lstm, ngram
 from nextaction.errors import ConfigError, MalformedRecordError, NextactionError
 from nextaction.ingest import StudentSequence
 
@@ -674,7 +674,7 @@ class TestStreamOracles:
             assert outcome(read_rows, path) == outcome(per_line_read_stream, path)
 
     # ids of 1 to 3 words that differ only in their last byte, or in their first,
-    # read in chunks of one to a few lines
+    # read in blocks of one to a few lines
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from(["a", "b", "a" * 8, "a" * 7 + "b", "b" + "a" * 7, "a" * 9, "a" * 8 + "b",
@@ -685,10 +685,10 @@ class TestStreamOracles:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "model.pred"
             per_line_write_stream(records(rows), path)
-            with mock.patch.object(evaluation, "_CHUNK", 8 * words):
+            with mock.patch.object(ingest, "_BLOCK", 8 * words):
                 assert read_rows(path) == rows
 
-    # runs of one to five records of an id, read in chunks of one byte to a few lines
+    # runs of one to five records of an id, read with a `_BLOCK` of one byte to a few lines
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["s1", "sé", "s1x", "a" * 9, "a" * 8 + "b"]),
                               st.integers(1, 5)), min_size=1, max_size=8),
@@ -699,7 +699,7 @@ class TestStreamOracles:
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "model.pred"
             per_line_write_stream(records(rows), path)
-            with mock.patch.object(evaluation, "_CHUNK", chunk):
+            with mock.patch.object(ingest, "_BLOCK", chunk):
                 student = evaluation.read_stream(path.read_bytes()).student
                 assert read_rows(path) == per_line_read_stream(path) == rows
         # one string per id, however the chunks cut its runs
@@ -721,7 +721,7 @@ class TestStreamOracles:
         path.write_bytes(b"".join(lines))
         expected = outcome(per_line_read_stream, path)
         assert expected[1].startswith(f"line {min(faults)}: ")
-        with mock.patch.object(evaluation, "_CHUNK", 100):  # about eight lines
+        with mock.patch.object(ingest, "_BLOCK", 100):  # about eight lines
             assert outcome(read_rows, path) == expected
 
     def test_memory_is_the_columns_and_a_few_chunks(self):
@@ -733,7 +733,7 @@ class TestStreamOracles:
         ids = [sys.intern(f"s{i}") for i in range(count // 40)]
         blob = "".join(f"{ids[i // 40]}\t{i % 40 + 2}\t{i % 7 - 1}\t{i % 5}\n"
                        for i in range(count)).encode()
-        assert len(blob) > 8 * evaluation._CHUNK
+        assert len(blob) > 8 * ingest._BLOCK
         tracemalloc.start()
         try:
             stream = evaluation.read_stream(blob)
@@ -741,7 +741,24 @@ class TestStreamOracles:
         finally:
             tracemalloc.stop()
         assert len(stream) == count
-        assert peak < 32 * count + 16 * evaluation._CHUNK
+        assert peak < 32 * count + 16 * ingest._BLOCK
+
+    def test_memory_after_a_long_id_is_bounded_by_the_block(self):
+        """A block buffer doubled to hold one very long line shrinks back once that
+        line is read, so the blocks after it are not parsed at its size."""
+        count = 200_000
+        ids = [sys.intern(f"s{i}") for i in range(count // 40)]
+        long = "x" * (4 * ingest._BLOCK)
+        blob = (f"{long}\t2\t0\t0\n" + "".join(f"{ids[i // 40]}\t{i % 40 + 2}\t0\t0\n"
+                                               for i in range(count))).encode()
+        tracemalloc.start()
+        try:
+            stream = evaluation.read_stream(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == count + 1
+        assert peak < 32 * count + 16 * ingest._BLOCK + 8 * len(long)
 
     def test_megabyte_ids_among_short_ones(self, tmp_path):
         """Each id is compared with the one before only: a run of two megabyte ids

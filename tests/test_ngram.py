@@ -797,7 +797,7 @@ class TestByteColumns:
         table = ngram.fit(corpus_of([rng.integers(0, 40, size=300).tolist()], 40), 5)
         ngram.save_table(table, tmp_path / "m.ngram")
         whole = ngram.load_table((tmp_path / "m.ngram").read_bytes())
-        monkeypatch.setattr(ngram, "_CHUNK", 64)
+        monkeypatch.setattr(ingest, "_BLOCK", 64)
         chunked = ngram.load_table((tmp_path / "m.ngram").read_bytes())
         for k in range(1, 6):
             assert chunked.grams[k].tolist() == whole.grams[k].tolist()
@@ -810,3 +810,29 @@ class TestByteColumns:
             with pytest.raises(MalformedRecordError) as caught:
                 ngram.load_table((tmp_path / "bad.ngram").read_bytes())
             assert caught.value.lineno == at + 1 and reason in str(caught.value)
+
+    @pytest.mark.parametrize("block", [1, 5, 13])
+    def test_blocks_that_start_at_a_two_digit_order(self, tmp_path, monkeypatch, block):
+        """A block's first record starts at index 0 of its buffer, so the digits of
+        an order 10 there are read back to index -1, the buffer's last byte."""
+        rng = np.random.default_rng(53)
+        table = ngram.fit(corpus_of([rng.integers(0, 12, size=400).tolist()], 12), 10)
+        ngram.save_table(table, tmp_path / "m.ngram")
+        blob = (tmp_path / "m.ngram").read_bytes()
+        whole = ngram.load_table(blob)
+        heads = []
+
+        def spied(handle):
+            for buf, size in ingest.line_blocks(handle):
+                heads.append(bytes(buf[:3]))
+                yield buf, size
+
+        monkeypatch.setattr(ngram, "line_blocks", spied)
+        monkeypatch.setattr(ingest, "_BLOCK", block)
+        chunked = ngram.load_table(blob)
+        assert b"10\t" in heads
+        assert chunked.max_order == whole.max_order == 10
+        for k in range(1, 11):
+            assert chunked.grams[k].tolist() == whole.grams[k].tolist()
+            assert chunked.contexts[k].tolist() == whole.contexts[k].tolist()
+            assert chunked.counts[k].tolist() == whole.counts[k].tolist()
