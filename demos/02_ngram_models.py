@@ -51,7 +51,7 @@ fold_of = np.array([plan.assignment[student] for student in certified.students])
 big = ngram.fit(certified.take(fold_of != 0), max_order=10)
 usage = ngram.backoff_usage(big, certified.take(fold_of == 0))
 print("\nshare of held-out predictions served by each order (10-gram model):")
-for order in range(10, 0, -1):
+for order in sorted(usage, reverse=True):  # the orders the table holds
     bar = "#" * int(round(usage[order] * 60))
     print(f"  order {order:2d}  {usage[order]:.4f} {bar}")
 print(f"  (fractions sum to {sum(usage.values()):.9f})")

@@ -185,29 +185,30 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_ngram(args) -> int:
     options = _merge_options(args)
-    if options["sweep"] and options["max_order"] < 2:
+    max_order, sweep = options["max_order"], options["sweep"]
+    if sweep and max_order < 2:
         raise ConfigError("--sweep needs --max-order >= 2")
-    if options["sweep"]:
+    if sweep:
         _refuse_outputs("--sweep", {"--usage": options["usage"], "--save-model": args.save_model,
                                     "--stream": args.stream, "--csv": args.csv})
-    orders = range(2 if options["sweep"] else options["max_order"], options["max_order"] + 1)
-    spec = ngram.NGramSpec(tuple(orders))
+    spec = ngram.NGramSpec((max_order,))  # a cap no table can hold is refused before any read
     corpus, plan, meta, _ = _cv_inputs(args, options)
+    if sweep:  # no fit holds an order above the longest sequence
+        spec = ngram.NGramSpec(tuple(range(2, max(2, ngram.highest_order(corpus, max_order)) + 1)))
     reports = evaluation.cross_validate(
-        spec, corpus, plan, [f"{order}-gram backoff" for order in orders],
+        spec, corpus, plan, [f"{order}-gram backoff" for order in spec.orders],
         workers=options["workers"], keep_streams=bool(args.stream),
         fit_full=bool(args.save_model),
     )
-    if options["sweep"]:
-        rows = [(f"order.{order}", report) for order, report in zip(orders, reports)]
+    if sweep:
+        rows = [(f"order.{order}", report) for order, report in zip(spec.orders, reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
                                  "ngram-sweep")
 
     (report,) = reports
     report.metadata.update(meta)
-    if options["usage"]:  # no position is served above the longest sequence
-        cap = min(options["max_order"], int(corpus.lengths.max(initial=1)))
-        for order, fraction in ngram.fitted_usage(corpus, cap).items():
+    if options["usage"]:
+        for order, fraction in ngram.fitted_usage(corpus, max_order).items():
             report.metadata[f"backoff_usage.{order}"] = f"{fraction:.10f}"
     if args.save_model:
         (predictor,), _ = report.full_fit
@@ -393,7 +394,7 @@ _HELP = {
     "workers": "parallel fold workers; only lstm forks, ngram and baseline echo the value",
     "corpus": "encoded corpus file", "vocab": "vocabulary file",
     "cohort": "certified, uncertified or all", "on_malformed": "abort or skip",
-    "sweep": "evaluate every order from 2 to --max-order",
+    "sweep": "evaluate every order from 2 to --max-order or the longest sequence, if shorter",
     "usage": "include the backoff order-usage histogram",
     "stream": "write the per-position prediction stream", "csv": "write fold accuracies as CSV",
     "layers": "layer count, or comma list for a grid",

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, NextactionError
 from .ingest import (
-    LOW_BYTES, NUMBER, Corpus, format_decimals, line_blocks, parse_decimals, text_lines, text_rows,
+    LOW_BYTES, NUMBER, Corpus, count_byte, format_decimals, line_blocks, parse_decimals, text_lines,
+    text_rows,
 )
 
 ACCURACY_FORMAT = "{:.10f}"
@@ -487,13 +488,13 @@ def read_stream(blob: bytes) -> PredictionStream:
     for none) and a truth in canonical integers, and a newline.
 
     The stream is read one block of whole lines at a time (``ingest.line_blocks``),
-    into columns sized from its newlines: each block's lines are checked and
-    their three integer columns parsed backwards from each newline, and one
-    string is decoded and interned per run of equal student ids.  Only a bad
+    into columns sized from its newlines (``ingest.count_byte``): each block's lines
+    are checked and their three integer columns parsed backwards from each newline,
+    and one string is decoded and interned per run of equal student ids.  Only a bad
     file is split into lines, to name its first bad line."""
     if blob and not blob.endswith(b"\n"):
         _refuse_stream(blob)
-    count = blob.count(b"\n")
+    count = count_byte(blob, b"\n")
     student = np.empty(count, dtype=object)
     position, predicted, truth = (np.empty(count, dtype=np.int64) for _ in range(3))
     line = 0

@@ -395,6 +395,14 @@ def line_blocks(handle) -> Iterator[tuple[bytearray, int]]:
             buf, held = buf + bytes(len(buf)), size
 
 
+def count_byte(blob: bytes, byte: bytes) -> int:
+    """How often ``byte`` occurs in ``blob``, counted ``_BLOCK`` bytes at a time: no
+    mask of the whole blob is made, and numpy counts faster than ``bytes.count``."""
+    data, value = np.frombuffer(blob, dtype=np.uint8), ord(byte)
+    return sum(int(np.count_nonzero(data[lo : lo + _BLOCK] == value))
+               for lo in range(0, len(data), _BLOCK))
+
+
 def _mix(key: np.ndarray, word: np.ndarray) -> np.ndarray:
     """``key`` with one more 8-byte word of each value mixed in, in place."""
     key ^= word

@@ -5,7 +5,9 @@ next id) pair observed in training, n being the highest order with a gram;
 ``max_order`` only caps the orders backoff starts from.  Only continuation
 positions are counted: position t of a sequence contributes the grams that
 end at t for t >= 2, so all orders share the same scored positions.  The
-order-1 context is empty.
+order-1 context is empty.  A fit at ``max_order`` holds orders 1 to
+``highest_order(corpus, max_order)``, and a table answers the orders it holds:
+its ``continuations``, its usage histograms and an order sweep stop there.
 
 Prediction takes the largest order whose context has at least one observed
 continuation and returns the count argmax, ties broken by lowest action id.
@@ -37,20 +39,19 @@ was fitted on (``fitted_usage``).
 
 import io
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from numbers import Integral
 from pathlib import Path
+from types import MappingProxyType
 from typing import NoReturn, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, MalformedRecordError, UnfittedModelError
 from .ingest import (
-    NUMBER, Corpus, action_array, format_decimals, line_blocks, parse_decimals, text_lines,
-    text_rows,
+    NUMBER, Corpus, action_array, count_byte, format_decimals, line_blocks, parse_decimals,
+    text_lines, text_rows,
 )
 
 _MAX_VOCAB = 2**32  # action ids are 32-bit (NACT1), which keeps every key in int64
@@ -71,12 +72,10 @@ class _Continuations:
         self._order = order
 
     def __len__(self) -> int:
-        return len(self._table.contexts.get(self._order, ()))
+        return len(self._table.contexts[self._order])
 
     def items(self):
         table, order, V = self._table, self._order, self._table.vocab_size
-        if order not in table.grams:  # an order above the table's highest holds nothing
-            return
         rows = next(islice(_context_rows(table), order - 1, None))
         nexts = (table.grams[order] % V).tolist()
         counts = table.counts[order].tolist()
@@ -84,25 +83,6 @@ class _Continuations:
         for c, ctx in enumerate(map(tuple, rows.tolist())):
             lo, hi = first[c], first[c + 1]
             yield ctx, dict(zip(nexts[lo:hi], counts[lo:hi]))
-
-
-class _Orders(Mapping):
-    """Read-only mapping of each order 1..max_order to its ``_Continuations``,
-    made only when that order is read, so its cost does not follow ``max_order``."""
-
-    def __init__(self, table: "NGramTable"):
-        self._table = table
-
-    def __getitem__(self, order) -> _Continuations:
-        if not (isinstance(order, Integral) and 1 <= order <= self._table.max_order):
-            raise KeyError(order)
-        return _Continuations(self._table, int(order))
-
-    def __iter__(self):
-        return iter(range(1, self._table.max_order + 1))
-
-    def __len__(self) -> int:
-        return self._table.max_order
 
 
 class NGramTable:
@@ -128,11 +108,11 @@ class NGramTable:
             self.first[k] = np.concatenate(([0], np.cumsum(runs)))
 
     @property
-    def continuations(self) -> _Orders:
-        """The read-only views of orders 1..max_order, made on each access: a table
-        that held views of itself would be a reference cycle, freed only by the
-        cyclic collector."""
-        return _Orders(self)
+    def continuations(self) -> MappingProxyType:
+        """A read-only mapping of each order the table holds to its view, made on
+        each access: a table that held views of itself would be a reference cycle,
+        freed only by the cyclic collector."""
+        return MappingProxyType({k: _Continuations(self, k) for k in self.grams})
 
     @cached_property
     def best(self) -> dict[int, np.ndarray]:
@@ -243,8 +223,8 @@ def _backoff(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: int, 
 
 
 def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGramTable:
-    """Count all grams of order <= max_order over the corpus sequences, up to the
-    first order that no position reaches.
+    """Count all grams of the orders 1 to ``highest_order(corpus, max_order)`` over
+    the corpus sequences.
 
     Given a dict, the count also sets ``gram_index[k]``, for each order k the
     table holds, to the index in the table's ``grams[k]`` of the order-k gram
@@ -252,16 +232,13 @@ def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGram
     """
     if not len(corpus):
         raise ConfigError("cannot fit an n-gram table on an empty corpus")
-    _check_order(max_order)
     V = corpus.vocab_size
     actions, pos = action_array(V, corpus.actions), corpus.pos
     at = np.flatnonzero(pos >= 1)  # continuation positions
     index = {} if gram_index is None else gram_index
     contexts, grams, counts = {}, {}, {}
-    for k in range(1, max_order + 1):
-        at = at[pos[at] >= k - 1]
-        if not len(at):  # nor does any position reach an order above
-            break
+    for k in range(1, highest_order(corpus, max_order) + 1):
+        at = at[pos[at] >= k - 1]  # not empty: a sequence is at least k long
         if k == 1:  # the empty context, id 0, is the context at each position
             contexts[k], ranks = np.zeros(1, dtype=np.int64), np.zeros(len(at), dtype=np.int64)
         elif k == 2:
@@ -280,7 +257,16 @@ def fit(corpus: Corpus, max_order: int, gram_index: dict | None = None) -> NGram
 def _check_order(max_order: int) -> int:
     if max_order < 1:
         raise ConfigError(f"max_order must be >= 1, got {max_order}")
+    if max_order >= 10**18:  # a saved header's max_order has at most 18 digits (ingest.NUMBER)
+        raise ConfigError(f"max_order must be below 10**18 for a table to save, got {max_order}")
     return max_order
+
+
+def highest_order(corpus: Corpus, max_order: int) -> int:
+    """The highest order that ``fit(corpus, max_order)`` holds, 0 if it holds none:
+    a gram ends at a scored position (p >= 1), and none is longer than its sequence."""
+    longest = int(corpus.lengths.max(initial=0))
+    return min(_check_order(max_order), longest) if longest > 1 else 0
 
 
 def _cap(table: NGramTable, max_order: int | None) -> int:
@@ -307,26 +293,25 @@ def backoff_usage(
     corpus: Corpus,
     max_order: int | None = None,
 ) -> dict[int, float]:
-    """Fraction of scored positions served by each gram order."""
+    """Fraction of scored positions served by each gram order the table holds, up
+    to ``max_order``."""
     cap = _cap(table, max_order)
     pos = corpus.pos
     _, used = _backoff(table, action_array(table.vocab_size, corpus.actions), pos, cap, pos >= 1)
-    return _usage(used, cap)
+    return _usage(used, min(cap, len(table.grams)))  # the held orders are 1..n
 
 
 def fitted_usage(corpus: Corpus, max_order: int) -> dict[int, float]:
     """``backoff_usage`` of the table fitted on ``corpus`` at ``max_order``, over
     that same corpus: the table holds every context in it, so each position p >= 1
     is served at order min(max_order, p + 1)."""
-    pos = corpus.pos
-    return _usage(np.minimum(pos[pos >= 1] + 1, _check_order(max_order)), max_order)
+    top, pos = highest_order(corpus, max_order), corpus.pos
+    return _usage(np.minimum(pos[pos >= 1] + 1, top), top)
 
 
 def _usage(used: np.ndarray, cap: int) -> dict[int, float]:
-    if len(used) == 0:
-        return {order: 0.0 for order in range(1, cap + 1)}
-    tally = np.bincount(used, minlength=cap + 1).tolist()
-    return {order: tally[order] / len(used) for order in range(1, cap + 1)}
+    shares = np.bincount(used, minlength=cap + 1)[1 : cap + 1] / max(len(used), 1)
+    return dict(enumerate(shares.tolist(), start=1))
 
 
 class NGramPredictor:
@@ -361,6 +346,7 @@ class NGramSpec:
     def __post_init__(self):
         if not self.orders or min(self.orders) < 1:
             raise ConfigError(f"gram orders must be >= 1, got {list(self.orders)}")
+        _check_order(max(self.orders))
 
     def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
         """The whole-corpus fit, and per fold the predictions of each order at the
@@ -487,15 +473,15 @@ def _refuse_table(blob: bytes, max_order: int, V: int) -> NoReturn:
 def load_table(blob: bytes) -> NGramTable:
     """Parse a table's bytes as ``save_table`` writes them, refusing anything else.
 
-    The records are parsed in blocks of whole lines into columns sized from the
-    file's newlines and commas, the ids kept in the narrowest dtype that holds
-    V - 1.  Each order's contexts are its runs of equal context rows, compared as
-    packed words (``_pack``), and each context's parent is found with one search
-    of its packed prefix among the packed contexts of the order below
-    (``_row_ids``).  The byte parse and the whole-array checks only decide whether
-    the table is clean: on any fault ``_refuse_table`` raises MalformedRecordError
-    for the first bad line, as a bad header does for line 1.  The orders above the
-    highest record hold nothing, however large ``max_order`` is.
+    The records are parsed in blocks of whole lines into columns sized from the file's
+    newlines and commas (``count_byte``), the ids kept in the narrowest dtype that holds
+    V - 1.  Each order's contexts are its runs of equal context rows, compared as packed
+    words (``_pack``), and each context's parent is found with one search of its packed
+    prefix among the packed contexts of the order below (``_row_ids``).  The byte parse
+    and the whole-array checks only decide whether the table is clean: on any fault
+    ``_refuse_table`` raises MalformedRecordError for the first bad line, as a bad
+    header does for line 1.  The table holds the orders that have a record, however
+    large ``max_order`` is.
     """
     newline = blob.find(b"\n")
     header = blob if newline < 0 else blob[:newline]
@@ -511,14 +497,13 @@ def load_table(blob: bytes) -> NGramTable:
         raise MalformedRecordError(1, "no newline at the end of the file")
     if not blob.endswith(b"\n"):
         _refuse_table(blob, max_order, V)
-    data = np.frombuffer(blob, dtype=np.uint8)
     ids = np.min_scalar_type(max(V - 1, 0))
-    records = np.count_nonzero(data == ord("\n")) - 1
+    records = count_byte(blob, b"\n") - 1
     # orders 1..n with none left out need a record each, so none is above the records
     top = min(max_order, records)
     order, nxt = np.empty(records, dtype=np.min_scalar_type(top)), np.empty(records, dtype=ids)
     count = np.empty(records, dtype=np.int64)
-    digits = np.empty(np.count_nonzero(data == ord(",")) + records, dtype=ids)  # commas + 1 each
+    digits = np.empty(count_byte(blob, b",") + records, dtype=ids)  # commas + 1 each
     row = digit = 0
     handle = io.BytesIO(blob)  # shares the bytes; line_blocks copies each block once
     handle.seek(newline + 1)
@@ -557,5 +542,5 @@ def load_table(blob: bytes) -> NGramTable:
         if (parent < 0).any() or (np.diff(keys) <= 0).any() or (np.diff(gram_keys) <= 0).any():
             _refuse_table(blob, max_order, V)
         contexts[k], grams[k], counts[k], below = keys, gram_keys, count[lo:hi], packed[new]
-    del data, blob, handle  # no fault is left to name, so the bytes go before the table is built
+    del blob, handle  # no fault is left to name, so the bytes go before the table is built
     return NGramTable(max_order, V, contexts, grams, counts)

@@ -929,6 +929,36 @@ class TestInProcessNgram:
                         if key.startswith("meta.backoff_usage."))
         assert orders == list(range(1, longest + 1))
 
+    def test_sweep_stops_at_the_longest_sequence(self, tiny, tmp_path):
+        """A sweep far above the data has one row per order a fit can hold."""
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        report = tmp_path / "sweep.txt"
+        assert main(["ngram", *corpus, "--max-order", "1000000000", "--folds", "3", "--sweep",
+                     "--cohort", "all", "--report", str(report), "--out-dir", str(tmp_path)]) == 0
+        longest = int(ingest.load_corpus((tiny / "corpus.nact").read_bytes()).lengths.max())
+        orders = [int(key.split(".")[1]) for key in read_report(report)
+                  if key.endswith(".cv_accuracy")]
+        assert orders == list(range(2, longest + 1))
+
+    def test_a_cap_no_table_header_holds_exits_2_before_any_output(self, tiny, tmp_path, capsys):
+        """A saved header's max_order has at most 18 digits, so 10**18 is refused and
+        10**18 - 1 saves a table that eval reads."""
+        corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]
+        out = tmp_path / "out"
+        for sweep in ([], ["--sweep"]):
+            assert main(["ngram", *corpus, "--max-order", str(10**18), "--folds", "3", *sweep,
+                         "--out-dir", str(out)]) == 2
+            assert "max_order must be below 10**18" in capsys.readouterr().err
+        model = tmp_path / "m.ngram"
+        assert main(["ngram", *corpus, "--max-order", str(10**18), "--folds", "3",
+                     "--save-model", str(model), "--stream", str(tmp_path / "m.pred"),
+                     "--out-dir", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert main(["ngram", *corpus, "--max-order", str(10**18 - 1), "--folds", "3",
+                     "--save-model", str(model), "--out-dir", str(out)]) == 0
+        assert main(["eval", *corpus, "--model", str(model), "--cohort", "all",
+                     "--min-actions", "2", "--out-dir", str(out)]) == 0
+
     def test_eval_reads_an_ngram_table_once(self, tiny, tmp_path, opened):
         """Its magic, its table and its digest all come from one read."""
         corpus = ["--corpus", str(tiny / "corpus.nact"), "--vocab", str(tiny / "vocab.tsv")]

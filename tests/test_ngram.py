@@ -102,6 +102,18 @@ class TestPredict:
         with pytest.raises(ConfigError, match="max_order must be >= 1"):
             call(ngram.fit(corpus, max_order=2), corpus)
 
+    @pytest.mark.parametrize("call", [
+        lambda corpus: ngram.fit(corpus, 10**18),
+        lambda corpus: ngram.NGramSpec((2, 10**18)),
+        lambda corpus: ngram.fitted_usage(corpus, 10**19),
+        lambda corpus: ngram.highest_order(corpus, 10**18),
+        lambda corpus: ngram.predict_next(ngram.fit(corpus, 2), [A], 10**18),
+    ])
+    def test_a_cap_that_no_header_can_hold_is_refused(self, call):
+        """A saved header's max_order has at most 18 digits."""
+        with pytest.raises(ConfigError, match="max_order must be below 10\\*\\*18"):
+            call(corpus_of([[A, B, A, B]], 3))
+
     def test_tie_break_lowest_id(self):
         # continuations of A are B once and Z once: tie broken toward B
         table = ngram.fit(corpus_of([[A, B], [A, Z]], 3), max_order=2)
@@ -163,10 +175,10 @@ class TestAgainstNaiveOracle:
             max_order = int(rng.integers(1, 5))
             table = ngram.fit(corpus_of(seqs, vocab_size), max_order)
             naive = naive_gram_counts(seqs, max_order)
-            for order in range(1, max_order + 1):
-                assert {
-                    ctx: dict(c) for ctx, c in table.continuations[order].items()
-                } == {ctx: dict(c) for ctx, c in naive[order].items()}
+            # the table holds the orders with a count, and the oracle counts none above them
+            assert table_counts(table) == {k: {ctx: dict(c) for ctx, c in naive[k].items()}
+                                           for k in table.continuations}
+            assert all(not naive[k] for k in range(len(table.grams) + 1, max_order + 1))
             for seq in seqs:
                 for t in range(1, len(seq)):
                     pred = ngram.predict_next(table, seq[:t])
@@ -480,19 +492,31 @@ class TestHeaderOrderAboveTheRecords:
         assert peak < 2**20
 
     def test_continuations_cost_only_the_order_read(self):
-        """A 4-record table under max_order=10**9 answers one order, an empty order
-        far above its records and its number of orders without a view per order."""
+        """A 4-record table under max_order=10**9 answers the two orders it holds,
+        and its views and usage histograms cost nothing per order of the cap."""
         table = ngram.load_table(b"#NGRAM max_order=1000000000 V=3\n"
                                  b"1\t\t0\t2\n1\t\t1\t2\n2\t0\t1\t2\n2\t1\t0\t1\n")
+        corpus = corpus_of([[A, B, A]], 3)
         start = time.perf_counter()
         orders = table.continuations
+        assert list(orders) == [1, 2]
         assert dict(orders[2].items()) == {(A,): {B: 2}, (B,): {A: 1}} and len(orders[2]) == 2
-        assert len(orders[10**9]) == 0 and list(orders[10**9].items()) == []
-        assert len(orders) == 10**9 and 10**9 in orders
-        assert 0 not in orders and 10**9 + 1 not in orders and "2" not in orders
-        assert time.perf_counter() - start < 1
+        assert 0 not in orders and 3 not in orders and 10**9 not in orders and "2" not in orders
         with pytest.raises(TypeError):
             orders[2] = None
+        for read, expected in (
+            (lambda: sum(len(c) for c in table.continuations.values()), 3),
+            (lambda: ngram.backoff_usage(table, corpus), {1: 0.0, 2: 1.0}),
+            (lambda: ngram.fitted_usage(corpus, 10**9), {1: 0.0, 2: 0.5, 3: 0.5}),
+        ):
+            tracemalloc.start()
+            try:
+                assert read() == expected
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        assert time.perf_counter() - start < 1
 
     def test_a_fit_far_above_the_data_stops_at_its_longest_sequence(self):
         """Sequences of 5 actions fitted at order 10**4 hold orders 1-5, and that
@@ -585,6 +609,19 @@ class TestDerivations:
 
     @settings(max_examples=150, deadline=None)
     @given(fit_cases())
+    @example(([[A]], 1, 3))  # no scored position: the fit holds no order
+    @example(([[A, B], [A]], 2, 10**9))
+    def test_highest_order_is_the_highest_order_a_fit_holds(self, case):
+        rows, vocab_size, max_order = case
+        corpus = corpus_of(rows, vocab_size)
+        top = ngram.highest_order(corpus, max_order)
+        assert list(ngram.fit(corpus, max_order).continuations) == list(range(1, top + 1))
+        # the brute-force count has a gram at each order up to it and none above
+        counted = naive_gram_counts(rows, min(max_order, 12))  # fit_cases draw orders <= 12
+        assert [k for k, grams in counted.items() if grams] == list(range(1, min(top, 12) + 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
     @example(([[A]], 1, 3))
     def test_fit_matches_the_two_sort_derivation(self, case):
         rows, vocab_size, max_order = case
@@ -644,10 +681,12 @@ class TestProperties:
         vocab_size, max_order, train, held_out = case
         table = ngram.fit(corpus_of(train, vocab_size), max_order)
         naive = naive_gram_counts(train, max_order)
-        for order in range(1, max_order + 1):
-            view = table.continuations[order]
+        for order, view in table.continuations.items():
             assert len(view) == len(naive[order])
             assert dict(view.items()) == {ctx: dict(c) for ctx, c in naive[order].items()}
+        held = len(table.grams)  # the oracle counts nothing above the orders the table holds
+        assert list(table.continuations) == list(range(1, held + 1))
+        assert all(not naive[order] for order in range(held + 1, max_order + 1))
         for cap in range(1, max_order + 1):
             predictor = ngram.NGramPredictor(table, max_order=cap)
             for seq in train + held_out:
@@ -658,7 +697,9 @@ class TestProperties:
                     pred = ngram.predict_next(table, seq[:t], cap)
                     assert (pred.predicted, pred.order_used) == (predicted, order)
             usage = ngram.backoff_usage(table, corpus_of(held_out, vocab_size), cap)
-            assert usage == naive_backoff_usage(naive, held_out, cap)
+            expected = naive_backoff_usage(naive, held_out, cap)
+            assert usage == {order: expected[order] for order in range(1, min(cap, held) + 1)}
+            assert all(expected[order] == 0 for order in range(held + 1, cap + 1))
 
     @settings(max_examples=60, deadline=None)
     @given(gram_corpora())
