@@ -137,8 +137,7 @@ def _cmd_synth(args) -> int:
     cfg = synth.load_config(args.config) if args.config else synth.SynthConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    cfg.validate()
-    outputs = synth.generate(cfg, args.out_dir)
+    outputs = synth.generate(cfg, args.out_dir)  # which validates cfg before any output
     lines = ["# nextaction synth report"]
     for name in synth.SynthConfig.__dataclass_fields__:
         lines.append(f"config.{name}: {getattr(cfg, name)}")
@@ -466,8 +465,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NextactionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NextactionError, OSError, MemoryError) as exc:  # an array too large to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -1,5 +1,7 @@
-"""The key=value format of every --config file: one pair per line, ``#`` comments."""
+"""The key=value format of every --config file, and the check on the sizes it sets."""
 
+import math
+import sys
 from pathlib import Path
 
 from .errors import ConfigError
@@ -32,3 +34,11 @@ def read_kv_file(path: str | Path, kinds: dict[str, type]) -> dict[str, object]:
         except (KeyError, ValueError):
             raise ConfigError(f"{where}: bad {kind.__name__} value for {key}: {raw!r}") from None
     return values
+
+
+def check_shape(what: str, *shape: int, itemsize: int = 8) -> tuple[int, ...]:
+    """``shape``, or ConfigError if numpy cannot describe an array of it of
+    ``itemsize``-byte values: one whose bytes would overflow an intp (``sys.maxsize``)."""
+    if math.prod(shape) * itemsize > sys.maxsize:
+        raise ConfigError(f"{what} would need a {shape} array, larger than numpy can describe")
+    return shape

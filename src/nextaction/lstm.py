@@ -43,6 +43,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .config import check_shape
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
 from .evaluation import hill_climb_split, sequence_accuracy
 from .ingest import Corpus, action_array, text_lines
@@ -152,7 +153,7 @@ class TrainConfig:
     embedding_dim: int = 64
     cell: str = "lstm"
 
-    def validate(self) -> None:
+    def validate(self, vocab_size: int = 1) -> None:
         if not 0 < self.learning_rate < np.inf:  # nan fails this too
             raise ConfigError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.seed < 0:
@@ -167,6 +168,11 @@ class TrainConfig:
             raise ConfigError("dropout rate must be in [0, 1)")
         if self.cell not in _CELL_KINDS:
             raise ConfigError(f"cell must be lstm or rnn, got {self.cell!r}")
+        # the tensors for vocab_size actions (1 before a corpus is read), and one window
+        widest = max(self.embedding_dim, self.hidden_size)
+        check_shape("the embedding or output layer", vocab_size + 1, widest)
+        check_shape("a recurrent layer", 4 if self.cell == "lstm" else 1, self.hidden_size, widest)
+        check_shape("a training window", self.window + 1)
 
 
 def derive_seed(*parts: int) -> int:
@@ -206,7 +212,7 @@ def init_network(
 
 
 def network_from_config(vocab_size: int, cfg: TrainConfig) -> LstmNetwork:
-    cfg.validate()
+    cfg.validate(vocab_size)
     rng = np.random.default_rng([cfg.seed, 0x1417])
     return init_network(
         vocab_size, cfg.embedding_dim, cfg.hidden_size, cfg.layers,
@@ -461,7 +467,8 @@ def make_windows(corpus: Corpus, window: int, pad_id: int) -> np.ndarray:
     chunk = np.cumsum(column == 0) - 1  # each action's chunk
     kept = np.bincount(chunk) >= 2
     keep = kept[chunk]
-    windows = np.full((int(kept.sum()), window + 1), pad_id, dtype=np.int64)
+    windows = np.full(check_shape("the training windows", int(kept.sum()), window + 1), pad_id,
+                      dtype=np.int64)
     windows[(np.cumsum(kept) - 1)[chunk[keep]], column[keep]] = corpus.actions[keep]
     return windows
 
@@ -481,9 +488,10 @@ def train(corpus: Corpus, cfg: TrainConfig) -> tuple[LstmNetwork, list[EpochStat
     The final-epoch network and the per-epoch curve are returned.  An epoch
     that ends with a non-finite loss or parameter raises NumericalFaultError.
     """
-    cfg.validate()
+    cfg.validate(corpus.vocab_size)
     if not len(corpus):
         raise ConfigError("cannot train on an empty corpus")
+    action_array(corpus.vocab_size, corpus.actions)  # an id of V would train as padding
     train_corpus, hill_corpus = hill_climb_split(corpus, HILL_FRACTION, cfg.seed)
     net = network_from_config(corpus.vocab_size, cfg)
     optimizer = RmsPropOptimizer(net, cfg)
@@ -634,14 +642,14 @@ def _read_manifest(path: Path, name: str, net: LstmNetwork, digest: str) -> int:
 
 def load_checkpoint(blob: bytes, path: str | Path, window: int | None = None) -> LstmNetwork:
     """Parse the bytes of the checkpoint at ``path``, verifying against them the
-    manifest beside that path when one exists.
+    manifest beside that path, which must exist.
 
     The window comes from ``window`` or else the manifest, whose stated window
-    is checked either way.  A malformed file
-    raises MalformedRecordError with the byte offset (in the manifest, the
-    line) of the bad field; a checksum mismatch or a ``window`` below 1
-    raises ConfigError.  Every manifest line must be the one ``save_checkpoint``
-    writes for this file, its name included, except the window's value.
+    is checked either way.  A malformed file raises MalformedRecordError with the
+    byte offset (in the manifest, the line) of the bad field; a missing manifest,
+    a checksum mismatch or a ``window`` below 1 raises ConfigError.  Every manifest
+    line must be the one ``save_checkpoint`` writes for this file, its name
+    included, except the window's value.
     """
     if window is not None and window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
@@ -671,19 +679,17 @@ def load_checkpoint(blob: bytes, path: str | Path, window: int | None = None) ->
             else "trailing bytes after the tensors"), unit="byte")
 
     net = init_network(vocab_size, emb_dim, hidden, n_layers, dropout_rate, 1, cell)
-    manifest_path = Path(str(path) + ".manifest.txt")
-    if manifest_path.exists():
-        stated = _read_manifest(manifest_path, path.name, net, hashlib.sha256(blob).hexdigest())
-        window = stated if window is None else window
-    if window is None:
-        raise ConfigError("checkpoint manifest missing; pass the window explicitly")
+    manifest = Path(str(path) + ".manifest.txt")
+    if not manifest.exists():
+        raise ConfigError(f"{path.name} has no manifest {manifest.name} to verify it against")
+    stated = _read_manifest(manifest, path.name, net, hashlib.sha256(blob).hexdigest())
 
     values = np.frombuffer(blob, dtype="<f8", offset=start)
     finite = np.isfinite(values)
     if not finite.all():
         bad = start + 8 * int(np.argmin(finite))
         raise MalformedRecordError(bad, "non-finite parameter", unit="byte")
-    net.window = window
+    net.window = stated if window is None else window
     for _, arr in net.param_items():
         arr[...] = values[: arr.size].reshape(arr.shape)
         values = values[arr.size :]

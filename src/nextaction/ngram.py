@@ -75,13 +75,10 @@ class _Continuations:
         return len(self._table.contexts[self._order])
 
     def items(self):
-        table, order, V = self._table, self._order, self._table.vocab_size
-        rows = next(islice(_context_rows(table), order - 1, None))
-        nexts = (table.grams[order] % V).tolist()
-        counts = table.counts[order].tolist()
-        first = table.first[order].tolist()
-        for c, ctx in enumerate(map(tuple, rows.tolist())):
-            lo, hi = first[c], first[c + 1]
+        table, k = self._table, self._order
+        nexts, counts = (table.grams[k] % table.vocab_size).tolist(), table.counts[k].tolist()
+        first = table.first[k].tolist()
+        for ctx, lo, hi in zip(map(tuple, _context_rows(table, k).tolist()), first, first[1:]):
             yield ctx, dict(zip(nexts[lo:hi], counts[lo:hi]))
 
 
@@ -89,19 +86,11 @@ class NGramTable:
     """Per-order sorted context keys, gram keys and counts (see the module doc),
     keyed by the orders 1..n that hold a gram; ``max_order`` is the backoff cap."""
 
-    def __init__(
-        self,
-        max_order: int,
-        vocab_size: int,
-        contexts: dict[int, np.ndarray] | None = None,
-        grams: dict[int, np.ndarray] | None = None,
-        counts: dict[int, np.ndarray] | None = None,
-    ):
+    def __init__(self, max_order: int, vocab_size: int, contexts: dict[int, np.ndarray],
+                 grams: dict[int, np.ndarray], counts: dict[int, np.ndarray]):
         self.max_order = _check_order(max_order)
         self.vocab_size = vocab_size
-        self.contexts = contexts or {}
-        self.grams = grams or {}
-        self.counts = counts or {}
+        self.contexts, self.grams, self.counts = contexts, grams, counts
         self.first = {}
         for k, keys in self.grams.items():  # each context's grams are one run of the sorted keys
             runs = np.bincount(keys // vocab_size, minlength=len(self.contexts[k]))
@@ -134,15 +123,16 @@ def _best(counts: np.ndarray, first: np.ndarray, nexts: np.ndarray) -> np.ndarra
     return np.where(top > 0, nexts[lead], -1)
 
 
-def _context_rows(table: NGramTable):
-    """Yield the contexts of each order k the table holds as rows of k - 1 ids:
-    each context is its parent's row plus its last id."""
-    rows = np.zeros((1, 0), dtype=np.int64)  # order 1's one context, the empty one
-    for k in table.grams:
-        if k > 1:
-            parent, last = np.divmod(table.contexts[k], table.vocab_size)
-            rows = np.column_stack([np.take(rows, parent, axis=0), last])
-        yield rows
+def _context_rows(table: NGramTable, k: int) -> np.ndarray:
+    """The order-k contexts as rows of k - 1 ids, filled from the last column back:
+    a key is its parent's id * V plus its last id, and the parent's key is at that
+    id among the keys of the order below."""
+    keys = table.contexts[k]
+    rows = np.empty((len(keys), k - 1), dtype=np.int64)
+    for j in range(k - 1, 0, -1):
+        parent, rows[:, j - 1] = np.divmod(keys, table.vocab_size)
+        keys = table.contexts[j][parent]
+    return rows
 
 
 def _match(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -150,12 +140,6 @@ def _match(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     absent."""
     at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
     return np.where(keys[at] == query, at, -1)
-
-
-def _child(keys: np.ndarray, parent: np.ndarray, last: np.ndarray, V: int) -> np.ndarray:
-    """Id of each context (parent's actions, then ``last``) in the sorted, non-empty
-    ``keys``, or -1 if it is absent or its parent id is -1."""
-    return _match(keys, np.where(parent >= 0, parent * V + last, -1))
 
 
 def _pack(rows: np.ndarray) -> np.ndarray:
@@ -174,7 +158,7 @@ def _row_ids(rows: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Index of each packed row of ``query`` among the sorted, distinct packed rows
     ``rows`` of the same width, or -1 if it is absent.
 
-    Rows are matched one word at a time, as ``_child`` matches one id at a time: the
+    Rows are matched one word at a time, as ``_context_ids`` matches one id at a time: the
     first word is its own key, and the key of a row's first j + 1 words is the rank
     of its first j words among ``rows``, then the rank of word j among the words of
     column j, so that every key fits int64 however many words a row has.
@@ -201,7 +185,8 @@ def _context_ids(table: NGramTable, actions: np.ndarray, pos: np.ndarray, cap: i
         if k > 1:
             parent = np.roll(ids, 1)
             parent[pos < k - 1] = -1  # this also covers the value rolled in at index 0
-            ids = _child(table.contexts[k], parent, previous, table.vocab_size)
+            ids = _match(table.contexts[k],
+                         np.where(parent >= 0, parent * table.vocab_size + previous, -1))
         yield k, ids
 
 
@@ -381,31 +366,25 @@ class NGramSpec:
                       for own, top in zip(by_order, found)]
 
 
-def _context_fields(table: NGramTable):
-    """Yield each held order's context fields, NUL-padded: a context's ids joined
-    by commas, then a tab, built as its parent's ids, a comma and its last id."""
-    ids = np.zeros((1, 0), dtype=np.uint8)  # order 1's one context, the empty one
-    for k in table.grams:
-        if k > 1:
-            parent, last = np.divmod(table.contexts[k], table.vocab_size)
-            ids = text_rows(len(last), np.take(ids, parent, axis=0), b"," if k > 2 else b"",
-                            format_decimals(last))
-        yield text_rows(len(ids), ids, b"\t")
-
-
 def save_table(table: NGramTable, path: str | Path) -> None:
     """Write the table as sorted text, bit-exact across runs: each order's records
-    are formatted as NUL-padded byte columns and packed once."""
+    are formatted as NUL-padded byte columns and packed once.  An order's context
+    text is built from the order below's: its parent's text, a comma, its last id."""
     V = table.vocab_size
     with open(path, "wb") as out:
         out.write(f"#NGRAM max_order={table.max_order} V={V}\n".encode())
-        for k, field in enumerate(_context_fields(table), start=1):
+        text = np.zeros((1, 0), dtype=np.uint8)  # order 1's one context, the empty one
+        for k in table.grams:
+            if k > 1:
+                parent, last = np.divmod(table.contexts[k], V)
+                text = text_rows(len(last), np.take(text, parent, axis=0),
+                                 b"," if k > 2 else b"", format_decimals(last))
             context, nxt = np.divmod(table.grams[k], V)
-            text = text_rows(
-                len(nxt), f"{k}\t".encode(), np.take(field, context, axis=0),
+            rows = text_rows(
+                len(nxt), f"{k}\t".encode(), np.take(text, context, axis=0), b"\t",
                 format_decimals(nxt), b"\t", format_decimals(table.counts[k]), b"\n",
             )
-            out.write(text[text != 0])
+            out.write(rows[rows != 0])
 
 
 _HEADER = re.compile(rf"#NGRAM max_order=({NUMBER}) V=({NUMBER})")

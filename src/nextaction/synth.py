@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import read_kv_file
+from .config import check_shape, read_kv_file
 from .errors import ConfigError
 from .ingest import text_rows
 
@@ -74,6 +74,11 @@ class SynthConfig:
             raise ConfigError("markov_order must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        check_shape("a kernel row", self.vocab_size)
+        check_shape("the student seeds", max(self.students_certified, self.students_uncertified),
+                    8, itemsize=4)
+        # a walk's Poisson length stays below twice a large mean
+        check_shape("a walk of twice the mean length", 2 * self.mean_sequence_length)
 
 
 def load_config(path: str | Path) -> SynthConfig:

@@ -115,10 +115,10 @@ def two_sort_fit(corpus, max_order, gram_index):
 def chained_parents(contexts, rows, V):
     """The order-(k-1) id of the first k - 2 ids of each order-k context row, or -1
     where it has none: ``load_table``'s lookup as it was before packed words, rolled
-    one id at a time up the orders' sorted ``contexts`` keys with ``ngram._child``."""
+    one id at a time up the orders' sorted ``contexts`` keys."""
     parent = np.zeros(len(rows), dtype=np.int64)
     for j in range(2, rows.shape[1] + 1):
-        parent = ngram._child(contexts[j], parent, rows[:, j - 2], V)
+        parent = ngram._match(contexts[j], np.where(parent >= 0, parent * V + rows[:, j - 2], -1))
     return parent
 
 

@@ -587,6 +587,49 @@ class TestSeedAndNonFiniteValues:
         assert not (tmp_path / "out").exists()
 
 
+class TestHostileSizes:
+    """A size that numpy cannot describe, or that no memory holds, ends in one error
+    line and exit 2.  Each size asks for more than 2**47 bytes, which no allocation
+    grants under any overcommit policy, or for a shape numpy refuses outright."""
+
+    too_large = "larger than numpy can describe"
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("option, value, message", [
+        ("emb_dim", 10**13, "Unable to allocate"),  # about 1.2 PiB of embedding
+        ("window", 10**14, "Unable to allocate"),  # at least 0.7 PiB of training windows
+        ("nodes", 10**18, too_large),
+        ("nodes", 10**19, too_large),
+        ("emb_dim", 10**19, too_large),
+        ("window", 10**19, too_large),
+    ])
+    def test_lstm_size_exits_2(self, tiny, tmp_path, capsys, source, option, value, message):
+        given = [f"--{option.replace('_', '-')}", str(value)]
+        if source == "config":
+            (tmp_path / "run.cfg").write_text(f"{option}={value}\n", encoding="utf-8")
+            given = ["--config", str(tmp_path / "run.cfg")]
+        assert main(["lstm", "--corpus", str(tiny / "corpus.nact"), "--vocab",
+                     str(tiny / "vocab.tsv"), "--epochs", "1", *given,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("vocab_size", 2**45, "Unable to allocate"),  # 256 TiB of kernel row
+        ("students_certified", 2**46, "Unable to allocate"),  # 256 TiB of seed words
+        ("mean_sequence_length", 10**14, "Unable to allocate"),  # about 0.7 PiB of draws
+        ("vocab_size", 10**19, too_large),
+        ("students_certified", 10**19, too_large),
+        ("mean_sequence_length", 10**19, too_large),
+    ])
+    def test_synth_size_exits_2(self, tmp_path, capsys, key, value, message):
+        (tmp_path / "synth.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+        assert main(["synth", "--config", str(tmp_path / "synth.cfg"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and message in line
+
+
 class TestMalformedStream:
     def test_agree_exits_2_on_a_bad_record(self, tmp_path, capsys):
         good = tmp_path / "a.pred"
@@ -681,11 +724,11 @@ class TestHostileCheckpointAndVocabulary:
         lstm.save_checkpoint(net, path)
         return path
 
-    def eval_exit(self, pipeline, model_path, tmp_path):
+    def eval_exit(self, pipeline, model_path, tmp_path, *extra):
         return main([
             "eval", "--model", str(model_path), "--corpus", str(pipeline / "corpus.nact"),
             "--vocab", str(pipeline / "vocab.tsv"), "--min-actions", "2",
-            "--out-dir", str(tmp_path),
+            "--out-dir", str(tmp_path), *extra,
         ])
 
     def test_intact_checkpoint_evaluates(self, pipeline, checkpoint, tmp_path):
@@ -709,6 +752,15 @@ class TestHostileCheckpointAndVocabulary:
         manifest.write_text(manifest.read_text().replace("window: 6", "window: six"))
         assert self.eval_exit(pipeline, checkpoint, tmp_path) == 2
         assert "error: line 3: window is not a positive integer" in capsys.readouterr().err
+
+    def test_a_checkpoint_without_its_manifest_exits_2(self, pipeline, checkpoint, tmp_path,
+                                                        capsys):
+        blob = checkpoint.read_bytes()
+        checkpoint.write_bytes(blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:])
+        (tmp_path / "model.nlstm.manifest.txt").unlink()
+        assert self.eval_exit(pipeline, checkpoint, tmp_path, "--window", "5") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model.nlstm has no manifest model.nlstm.manifest.txt to verify it against"]
 
     def test_bad_vocabulary_record_exits_2(self, pipeline, tmp_path, capsys):
         text = (pipeline / "vocab.tsv").read_text(encoding="utf-8")

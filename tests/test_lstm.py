@@ -514,6 +514,14 @@ class TestTraining:
         with pytest.raises(ConfigError, match=message):
             lstm.train(corpus, cfg)
 
+    # the seeds at which the hill-climb split trains on the last student
+    @pytest.mark.parametrize("seed", [0, 2, 3, 4])
+    def test_an_action_id_of_v_is_refused_not_trained_as_padding(self, seed):
+        rows = [[(i + j) % 5 for j in range(7)] for i in range(7)] + [[2, 3, 5, 5, 5, 4]]
+        cfg = lstm.TrainConfig(epochs=1, window=5, hidden_size=4, embedding_dim=4, seed=seed)
+        with pytest.raises(ConfigError, match=r"action id outside \[0, 5\)"):
+            lstm.train(corpus_of(rows, 5), cfg)
+
     def test_curve_has_one_row_per_epoch(self):
         cfg = lstm.TrainConfig(epochs=4, window=5, batch_size=4, seed=0,
                                hidden_size=8, layers=1, embedding_dim=6)
@@ -666,14 +674,22 @@ class TestCheckpointRejects:
         blob[-1] ^= 0x01
         error = self.load_error(saved, bytes(blob), error=ConfigError)
         assert "SHA-256" in str(error)
-        Path(str(saved) + ".manifest.txt").unlink()
-        # no manifest: nothing to check against
-        lstm.load_checkpoint(saved.read_bytes(), saved, window=9)
 
     def test_no_manifest_and_no_window(self, saved):
         Path(str(saved) + ".manifest.txt").unlink()
         error = self.load_error(saved, saved.read_bytes(), error=ConfigError)
-        assert str(error) == "checkpoint manifest missing; pass the window explicitly"
+        assert str(error) == ("model.nlstm has no manifest model.nlstm.manifest.txt "
+                              "to verify it against")
+
+    def test_a_window_does_not_stand_in_for_the_manifest(self, saved):
+        """With its manifest gone, a checkpoint with a flipped tensor byte is refused
+        even when the window is given."""
+        Path(str(saved) + ".manifest.txt").unlink()
+        blob = bytearray(saved.read_bytes())
+        blob[-1] ^= 0x01
+        error = self.load_error(saved, bytes(blob), error=ConfigError, window=9)
+        assert str(error) == ("model.nlstm has no manifest model.nlstm.manifest.txt "
+                              "to verify it against")
 
     def test_non_integer_window_line(self, saved):
         manifest = Path(str(saved) + ".manifest.txt")
@@ -731,17 +747,20 @@ class TestCheckpointRejects:
                     lstm.load_checkpoint(saved.read_bytes(), saved)
 
     def test_non_finite_parameter(self, saved):
-        Path(str(saved) + ".manifest.txt").unlink()
         blob = bytearray(saved.read_bytes())
         blob[HEADER_END + 8 * 3 : HEADER_END + 8 * 4] = np.array([np.inf]).tobytes()
-        error = self.load_error(saved, bytes(blob), window=9)
+        # a manifest whose SHA-256 is the edited blob's, so that the value check is reached
+        manifest = Path(str(saved) + ".manifest.txt")
+        manifest.write_text(manifest.read_text().replace(
+            hashlib.sha256(saved.read_bytes()).hexdigest(), hashlib.sha256(blob).hexdigest()))
+        error = self.load_error(saved, bytes(blob))
         assert (error.lineno, error.reason) == (HEADER_END + 24, "non-finite parameter")
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["lstm", "rnn"]), st.integers(1, 3), st.booleans(), st.data())
     def test_corrupt_checkpoint_is_refused_or_read_exactly(self, cell, layers, manifest, data):
-        """A truncated or flipped checkpoint raises a NextactionError, or, with
-        no manifest to check it against, it saves back byte for byte."""
+        """A truncated or flipped checkpoint raises a NextactionError, and so does
+        one with no manifest to check it against, even given the window."""
         net = tiny_net(seed=layers, vocab=3, emb=2, hidden=2, layers=layers, cell=cell)
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "model.nlstm"
@@ -749,15 +768,8 @@ class TestCheckpointRejects:
             if not manifest:
                 Path(str(path) + ".manifest.txt").unlink()
             path.write_bytes(mutated(data.draw, path.read_bytes()))
-            changed = path.read_bytes()
-            try:
-                loaded = lstm.load_checkpoint(path.read_bytes(), path,
-                                              None if manifest else net.window)
-            except NextactionError:
-                return
-            assert not manifest, "a changed checkpoint passed its manifest's SHA-256"
-            lstm.save_checkpoint(loaded, path)
-            assert path.read_bytes() == changed
+            with pytest.raises(NextactionError):
+                lstm.load_checkpoint(path.read_bytes(), path, None if manifest else net.window)
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["lstm", "rnn"]), st.integers(1, 3), st.data())
@@ -810,3 +822,22 @@ class TestConfigValidation:
         ):
             with pytest.raises(ConfigError):
                 lstm.TrainConfig(**bad).validate()
+
+    @pytest.mark.parametrize("sizes", [
+        dict(hidden_size=10**18), dict(hidden_size=10**19), dict(embedding_dim=10**19),
+        dict(window=2**60), dict(window=10**19),
+    ])
+    def test_a_size_numpy_cannot_describe_is_refused(self, sizes):
+        with pytest.raises(ConfigError, match="larger than numpy can describe"):
+            lstm.TrainConfig(**sizes).validate()
+
+    def test_the_vocabulary_sizes_the_embedding_check(self):
+        cfg = lstm.TrainConfig(embedding_dim=2**31)
+        cfg.validate()
+        with pytest.raises(ConfigError, match=r"^the embedding or output layer would need a "
+                                              r"\(4294967297, 2147483648\)"):
+            lstm.network_from_config(2**32, cfg)
+
+    def test_training_windows_numpy_cannot_describe_are_refused(self):
+        with pytest.raises(ConfigError, match=r"^the training windows would need a \(4, "):
+            lstm.make_windows(cycle_corpus(n_students=4, length=3), 2**58, 3)

@@ -86,7 +86,7 @@ class TestPredict:
         assert (pred.predicted, pred.order_used) == (B, 1)
 
     def test_unfitted_table_raises(self):
-        table = ngram.NGramTable(2, 3)
+        table = ngram.NGramTable(2, 3, {}, {}, {})
         with pytest.raises(UnfittedModelError):
             ngram.predict_next(table, [A])
 
@@ -650,13 +650,13 @@ class TestDerivations:
         rows, vocab_size, max_order, column, changed = case
         table = ngram.fit(corpus_of(rows, vocab_size), max_order)
         dtype = np.min_scalar_type(vocab_size - 1)
-        held = [r.astype(dtype) for r in ngram._context_rows(table)]
-        for k in range(2, len(held) + 1):
-            query = np.concatenate([held[k - 1], held[k - 1]])
-            query[len(held[k - 1]):, column % (k - 1)] = changed
-            found = ngram._row_ids(ngram._pack(held[k - 2]), ngram._pack(query[:, :-1]))
+        for k in range(2, len(table.grams) + 1):
+            below, own = (ngram._context_rows(table, j).astype(dtype) for j in (k - 1, k))
+            query = np.concatenate([own, own])
+            query[len(own):, column % (k - 1)] = changed
+            found = ngram._row_ids(ngram._pack(below), ngram._pack(query[:, :-1]))
             assert found.tolist() == chained_parents(table.contexts, query, vocab_size).tolist()
-            assert (found[: len(held[k - 1])] >= 0).all()
+            assert (found[: len(own)] >= 0).all()
 
     @settings(max_examples=100, deadline=None)
     @given(fit_cases())
@@ -665,6 +665,20 @@ class TestDerivations:
         table = ngram.fit(corpus_of(rows, vocab_size), max_order)
         for k in range(3, len(table.grams) + 1):
             assert np.isin(table.contexts[k], table.grams[k - 1]).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    @example(([[0, 2**32 - 1, 1, 0, 2**32 - 1, 0, 1, 1, 2**32 - 1, 0, 1, 0, 0]], 2**32, 12))
+    def test_context_rows_are_the_brute_force_contexts(self, case):
+        """Each order's rows, read on their own, are the sorted context tuples that the
+        window count finds at that order."""
+        rows, vocab_size, max_order = case
+        table = ngram.fit(corpus_of(rows, vocab_size), max_order)
+        counted = naive_gram_counts(rows, max_order)
+        for k in table.grams:
+            found = ngram._context_rows(table, k)
+            assert found.dtype == np.int64 and found.shape == (len(table.contexts[k]), k - 1)
+            assert list(map(tuple, found.tolist())) == sorted(counted[k])
 
 
 def _scratch_file(data: bytes) -> Path:

@@ -59,6 +59,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             tiny_config(**overrides).validate()
 
+    @pytest.mark.parametrize("field", [
+        "vocab_size", "students_certified", "students_uncertified", "mean_sequence_length",
+    ])
+    def test_a_size_numpy_cannot_describe_is_refused(self, field):
+        with pytest.raises(ConfigError, match="larger than numpy can describe"):
+            tiny_config(**{field: 10**19}).validate()
+
     def test_advance_and_repeat_above_one(self):
         with pytest.raises(ConfigError, match="advance and repeat masses exceed 1"):
             synth.GeneratorModel(tiny_config(), p_advance=0.95)
