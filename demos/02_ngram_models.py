@@ -38,8 +38,7 @@ plan = evaluation.make_folds(certified.students, 5, seed=11)
 print("\ncross-validated accuracy by gram order:")
 # the evaluator scores every order of one spec from a single count of the corpus
 orders = tuple(range(2, 11))
-reports = evaluation.cross_validate(ngram.NGramSpec(orders), certified, plan,
-                                    [f"{order}-gram backoff" for order in orders])
+reports = evaluation.cross_validate(ngram.NGramSpec(orders), certified, plan)
 best, _ = max(zip(orders, reports), key=lambda item: item[1].cv_accuracy)
 for order, report in zip(orders, reports):
     marker = "  <- best" if order == best else ""

@@ -29,9 +29,7 @@ models = [
 ]
 print("\ncross-validated accuracy (same folds for every model):")
 for model in models:
-    (report,) = evaluation.cross_validate(
-        evaluation.FixedSpec(model), certified, plan, [model.name]
-    )
+    (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), certified, plan)
     folds = " ".join(f"{a:.3f}" for a in report.per_fold_accuracy)
     print(f"  {model.name:16s} {report.cv_accuracy:.4f}   folds: {folds}")
 

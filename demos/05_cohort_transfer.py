@@ -19,12 +19,10 @@ certified = ingest.filter_cohort(corpus, certified=True)
 uncertified = ingest.filter_cohort(corpus, certified=False)
 
 plan = evaluation.make_folds(certified.students, 5, seed=11)
-(report,) = evaluation.cross_validate(
-    ngram.NGramSpec((3,)), certified, plan, ["3-gram backoff"]
-)
+(report,) = evaluation.cross_validate(ngram.NGramSpec((3,)), certified, plan)
 print(f"certified cross-validated accuracy: {report.cv_accuracy:.4f}")
 
-model = ngram.NGramPredictor(ngram.fit(certified, 3))
+(model,), _ = report.full_fit  # the 3-gram table of the whole certified cohort
 accuracy, n_scored = evaluation.transfer_eval(model, uncertified, min_actions=30)
 short = len(uncertified.sequences) - n_scored
 print(f"uncertified transfer accuracy:      {accuracy:.4f}")

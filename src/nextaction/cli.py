@@ -49,16 +49,23 @@ def _merge_options(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _write_artifact(text: str, out_dir: str, prefix: str, explicit: str | None) -> Path:
-    if explicit:
-        path = Path(explicit)
-    else:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-        path = Path(out_dir) / f"{prefix}-{digest}.txt"
+def _write_output(path: str | Path, write: Callable, *args):
+    """``write(*args, path)`` into output file ``path``, whose parent directory is
+    made first, and a line that names it; returns what ``write`` returns."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    result = write(*args, path)
     print(f"wrote {path}")
-    return path
+    return result
+
+
+def _save_text(text: str, path: Path) -> None:
+    path.write_text(text, encoding="utf-8")
+
+
+def _write_artifact(text: str, out_dir: str, prefix: str, explicit: str | None) -> None:
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    _write_output(explicit or Path(out_dir) / f"{prefix}-{digest}.txt", _save_text, text)
 
 
 def _write_comparison(title: str, meta: dict, rows, args, prefix: str) -> int:
@@ -76,12 +83,10 @@ def _write_comparison(title: str, meta: dict, rows, args, prefix: str) -> int:
 def _write_cv_outputs(report: evaluation.EvalReport, args, prefix: str) -> int:
     """The prediction stream, the report and the fold CSV of one CV run."""
     if args.stream:
-        evaluation.write_stream(report.streams, args.stream)
-        print(f"wrote {args.stream}")
+        _write_output(args.stream, evaluation.write_stream, report.streams)
     _write_artifact(report.to_text(), args.out_dir, prefix, args.report)
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
-        print(f"wrote {args.csv}")
+        _write_output(args.csv, _save_text, report.to_csv())
     return 0
 
 
@@ -122,7 +127,10 @@ def _select_cohort(corpus: ingest.Corpus, cohort: str, min_actions: int) -> inge
 
 def _cv_inputs(args, options: dict, syllabus: str | None = None):
     """The cohort, fold plan and provenance of a ngram, lstm or baseline run, and
-    the course order in file ``syllabus`` (None without one)."""
+    the course order in file ``syllabus`` (None without one).  A worker count
+    below 1 is refused before any input is read."""
+    if options["workers"] < 1:
+        raise ConfigError(f"workers must be >= 1, got {options['workers']}")
     digests: dict[str, str] = {}
     corpus = _select_cohort(_load_corpus(args, digests), options["cohort"], options["min_actions"])
     plan = evaluation.make_folds(corpus.students, options["folds"], options["seed"])
@@ -160,13 +168,10 @@ def _cmd_ingest(args) -> int:
         min_count=options["min_count"], on_malformed=options["on_malformed"], sha256=inputs,
     )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    vocab_path = Path(args.vocab_out) if args.vocab_out else out_dir / "vocab.tsv"
-    corpus_path = Path(args.corpus_out) if args.corpus_out else out_dir / "corpus.nact"
-    vocab_blob = ingest.save_vocabulary(corpus.vocabulary, vocab_path)
-    corpus_blob = ingest.save_corpus(corpus, corpus_path)
-    print(f"wrote {vocab_path}")
-    print(f"wrote {corpus_path}")
+    vocab_blob = _write_output(args.vocab_out or out_dir / "vocab.tsv",
+                               ingest.save_vocabulary, corpus.vocabulary)
+    corpus_blob = _write_output(args.corpus_out or out_dir / "corpus.nact",
+                                ingest.save_corpus, corpus)
 
     meta = _config_metadata(options, inputs)
     lines = ["# nextaction ingest report", f"vocab_size: {corpus.vocab_size}",
@@ -194,11 +199,7 @@ def _cmd_ngram(args) -> int:
     corpus, plan, meta, _ = _cv_inputs(args, options)
     if sweep:  # no fit holds an order above the longest sequence
         spec = ngram.NGramSpec(tuple(range(2, max(2, ngram.highest_order(corpus, max_order)) + 1)))
-    reports = evaluation.cross_validate(
-        spec, corpus, plan, [f"{order}-gram backoff" for order in spec.orders],
-        workers=options["workers"], keep_streams=bool(args.stream),
-        fit_full=bool(args.save_model),
-    )
+    reports = evaluation.cross_validate(spec, corpus, plan, keep_streams=bool(args.stream))
     if sweep:
         rows = [(f"order.{order}", report) for order, report in zip(spec.orders, reports)]
         return _write_comparison("# nextaction n-gram order sweep", meta, rows, args,
@@ -211,8 +212,7 @@ def _cmd_ngram(args) -> int:
             report.metadata[f"backoff_usage.{order}"] = f"{fraction:.10f}"
     if args.save_model:
         (predictor,), _ = report.full_fit
-        ngram.save_table(predictor.table, args.save_model)
-        print(f"wrote {args.save_model}")
+        _write_output(args.save_model, ngram.save_table, predictor.table)
     return _write_cv_outputs(report, args, "ngram-report")
 
 
@@ -229,8 +229,7 @@ def _parse_list(options: dict, key: str, caster) -> list:
 def _write_curve(curve: list[lstm.EpochStats], path: Path) -> None:
     rows = ["epoch,train_loss,hillclimb_accuracy"]
     rows.extend(f"{s.epoch},{s.train_loss:.10f},{s.hillclimb_accuracy:.10f}" for s in curve)
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    _write_output(path, _save_text, "\n".join(rows) + "\n")
 
 
 def _cmd_lstm(args) -> int:
@@ -253,10 +252,8 @@ def _cmd_lstm(args) -> int:
 
     corpus, plan, meta, _ = _cv_inputs(args, options)
     reports = [report for cfg in configs for report in evaluation.cross_validate(
-        lstm.LstmSpec(cfg), corpus, plan,
-        [f"{cfg.cell} layers={cfg.layers} nodes={cfg.hidden_size}"],
-        workers=options["workers"], keep_streams=bool(args.stream),
-        fit_full=bool(args.save_model),
+        lstm.LstmSpec(cfg, workers=options["workers"], fit_full=bool(args.save_model)),
+        corpus, plan, keep_streams=bool(args.stream),
     )]
     if len(configs) > 1:
         rows = [(f"grid.layers={cfg.layers}.nodes={cfg.hidden_size}.lr={cfg.learning_rate:g}",
@@ -268,14 +265,12 @@ def _cmd_lstm(args) -> int:
     report.metadata.update(meta)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prefix = args.curve_prefix or "curve"
     for fold, curve in enumerate(report.fold_extras):
         _write_curve(curve, out_dir / f"{prefix}-fold{fold}.csv")
     if report.full_fit:
         (predictor,), final_curve = report.full_fit
-        lstm.save_checkpoint(predictor.net, args.save_model)
-        print(f"wrote {args.save_model}")
+        _write_output(args.save_model, lstm.save_checkpoint, predictor.net)
         _write_curve(final_curve, out_dir / f"{prefix}-final.csv")
     return _write_cv_outputs(report, args, "lstm-report")
 
@@ -298,10 +293,8 @@ def _cmd_baseline(args) -> int:
     corpus, plan, meta, syllabus = _cv_inputs(args, options, args.syllabus)
     model = baselines.RepeatModel() if name == "repeat" else _SYLLABUS_MODELS[name](syllabus)
 
-    (report,) = evaluation.cross_validate(
-        evaluation.FixedSpec(model), corpus, plan, [model.name], workers=options["workers"],
-        keep_streams=bool(args.stream),
-    )
+    (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan,
+                                          keep_streams=bool(args.stream))
     report.metadata.update(meta)
     return _write_cv_outputs(report, args, "baseline-report")
 

@@ -12,20 +12,17 @@ one or more sequences and each action's index within its own sequence (one
 sequence is ``pos = arange(T)``; a corpus holds both as ``corpus.actions``
 and ``corpus.pos``), and returns the int64 predictions for every action with
 ``pos >= 1``, in order, each made only from the earlier actions of its own
-sequence.  ``sequence_accuracy`` makes that call once for a whole corpus,
-and cross-validation once per model and held-out fold, unless the spec
-predicts its folds itself; any other number of predictions raises
-NextactionError.
+sequence.  ``sequence_accuracy`` makes that call once for a whole corpus;
+any other number of predictions raises NextactionError.
 
-Cross-validation has one entry point, ``cross_validate``, which returns one
-report per model its spec fits.  A spec is a small frozen object of one of
-two kinds.  One kind scores every fold in this process: its
-``fit_folds(corpus, folds, held_out)`` returns the full-corpus fit and, per
-fold, each model's predictions for the held-out sequences and the fold's
-extras.  The other kind is fitted once per fold: its
-``fit(train_corpus, fold)`` returns the fold's models and extras (such as an
-LSTM epoch curve), and fold None is the fit on the whole corpus.  Such folds
-run on a pool of forked worker processes, which inherit the spec and corpus
+Cross-validation has one entry point, ``cross_validate``, and every spec,
+a small frozen object, meets one contract: ``spec.names`` names the models
+it fits, and ``spec.fit_folds(corpus, folds, held_out)`` returns its
+full-corpus fit (None if it skips it) and, per fold, each model's
+predictions for the held-out sequences and the fold's extras (such as an
+LSTM epoch curve).  ``FixedSpec`` and ``ngram.NGramSpec`` score every fold
+in this process.  ``lstm.LstmSpec`` is fitted once per fold by
+``pool_folds``, on forked worker processes that inherit the spec and corpus
 and send back arrays, so reports are byte-identical at any worker count.
 """
 
@@ -37,7 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -78,7 +75,7 @@ class EvalReport:
     per_sequence: list[tuple[str, float]] | None = None
     skipped_sequences: int = 0
     streams: PredictionStream | None = None  # not serialized, only counted
-    # not serialized: the spec's per-fold extras, and its full-corpus fit if asked for
+    # not serialized: the spec's per-fold extras, and its full-corpus fit (None if skipped)
     fold_extras: list = field(default_factory=list)
     full_fit: tuple | None = None
 
@@ -173,6 +170,10 @@ class FixedSpec:
 
     model: object
 
+    @property
+    def names(self) -> list[str]:
+        return [self.model.name]
+
     def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
         held = map(corpus.take, held_out)
         return ((self.model,), None), [
@@ -236,6 +237,18 @@ def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def pool_folds(spec, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray],
+               workers: int = 1, fit_full: bool = False):
+    """``fit_folds`` of a spec whose ``fit(train_corpus, fold)`` fits one fold, or the
+    whole corpus as fold None: that task runs first with ``fit_full`` (else the fit is
+    None), then the folds, in task order, forked onto ``workers`` processes if more than one."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    tasks = ([None] if fit_full else []) + list(range(len(held_out)))
+    results = _run_tasks((spec, corpus, folds, held_out), tasks, workers)
+    return results.pop(0) if fit_full else None, results
+
+
 def prediction_stream(corpus: Corpus, predictions: np.ndarray) -> PredictionStream:
     """The stream of the sequences of ``corpus`` in order, from their concatenated
     predictions."""
@@ -245,27 +258,11 @@ def prediction_stream(corpus: Corpus, predictions: np.ndarray) -> PredictionStre
                             np.asarray(predictions, dtype=np.int64), corpus.actions[scored])
 
 
-def cross_validate(
-    spec,
-    corpus: Corpus,
-    plan: FoldPlan,
-    model_names: Sequence[str],
-    workers: int = 1,
-    keep_streams: bool = False,
-    fit_full: bool = False,
-) -> list[EvalReport]:
-    """One report per model the spec fits, in the order of ``model_names``,
-    from a single fit per fold (see the module doc for the two kinds of spec);
-    a name count other than the spec's model count raises ConfigError.
-
-    Every report carries the folds' extras in fold order and, with
-    ``fit_full``, the full-corpus fit, which a spec fitted per fold runs as
-    one more task ahead of the folds.  Such tasks run on ``workers`` forked
-    processes and are merged in fold order, so reports do not depend on the
-    worker count.
-    """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+def cross_validate(spec, corpus: Corpus, plan: FoldPlan,
+                   keep_streams: bool = False) -> list[EvalReport]:
+    """One report per name of ``spec.names``, in that order, from one
+    ``spec.fit_folds`` call (see the module doc); every report carries the
+    folds' extras in fold order and the spec's full-corpus fit."""
     missing = set(corpus.students) - set(plan.assignment)
     if missing:
         raise ConfigError(f"fold plan does not cover students {sorted(missing)[:5]}")
@@ -277,20 +274,12 @@ def cross_validate(
         if not len(index):
             raise NextactionError(f"fold {fold} has no scoreable sequences")
 
-    if hasattr(spec, "fit_folds"):
-        full_fit, results = spec.fit_folds(corpus, folds, held_out)
-    else:
-        tasks = ([None] if fit_full else []) + list(range(plan.k))
-        results = _run_tasks((spec, corpus, folds, held_out), tasks, workers)
-        full_fit = results.pop(0) if fit_full else None
-    if any(len(scores) != len(model_names) for scores, _ in results):
-        raise ConfigError(f"{len(model_names)} model names for a spec that fits "
-                          f"{len(results[0][0])} models")
+    full_fit, results = spec.fit_folds(corpus, folds, held_out)
     held = [corpus.take(index) for index in held_out]
     scored = corpus.take(np.concatenate(held_out))  # in fold order
 
     reports = []
-    for index, name in enumerate(model_names):
+    for index, name in enumerate(spec.names):
         predictions = [np.asarray(scores[index]) for scores, _ in results]
         accuracies = [_accuracy(fold, p) for fold, p in zip(held, predictions)]
         per_sequence = np.concatenate(accuracies).tolist()
@@ -298,8 +287,7 @@ def cross_validate(
             model=name, per_fold_accuracy=[float(np.mean(a)) for a in accuracies],
             per_sequence=list(zip(scored.students.tolist(), per_sequence)),
             skipped_sequences=int((corpus.lengths < 2).sum()),
-            fold_extras=[extras for _, extras in results],
-            full_fit=full_fit if fit_full else None,
+            fold_extras=[extras for _, extras in results], full_fit=full_fit,
         )
         report.metadata["folds.seed"] = str(plan.seed)
         if keep_streams:

@@ -45,7 +45,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_shape
 from .errors import ConfigError, MalformedRecordError, NextactionError, NumericalFaultError
-from .evaluation import hill_climb_split, sequence_accuracy
+from .evaluation import hill_climb_split, pool_folds, sequence_accuracy
 from .ingest import Corpus, action_array, text_lines
 
 PROB_FLOOR = 1e-12
@@ -571,13 +571,21 @@ class LstmPredictor:
 
 @dataclass(frozen=True)
 class LstmSpec:
-    """Cross-validation spec: one network trained per fold; its extras are the epoch curve.
-
-    A fold trains with a seed derived from the config seed and the fold
-    index; fold None, the full-corpus fit, trains with the config seed.
-    """
+    """Cross-validation spec: one network trained per fold, on ``workers`` processes
+    (``pool_folds``); its extras are the epoch curve.  A fold trains with a seed
+    derived from the config seed and the fold index; the full-corpus fit, only with
+    ``fit_full``, trains with the config seed."""
 
     cfg: TrainConfig
+    workers: int = 1
+    fit_full: bool = False
+
+    @property
+    def names(self) -> list[str]:
+        return [f"{self.cfg.cell} layers={self.cfg.layers} nodes={self.cfg.hidden_size}"]
+
+    def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
+        return pool_folds(self, corpus, folds, held_out, self.workers, self.fit_full)
 
     def fit(self, train_corpus: Corpus, fold: int | None):
         cfg = self.cfg if fold is None else replace(self.cfg, seed=derive_seed(self.cfg.seed, fold))

@@ -333,6 +333,10 @@ class NGramSpec:
             raise ConfigError(f"gram orders must be >= 1, got {list(self.orders)}")
         _check_order(max(self.orders))
 
+    @property
+    def names(self) -> list[str]:
+        return [f"{order}-gram backoff" for order in self.orders]
+
     def fit_folds(self, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray]):
         """The whole-corpus fit, and per fold the predictions of each order at the
         scored actions of its ``held_out`` sequences; ``folds`` is each sequence's fold.

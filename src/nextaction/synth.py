@@ -332,8 +332,6 @@ def generate(config: SynthConfig, out_dir: str | Path) -> SynthOutputs:
     walked in one lockstep; the log is written in blocks of whole students.
     """
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     kernels = [certified_kernel(config), uncertified_kernel(config)]
     students, which, draws = [], [], []
     for cohort, (tag, count) in enumerate([("cert", config.students_certified),
@@ -356,6 +354,8 @@ def generate(config: SynthConfig, out_dir: str | Path) -> SynthOutputs:
     columns = _text_matrix([_event_columns(config, a) for a in range(config.vocab_size)])
     starts = np.cumsum(lengths) - lengths
     events = hashlib.sha256(_HEADER)
+    out = Path(out_dir)  # made once the walks are drawn: a size no memory holds leaves none
+    out.mkdir(parents=True, exist_ok=True)
     outputs = SynthOutputs(out / "events.tsv", out / "roster.tsv", out / "syllabus.txt", {})
     with open(outputs.events_path, "wb") as log:
         log.write(_HEADER)

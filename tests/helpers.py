@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from nextaction.errors import (
     ConfigError, MalformedRecordError, NextactionError, NumericalFaultError,
 )
-from nextaction import ingest, ngram
+from nextaction import evaluation, ingest, ngram
 from nextaction.evaluation import AgreementTable
 from nextaction.ingest import NUMBER, Corpus, StudentSequence, action_array, text_lines
 from nextaction.lstm import (
@@ -344,10 +344,18 @@ def per_record_agreement(a, b):
 @dataclass(frozen=True)
 class RefitNGramSpec:
     """``ngram.NGramSpec`` as it was before its folds were derived from one count:
-    a table fitted on each fold's training sequences, scored at each order by
-    ``NGramPredictor``."""
+    a table fitted on each fold's training sequences, and one on the whole corpus,
+    scored at each order by ``NGramPredictor``; the fits run on ``workers`` processes."""
 
     orders: tuple[int, ...]
+    workers: int = 1
+
+    @property
+    def names(self) -> list[str]:
+        return ngram.NGramSpec(self.orders).names
+
+    def fit_folds(self, corpus, folds, held_out):
+        return evaluation.pool_folds(self, corpus, folds, held_out, self.workers, fit_full=True)
 
     def fit(self, train_corpus, fold):
         table = ngram.fit(train_corpus, max(self.orders))

@@ -34,9 +34,7 @@ def fold_plan(certified):
 
 @pytest.fixture(scope="module")
 def trigram_report(certified, fold_plan):
-    (report,) = evaluation.cross_validate(
-        ngram.NGramSpec((3,)), certified, fold_plan, ["3-gram backoff"]
-    )
+    (report,) = evaluation.cross_validate(ngram.NGramSpec((3,)), certified, fold_plan)
     return report
 
 
@@ -130,9 +128,7 @@ def test_criterion_4_lstm_learnability(certified, fold_plan, trigram_report):
         dropout_rate=0.2, seed=FOLD_SEED, hidden_size=32, layers=2,
         embedding_dim=64,
     )
-    (report,) = evaluation.cross_validate(
-        lstm.LstmSpec(cfg), certified, fold_plan, ["lstm 2x32"], workers=2
-    )
+    (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg, workers=2), certified, fold_plan)
     floor = trigram_report.cv_accuracy - 0.05
     assert report.cv_accuracy >= floor, (
         f"LSTM CV {report.cv_accuracy:.4f} below floor {floor:.4f}"
@@ -156,9 +152,7 @@ def test_criterion_5_structural_ordering(default_data, certified, fold_plan):
         baselines.SyllabusModel(syllabus),
         baselines.SyllabusRepeatModel(syllabus),
     ):
-        (report,) = evaluation.cross_validate(
-            evaluation.FixedSpec(model), certified, fold_plan, [model.name]
-        )
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), certified, fold_plan)
         scores[model.name] = report.cv_accuracy
     combined = scores["syllabus+repeat"]
     best_single = max(scores["repeat"], scores["syllabus"])
@@ -288,11 +282,12 @@ def test_criterion_9_protocol_shape():
     plan = evaluation.FoldPlan(k=2, seed=0, assignment={"long": 0, "short": 1})
 
     class RepeatLast:
+        name = "repeat"
+
         def predict_sequence(self, actions, pos):
             return actions[:-1][pos[1:] >= 1]
 
-    (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
-                                          ["repeat"])
+    (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
     macro = (19 / 20 + 0.0) / 2
     micro = 19 / 21
     assert report.cv_accuracy == pytest.approx(macro)

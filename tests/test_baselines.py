@@ -115,9 +115,7 @@ class TestCombinedDominates:
             baselines.SyllabusModel(syl),
             baselines.SyllabusRepeatModel(syl),
         ):
-            (report,) = evaluation.cross_validate(
-                evaluation.FixedSpec(model), cert, plan, [model.name]
-            )
+            (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), cert, plan)
             scores[model.name] = report.cv_accuracy
         assert scores["syllabus+repeat"] >= scores["syllabus"]
         assert scores["syllabus+repeat"] >= scores["repeat"]

@@ -398,8 +398,7 @@ class TestSweepAndGridThroughTheEvaluator:
         plan = evaluation.make_folds(corpus.students, 3, 9)
         expected = {}
         for order in (2, 3, 4):
-            (report,) = evaluation.cross_validate(ngram.NGramSpec((order,)), corpus, plan,
-                                                  [f"{order}-gram"])
+            (report,) = evaluation.cross_validate(ngram.NGramSpec((order,)), corpus, plan)
             expected.update(self.lines(f"order.{order}", report))
         assert self.rows(tmp_path / "sweep.txt") == expected
 
@@ -434,7 +433,7 @@ class TestSweepAndGridThroughTheEvaluator:
             for lr in (0.01, 0.1):
                 cfg = lstm.TrainConfig(learning_rate=lr, epochs=1, window=5, seed=9,
                                        hidden_size=nodes, embedding_dim=4)
-                (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["lstm"])
+                (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
                 expected.update(self.lines(f"grid.layers=1.nodes={nodes}.lr={lr:g}", report))
         rows = self.rows(tmp_path / "grid.txt")
         assert rows == expected
@@ -628,6 +627,7 @@ class TestHostileSizes:
                      "--out-dir", str(tmp_path / "out")]) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and message in line
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedStream:
@@ -926,6 +926,15 @@ class TestValuesBelowOne:
                      "--out-dir", str(tmp_path)]) == 2
         assert "workers must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ngram", "lstm", "baseline"])
+    def test_workers_below_one_exits_2_before_any_input_is_read(self, tmp_path, capsys,
+                                                                command):
+        assert main([command, "--corpus", str(tmp_path / "none.nact"), "--vocab",
+                     str(tmp_path / "none.tsv"), "--workers", "0",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("cohort", ["certified", "uncertified", "all"])
     def test_min_actions_below_one_exits_2_for_every_cohort(self, tiny, tmp_path, capsys, cohort):
         assert main(["baseline", "--corpus", str(tiny / "corpus.nact"), "--vocab",
@@ -941,6 +950,62 @@ class TestValuesBelowOne:
         assert main(["eval", *corpus, "--model", str(model), "--min-actions", "-5",
                      "--out-dir", str(tmp_path)]) == 2
         assert "min_actions must be >= 1, got -5" in capsys.readouterr().err
+
+
+_LSTM = ["lstm", "--epochs", "1", "--nodes", "4", "--window", "5", "--emb-dim", "4"]
+_CV_DATA = ["--corpus", "{data}/corpus.nact", "--vocab", "{data}/vocab.tsv", "--folds", "3"]
+_LOG = ["--events", "{data}/events.tsv", "--roster", "{data}/roster.tsv", "--min-count", "1"]
+
+
+class TestOutputDirectories:
+    """Every output makes the missing directories above it, as --report does, and
+    writes there the bytes it writes into an existing directory."""
+
+    OUTPUTS = {
+        "ngram --stream": ["ngram", *_CV_DATA, "--max-order", "2", "--stream", "{dir}/x.pred"],
+        "ngram --save-model": ["ngram", *_CV_DATA, "--max-order", "2",
+                               "--save-model", "{dir}/m.ngram"],
+        "baseline --csv": ["baseline", *_CV_DATA, "--csv", "{dir}/f.csv"],
+        "baseline --report": ["baseline", *_CV_DATA, "--report", "{dir}/r.txt"],
+        "lstm --save-model": [*_LSTM, *_CV_DATA, "--save-model", "{dir}/m.lstm"],
+        "lstm curves": [*_LSTM, *_CV_DATA, "--out-dir", "{dir}"],
+        "ingest --vocab-out": ["ingest", *_LOG, "--vocab-out", "{dir}/v.tsv"],
+        "ingest --corpus-out": ["ingest", *_LOG, "--corpus-out", "{dir}/c.nact"],
+    }
+
+    @pytest.mark.parametrize("case", list(OUTPUTS))
+    def test_an_output_into_a_new_nested_directory(self, tiny, tmp_path, case):
+        written = []
+        for where in ("old", "new/deep"):
+            target = tmp_path / where
+            if where == "old":
+                target.mkdir()
+            rest = tmp_path / f"rest-{where.replace('/', '-')}"  # the outputs not under test
+            argv = [arg.format(data=tiny, dir=target) for arg in self.OUTPUTS[case]]
+            assert main([argv[0], "--out-dir", str(rest), *argv[1:]]) == 0
+            written.append({path.name: path.read_bytes() for path in target.iterdir()})
+        old, new = written
+        assert len(old) >= 1 and new == old
+
+
+class TestSpecNames:
+    """A spec's names are the ``model:`` lines of the reports the CLI writes for it."""
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["ngram", "--max-order", "4"], lambda _: ngram.NGramSpec((4,))),
+        ([*_LSTM, "--layers", "2", "--cell", "rnn"], lambda _: lstm.LstmSpec(lstm.TrainConfig(
+            hidden_size=4, layers=2, cell="rnn"))),
+        (["baseline", "--model", "repeat"],
+         lambda _: evaluation.FixedSpec(baselines.RepeatModel())),
+        (["baseline", "--model", "combined", "--syllabus", "{data}/syllabus.txt"],
+         lambda data: evaluation.FixedSpec(baselines.SyllabusRepeatModel(baselines.load_syllabus(
+             (data / "syllabus.txt").read_bytes(),
+             ingest.load_vocabulary((data / "vocab.tsv").read_bytes()))))),
+    ], ids=["ngram", "lstm", "baseline-repeat", "baseline-combined"])
+    def test_names_are_the_report_model_lines(self, tiny, tmp_path, argv, spec):
+        assert main([*(arg.format(data=tiny) for arg in argv + _CV_DATA),
+                     "--report", str(tmp_path / "r.txt"), "--out-dir", str(tmp_path)]) == 0
+        assert spec(tiny).names == [read_report(tmp_path / "r.txt")["model"]]
 
 
 class TestInProcessNgram:

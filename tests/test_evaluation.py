@@ -2,7 +2,7 @@ import pickle
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    actions_pos, columns, lstm_predict_next, mutated, naive_backoff_predict, naive_gram_counts,
-    per_line_read_stream, per_line_write_stream, per_record_agreement, read_report, students_in,
+    RefitNGramSpec, actions_pos, columns, lstm_predict_next, mutated, naive_backoff_predict,
+    naive_gram_counts, per_line_read_stream, per_line_write_stream, per_record_agreement,
+    read_report, students_in,
 )
 from helpers import corpus_of as rows_corpus
 from nextaction import baselines, evaluation, ingest, lstm, ngram
@@ -30,6 +31,8 @@ def corpus_of(sequences, vocab_size=None, certified=True):
 
 
 class ConstantModel:
+    name = "m"
+
     def __init__(self, value):
         self.value = value
 
@@ -38,12 +41,16 @@ class ConstantModel:
 
 
 class RepeatLast:
+    name = "m"
+
     def predict_sequence(self, actions, pos):
         return actions[:-1][pos[1:] >= 1]
 
 
 class ShortByOne:
     """A repeat model that leaves out its last prediction of the fold."""
+
+    name = "m"
 
     def predict_sequence(self, actions, pos):
         return actions[:-1][pos[1:] >= 1][:-1]
@@ -225,7 +232,7 @@ class TestPredictionContract:
         corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
         plan = evaluation.make_folds(corpus.students, 3, seed=0)
         with pytest.raises(NextactionError, match="predictions for"):
-            evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan, ["m"])
+            evaluation.cross_validate(evaluation.FixedSpec(ShortByOne()), corpus, plan)
         with pytest.raises(NextactionError, match="2 predictions for 3 positions"):
             evaluation.transfer_eval(ShortByOne(), corpus, min_actions=4)
         with pytest.raises(NextactionError):
@@ -237,28 +244,14 @@ class TestCrossValidate:
         corpus = corpus_of([[0, 1]] * 6, 2)
         plan = evaluation.make_folds(corpus.students[:-1], 3, seed=0)
         with pytest.raises(ConfigError, match="fold plan does not cover students"):
-            evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan,
-                                      ["m"])
-
-    @pytest.mark.parametrize("spec, names, fitted", [
-        (evaluation.FixedSpec(baselines.RepeatModel()), ["a", "b"], 1),
-        (ngram.NGramSpec((2, 3)), ["2-gram"], 2),
-        (ngram.NGramSpec((2, 3)), [], 2),
-    ], ids=["more-names", "fewer-names", "no-names"])
-    def test_one_name_per_model_the_spec_fits(self, spec, names, fitted):
-        corpus = corpus_of([[0, 1, 0, 1], [1, 1, 0], [0, 0, 1]], 2)
-        plan = evaluation.make_folds(corpus.students, 3, seed=0)
-        with pytest.raises(ConfigError, match=f"{len(names)} model names for a spec that "
-                                              f"fits {fitted} models"):
-            evaluation.cross_validate(spec, corpus, plan, names)
+            evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
 
     def test_constant_model_equals_base_rate(self):
         rng = np.random.default_rng(6)
         seqs = [rng.integers(0, 3, size=rng.integers(4, 12)).tolist() for _ in range(12)]
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.students, 3, seed=0)
-        (report,) = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus,
-                                              plan, ["m"])
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(ConstantModel(1)), corpus, plan)
         # direct recomputation of the macro base rate of action 1
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         fold_means = []
@@ -277,7 +270,7 @@ class TestCrossValidate:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.students, 3, seed=1)
         model = RepeatLast()
-        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"])
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         by_id = {s.student_id: s.actions for s in corpus.sequences}
         for f in range(3):
             direct = np.mean([
@@ -289,8 +282,7 @@ class TestCrossValidate:
     def test_short_sequences_skipped_and_tallied(self):
         corpus = corpus_of([[0, 1, 0], [0], [1, 1], [0, 0]], 2)
         plan = evaluation.make_folds(corpus.students, 2, seed=2)
-        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
-                                              ["m"])
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
         assert report.skipped_sequences == 1
 
     def test_macro_differs_from_micro_on_constructed_folds(self):
@@ -303,8 +295,7 @@ class TestCrossValidate:
             StudentSequence("short", short_seq, True),
         ], 2)
         plan = evaluation.FoldPlan(k=2, seed=0, assignment={"long": 0, "short": 1})
-        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan,
-                                              ["m"])
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(RepeatLast()), corpus, plan)
         macro = (19 / 20 + 0 / 1) / 2
         micro = 19 / 21
         assert report.cv_accuracy == pytest.approx(macro)
@@ -317,14 +308,21 @@ class TestCrossValidate:
         plan = evaluation.make_folds(corpus.students, 4, seed=5)
 
         def run():
-            (report,) = evaluation.cross_validate(ngram.NGramSpec((3,)), corpus, plan, ["3-gram"])
+            (report,) = evaluation.cross_validate(ngram.NGramSpec((3,)), corpus, plan)
             return report.to_text()
 
         assert run() == run()
 
 
+@dataclass(frozen=True)
 class FailingFold:
     """Raises a record error from one fold's fit."""
+
+    workers: int = 1
+    names = ["m"]
+
+    def fit_folds(self, corpus, folds, held_out):
+        return evaluation.pool_folds(self, corpus, folds, held_out, self.workers)
 
     def fit(self, train_corpus, fold):
         if fold == 1:
@@ -348,16 +346,13 @@ class TestSpecs:
         return corpus, evaluation.make_folds(corpus.students, 5, seed=3)
 
     @pytest.mark.parametrize("spec", [
-        ngram.NGramSpec((2,)),
-        lstm.LstmSpec(_tiny_lstm_config()),
-        evaluation.FixedSpec(baselines.RepeatModel()),
-    ], ids=["ngram", "lstm", "fixed"])
+        lambda workers: lstm.LstmSpec(_tiny_lstm_config(), workers=workers),
+        lambda workers: RefitNGramSpec((2,), workers=workers),
+    ], ids=["lstm", "refit-ngram"])
     def test_worker_count_does_not_change_report(self, corpus_and_plan, spec):
         corpus, plan = corpus_and_plan
-        serial, pooled = (
-            evaluation.cross_validate(spec, corpus, plan, ["m"], workers=w, keep_streams=True)[0]
-            for w in (1, 4)
-        )
+        serial, pooled = (evaluation.cross_validate(spec(w), corpus, plan, keep_streams=True)[0]
+                          for w in (1, 4))
         assert serial.to_text() == pooled.to_text()
         assert columns(serial.streams) == columns(pooled.streams)
         assert serial.fold_extras == pooled.fold_extras
@@ -369,8 +364,7 @@ class TestSpecs:
     def test_lstm_extras_are_fold_curves_and_full_fit_uses_the_config_seed(self, corpus_and_plan):
         corpus, plan = corpus_and_plan
         cfg = _tiny_lstm_config(seed=11)
-        (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["m"],
-                                              fit_full=True)
+        (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg, fit_full=True), corpus, plan)
         for fold, curve in enumerate(report.fold_extras):
             train = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] != fold
@@ -383,16 +377,29 @@ class TestSpecs:
         for (name, got), (_, want) in zip(predictor.net.param_items(), net.param_items()):
             assert np.array_equal(got, want), name
 
-    def test_full_fit_is_absent_unless_asked_for(self, corpus_and_plan):
+    def test_only_a_spec_fitted_per_fold_can_skip_its_full_fit(self, corpus_and_plan):
         corpus, plan = corpus_and_plan
-        (report,) = evaluation.cross_validate(ngram.NGramSpec((2,)), corpus, plan, ["m"])
-        assert report.full_fit is None and report.fold_extras == [None] * 5
+        model = RepeatLast()
+        (counted,) = evaluation.cross_validate(ngram.NGramSpec((2,)), corpus, plan)
+        (fixed,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
+        (trained,) = evaluation.cross_validate(lstm.LstmSpec(_tiny_lstm_config()), corpus, plan)
+        (predictor,), extras = counted.full_fit
+        assert predictor.max_order == 2 and extras is None
+        assert fixed.full_fit == ((model,), None)
+        assert trained.full_fit is None
+        assert counted.fold_extras == fixed.fold_extras == [None] * 5
+
+    def test_a_worker_count_below_one_is_refused(self, corpus_and_plan):
+        corpus, plan = corpus_and_plan
+        for spec in (lstm.LstmSpec(_tiny_lstm_config(), workers=0), FailingFold(workers=0)):
+            with pytest.raises(ConfigError, match="workers must be >= 1, got 0"):
+                evaluation.cross_validate(spec, corpus, plan)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_fold_fault_arrives_as_itself(self, corpus_and_plan, workers):
         corpus, plan = corpus_and_plan
         with pytest.raises(MalformedRecordError, match="byte 7: bad fold") as caught:
-            evaluation.cross_validate(FailingFold(), corpus, plan, ["m"], workers=workers)
+            evaluation.cross_validate(FailingFold(workers), corpus, plan)
         assert (caught.value.lineno, caught.value.reason) == (7, "bad fold")
 
 
@@ -408,7 +415,7 @@ class TestTransferEval:
         corpus = corpus_of(seqs, 4)
         plan = evaluation.make_folds(corpus.students, 5, seed=6)
         model = RepeatLast()
-        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"])
+        (report,) = evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan)
         for f in range(5):
             fold_corpus = rows_corpus([
                 s for s in corpus.sequences if plan.assignment[s.student_id] == f
@@ -533,8 +540,7 @@ class TestOneCallPerFold:
     def test_cross_validate_and_transfer(self, corpus):
         model = CountingRepeat()
         plan = evaluation.make_folds(corpus.students, 4, seed=2)
-        evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, ["m"],
-                                  keep_streams=True)
+        evaluation.cross_validate(evaluation.FixedSpec(model), corpus, plan, keep_streams=True)
         assert model.calls == 4
         evaluation.transfer_eval(model, corpus, min_actions=2)
         assert model.calls == 5
@@ -547,8 +553,7 @@ class TestOneCallPerFold:
         monkeypatch.setattr(evaluation, "_accuracy",
                             lambda fold, p: scored.append(len(p)) or accuracy(fold, p))
         plan = evaluation.make_folds(corpus.students, 3, seed=2)
-        evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan,
-                                  ["2-gram", "3-gram", "4-gram"], workers=1)
+        evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan)
         assert calls == []
         assert len(scored) == 3 * 3
         assert sum(scored) == 3 * int((corpus.lengths - 1).clip(0).sum())
@@ -559,7 +564,7 @@ class TestOneCallPerFold:
         lstm.train(corpus, cfg)
         assert len(calls) == 3
         plan = evaluation.make_folds(corpus.students, 2, seed=2)
-        evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["m"], workers=1)
+        evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
         assert len(calls) == 3 + 2 * (3 + 1)
 
 

@@ -805,7 +805,7 @@ class TestGridSearch:
                                 embedding_dim=6, dropout_rate=0.0)
         configs = [replace(base, layers=l, hidden_size=n) for l in (1, 2) for n in (16, 32)]
         for cfg in configs:
-            (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan, ["lstm"])
+            (report,) = evaluation.cross_validate(lstm.LstmSpec(cfg), corpus, plan)
             assert len(report.per_fold_accuracy) == 5
             assert 0.0 <= report.cv_accuracy <= 1.0
 

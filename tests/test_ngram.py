@@ -223,8 +223,7 @@ class TestSweepAndFiles:
         seqs = [list(cycle)] * 6
         corpus = corpus_of(seqs, 3)
         plan = evaluation.make_folds(corpus.students, 3, seed=5)
-        reports = evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan,
-                                            ["2-gram", "3-gram", "4-gram"])
+        reports = evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan)
         for order, report in zip((2, 3, 4), reports):
             assert report.cv_accuracy == 1.0, f"order {order}"
 
@@ -240,13 +239,10 @@ class TestSweepAndFiles:
             return real_fit(counted, order, *rest)
 
         monkeypatch.setattr(ngram, "fit", counting_fit)
-        for workers in (1, 2):
-            fitted.clear()
-            reports = evaluation.cross_validate(
-                ngram.NGramSpec((2, 3, 4)), corpus, plan, ["2-gram", "3-gram", "4-gram"],
-                workers=workers)
-            assert fitted == [(corpus.total_actions, 4)]
-            assert [report.model for report in reports] == ["2-gram", "3-gram", "4-gram"]
+        reports = evaluation.cross_validate(ngram.NGramSpec((2, 3, 4)), corpus, plan)
+        assert fitted == [(corpus.total_actions, 4)]
+        assert [report.model for report in reports] == [
+            "2-gram backoff", "3-gram backoff", "4-gram backoff"]
 
     @pytest.mark.parametrize("orders", [(), (0, 2)])
     def test_orders_must_be_given_and_at_least_one(self, orders):
@@ -266,9 +262,8 @@ class TestSweepAndFiles:
 
         def run(spec):
             try:
-                return evaluation.cross_validate(
-                    spec(tuple(orders)), corpus, plan, [f"{o}-gram" for o in orders],
-                    keep_streams=True, fit_full=True)
+                return evaluation.cross_validate(spec(tuple(orders)), corpus, plan,
+                                                 keep_streams=True)
             except NextactionError as exc:
                 return type(exc), str(exc)
 
@@ -290,7 +285,7 @@ class TestSweepAndFiles:
         plan = evaluation.FoldPlan(k=1, seed=0, assignment={"s0": 0, "s1": 1})
         for spec in (ngram.NGramSpec((2,)), RefitNGramSpec((2,))):
             with pytest.raises(UnfittedModelError, match="n-gram table has no observations"):
-                evaluation.cross_validate(spec, corpus, plan, ["2-gram"])
+                evaluation.cross_validate(spec, corpus, plan)
 
     def test_a_sequence_in_no_held_out_fold_trains_every_fold(self):
         """A hand-made plan may name folds outside 0..k-1: those sequences are
@@ -299,7 +294,7 @@ class TestSweepAndFiles:
         corpus = corpus_of([rng.integers(0, 4, size=12).tolist() for _ in range(6)], 4)
         plan = evaluation.FoldPlan(k=2, seed=0, assignment={
             "s0": 0, "s1": 1, "s2": 5, "s3": -1, "s4": 0, "s5": 1})
-        counted, refit = (evaluation.cross_validate(spec((2, 3)), corpus, plan, ["2", "3"])
+        counted, refit = (evaluation.cross_validate(spec((2, 3)), corpus, plan)
                           for spec in (ngram.NGramSpec, RefitNGramSpec))
         assert [r.to_text() for r in counted] == [r.to_text() for r in refit]
 
