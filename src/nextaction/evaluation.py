@@ -22,8 +22,10 @@ full-corpus fit (None if it skips it) and, per fold, each model's
 predictions for the held-out sequences and the fold's extras (such as an
 LSTM epoch curve).  ``FixedSpec`` and ``ngram.NGramSpec`` score every fold
 in this process.  ``lstm.LstmSpec`` is fitted once per fold by
-``pool_folds``, on forked worker processes that inherit the spec and corpus
-and send back arrays, so reports are byte-identical at any worker count.
+``pool_folds``, which maps one task function, ``_fold_task``, over the folds:
+in this process at one worker, else on forked worker processes that inherit
+the spec and corpus and send back arrays, so reports are byte-identical at
+any worker count.
 """
 
 import io
@@ -186,14 +188,16 @@ def _held_out(corpus: Corpus, folds: np.ndarray, fold: int) -> np.ndarray:
     return index[np.argsort(corpus.students[index])]
 
 
-def _run_task(job: tuple, fold: int | None):
-    """One pool task: the full-corpus fit (fold None), or one fold fitted and scored.
+_job = None  # (spec, corpus, folds, held_out) while pool_folds runs
+
+
+def _fold_task(fold: int | None):
+    """One task of the job: the full-corpus fit (fold None), or one fold fitted and scored.
 
     A fold yields, per model the spec fits, the predictions of its held-out
-    sequences in one array, and its extras.  The job is the spec, the corpus,
-    the fold of each of its sequences and the held-out sequences of each fold.
+    sequences in one array, and its extras.
     """
-    spec, corpus, folds, held_out = job
+    spec, corpus, folds, held_out = _job
     if fold is None:
         return spec.fit(corpus, None)
     models, extras = spec.fit(corpus.take(folds != fold), fold)
@@ -201,51 +205,35 @@ def _run_task(job: tuple, fold: int | None):
     return [model.predict_sequence(held.actions, held.pos) for model in models], extras
 
 
-_job = None  # set in each pool worker by _adopt; the parent never sets it
-
-
-def _adopt(job: tuple) -> None:
-    global _job
-    _job = job
-
-
-def _pool_task(fold: int | None):
-    return _run_task(_job, fold)
-
-
-def _run_tasks(job: tuple, tasks: list, workers: int) -> list:
-    """Results of ``tasks`` in order, on a pool of forked processes when workers > 1.
-
-    The job reaches each worker by fork inheritance, so the corpus is not
-    pickled per task; only fold indices and results cross the boundary.
-    """
-    if workers <= 1:
-        return [_run_task(job, task) for task in tasks]
-    # the package starts no threads of its own, and OpenBLAS stops its
-    # threads before a fork and restarts them on demand
-    pool = ProcessPoolExecutor(
-        max_workers=min(workers, len(tasks)),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt,
-        initargs=(job,),
-    )
-    try:
-        return list(pool.map(_pool_task, tasks))
-    except BrokenProcessPool as exc:
-        raise NextactionError(f"a fold worker stopped: {exc}") from None
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def pool_folds(spec, corpus: Corpus, folds: np.ndarray, held_out: list[np.ndarray],
                workers: int = 1, fit_full: bool = False):
     """``fit_folds`` of a spec whose ``fit(train_corpus, fold)`` fits one fold, or the
     whole corpus as fold None: that task runs first with ``fit_full`` (else the fit is
-    None), then the folds, in task order, forked onto ``workers`` processes if more than one."""
+    None), then the folds, in task order, forked onto ``workers`` processes if more than one.
+
+    The job is a module global that each forked worker inherits, so the corpus is
+    not pickled; only fold indices and results cross the boundary.
+    """
+    global _job
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = ([None] if fit_full else []) + list(range(len(held_out)))
-    results = _run_tasks((spec, corpus, folds, held_out), tasks, workers)
+    _job, pool = (spec, corpus, folds, held_out), None
+    try:
+        if workers == 1:
+            results = list(map(_fold_task, tasks))
+        else:
+            # the package starts no threads of its own, and OpenBLAS stops its
+            # threads before a fork and restarts them on demand
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                       mp_context=multiprocessing.get_context("fork"))
+            results = list(pool.map(_fold_task, tasks))
+    except BrokenProcessPool as exc:
+        raise NextactionError(f"a fold worker stopped: {exc}") from None
+    finally:
+        _job = None
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return results.pop(0) if fit_full else None, results
 
 

@@ -225,7 +225,6 @@ def _run_layers(
     ids: np.ndarray,
     train: bool,
     rng: np.random.Generator | None,
-    dropout_masks: list[np.ndarray] | None,
 ):
     """Batched forward through embedding and all recurrent layers.
 
@@ -252,13 +251,10 @@ def _run_layers(
     for idx, layer in enumerate(net.layers):
         if idx > 0:
             if use_dropout:
-                if dropout_masks is not None:
-                    mask = dropout_masks[idx - 1]
-                else:
-                    if rng is None:
-                        raise ConfigError("train-mode dropout needs an rng or explicit masks")
-                    keep = rng.random((n_batch, n_steps, hidden)) >= net.dropout_rate
-                    mask = keep / (1.0 - net.dropout_rate)
+                if rng is None:
+                    raise ConfigError("train-mode dropout needs an rng")
+                keep = rng.random((n_batch, n_steps, hidden)) >= net.dropout_rate
+                mask = keep / (1.0 - net.dropout_rate)
                 masks.append(mask)
                 layer_inputs = layer_inputs * mask
             else:
@@ -306,7 +302,6 @@ def forward_sequence(
     ids: Sequence[int] | np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
 ):
     """Per-step output distributions for one window or a batch of windows.
 
@@ -322,7 +317,7 @@ def forward_sequence(
         raise NextactionError("ids must be a non-empty window or batch of windows")
     if arr.shape[1] > net.window:
         raise ConfigError(f"window of {arr.shape[1]} exceeds the model window {net.window}")
-    top_h, cache = _run_layers(net, arr, train, rng, dropout_masks)
+    top_h, cache = _run_layers(net, arr, train, rng)
     logits = top_h @ net.W_y.T + net.b_y
     probs = softmax(logits)
     cache["probs"] = probs
@@ -555,12 +550,12 @@ class LstmPredictor:
         """
         net = self.net
         head = arr[: min(net.window, len(arr)) - 1]
-        top_h, _ = _run_layers(net, head[None], False, None, None)
+        top_h, _ = _run_layers(net, head[None], False, None)
         # a (1, H) @ (H, V) product per prefix rounds as a run over that prefix alone
         logits = [top_h[0][:, None] @ net.W_y.T]
         if len(arr) > net.window:
             windows = sliding_window_view(arr[:-1], net.window)
-            top_h, _ = _run_layers(net, windows, False, None, None)
+            top_h, _ = _run_layers(net, windows, False, None)
             logits.append((top_h[:, -1] @ net.W_y.T)[:, None])
         # the argmax reads probabilities, whose rounding can tie logits that differ
         probs = softmax(np.concatenate(logits) + net.b_y)
@@ -571,9 +566,10 @@ class LstmPredictor:
 
 @dataclass(frozen=True)
 class LstmSpec:
-    """Cross-validation spec: one network trained per fold, on ``workers`` processes
-    (``pool_folds``); its extras are the epoch curve.  A fold trains with a seed
-    derived from the config seed and the fold index; the full-corpus fit, only with
+    """Cross-validation spec: one network trained per fold by the one task function
+    of ``pool_folds``, in this process at one worker, else on ``workers`` forked
+    processes; its extras are the epoch curve.  A fold trains with a seed derived
+    from the config seed and the fold index; the full-corpus fit, only with
     ``fit_full``, trains with the config seed."""
 
     cfg: TrainConfig

@@ -171,18 +171,12 @@ def lstm_predict_next(net, context):
     return int(np.argmax(probs[0, -1])), probs[0, -1]
 
 
-def finite_difference_gradients(net, ids, targets, mask, step=1e-5, dropout_masks=None):
-    """Central-difference loss gradients; the numerical oracle for ``lstm.backward``,
-    with its (B, T) ``targets`` and ``mask``.
-
-    With ``dropout_masks`` the loss is evaluated under those fixed masks,
-    matching a train-mode forward; otherwise dropout is off.
-    """
+def finite_difference_gradients(net, ids, targets, mask, step=1e-5):
+    """Central-difference loss gradients, with dropout off; the numerical oracle for
+    ``lstm.backward``, with its (B, T) ``targets`` and ``mask``."""
 
     def current_loss() -> float:
-        probs, _ = forward_sequence(
-            net, ids, train=dropout_masks is not None, dropout_masks=dropout_masks
-        )
+        probs, _ = forward_sequence(net, ids)
         return loss(probs, targets, mask)
 
     grads = {}

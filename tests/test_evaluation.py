@@ -1,8 +1,10 @@
+import os
 import pickle
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from unittest import mock
 
@@ -330,6 +332,27 @@ class FailingFold:
         return (RepeatLast(),), None
 
 
+@dataclass(frozen=True)
+class DyingFold:
+    """Ends the forked worker that fits a fold, as a killed process would end."""
+
+    parent: int = field(default_factory=os.getpid)
+    names = ["m"]
+
+    def fit_folds(self, corpus, folds, held_out):
+        return evaluation.pool_folds(self, corpus, folds, held_out, workers=2)
+
+    def fit(self, train_corpus, fold):
+        if os.getpid() != self.parent:
+            os._exit(1)
+        return (RepeatLast(),), None
+
+
+class UnpicklableSpec(RefitNGramSpec):
+    def __reduce__(self):
+        raise AssertionError("the spec was pickled")
+
+
 def _tiny_lstm_config(seed=4):
     return lstm.TrainConfig(
         learning_rate=0.01, epochs=2, window=4, batch_size=8, dropout_rate=0.2,
@@ -356,6 +379,35 @@ class TestSpecs:
         assert serial.to_text() == pooled.to_text()
         assert columns(serial.streams) == columns(pooled.streams)
         assert serial.fold_extras == pooled.fold_extras
+
+    def test_forked_folds_never_pickle_the_job(self, corpus_and_plan, monkeypatch):
+        corpus, plan = corpus_and_plan
+        (serial,) = evaluation.cross_validate(UnpicklableSpec((2,)), corpus, plan, keep_streams=True)
+
+        def refuse(self, protocol):
+            raise AssertionError("a corpus was pickled")
+
+        monkeypatch.setattr(ingest.Corpus, "__reduce_ex__", refuse)  # inherited by the forks
+        spec = UnpicklableSpec((2,), workers=2)
+        for job in (spec, corpus):
+            with pytest.raises(AssertionError, match="was pickled"):
+                pickle.dumps(job)
+        (pooled,) = evaluation.cross_validate(spec, corpus, plan, keep_streams=True)
+        assert pooled.to_text() == serial.to_text()
+        assert columns(pooled.streams) == columns(serial.streams)
+
+    @pytest.mark.parametrize("spec, error", [
+        (lambda: RefitNGramSpec((2,)), None),
+        (lambda: RefitNGramSpec((2,), workers=2), None),
+        (lambda: FailingFold(1), "byte 7: bad fold"),
+        (lambda: FailingFold(2), "byte 7: bad fold"),
+        (DyingFold, "a fold worker stopped"),
+    ], ids=["returns", "returns-forked", "fold-fault", "fold-fault-forked", "worker-dies"])
+    def test_the_job_is_dropped_when_the_run_ends(self, corpus_and_plan, spec, error):
+        corpus, plan = corpus_and_plan
+        with pytest.raises(NextactionError, match=error) if error else nullcontext():
+            evaluation.cross_validate(spec(), corpus, plan)
+        assert evaluation._job is None
 
     def test_specs_survive_pickling(self):
         for spec in (ngram.NGramSpec((2, 3)), lstm.LstmSpec(_tiny_lstm_config())):

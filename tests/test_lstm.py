@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -191,9 +192,9 @@ class TestForwardSequence:
         with pytest.raises(NextactionError, match="non-empty window"):
             lstm.forward_sequence(tiny_net(seed=4), ids)
 
-    def test_train_mode_dropout_needs_an_rng_or_masks(self):
+    def test_train_mode_dropout_needs_an_rng(self):
         net = tiny_net(seed=4, layers=2, dropout=0.5)
-        with pytest.raises(ConfigError, match="needs an rng or explicit masks"):
+        with pytest.raises(ConfigError, match="train-mode dropout needs an rng$"):
             lstm.forward_sequence(net, [0, 1, 2], train=True)
 
     def test_rejects_window_overflow(self):
@@ -249,7 +250,7 @@ class TestForwardSequence:
 @st.composite
 def kernel_cases(draw):
     """A small network, possibly scaled until gate inputs reach |z| of 700-750,
-    with a batch of windows that may hold pad ids, and its targets and masks."""
+    with a batch of windows that may hold pad ids, its targets, and a seed."""
     cell = draw(st.sampled_from(["lstm", "rnn"]))
     layers = draw(st.integers(1, 3))
     window = draw(st.integers(1, 5))
@@ -267,11 +268,7 @@ def kernel_cases(draw):
     n_steps = draw(st.integers(1, window))
     ids = rng.integers(0, vocab + 1, size=(n_batch, n_steps))  # vocab is the pad id
     targets = rng.integers(0, vocab + 1, size=(n_batch, n_steps))
-    masks = None
-    if dropout and layers > 1 and draw(st.booleans()):
-        masks = [(rng.random((n_batch, n_steps, hidden)) >= dropout) / (1.0 - dropout)
-                 for _ in range(layers - 1)]
-    return net, ids, targets, masks, seed
+    return net, ids, targets, seed
 
 
 def same_bytes(a, b):
@@ -291,13 +288,13 @@ class TestKernelOracle:
     @settings(max_examples=200, deadline=None)
     @given(kernel_cases())
     def test_train_pass_caches_and_gradients_equal_the_frozen_kernel(self, case):
-        net, ids, targets, masks, seed = case
+        net, ids, targets, seed = case
         valid = targets != net.pad_id
         runs = []
         for forward, backward in ((lstm.forward_sequence, lstm.backward),
                                   (frozen_forward_sequence, frozen_backward)):
-            rng = np.random.default_rng(seed)
-            probs, cache = forward(net, ids, train=True, rng=rng, dropout_masks=masks)
+            rng = np.random.default_rng(seed)  # the same dropout masks for both kernels
+            probs, cache = forward(net, ids, train=True, rng=rng)
             infer_probs, _ = forward(net, ids)
             runs.append((probs, cache, infer_probs, backward(net, cache, targets, valid)))
         assert all(same_bytes(new, old) for new, old in zip(*runs))
@@ -308,13 +305,13 @@ class TestKernelOracle:
     def test_predictions_equal_the_frozen_kernel(self, case, n_windows, short):
         """Sequences of at most the window, scored by the prefix run alone, and
         longer ones whose sliding windows form batches of 1, 2, 33 or 190 rows."""
-        net, _, _, _, seed = case
+        net, _, _, seed = case
         rng = np.random.default_rng([seed, 0x9E])
         lengths = [net.window + n if n else min(short, net.window) for n in n_windows]
         actions, pos = actions_pos([rng.integers(0, net.vocab_size, n).tolist() for n in lengths])
         predictor = lstm.LstmPredictor(net)
         predicted = predictor.predict_sequence(actions, pos)
-        with mock.patch.object(lstm, "_run_layers", frozen_run_layers):
+        with mock.patch.object(lstm, "_run_layers", partial(frozen_run_layers, dropout_masks=None)):
             expected = predictor.predict_sequence(actions, pos)
         assert predicted.tobytes() == expected.tobytes()
 
@@ -382,9 +379,14 @@ class TestBackward:
         net = tiny_net(seed=9, dropout=0.4)
         ids = np.array([[0, 1, 2, 3]])
         targets = np.array([[1, 2, 3, 4]])
-        mask = np.ones((1, 4, net.hidden_size)) / (1 - net.dropout_rate)
-        mask[:, :, 2] = 0.0  # silence hidden unit 2 between the layers
-        _, cache = lstm.forward_sequence(net, ids, train=True, dropout_masks=[mask])
+
+        class Draws:  # keeps every unit between the layers but hidden unit 2
+            def random(self, shape):
+                draws = np.ones(shape)
+                draws[:, :, 2] = 0.0
+                return draws
+
+        _, cache = lstm.forward_sequence(net, ids, train=True, rng=Draws())
         grads = lstm.backward(net, cache, targets, np.ones(targets.shape, dtype=bool))
         for gate in ("f", "i", "C", "o"):
             assert np.allclose(grads[f"layer1.W_{gate}x"][:, 2], 0.0)
